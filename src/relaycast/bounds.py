@@ -83,8 +83,27 @@ def _t_values(v_s, ctx: BoundContext):
         return np.where(log_t > _EXP_OVERFLOW, np.inf, np.exp(log_t))
 
 
+def _divide(numer: float, denom: float) -> float:
+    """numer / denom with numpy's result (+-inf or nan) for a zero denom."""
+    try:
+        return numer / denom
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(numer) / denom)
+
+
 def t_factor(v_s: float, ctx: BoundContext) -> float:
-    return float(_t_values(v_s, ctx))
+    """t at one point, bit for bit as _t_values gives it.
+
+    The scalar kernels (t_factor, _k_scalar, u_bound) repeat their array
+    kernel's operations on Python floats and call numpy's log1p/exp/log,
+    which agree with numpy's array path; math.exp differs from it in the
+    last bit on a few percent of inputs.
+    """
+    s = v_s * ctx.cfg.p_s
+    log_g = float(np.log1p(s)) - float(np.log1p(ctx.alloc.alpha_bar * s))
+    log_t = (ctx.r1 - ctx.x * log_g) / (1.0 - ctx.x)
+    return math.inf if log_t > _EXP_OVERFLOW else float(np.exp(log_t))
 
 
 def _k_values(v_s, ctx: BoundContext):
@@ -104,13 +123,23 @@ def _k_values(v_s, ctx: BoundContext):
     return np.where(denom > 0.0, val, np.inf)
 
 
+def _k_scalar(v_s: float, ctx: BoundContext) -> float:
+    """K at one point, bit for bit as _k_values gives it."""
+    t = t_factor(v_s, ctx)
+    denom = 1.0 - t * ctx.alloc.beta_bar
+    if not denom > 0.0:
+        return math.inf
+    s = v_s * ctx.cfg.p_s
+    return _divide(-s * (1.0 - t * ctx.alloc.alpha_bar) - (1.0 - t), denom * ctx.cfg.p_r)
+
+
 def relay_threshold_bound(v_s: float, ctx: BoundContext) -> float:
     """Scalar layer-1 threshold; raises in the pre-discontinuity region."""
     t = t_factor(v_s, ctx)
     if 1.0 - t * ctx.alloc.beta_bar <= 0.0:
         raise ValueError(
             f"v_s={v_s!r} lies before the layer-1 discontinuity (1 - t*beta_bar <= 0)")
-    return float(_k_values(v_s, ctx))
+    return _k_scalar(v_s, ctx)
 
 
 def _u_values(v_s, ctx: BoundContext, denom_fraction: float):
@@ -128,7 +157,14 @@ def _u_values(v_s, ctx: BoundContext, denom_fraction: float):
 
 
 def u_bound(v_s: float, ctx: BoundContext, denom_fraction: float) -> float:
-    return float(_u_values(v_s, ctx, denom_fraction))
+    """U at one point, bit for bit as _u_values gives it."""
+    z = 1.0 + v_s * ctx.alloc.alpha_bar * ctx.cfg.p_s
+    log_pow = (float(np.log(z)) - ctx.r2) / (ctx.x - 1.0)
+    powed = math.inf if log_pow > _EXP_OVERFLOW else float(np.exp(log_pow))
+    numer = z * (powed - 1.0)
+    if denom_fraction > 0.0:
+        return _divide(numer, denom_fraction * ctx.cfg.p_r)
+    return math.inf if numer > 0.0 else -math.inf if numer < 0.0 else 0.0
 
 
 def discontinuity_point(ctx: BoundContext, fraction: float | None = None) -> float:
@@ -137,8 +173,8 @@ def discontinuity_point(ctx: BoundContext, fraction: float | None = None) -> flo
     Solves t(v) = 1/fraction for the allocation fraction whose residual
     interferes with layer 1 (beta_bar in general, alpha_bar when the relay
     copies the source split); returns 0 when t(0) = e^{r1/(1-x)} never
-    reaches 1/fraction.  Found by bisection on the monotone t and
-    cross-checked against the closed form.
+    reaches 1/fraction.  With t monotone in v the root has the closed form
+    G(v) = chi, log chi = (r1 + (1-x) log(fraction)) / x.
     """
     if fraction is None:
         fraction = ctx.alloc.beta_bar
@@ -147,28 +183,12 @@ def discontinuity_point(ctx: BoundContext, fraction: float | None = None) -> flo
     # existence: r1/(1-x) > -log(fraction)
     if ctx.r1 <= -(1.0 - ctx.x) * math.log(fraction):
         return 0.0
-    lo, hi = 0.0, ctx.eta1
-    target = 1.0 / fraction
-    if t_factor(hi, ctx) >= target:  # cannot happen for beta >= alpha
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if t_factor(mid, ctx) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    v = 0.5 * (lo + hi)
-    if ctx.x > 0.0:
-        # closed form: G(v) = chi with log chi = (r1 + (1-x) log(fraction)) / x
-        chi = math.exp((ctx.r1 + (1.0 - ctx.x) * math.log(fraction)) / ctx.x)
-        v_closed = (chi - 1.0) / (ctx.cfg.p_s * (1.0 - ctx.alloc.alpha_bar * chi))
-        if abs(v_closed - v) > 1e-8 * max(1.0, ctx.eta1):
-            raise RuntimeError(
-                f"discontinuity point mismatch: bisection {v!r} vs closed form {v_closed!r}")
-        v = v_closed
-    return v
+    if t_factor(ctx.eta1, ctx) >= 1.0 / fraction:  # cannot happen for beta >= alpha
+        return ctx.eta1
+    if ctx.x == 0.0:  # t is constant: only rounding at t = 1/fraction gets here
+        return 0.0
+    chi = math.exp((ctx.r1 + (1.0 - ctx.x) * math.log(fraction)) / ctx.x)
+    return (chi - 1.0) / (ctx.cfg.p_s * (1.0 - ctx.alloc.alpha_bar * chi))
 
 
 @dataclass(frozen=True)
@@ -237,7 +257,7 @@ def find_intersections(ctx: BoundContext, n_scan: int = 10_000) -> IntervalParti
     fraction = ctx.alloc.beta_bar
 
     def diff_scalar(v: float) -> float:
-        return float(_k_values(v, ctx) - _u_values(v, ctx, fraction))
+        return _k_scalar(v, ctx) - u_bound(v, ctx, fraction)
 
     def attempt(n: int):
         span = eta1 - v_lo
@@ -250,7 +270,8 @@ def find_intersections(ctx: BoundContext, n_scan: int = 10_000) -> IntervalParti
         signs = d > 0.0
         crossings = []
         for i in np.nonzero(signs[:-1] != signs[1:])[0]:
-            crossings.append(_bisect_crossing(diff_scalar, grid[i], grid[i + 1]))
+            crossings.append(_bisect_crossing(diff_scalar, float(grid[i]),
+                                              float(grid[i + 1])))
         leading = "F" if signs[0] else "U"
         parity_ok = (len(crossings) % 2 == 0) == (leading == "U")
         return crossings, leading, parity_ok

@@ -12,6 +12,7 @@ artifact version, so identical invocations reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -158,7 +159,13 @@ def _cmd_rate(args) -> int:
     return 0
 
 
-def _sweep_point(scheme: str, ps_db: float, q_db: float, ratio: float):
+_PLAN_SCHEMES = ("direct-2", "miso-equal", "simplex-equal", "simplex-unequal-opt")
+
+
+def _sweep_point(scheme: str, ps_db: float, q_db: float, ratio: float,
+                 plan: TwoLayerAllocation | None):
+    """One sweep value; ``plan`` is the oblivious plan at ``ps_db`` for the
+    schemes in _PLAN_SCHEMES and None for the others."""
     p_s = _db2lin(ps_db)
     cfg = PowerConfig(p_s=p_s, p_r=ratio * p_s, q=_db2lin(q_db))
     if scheme == "single-user":
@@ -171,7 +178,6 @@ def _sweep_point(scheme: str, ps_db: float, q_db: float, ratio: float):
         return broadcast.siso_broadcast_rate(p_s)
     if scheme in ("continuous-relay", "continuous-miso"):
         return broadcast.relay_or_miso_broadcast_bound(cfg, scheme.split("-")[1])
-    plan = oblivious_rate_plan(p_s, 2)
     if scheme == "direct-2":
         return twolayer.direct_multilayer_throughput(
             (plan.eta1, plan.eta2), (plan.alpha, plan.alpha_bar), p_s).r_av
@@ -195,16 +201,21 @@ def _cmd_sweep(args) -> int:
     ps_grid = [args.ps_db_start + i * args.ps_db_step for i in range(n + 1)]
     points = [(ps, q, r) for ps in ps_grid for q in args.q_db for r in args.ratio]
 
+    def plan_at(ps):
+        return oblivious_rate_plan(_db2lin(ps), 2)
+
     def evaluate(point):
         ps, q, r = point
         return {"ps_db": ps, "q_db": q, "pr_over_ps": r, "scheme": args.scheme,
-                "throughput_nats": _sweep_point(args.scheme, ps, q, r)}
+                "throughput_nats": _sweep_point(args.scheme, ps, q, r, plans.get(ps))}
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(evaluate, points))  # grid order preserved
-    else:
-        rows = [evaluate(p) for p in points]
+    with (ThreadPoolExecutor(max_workers=args.workers) if args.workers > 1
+          else contextlib.nullcontext()) as pool:
+        mapper = map if pool is None else pool.map  # both keep grid order
+        # the source plan depends on P_s alone: one per grid point, this run only
+        plans = (dict(zip(ps_grid, mapper(plan_at, ps_grid)))
+                 if args.scheme in _PLAN_SCHEMES else {})
+        rows = list(mapper(evaluate, points))
     fields = ["ps_db", "q_db", "pr_over_ps", "scheme", "throughput_nats"]
     _write_csv(args.out, fields, rows, bits=args.bits)
     _write_manifest(args.out, "sweep", args.seed,

@@ -191,8 +191,8 @@ def oblivious_rate_plan(p_s: float, n_layers: int = 2,
     """The source's relay-unaware plan: maximize the direct throughput.
 
     One layer reduces to the optimal single-user rate; two layers run a
-    64-per-dimension grid over (alpha, eta1, eta2) followed by coordinate
-    golden-section refinement.
+    64-per-dimension grid over the feasible (alpha, eta1 <= eta2) points and
+    coordinate golden-section refinement from its 3 best points.
     """
     if p_s <= 0.0:
         raise ValueError("p_s must be positive")
@@ -203,44 +203,51 @@ def oblivious_rate_plan(p_s: float, n_layers: int = 2,
         raise ValueError("only 1 or 2 layers are supported here")
 
     n = 64
-    al = np.linspace(0.0, 1.0, n)[:, None, None]
-    e1 = np.linspace(0.0, eta_max, n)[None, :, None]
-    e2 = np.linspace(0.0, eta_max, n)[None, None, :]
-    ab = 1.0 - al
+    alphas = np.linspace(0.0, 1.0, n)
+    etas = np.linspace(0.0, eta_max, n)
+    # the feasible triangle eta1 <= eta2 only, in (alpha, eta1, eta2) grid order
+    j, k = np.triu_indices(n)
+    e1, e2 = etas[j], etas[k]
+    ab = (1.0 - alphas)[:, None]
     obj = ((np.log1p(e1 * p_s) - np.log1p(e1 * ab * p_s)) * np.exp(-e1)
-           + np.log1p(e2 * ab * p_s) * np.exp(-e2))
-    obj = np.where(e1 <= e2, obj, -np.inf)
-    order = np.argsort(obj, axis=None)[::-1][:3]
-    starts = []
-    for idx in order:
-        i, j, k = np.unravel_index(idx, obj.shape)
-        starts.append({"alpha": float(al[i, 0, 0]), "eta1": float(e1[0, j, 0]),
-                       "eta2": float(e2[0, 0, k])})
+           + np.log1p(e2 * ab * p_s) * np.exp(-e2)).ravel()
+    # the 3 best points.  Exact ties occur below about -17.5 dB and above
+    # about 71 dB, along the alpha = 0 and alpha = 1 rows, where one
+    # threshold drops out of the objective; they go to the point with the
+    # fewer grid steps between eta1 and eta2, then to the earlier grid point
+    third = obj[np.argpartition(obj, -3)[-3:]].min()
+    tied = np.flatnonzero(obj >= third)
+    starts = tied[np.lexsort((tied, (k - j)[tied % len(j)], -obj[tied]))][:3]
 
-    objective = _scheme_objective("direct", PowerConfig(p_s=p_s, p_r=0.0, q=0.0))
-    best_val, best = -np.inf, None
-    for start in starts:
-        cur, cur_val = dict(start), objective(start)
+    def value(p: list[float]) -> float:
+        return twolayer._direct_two_layer_rate(p[0], p[1], p[2], p_s)
+
+    best_val, best = -math.inf, None
+    for idx in starts:
+        i, pair = divmod(int(idx), len(j))
+        cur = [float(alphas[i]), float(e1[pair]), float(e2[pair])]
+        cur_val = value(cur)
         for _ in range(40):
             moved = 0.0
-            for name in ("alpha", "eta1", "eta2"):
-                lo, hi = _bounds_for(name, cur, eta_max, beta_ge_alpha=False)
+            for c, name in enumerate(("alpha", "eta1", "eta2")):
+                lo, hi = _bounds_for(name, {"eta1": cur[1], "eta2": cur[2]}, eta_max,
+                                     beta_ge_alpha=False)
 
-                def line(xv: float, _name=name) -> float:
-                    trial = dict(cur)
-                    trial[_name] = xv
-                    return objective(trial)
+                def line(xv: float, _c=c) -> float:
+                    trial = list(cur)
+                    trial[_c] = xv
+                    return value(trial)
 
                 x_new, f_new = golden_section_max(line, lo, hi, tol=1e-6)
                 if f_new > cur_val:
-                    moved = max(moved, abs(x_new - cur[name]))
-                    cur[name] = x_new
+                    moved = max(moved, abs(x_new - cur[c]))
+                    cur[c] = x_new
                     cur_val = f_new
             if moved <= 1e-6:
                 break
         if cur_val > best_val:
             best_val, best = cur_val, cur
-    return TwoLayerAllocation(alpha=best["alpha"], eta1=best["eta1"], eta2=best["eta2"])
+    return TwoLayerAllocation(alpha=best[0], eta1=best[1], eta2=best[2])
 
 
 def horizontal_db_gain(ps_db: Sequence[float], base_rates: Sequence[float],

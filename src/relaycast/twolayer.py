@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from scipy import integrate
 
-from .bounds import BoundContext, _k_values, _u_values, find_intersections
+from .bounds import BoundContext, _k_scalar, find_intersections, u_bound
 from .model import (PowerConfig, ThroughputResult, TwoLayerAllocation,
                     decoding_times, layer_rates)
 from .outage import y_sum_tail
@@ -77,6 +77,19 @@ def direct_multilayer_throughput(thresholds: Sequence[float],
                                  p_s: float) -> ThroughputResult:
     """No-relay layered transmission: R_av = sum_i R_i e^{-eta_i}."""
     return _layered_result(thresholds, fractions, p_s, lambda eta: math.exp(-eta))
+
+
+def _direct_two_layer_rate(alpha: float, eta1: float, eta2: float, p_s: float) -> float:
+    """``direct_multilayer_throughput((eta1, eta2), (alpha, 1 - alpha), p_s).r_av``
+    bit for bit, without validation or result objects: the inner loop of
+    optimize.oblivious_rate_plan.  Needs 0 <= alpha <= 1 and 0 <= eta1 <= eta2."""
+    ab = max(1.0 - alpha, 0.0)
+    r1 = math.log1p(eta1 * p_s) - math.log1p(eta1 * ab * p_s)
+    r2 = math.log1p(eta2 * ab * p_s)
+    p1 = math.exp(-eta1)
+    # the rate-weighted layer-2 probability of _layered_result, rounding included
+    p_both = min(r2 * math.exp(-eta2) / r2, p1) if r2 > 0.0 else p1
+    return r1 * p1 + r2 * p_both
 
 
 def miso_equal_throughput(thresholds: Sequence[float], fractions: Sequence[float],
@@ -181,12 +194,12 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig,
     def exp_k(v: float) -> float:
         if v <= part.v_lo:
             return 0.0
-        thr = max(float(_k_values(v, ctx)), 0.0)
+        thr = max(_k_scalar(v, ctx), 0.0)
         expo = -thr - v
         return math.exp(expo) if expo > -745.0 else 0.0
 
     def exp_u(v: float) -> float:
-        thr = max(float(_u_values(v, ctx, bb)), 0.0)
+        thr = max(u_bound(v, ctx, bb), 0.0)
         expo = -thr - v
         return math.exp(expo) if expo > -745.0 else 0.0
 

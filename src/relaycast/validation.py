@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import outage, twolayer
-from .model import PowerConfig, TwoLayerAllocation
+from .model import PowerConfig, TwoLayerAllocation, layer_rates
 from .montecarlo import SimConfig, simulate_strategy
 
 __all__ = ["ValidationRow", "validation_corpus", "closed_form_value",
@@ -35,6 +35,14 @@ class ValidationCase:
     def params(self):
         return self.rate if self.scheme == "single-layer-SDF" else self.alloc
 
+    @property
+    def min_credit(self) -> float:
+        """Smallest nonzero rate one simulated block can be credited with."""
+        if self.scheme == "single-layer-SDF":
+            return self.rate
+        r1, r2 = layer_rates(self.alloc, self.cfg.p_s)
+        return r1 if r1 > 0.0 else r2
+
 
 @dataclass(frozen=True)
 class ValidationRow:
@@ -44,14 +52,14 @@ class ValidationRow:
     mc_mean: float
     mc_stderr: float
     blocks: int
+    min_credit: float  # ValidationCase.min_credit
 
     @property
     def z(self) -> float:
-        # when nearly every block decodes, the sample deviation collapses to
-        # zero; floor the scale at the one-count Poisson level so the ratio
-        # stays meaningful in the p -> 1 regime
-        floor = max(abs(self.analytic), abs(self.mc_mean)) / self.blocks
-        denom = max(self.mc_stderr, floor)
+        # when nearly every block decodes, or none does, the sample deviation
+        # collapses to zero; floor the scale at the estimate's resolution,
+        # one block's smallest credit over the block count
+        denom = max(self.mc_stderr, self.min_credit / self.blocks)
         if denom == 0.0:
             return 0.0 if self.analytic == self.mc_mean else math.inf
         return (self.analytic - self.mc_mean) / denom
@@ -131,7 +139,8 @@ def run_validation(draws: int, blocks: int, seed: int,
                       params=case.params), case.cfg, workers=workers)
         rows.append(ValidationRow(scheme=case.scheme, index=case_index,
                                   analytic=analytic, mc_mean=est.mean,
-                                  mc_stderr=est.stderr, blocks=est.blocks))
+                                  mc_stderr=est.stderr, blocks=est.blocks,
+                                  min_credit=case.min_credit))
     return rows
 
 

@@ -8,7 +8,9 @@ from relaycast import (BoundContext, PowerConfig, TwoLayerAllocation,
                        conditional_layer_probability, discontinuity_point,
                        find_intersections, layer_rates, relay_threshold_bound,
                        t_factor, u_bound)
-from relaycast.bounds import _k_values, _u_values
+from relaycast.bounds import _k_scalar, _k_values, _t_values, _u_values
+from relaycast.optimize import oblivious_rate_plan
+from relaycast.validation import validation_corpus
 
 
 def make_ctx(alpha=0.6, beta=None, eta1=0.4, eta2=1.4, p_s=8.0, p_r=5.0, x=0.5):
@@ -244,3 +246,125 @@ class TestFindIntersections:
                            eta2=alloc.eta2, x=0.0)
             part = find_intersections(ctx)
             assert len(part.crossings) in (0, 1, 2)
+
+
+def same_float(a, b) -> bool:
+    """Bit-for-bit equality (the sign of zero included); NaN matches NaN."""
+    a, b = float(a), float(b)
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestScalarKernels:
+    """The scalar t/K/U kernels behind quad's integrands and the crossing
+    bisection (t_factor, _k_scalar, u_bound) must reproduce the array
+    kernels bit for bit."""
+
+    CASES = {
+        "ordinary": dict(),
+        "late-relay": dict(x=1.0 - 1e-9),  # log_t and U's exponent pass 700
+        "discontinuity": dict(alpha=0.35, eta1=1.1, eta2=2.0, p_s=30.0),
+        "beta-one": dict(alpha=0.35, beta=1.0, eta1=1.1, eta2=2.0, p_s=30.0),
+        "no-relay-power": dict(p_r=0.0),
+        "no-relay-power-late": dict(alpha=0.35, eta1=1.1, eta2=2.0, p_s=1e8,
+                                    p_r=0.0, x=0.999),
+        "alpha-zero": dict(alpha=0.0),
+        "alpha-one": dict(alpha=1.0),
+        "equal-thresholds": dict(eta1=1.0, eta2=1.0),
+        "zero-decoding-time": dict(x=0.0),
+        "high-power": dict(p_s=1e8, p_r=1e8, x=0.9),
+    }
+
+    @staticmethod
+    def assert_kernels_agree(ctx):
+        vs = np.linspace(0.0, ctx.eta2 + 0.5, 2001)
+        fractions = (ctx.alloc.beta_bar, ctx.alloc.alpha_bar, 0.0)
+        with np.errstate(all="ignore"):
+            t, k = _t_values(vs, ctx), _k_values(vs, ctx)
+            u = [_u_values(vs, ctx, f) for f in fractions]
+        for i, v in enumerate(vs):
+            v = float(v)
+            assert same_float(t_factor(v, ctx), t[i]), (v, "t")
+            assert same_float(_k_scalar(v, ctx), k[i]), (v, "K")
+            for f, u_f in zip(fractions, u):
+                assert same_float(u_bound(v, ctx, f), u_f[i]), (v, "U", f)
+        return t, k
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_pinned_cases(self, name):
+        ctx = make_ctx(**self.CASES[name])
+        t, k = self.assert_kernels_agree(ctx)
+        if name == "late-relay":
+            assert np.isinf(t[0])
+        if name == "discontinuity":
+            assert 0.0 < discontinuity_point(ctx) < ctx.eta1
+            assert np.isinf(k[0])
+
+    def test_random_contexts(self, param_rng):
+        checked = 0
+        for _ in range(12):
+            ctx = try_ctx(draw_alloc(param_rng, beta_mode="ge"), draw_powers(param_rng))
+            if ctx is not None:
+                self.assert_kernels_agree(ctx)
+                checked += 1
+        assert checked >= 6
+
+
+def bisect_discontinuity(ctx, fraction):
+    """Bisection on the monotone t for t(v) = 1/fraction: the cross-check
+    that discontinuity_point ran beside its closed form."""
+    lo, hi = 0.0, ctx.eta1
+    target = 1.0 / fraction
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if t_factor(mid, ctx) > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
+def simplex_contexts():
+    """Threshold contexts of the validation corpus's simplex cases and of the
+    fig6/fig7/fig8 oblivious plans on their default grids (fig8 over the
+    coarse beta grid of its search)."""
+    for case in validation_corpus(20_240_001, 50):
+        if case.scheme.startswith("simplex"):
+            yield case.alloc, case.cfg
+    ps_grid = [2.5 * i for i in range(11)]
+    grids = [  # (P_s dB, Q dB, P_r/P_s) of each preset
+        (ps_grid, (15.0, 20.0), (1.0,)),
+        ((10.0, 20.0), (10.0, 20.0), (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)),
+        (ps_grid, (20.0,), (1.0,)),
+    ]
+    plans = {}
+    for ps_db, q_db, ratios in grids:
+        for db in ps_db:
+            p_s = 10.0 ** (db / 10.0)
+            if db not in plans:
+                plans[db] = oblivious_rate_plan(p_s, 2)
+            plan = plans[db]
+            betas = [plan.alpha] + [b for b in np.linspace(0.0, 1.0, 12) if b >= plan.alpha]
+            for q in q_db:
+                for ratio in ratios:
+                    cfg = PowerConfig(p_s=p_s, p_r=ratio * p_s, q=10.0 ** (q / 10.0))
+                    for beta in betas:
+                        yield plan.with_beta(float(beta)), cfg
+
+
+def test_discontinuity_closed_form_matches_bisection():
+    checked = 0
+    for alloc, cfg in simplex_contexts():
+        ctx = try_ctx(alloc, cfg)
+        if ctx is None or ctx.x == 0.0:
+            continue  # never reaches the threshold machinery
+        for fraction in (ctx.alloc.beta_bar, ctx.alloc.alpha_bar):
+            v = discontinuity_point(ctx, fraction)
+            if 0.0 < v < ctx.eta1:
+                assert abs(v - bisect_discontinuity(ctx, fraction)) <= \
+                    1e-8 * max(1.0, ctx.eta1), (alloc, cfg, fraction)
+                checked += 1
+    assert checked >= 300

@@ -90,6 +90,36 @@ def test_sweep_grid_order_and_workers(tmp_path):
     assert vals == sorted(vals)
 
 
+def test_sweep_plans_once_per_source_power(tmp_path, monkeypatch):
+    import relaycast.cli as cli
+
+    calls = []
+    plan = cli.oblivious_rate_plan
+
+    def counted(p_s, n_layers=2):
+        calls.append(p_s)
+        return plan(p_s, n_layers)
+
+    monkeypatch.setattr(cli, "oblivious_rate_plan", counted)
+    outputs = []
+    for workers in ("1", "2"):
+        calls.clear()
+        out = tmp_path / f"sweep{workers}.csv"
+        rc = main(["sweep", "--scheme", "simplex-equal", "--q-db", "15,20",
+                   "--ratio", "0.5,1", "--ps-db-start", "0", "--ps-db-stop", "10",
+                   "--ps-db-step", "5", "--workers", workers, "--out", str(out)])
+        assert rc == 0
+        assert len(calls) == len(set(calls)) == 3
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    rows = read_csv(tmp_path / "sweep1.csv")
+    assert len(rows) == 12
+    p_s = 10.0
+    want = simplex_equal_throughput(plan(p_s, 2), PowerConfig(p_s=p_s, p_r=p_s, q=100.0))
+    got = [r for r in rows if (r["ps_db"], r["q_db"], r["pr_over_ps"]) == ("10", "20", "1")]
+    assert float(got[0]["throughput_nats"]) == float(f"{want.r_av:.12g}")
+
+
 def test_sweep_rejects_bad_grid():
     with pytest.raises(SystemExit):
         main(["sweep", "--scheme", "single-user", "--ps-db-start", "10",

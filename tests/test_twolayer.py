@@ -11,6 +11,8 @@ from relaycast import (PowerConfig, TwoLayerAllocation,
                        simplex_unequal_throughput, single_user_throughput,
                        y_sum_tail)
 from relaycast.montecarlo import SimConfig, simulate_strategy
+from relaycast.twolayer import _direct_two_layer_rate
+from relaycast.validation import validation_corpus
 
 
 def mc_check(scheme, alloc, cfg, analytic, blocks=200_000, seed=1):
@@ -48,6 +50,21 @@ class TestDirect:
             direct_multilayer_throughput((0.4, 0.1), (0.5, 0.5), 8.0)
         with pytest.raises(ValueError):
             direct_multilayer_throughput((0.1, 0.4), (0.7, 0.7), 8.0)
+
+
+    def test_two_layer_kernel_bit_identical(self):
+        # oblivious_rate_plan's lean kernel against the public closed form,
+        # on P_s from -20 to 80 dB with the degenerate plans mixed in
+        rng = np.random.default_rng(20_240_802)
+        for i in range(3000):
+            alpha = (0.0, 1.0)[i % 2] if i % 7 == 0 else float(rng.uniform())
+            eta1 = float(rng.uniform(0.0, 4.0))
+            eta2 = eta1 if i % 5 == 0 else float(rng.uniform(eta1, 4.0))
+            p_s = 10.0 ** float(rng.uniform(-2.0, 8.0))
+            want = direct_multilayer_throughput((eta1, eta2), (alpha, 1.0 - alpha), p_s).r_av
+            got = _direct_two_layer_rate(alpha, eta1, eta2, p_s)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
+                (alpha, eta1, eta2, p_s)
 
 
 class TestMisoEqual:
@@ -195,6 +212,20 @@ class TestSimplex:
             eq = simplex_equal_throughput(alloc.with_beta(alloc.alpha), cfg)
             uneq = simplex_unequal_throughput(alloc, cfg)
             assert uneq.p_layer1 >= eq.p_layer1 - 1e-9
+
+
+    @pytest.mark.xfail(strict=True, reason="D5: adaptive quad misses the layer-2 "
+                       "integral when the relay decodes late (x -> 1)")
+    def test_late_relay_layer2_integral(self):
+        # simplex-unequal with x = 0.9669: exp(-U) is a step of width ~(1 - x)
+        # just below eta2, and quad gives 9.1e-26 for its integral over
+        # [eta1, eta2] where composite 20-point Gauss-Legendre gives 4.877e-6.
+        # The reference r_av is that brute force over every integral of the
+        # assembly, unchanged from 2*10^5 to 10^7 nodes per integral.
+        case = validation_corpus(20_240_001, 10)[51]
+        assert case.scheme == "simplex-unequal"
+        got = simplex_unequal_throughput(case.alloc, case.cfg).r_av
+        assert got == pytest.approx(0.9701818802247695, rel=1e-9)
 
 
 class TestDuplexCondition:
