@@ -10,8 +10,8 @@ reproducible Monte-Carlo oracle.
 
 __version__ = "0.1.0"
 
-from .model import (DecodingTimes, FadingSample, PowerConfig, ThroughputResult,
-                    TwoLayerAllocation, decoding_times, layer_rates, sample_fading)
+from .model import (DecodingTimes, PowerConfig, ThroughputResult, TwoLayerAllocation,
+                    decoding_times, layer_rates)
 from .outage import (ergodic_miso_capacity, miso_single_layer_throughput,
                      optimal_single_user_rate, sdf_single_layer_throughput,
                      single_user_throughput, y_sum_tail)

@@ -188,7 +188,10 @@ def discontinuity_point(ctx: BoundContext, fraction: float | None = None) -> flo
     if ctx.x == 0.0:  # t is constant: only rounding at t = 1/fraction gets here
         return 0.0
     chi = math.exp((ctx.r1 + (1.0 - ctx.x) * math.log(fraction)) / ctx.x)
-    return (chi - 1.0) / (ctx.cfg.p_s * (1.0 - ctx.alloc.alpha_bar * chi))
+    # the t(eta1) check above puts the root below eta1; at high P_s the closed form
+    # cancels and can round past it
+    root = (chi - 1.0) / (ctx.cfg.p_s * (1.0 - ctx.alloc.alpha_bar * chi))
+    return min(root, ctx.eta1)
 
 
 @dataclass(frozen=True)

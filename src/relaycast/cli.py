@@ -12,19 +12,17 @@ artifact version, so identical invocations reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, broadcast, figures, twolayer, validation
 from .model import PowerConfig, TwoLayerAllocation
 from .montecarlo import RNG_ID
-from .optimize import maximize_throughput, oblivious_rate_plan
+from .optimize import maximize_throughput
 from .outage import (ergodic_miso_capacity, miso_single_layer_throughput,
                      optimal_single_user_rate, sdf_single_layer_throughput,
                      single_user_throughput)
@@ -34,18 +32,22 @@ SEED_ENV = "RELAYCAST_SEED"
 LN2 = math.log(2.0)
 
 _RATE_SCHEMES = ("single-user", "single-sdf", "miso-single", "ergodic-miso",
-                 "direct", "miso-equal", "miso-unequal", "simplex-equal",
-                 "simplex-unequal", "continuous-siso", "continuous-relay",
+                 *twolayer.CLOSED_FORMS, "continuous-siso", "continuous-relay",
                  "continuous-miso")
-_SWEEP_SCHEMES = ("single-user", "single-sdf", "miso-single", "direct-2",
-                  "simplex-equal", "simplex-unequal-opt", "miso-equal",
-                  "continuous-siso", "continuous-relay", "continuous-miso")
-_OPT_SCHEMES = ("direct", "miso-equal", "miso-unequal", "simplex-equal",
-                "simplex-unequal")
-
-
-def _db2lin(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+# sweep schemes evaluated point by point; the others follow the source's
+# oblivious plan (figures._oblivious_rows)
+_SWEEP_POINTS = {
+    "single-user": lambda cfg: single_user_throughput(
+        optimal_single_user_rate(cfg.p_s), cfg.p_s).r_av,
+    "single-sdf": lambda cfg: sdf_single_layer_throughput(
+        optimal_single_user_rate(cfg.p_s), cfg).r_av,
+    "miso-single": lambda cfg: figures.optimal_single_layer_miso_rate(cfg.p_s, cfg.p_r),
+    "continuous-siso": lambda cfg: broadcast.siso_broadcast_rate(cfg.p_s),
+    "continuous-relay": lambda cfg: broadcast.relay_or_miso_broadcast_bound(cfg, "relay"),
+    "continuous-miso": lambda cfg: broadcast.relay_or_miso_broadcast_bound(cfg, "miso"),
+}
+_SWEEP_SCHEMES = (*_SWEEP_POINTS, "direct-2", "simplex-equal", "simplex-unequal-opt",
+                  "miso-equal")
 
 
 def _fmt(value) -> str:
@@ -107,8 +109,8 @@ def _alloc_from_args(args) -> TwoLayerAllocation:
 
 
 def _cmd_rate(args) -> int:
-    cfg = PowerConfig(p_s=_db2lin(args.ps_db), p_r=_db2lin(args.pr_db),
-                      q=_db2lin(args.q_db))
+    cfg = PowerConfig(p_s=figures._db2lin(args.ps_db),
+                      p_r=figures._db2lin(args.pr_db), q=figures._db2lin(args.q_db))
     scheme = args.scheme
     row = {"scheme": scheme, "ps_db": args.ps_db, "pr_db": args.pr_db,
            "q_db": args.q_db, "alpha": args.alpha, "beta": args.beta,
@@ -136,16 +138,7 @@ def _cmd_rate(args) -> int:
         alloc = _alloc_from_args(args)
         row.update({"alpha": alloc.alpha, "beta": alloc.beta,
                     "eta1": alloc.eta1, "eta2": alloc.eta2})
-        res = {"direct": lambda: twolayer.direct_multilayer_throughput(
-                   (alloc.eta1, alloc.eta2), (alloc.alpha, alloc.alpha_bar), cfg.p_s),
-               "miso-equal": lambda: twolayer.miso_equal_throughput(
-                   (alloc.eta1, alloc.eta2), (alloc.alpha, alloc.alpha_bar),
-                   cfg.p_s, cfg.p_r),
-               "miso-unequal": lambda: twolayer.miso_unequal_throughput(
-                   alloc, cfg.p_s, cfg.p_r),
-               "simplex-equal": lambda: twolayer.simplex_equal_throughput(alloc, cfg),
-               "simplex-unequal": lambda: twolayer.simplex_unequal_throughput(alloc, cfg),
-               }[scheme]()
+        res = twolayer.CLOSED_FORMS[scheme](alloc, cfg)
     if res is not None:
         row.update({"r1_nats": res.r1, "r2_nats": res.r2, "p_layer1": res.p_layer1,
                     "p_both": res.p_both, "throughput_nats": res.r_av})
@@ -159,63 +152,22 @@ def _cmd_rate(args) -> int:
     return 0
 
 
-_PLAN_SCHEMES = ("direct-2", "miso-equal", "simplex-equal", "simplex-unequal-opt")
-
-
-def _sweep_point(scheme: str, ps_db: float, q_db: float, ratio: float,
-                 plan: TwoLayerAllocation | None):
-    """One sweep value; ``plan`` is the oblivious plan at ``ps_db`` for the
-    schemes in _PLAN_SCHEMES and None for the others."""
-    p_s = _db2lin(ps_db)
-    cfg = PowerConfig(p_s=p_s, p_r=ratio * p_s, q=_db2lin(q_db))
-    if scheme == "single-user":
-        return single_user_throughput(optimal_single_user_rate(p_s), p_s).r_av
-    if scheme == "single-sdf":
-        return sdf_single_layer_throughput(optimal_single_user_rate(p_s), cfg).r_av
-    if scheme == "miso-single":
-        return figures.optimal_single_layer_miso_rate(p_s, cfg.p_r)
-    if scheme == "continuous-siso":
-        return broadcast.siso_broadcast_rate(p_s)
-    if scheme in ("continuous-relay", "continuous-miso"):
-        return broadcast.relay_or_miso_broadcast_bound(cfg, scheme.split("-")[1])
-    if scheme == "direct-2":
-        return twolayer.direct_multilayer_throughput(
-            (plan.eta1, plan.eta2), (plan.alpha, plan.alpha_bar), p_s).r_av
-    if scheme == "miso-equal":
-        return twolayer.miso_equal_throughput(
-            (plan.eta1, plan.eta2), (plan.alpha, plan.alpha_bar), p_s, cfg.p_r).r_av
-    if scheme == "simplex-equal":
-        return twolayer.simplex_equal_throughput(plan, cfg).r_av
-    if scheme == "simplex-unequal-opt":
-        return maximize_throughput(
-            "simplex-unequal", ("beta",),
-            {"alpha": plan.alpha, "eta1": plan.eta1, "eta2": plan.eta2},
-            cfg, coarse_points=12).value
-    raise SystemExit(f"unknown sweep scheme {scheme!r}")
-
-
 def _cmd_sweep(args) -> int:
     if args.ps_db_step <= 0.0 or args.ps_db_stop < args.ps_db_start:
         raise SystemExit("invalid --ps-db grid")
-    n = int(round((args.ps_db_stop - args.ps_db_start) / args.ps_db_step))
-    ps_grid = [args.ps_db_start + i * args.ps_db_step for i in range(n + 1)]
-    points = [(ps, q, r) for ps in ps_grid for q in args.q_db for r in args.ratio]
-
-    def plan_at(ps):
-        return oblivious_rate_plan(_db2lin(ps), 2)
-
-    def evaluate(point):
-        ps, q, r = point
-        return {"ps_db": ps, "q_db": q, "pr_over_ps": r, "scheme": args.scheme,
-                "throughput_nats": _sweep_point(args.scheme, ps, q, r, plans.get(ps))}
-
-    with (ThreadPoolExecutor(max_workers=args.workers) if args.workers > 1
-          else contextlib.nullcontext()) as pool:
-        mapper = map if pool is None else pool.map  # both keep grid order
-        # the source plan depends on P_s alone: one per grid point, this run only
-        plans = (dict(zip(ps_grid, mapper(plan_at, ps_grid)))
-                 if args.scheme in _PLAN_SCHEMES else {})
-        rows = list(mapper(evaluate, points))
+    ps_grid = figures._ps_grid(args.ps_db_start, args.ps_db_stop, args.ps_db_step)
+    point = _SWEEP_POINTS.get(args.scheme)
+    if point is None:
+        rows = figures._oblivious_rows(ps_grid, args.q_db, args.ratio, (args.scheme,))
+    else:
+        rows = []
+        for ps in ps_grid:
+            p_s = figures._db2lin(ps)
+            for q in args.q_db:
+                for r in args.ratio:
+                    cfg = PowerConfig(p_s=p_s, p_r=r * p_s, q=figures._db2lin(q))
+                    rows.append({"ps_db": ps, "q_db": q, "pr_over_ps": r,
+                                 "scheme": args.scheme, "throughput_nats": point(cfg)})
     fields = ["ps_db", "q_db", "pr_over_ps", "scheme", "throughput_nats"]
     _write_csv(args.out, fields, rows, bits=args.bits)
     _write_manifest(args.out, "sweep", args.seed,
@@ -295,8 +247,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    cfg = PowerConfig(p_s=_db2lin(args.ps_db), p_r=_db2lin(args.pr_db),
-                      q=_db2lin(args.q_db))
+    cfg = PowerConfig(p_s=figures._db2lin(args.ps_db),
+                      p_r=figures._db2lin(args.pr_db), q=figures._db2lin(args.q_db))
     free = [tok.strip() for tok in args.free.split(",") if tok.strip()]
     fixed = {}
     for name in ("alpha", "beta", "eta1", "eta2"):
@@ -355,7 +307,8 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
                         help="report rates in bits instead of nats")
     common.add_argument("--seed", type=int,
                         default=int(os.environ.get(SEED_ENV, DEFAULT_SEED)))
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--workers", type=int, default=1,
+                        help="threads for Monte-Carlo simulation (validate, fig9)")
 
     p = add_parser("rate", parents=[common], help="single evaluation")
     p.add_argument("--scheme", choices=_RATE_SCHEMES, required=True)
@@ -396,7 +349,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p.set_defaults(func=_cmd_validate)
 
     p = add_parser("optimize", parents=[common], help="allocation search")
-    p.add_argument("--scheme", choices=_OPT_SCHEMES, required=True)
+    p.add_argument("--scheme", choices=tuple(twolayer.CLOSED_FORMS), required=True)
     p.add_argument("--free", type=str, default="alpha,eta1,eta2",
                    help="comma list among alpha,beta,eta1,eta2")
     p.add_argument("--coarse", type=int, default=None,
@@ -435,7 +388,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"relaycast: {exc}", file=sys.stderr)
         return 1
 

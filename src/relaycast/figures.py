@@ -59,6 +59,7 @@ def _refined_layered(p_s: float, tail, n_layers: int, density, dist,
         return total
 
     thr = list(thresholds)
+    cur = rate(thr, resids)  # kept equal to rate(thr, resids)
     for _ in range(passes):
         for i in range(n_layers):
             lo = thr[i - 1] if i else 1e-6
@@ -70,8 +71,8 @@ def _refined_layered(p_s: float, tail, n_layers: int, density, dist,
                 return rate(trial, resids)
 
             x, val = golden_section_max(line, lo, hi, tol=1e-6)
-            if val >= rate(thr, resids):
-                thr[i] = x
+            if val >= cur:
+                thr[i], cur = x, val
         for i in range(n_layers - 1):  # last residual is pinned at 0
             lo = resids[i + 1]
             hi = resids[i - 1] if i else 1.0
@@ -82,9 +83,9 @@ def _refined_layered(p_s: float, tail, n_layers: int, density, dist,
                 return rate(thr, trial)
 
             x, val = golden_section_max(line, lo, hi, tol=1e-6)
-            if val >= rate(thr, resids):
-                resids[i] = x
-    return rate(thr, resids)
+            if val >= cur:
+                resids[i], cur = x, val
+    return cur
 
 
 def fig2(ps_db=None, ratios=(0.5, 1.0, 2.0), **_):
@@ -185,36 +186,35 @@ def fig5(pr_db=None, ps_db=40.0, **_):
 
 
 def _oblivious_rows(ps_db, q_db_list, ratios, schemes):
-    """Shared sweep core for the oblivious relay figures: the source plan
-    depends only on P_s and is reused across relay parameters."""
+    """Rows of the oblivious relay figures and of ``sweep``.
+
+    ``schemes`` holds "direct-2", "simplex-unequal-opt" (beta >= alpha
+    searched per relay setting) or twolayer.CLOSED_FORMS names.  The source
+    plan depends only on P_s and is reused across relay parameters, and so is
+    the direct rate, which ignores the relay.
+    """
     rows = []
     for db in ps_db:
         p_s = _db2lin(db)
         plan = oblivious_rate_plan(p_s, 2)
-        direct = twolayer.direct_multilayer_throughput(
-            (plan.eta1, plan.eta2), (plan.alpha, plan.alpha_bar), p_s).r_av
+        direct = None
         for q_db in q_db_list:
             for ratio in ratios:
                 cfg = PowerConfig(p_s=p_s, p_r=ratio * p_s, q=_db2lin(q_db))
-                base = {"ps_db": db, "q_db": q_db, "pr_over_ps": ratio}
-                if "direct-2" in schemes:
-                    rows.append({**base, "scheme": "direct-2", "throughput_nats": direct})
-                if "simplex-equal" in schemes:
-                    rows.append({**base, "scheme": "simplex-equal",
-                                 "throughput_nats":
-                                     twolayer.simplex_equal_throughput(plan, cfg).r_av})
-                if "simplex-unequal-opt" in schemes:
-                    opt = maximize_throughput(
-                        "simplex-unequal", ("beta",),
-                        {"alpha": plan.alpha, "eta1": plan.eta1, "eta2": plan.eta2},
-                        cfg, coarse_points=12)
-                    rows.append({**base, "scheme": "simplex-unequal-opt",
-                                 "throughput_nats": opt.value})
-                if "miso-equal" in schemes:
-                    rows.append({**base, "scheme": "miso-equal",
-                                 "throughput_nats": twolayer.miso_equal_throughput(
-                                     (plan.eta1, plan.eta2), (plan.alpha, plan.alpha_bar),
-                                     cfg.p_s, cfg.p_r).r_av})
+                for scheme in schemes:
+                    if scheme == "simplex-unequal-opt":
+                        value = maximize_throughput(
+                            "simplex-unequal", ("beta",),
+                            {"alpha": plan.alpha, "eta1": plan.eta1, "eta2": plan.eta2},
+                            cfg, coarse_points=12).value
+                    elif scheme == "direct-2":
+                        if direct is None:
+                            direct = twolayer.CLOSED_FORMS["direct"](plan, cfg).r_av
+                        value = direct
+                    else:
+                        value = twolayer.CLOSED_FORMS[scheme](plan, cfg).r_av
+                    rows.append({"ps_db": db, "q_db": q_db, "pr_over_ps": ratio,
+                                 "scheme": scheme, "throughput_nats": value})
     return rows
 
 

@@ -1,4 +1,4 @@
-"""Channel/power parameter types, fading sampling and two-layer rate bookkeeping.
+"""Channel/power parameter types and two-layer rate bookkeeping.
 
 Conventions used throughout the package: all powers and gains are linear,
 all rates are in nats per channel use (natural logarithms), and the squared
@@ -11,15 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 __all__ = [
     "PowerConfig",
-    "FadingSample",
     "TwoLayerAllocation",
     "DecodingTimes",
     "ThroughputResult",
-    "sample_fading",
     "layer_rates",
     "decoding_times",
 ]
@@ -47,14 +43,6 @@ class PowerConfig:
         _check_nonneg("p_s", self.p_s)
         _check_nonneg("p_r", self.p_r)
         _check_nonneg("q", self.q)
-
-
-@dataclass(frozen=True)
-class FadingSample:
-    """One block's squared fading magnitudes (independent, unit-mean exponential)."""
-
-    nu_s: float
-    nu_r: float
 
 
 @dataclass(frozen=True)
@@ -147,16 +135,6 @@ class ThroughputResult:
             p_both = p_layer1
         return cls(r1=r1, r2=r2, p_layer1=p_layer1, p_both=p_both,
                    r_av=r1 * p_layer1 + r2 * p_both)
-
-
-def sample_fading(rng: np.random.Generator) -> FadingSample:
-    """Draw one block's (nu_s, nu_r) pair from the generator.
-
-    Uses the inverse CDF -log(1 - u) so that any two consumers of the same
-    generator state produce bit-identical sequences.
-    """
-    u = rng.random(2)
-    return FadingSample(nu_s=float(-np.log1p(-u[0])), nu_r=float(-np.log1p(-u[1])))
 
 
 def layer_rates(alloc: TwoLayerAllocation, p_s: float) -> tuple[float, float]:

@@ -72,28 +72,6 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
     return best
 
 
-def _scheme_objective(scheme: str, cfg: PowerConfig) -> Callable[[Mapping[str, float]], float]:
-    def alloc_of(p: Mapping[str, float]) -> TwoLayerAllocation:
-        return TwoLayerAllocation(alpha=p["alpha"], eta1=p["eta1"], eta2=p["eta2"],
-                                  beta=p.get("beta", p["alpha"]))
-
-    if scheme == "direct":
-        return lambda p: twolayer.direct_multilayer_throughput(
-            (p["eta1"], p["eta2"]), (p["alpha"], 1.0 - p["alpha"]), cfg.p_s).r_av
-    if scheme == "miso-equal":
-        return lambda p: twolayer.miso_equal_throughput(
-            (p["eta1"], p["eta2"]), (p["alpha"], 1.0 - p["alpha"]),
-            cfg.p_s, cfg.p_r).r_av
-    if scheme == "miso-unequal":
-        return lambda p: twolayer.miso_unequal_throughput(alloc_of(p), cfg.p_s, cfg.p_r).r_av
-    if scheme == "simplex-equal":
-        return lambda p: twolayer.simplex_equal_throughput(
-            alloc_of({**p, "beta": p["alpha"]}), cfg).r_av
-    if scheme == "simplex-unequal":
-        return lambda p: twolayer.simplex_unequal_throughput(alloc_of(p), cfg).r_av
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def _bounds_for(name: str, params: Mapping[str, float], eta_max: float,
                 beta_ge_alpha: bool) -> tuple[float, float]:
     if name == "alpha":
@@ -107,6 +85,35 @@ def _bounds_for(name: str, params: Mapping[str, float], eta_max: float,
     if name == "eta2":
         return params["eta1"], eta_max
     raise ValueError(f"unknown parameter {name!r}")
+
+
+def _coordinate_ascent(value: Callable[[Mapping[str, float]], float],
+                       start: tuple[float, Mapping[str, float]], names: Sequence[str],
+                       bounds: Callable[[str, Mapping[str, float]], tuple[float, float]],
+                       tol: float, max_passes: int) -> tuple[float, dict]:
+    """Coordinate golden-section passes over ``names`` from ``start``, a
+    (value, params) pair, accepting only strictly improving moves, until no
+    parameter shifts by more than ``tol``.  Returns the final (value, params).
+    """
+    cur_val, cur = start[0], dict(start[1])
+    for _ in range(max_passes):
+        moved = 0.0
+        for name in names:
+            lo, hi = bounds(name, cur)
+
+            def line(xv: float, _name=name) -> float:
+                trial = dict(cur)
+                trial[_name] = xv
+                return value(trial)
+
+            x_new, f_new = golden_section_max(line, lo, hi, tol=tol)
+            if f_new > cur_val:
+                moved = max(moved, abs(x_new - cur[name]))
+                cur[name] = x_new
+                cur_val = f_new
+        if moved <= tol:
+            break
+    return cur_val, cur
 
 
 def maximize_throughput(scheme: str, free_params: Iterable[str],
@@ -127,14 +134,19 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         raise ValueError("free_params must name at least one parameter")
     if any(p not in _PARAM_ORDER for p in free_params):
         raise ValueError(f"free_params must be among {_PARAM_ORDER}")
+    if scheme not in twolayer.CLOSED_FORMS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    closed_form = twolayer.CLOSED_FORMS[scheme]
     beta_ge_alpha = scheme == "simplex-unequal"
-    objective = _scheme_objective(scheme, cfg)
+    equal_split = scheme not in ("miso-unequal", "simplex-unequal")
     evals = 0
 
-    def value(params: Mapping[str, float]) -> float:
+    def value(p: Mapping[str, float]) -> float:
         nonlocal evals
         evals += 1
-        return objective(params)
+        beta = p["alpha"] if equal_split else p.get("beta", p["alpha"])
+        return closed_form(TwoLayerAllocation(alpha=p["alpha"], eta1=p["eta1"],
+                                              eta2=p["eta2"], beta=beta), cfg).r_av
 
     n_pts = coarse_points or _COARSE_BY_DIM[len(free)]
     axes = {}
@@ -158,30 +170,12 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     scored.sort(key=lambda t: -t[0])
     coarse_best = scored[0][0]
 
-    best_val, best_params = scored[0]
-    for start_val, start in scored[:n_starts]:
-        cur = dict(start)
-        cur_val = start_val
-        for _ in range(max_passes):
-            moved = 0.0
-            for name in free:
-                lo, hi = _bounds_for(name, cur, eta_max, beta_ge_alpha)
+    def bounds(name: str, p: Mapping[str, float]) -> tuple[float, float]:
+        return _bounds_for(name, p, eta_max, beta_ge_alpha)
 
-                def line(xv: float, _name=name) -> float:
-                    trial = dict(cur)
-                    trial[_name] = xv
-                    return value(trial)
-
-                x_new, f_new = golden_section_max(line, lo, hi, tol=tol)
-                if f_new > cur_val:
-                    moved = max(moved, abs(x_new - cur[name]))
-                    cur[name] = x_new
-                    cur_val = f_new
-            if moved <= tol:
-                break
-        if cur_val > best_val:
-            best_val, best_params = cur_val, cur
-
+    best_val, best_params = max(
+        (_coordinate_ascent(value, start, free, bounds, tol, max_passes)
+         for start in scored[:n_starts]), key=lambda t: t[0])
     return OptResult(params=dict(best_params), value=best_val, n_evals=evals,
                      coarse_best=coarse_best)
 
@@ -219,35 +213,21 @@ def oblivious_rate_plan(p_s: float, n_layers: int = 2,
     tied = np.flatnonzero(obj >= third)
     starts = tied[np.lexsort((tied, (k - j)[tied % len(j)], -obj[tied]))][:3]
 
-    def value(p: list[float]) -> float:
-        return twolayer._direct_two_layer_rate(p[0], p[1], p[2], p_s)
+    def value(p: Mapping[str, float]) -> float:
+        return twolayer._direct_two_layer_rate(p["alpha"], p["eta1"], p["eta2"], p_s)
 
-    best_val, best = -math.inf, None
+    def bounds(name: str, p: Mapping[str, float]) -> tuple[float, float]:
+        return _bounds_for(name, p, eta_max, beta_ge_alpha=False)
+
+    refined = []
     for idx in starts:
         i, pair = divmod(int(idx), len(j))
-        cur = [float(alphas[i]), float(e1[pair]), float(e2[pair])]
-        cur_val = value(cur)
-        for _ in range(40):
-            moved = 0.0
-            for c, name in enumerate(("alpha", "eta1", "eta2")):
-                lo, hi = _bounds_for(name, {"eta1": cur[1], "eta2": cur[2]}, eta_max,
-                                     beta_ge_alpha=False)
-
-                def line(xv: float, _c=c) -> float:
-                    trial = list(cur)
-                    trial[_c] = xv
-                    return value(trial)
-
-                x_new, f_new = golden_section_max(line, lo, hi, tol=1e-6)
-                if f_new > cur_val:
-                    moved = max(moved, abs(x_new - cur[c]))
-                    cur[c] = x_new
-                    cur_val = f_new
-            if moved <= 1e-6:
-                break
-        if cur_val > best_val:
-            best_val, best = cur_val, cur
-    return TwoLayerAllocation(alpha=best[0], eta1=best[1], eta2=best[2])
+        start = {"alpha": float(alphas[i]), "eta1": float(e1[pair]),
+                 "eta2": float(e2[pair])}
+        refined.append(_coordinate_ascent(value, (value(start), start),
+                                          ("alpha", "eta1", "eta2"), bounds, 1e-6, 40))
+    best = max(refined, key=lambda t: t[0])[1]
+    return TwoLayerAllocation(alpha=best["alpha"], eta1=best["eta1"], eta2=best["eta2"])
 
 
 def horizontal_db_gain(ps_db: Sequence[float], base_rates: Sequence[float],

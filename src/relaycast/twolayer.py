@@ -31,6 +31,7 @@ __all__ = [
     "DuplexVerdict",
     "duplex_gain_condition",
     "discretize_power_density",
+    "CLOSED_FORMS",
 ]
 
 _QUAD_OPTS = dict(epsabs=1e-9, epsrel=1e-9, limit=200)
@@ -228,6 +229,22 @@ def simplex_unequal_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> T
                          "irrespective of relay power (use the Monte-Carlo module "
                          "to explore it)")
     return _simplex_throughput(alloc, cfg)
+
+
+# The two-layer closed forms by scheme name, each mapping an allocation and a
+# PowerConfig to its ThroughputResult.  The direct and MISO-equal schemes read
+# only alpha (beta is ignored).  Every entry looks its function up by module
+# global name at call time, so a patched module attribute (a test, a span
+# tracer) sees every call made through the table.
+CLOSED_FORMS: dict[str, Callable[[TwoLayerAllocation, PowerConfig], ThroughputResult]] = {
+    "direct": lambda a, cfg: direct_multilayer_throughput(
+        (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s),
+    "miso-equal": lambda a, cfg: miso_equal_throughput(
+        (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s, cfg.p_r),
+    "miso-unequal": lambda a, cfg: miso_unequal_throughput(a, cfg.p_s, cfg.p_r),
+    "simplex-equal": lambda a, cfg: simplex_equal_throughput(a, cfg),
+    "simplex-unequal": lambda a, cfg: simplex_unequal_throughput(a, cfg),
+}
 
 
 @dataclass(frozen=True)

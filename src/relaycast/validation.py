@@ -20,8 +20,7 @@ from .montecarlo import SimConfig, simulate_strategy
 __all__ = ["ValidationRow", "validation_corpus", "closed_form_value",
            "run_validation", "convention_arbitration"]
 
-SCHEMES = ("single-layer-SDF", "direct", "miso-equal", "miso-unequal",
-           "simplex-equal", "simplex-unequal")
+SCHEMES = ("single-layer-SDF", *twolayer.CLOSED_FORMS)
 
 
 @dataclass(frozen=True)
@@ -110,21 +109,9 @@ def validation_corpus(seed: int, draws: int) -> list[ValidationCase]:
 def closed_form_value(case: ValidationCase) -> float:
     if case.scheme == "single-layer-SDF":
         return outage.sdf_single_layer_throughput(case.rate, case.cfg).r_av
-    alloc, cfg = case.alloc, case.cfg
-    if case.scheme == "direct":
-        return twolayer.direct_multilayer_throughput(
-            (alloc.eta1, alloc.eta2), (alloc.alpha, alloc.alpha_bar), cfg.p_s).r_av
-    if case.scheme == "miso-equal":
-        return twolayer.miso_equal_throughput(
-            (alloc.eta1, alloc.eta2), (alloc.alpha, alloc.alpha_bar),
-            cfg.p_s, cfg.p_r).r_av
-    if case.scheme == "miso-unequal":
-        return twolayer.miso_unequal_throughput(alloc, cfg.p_s, cfg.p_r).r_av
-    if case.scheme == "simplex-equal":
-        return twolayer.simplex_equal_throughput(alloc, cfg).r_av
-    if case.scheme == "simplex-unequal":
-        return twolayer.simplex_unequal_throughput(alloc, cfg).r_av
-    raise ValueError(f"unknown scheme {case.scheme!r}")
+    if case.scheme not in twolayer.CLOSED_FORMS:
+        raise ValueError(f"unknown scheme {case.scheme!r}")
+    return twolayer.CLOSED_FORMS[case.scheme](case.alloc, case.cfg).r_av
 
 
 def run_validation(draws: int, blocks: int, seed: int,

@@ -7,7 +7,7 @@ from conftest import draw_alloc, draw_powers
 from relaycast import (BoundContext, PowerConfig, TwoLayerAllocation,
                        conditional_layer_probability, discontinuity_point,
                        find_intersections, layer_rates, relay_threshold_bound,
-                       t_factor, u_bound)
+                       simplex_equal_throughput, t_factor, u_bound)
 from relaycast.bounds import _k_scalar, _k_values, _t_values, _u_values
 from relaycast.optimize import oblivious_rate_plan
 from relaycast.validation import validation_corpus
@@ -368,3 +368,16 @@ def test_discontinuity_closed_form_matches_bisection():
                     1e-8 * max(1.0, ctx.eta1), (alloc, cfg, fraction)
                 checked += 1
     assert checked >= 300
+
+
+def test_discontinuity_point_stays_below_eta1_at_high_power():
+    # at 75.3 dB the closed form cancels and used to round past eta1
+    alloc = TwoLayerAllocation(alpha=0.4414527970026278, eta1=1.1703141222481437,
+                               eta2=2.5219466540055393)
+    cfg = PowerConfig(p_s=3.4095e7, p_r=3.4095e7, q=100.0)
+    ctx = BoundContext.from_config(alloc, cfg)
+    assert discontinuity_point(ctx) <= ctx.eta1
+    part = find_intersections(ctx)
+    assert part.v_lo <= part.upper == ctx.eta1
+    res = simplex_equal_throughput(alloc, cfg)
+    assert math.isfinite(res.r_av) and 0.0 <= res.r_av <= ctx.r1 + ctx.r2

@@ -91,16 +91,16 @@ def test_sweep_grid_order_and_workers(tmp_path):
 
 
 def test_sweep_plans_once_per_source_power(tmp_path, monkeypatch):
-    import relaycast.cli as cli
+    import relaycast.figures as figures
 
     calls = []
-    plan = cli.oblivious_rate_plan
+    plan = figures.oblivious_rate_plan
 
     def counted(p_s, n_layers=2):
         calls.append(p_s)
         return plan(p_s, n_layers)
 
-    monkeypatch.setattr(cli, "oblivious_rate_plan", counted)
+    monkeypatch.setattr(figures, "oblivious_rate_plan", counted)
     outputs = []
     for workers in ("1", "2"):
         calls.clear()
@@ -140,6 +140,40 @@ def test_optimize_subcommand(tmp_path):
 def test_optimize_requires_all_parameters():
     with pytest.raises(SystemExit):
         main(["optimize", "--scheme", "direct", "--free", "alpha"])
+
+
+@pytest.mark.parametrize("argv", [
+    # defect D2: find_intersections raises RuntimeError at alpha = 0
+    ["optimize", "--scheme", "simplex-equal", "--ps-db", "10"],
+    # defect D1: miso_unequal_throughput raises OverflowError
+    ["figure", "fig5", "--pr-db", "4"],
+])
+def test_library_errors_exit_with_one_line(tmp_path, capsys, argv):
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("relaycast: ") and err.count("\n") == 1
+
+
+def test_two_layer_scheme_names_resolve_through_the_table():
+    from relaycast import twolayer, validation
+    from relaycast.cli import build_parser
+
+    def choices(command):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        return set(next(a for a in sub.choices[command]._actions
+                        if a.dest == "scheme").choices)
+
+    table = set(twolayer.CLOSED_FORMS)
+    assert table == {"direct", "miso-equal", "miso-unequal", "simplex-equal",
+                     "simplex-unequal"}
+    assert choices("optimize") == table
+    assert choices("rate") - table == {
+        "single-user", "single-sdf", "miso-single", "ergodic-miso",
+        "continuous-siso", "continuous-relay", "continuous-miso"}
+    assert table <= choices("rate")
+    assert set(validation.SCHEMES) - table == {"single-layer-SDF"}
+    assert table <= set(validation.SCHEMES)
 
 
 def test_config_file_and_env_seed(tmp_path, monkeypatch):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relaycast import (DecodingTimes, PowerConfig, ThroughputResult,
-                       TwoLayerAllocation, decoding_times, layer_rates,
-                       sample_fading)
+                       TwoLayerAllocation, decoding_times, layer_rates)
 
 
 def test_power_config_rejects_bad_values():
@@ -31,30 +30,12 @@ def test_decoding_times_ordering_validation():
         DecodingTimes(eps1=0.8, eps2=0.5)
 
 
-class TestSampleFading:
-    def test_determinism_and_distinctness(self):
-        gen = lambda: np.random.Generator(np.random.Philox(key=42))
-        rng = gen()
-        first, second = sample_fading(rng), sample_fading(rng)
-        assert (first.nu_s, first.nu_r) != (second.nu_s, second.nu_r)
-        replay = gen()
-        assert sample_fading(replay) == first
-        assert sample_fading(replay) == second
-
-    def test_vectorized_stream_matches_scalar_draws(self):
-        # each draw consumes exactly one row of uniforms, in order
-        rng = np.random.Generator(np.random.Philox(key=7))
-        scalar = [sample_fading(rng) for _ in range(3)]
-        u = np.random.Generator(np.random.Philox(key=7)).random((3, 2))
-        nu = -np.log1p(-u)
-        for s, row in zip(scalar, nu):
-            assert s.nu_s == row[0] and s.nu_r == row[1]
-
-    def test_unit_mean_and_exponential_tail(self):
-        u = np.random.Generator(np.random.Philox(key=123)).random((1_000_000, 2))
-        nu_s = -np.log1p(-u[:, 0])
-        assert abs(nu_s.mean() - 1.0) < 0.005
-        assert abs((nu_s > 1.0).mean() - math.exp(-1.0)) < 0.002
+def test_unit_mean_and_exponential_tail():
+    # the inverse-CDF mapping -log(1 - u) of the Monte-Carlo fading stream
+    u = np.random.Generator(np.random.Philox(key=123)).random((1_000_000, 2))
+    nu_s = -np.log1p(-u[:, 0])
+    assert abs(nu_s.mean() - 1.0) < 0.005
+    assert abs((nu_s > 1.0).mean() - math.exp(-1.0)) < 0.002
 
 
 class TestLayerRates:

@@ -241,3 +241,23 @@ class TestDuplexCondition:
         assert v.verdict == "condition-not-met"
         assert v.margin == pytest.approx(0.21 - 1.0)
         assert v.assumes_rate_ordering
+
+
+def test_closed_form_table_calls_the_module_attribute(monkeypatch):
+    # span tracers patch module attributes; a table holding the function
+    # objects themselves would hide its calls from them
+    from relaycast import twolayer
+
+    seen = []
+    original = twolayer.simplex_equal_throughput
+
+    def spy(alloc, cfg):
+        seen.append(alloc)
+        return original(alloc, cfg)
+
+    monkeypatch.setattr(twolayer, "simplex_equal_throughput", spy)
+    alloc = TwoLayerAllocation(alpha=0.7, eta1=0.3, eta2=1.8)
+    cfg = PowerConfig(p_s=10.0, p_r=10.0, q=100.0)
+    res = twolayer.CLOSED_FORMS["simplex-equal"](alloc, cfg)
+    assert seen == [alloc]
+    assert res == original(alloc, cfg)
