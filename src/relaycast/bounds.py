@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _EXP_OVERFLOW = 700.0
+_N_SCAN = 10_000  # sign-scan intervals of find_intersections' first pass
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,7 @@ def _bisect_crossing(diff, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def find_intersections(ctx: BoundContext, n_scan: int = 10_000) -> IntervalPartition:
+def find_intersections(ctx: BoundContext) -> IntervalPartition:
     """Locate the crossings of the layer-1 and layer-2 thresholds on [v_lo, eta1].
 
     Dense sign scan of F - U followed by bisection refinement of each sign
@@ -279,9 +280,9 @@ def find_intersections(ctx: BoundContext, n_scan: int = 10_000) -> IntervalParti
         parity_ok = (len(crossings) % 2 == 0) == (leading == "U")
         return crossings, leading, parity_ok
 
-    crossings, leading, parity_ok = attempt(n_scan)
+    crossings, leading, parity_ok = attempt(_N_SCAN)
     if not parity_ok:
-        crossings, leading, parity_ok = attempt(10 * n_scan)
+        crossings, leading, parity_ok = attempt(10 * _N_SCAN)
     if not parity_ok:
         raise RuntimeError("threshold crossing count violates the dominance parity; "
                            "scan resolution exhausted")

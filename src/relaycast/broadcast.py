@@ -12,6 +12,10 @@ With the proportional relay density the received signal and interference of
 every layer scale by the same factor s, so the rate functional keeps its
 single-user form with the source density I_s in the denominator and only the
 fading distribution replaced by that of s (see docs/conformance.md).
+
+:func:`continuous_layering` alone picks the density and distribution of the
+``siso``, ``relay`` and ``miso`` schemes, for the bounds, the Monte-Carlo
+``layered-continuous`` strategy and the figure presets alike.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ __all__ = [
     "rayleigh_distribution",
     "sum_fading_distribution",
     "optimal_power_density",
+    "continuous_layering",
+    "cumulative_rate",
     "broadcast_rate",
     "siso_broadcast_rate",
     "relay_or_miso_broadcast_bound",
@@ -181,24 +187,62 @@ def optimal_power_density(total_power: float, dist: FadingDistribution) -> Power
                         rho_of_u=rho_of_u)
 
 
-def _numeric_rho(density: PowerDensity) -> Callable:
-    span = density.u1 - density.u0
-    i_of_u = density.i_of_u
+def _layering_density(density: PowerDensity) -> Callable:
+    """rho = -dI/du on scalars or arrays: ``rho_of_u`` when the density has
+    it, else a central difference whose step balances roundoff against
+    curvature, with the stencil kept inside the active range."""
+    if density.rho_of_u is not None:
+        return density.rho_of_u
 
-    def rho(u: float) -> float:
-        # central difference, step balancing roundoff against curvature,
-        # with the stencil kept inside the active range
-        h = 6e-6 * max(abs(u), span)
-        a = max(density.u0, u - h)
-        b = min(density.u1, u + h)
-        return -(i_of_u(b) - i_of_u(a)) / (b - a)
+    def rho(u):
+        u = np.asarray(u, dtype=float)
+        h = 6e-6 * np.maximum(np.abs(u), density.u1 - density.u0)
+        a, b = np.maximum(density.u0, u - h), np.minimum(density.u1, u + h)
+        out = (density.i_of_u(a) - density.i_of_u(b)) / (b - a)
+        return out if out.ndim else float(out)
 
     return rho
 
 
+def continuous_layering(cfg: PowerConfig, mode: Literal["siso", "relay", "miso"]
+                        ) -> tuple[PowerDensity, FadingDistribution, float]:
+    """(density, decode-governing fading distribution, P_r/P_s) of a scheme.
+
+    ``siso``: the Rayleigh-matched density and distribution.  ``relay``: the
+    source keeps that density, unaware of the relay, and decoding follows
+    s = nu_s + (P_r/P_s) nu_r.  ``miso``: the density is matched to s.  A
+    ratio below 1e-12 falls back to ``siso`` and is returned as 0.
+    """
+    if mode not in ("siso", "relay", "miso"):
+        raise ValueError(f"mode must be 'siso', 'relay' or 'miso', got {mode!r}")
+    if cfg.p_s <= 0.0:
+        raise ValueError("p_s must be positive")
+    a = cfg.p_r / cfg.p_s
+    rayleigh = rayleigh_distribution()
+    if mode == "siso" or a < 1e-12:
+        return optimal_power_density(cfg.p_s, rayleigh), rayleigh, 0.0
+    dist = sum_fading_distribution(a)
+    return optimal_power_density(cfg.p_s, rayleigh if mode == "relay" else dist), dist, a
+
+
+def cumulative_rate(density: PowerDensity, points: int,
+                    dist: FadingDistribution | None = None):
+    """Trapezoid table (u, R(u)) of R(u) = int_{u0}^u w(v) v rho(v) / (1 + v I(v)) dv
+    on ``points`` evenly spaced nodes of [u0, u1], with w = 1 - F of ``dist``,
+    or w = 1 without one.  The integrand is taken as 0 at both ends."""
+    us = np.linspace(density.u0, density.u1, points)
+    inner = us[1:-1]
+    weight = 1.0 if dist is None else 1.0 - np.asarray(dist.cdf(inner), dtype=float)
+    rho = np.asarray(_layering_density(density)(inner), dtype=float)
+    i_vals = np.asarray(density.i_of_u(inner), dtype=float)
+    g = np.zeros_like(us)
+    g[1:-1] = weight * inner * rho / (1.0 + inner * i_vals)  # reordering moves fig3/fig4 bits
+    return us, np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(us))))
+
+
 def broadcast_rate(density: PowerDensity, dist: FadingDistribution) -> float:
     """Average decoded rate int_{u0}^{u1} (1 - F(u)) u rho(u) / (1 + u I(u)) du."""
-    rho = density.rho_of_u if density.rho_of_u is not None else _numeric_rho(density)
+    rho = _layering_density(density)
     cdf, i_of_u = dist.cdf, density.i_of_u
 
     def integrand(u: float) -> float:
@@ -211,31 +255,16 @@ def broadcast_rate(density: PowerDensity, dist: FadingDistribution) -> float:
 
 def siso_broadcast_rate(p_s: float) -> float:
     """Continuous broadcasting rate of the plain Rayleigh point-to-point channel."""
-    dist = rayleigh_distribution()
-    return broadcast_rate(optimal_power_density(p_s, dist), dist)
+    return broadcast_rate(*continuous_layering(PowerConfig(p_s=p_s, p_r=0.0, q=1.0),
+                                               "siso")[:2])
 
 
 def relay_or_miso_broadcast_bound(cfg: PowerConfig,
                                   mode: Literal["relay", "miso"]) -> float:
     """Continuous-broadcasting lower bounds with a proportionally layered relay.
 
-    ``relay``: the source keeps its point-to-point (Rayleigh-matched) density,
-    unaware of the relay; only the fading distribution changes to that of
-    s = nu_s + (P_r/P_s) nu_r.  ``miso``: the source matches its density to
-    the combined fading, i.e. the density is re-optimized against the sum
-    distribution.  Both assume the relay already knows the message (informed
-    operation, negligible relay decoding time) and are lower bounds.
+    The density and distribution of ``mode`` come from
+    :func:`continuous_layering`.  Both bounds assume the relay already knows
+    the message (informed operation, negligible relay decoding time).
     """
-    if cfg.p_s <= 0.0:
-        raise ValueError("p_s must be positive")
-    a = cfg.p_r / cfg.p_s
-    if a < 1e-12:
-        return siso_broadcast_rate(cfg.p_s)
-    dist = sum_fading_distribution(a)
-    if mode == "relay":
-        density = optimal_power_density(cfg.p_s, rayleigh_distribution())
-    elif mode == "miso":
-        density = optimal_power_density(cfg.p_s, dist)
-    else:
-        raise ValueError(f"mode must be 'relay' or 'miso', got {mode!r}")
-    return broadcast_rate(density, dist)
+    return broadcast_rate(*continuous_layering(cfg, mode)[:2])

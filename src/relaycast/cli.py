@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__, broadcast, figures, twolayer, validation
 from .model import PowerConfig, TwoLayerAllocation
 from .montecarlo import RNG_ID
-from .optimize import maximize_throughput
+from .optimize import maximize_throughput, miso_single_layer_rate
 from .outage import (ergodic_miso_capacity, miso_single_layer_throughput,
                      optimal_single_user_rate, sdf_single_layer_throughput,
                      single_user_throughput)
@@ -31,23 +31,32 @@ DEFAULT_SEED = 20_240_001
 SEED_ENV = "RELAYCAST_SEED"
 LN2 = math.log(2.0)
 
-_RATE_SCHEMES = ("single-user", "single-sdf", "miso-single", "ergodic-miso",
-                 *twolayer.CLOSED_FORMS, "continuous-siso", "continuous-relay",
-                 "continuous-miso")
-# sweep schemes evaluated point by point; the others follow the source's
-# oblivious plan (figures._oblivious_rows)
-_SWEEP_POINTS = {
-    "single-user": lambda cfg: single_user_throughput(
-        optimal_single_user_rate(cfg.p_s), cfg.p_s).r_av,
-    "single-sdf": lambda cfg: sdf_single_layer_throughput(
-        optimal_single_user_rate(cfg.p_s), cfg).r_av,
-    "miso-single": lambda cfg: figures.optimal_single_layer_miso_rate(cfg.p_s, cfg.p_r),
+# single-layer schemes: (the source's default rate, throughput at a rate)
+_SINGLE_LAYER = {
+    "single-user": (lambda cfg: optimal_single_user_rate(cfg.p_s),
+                    lambda r, cfg: single_user_throughput(r, cfg.p_s)),
+    "single-sdf": (lambda cfg: optimal_single_user_rate(cfg.p_s),
+                   lambda r, cfg: sdf_single_layer_throughput(r, cfg)),
+    "miso-single": (lambda cfg: miso_single_layer_rate(cfg.p_s, cfg.p_r),
+                    lambda r, cfg: miso_single_layer_throughput(r, cfg.p_s, cfg.p_r)),
+}
+# schemes with a throughput and no rate plan
+_BOUNDS = {
+    "ergodic-miso": lambda cfg: ergodic_miso_capacity(cfg.p_s, cfg.p_r),
     "continuous-siso": lambda cfg: broadcast.siso_broadcast_rate(cfg.p_s),
     "continuous-relay": lambda cfg: broadcast.relay_or_miso_broadcast_bound(cfg, "relay"),
     "continuous-miso": lambda cfg: broadcast.relay_or_miso_broadcast_bound(cfg, "miso"),
 }
-_SWEEP_SCHEMES = (*_SWEEP_POINTS, "direct-2", "simplex-equal", "simplex-unequal-opt",
-                  "miso-equal")
+# sweep schemes that follow the source's oblivious plan (figures._oblivious_rows)
+_PLAN_SCHEMES = ("direct-2", "simplex-equal", "simplex-unequal-opt", "miso-equal")
+
+
+def _throughput(scheme: str, cfg: PowerConfig) -> float:
+    """A _SINGLE_LAYER scheme at its default rate, or a _BOUNDS scheme."""
+    if scheme in _BOUNDS:
+        return _BOUNDS[scheme](cfg)
+    default_rate, throughput = _SINGLE_LAYER[scheme]
+    return throughput(default_rate(cfg), cfg).r_av
 
 
 def _fmt(value) -> str:
@@ -117,29 +126,19 @@ def _cmd_rate(args) -> int:
            "eta1": args.eta1, "eta2": args.eta2, "rate_nats": args.rate,
            "r1_nats": None, "r2_nats": None, "p_layer1": None, "p_both": None}
 
-    if scheme in ("single-user", "single-sdf", "miso-single"):
-        rate = args.rate if args.rate is not None else optimal_single_user_rate(cfg.p_s)
-        row["rate_nats"] = rate
-        res = {"single-user": lambda: single_user_throughput(rate, cfg.p_s),
-               "single-sdf": lambda: sdf_single_layer_throughput(rate, cfg),
-               "miso-single": lambda: miso_single_layer_throughput(rate, cfg.p_s, cfg.p_r),
-               }[scheme]()
-    elif scheme == "ergodic-miso":
-        row["throughput_nats"] = ergodic_miso_capacity(cfg.p_s, cfg.p_r)
-        res = None
-    elif scheme.startswith("continuous"):
-        if scheme == "continuous-siso":
-            row["throughput_nats"] = broadcast.siso_broadcast_rate(cfg.p_s)
-        else:
-            row["throughput_nats"] = broadcast.relay_or_miso_broadcast_bound(
-                cfg, scheme.split("-")[1])
-        res = None
+    if scheme in _BOUNDS:
+        row["throughput_nats"] = _BOUNDS[scheme](cfg)
     else:
-        alloc = _alloc_from_args(args)
-        row.update({"alpha": alloc.alpha, "beta": alloc.beta,
-                    "eta1": alloc.eta1, "eta2": alloc.eta2})
-        res = twolayer.CLOSED_FORMS[scheme](alloc, cfg)
-    if res is not None:
+        if scheme in _SINGLE_LAYER:
+            default_rate, throughput = _SINGLE_LAYER[scheme]
+            if args.rate is None:
+                row["rate_nats"] = default_rate(cfg)
+            res = throughput(row["rate_nats"], cfg)
+        else:
+            alloc = _alloc_from_args(args)
+            row.update({"alpha": alloc.alpha, "beta": alloc.beta,
+                        "eta1": alloc.eta1, "eta2": alloc.eta2})
+            res = twolayer.CLOSED_FORMS[scheme](alloc, cfg)
         row.update({"r1_nats": res.r1, "r2_nats": res.r2, "p_layer1": res.p_layer1,
                     "p_both": res.p_both, "throughput_nats": res.r_av})
 
@@ -156,8 +155,7 @@ def _cmd_sweep(args) -> int:
     if args.ps_db_step <= 0.0 or args.ps_db_stop < args.ps_db_start:
         raise SystemExit("invalid --ps-db grid")
     ps_grid = figures._ps_grid(args.ps_db_start, args.ps_db_stop, args.ps_db_step)
-    point = _SWEEP_POINTS.get(args.scheme)
-    if point is None:
+    if args.scheme in _PLAN_SCHEMES:
         rows = figures._oblivious_rows(ps_grid, args.q_db, args.ratio, (args.scheme,))
     else:
         rows = []
@@ -167,7 +165,8 @@ def _cmd_sweep(args) -> int:
                 for r in args.ratio:
                     cfg = PowerConfig(p_s=p_s, p_r=r * p_s, q=figures._db2lin(q))
                     rows.append({"ps_db": ps, "q_db": q, "pr_over_ps": r,
-                                 "scheme": args.scheme, "throughput_nats": point(cfg)})
+                                 "scheme": args.scheme,
+                                 "throughput_nats": _throughput(args.scheme, cfg)})
     fields = ["ps_db", "q_db", "pr_over_ps", "scheme", "throughput_nats"]
     _write_csv(args.out, fields, rows, bits=args.bits)
     _write_manifest(args.out, "sweep", args.seed,
@@ -311,16 +310,19 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
                         help="threads for Monte-Carlo simulation (validate, fig9)")
 
     p = add_parser("rate", parents=[common], help="single evaluation")
-    p.add_argument("--scheme", choices=_RATE_SCHEMES, required=True)
+    p.add_argument("--scheme", choices=(*_SINGLE_LAYER, *_BOUNDS, *twolayer.CLOSED_FORMS),
+                   required=True)
     p.add_argument("--rate", type=float, default=None,
                    help="attempted rate [nats] for the single-layer schemes "
-                        "(default: the optimal single-user rate)")
+                        "(default: the optimal single-user rate; miso-single: "
+                        "its own optimal rate)")
     _add_power_flags(p)
     _add_alloc_flags(p)
     p.set_defaults(func=_cmd_rate)
 
     p = add_parser("sweep", parents=[common], help="grid sweep to CSV")
-    p.add_argument("--scheme", choices=_SWEEP_SCHEMES, required=True)
+    p.add_argument("--scheme", choices=(*_SINGLE_LAYER, *_BOUNDS, *_PLAN_SCHEMES),
+                   required=True)
     p.add_argument("--ps-db-start", type=float, default=0.0)
     p.add_argument("--ps-db-stop", type=float, default=25.0)
     p.add_argument("--ps-db-step", type=float, default=2.5)

@@ -14,9 +14,10 @@ import numpy as np
 from . import broadcast, twolayer
 from .model import PowerConfig
 from .montecarlo import SimConfig, simulate_strategy
-from .optimize import golden_section_max, maximize_throughput, oblivious_rate_plan
-from .outage import (ergodic_miso_capacity, optimal_single_user_rate,
-                     single_user_throughput, y_sum_tail)
+from .optimize import (golden_section_max, maximize_throughput,
+                       miso_single_layer_rate, oblivious_rate_plan)
+from .outage import (ergodic_miso_capacity, miso_single_layer_throughput,
+                     optimal_single_user_rate, single_user_throughput, y_sum_tail)
 
 __all__ = ["PRESETS", "run_preset"]
 
@@ -28,19 +29,6 @@ def _db2lin(db: float) -> float:
 def _ps_grid(start=0.0, stop=25.0, step=2.5) -> list[float]:
     n = int(round((stop - start) / step))
     return [start + i * step for i in range(n + 1)]
-
-
-def optimal_single_layer_miso_rate(p_s: float, p_r: float) -> float:
-    """max_R R * P(Y > e^R - 1): coarse scan plus golden refinement."""
-    hi = math.log1p(10.0 * (p_s + p_r)) + 1.0
-    grid = np.linspace(0.0, hi, 64)
-    vals = [r * y_sum_tail(math.expm1(r), p_s, p_r) for r in grid]
-    i = int(np.argmax(vals))
-    lo_b = grid[max(i - 1, 0)]
-    hi_b = grid[min(i + 1, len(grid) - 1)]
-    _, best = golden_section_max(
-        lambda r: r * y_sum_tail(math.expm1(r), p_s, p_r), lo_b, hi_b, tol=1e-7)
-    return best
 
 
 def _refined_layered(p_s: float, tail, n_layers: int, density, dist,
@@ -103,7 +91,8 @@ def fig2(ps_db=None, ratios=(0.5, 1.0, 2.0), **_):
                 ("continuous-relay", broadcast.relay_or_miso_broadcast_bound(cfg, "relay")),
                 ("continuous-miso", broadcast.relay_or_miso_broadcast_bound(cfg, "miso")),
                 ("continuous-siso", r_siso_bc),
-                ("single-layer-miso", optimal_single_layer_miso_rate(p_s, p_r)),
+                ("single-layer-miso", miso_single_layer_throughput(
+                    miso_single_layer_rate(p_s, p_r), p_s, p_r).r_av),
                 ("single-layer-siso", r_su),
             ):
                 rows.append({"ps_db": db, "pr_over_ps": ratio, "scheme": scheme,
@@ -115,11 +104,11 @@ def fig2(ps_db=None, ratios=(0.5, 1.0, 2.0), **_):
 def fig3(ps_db=None, **_):
     """SISO: optimal 1-, 2-, 8-layer and continuous broadcasting rates."""
     ps_db = ps_db or _ps_grid()
-    dist = broadcast.rayleigh_distribution()
     rows = []
     for db in ps_db:
         p_s = _db2lin(db)
-        density = broadcast.optimal_power_density(p_s, dist)
+        density, dist, _ = broadcast.continuous_layering(
+            PowerConfig(p_s=p_s, p_r=0.0, q=1.0), "siso")
         plan = oblivious_rate_plan(p_s, 2)
         values = {
             1: single_user_throughput(optimal_single_user_rate(p_s), p_s).r_av,
@@ -144,15 +133,15 @@ def fig4(ps_db=None, ratios=(0.5, 1.0, 2.0), **_):
         for ratio in ratios:
             p_r = ratio * p_s
             cfg = PowerConfig(p_s=p_s, p_r=p_r, q=1.0)
-            dist = broadcast.sum_fading_distribution(ratio)
-            density = broadcast.optimal_power_density(p_s, dist)
+            density, dist, _ = broadcast.continuous_layering(cfg, "miso")
             eq2 = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {}, cfg,
                                       coarse_points=24)
             uneq2 = maximize_throughput("miso-unequal",
                                         ("alpha", "beta", "eta1", "eta2"), {}, cfg,
                                         coarse_points=12)
             entries = (
-                ("miso-1-layer", 1, optimal_single_layer_miso_rate(p_s, p_r)),
+                ("miso-1-layer", 1, miso_single_layer_throughput(
+                    miso_single_layer_rate(p_s, p_r), p_s, p_r).r_av),
                 ("miso-2-equal", 2, eq2.value),
                 ("miso-2-unequal", 2, uneq2.value),
                 ("miso-8-equal", 8, _refined_layered(

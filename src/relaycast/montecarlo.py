@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import broadcast
 from .model import PowerConfig, TwoLayerAllocation, decoding_times, layer_rates
 
 __all__ = [
@@ -38,6 +39,7 @@ log = logging.getLogger(__name__)
 CHUNK_BLOCKS = 1 << 16
 RNG_ID = "philox4x64/chunk65536/inv-cdf/v1"
 _MASK64 = (1 << 64) - 1
+_CONTINUOUS_TABLE_POINTS = 4097  # the layered-continuous strategy's rate table
 
 STRATEGIES = ("single-layer-SDF", "direct", "miso-equal", "miso-unequal",
               "simplex-equal", "simplex-unequal", "full-duplex",
@@ -49,7 +51,6 @@ class ContinuousLayering:
     """Parameters of the layered-continuous strategy (see relaycast.broadcast)."""
 
     mode: str = "relay"  # relay | miso | siso
-    grid_points: int = 4097
 
 
 @dataclass(frozen=True)
@@ -147,29 +148,8 @@ def _chunk_rate(config: SimConfig, cfg: PowerConfig, chunk_index: int,
 
 def _continuous_table(params: ContinuousLayering, cfg: PowerConfig):
     """Cumulative assigned rate versus combined fading level, for interpolation."""
-    from . import broadcast
-
-    if params.mode == "siso" or cfg.p_r <= 0.0:
-        a = 0.0
-        dist = broadcast.rayleigh_distribution()
-        density = broadcast.optimal_power_density(cfg.p_s, dist)
-    else:
-        a = cfg.p_r / cfg.p_s
-        dist = broadcast.sum_fading_distribution(a)
-        if params.mode == "relay":
-            density = broadcast.optimal_power_density(cfg.p_s, broadcast.rayleigh_distribution())
-        elif params.mode == "miso":
-            density = broadcast.optimal_power_density(cfg.p_s, dist)
-        else:
-            raise ValueError(f"unknown continuous mode {params.mode!r}")
-    us = np.linspace(density.u0, density.u1, params.grid_points)
-    inner = us[1:-1]
-    rho = np.asarray(density.rho_of_u(inner), dtype=float)
-    i_vals = np.asarray(density.i_of_u(inner), dtype=float)
-    g = np.zeros_like(us)
-    g[1:-1] = inner * rho / (1.0 + inner * i_vals)
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(us))))
-    return us, cum, a
+    density, _, a = broadcast.continuous_layering(cfg, params.mode)
+    return (*broadcast.cumulative_rate(density, _CONTINUOUS_TABLE_POINTS), a)
 
 
 def _merge(stats_a, stats_b):

@@ -17,13 +17,14 @@ import numpy as np
 
 from . import twolayer
 from .model import PowerConfig, TwoLayerAllocation
-from .outage import optimal_single_user_rate
+from .outage import optimal_single_user_rate, y_sum_tail
 
 __all__ = [
     "OptResult",
     "golden_section_max",
     "maximize_throughput",
     "oblivious_rate_plan",
+    "miso_single_layer_rate",
     "horizontal_db_gain",
 ]
 
@@ -32,7 +33,10 @@ _PARAM_ORDER = ("alpha", "beta", "eta1", "eta2")
 # coarse grid points per free dimension, keyed by dimensionality;
 # keeps the grid size near 64k evaluations in the worst case
 _COARSE_BY_DIM = {1: 64, 2: 64, 3: 40, 4: 16}
-DEFAULT_ETA_MAX = 4.0
+_ETA_MAX = 4.0  # upper end of every eta search range
+_TOL = 1e-6  # coordinate passes stop once no parameter moves by more
+_MAX_PASSES = 40
+_N_STARTS = 3  # coarse-grid points refined by maximize_throughput
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
     return best
 
 
-def _bounds_for(name: str, params: Mapping[str, float], eta_max: float,
+def _bounds_for(name: str, params: Mapping[str, float],
                 beta_ge_alpha: bool) -> tuple[float, float]:
     if name == "alpha":
         hi = params.get("beta", 1.0) if beta_ge_alpha else 1.0
@@ -83,20 +87,20 @@ def _bounds_for(name: str, params: Mapping[str, float], eta_max: float,
     if name == "eta1":
         return 0.0, params["eta2"]
     if name == "eta2":
-        return params["eta1"], eta_max
+        return params["eta1"], _ETA_MAX
     raise ValueError(f"unknown parameter {name!r}")
 
 
 def _coordinate_ascent(value: Callable[[Mapping[str, float]], float],
                        start: tuple[float, Mapping[str, float]], names: Sequence[str],
-                       bounds: Callable[[str, Mapping[str, float]], tuple[float, float]],
-                       tol: float, max_passes: int) -> tuple[float, dict]:
+                       bounds: Callable[[str, Mapping[str, float]], tuple[float, float]]
+                       ) -> tuple[float, dict]:
     """Coordinate golden-section passes over ``names`` from ``start``, a
     (value, params) pair, accepting only strictly improving moves, until no
-    parameter shifts by more than ``tol``.  Returns the final (value, params).
+    parameter shifts by more than _TOL.  Returns the final (value, params).
     """
     cur_val, cur = start[0], dict(start[1])
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         moved = 0.0
         for name in names:
             lo, hi = bounds(name, cur)
@@ -106,28 +110,24 @@ def _coordinate_ascent(value: Callable[[Mapping[str, float]], float],
                 trial[_name] = xv
                 return value(trial)
 
-            x_new, f_new = golden_section_max(line, lo, hi, tol=tol)
+            x_new, f_new = golden_section_max(line, lo, hi, tol=_TOL)
             if f_new > cur_val:
                 moved = max(moved, abs(x_new - cur[name]))
                 cur[name] = x_new
                 cur_val = f_new
-        if moved <= tol:
+        if moved <= _TOL:
             break
     return cur_val, cur
 
 
 def maximize_throughput(scheme: str, free_params: Iterable[str],
                         fixed: Mapping[str, float], cfg: PowerConfig,
-                        eta_max: float = DEFAULT_ETA_MAX,
-                        coarse_points: int | None = None,
-                        tol: float = 1e-6,
-                        n_starts: int = 3,
-                        max_passes: int = 40) -> OptResult:
+                        coarse_points: int | None = None) -> OptResult:
     """Maximize a two-layer scheme over a subset of {alpha, beta, eta1, eta2}.
 
     Coarse grid over the free box (feasible points only), then coordinate
-    golden-section passes from the best grid points, accepting only
-    improving moves, until no parameter shifts by more than ``tol``.
+    golden-section passes from the 3 best grid points, accepting only
+    improving moves, until no parameter shifts by more than 1e-6.
     """
     free = [p for p in _PARAM_ORDER if p in set(free_params)]
     if not free:
@@ -151,7 +151,7 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     n_pts = coarse_points or _COARSE_BY_DIM[len(free)]
     axes = {}
     for name in free:
-        hi = eta_max if name.startswith("eta") else 1.0
+        hi = _ETA_MAX if name.startswith("eta") else 1.0
         axes[name] = np.linspace(0.0, hi, n_pts)
 
     scored: list[tuple[float, dict]] = []
@@ -171,17 +171,16 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     coarse_best = scored[0][0]
 
     def bounds(name: str, p: Mapping[str, float]) -> tuple[float, float]:
-        return _bounds_for(name, p, eta_max, beta_ge_alpha)
+        return _bounds_for(name, p, beta_ge_alpha)
 
     best_val, best_params = max(
-        (_coordinate_ascent(value, start, free, bounds, tol, max_passes)
-         for start in scored[:n_starts]), key=lambda t: t[0])
+        (_coordinate_ascent(value, start, free, bounds) for start in scored[:_N_STARTS]),
+        key=lambda t: t[0])
     return OptResult(params=dict(best_params), value=best_val, n_evals=evals,
                      coarse_best=coarse_best)
 
 
-def oblivious_rate_plan(p_s: float, n_layers: int = 2,
-                        eta_max: float = DEFAULT_ETA_MAX) -> TwoLayerAllocation:
+def oblivious_rate_plan(p_s: float, n_layers: int = 2) -> TwoLayerAllocation:
     """The source's relay-unaware plan: maximize the direct throughput.
 
     One layer reduces to the optimal single-user rate; two layers run a
@@ -198,7 +197,7 @@ def oblivious_rate_plan(p_s: float, n_layers: int = 2,
 
     n = 64
     alphas = np.linspace(0.0, 1.0, n)
-    etas = np.linspace(0.0, eta_max, n)
+    etas = np.linspace(0.0, _ETA_MAX, n)
     # the feasible triangle eta1 <= eta2 only, in (alpha, eta1, eta2) grid order
     j, k = np.triu_indices(n)
     e1, e2 = etas[j], etas[k]
@@ -217,7 +216,7 @@ def oblivious_rate_plan(p_s: float, n_layers: int = 2,
         return twolayer._direct_two_layer_rate(p["alpha"], p["eta1"], p["eta2"], p_s)
 
     def bounds(name: str, p: Mapping[str, float]) -> tuple[float, float]:
-        return _bounds_for(name, p, eta_max, beta_ge_alpha=False)
+        return _bounds_for(name, p, beta_ge_alpha=False)
 
     refined = []
     for idx in starts:
@@ -225,9 +224,23 @@ def oblivious_rate_plan(p_s: float, n_layers: int = 2,
         start = {"alpha": float(alphas[i]), "eta1": float(e1[pair]),
                  "eta2": float(e2[pair])}
         refined.append(_coordinate_ascent(value, (value(start), start),
-                                          ("alpha", "eta1", "eta2"), bounds, 1e-6, 40))
+                                          ("alpha", "eta1", "eta2"), bounds))
     best = max(refined, key=lambda t: t[0])[1]
     return TwoLayerAllocation(alpha=best["alpha"], eta1=best["eta1"], eta2=best["eta2"])
+
+
+def miso_single_layer_rate(p_s: float, p_r: float) -> float:
+    """The rate R maximizing the single-layer MISO throughput R P(Y > e^R - 1)
+    (outage.miso_single_layer_throughput): coarse scan plus golden refinement."""
+    hi = math.log1p(10.0 * (p_s + p_r)) + 1.0
+    grid = np.linspace(0.0, hi, 64)
+
+    def throughput(r: float) -> float:
+        return r * y_sum_tail(math.expm1(r), p_s, p_r)
+
+    i = int(np.argmax([throughput(r) for r in grid]))
+    return float(golden_section_max(throughput, grid[max(i - 1, 0)],
+                                    grid[min(i + 1, len(grid) - 1)], tol=1e-7)[0])
 
 
 def horizontal_db_gain(ps_db: Sequence[float], base_rates: Sequence[float],

@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
 from scipy import integrate
 
 from .bounds import BoundContext, _k_scalar, find_intersections, u_bound
+from .broadcast import cumulative_rate
 from .model import (PowerConfig, ThroughputResult, TwoLayerAllocation,
                     decoding_times, layer_rates)
 from .outage import y_sum_tail
@@ -35,6 +37,7 @@ __all__ = [
 ]
 
 _QUAD_OPTS = dict(epsabs=1e-9, epsrel=1e-9, limit=200)
+_DISCRETIZE_POINTS = 20001  # discretize_power_density's cumulative-rate table
 
 
 def _layer_rate_list(thresholds: Sequence[float], fractions: Sequence[float],
@@ -153,7 +156,8 @@ def miso_unequal_throughput(alloc: TwoLayerAllocation, p_s: float,
         if math.isinf(n) or k * e1 <= n * e2:
             v1 = 0.0  # layer-2 line dominates all of [0, eta1]
         else:
-            v1 = (n * e2 - k * e1) / (n - k)
+            # exact in [0, eta1]; rounding at n ~ k (eta1 = eta2) can leave it
+            v1 = min(max((n * e2 - k * e1) / (n - k), 0.0), e1)
         p_both = math.exp(-e2) + _seg(v1, e2, n, e2) + _seg(0.0, v1, k, e1)
     else:
         # layer 1 decodable only for nu_s > eta1 with nu_r BELOW |k|(nu_s-eta1)
@@ -273,8 +277,7 @@ def duplex_gain_condition(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Duplex
     return DuplexVerdict(simplex_sufficient=margin > 0.0, margin=margin)
 
 
-def discretize_power_density(density, dist, n_layers: int,
-                             grid_points: int = 20001) -> tuple[list[float], list[float]]:
+def discretize_power_density(density, dist, n_layers: int) -> tuple[list[float], list[float]]:
     """Quantize a continuous layering profile into an n-layer plan.
 
     Thresholds are placed at equal increments of the cumulative continuous
@@ -284,23 +287,7 @@ def discretize_power_density(density, dist, n_layers: int,
     """
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
-    import numpy as np
-
-    us = np.linspace(density.u0, density.u1, grid_points)
-    inner = us[1:-1]
-    if density.rho_of_u is not None:
-        rho = np.asarray(density.rho_of_u(inner), dtype=float)
-        i_vals = np.asarray(density.i_of_u(inner), dtype=float)
-        cdf_vals = np.asarray(dist.cdf(inner), dtype=float)
-    else:
-        from .broadcast import _numeric_rho
-        rho_fn = _numeric_rho(density)
-        rho = np.array([rho_fn(u) for u in inner])
-        i_vals = np.array([float(density.i_of_u(u)) for u in inner])
-        cdf_vals = np.array([float(dist.cdf(u)) for u in inner])
-    g = np.zeros_like(us)
-    g[1:-1] = (1.0 - cdf_vals) * inner * rho / (1.0 + inner * i_vals)
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(us))))
+    us, cum = cumulative_rate(density, _DISCRETIZE_POINTS, dist)
     total = cum[-1]
     targets = total * (np.arange(n_layers) + 0.5) / n_layers
     thresholds = np.interp(targets, cum, us)

@@ -115,11 +115,9 @@ def closed_form_value(case: ValidationCase) -> float:
 
 
 def run_validation(draws: int, blocks: int, seed: int,
-                   schemes=SCHEMES, workers: int = 1) -> list[ValidationRow]:
+                   workers: int = 1) -> list[ValidationRow]:
     rows = []
     for case_index, case in enumerate(validation_corpus(seed, draws)):
-        if case.scheme not in schemes:
-            continue
         analytic = closed_form_value(case)
         est = simulate_strategy(
             SimConfig(blocks=blocks, seed=seed + case_index, strategy=case.scheme,

@@ -145,8 +145,8 @@ def test_optimize_requires_all_parameters():
 @pytest.mark.parametrize("argv", [
     # defect D2: find_intersections raises RuntimeError at alpha = 0
     ["optimize", "--scheme", "simplex-equal", "--ps-db", "10"],
-    # defect D1: miso_unequal_throughput raises OverflowError
-    ["figure", "fig5", "--pr-db", "4"],
+    # defect D2 again, from simplex-unequal's coarse grid
+    ["optimize", "--scheme", "simplex-unequal", "--ps-db", "10", "--coarse", "10"],
 ])
 def test_library_errors_exit_with_one_line(tmp_path, capsys, argv):
     rc = main(argv + ["--out", str(tmp_path / "out")])
@@ -155,8 +155,24 @@ def test_library_errors_exit_with_one_line(tmp_path, capsys, argv):
     assert err.startswith("relaycast: ") and err.count("\n") == 1
 
 
+def test_rate_and_sweep_agree_on_every_shared_scheme(tmp_path):
+    # one table per kind of scheme: rate at its defaults (P_s = P_r = 10 dB,
+    # Q = 20 dB) and a one-point sweep give the same throughput, miso-single
+    # included
+    from relaycast import cli
+
+    for scheme in (*cli._SINGLE_LAYER, *cli._BOUNDS):
+        rate_out, sweep_out = tmp_path / f"r-{scheme}.csv", tmp_path / f"s-{scheme}.csv"
+        assert main(["rate", "--scheme", scheme, "--out", str(rate_out)]) == 0
+        assert main(["sweep", "--scheme", scheme, "--ps-db-start", "10",
+                     "--ps-db-stop", "10", "--ps-db-step", "1", "--q-db", "20",
+                     "--ratio", "1", "--out", str(sweep_out)]) == 0
+        want = read_csv(rate_out)[0]["throughput_nats"]
+        assert [r["throughput_nats"] for r in read_csv(sweep_out)] == [want], scheme
+
+
 def test_two_layer_scheme_names_resolve_through_the_table():
-    from relaycast import twolayer, validation
+    from relaycast import cli, twolayer, validation
     from relaycast.cli import build_parser
 
     def choices(command):
@@ -172,6 +188,9 @@ def test_two_layer_scheme_names_resolve_through_the_table():
         "single-user", "single-sdf", "miso-single", "ergodic-miso",
         "continuous-siso", "continuous-relay", "continuous-miso"}
     assert table <= choices("rate")
+    assert choices("rate") - table == set(cli._SINGLE_LAYER) | set(cli._BOUNDS)
+    assert choices("sweep") == set(cli._SINGLE_LAYER) | set(cli._BOUNDS) | {
+        "direct-2", "simplex-equal", "simplex-unequal-opt", "miso-equal"}
     assert set(validation.SCHEMES) - table == {"single-layer-SDF"}
     assert table <= set(validation.SCHEMES)
 

@@ -3,7 +3,8 @@ import pytest
 
 from relaycast import PowerConfig, TwoLayerAllocation, layer_rates
 from relaycast.montecarlo import (CHUNK_BLOCKS, ContinuousLayering, SimConfig,
-                                  SimEstimate, _chunk_rate, simulate_strategy)
+                                  SimEstimate, _chunk_rate, _continuous_table,
+                                  simulate_strategy)
 from relaycast.twolayer import direct_multilayer_throughput
 
 ALLOC = TwoLayerAllocation(alpha=0.6, eta1=0.3, eta2=1.4)
@@ -83,6 +84,18 @@ def test_layered_continuous_modes_run():
                                           strategy="layered-continuous",
                                           params=ContinuousLayering(mode=mode)), cfg)
         assert est.mean > 0.0 and est.stderr > 0.0
+
+
+def test_continuous_table_of_a_vanishing_relay_is_the_siso_table():
+    # P_r/P_s below 1e-12 falls back to SISO, as the closed-form bound does
+    siso = _continuous_table(ContinuousLayering(mode="siso"),
+                             PowerConfig(p_s=10.0, p_r=0.0, q=1.0))
+    assert siso[2] == 0.0
+    for mode in ("relay", "miso"):
+        grid, cum, a = _continuous_table(ContinuousLayering(mode=mode),
+                                         PowerConfig(p_s=10.0, p_r=1e-12, q=1.0))
+        assert a == 0.0
+        assert np.array_equal(grid, siso[0]) and np.array_equal(cum, siso[1])
 
 
 def test_estimate_metadata():

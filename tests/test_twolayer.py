@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,9 @@ from relaycast import (PowerConfig, TwoLayerAllocation,
                        miso_unequal_throughput, simplex_equal_throughput,
                        simplex_unequal_throughput, single_user_throughput,
                        y_sum_tail)
+from relaycast.broadcast import continuous_layering
 from relaycast.montecarlo import SimConfig, simulate_strategy
-from relaycast.twolayer import _direct_two_layer_rate
+from relaycast.twolayer import _direct_two_layer_rate, discretize_power_density
 from relaycast.validation import validation_corpus
 
 
@@ -121,6 +123,15 @@ class TestMisoUnequal:
             cfg = draw_powers(param_rng)
             res = miso_unequal_throughput(alloc, cfg.p_s, cfg.p_r)
             mc_check("miso-unequal", alloc, cfg, res.r_av, seed=500 + i)
+
+    def test_crossing_stays_in_range_at_equal_thresholds(self):
+        # eta1 = eta2 with n close to k: rounding pushed the layer crossing v1
+        # out of [0, eta1], and _seg overflowed (the fig5 preset's failure)
+        alloc = TwoLayerAllocation(alpha=3 / 11, eta1=8 / 11, eta2=8 / 11)
+        cfg = PowerConfig(p_s=1e4, p_r=10 ** 0.4, q=1.0)
+        res = miso_unequal_throughput(alloc, cfg.p_s, cfg.p_r)
+        assert math.isfinite(res.r_av) and res.r_av <= res.r1 + res.r2
+        mc_check("miso-unequal", alloc, cfg, res.r_av, blocks=1_000_000, seed=2)
 
     def test_unit_slope_cap_dominance_minigrid(self):
         p_s, eta1, eta2 = 10.0, 0.3, 1.2
@@ -261,3 +272,13 @@ def test_closed_form_table_calls_the_module_attribute(monkeypatch):
     res = twolayer.CLOSED_FORMS["simplex-equal"](alloc, cfg)
     assert seen == [alloc]
     assert res == original(alloc, cfg)
+
+
+@pytest.mark.parametrize("mode,p_r", [("siso", 0.0), ("miso", 5.0)])
+def test_discretize_numeric_rho_matches_analytic(mode, p_r):
+    # a density without a closed-form rho takes the central-difference path
+    density, dist, _ = continuous_layering(PowerConfig(p_s=10.0, p_r=p_r, q=1.0), mode)
+    want = discretize_power_density(density, dist, 8)
+    got = discretize_power_density(dataclasses.replace(density, rho_of_u=None), dist, 8)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, abs=1e-6)
