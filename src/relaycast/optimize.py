@@ -37,6 +37,10 @@ _ETA_MAX = 4.0  # upper end of every eta search range
 _TOL = 1e-6  # coordinate passes stop once no parameter moves by more
 _MAX_PASSES = 40
 _N_STARTS = 3  # coarse-grid points refined by maximize_throughput
+# array-scored grid points within this of the third-best are rescored on the
+# scalar kernel; it covers the array kernels' rounding, which _seg's
+# difference quotient amplifies for slopes near 1
+_SHORTLIST_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -126,8 +130,14 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     """Maximize a two-layer scheme over a subset of {alpha, beta, eta1, eta2}.
 
     Coarse grid over the free box (feasible points only), then coordinate
-    golden-section passes from the 3 best grid points, accepting only
-    improving moves, until no parameter shifts by more than 1e-6.
+    golden-section passes from the 3 best grid points (ties to the earlier
+    one), accepting only improving moves, until no parameter shifts by more
+    than 1e-6.  Direct and MISO score the grid in one array call, then
+    rescore with the bit-exact scalar kernel every point within 1e-6
+    (relative) of the third-best, because numpy's exp/log1p may differ from
+    math's in the last ulp and grids hold near-ties; simplex goes point by
+    point.  ``n_evals`` counts each feasible grid point once, plus every
+    refinement step.
     """
     free = [p for p in _PARAM_ORDER if p in set(free_params)]
     if not free:
@@ -136,37 +146,55 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         raise ValueError(f"free_params must be among {_PARAM_ORDER}")
     if scheme not in twolayer.CLOSED_FORMS:
         raise ValueError(f"unknown scheme {scheme!r}")
-    closed_form = twolayer.CLOSED_FORMS[scheme]
+    form = twolayer.CLOSED_FORMS[scheme]
     beta_ge_alpha = scheme == "simplex-unequal"
     equal_split = scheme not in ("miso-unequal", "simplex-unequal")
+    rate = form.rate or (lambda a, b, e1, e2, *_: form(
+        TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b), cfg).r_av)
     evals = 0
+
+    def score(p: Mapping[str, float]) -> float:
+        alpha, eta1, eta2 = float(p["alpha"]), float(p["eta1"]), float(p["eta2"])
+        beta = alpha if equal_split else float(p.get("beta", alpha))
+        if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0 and 0.0 <= eta1 <= eta2 < math.inf):
+            # TwoLayerAllocation raises its ValueError (or maps a NaN beta to alpha)
+            a = TwoLayerAllocation(alpha=alpha, eta1=eta1, eta2=eta2, beta=beta)
+            alpha, beta, eta1, eta2 = a.alpha, a.beta, a.eta1, a.eta2
+        return rate(alpha, beta, eta1, eta2, cfg.p_s, cfg.p_r)
 
     def value(p: Mapping[str, float]) -> float:
         nonlocal evals
         evals += 1
-        beta = p["alpha"] if equal_split else p.get("beta", p["alpha"])
-        return closed_form(TwoLayerAllocation(alpha=p["alpha"], eta1=p["eta1"],
-                                              eta2=p["eta2"], beta=beta), cfg).r_av
+        return score(p)
 
     n_pts = coarse_points or _COARSE_BY_DIM[len(free)]
-    axes = {}
-    for name in free:
-        hi = _ETA_MAX if name.startswith("eta") else 1.0
-        axes[name] = np.linspace(0.0, hi, n_pts)
-
-    scored: list[tuple[float, dict]] = []
-    mesh = np.meshgrid(*[axes[name] for name in free], indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=-1)
-    for row in flat:
-        params = dict(fixed)
-        params.update(zip(free, row))
-        if params["eta1"] > params["eta2"]:
-            continue
-        if beta_ge_alpha and params.get("beta", params["alpha"]) < params["alpha"]:
-            continue
-        scored.append((value(params), params))
-    if not scored:
+    axes = [np.linspace(0.0, _ETA_MAX if name.startswith("eta") else 1.0, n_pts)
+            for name in free]
+    flat = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    grid, zero = {**fixed, **dict(zip(free, flat.T))}, np.zeros(len(flat))
+    alpha, eta1, eta2 = (zero + grid[name] for name in ("alpha", "eta1", "eta2"))
+    beta = alpha if equal_split else zero + grid.get("beta", alpha)
+    feasible = ~(eta1 > eta2)
+    if beta_ge_alpha:
+        feasible &= ~(beta < alpha)
+    rows = np.flatnonzero(feasible)
+    if not rows.size:
         raise ValueError("empty feasible set on the coarse grid")
+
+    def params_at(row: int) -> dict:
+        params = dict(fixed)
+        params.update(zip(free, flat[row]))
+        return params
+
+    if form.grid is None:
+        scored = [(value(p), p) for p in map(params_at, rows)]
+    else:
+        score(params_at(rows[0]))  # fixed values outside the domain raise here
+        coarse = form.grid(alpha[rows], beta[rows], eta1[rows], eta2[rows], cfg.p_s, cfg.p_r)
+        evals += rows.size
+        third = np.sort(coarse)[-min(_N_STARTS, rows.size)]
+        shortlist = rows[coarse >= third - _SHORTLIST_RTOL * abs(third)]
+        scored = [(score(p), p) for p in map(params_at, shortlist)]
     scored.sort(key=lambda t: -t[0])
     coarse_best = scored[0][0]
 
@@ -201,9 +229,7 @@ def oblivious_rate_plan(p_s: float, n_layers: int = 2) -> TwoLayerAllocation:
     # the feasible triangle eta1 <= eta2 only, in (alpha, eta1, eta2) grid order
     j, k = np.triu_indices(n)
     e1, e2 = etas[j], etas[k]
-    ab = (1.0 - alphas)[:, None]
-    obj = ((np.log1p(e1 * p_s) - np.log1p(e1 * ab * p_s)) * np.exp(-e1)
-           + np.log1p(e2 * ab * p_s) * np.exp(-e2)).ravel()
+    obj = twolayer._direct_grid(alphas[:, None], None, e1, e2, p_s, 0.0).ravel()
     # the 3 best points.  Exact ties occur below about -17.5 dB and above
     # about 71 dB, along the alpha = 0 and alpha = 1 rows, where one
     # threshold drops out of the objective; they go to the point with the

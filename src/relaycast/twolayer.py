@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -20,7 +20,7 @@ from scipy import integrate
 from .bounds import BoundContext, _k_scalar, find_intersections, u_bound
 from .broadcast import cumulative_rate
 from .model import (PowerConfig, ThroughputResult, TwoLayerAllocation,
-                    decoding_times, layer_rates)
+                    _check_nonneg, decoding_times, layer_rates)
 from .outage import y_sum_tail
 
 __all__ = [
@@ -83,17 +83,30 @@ def direct_multilayer_throughput(thresholds: Sequence[float],
     return _layered_result(thresholds, fractions, p_s, lambda eta: math.exp(-eta))
 
 
+def _two_layer_rate(alpha: float, eta1: float, eta2: float, p_s: float,
+                    p1: float, t2: float) -> float:
+    """``_layered_result(...).r_av`` of the split (alpha, 1 - alpha) at
+    (eta1, eta2) with tail values p1, t2 in [0, 1], bit for bit."""
+    ab = max(1.0 - alpha, 0.0)
+    r1 = math.log1p(eta1 * p_s) - math.log1p(eta1 * ab * p_s)
+    r2 = math.log1p(eta2 * ab * p_s)
+    # the rate-weighted layer-2 probability of _layered_result, rounding included
+    p_both = min(r2 * t2 / r2, p1) if r2 > 0.0 else p1
+    return r1 * p1 + r2 * p_both
+
+
 def _direct_two_layer_rate(alpha: float, eta1: float, eta2: float, p_s: float) -> float:
     """``direct_multilayer_throughput((eta1, eta2), (alpha, 1 - alpha), p_s).r_av``
     bit for bit, without validation or result objects: the inner loop of
     optimize.oblivious_rate_plan.  Needs 0 <= alpha <= 1 and 0 <= eta1 <= eta2."""
-    ab = max(1.0 - alpha, 0.0)
-    r1 = math.log1p(eta1 * p_s) - math.log1p(eta1 * ab * p_s)
-    r2 = math.log1p(eta2 * ab * p_s)
-    p1 = math.exp(-eta1)
-    # the rate-weighted layer-2 probability of _layered_result, rounding included
-    p_both = min(r2 * math.exp(-eta2) / r2, p1) if r2 > 0.0 else p1
-    return r1 * p1 + r2 * p_both
+    return _two_layer_rate(alpha, eta1, eta2, p_s, math.exp(-eta1), math.exp(-eta2))
+
+
+def _direct_grid(alpha, beta, eta1, eta2, p_s: float, p_r: float) -> np.ndarray:
+    """_direct_two_layer_rate over arrays with eta1 <= eta2, to rounding."""
+    ab = 1.0 - alpha
+    return ((np.log1p(eta1 * p_s) - np.log1p(eta1 * ab * p_s)) * np.exp(-eta1)
+            + np.log1p(eta2 * ab * p_s) * np.exp(-eta2))
 
 
 def miso_equal_throughput(thresholds: Sequence[float], fractions: Sequence[float],
@@ -101,6 +114,28 @@ def miso_equal_throughput(thresholds: Sequence[float], fractions: Sequence[float
     """Always-on relay reusing the source split: R_av = sum_i R_i P(Y > eta_i P_s)."""
     return _layered_result(thresholds, fractions, p_s,
                            lambda eta: y_sum_tail(eta * p_s, p_s, p_r))
+
+
+def _miso_equal_two_layer_rate(alpha: float, beta: float, eta1: float, eta2: float,
+                               p_s: float, p_r: float) -> float:
+    """``miso_equal_throughput((eta1, eta2), (alpha, 1 - alpha), p_s, p_r).r_av``
+    bit for bit, without validation or result objects; beta is ignored."""
+    p1 = min(max(y_sum_tail(eta1 * p_s, p_s, p_r), 0.0), 1.0)
+    t2 = min(max(y_sum_tail(eta2 * p_s, p_s, p_r), 0.0), 1.0)
+    return _two_layer_rate(alpha, eta1, eta2, p_s, p1, t2)
+
+
+def _miso_equal_grid(alpha, beta, eta1, eta2, p_s: float, p_r: float) -> np.ndarray:
+    """_miso_equal_two_layer_rate over arrays, to rounding; the tails run
+    once per distinct threshold."""
+    def tails(eta: np.ndarray) -> np.ndarray:
+        uniq, inv = np.unique(eta, return_inverse=True)
+        return np.array([min(max(y_sum_tail(u * p_s, p_s, p_r), 0.0), 1.0)
+                         for u in uniq.tolist()])[inv]
+
+    p1, t2, ab = tails(eta1), tails(eta2), 1.0 - alpha
+    r1 = np.log1p(eta1 * p_s) - np.log1p(eta1 * ab * p_s)
+    return r1 * p1 + np.log1p(eta2 * ab * p_s) * np.minimum(t2, p1)
 
 
 def _seg(lo: float, hi: float, slope: float, anchor: float) -> float:
@@ -121,37 +156,36 @@ def _seg(lo: float, hi: float, slope: float, anchor: float) -> float:
     return (point(hi) - point(lo)) / (slope - 1.0)
 
 
-def miso_unequal_throughput(alloc: TwoLayerAllocation, p_s: float,
-                            p_r: float) -> ThroughputResult:
-    """Two-layer MISO with an independent relay power split beta.
+def _seg_grid(lo, hi, slope, anchor) -> np.ndarray:
+    """_seg over arrays; lanes it sends to 0 may overflow (call under errstate)."""
+    expos = [-v - slope * (anchor - v) for v in (hi, lo)]
+    p_hi, p_lo = (np.where(e > -745.0, np.exp(e), 0.0) for e in expos)
+    out = np.where(np.abs(slope - 1.0) < 1e-9, np.exp(-anchor) * (hi - lo),
+                   (p_hi - p_lo) / (slope - 1.0))
+    return np.where((hi <= lo) | np.isinf(slope), 0.0, out)
 
-    Layer 1 is decodable where nu_r*P_r*(1 - e^{r1}*beta_bar) exceeds
-    (e^{r1}-1) - nu_s*P_s*(1 - e^{r1}*alpha_bar), layer 2 (after
-    cancellation) where nu_s*alpha_bar*P_s + nu_r*beta_bar*P_r >= eta2*
-    alpha_bar*P_s.  The sign of d = beta + eta1*P_s*(beta - alpha), i.e. of
-    1 - e^{r1}*beta_bar, selects whether relay power helps or hurts layer 1;
-    d < 0 is reachable only for beta < alpha and flips the layer-1 region
-    below its threshold line.  Slopes within 1e-9 of 1 use the limit forms.
-    """
-    r1, r2 = layer_rates(alloc, p_s)
-    if p_r == 0.0:
-        return direct_multilayer_throughput(
-            (alloc.eta1, alloc.eta2), (alloc.alpha, alloc.alpha_bar), p_s)
-    e1, e2 = alloc.eta1, alloc.eta2
-    ab, bb = alloc.alpha_bar, alloc.beta_bar
-    d = alloc.beta + e1 * p_s * (alloc.beta - alloc.alpha)
-    n = ab * p_s / (bb * p_r) if bb > 0.0 else math.inf
-    d_scale = max(1.0, alloc.beta + e1 * p_s * (alloc.beta + alloc.alpha))
 
-    if abs(d) <= 1e-12 * d_scale:
+def _miso_unequal_parts(alpha: float, beta: float, eta1: float, eta2: float,
+                        p_s: float, p_r: float) -> tuple[float, float, float, float]:
+    """(r1, r2, p1, p_both) of miso_unequal_throughput, clipped as
+    ThroughputResult.build clips them, so r_av = r1*p1 + r2*p_both.  No
+    validation: needs 0 <= alpha, beta <= 1 and 0 <= eta1 <= eta2."""
+    ab, bb = 1.0 - alpha, 1.0 - beta
+    e1, e2 = eta1, eta2
+    r1 = math.log1p(e1 * p_s) - math.log1p(e1 * ab * p_s)
+    r2 = math.log1p(e2 * ab * p_s)
+    d = beta + e1 * p_s * (beta - alpha)
+    n = ab * p_s / (bb * p_r) if bb * p_r > 0.0 else math.inf
+    k = alpha * p_s / (d * p_r) if d * p_r != 0.0 else math.inf
+    if p_r == 0.0:  # the direct form, rounded as direct_multilayer_throughput
+        p1 = math.exp(-e1)
+        p_both = r2 * math.exp(-e2) / r2 if r2 > 0.0 else p1
+    elif abs(d) <= 1e-12 * max(1.0, beta + e1 * p_s * (beta + alpha)):
         # layer-1 threshold line is vertical at eta1: relay power neither
         # helps nor hurts layer 1
         p1 = math.exp(-e1)
         p_both = math.exp(-e2) + _seg(e1, e2, n, e2)
-        return ThroughputResult.build(r1, r2, p1, min(p_both, p1))
-
-    k = alloc.alpha * p_s / (d * p_r)
-    if d > 0.0:
+    elif d > 0.0:
         p1 = math.exp(-e1) + _seg(0.0, e1, k, e1)
         if math.isinf(n) or k * e1 <= n * e2:
             v1 = 0.0  # layer-2 line dominates all of [0, eta1]
@@ -167,7 +201,61 @@ def miso_unequal_throughput(alloc: TwoLayerAllocation, p_s: float,
         expo = -v2 - kk * (v2 - e1)
         tail_above = math.exp(expo) / (1.0 + kk) if expo > -745.0 else 0.0
         p_both = math.exp(-e2) + _seg(v2, e2, n, e2) - tail_above
-    return ThroughputResult.build(r1, r2, p1, min(max(p_both, 0.0), p1))
+    p1 = min(max(p1, 0.0), 1.0)
+    return r1, r2, p1, p1 if r2 == 0.0 else min(max(p_both, 0.0), p1)
+
+
+def _miso_unequal_two_layer_rate(alpha: float, beta: float, eta1: float, eta2: float,
+                                 p_s: float, p_r: float) -> float:
+    r1, r2, p1, p_both = _miso_unequal_parts(alpha, beta, eta1, eta2, p_s, p_r)
+    return r1 * p1 + r2 * p_both
+
+
+def _miso_unequal_grid(alpha, beta, eta1, eta2, p_s: float, p_r: float) -> np.ndarray:
+    """_miso_unequal_two_layer_rate over arrays, to rounding.  Every branch
+    runs on every lane and np.where picks, so the lanes not picked may
+    divide by zero or overflow; errstate keeps that silent."""
+    if p_r == 0.0:
+        return _direct_grid(alpha, beta, eta1, eta2, p_s, p_r)
+    e1, e2 = eta1, eta2
+    with np.errstate(all="ignore"):
+        ab, bb = 1.0 - alpha, 1.0 - beta
+        d = beta + e1 * p_s * (beta - alpha)
+        n = np.where(bb > 0.0, ab * p_s / (bb * p_r), np.inf)
+        k = alpha * p_s / (d * p_r)
+        kk = -k
+        v1 = np.where(np.isinf(n) | (k * e1 <= n * e2), 0.0,
+                      np.minimum(np.maximum((n * e2 - k * e1) / (n - k), 0.0), e1))
+        v2 = (n * e2 - k * e1) / (n - k)
+        expo = -v2 - kk * (v2 - e1)
+        vertical = np.abs(d) <= 1e-12 * np.maximum(1.0, beta + e1 * p_s * (beta + alpha))
+        p1 = np.where(vertical, np.exp(-e1), np.where(
+            d > 0.0, np.exp(-e1) + _seg_grid(0.0, e1, k, e1), np.exp(-e1) * kk / (1.0 + kk)))
+        p_both = np.where(vertical, np.exp(-e2) + _seg_grid(e1, e2, n, e2), np.where(
+            d > 0.0, np.exp(-e2) + _seg_grid(v1, e2, n, e2) + _seg_grid(0.0, v1, k, e1),
+            np.exp(-e2) + _seg_grid(v2, e2, n, e2)
+            - np.where(expo > -745.0, np.exp(expo) / (1.0 + kk), 0.0)))
+    p1 = np.clip(p1, 0.0, 1.0)
+    r1 = np.log1p(e1 * p_s) - np.log1p(e1 * ab * p_s)
+    r2 = np.log1p(e2 * ab * p_s)
+    return r1 * p1 + r2 * np.where(r2 == 0.0, p1, np.clip(p_both, 0.0, p1))
+
+
+def miso_unequal_throughput(alloc: TwoLayerAllocation, p_s: float,
+                            p_r: float) -> ThroughputResult:
+    """Two-layer MISO with an independent relay power split beta.
+
+    Layer 1 is decodable where nu_r*P_r*(1 - e^{r1}*beta_bar) exceeds
+    (e^{r1}-1) - nu_s*P_s*(1 - e^{r1}*alpha_bar), layer 2 (after
+    cancellation) where nu_s*alpha_bar*P_s + nu_r*beta_bar*P_r >= eta2*
+    alpha_bar*P_s.  The sign of d = beta + eta1*P_s*(beta - alpha), i.e. of
+    1 - e^{r1}*beta_bar, selects whether relay power helps or hurts layer 1;
+    d < 0 is reachable only for beta < alpha and flips the layer-1 region
+    below its threshold line.  Slopes within 1e-9 of 1 use the limit forms;
+    P_r = 0 gives the direct form.
+    """
+    return ThroughputResult.build(*_miso_unequal_parts(
+        alloc.alpha, alloc.beta, alloc.eta1, alloc.eta2, _check_nonneg("p_s", p_s), p_r))
 
 
 def miso_max_throughput(alloc: TwoLayerAllocation, p_s: float) -> ThroughputResult:
@@ -186,7 +274,9 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig,
     r1, r2 = layer_rates(alloc, cfg.p_s)
     if x is None:
         x = decoding_times(alloc, cfg).eps2
-    if x >= 1.0:  # relay never decodes within the block
+    # a relay that never decodes within the block, or is silent, leaves the
+    # source alone
+    if x >= 1.0 or cfg.p_r == 0.0:
         return direct_multilayer_throughput(
             (alloc.eta1, alloc.eta2), (alloc.alpha, alloc.alpha_bar), cfg.p_s)
     if x <= 0.0:
@@ -235,19 +325,39 @@ def simplex_unequal_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> T
     return _simplex_throughput(alloc, cfg)
 
 
+class _TwoLayerForm(NamedTuple):
+    """A CLOSED_FORMS entry; calling it evaluates the closed form.  ``rate``
+    and ``grid`` give r_av from unchecked (alpha, beta, eta1, eta2, p_s,
+    p_r), on floats bit for bit and on arrays to rounding."""
+
+    closed_form: Callable[[TwoLayerAllocation, PowerConfig], ThroughputResult]
+    rate: Callable[..., float] | None = None
+    grid: Callable[..., np.ndarray] | None = None
+
+    def __call__(self, alloc: TwoLayerAllocation, cfg: PowerConfig) -> ThroughputResult:
+        return self.closed_form(alloc, cfg)
+
+
 # The two-layer closed forms by scheme name, each mapping an allocation and a
 # PowerConfig to its ThroughputResult.  The direct and MISO-equal schemes read
 # only alpha (beta is ignored).  Every entry looks its function up by module
 # global name at call time, so a patched module attribute (a test, a span
 # tracer) sees every call made through the table.
-CLOSED_FORMS: dict[str, Callable[[TwoLayerAllocation, PowerConfig], ThroughputResult]] = {
-    "direct": lambda a, cfg: direct_multilayer_throughput(
-        (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s),
-    "miso-equal": lambda a, cfg: miso_equal_throughput(
-        (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s, cfg.p_r),
-    "miso-unequal": lambda a, cfg: miso_unequal_throughput(a, cfg.p_s, cfg.p_r),
-    "simplex-equal": lambda a, cfg: simplex_equal_throughput(a, cfg),
-    "simplex-unequal": lambda a, cfg: simplex_unequal_throughput(a, cfg),
+CLOSED_FORMS: dict[str, _TwoLayerForm] = {
+    "direct": _TwoLayerForm(
+        lambda a, cfg: direct_multilayer_throughput(
+            (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s),
+        lambda a, b, e1, e2, p_s, p_r: _direct_two_layer_rate(a, e1, e2, p_s),
+        _direct_grid),
+    "miso-equal": _TwoLayerForm(
+        lambda a, cfg: miso_equal_throughput(
+            (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s, cfg.p_r),
+        _miso_equal_two_layer_rate, _miso_equal_grid),
+    "miso-unequal": _TwoLayerForm(
+        lambda a, cfg: miso_unequal_throughput(a, cfg.p_s, cfg.p_r),
+        _miso_unequal_two_layer_rate, _miso_unequal_grid),
+    "simplex-equal": _TwoLayerForm(lambda a, cfg: simplex_equal_throughput(a, cfg)),
+    "simplex-unequal": _TwoLayerForm(lambda a, cfg: simplex_unequal_throughput(a, cfg)),
 }
 
 

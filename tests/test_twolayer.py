@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from relaycast import (PowerConfig, TwoLayerAllocation,
                        miso_unequal_throughput, simplex_equal_throughput,
                        simplex_unequal_throughput, single_user_throughput,
                        y_sum_tail)
+from relaycast import twolayer
 from relaycast.broadcast import continuous_layering
 from relaycast.montecarlo import SimConfig, simulate_strategy
 from relaycast.twolayer import _direct_two_layer_rate, discretize_power_density
@@ -153,6 +155,85 @@ class TestMisoUnequal:
                         assert val <= cap + 1e-9
 
 
+def unequal_slopes(alpha, beta, eta1, p_s, p_r):
+    """Slopes (n, k) of miso_unequal_throughput's layer-2 and layer-1 lines."""
+    d = beta + eta1 * p_s * (beta - alpha)
+    n = (1.0 - alpha) * p_s / ((1.0 - beta) * p_r) if beta < 1.0 else math.inf
+    return n, (alpha * p_s / (d * p_r) if d else math.inf)
+
+
+def kernel_draw_groups(n_groups=120, per_group=30):
+    """(p_s, p_r, [(alpha, beta, eta1, eta2), ...]) over P_s from -20 to 80 dB.
+
+    P_r cycles through 0, a vanishing 1e-12 P_s, P_s and a random ratio;
+    alpha and beta mix 0, 1 and random values with the special splits
+    beta = alpha, a vertical layer-1 line (d = 0) and a layer-2 slope within
+    5e-10 of 1; every fifth plan has eta1 = eta2.  A split whose slope lies
+    1e-9 to 1e-3 from 1 becomes beta = alpha: there _seg's difference
+    quotient cancels, and both kernels lose digits to it.
+    """
+    rng = np.random.default_rng(20_240_803)
+    for g in range(n_groups):
+        p_s = 10.0 ** float(rng.uniform(-2.0, 8.0))
+        p_r = (0.0, 1e-12 * p_s, p_s, p_s * 10.0 ** float(rng.uniform(-3.0, 3.0)))[g % 4]
+        plans = []
+        for i in range(per_group):
+            alpha = (0.0, 1.0)[i % 2] if i % 7 < 2 else float(rng.uniform())
+            eta1 = float(rng.uniform(0.0, 4.0))
+            eta2 = eta1 if i % 5 == 0 else float(rng.uniform(eta1, 4.0))
+            kind = i % 6
+            if kind == 0:
+                beta = alpha
+            elif kind in (1, 2):
+                beta = float(kind == 1)
+            elif kind == 3:
+                beta = float(rng.uniform())
+            elif kind == 4:  # d = beta + eta1 P_s (beta - alpha) = 0
+                beta = eta1 * p_s * alpha / (1.0 + eta1 * p_s)
+            elif p_r in (0.0, p_s):  # both slopes exactly 1 at P_r = P_s
+                beta = alpha
+            else:  # n = alpha_bar P_s / (beta_bar P_r) within 5e-10 of 1
+                delta = float(rng.uniform(-5e-10, 5e-10))
+                beta = 1.0 - (1.0 - alpha) * p_s / p_r * (1.0 + delta)
+                if not 0.0 <= beta <= 1.0:
+                    beta = float(rng.uniform())
+            if p_r and any(1e-9 <= abs(sl - 1.0) < 1e-3
+                           for sl in unequal_slopes(alpha, beta, eta1, p_s, p_r)):
+                beta = alpha
+            plans.append((alpha, beta, eta1, eta2))
+        yield p_s, p_r, plans
+
+
+@pytest.mark.parametrize("scheme", ["direct", "miso-equal", "miso-unequal"])
+def test_scalar_kernels_match_the_closed_forms_bit_for_bit(scheme):
+    form = twolayer.CLOSED_FORMS[scheme]
+    for p_s, p_r, plans in kernel_draw_groups():
+        cfg = PowerConfig(p_s=p_s, p_r=p_r, q=1.0)
+        for alpha, beta, eta1, eta2 in plans:
+            alloc = TwoLayerAllocation(alpha=alpha, eta1=eta1, eta2=eta2, beta=beta)
+            want = form(alloc, cfg).r_av
+            got = form.rate(alpha, beta, eta1, eta2, p_s, p_r)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
+                (alpha, beta, eta1, eta2, p_s, p_r)
+
+
+@pytest.mark.parametrize("scheme", ["direct", "miso-equal", "miso-unequal"])
+def test_array_kernels_match_the_scalar_kernels(scheme):
+    form = twolayer.CLOSED_FORMS[scheme]
+    for p_s, p_r, plans in kernel_draw_groups():
+        want = np.array([form.rate(*plan, p_s, p_r) for plan in plans])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = form.grid(*np.array(plans).T, p_s, p_r)
+        # the absolute part is ulps of the decode probabilities times the
+        # layer rates, up to log(1 + eta2 P_s) nats, which _seg's difference
+        # quotient can amplify where the result itself cancels (measured
+        # <= 1e-14 per nat over 90,000 draws)
+        rates = np.maximum(1.0, np.log1p(np.array(plans)[:, 3] * p_s))
+        bad = np.abs(got - want) > 1e-12 * np.abs(want) + 1e-13 * rates
+        assert not bad.any(), (p_s, p_r, np.array(plans)[bad], got[bad], want[bad])
+
+
 class TestSimplex:
     def test_equal_requires_matching_beta(self):
         alloc = TwoLayerAllocation(alpha=0.5, eta1=0.3, eta2=1.0, beta=0.7)
@@ -224,6 +305,23 @@ class TestSimplex:
             uneq = simplex_unequal_throughput(alloc, cfg)
             assert uneq.p_layer1 >= eq.p_layer1 - 1e-9
 
+
+    def test_silent_relay_is_direct(self):
+        # P_r = 0 leaves the source alone, at any Q, alpha = 0 and
+        # eta1 = eta2 included
+        cfg = PowerConfig(p_s=10.0, p_r=0.0, q=100.0)
+        for alloc in (TwoLayerAllocation(alpha=0.5, eta1=0.5, eta2=1.0),
+                      TwoLayerAllocation(alpha=0.0, eta1=0.5, eta2=1.0),
+                      TwoLayerAllocation(alpha=0.5, eta1=1.0, eta2=1.0),
+                      TwoLayerAllocation(alpha=0.5, eta1=0.5, eta2=1.0, beta=0.8)):
+            want = direct_multilayer_throughput((alloc.eta1, alloc.eta2),
+                                                (alloc.alpha, alloc.alpha_bar), 10.0)
+            form = simplex_equal_throughput if alloc.beta == alloc.alpha \
+                else simplex_unequal_throughput
+            assert form(alloc, cfg) == want
+        alloc = TwoLayerAllocation(alpha=0.5, eta1=0.5, eta2=1.0)
+        mc_check("simplex-equal", alloc, cfg,
+                 simplex_equal_throughput(alloc, cfg).r_av, blocks=400_000)
 
     @pytest.mark.xfail(strict=True, reason="D5: adaptive quad misses the layer-2 "
                        "integral when the relay decodes late (x -> 1)")

@@ -8,9 +8,11 @@ Runs, in-process and into a temporary directory:
   over 0..20 dB in 5 dB steps;
 * ``rate`` for every scheme at the default powers (the two-layer schemes at
   alpha 0.7, eta 0.3/1.8);
-* ``optimize`` at 10 dB with a coarse grid of 10 for ``direct``,
+* ``optimize`` with a coarse grid of 10: at 10 dB for ``direct``,
   ``miso-equal`` and ``miso-unequal`` (default free set), ``miso-unequal``
-  over all four parameters and ``simplex-unequal`` over beta alone.
+  over all four parameters and ``simplex-unequal`` over beta alone; at
+  -20 dB and 80 dB for ``miso-equal`` (default free set) and
+  ``miso-unequal`` over all four parameters.
 
 A command that exits nonzero prints ``exit <code>`` in place of digests.
 Run it on two checkouts and diff the outputs to see which bytes moved:
@@ -34,10 +36,14 @@ import tempfile
 from pathlib import Path
 
 ALLOC = ("--alpha", "0.7", "--eta1", "0.3", "--eta2", "1.8")
+ALL_FREE = ("--free", "alpha,beta,eta1,eta2")
+# (P_s dB, scheme, extra flags)
 OPTIMIZE = (
-    ("direct",), ("miso-equal",), ("miso-unequal",),
-    ("miso-unequal", "--free", "alpha,beta,eta1,eta2"),
-    ("simplex-unequal", "--free", "beta", *ALLOC),
+    ("10", "direct"), ("10", "miso-equal"), ("10", "miso-unequal"),
+    ("10", "miso-unequal", *ALL_FREE),
+    ("10", "simplex-unequal", "--free", "beta", *ALLOC),
+    ("-20", "miso-equal"), ("-20", "miso-unequal", *ALL_FREE),
+    ("80", "miso-equal"), ("80", "miso-unequal", *ALL_FREE),
 )
 
 
@@ -61,9 +67,9 @@ def commands(cli, out: Path):
         csv = f"rate-{scheme}.csv"
         alloc = ALLOC if scheme in cli.twolayer.CLOSED_FORMS else ()
         yield csv, ("rate", "--scheme", scheme, *alloc, "--out", str(out / csv))
-    for i, (scheme, *extra) in enumerate(OPTIMIZE):
+    for i, (ps_db, scheme, *extra) in enumerate(OPTIMIZE):
         csv = f"optimize-{i}-{scheme}.csv"
-        yield csv, ("optimize", "--scheme", scheme, "--ps-db", "10", "--coarse", "10",
+        yield csv, ("optimize", "--scheme", scheme, "--ps-db", ps_db, "--coarse", "10",
                     *extra, "--out", str(out / csv))
 
 
