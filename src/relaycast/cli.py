@@ -284,6 +284,20 @@ def _add_alloc_flags(p):
     p.add_argument("--eta2", type=float, default=None)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_workers_flag(p, help_text):
+    p.add_argument("--workers", type=_positive_int, default=1, help=help_text)
+
+
 def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaycast",
@@ -306,8 +320,6 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
                         help="report rates in bits instead of nats")
     common.add_argument("--seed", type=int,
                         default=int(os.environ.get(SEED_ENV, DEFAULT_SEED)))
-    common.add_argument("--workers", type=int, default=1,
-                        help="threads for Monte-Carlo simulation (validate, fig9)")
 
     p = add_parser("rate", parents=[common], help="single evaluation")
     p.add_argument("--scheme", choices=(*_SINGLE_LAYER, *_BOUNDS, *twolayer.CLOSED_FORMS),
@@ -329,6 +341,8 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p.add_argument("--q-db", type=_parse_list, default=[20.0])
     p.add_argument("--ratio", type=_parse_list, default=[1.0],
                    help="comma list of P_r/P_s ratios")
+    _add_workers_flag(p, "accepted for scripts shared with figure and validate; "
+                         "sweep runs on one thread")
     p.set_defaults(func=_cmd_sweep)
 
     p = add_parser("figure", parents=[common],
@@ -341,6 +355,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p.add_argument("--blocks", type=int, default=None)
     p.add_argument("--plot-stub", action="store_true",
                    help="also emit a generic matplotlib viewer script")
+    _add_workers_flag(p, "threads for the Monte-Carlo simulations of fig9")
     p.set_defaults(func=_cmd_figure)
 
     p = add_parser("validate", parents=[common],
@@ -348,6 +363,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p.add_argument("--draws", type=int, default=50)
     p.add_argument("--blocks", type=int, default=1_000_000)
     p.add_argument("--z-max", type=float, default=3.0)
+    _add_workers_flag(p, "threads for the Monte-Carlo simulations")
     p.set_defaults(func=_cmd_validate)
 
     p = add_parser("optimize", parents=[common], help="allocation search")

@@ -209,3 +209,17 @@ def test_config_file_and_env_seed(tmp_path, monkeypatch):
                  "--out", str(out2)]) == 0
     manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
     assert manifest["seed"] == 31337
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--scheme", "single-user", "--workers", "2"],  # rate has no simulation
+    ["optimize", "--scheme", "direct", "--workers", "2"],  # nor has optimize
+    ["validate", "--draws", "1", "--blocks", "100", "--workers", "0"],
+    ["figure", "fig9", "--blocks", "100", "--workers", "-1"],
+])
+def test_workers_is_rejected_where_unread_or_below_one(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "--workers" in stderr and "Traceback" not in stderr

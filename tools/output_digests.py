@@ -12,7 +12,11 @@ Runs, in-process and into a temporary directory:
   ``miso-equal`` and ``miso-unequal`` (default free set), ``miso-unequal``
   over all four parameters and ``simplex-unequal`` over beta alone; at
   -20 dB and 80 dB for ``miso-equal`` (default free set) and
-  ``miso-unequal`` over all four parameters.
+  ``miso-unequal`` over all four parameters;
+* ``validate --draws 2 --blocks 200000 --z-max inf`` at ``--workers 1`` and
+  ``--workers 2``, so the Monte-Carlo oracle's bytes beyond fig9 (every
+  strategy the corpus draws, and the merge of two threads' partial sums)
+  are covered.
 
 A command that exits nonzero prints ``exit <code>`` in place of digests.
 Run it on two checkouts and diff the outputs to see which bytes moved:
@@ -22,7 +26,7 @@ Run it on two checkouts and diff the outputs to see which bytes moved:
     diff old.txt new.txt
 
 The one argument is the ``src`` directory to import relaycast from
-(default: this checkout's).  Takes about 30 s on two cores.
+(default: this checkout's).  Takes about 15 s on two cores.
 """
 
 from __future__ import annotations
@@ -71,6 +75,10 @@ def commands(cli, out: Path):
         csv = f"optimize-{i}-{scheme}.csv"
         yield csv, ("optimize", "--scheme", scheme, "--ps-db", ps_db, "--coarse", "10",
                     *extra, "--out", str(out / csv))
+    for workers in ("1", "2"):
+        csv = f"validate-workers{workers}.csv"
+        yield csv, ("validate", "--draws", "2", "--blocks", "200000", "--z-max", "inf",
+                    "--workers", workers, "--out", str(out / csv))
 
 
 def main() -> int:
