@@ -157,6 +157,10 @@ def optimal_power_density(total_power: float, dist: FadingDistribution) -> Power
     if i_raw(lo) < total_power:
         warnings.warn(f"lower layering boundary below {_BRACKET_LO:g}; clamped")
         u0 = _BRACKET_LO
+    elif i_raw(u1) >= total_power:
+        raise ValueError(f"no layering range for {dist.label}: I(u) is still at or "
+                         f"above the total power {total_power:g} at the clamped upper "
+                         f"layering boundary u1 = {u1:g}")
     else:
         u0 = optimize.brentq(lambda u: i_raw(u) - total_power, lo, u1,
                              xtol=1e-14, rtol=8.9e-16)

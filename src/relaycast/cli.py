@@ -370,7 +370,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p.add_argument("--scheme", choices=tuple(twolayer.CLOSED_FORMS), required=True)
     p.add_argument("--free", type=str, default="alpha,eta1,eta2",
                    help="comma list among alpha,beta,eta1,eta2")
-    p.add_argument("--coarse", type=int, default=None,
+    p.add_argument("--coarse", type=_positive_int, default=None,
                    help="coarse grid points per free dimension")
     _add_power_flags(p)
     _add_alloc_flags(p)

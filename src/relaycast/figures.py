@@ -14,7 +14,7 @@ import numpy as np
 from . import broadcast, twolayer
 from .model import PowerConfig
 from .montecarlo import SimConfig, simulate_strategy
-from .optimize import (golden_section_max, maximize_throughput,
+from .optimize import (_coordinate_ascent, maximize_throughput,
                        miso_single_layer_rate, oblivious_rate_plan)
 from .outage import (ergodic_miso_capacity, miso_single_layer_throughput,
                      optimal_single_user_rate, single_user_throughput, y_sum_tail)
@@ -31,49 +31,32 @@ def _ps_grid(start=0.0, stop=25.0, step=2.5) -> list[float]:
     return [start + i * step for i in range(n + 1)]
 
 
-def _refined_layered(p_s: float, tail, n_layers: int, density, dist,
-                     passes: int = 4):
-    """Quantize the continuous profile into n layers and polish by coordinate
-    golden-section over thresholds and residual power fractions."""
+def _refined_layered(p_s: float, tail, n_layers: int, density, dist) -> float:
+    """Quantize the continuous profile into n layers and polish it by four
+    coordinate golden-section passes over thresholds and residual fractions."""
     thresholds, fractions = twolayer.discretize_power_density(density, dist, n_layers)
-    resids = list(np.clip(1.0 - np.cumsum(fractions), 0.0, 1.0))
-    resids[-1] = 0.0
+    resids = np.clip(1.0 - np.cumsum(fractions), 0.0, 1.0)
+    # the point: n thresholds, then the power fractions left after each of the
+    # first n - 1 layers; the fraction left after the last layer is 0
+    n, last = n_layers, 2 * n_layers - 2
 
-    def rate(thr, res) -> float:
+    def rate(x) -> float:
         total, prev = 0.0, 1.0
-        for eta, r_i in zip(thr, res):
+        for i in range(n):
+            eta, r_i = x[i], (x[n + i] if i < n - 1 else 0.0)
             total += (math.log1p(eta * prev * p_s) - math.log1p(eta * r_i * p_s)) * tail(eta)
             prev = r_i
         return total
 
-    thr = list(thresholds)
-    cur = rate(thr, resids)  # kept equal to rate(thr, resids)
-    for _ in range(passes):
-        for i in range(n_layers):
-            lo = thr[i - 1] if i else 1e-6
-            hi = thr[i + 1] if i + 1 < n_layers else max(4.0, thr[-1] * 2.0)
+    def bounds(i: int, x) -> tuple[float, float]:
+        if i < n:  # a threshold stays between its neighbours
+            return (x[i - 1] if i else 1e-6,
+                    x[i + 1] if i < n - 1 else max(4.0, x[i] * 2.0))
+        return (x[i + 1] if i < last else 0.0, x[i - 1] if i > n else 1.0)
 
-            def line(x, _i=i):
-                trial = list(thr)
-                trial[_i] = x
-                return rate(trial, resids)
-
-            x, val = golden_section_max(line, lo, hi, tol=1e-6)
-            if val >= cur:
-                thr[i], cur = x, val
-        for i in range(n_layers - 1):  # last residual is pinned at 0
-            lo = resids[i + 1]
-            hi = resids[i - 1] if i else 1.0
-
-            def line(x, _i=i):
-                trial = list(resids)
-                trial[_i] = x
-                return rate(thr, trial)
-
-            x, val = golden_section_max(line, lo, hi, tol=1e-6)
-            if val >= cur:
-                resids[i], cur = x, val
-    return cur
+    x0 = [*thresholds, *resids[:-1]]
+    return _coordinate_ascent(rate, (rate(x0), x0), range(last + 1), bounds,
+                              max_passes=4)[0]
 
 
 def fig2(ps_db=None, ratios=(0.5, 1.0, 2.0), **_):

@@ -80,44 +80,43 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
     return best
 
 
-def _bounds_for(name: str, params: Mapping[str, float],
-                beta_ge_alpha: bool) -> tuple[float, float]:
-    if name == "alpha":
-        hi = params.get("beta", 1.0) if beta_ge_alpha else 1.0
-        return 0.0, hi
-    if name == "beta":
-        lo = params["alpha"] if beta_ge_alpha else 0.0
-        return lo, 1.0
-    if name == "eta1":
-        return 0.0, params["eta2"]
-    if name == "eta2":
-        return params["eta1"], _ETA_MAX
-    raise ValueError(f"unknown parameter {name!r}")
+def _search_box(i: int, x: Sequence[float], beta_ge_alpha: bool = False
+                ) -> tuple[float, float]:
+    """Search range of position i of an (alpha, beta, eta1, eta2) point x:
+    eta1 <= eta2 <= _ETA_MAX, and with ``beta_ge_alpha`` also alpha <= beta."""
+    if i == 0:
+        return 0.0, x[1] if beta_ge_alpha else 1.0
+    if i == 1:
+        return x[0] if beta_ge_alpha else 0.0, 1.0
+    if i == 2:
+        return 0.0, x[3]
+    return x[2], _ETA_MAX
 
 
-def _coordinate_ascent(value: Callable[[Mapping[str, float]], float],
-                       start: tuple[float, Mapping[str, float]], names: Sequence[str],
-                       bounds: Callable[[str, Mapping[str, float]], tuple[float, float]]
-                       ) -> tuple[float, dict]:
-    """Coordinate golden-section passes over ``names`` from ``start``, a
-    (value, params) pair, accepting only strictly improving moves, until no
-    parameter shifts by more than _TOL.  Returns the final (value, params).
+def _coordinate_ascent(value: Callable[[list[float]], float],
+                       start: tuple[float, Sequence[float]], coords: Sequence[int],
+                       bounds: Callable[[int, list[float]], tuple[float, float]],
+                       max_passes: int = _MAX_PASSES) -> tuple[float, list[float]]:
+    """Cyclic golden-section line searches over positions ``coords`` of a point,
+    each over ``bounds(i, point)``, from ``start``, a (value, point) pair,
+    accepting only strictly improving moves, until a pass moves no position by
+    more than _TOL or ``max_passes`` passes ran.  Returns the final (value, point).
     """
-    cur_val, cur = start[0], dict(start[1])
-    for _ in range(_MAX_PASSES):
+    cur_val, cur = start[0], list(start[1])
+    for _ in range(max_passes):
         moved = 0.0
-        for name in names:
-            lo, hi = bounds(name, cur)
+        for i in coords:
+            lo, hi = bounds(i, cur)
 
-            def line(xv: float, _name=name) -> float:
-                trial = dict(cur)
-                trial[_name] = xv
+            def line(xv: float, _i=i) -> float:
+                trial = cur.copy()
+                trial[_i] = xv
                 return value(trial)
 
             x_new, f_new = golden_section_max(line, lo, hi, tol=_TOL)
             if f_new > cur_val:
-                moved = max(moved, abs(x_new - cur[name]))
-                cur[name] = x_new
+                moved = max(moved, abs(x_new - cur[i]))
+                cur[i] = x_new
                 cur_val = f_new
         if moved <= _TOL:
             break
@@ -137,7 +136,7 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     (relative) of the third-best, because numpy's exp/log1p may differ from
     math's in the last ulp and grids hold near-ties; simplex goes point by
     point.  ``n_evals`` counts each feasible grid point once, plus every
-    refinement step.
+    refinement step.  ``coarse_points`` must be at least 1.
     """
     free = [p for p in _PARAM_ORDER if p in set(free_params)]
     if not free:
@@ -146,34 +145,42 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         raise ValueError(f"free_params must be among {_PARAM_ORDER}")
     if scheme not in twolayer.CLOSED_FORMS:
         raise ValueError(f"unknown scheme {scheme!r}")
+    n_pts = _COARSE_BY_DIM[len(free)] if coarse_points is None else coarse_points
+    if n_pts < 1:
+        raise ValueError(f"coarse_points must be at least 1, got {n_pts}")
     form = twolayer.CLOSED_FORMS[scheme]
-    beta_ge_alpha = scheme == "simplex-unequal"
-    equal_split = scheme not in ("miso-unequal", "simplex-unequal")
     rate = form.rate or (lambda a, b, e1, e2, *_: form(
         TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b), cfg).r_av)
     evals = 0
 
-    def score(p: Mapping[str, float]) -> float:
-        alpha, eta1, eta2 = float(p["alpha"]), float(p["eta1"]), float(p["eta2"])
-        beta = alpha if equal_split else float(p.get("beta", alpha))
+    # one (alpha, beta, eta1, eta2) point per grid row: a fixed value fills
+    # its slot, an absent one is NaN, and a NaN beta means beta = alpha
+    slots = [_PARAM_ORDER.index(name) for name in free]
+    axes = [np.linspace(0.0, _ETA_MAX if name.startswith("eta") else 1.0, n_pts)
+            if name in free else [float(fixed.get(name, math.nan))] for name in _PARAM_ORDER]
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    alpha, beta, eta1, eta2 = points.T
+    beta_is_alpha = (scheme not in ("miso-unequal", "simplex-unequal")
+                     or math.isnan(beta[0]))
+    beta_ge_alpha = scheme == "simplex-unequal" and not beta_is_alpha
+
+    def score(x: Sequence[float]) -> float:
+        alpha, beta, eta1, eta2 = x
+        if beta_is_alpha:
+            beta = alpha
         if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0 and 0.0 <= eta1 <= eta2 < math.inf):
-            # TwoLayerAllocation raises its ValueError (or maps a NaN beta to alpha)
+            # TwoLayerAllocation raises its ValueError
             a = TwoLayerAllocation(alpha=alpha, eta1=eta1, eta2=eta2, beta=beta)
             alpha, beta, eta1, eta2 = a.alpha, a.beta, a.eta1, a.eta2
         return rate(alpha, beta, eta1, eta2, cfg.p_s, cfg.p_r)
 
-    def value(p: Mapping[str, float]) -> float:
+    def value(x: Sequence[float]) -> float:
         nonlocal evals
         evals += 1
-        return score(p)
+        return score(x)
 
-    n_pts = coarse_points or _COARSE_BY_DIM[len(free)]
-    axes = [np.linspace(0.0, _ETA_MAX if name.startswith("eta") else 1.0, n_pts)
-            for name in free]
-    flat = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    grid, zero = {**fixed, **dict(zip(free, flat.T))}, np.zeros(len(flat))
-    alpha, eta1, eta2 = (zero + grid[name] for name in ("alpha", "eta1", "eta2"))
-    beta = alpha if equal_split else zero + grid.get("beta", alpha)
+    if beta_is_alpha:
+        beta = alpha
     feasible = ~(eta1 > eta2)
     if beta_ge_alpha:
         feasible &= ~(beta < alpha)
@@ -181,31 +188,25 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     if not rows.size:
         raise ValueError("empty feasible set on the coarse grid")
 
-    def params_at(row: int) -> dict:
-        params = dict(fixed)
-        params.update(zip(free, flat[row]))
-        return params
-
     if form.grid is None:
-        scored = [(value(p), p) for p in map(params_at, rows)]
+        scored = [(value(x), x) for x in points[rows].tolist()]
     else:
-        score(params_at(rows[0]))  # fixed values outside the domain raise here
+        score(points[rows[0]].tolist())  # fixed values outside the domain raise here
         coarse = form.grid(alpha[rows], beta[rows], eta1[rows], eta2[rows], cfg.p_s, cfg.p_r)
         evals += rows.size
         third = np.sort(coarse)[-min(_N_STARTS, rows.size)]
         shortlist = rows[coarse >= third - _SHORTLIST_RTOL * abs(third)]
-        scored = [(score(p), p) for p in map(params_at, shortlist)]
+        scored = [(score(x), x) for x in points[shortlist].tolist()]
     scored.sort(key=lambda t: -t[0])
     coarse_best = scored[0][0]
 
-    def bounds(name: str, p: Mapping[str, float]) -> tuple[float, float]:
-        return _bounds_for(name, p, beta_ge_alpha)
-
-    best_val, best_params = max(
-        (_coordinate_ascent(value, start, free, bounds) for start in scored[:_N_STARTS]),
+    best_val, best = max(
+        (_coordinate_ascent(value, start, slots,
+                            lambda i, x: _search_box(i, x, beta_ge_alpha))
+         for start in scored[:_N_STARTS]),
         key=lambda t: t[0])
-    return OptResult(params=dict(best_params), value=best_val, n_evals=evals,
-                     coarse_best=coarse_best)
+    params = {**fixed, **{name: best[i] for name, i in zip(free, slots)}}
+    return OptResult(params=params, value=best_val, n_evals=evals, coarse_best=coarse_best)
 
 
 def oblivious_rate_plan(p_s: float, n_layers: int = 2) -> TwoLayerAllocation:
@@ -238,21 +239,17 @@ def oblivious_rate_plan(p_s: float, n_layers: int = 2) -> TwoLayerAllocation:
     tied = np.flatnonzero(obj >= third)
     starts = tied[np.lexsort((tied, (k - j)[tied % len(j)], -obj[tied]))][:3]
 
-    def value(p: Mapping[str, float]) -> float:
-        return twolayer._direct_two_layer_rate(p["alpha"], p["eta1"], p["eta2"], p_s)
-
-    def bounds(name: str, p: Mapping[str, float]) -> tuple[float, float]:
-        return _bounds_for(name, p, beta_ge_alpha=False)
+    def value(x: Sequence[float]) -> float:  # beta, at x[1], is unused
+        return twolayer._direct_two_layer_rate(x[0], x[2], x[3], p_s)
 
     refined = []
     for idx in starts:
         i, pair = divmod(int(idx), len(j))
-        start = {"alpha": float(alphas[i]), "eta1": float(e1[pair]),
-                 "eta2": float(e2[pair])}
-        refined.append(_coordinate_ascent(value, (value(start), start),
-                                          ("alpha", "eta1", "eta2"), bounds))
+        start = [float(alphas[i]), math.nan, float(e1[pair]), float(e2[pair])]
+        refined.append(_coordinate_ascent(value, (value(start), start), (0, 2, 3),
+                                          _search_box))
     best = max(refined, key=lambda t: t[0])[1]
-    return TwoLayerAllocation(alpha=best["alpha"], eta1=best["eta1"], eta2=best["eta2"])
+    return TwoLayerAllocation(alpha=best[0], eta1=best[2], eta2=best[3])
 
 
 def miso_single_layer_rate(p_s: float, p_r: float) -> float:

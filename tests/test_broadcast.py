@@ -76,6 +76,15 @@ class TestOptimalPowerDensity:
         assert abs(raw(d.u0) - power) < 1e-10
         assert abs(raw(d.u1)) < 1e-10
 
+    def test_unbracketed_layering_range_raises_a_clear_error(self):
+        # P_s = -20 dB, P_r = 50 dB: the upper boundary is clamped at 1e4,
+        # where I(u) is still above the total power
+        dist = sum_fading_distribution(1e7)
+        with pytest.warns(UserWarning, match="clamped"), \
+                pytest.raises(ValueError, match=r"no layering range for sum-fading"
+                                                r"\(a=1e\+07\).*u1 = 10000"):
+            optimal_power_density(0.01, dist)
+
     def test_monotone_profile_and_nonnegative_density(self):
         d = optimal_power_density(10.0, sum_fading_distribution(1.5))
         us = np.linspace(d.u0, d.u1, 10_000)

@@ -137,6 +137,26 @@ def test_optimize_subcommand(tmp_path):
     assert int(row["n_evals"]) > 0
 
 
+@pytest.mark.parametrize("coarse", ["0", "-2"])
+def test_optimize_rejects_a_coarse_grid_below_one(coarse, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["optimize", "--scheme", "direct", "--coarse", coarse])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "--coarse: must be >= 1" in stderr and "Traceback" not in stderr
+
+
+def test_validate_reports_violations_and_still_writes_its_csv(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    rc = main(["validate", "--draws", "1", "--blocks", "2000", "--z-max", "0",
+               "--out", str(out)])
+    assert rc == 1
+    violations = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("violation: ")]
+    assert len(violations) == 6  # every case: no |z| is <= 0
+    assert len(read_csv(out)) == 6
+
+
 def test_optimize_requires_all_parameters():
     with pytest.raises(SystemExit):
         main(["optimize", "--scheme", "direct", "--free", "alpha"])
@@ -147,12 +167,18 @@ def test_optimize_requires_all_parameters():
     ["optimize", "--scheme", "simplex-equal", "--ps-db", "10"],
     # defect D2 again, from simplex-unequal's coarse grid
     ["optimize", "--scheme", "simplex-unequal", "--ps-db", "10", "--coarse", "10"],
+    # the miso layering range cannot be bracketed at P_r/P_s = 10^7
+    pytest.param(["rate", "--scheme", "continuous-miso", "--ps-db", "-20",
+                  "--pr-db", "50", "--q-db", "0"],
+                 marks=pytest.mark.filterwarnings("ignore:upper layering boundary")),
 ])
 def test_library_errors_exit_with_one_line(tmp_path, capsys, argv):
     rc = main(argv + ["--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("relaycast: ") and err.count("\n") == 1
+    if argv[0] == "rate":
+        assert "no layering range for sum-fading" in err
 
 
 def test_rate_and_sweep_agree_on_every_shared_scheme(tmp_path):

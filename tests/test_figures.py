@@ -1,0 +1,62 @@
+"""The figure presets at one-point grids: the orderings their curves show,
+and the polished 8-layer rate of fig3/fig4 pinned bit for bit."""
+
+import math
+
+import pytest
+
+from relaycast import figures
+
+
+def rates(name, **grid):
+    _, rows, _ = figures.run_preset(name, **grid)
+    assert rows and all(math.isfinite(r["throughput_nats"]) for r in rows)
+    return {r["scheme"]: r["throughput_nats"] for r in rows}
+
+
+# float.hex of figures._refined_layered, captured before it moved onto
+# optimize._coordinate_ascent; no bit may move
+@pytest.mark.parametrize("ps_db,polished", [
+    (10.0, "0x1.222d12cb571d1p+0"),
+    (25.0, "0x1.ddfd9824046f0p+1"),
+])
+def test_fig3_layerings_are_ordered(ps_db, polished):
+    r = rates("fig3", ps_db=[ps_db])
+    assert r["direct-8-layer"] == float.fromhex(polished)
+    assert (r["continuous-siso"] >= r["direct-8-layer"] >= r["direct-2-layer"]
+            >= r["direct-1-layer"])
+
+
+@pytest.mark.parametrize("ps_db,ratio,polished", [
+    (10.0, 1.0, "0x1.d9d0f98ce4e99p+0"),
+    (25.0, 2.0, "0x1.51ed7fa7888bap+2"),
+])
+def test_fig4_layerings_are_ordered(ps_db, ratio, polished):
+    r = rates("fig4", ps_db=[ps_db], ratios=(ratio,))
+    assert r["miso-8-equal"] == float.fromhex(polished)
+    # equal against unequal is D6 (tests/test_optimize.py), so neither is assumed
+    two = (r["miso-2-equal"], r["miso-2-unequal"])
+    assert r["continuous-miso"] >= r["miso-8-equal"] >= max(two)
+    assert min(two) >= r["miso-1-layer"]
+    assert r["ergodic-miso"] == max(r.values())
+
+
+def test_fig2_broadcasting_beats_one_layer():
+    _, rows, _ = figures.run_preset("fig2", ps_db=[10.0], ratios=(0.5, 2.0))
+    for ratio in (0.5, 2.0):
+        r = {row["scheme"]: row["throughput_nats"] for row in rows
+             if row["pr_over_ps"] == ratio}
+        assert r["continuous-miso"] >= r["continuous-relay"] >= r["continuous-siso"]
+        assert r["continuous-miso"] >= r["single-layer-miso"] >= r["single-layer-siso"]
+        assert r["continuous-siso"] >= r["single-layer-siso"]
+
+
+def test_fig5_and_fig7_run_at_one_point():
+    assert set(rates("fig5", pr_db=[20.0])) == {"miso-2-equal", "miso-2-unequal"}
+    assert set(rates("fig7", ps_db=(10.0,), q_db=(10.0,), ratios=(1.0,))) == {
+        "direct-2", "simplex-equal"}
+
+
+def test_fig8_optimized_beta_is_no_worse_than_the_equal_split():
+    r = rates("fig8", ps_db=[10.0])
+    assert r["simplex-unequal-opt"] >= r["simplex-equal"]

@@ -114,6 +114,13 @@ class TestMaximizeThroughput:
         with pytest.raises(ValueError):
             maximize_throughput("warp", ("alpha",), {"eta1": 0.1, "eta2": 0.2}, cfg)
 
+    @pytest.mark.parametrize("coarse", [0, -2])
+    def test_coarse_points_below_one_raise(self, coarse):
+        cfg = PowerConfig(p_s=1.0, p_r=1.0, q=1.0)
+        with pytest.raises(ValueError, match="coarse_points"):
+            maximize_throughput("direct", ("alpha", "eta1", "eta2"), {}, cfg,
+                                coarse_points=coarse)
+
 
 # (P_s dB, P_r/P_s, scheme, free, fixed, coarse points, value, params, n_evals)
 # returned by the point-by-point grid before the array-scored one; the -20 dB

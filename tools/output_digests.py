@@ -3,7 +3,9 @@
 
 Runs, in-process and into a temporary directory:
 
-* ``figure fig2`` .. ``fig9`` at their default grids;
+* ``figure fig2`` .. ``fig9`` at their default grids, and ``fig3`` and
+  ``fig4`` (at P_r/P_s 1 and 10) again at 70, 75 and 80 dB, where the
+  8-layer polish is nearest its stopping rule;
 * ``sweep`` for every scheme it offers, at ``--q-db 15,20 --ratio 0.5,1``
   over 0..20 dB in 5 dB steps;
 * ``rate`` for every scheme at the default powers (the two-layer schemes at
@@ -62,6 +64,9 @@ def commands(cli, out: Path):
     parser = cli.build_parser()
     for name in sorted(cli.figures.PRESETS):
         yield f"{name}.csv", ("figure", name, "--out", str(out))
+    for name, extra in (("fig3", ()), ("fig4", ("--ratio", "1,10"))):
+        yield f"high-power/{name}.csv", ("figure", name, "--ps-db", "70,75,80", *extra,
+                                         "--out", str(out / "high-power"))
     for scheme in sorted(_scheme_choices(parser, "sweep")):
         csv = f"sweep-{scheme}.csv"
         yield csv, ("sweep", "--scheme", scheme, "--q-db", "15,20", "--ratio", "0.5,1",
@@ -102,7 +107,8 @@ def main() -> int:
                 print(f"exit {code}  {csv}")
                 continue
             for path in (out / csv, out / f"{csv}.manifest.json"):
-                print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+                print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
+                      f"{path.relative_to(out)}")
     return 0
 
 
