@@ -5,7 +5,8 @@ destination reduces to nu_r exceeding a threshold curve in nu_s.  This module
 provides those curves: the auxiliary factor t, the layer-1 thresholds (the
 F family for equal and K for unequal relay allocation), the layer-2 threshold
 U, the point below which layer 1 is undecodable for any nu_r, and the
-scanner that partitions [v_lo, eta1] by which threshold dominates.
+scanner that cuts [v_lo, eta1] at the crossings of the layer-1 and layer-2
+thresholds and labels each piece with the curve that is larger there.
 
 For the derivation of t and the thresholds from the phase-wise mutual
 information balance see docs/conformance.md.
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 _EXP_OVERFLOW = 700.0
-_N_SCAN = 10_000  # sign-scan intervals of find_intersections' first pass
+_N_SCAN = 10_000  # sign-scan intervals of find_intersections
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def _k_values(v_s, ctx: BoundContext):
     ab = ctx.alloc.alpha_bar
     bb = ctx.alloc.beta_bar
     denom = 1.0 - t * bb
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         val = (-s * (1.0 - t * ab) - (1.0 - t)) / (denom * ctx.cfg.p_r)
     return np.where(denom > 0.0, val, np.inf)
 
@@ -148,11 +149,11 @@ def _u_values(v_s, ctx: BoundContext, denom_fraction: float):
     with Z = 1 + v_s*alpha_bar*P_s.  Zero at eta2, negative beyond."""
     z = 1.0 + np.asarray(v_s, dtype=float) * ctx.alloc.alpha_bar * ctx.cfg.p_s
     log_pow = (np.log(z) - ctx.r2) / (ctx.x - 1.0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # overflow gives inf, as in the scalar u_bound
         powed = np.where(log_pow > _EXP_OVERFLOW, np.inf, np.exp(log_pow))
-    numer = z * (powed - 1.0)
-    if denom_fraction > 0.0:
-        return numer / (denom_fraction * ctx.cfg.p_r)
+        numer = z * (powed - 1.0)
+        if denom_fraction > 0.0:
+            return numer / (denom_fraction * ctx.cfg.p_r)
     # all relay power on layer 1: the relay cannot help layer 2 at all
     return np.where(numer > 0.0, np.inf, np.where(numer < 0.0, -np.inf, 0.0))
 
@@ -197,26 +198,23 @@ def discontinuity_point(ctx: BoundContext, fraction: float | None = None) -> flo
 
 @dataclass(frozen=True)
 class IntervalPartition:
-    """Dominance pattern of the layer-1 and layer-2 thresholds on [v_lo, eta1].
+    """Dominance pattern of the layer-1 and layer-2 thresholds on [v_lo, upper].
 
     ``crossings`` are the interior points where the curves meet, strictly
-    increasing; dominance alternates between consecutive subintervals,
-    starting with ``leading_function`` ("F" for the layer-1 curve, "U" for
-    the layer-2 curve) on the first one.
+    increasing; they cut the interval into len(crossings) + 1 pieces, and
+    ``dominant`` names the larger curve on each ("F" for the layer-1 curve,
+    "U" for the layer-2 curve).
     """
 
     crossings: tuple[float, ...]
     v_lo: float
     upper: float
-    leading_function: Literal["F", "U"]
+    dominant: tuple[Literal["F", "U"], ...]
 
     def segments(self):
         """Yield (lo, hi, dominant) triples covering [v_lo, upper]."""
         edges = (self.v_lo, *self.crossings, self.upper)
-        which = self.leading_function
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            yield lo, hi, which
-            which = "U" if which == "F" else "F"
+        return zip(edges[:-1], edges[1:], self.dominant)
 
 
 def _bisect_crossing(diff, lo: float, hi: float) -> float:
@@ -241,50 +239,29 @@ def _bisect_crossing(diff, lo: float, hi: float) -> float:
 def find_intersections(ctx: BoundContext) -> IntervalPartition:
     """Locate the crossings of the layer-1 and layer-2 thresholds on [v_lo, eta1].
 
-    Dense sign scan of F - U followed by bisection refinement of each sign
-    change.  The crossing count must match the parity implied by which curve
-    dominates at the left end (even when U leads, odd when F leads, since U
-    always dominates at eta1); a mismatch triggers one rescan at 10x density
-    before erroring.
+    Sign scan of F - U on _N_SCAN intervals, bisection refinement of each sign
+    change, and one evaluation of F - U at the midpoint of every piece between
+    crossings, which labels the piece with its larger curve.  A NaN
+    (inf - inf) counts as F above U, in the scan and in the labels.
     """
     v_lo = discontinuity_point(ctx)
     eta1 = ctx.eta1
     if eta1 - v_lo <= 0.0:
-        return IntervalPartition(crossings=(), v_lo=v_lo, upper=eta1,
-                                 leading_function="U")
-    if ctx.alloc.alpha_bar == 0.0:
-        # zero-rate layer 2: U vanishes identically and merely ties F at
-        # eta1, so the layer-1 curve dominates the whole interval
-        return IntervalPartition(crossings=(), v_lo=v_lo, upper=eta1,
-                                 leading_function="F")
-
+        return IntervalPartition(crossings=(), v_lo=v_lo, upper=eta1, dominant=("U",))
     fraction = ctx.alloc.beta_bar
 
     def diff_scalar(v: float) -> float:
         return _k_scalar(v, ctx) - u_bound(v, ctx, fraction)
 
-    def attempt(n: int):
-        span = eta1 - v_lo
-        grid = np.linspace(v_lo, eta1, n + 1)
-        grid[0] += 1e-9 * span   # dodge the pole at v_lo
-        grid[-1] -= 1e-12 * span
-        with np.errstate(invalid="ignore"):
-            d = np.asarray(_k_values(grid, ctx) - _u_values(grid, ctx, fraction))
-        d = np.where(np.isnan(d), np.inf, d)  # inf - inf at the pole: F side wins
-        signs = d > 0.0
-        crossings = []
-        for i in np.nonzero(signs[:-1] != signs[1:])[0]:
-            crossings.append(_bisect_crossing(diff_scalar, float(grid[i]),
-                                              float(grid[i + 1])))
-        leading = "F" if signs[0] else "U"
-        parity_ok = (len(crossings) % 2 == 0) == (leading == "U")
-        return crossings, leading, parity_ok
-
-    crossings, leading, parity_ok = attempt(_N_SCAN)
-    if not parity_ok:
-        crossings, leading, parity_ok = attempt(10 * _N_SCAN)
-    if not parity_ok:
-        raise RuntimeError("threshold crossing count violates the dominance parity; "
-                           "scan resolution exhausted")
-    return IntervalPartition(crossings=tuple(crossings), v_lo=v_lo, upper=eta1,
-                             leading_function=leading)
+    span = eta1 - v_lo
+    grid = np.linspace(v_lo, eta1, _N_SCAN + 1)
+    grid[0] += 1e-9 * span   # dodge the pole at v_lo
+    grid[-1] -= 1e-12 * span
+    with np.errstate(invalid="ignore"):
+        signs = ~(_k_values(grid, ctx) - _u_values(grid, ctx, fraction) <= 0.0)
+    crossings = tuple(_bisect_crossing(diff_scalar, float(grid[i]), float(grid[i + 1]))
+                      for i in np.nonzero(signs[:-1] != signs[1:])[0])
+    edges = (v_lo, *crossings, eta1)
+    dominant = tuple("U" if diff_scalar(0.5 * (lo + hi)) <= 0.0 else "F"
+                     for lo, hi in zip(edges[:-1], edges[1:]))
+    return IntervalPartition(crossings=crossings, v_lo=v_lo, upper=eta1, dominant=dominant)

@@ -170,8 +170,7 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
             beta = alpha
         if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0 and 0.0 <= eta1 <= eta2 < math.inf):
             # TwoLayerAllocation raises its ValueError
-            a = TwoLayerAllocation(alpha=alpha, eta1=eta1, eta2=eta2, beta=beta)
-            alpha, beta, eta1, eta2 = a.alpha, a.beta, a.eta1, a.eta2
+            TwoLayerAllocation(alpha=alpha, eta1=eta1, eta2=eta2, beta=beta)
         return rate(alpha, beta, eta1, eta2, cfg.p_s, cfg.p_r)
 
     def value(x: Sequence[float]) -> float:

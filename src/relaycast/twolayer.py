@@ -17,7 +17,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import integrate
 
-from .bounds import BoundContext, _k_scalar, find_intersections, u_bound
+from .bounds import (BoundContext, IntervalPartition, _k_scalar, find_intersections,
+                     u_bound)
 from .broadcast import cumulative_rate
 from .model import (PowerConfig, ThroughputResult, TwoLayerAllocation,
                     _check_nonneg, decoding_times, layer_rates)
@@ -283,7 +284,6 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig,
         return miso_unequal_throughput(alloc, cfg.p_s, cfg.p_r)
 
     ctx = BoundContext(alloc=alloc, cfg=cfg, x=x, r1=r1, r2=r2)
-    part = find_intersections(ctx)
     bb = alloc.beta_bar
 
     def exp_k(v: float) -> float:
@@ -298,8 +298,14 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig,
         expo = -thr - v
         return math.exp(expo) if expo > -745.0 else 0.0
 
-    p1 = math.exp(-alloc.eta1)
-    p1 += integrate.quad(exp_k, part.v_lo, alloc.eta1, **_QUAD_OPTS)[0]
+    if r1 == 0.0:
+        # a zero-rate layer 1 (alpha = 0) always decodes and sets no
+        # threshold; K would read +inf from 0/0 at beta = 0
+        p1, part = 1.0, IntervalPartition((), 0.0, alloc.eta1, ("U",))
+    else:
+        part = find_intersections(ctx)
+        p1 = math.exp(-alloc.eta1)
+        p1 += integrate.quad(exp_k, part.v_lo, alloc.eta1, **_QUAD_OPTS)[0]
 
     p_both = math.exp(-alloc.eta2)
     p_both += integrate.quad(exp_u, alloc.eta1, alloc.eta2, **_QUAD_OPTS)[0]

@@ -222,9 +222,13 @@ class TestFindIntersections:
             checked += 1
             assert part.upper == ctx.eta1
             assert all(b > a for a, b in zip(part.crossings, part.crossings[1:]))
-            # parity: U leading <=> even crossing count
-            assert (len(part.crossings) % 2 == 0) == (part.leading_function == "U")
             segs = list(part.segments())
+            assert len(segs) == len(part.crossings) + 1
+            for lo, hi, dominant in segs:
+                # each piece is labelled with the larger curve at its midpoint
+                mid = 0.5 * (lo + hi)
+                k_above_u = not _k_scalar(mid, ctx) <= u_bound(mid, ctx, ctx.alloc.beta_bar)
+                assert dominant == ("F" if k_above_u else "U")
             assert segs[0][0] == part.v_lo and segs[-1][1] == part.upper
             assert all(s0[2] != s1[2] for s0, s1 in zip(segs, segs[1:]))
             for v in part.crossings:

@@ -163,10 +163,11 @@ def test_optimize_requires_all_parameters():
 
 
 @pytest.mark.parametrize("argv", [
-    # defect D2: find_intersections raises RuntimeError at alpha = 0
-    ["optimize", "--scheme", "simplex-equal", "--ps-db", "10"],
-    # defect D2 again, from simplex-unequal's coarse grid
-    ["optimize", "--scheme", "simplex-unequal", "--ps-db", "10", "--coarse", "10"],
+    # the simplex-unequal form rejects beta < alpha
+    ["rate", "--scheme", "simplex-unequal", "--alpha", "0.7", "--beta", "0.3",
+     "--eta1", "0.3", "--eta2", "1.8"],
+    # a plan with eta1 > eta2
+    ["rate", "--scheme", "simplex-equal", "--alpha", "0.7", "--eta1", "1.8", "--eta2", "0.3"],
     # the miso layering range cannot be bracketed at P_r/P_s = 10^7
     pytest.param(["rate", "--scheme", "continuous-miso", "--ps-db", "-20",
                   "--pr-db", "50", "--q-db", "0"],
@@ -177,8 +178,35 @@ def test_library_errors_exit_with_one_line(tmp_path, capsys, argv):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("relaycast: ") and err.count("\n") == 1
-    if argv[0] == "rate":
-        assert "no layering range for sum-fading" in err
+    expected = {"simplex-unequal": "beta >= alpha required",
+                "simplex-equal": "eta1 <= eta2 required",
+                "continuous-miso": "no layering range for sum-fading"}
+    assert expected[argv[2]] in err
+
+
+def test_rate_of_a_two_layer_scheme_needs_its_plan():
+    with pytest.raises(SystemExit) as err:
+        main(["rate", "--scheme", "simplex-equal", "--alpha", "0.7"])
+    assert err.value.code == "this scheme needs --alpha, --eta1 and --eta2"
+
+
+@pytest.mark.parametrize("content", [None, "{not json"])
+def test_unreadable_config_exits_with_one_line(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert main(["--config", str(cfg), "rate", "--scheme", "single-user"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("relaycast: cannot read config: ") and err.count("\n") == 1
+
+
+def test_optimize_simplex_equal_over_its_default_free_set(tmp_path):
+    # the coarse grid holds alpha = 0 and eta1 = eta2 plans
+    out = tmp_path / "opt.csv"
+    assert main(["optimize", "--scheme", "simplex-equal", "--ps-db", "10",
+                 "--coarse", "10", "--out", str(out)]) == 0
+    row = read_csv(out)[0]
+    assert 0.0 < float(row["throughput_nats"]) < math.inf
 
 
 def test_rate_and_sweep_agree_on_every_shared_scheme(tmp_path):

@@ -12,11 +12,21 @@ from relaycast import (PowerConfig, TwoLayerAllocation,
                        miso_unequal_throughput, simplex_equal_throughput,
                        simplex_unequal_throughput, single_user_throughput,
                        y_sum_tail)
-from relaycast import twolayer
+from relaycast import BoundContext, discontinuity_point, twolayer
+from relaycast.bounds import _k_values, _u_values
 from relaycast.broadcast import continuous_layering
 from relaycast.montecarlo import SimConfig, simulate_strategy
 from relaycast.twolayer import _direct_two_layer_rate, discretize_power_density
 from relaycast.validation import validation_corpus
+
+
+def gauss_legendre(f, lo, hi, panels=10_000, nodes=20):
+    """int_lo^hi f by composite Gauss-Legendre; f takes an array of points."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    v = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x
+    return float(np.sum(f(v) * half * w))
 
 
 def mc_check(scheme, alloc, cfg, analytic, blocks=200_000, seed=1):
@@ -322,6 +332,56 @@ class TestSimplex:
         alloc = TwoLayerAllocation(alpha=0.5, eta1=0.5, eta2=1.0)
         mc_check("simplex-equal", alloc, cfg,
                  simplex_equal_throughput(alloc, cfg).r_av, blocks=400_000)
+
+    def test_degenerate_plans_match_the_oracle(self):
+        # alpha = 0 (a zero-rate layer 1 that sets no threshold) and
+        # eta1 = eta2 (both thresholds meet at eta1)
+        cfg = PowerConfig(p_s=10.0, p_r=10.0, q=100.0)
+        for alloc in (TwoLayerAllocation(alpha=0.0, eta1=0.5, eta2=1.0),
+                      TwoLayerAllocation(alpha=0.5, eta1=1.0, eta2=1.0)):
+            res = simplex_equal_throughput(alloc, cfg)
+            assert math.isfinite(res.r_av) and 0.0 < res.r_av <= res.r1 + res.r2
+            mc_check("simplex-equal", alloc, cfg, res.r_av, blocks=400_000)
+
+    def test_alpha_zero_with_a_relay_split_keeps_its_value(self):
+        # with beta > 0 the layer-1 threshold is 0 and U binds on all of
+        # [0, eta1]: these values come out as they did from the threshold scan
+        low = PowerConfig(p_s=10.0, p_r=10.0, q=100.0)
+        high = PowerConfig(p_s=10 ** 4.24, p_r=51.27, q=42.34)
+        for beta, cfg, want in ((0.3, low, "0x1.49bca4f00c6f0p+0"),
+                                (0.3, high, "0x1.cbfd54882a11cp+1"),
+                                (1.0, low, "0x1.c3a760f0d1b47p-1"),
+                                (1.0, high, "0x1.cbb9ffaabc634p+1")):
+            alloc = TwoLayerAllocation(alpha=0.0, eta1=0.5, eta2=1.0, beta=beta)
+            res = simplex_unequal_throughput(alloc, cfg)
+            assert res.r_av.hex() == want and res.p_layer1 == 1.0
+
+    def test_noise_crossings_at_high_power_match_a_dense_reference(self):
+        # at 72.7 dB the relay decodes after all but 3.3e-8 of the block, and
+        # the sign scan of K - U finds crossings made of rounding noise; each
+        # piece takes the curve that is larger at its midpoint, which keeps
+        # r_av at composite Gauss-Legendre applied to max(K, U)
+        alloc = TwoLayerAllocation(alpha=0.005409707427599053, eta1=1.5391245754166443,
+                                   eta2=2.9341772085613624)
+        cfg = PowerConfig(p_s=1.8443289253065765e7, p_r=7.692303295090042e4,
+                          q=24.050633000383957)
+        ctx = BoundContext.from_config(alloc, cfg)
+        v_lo, e1, e2 = discontinuity_point(ctx), alloc.eta1, alloc.eta2
+
+        def k(v):
+            return np.maximum(_k_values(v, ctx), 0.0)
+
+        def u(v):
+            return np.maximum(_u_values(v, ctx, alloc.beta_bar), 0.0)
+
+        with np.errstate(all="ignore"):
+            p1 = math.exp(-e1) + gauss_legendre(lambda v: np.exp(-k(v) - v), v_lo, e1)
+            p_both = (math.exp(-e2) + gauss_legendre(lambda v: np.exp(-u(v) - v), e1, e2)
+                      + gauss_legendre(lambda v: np.exp(-np.maximum(k(v), u(v)) - v),
+                                       v_lo, e1))
+        want = ctx.r1 * p1 + ctx.r2 * min(p_both, p1)
+        got = simplex_equal_throughput(alloc, cfg).r_av
+        assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.xfail(strict=True, reason="D5: adaptive quad misses the layer-2 "
                        "integral when the relay decodes late (x -> 1)")

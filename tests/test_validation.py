@@ -31,3 +31,10 @@ def test_min_credit_of_layered_plans():
     alloc = TwoLayerAllocation(alpha=0.0, eta1=0.3, eta2=1.0)
     case = ValidationCase(scheme="direct", cfg=cfg, alloc=alloc)
     assert case.min_credit == layer_rates(alloc, cfg.p_s)[1] > 0.0
+
+
+def test_closed_form_value_rejects_an_unknown_scheme():
+    case = ValidationCase(scheme="full-duplex", cfg=PowerConfig(p_s=10.0, p_r=10.0, q=100.0),
+                          alloc=TwoLayerAllocation(alpha=0.7, eta1=0.3, eta2=1.8))
+    with pytest.raises(ValueError, match="unknown scheme 'full-duplex'"):
+        closed_form_value(case)

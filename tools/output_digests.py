@@ -7,14 +7,17 @@ Runs, in-process and into a temporary directory:
   ``fig4`` (at P_r/P_s 1 and 10) again at 70, 75 and 80 dB, where the
   8-layer polish is nearest its stopping rule;
 * ``sweep`` for every scheme it offers, at ``--q-db 15,20 --ratio 0.5,1``
-  over 0..20 dB in 5 dB steps;
+  over 0..20 dB in 5 dB steps, and ``simplex-equal`` again at ``--q-db 20
+  --ratio 1`` over 50..80 dB in 10 dB steps;
 * ``rate`` for every scheme at the default powers (the two-layer schemes at
-  alpha 0.7, eta 0.3/1.8);
+  alpha 0.7, eta 0.3/1.8), and ``simplex-equal`` at alpha 0, eta 0.5/1 and
+  at alpha 0.5, eta 1/1;
 * ``optimize`` with a coarse grid of 10: at 10 dB for ``direct``,
   ``miso-equal`` and ``miso-unequal`` (default free set), ``miso-unequal``
   over all four parameters and ``simplex-unequal`` over beta alone; at
   -20 dB and 80 dB for ``miso-equal`` (default free set) and
-  ``miso-unequal`` over all four parameters;
+  ``miso-unequal`` over all four parameters; at 10 dB for ``simplex-equal``
+  (default free set);
 * ``validate --draws 2 --blocks 200000 --z-max inf`` at ``--workers 1`` and
   ``--workers 2``, so the Monte-Carlo oracle's bytes beyond fig9 (every
   strategy the corpus draws, and the merge of two threads' partial sums)
@@ -50,7 +53,10 @@ OPTIMIZE = (
     ("10", "simplex-unequal", "--free", "beta", *ALLOC),
     ("-20", "miso-equal"), ("-20", "miso-unequal", *ALL_FREE),
     ("80", "miso-equal"), ("80", "miso-unequal", *ALL_FREE),
+    ("10", "simplex-equal"),
 )
+# (CSV name suffix, alpha, eta1, eta2) of the extra simplex-equal rate runs
+SIMPLEX_EDGES = (("alpha-0", "0", "0.5", "1"), ("eta1-eq-eta2", "0.5", "1", "1"))
 
 
 def _scheme_choices(parser, command: str) -> list[str]:
@@ -72,10 +78,18 @@ def commands(cli, out: Path):
         yield csv, ("sweep", "--scheme", scheme, "--q-db", "15,20", "--ratio", "0.5,1",
                     "--ps-db-start", "0", "--ps-db-stop", "20", "--ps-db-step", "5",
                     "--out", str(out / csv))
+    csv = "sweep-simplex-equal-50-80db.csv"
+    yield csv, ("sweep", "--scheme", "simplex-equal", "--q-db", "20", "--ratio", "1",
+                "--ps-db-start", "50", "--ps-db-stop", "80", "--ps-db-step", "10",
+                "--out", str(out / csv))
     for scheme in sorted(_scheme_choices(parser, "rate")):
         csv = f"rate-{scheme}.csv"
         alloc = ALLOC if scheme in cli.twolayer.CLOSED_FORMS else ()
         yield csv, ("rate", "--scheme", scheme, *alloc, "--out", str(out / csv))
+    for name, alpha, eta1, eta2 in SIMPLEX_EDGES:
+        csv = f"rate-simplex-equal-{name}.csv"
+        yield csv, ("rate", "--scheme", "simplex-equal", "--alpha", alpha, "--eta1", eta1,
+                    "--eta2", eta2, "--out", str(out / csv))
     for i, (ps_db, scheme, *extra) in enumerate(OPTIMIZE):
         csv = f"optimize-{i}-{scheme}.csv"
         yield csv, ("optimize", "--scheme", scheme, "--ps-db", ps_db, "--coarse", "10",
