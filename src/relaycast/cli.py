@@ -65,31 +65,19 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _bits_view(fieldnames, rows):
-    renamed = [f.replace("_nats", "_bits") if f.endswith("_nats") else f
-               for f in fieldnames]
-    out_rows = []
-    for row in rows:
-        out = {}
-        for key, val in row.items():
-            if key.endswith("_nats"):
-                out[key.replace("_nats", "_bits")] = (
-                    val / LN2 if isinstance(val, float) else val)
-            else:
-                out[key] = val
-        out_rows.append(out)
-    return renamed, out_rows
-
-
 def _write_csv(path: str | None, fieldnames, rows, bits=False):
-    if bits:
-        fieldnames, rows = _bits_view(fieldnames, rows)
+    """Write ``rows`` as CSV; with ``bits`` every *_nats column is renamed
+    *_bits and its float cells are divided by ln 2."""
+    to_bits = [bits and f.endswith("_nats") for f in fieldnames]
     handle = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
     try:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(fieldnames)
+        writer.writerow([f.removesuffix("_nats") + "_bits" if b else f
+                         for f, b in zip(fieldnames, to_bits)])
         for row in rows:
-            writer.writerow([_fmt(row.get(f)) for f in fieldnames])
+            cells = (row.get(f) for f in fieldnames)
+            writer.writerow([_fmt(v / LN2 if b and isinstance(v, float) else v)
+                             for v, b in zip(cells, to_bits)])
     finally:
         if path is not None:
             handle.close()
@@ -110,6 +98,11 @@ def _parse_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _power_config(args) -> PowerConfig:
+    return PowerConfig(p_s=figures._db2lin(args.ps_db),
+                       p_r=figures._db2lin(args.pr_db), q=figures._db2lin(args.q_db))
+
+
 def _alloc_from_args(args) -> TwoLayerAllocation:
     if args.alpha is None or args.eta1 is None or args.eta2 is None:
         raise SystemExit("this scheme needs --alpha, --eta1 and --eta2")
@@ -118,13 +111,13 @@ def _alloc_from_args(args) -> TwoLayerAllocation:
 
 
 def _cmd_rate(args) -> int:
-    cfg = PowerConfig(p_s=figures._db2lin(args.ps_db),
-                      p_r=figures._db2lin(args.pr_db), q=figures._db2lin(args.q_db))
+    cfg = _power_config(args)
     scheme = args.scheme
     row = {"scheme": scheme, "ps_db": args.ps_db, "pr_db": args.pr_db,
            "q_db": args.q_db, "alpha": args.alpha, "beta": args.beta,
            "eta1": args.eta1, "eta2": args.eta2, "rate_nats": args.rate,
-           "r1_nats": None, "r2_nats": None, "p_layer1": None, "p_both": None}
+           "r1_nats": None, "r2_nats": None, "p_layer1": None, "p_both": None,
+           "throughput_nats": None}
 
     if scheme in _BOUNDS:
         row["throughput_nats"] = _BOUNDS[scheme](cfg)
@@ -142,10 +135,7 @@ def _cmd_rate(args) -> int:
         row.update({"r1_nats": res.r1, "r2_nats": res.r2, "p_layer1": res.p_layer1,
                     "p_both": res.p_both, "throughput_nats": res.r_av})
 
-    fields = ["scheme", "ps_db", "pr_db", "q_db", "alpha", "beta", "eta1", "eta2",
-              "rate_nats", "r1_nats", "r2_nats", "p_layer1", "p_both",
-              "throughput_nats"]
-    _write_csv(args.out, fields, [row], bits=args.bits)
+    _write_csv(args.out, list(row), [row], bits=args.bits)
     _write_manifest(args.out, "rate", args.seed,
                     {"ps_db": args.ps_db, "pr_db": args.pr_db, "q_db": args.q_db})
     return 0
@@ -175,28 +165,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-_PLOT_STUB = """\
-#!/usr/bin/env python3
-# generic viewer for relaycast figure CSVs: throughput vs the first column,
-# one line per scheme (and per remaining grid columns)
-import sys
-import pandas as pd
-import matplotlib.pyplot as plt
-
-df = pd.read_csv(sys.argv[1])
-x = df.columns[0]
-y = [c for c in df.columns if c.startswith("throughput")][0]
-keys = [c for c in df.columns if c not in (x, y) and not c.startswith("stderr")]
-for label, group in df.groupby(keys) if keys else [("all", df)]:
-    plt.plot(group[x], group[y], marker="o", label=str(label))
-plt.xlabel(x)
-plt.ylabel(y)
-plt.legend(fontsize=7)
-plt.grid(alpha=0.3)
-plt.show()
-"""
-
-
 def _cmd_figure(args) -> int:
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -207,8 +175,6 @@ def _cmd_figure(args) -> int:
     path = str(out_dir / f"{args.name}.csv")
     _write_csv(path, fields, rows, bits=args.bits)
     _write_manifest(path, f"figure {args.name}", args.seed, grid)
-    if args.plot_stub:
-        (out_dir / "plot_csv.py").write_text(_PLOT_STUB, encoding="utf-8")
     print(path)
     return 0
 
@@ -225,7 +191,7 @@ def _cmd_validate(args) -> int:
                 for r in rows]
     fields = ["scheme", "index", "analytic_nats", "mc_nats", "stderr_nats", "z"]
     if args.out:
-        _write_csv(args.out, fields, out_rows)
+        _write_csv(args.out, fields, out_rows, bits=args.bits)
         _write_manifest(args.out, "validate", args.seed,
                         {"draws": args.draws, "blocks": args.blocks})
 
@@ -246,8 +212,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    cfg = PowerConfig(p_s=figures._db2lin(args.ps_db),
-                      p_r=figures._db2lin(args.pr_db), q=figures._db2lin(args.q_db))
+    cfg = _power_config(args)
     free = [tok.strip() for tok in args.free.split(",") if tok.strip()]
     fixed = {}
     for name in ("alpha", "beta", "eta1", "eta2"):
@@ -298,30 +263,35 @@ def _add_workers_flag(p, help_text):
     p.add_argument("--workers", type=_positive_int, default=1, help=help_text)
 
 
+def _flag_text(value):
+    """A config value as command-line text, so that argparse converts and
+    checks it through the option's type=, as it does a flag: lists are
+    comma-joined, numbers written by repr; strings, booleans and null stay."""
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return repr(value)
+    return value
+
+
 def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="relaycast",
+        prog="relaycast", allow_abbrev=False,
         description="Layered broadcast-approach throughput for the collocated "
                     "relay channel (powers in dB, rates in nats unless --bits)")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of flag defaults (keys are option "
                              "names with underscores); explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = []
-
-    def add_parser(*a, **kw):
-        p = sub.add_parser(*a, **kw)
-        subparsers.append(p)
-        return p
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=str, default=None, help="output CSV path")
     common.add_argument("--bits", action="store_true",
                         help="report rates in bits instead of nats")
     common.add_argument("--seed", type=int,
-                        default=int(os.environ.get(SEED_ENV, DEFAULT_SEED)))
+                        default=os.environ.get(SEED_ENV, str(DEFAULT_SEED)))
 
-    p = add_parser("rate", parents=[common], help="single evaluation")
+    p = sub.add_parser("rate", parents=[common], help="single evaluation")
     p.add_argument("--scheme", choices=(*_SINGLE_LAYER, *_BOUNDS, *twolayer.CLOSED_FORMS),
                    required=True)
     p.add_argument("--rate", type=float, default=None,
@@ -332,7 +302,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     _add_alloc_flags(p)
     p.set_defaults(func=_cmd_rate)
 
-    p = add_parser("sweep", parents=[common], help="grid sweep to CSV")
+    p = sub.add_parser("sweep", parents=[common], help="grid sweep to CSV")
     p.add_argument("--scheme", choices=(*_SINGLE_LAYER, *_BOUNDS, *_PLAN_SCHEMES),
                    required=True)
     p.add_argument("--ps-db-start", type=float, default=0.0)
@@ -345,7 +315,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
                          "sweep runs on one thread")
     p.set_defaults(func=_cmd_sweep)
 
-    p = add_parser("figure", parents=[common],
+    p = sub.add_parser("figure", parents=[common],
                        help="preset CSV sweeps (fig2..fig9)")
     p.add_argument("name", choices=sorted(figures.PRESETS))
     p.add_argument("--ps-db", type=_parse_list, default=None)
@@ -353,12 +323,10 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p.add_argument("--q-db", type=_parse_list, default=None)
     p.add_argument("--ratio", type=_parse_list, default=None)
     p.add_argument("--blocks", type=int, default=None)
-    p.add_argument("--plot-stub", action="store_true",
-                   help="also emit a generic matplotlib viewer script")
     _add_workers_flag(p, "threads for the Monte-Carlo simulations of fig9")
     p.set_defaults(func=_cmd_figure)
 
-    p = add_parser("validate", parents=[common],
+    p = sub.add_parser("validate", parents=[common],
                        help="closed forms vs the Monte-Carlo oracle")
     p.add_argument("--draws", type=int, default=50)
     p.add_argument("--blocks", type=int, default=1_000_000)
@@ -366,7 +334,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     _add_workers_flag(p, "threads for the Monte-Carlo simulations")
     p.set_defaults(func=_cmd_validate)
 
-    p = add_parser("optimize", parents=[common], help="allocation search")
+    p = sub.add_parser("optimize", parents=[common], help="allocation search")
     p.add_argument("--scheme", choices=tuple(twolayer.CLOSED_FORMS), required=True)
     p.add_argument("--free", type=str, default="alpha,eta1,eta2",
                    help="comma list among alpha,beta,eta1,eta2")
@@ -377,35 +345,29 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p.set_defaults(func=_cmd_optimize)
 
     if config_defaults:
-        for sp in subparsers:
-            sp.set_defaults(**config_defaults)
+        defaults = {key: _flag_text(val) for key, val in config_defaults.items()}
+        for sp in sub.choices.values():
+            sp.set_defaults(**defaults)
     return parser
-
-
-def _extract_config_path(argv) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            return argv[i + 1] if i + 1 < len(argv) else None
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    pre = argparse.ArgumentParser(prog="relaycast", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(argv)[0].config
     config_defaults = None
-    config_path = _extract_config_path(argv)
     if config_path:
         try:
             config_defaults = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(config_defaults, dict):
+                raise ValueError("the top level must be a JSON object")
+        except (OSError, ValueError) as exc:
             print(f"relaycast: cannot read config: {exc}", file=sys.stderr)
             return 1
     args = build_parser(config_defaults).parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"relaycast: {exc}", file=sys.stderr)
         return 1

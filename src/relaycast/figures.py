@@ -139,22 +139,24 @@ def fig4(ps_db=None, ratios=(0.5, 1.0, 2.0), **_):
         {"ps_db": ps_db, "ratios": list(ratios)}
 
 
-def fig5(pr_db=None, ps_db=40.0, **_):
+def fig5(pr_db=None, ps_db=(40.0,), **_):
     """MISO equal vs unequal layering as the relay power varies."""
     pr_db = pr_db or _ps_grid(0.0, 40.0, 4.0)
-    p_s = _db2lin(ps_db)
     rows = []
-    for db in pr_db:
-        cfg = PowerConfig(p_s=p_s, p_r=_db2lin(db), q=1.0)
-        eq2 = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {}, cfg,
-                                  coarse_points=24)
-        uneq2 = maximize_throughput("miso-unequal", ("alpha", "beta", "eta1", "eta2"),
-                                    {}, cfg, coarse_points=12)
-        for scheme, value in (("miso-2-equal", eq2.value), ("miso-2-unequal", uneq2.value)):
-            rows.append({"pr_db": db, "ps_db": ps_db, "scheme": scheme,
-                         "throughput_nats": value})
+    for ps in ps_db:
+        p_s = _db2lin(ps)
+        for db in pr_db:
+            cfg = PowerConfig(p_s=p_s, p_r=_db2lin(db), q=1.0)
+            eq2 = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {}, cfg,
+                                      coarse_points=24)
+            uneq2 = maximize_throughput("miso-unequal", ("alpha", "beta", "eta1", "eta2"),
+                                        {}, cfg, coarse_points=12)
+            for scheme, value in (("miso-2-equal", eq2.value),
+                                  ("miso-2-unequal", uneq2.value)):
+                rows.append({"pr_db": db, "ps_db": ps, "scheme": scheme,
+                             "throughput_nats": value})
     return ["pr_db", "ps_db", "scheme", "throughput_nats"], rows, \
-        {"pr_db": pr_db, "ps_db": ps_db}
+        {"pr_db": pr_db, "ps_db": list(ps_db)}
 
 
 def _oblivious_rows(ps_db, q_db_list, ratios, schemes):

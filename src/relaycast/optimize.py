@@ -100,7 +100,9 @@ def _coordinate_ascent(value: Callable[[list[float]], float],
     """Cyclic golden-section line searches over positions ``coords`` of a point,
     each over ``bounds(i, point)``, from ``start``, a (value, point) pair,
     accepting only strictly improving moves, until a pass moves no position by
-    more than _TOL or ``max_passes`` passes ran.  Returns the final (value, point).
+    more than _TOL or ``max_passes`` passes ran.  One position stops after one
+    pass, since ``bounds`` of a position does not read that position, so a
+    second pass would repeat the same search.  Returns the final (value, point).
     """
     cur_val, cur = start[0], list(start[1])
     for _ in range(max_passes):
@@ -118,7 +120,7 @@ def _coordinate_ascent(value: Callable[[list[float]], float],
                 moved = max(moved, abs(x_new - cur[i]))
                 cur[i] = x_new
                 cur_val = f_new
-        if moved <= _TOL:
+        if moved <= _TOL or len(coords) == 1:
             break
     return cur_val, cur
 
@@ -131,12 +133,14 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     Coarse grid over the free box (feasible points only), then coordinate
     golden-section passes from the 3 best grid points (ties to the earlier
     one), accepting only improving moves, until no parameter shifts by more
-    than 1e-6.  Direct and MISO score the grid in one array call, then
-    rescore with the bit-exact scalar kernel every point within 1e-6
-    (relative) of the third-best, because numpy's exp/log1p may differ from
-    math's in the last ulp and grids hold near-ties; simplex goes point by
-    point.  ``n_evals`` counts each feasible grid point once, plus every
-    refinement step.  ``coarse_points`` must be at least 1.
+    than 1e-6.  With one free parameter the search box does not depend on the
+    start, so only the best grid point is refined, by one line search.
+    Direct and MISO score the grid in one array call, then rescore with the
+    bit-exact scalar kernel every point within 1e-6 (relative) of the
+    third-best, because numpy's exp/log1p may differ from math's in the last
+    ulp and grids hold near-ties; simplex goes point by point.  ``n_evals``
+    counts each feasible grid point once, plus every refinement step.
+    ``coarse_points`` must be at least 1.
     """
     free = [p for p in _PARAM_ORDER if p in set(free_params)]
     if not free:
@@ -168,9 +172,6 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         alpha, beta, eta1, eta2 = x
         if beta_is_alpha:
             beta = alpha
-        if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0 and 0.0 <= eta1 <= eta2 < math.inf):
-            # TwoLayerAllocation raises its ValueError
-            TwoLayerAllocation(alpha=alpha, eta1=eta1, eta2=eta2, beta=beta)
         return rate(alpha, beta, eta1, eta2, cfg.p_s, cfg.p_r)
 
     def value(x: Sequence[float]) -> float:
@@ -186,11 +187,15 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     rows = np.flatnonzero(feasible)
     if not rows.size:
         raise ValueError("empty feasible set on the coarse grid")
+    # the search box keeps free values in the domain, so only fixed values,
+    # the same in every row, can leave it; TwoLayerAllocation raises its ValueError
+    a, b, e1, e2 = (float(v[rows[0]]) for v in (alpha, beta, eta1, eta2))
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= e1 <= e2 < math.inf):
+        TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b)
 
     if form.grid is None:
         scored = [(value(x), x) for x in points[rows].tolist()]
     else:
-        score(points[rows[0]].tolist())  # fixed values outside the domain raise here
         coarse = form.grid(alpha[rows], beta[rows], eta1[rows], eta2[rows], cfg.p_s, cfg.p_r)
         evals += rows.size
         third = np.sort(coarse)[-min(_N_STARTS, rows.size)]
@@ -202,7 +207,7 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     best_val, best = max(
         (_coordinate_ascent(value, start, slots,
                             lambda i, x: _search_box(i, x, beta_ge_alpha))
-         for start in scored[:_N_STARTS]),
+         for start in scored[:_N_STARTS if len(slots) > 1 else 1]),
         key=lambda t: t[0])
     params = {**fixed, **{name: best[i] for name, i in zip(free, slots)}}
     return OptResult(params=params, value=best_val, n_evals=evals, coarse_best=coarse_best)

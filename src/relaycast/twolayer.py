@@ -287,8 +287,6 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig,
     bb = alloc.beta_bar
 
     def exp_k(v: float) -> float:
-        if v <= part.v_lo:
-            return 0.0
         thr = max(_k_scalar(v, ctx), 0.0)
         expo = -thr - v
         return math.exp(expo) if expo > -745.0 else 0.0

@@ -190,7 +190,7 @@ def test_rate_of_a_two_layer_scheme_needs_its_plan():
     assert err.value.code == "this scheme needs --alpha, --eta1 and --eta2"
 
 
-@pytest.mark.parametrize("content", [None, "{not json"])
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
 def test_unreadable_config_exits_with_one_line(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
     if content is not None:
@@ -277,3 +277,44 @@ def test_workers_is_rejected_where_unread_or_below_one(argv, capsys):
     assert err.value.code == 2
     stderr = capsys.readouterr().err
     assert "--workers" in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("argv,csv", [
+    (["rate", "--scheme", "single-user"], ""),
+    (["figure", "fig7", "--q-db", "10", "--ratio", "1"], "fig7.csv"),
+])
+@pytest.mark.parametrize("ps_db", [[5.0], 5])
+def test_config_values_parse_like_flags(tmp_path, capsys, argv, csv, ps_db):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ps_db": ps_db}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), *argv, "--out", str(out)]) == 0
+    assert {r["ps_db"] for r in read_csv(out / csv)} == {"5"}
+    cfg.write_text(json.dumps({"ps_db": "abc"}))
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), *argv])
+    assert err.value.code == 2
+    assert "argument --ps-db: invalid" in capsys.readouterr().err
+
+
+def test_a_bad_seed_variable_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("RELAYCAST_SEED", "abc")
+    with pytest.raises(SystemExit) as err:
+        main(["rate", "--scheme", "single-user"])
+    assert err.value.code == 2
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_validate_bits_converts_its_rate_columns(tmp_path):
+    out = tmp_path / "report.csv"
+    assert main(["validate", "--draws", "1", "--blocks", "20000", "--seed", "7",
+                 "--bits", "--out", str(out)]) == 0
+    assert list(read_csv(out)[0]) == ["scheme", "index", "analytic_bits", "mc_bits",
+                                      "stderr_bits", "z"]
+
+
+def test_figure_fig5_takes_a_source_power_list(tmp_path):
+    assert main(["figure", "fig5", "--ps-db", "30", "--pr-db", "0,20",
+                 "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "fig5.csv")
+    assert [(r["ps_db"], r["pr_db"]) for r in rows] == [("30", "0")] * 2 + [("30", "20")] * 2

@@ -96,6 +96,22 @@ class TestMaximizeThroughput:
                                    "eta2": plan.eta2}, cfg, coarse_points=8)
         assert res.value >= eq - 1e-12
 
+    def test_one_free_parameter_runs_one_line_search(self, monkeypatch):
+        # the box of a lone coordinate does not depend on the start, so every
+        # start and every further pass would repeat the same golden search
+        searches = []
+
+        def counted(*args, **kwargs):
+            searches.append(args[1:3])
+            return golden_section_max(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "golden_section_max", counted)
+        res = maximize_throughput("simplex-unequal", ("beta",),
+                                  {"alpha": 0.7, "eta1": 0.3, "eta2": 1.8},
+                                  PowerConfig(10.0, 10.0, 100.0), coarse_points=10)
+        assert searches == [(0.7, 1.0)]
+        assert (res.value, res.params["beta"]) == (1.0410386128522582, 0.7000002609033692)
+
     def test_reproducible(self):
         cfg = PowerConfig(p_s=3.0, p_r=9.0, q=1.0)
         a = maximize_throughput("miso-unequal", ("alpha", "beta"),

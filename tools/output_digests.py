@@ -21,9 +21,17 @@ Runs, in-process and into a temporary directory:
 * ``validate --draws 2 --blocks 200000 --z-max inf`` at ``--workers 1`` and
   ``--workers 2``, so the Monte-Carlo oracle's bytes beyond fig9 (every
   strategy the corpus draws, and the merge of two threads' partial sums)
-  are covered.
+  are covered;
+* ``--bits`` runs of ``rate`` (``simplex-equal`` at alpha 0.7, eta
+  0.3/1.8, and ``ergodic-miso``), ``sweep --scheme miso-single``,
+  ``optimize --scheme direct --coarse 6`` and ``validate --draws 1
+  --blocks 20000 --z-max inf``;
+* ``figure fig5 --ps-db 30 --pr-db 0,20``, and ``figure fig7`` with a
+  ``--config`` file holding a list value (``ps_db``) and a number value
+  (``q_db``).
 
-A command that exits nonzero prints ``exit <code>`` in place of digests.
+A command that exits nonzero, or exits through argparse, prints ``exit
+<code>`` in place of digests; one that raises prints ``raised <type>``.
 Run it on two checkouts and diff the outputs to see which bytes moved:
 
     python3 tools/output_digests.py > new.txt
@@ -98,6 +106,21 @@ def commands(cli, out: Path):
         csv = f"validate-workers{workers}.csv"
         yield csv, ("validate", "--draws", "2", "--blocks", "200000", "--z-max", "inf",
                     "--workers", workers, "--out", str(out / csv))
+    for name, argv in (
+        ("rate-simplex-equal", ("rate", "--scheme", "simplex-equal", *ALLOC)),
+        ("rate-ergodic-miso", ("rate", "--scheme", "ergodic-miso")),
+        ("sweep-miso-single", ("sweep", "--scheme", "miso-single")),
+        ("optimize-direct", ("optimize", "--scheme", "direct", "--coarse", "6")),
+        ("validate", ("validate", "--draws", "1", "--blocks", "20000", "--z-max", "inf")),
+    ):
+        csv = f"bits-{name}.csv"
+        yield csv, (*argv, "--bits", "--out", str(out / csv))
+    yield "fig5-ps-30/fig5.csv", ("figure", "fig5", "--ps-db", "30", "--pr-db", "0,20",
+                                  "--out", str(out / "fig5-ps-30"))
+    config = out / "config.json"
+    config.write_text('{"ps_db": [10.0, 20.0], "q_db": 20}', encoding="utf-8")
+    yield "config/fig7.csv", ("--config", str(config), "figure", "fig7",
+                              "--out", str(out / "config"))
 
 
 def main() -> int:
@@ -114,9 +137,15 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for csv, argv in commands(cli, out):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(list(argv))
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # report it and go on, so two checkouts diff
+                print(f"raised {type(exc).__name__}  {csv}")
+                continue
             if code:
                 print(f"exit {code}  {csv}")
                 continue
