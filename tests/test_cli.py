@@ -213,9 +213,9 @@ def test_rate_and_sweep_agree_on_every_shared_scheme(tmp_path):
     # one table per kind of scheme: rate at its defaults (P_s = P_r = 10 dB,
     # Q = 20 dB) and a one-point sweep give the same throughput, miso-single
     # included
-    from relaycast import cli
+    from relaycast import figures
 
-    for scheme in (*cli._SINGLE_LAYER, *cli._BOUNDS):
+    for scheme in (*figures._SINGLE_LAYER, *figures._BOUNDS):
         rate_out, sweep_out = tmp_path / f"r-{scheme}.csv", tmp_path / f"s-{scheme}.csv"
         assert main(["rate", "--scheme", scheme, "--out", str(rate_out)]) == 0
         assert main(["sweep", "--scheme", scheme, "--ps-db-start", "10",
@@ -226,7 +226,7 @@ def test_rate_and_sweep_agree_on_every_shared_scheme(tmp_path):
 
 
 def test_two_layer_scheme_names_resolve_through_the_table():
-    from relaycast import cli, twolayer, validation
+    from relaycast import figures, twolayer, validation
     from relaycast.cli import build_parser
 
     def choices(command):
@@ -242,8 +242,8 @@ def test_two_layer_scheme_names_resolve_through_the_table():
         "single-user", "single-sdf", "miso-single", "ergodic-miso",
         "continuous-siso", "continuous-relay", "continuous-miso"}
     assert table <= choices("rate")
-    assert choices("rate") - table == set(cli._SINGLE_LAYER) | set(cli._BOUNDS)
-    assert choices("sweep") == set(cli._SINGLE_LAYER) | set(cli._BOUNDS) | {
+    assert choices("rate") - table == set(figures._SINGLE_LAYER) | set(figures._BOUNDS)
+    assert choices("sweep") == set(figures._SINGLE_LAYER) | set(figures._BOUNDS) | {
         "direct-2", "simplex-equal", "simplex-unequal-opt", "miso-equal"}
     assert set(validation.SCHEMES) - table == {"single-layer-SDF"}
     assert table <= set(validation.SCHEMES)
@@ -318,3 +318,78 @@ def test_figure_fig5_takes_a_source_power_list(tmp_path):
                  "--out", str(tmp_path)]) == 0
     rows = read_csv(tmp_path / "fig5.csv")
     assert [(r["ps_db"], r["pr_db"]) for r in rows] == [("30", "0")] * 2 + [("30", "20")] * 2
+
+
+def _preset_parsers():
+    from relaycast.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    figure = sub.choices["figure"]
+    return next(a for a in figure._actions if a.dest == "name").choices
+
+
+def test_each_preset_takes_exactly_the_grid_flags_of_its_signature():
+    import inspect
+
+    from relaycast import figures
+
+    common = {"-h", "--help", "--out", "--bits", "--seed", "--workers"}
+    parsers = _preset_parsers()
+    assert set(parsers) == set(figures.PRESETS)
+    pairs = 0
+    for name, preset in figures.PRESETS.items():
+        options = {flag for action in parsers[name]._actions for flag in action.option_strings}
+        assert "--workers" in options  # the benchmark passes it to every preset
+        flags = options - common
+        params = {flag[2:].replace("-", "_") for flag in flags}
+        params = {"ratios" if p == "ratio" else p for p in params}
+        assert params == set(inspect.signature(preset).parameters) - {"seed", "workers"}, name
+        pairs += len(flags)
+    assert pairs == 20
+
+
+def test_a_grid_flag_the_preset_does_not_read_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["figure", "fig3", "--ps-db", "10", "--q-db", "5", "--out", str(tmp_path)])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "unrecognized arguments: --q-db 5" in stderr and "Traceback" not in stderr
+    assert not (tmp_path / "fig3.csv").exists()
+
+
+def test_config_keys_a_preset_does_not_take_are_ignored(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q_db": [15.0], "blocks": 7}))
+    plain, configured = tmp_path / "plain", tmp_path / "configured"
+    assert main(["figure", "fig3", "--ps-db", "10", "--out", str(plain)]) == 0
+    assert main(["--config", str(cfg), "figure", "fig3", "--ps-db", "10",
+                 "--out", str(configured)]) == 0
+    for name in ("fig3.csv", "fig3.csv.manifest.json"):
+        assert (plain / name).read_bytes() == (configured / name).read_bytes()
+    assert json.loads((plain / "fig3.csv.manifest.json").read_text())["grid"] == {
+        "ps_db": [10.0]}
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["figure", "fig6", "--ps-db", ",", "--q-db", "15"], None),
+    (["sweep", "--scheme", "single-user", "--q-db", ","], None),
+    (["figure", "fig7"], {"ps_db": []}),
+])
+def test_an_empty_list_is_a_usage_error(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), *argv]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "no values in" in stderr and "Traceback" not in stderr
+
+
+def test_validate_calls_an_undecidable_convention_check_inconclusive(capsys):
+    # at 2,000 blocks the two readings lie only ~8 z apart
+    assert main(["validate", "--draws", "1", "--blocks", "2000", "--z-max", "inf"]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("convention-check"))
+    assert line.endswith("(inconclusive)")

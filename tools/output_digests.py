@@ -28,7 +28,13 @@ Runs, in-process and into a temporary directory:
   --blocks 20000 --z-max inf``;
 * ``figure fig5 --ps-db 30 --pr-db 0,20``, and ``figure fig7`` with a
   ``--config`` file holding a list value (``ps_db``) and a number value
-  (``q_db``).
+  (``q_db``);
+* ``figure fig3 --ps-db 10 --q-db 5`` (a grid flag fig3 does not take) and
+  ``figure fig3 --ps-db 10`` with a ``--config`` file holding ``q_db`` and
+  ``blocks``, which fig3 does not take either;
+* ``validate --draws 1 --blocks 2000 --z-max inf``, where the convention
+  check cannot separate the two readings, and ``sweep --scheme single-user
+  --q-db ,`` (an empty list).
 
 A command that exits nonzero, or exits through argparse, prints ``exit
 <code>`` in place of digests; one that raises prints ``raised <type>``.
@@ -121,6 +127,17 @@ def commands(cli, out: Path):
     config.write_text('{"ps_db": [10.0, 20.0], "q_db": 20}', encoding="utf-8")
     yield "config/fig7.csv", ("--config", str(config), "figure", "fig7",
                               "--out", str(out / "config"))
+    yield "fig3-ps-10-q-5/fig3.csv", ("figure", "fig3", "--ps-db", "10", "--q-db", "5",
+                                      "--out", str(out / "fig3-ps-10-q-5"))
+    config = out / "config-fig3.json"
+    config.write_text('{"q_db": [15.0], "blocks": 7}', encoding="utf-8")
+    yield "config-fig3/fig3.csv", ("--config", str(config), "figure", "fig3",
+                                   "--ps-db", "10", "--out", str(out / "config-fig3"))
+    csv = "validate-2000-blocks.csv"
+    yield csv, ("validate", "--draws", "1", "--blocks", "2000", "--z-max", "inf",
+                "--out", str(out / csv))
+    csv = "sweep-empty-q-db.csv"
+    yield csv, ("sweep", "--scheme", "single-user", "--q-db", ",", "--out", str(out / csv))
 
 
 def main() -> int:
