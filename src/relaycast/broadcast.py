@@ -16,16 +16,20 @@ fading distribution replaced by that of s (see docs/conformance.md).
 :func:`continuous_layering` alone picks the density and distribution of the
 ``siso``, ``relay`` and ``miso`` schemes, for the bounds, the Monte-Carlo
 ``layered-continuous`` strategy and the figure presets alike.
+
+:func:`broadcast_rate` integrates by a fixed rule, 64-node Gauss-Legendre on
+8 panels crowded geometrically toward u0, in one array call.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from .model import PowerConfig
 
@@ -244,17 +248,42 @@ def cumulative_rate(density: PowerDensity, points: int,
     return us, np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(us))))
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], n even: Newton's method on the three-term Legendre recurrence
+    from the Tricomi estimates of the positive roots, mirrored."""
+    x = np.cos(np.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 2e-16:
+            break
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return np.concatenate((-x, x[::-1])), np.concatenate((w, w[::-1]))
+
+
 def broadcast_rate(density: PowerDensity, dist: FadingDistribution) -> float:
-    """Average decoded rate int_{u0}^{u1} (1 - F(u)) u rho(u) / (1 + u I(u)) du."""
-    rho = _layering_density(density)
-    cdf, i_of_u = dist.cdf, density.i_of_u
+    """Average decoded rate int_{u0}^{u1} (1 - F(u)) u rho(u) / (1 + u I(u)) du.
 
-    def integrand(u: float) -> float:
-        return (1.0 - float(cdf(u))) * u * float(rho(u)) / (1.0 + u * float(i_of_u(u)))
-
-    val, _ = integrate.quad(integrand, density.u0, density.u1,
-                            epsabs=1e-10, epsrel=1e-10, limit=400)
-    return val
+    Fixed rule: 64-node Gauss-Legendre on each of 8 panels whose edges are
+    u0 + (u1 - u0) * {0, 1e-6, ..., 1} (geometric toward u0), every node in
+    one call of the density's and the distribution's array callables.
+    """
+    x, w = _gauss_legendre(64)
+    # geometric toward u0, where a high-power integrand is steepest; uniform
+    # panels are off by up to 2.3e-2 relative (miso, 80 dB, P_r/P_s = 1000)
+    fractions = np.concatenate(([0.0], np.geomspace(1e-6, 1.0, 8)))
+    edges = density.u0 + (density.u1 - density.u0) * fractions
+    half = 0.5 * np.diff(edges)[:, None]
+    u = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * x).ravel()
+    rho = _layering_density(density)(u)
+    integrand = (1.0 - dist.cdf(u)) * u * rho / (1.0 + u * density.i_of_u(u))
+    return float(np.sum((half * w).ravel() * integrand))
 
 
 def siso_broadcast_rate(p_s: float) -> float:

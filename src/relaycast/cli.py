@@ -313,8 +313,14 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p.set_defaults(func=_cmd_optimize)
 
     if config_defaults:
+        subparsers = (*sub.choices.values(), *presets.choices.values())
+        options = {a.dest for sp in (parser, *subparsers) for a in sp._actions
+                   if a.option_strings}
+        unknown = sorted(set(config_defaults) - options)
+        if unknown:
+            raise ValueError(f"config keys that name no option: {', '.join(unknown)}")
         defaults = {key: _flag_text(val) for key, val in config_defaults.items()}
-        for sp in (*sub.choices.values(), *presets.choices.values()):
+        for sp in subparsers:
             sp.set_defaults(**defaults)
     return parser
 
@@ -333,7 +339,12 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"relaycast: cannot read config: {exc}", file=sys.stderr)
             return 1
-    args = build_parser(config_defaults).parse_args(argv)
+    try:
+        parser = build_parser(config_defaults)
+    except ValueError as exc:  # a config key that names no option
+        print(f"relaycast: {exc}", file=sys.stderr)
+        return 2
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:

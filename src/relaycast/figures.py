@@ -17,7 +17,7 @@ import numpy as np
 from . import broadcast, twolayer
 from .model import PowerConfig
 from .montecarlo import SimConfig, simulate_strategy
-from .optimize import (_coordinate_ascent, maximize_throughput,
+from .optimize import (_coordinate_ascent, _unequal_from_equal, maximize_throughput,
                        miso_single_layer_rate, oblivious_rate_plan)
 from .outage import (ergodic_miso_capacity, miso_single_layer_throughput,
                      optimal_single_user_rate, sdf_single_layer_throughput,
@@ -135,8 +135,7 @@ def _miso_two_layer(cfg: PowerConfig) -> tuple[float, float]:
     """fig4's and fig5's optimized two-layer MISO rates: (equal, unequal split)."""
     equal = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {}, cfg,
                                 coarse_points=24)
-    unequal = maximize_throughput("miso-unequal", ("alpha", "beta", "eta1", "eta2"), {}, cfg,
-                                  coarse_points=12)
+    unequal = _unequal_from_equal(equal, ("alpha", "beta", "eta1", "eta2"), {}, cfg)
     return equal.value, unequal.value
 
 

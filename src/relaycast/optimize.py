@@ -4,6 +4,9 @@ All searches are a dense coarse grid followed by coordinate-wise
 golden-section refinement: the objectives are cheap, at most
 four-dimensional, and may be non-smooth at branch boundaries of the closed
 forms, so an auditable deterministic search beats stochastic methods here.
+``miso-unequal`` with beta free has no grid of its own: the unequal split
+contains the equal one (beta = alpha), so it refines the ``miso-equal``
+optimum over all free parameters.
 No randomness anywhere; rerunning returns bit-identical output.
 """
 
@@ -139,8 +142,15 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     bit-exact scalar kernel every point within 1e-6 (relative) of the
     third-best, because numpy's exp/log1p may differ from math's in the last
     ulp and grids hold near-ties; simplex goes point by point.  ``n_evals``
-    counts each feasible grid point once, plus every refinement step.
-    ``coarse_points`` must be at least 1.
+    counts each feasible grid point once, plus every refinement step, and
+    ``coarse_best`` is the best grid value.  ``coarse_points`` must be at
+    least 1.
+
+    ``miso-unequal`` with beta and another parameter free has no grid: the
+    ``miso-equal`` search over the other free parameters (at
+    ``coarse_points``) gives the start, with beta = alpha, of one ascent
+    over all of them (_unequal_from_equal).  ``n_evals`` counts both
+    searches and ``coarse_best`` is the equal search's.
     """
     free = [p for p in _PARAM_ORDER if p in set(free_params)]
     if not free:
@@ -149,6 +159,10 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         raise ValueError(f"free_params must be among {_PARAM_ORDER}")
     if scheme not in twolayer.CLOSED_FORMS:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "miso-unequal" and "beta" in free and len(free) > 1:
+        equal = maximize_throughput("miso-equal", [p for p in free if p != "beta"],
+                                    fixed, cfg, coarse_points)
+        return _unequal_from_equal(equal, free, fixed, cfg)
     n_pts = _COARSE_BY_DIM[len(free)] if coarse_points is None else coarse_points
     if n_pts < 1:
         raise ValueError(f"coarse_points must be at least 1, got {n_pts}")
@@ -211,6 +225,30 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         key=lambda t: t[0])
     params = {**fixed, **{name: best[i] for name, i in zip(free, slots)}}
     return OptResult(params=params, value=best_val, n_evals=evals, coarse_best=coarse_best)
+
+
+def _unequal_from_equal(equal: OptResult, free: Sequence[str],
+                        fixed: Mapping[str, float], cfg: PowerConfig) -> OptResult:
+    """The miso-unequal optimum over ``free`` (beta among them), by one
+    coordinate ascent from ``equal``, a miso-equal result over the other free
+    parameters, with beta = alpha: the unequal split contains the equal one.
+    ``n_evals`` adds the ascent's evaluations, the scored start included, to
+    ``equal``'s, and ``coarse_best`` is ``equal``'s."""
+    evals = 0
+    rate = twolayer._miso_unequal_two_layer_rate
+
+    def value(x: Sequence[float]) -> float:
+        nonlocal evals
+        evals += 1
+        return rate(*x, cfg.p_s, cfg.p_r)
+
+    p = equal.params
+    start = [p["alpha"], p["alpha"], p["eta1"], p["eta2"]]
+    slots = sorted(_PARAM_ORDER.index(name) for name in free)
+    best_val, best = _coordinate_ascent(value, (value(start), start), slots, _search_box)
+    params = {**fixed, **{_PARAM_ORDER[i]: best[i] for i in slots}}
+    return OptResult(params=params, value=best_val, n_evals=equal.n_evals + evals,
+                     coarse_best=equal.coarse_best)
 
 
 def oblivious_rate_plan(p_s: float, n_layers: int = 2) -> TwoLayerAllocation:

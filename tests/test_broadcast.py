@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from relaycast import (PowerConfig, optimal_power_density, rayleigh_distribution,
+from relaycast import (PowerConfig, broadcast, optimal_power_density, rayleigh_distribution,
                        relay_or_miso_broadcast_bound, siso_broadcast_rate,
                        single_user_throughput, optimal_single_user_rate,
                        sum_fading_distribution, broadcast_rate, PowerDensity)
@@ -142,6 +142,48 @@ class TestBroadcastRate:
             rho_of_u=lambda u: np.asarray(d.rho_of_u(np.asarray(u) / c)) / c ** 2)
         assert broadcast_rate(scaled_density, scaled_dist) == pytest.approx(
             broadcast_rate(d, dist), abs=1e-9)
+
+
+DB_GRID = np.arange(-20.0, 80.1, 5.0)
+
+
+def quad_rate(density, dist):
+    """broadcast_rate's integral by adaptive quadrature, point by point."""
+    rho = broadcast._layering_density(density)
+
+    def integrand(u):
+        return ((1.0 - float(dist.cdf(u))) * u * float(rho(u))
+                / (1.0 + u * float(density.i_of_u(u))))
+
+    return integrate.quad(integrand, density.u0, density.u1,
+                          epsabs=1e-10, epsrel=1e-10, limit=400)[0]
+
+
+class TestFixedRule:
+    def test_nodes_and_weights_match_numpy(self):
+        x, w = broadcast._gauss_legendre(64)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(64)
+        np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(w, ref_w, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("ps_db", DB_GRID)
+    def test_siso_matches_the_closed_form(self, ps_db):
+        # 2 E1(s0) - 2 E1(1) - (e^{-s0} - e^{-1}), s0 = 2 / (1 + sqrt(1 + 4 P_s))
+        p_s = 10.0 ** (ps_db / 10.0)
+        s0 = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * p_s))
+        exact = (2.0 * (special.exp1(s0) - special.exp1(1.0))
+                 - (math.exp(-s0) - math.exp(-1.0)))
+        assert siso_broadcast_rate(p_s) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["relay", "miso"])
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0, 1000.0])
+    def test_relay_and_miso_match_adaptive_quadrature(self, mode, ratio):
+        for ps_db in DB_GRID:
+            p_s = 10.0 ** (ps_db / 10.0)
+            density, dist, _ = broadcast.continuous_layering(
+                PowerConfig(p_s=p_s, p_r=ratio * p_s, q=1.0), mode)
+            assert broadcast_rate(density, dist) == pytest.approx(
+                quad_rate(density, dist), rel=1e-12), ps_db
 
 
 class TestRelayBounds:

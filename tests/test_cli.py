@@ -370,6 +370,21 @@ def test_config_keys_a_preset_does_not_take_are_ignored(tmp_path):
         "ps_db": [10.0]}
 
 
+@pytest.mark.parametrize("config", [
+    {"ratios": [2.0]},  # the manifest's grid key; the option is ratio
+    {"ps-db": [5.0], "ps_db": [10.0]},  # the flag's spelling
+])
+def test_a_config_key_that_names_no_option_is_rejected(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), "figure", "fig7", "--ps-db", "10", "--q-db", "10",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("relaycast: config keys that name no option: ")
+    assert err.count("\n") == 1 and next(iter(config)) in err
+    assert not (tmp_path / "fig7.csv").exists()
+
+
 @pytest.mark.parametrize("argv,config", [
     (["figure", "fig6", "--ps-db", ",", "--q-db", "15"], None),
     (["sweep", "--scheme", "single-user", "--q-db", ","], None),

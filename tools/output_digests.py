@@ -3,9 +3,11 @@
 
 Runs, in-process and into a temporary directory:
 
-* ``figure fig2`` .. ``fig9`` at their default grids, and ``fig3`` and
-  ``fig4`` (at P_r/P_s 1 and 10) again at 70, 75 and 80 dB, where the
-  8-layer polish is nearest its stopping rule;
+* ``figure fig2`` .. ``fig9`` at their default grids, ``fig2`` again at
+  50, 65 and 80 dB, where the continuous bounds' integrands are steepest
+  near the lower layering boundary, and ``fig3`` and ``fig4`` (at P_r/P_s
+  1 and 10) again at 70, 75 and 80 dB, where the 8-layer polish is
+  nearest its stopping rule;
 * ``sweep`` for every scheme it offers, at ``--q-db 15,20 --ratio 0.5,1``
   over 0..20 dB in 5 dB steps, and ``simplex-equal`` again at ``--q-db 20
   --ratio 1`` over 50..80 dB in 10 dB steps;
@@ -87,6 +89,8 @@ def commands(cli, out: Path):
     for name, extra in (("fig3", ()), ("fig4", ("--ratio", "1,10"))):
         yield f"high-power/{name}.csv", ("figure", name, "--ps-db", "70,75,80", *extra,
                                          "--out", str(out / "high-power"))
+    yield "high-power/fig2.csv", ("figure", "fig2", "--ps-db", "50,65,80",
+                                  "--out", str(out / "high-power"))
     for scheme in sorted(_scheme_choices(parser, "sweep")):
         csv = f"sweep-{scheme}.csv"
         yield csv, ("sweep", "--scheme", scheme, "--q-db", "15,20", "--ratio", "0.5,1",
