@@ -55,14 +55,14 @@ _SUM_FADING_EQUAL_ATOL = 1e-6
 class FadingDistribution:
     """CDF/PDF pair of the decode-governing fading variable.
 
-    All callables accept scalars or numpy arrays.  ``pdf_prime`` is optional;
-    when present it enables the closed-form layering density.
+    All callables accept scalars or numpy arrays; ``pdf_prime`` is the
+    derivative of ``pdf``, which the closed-form layering density reads.
     """
 
     cdf: Callable
     pdf: Callable
     label: str
-    pdf_prime: Callable | None = None
+    pdf_prime: Callable
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,14 @@ class PowerDensity:
     """Residual interference profile I(u) with its active range [u0, u1].
 
     I(u0) = total_power, I(u1) = 0 and I is nonincreasing in between.
-    ``rho_of_u`` is -dI/du when available in closed form.
+    ``rho_of_u`` is the layering density -dI/du in closed form.
     """
 
     i_of_u: Callable
     u0: float
     u1: float
     total_power: float
-    rho_of_u: Callable | None = None
+    rho_of_u: Callable
 
 
 def rayleigh_distribution() -> FadingDistribution:
@@ -179,37 +179,16 @@ def optimal_power_density(total_power: float, dist: FadingDistribution) -> Power
                        np.where(u_arr >= u1, 0.0, np.clip(mid, 0.0, total_power)))
         return out if out.ndim else float(out)
 
-    rho_of_u = None
-    if dist.pdf_prime is not None:
-        fprime = dist.pdf_prime
-
-        def rho_of_u(u):
-            # -d/du of the unclipped profile: (1-F)(2f + u f') / (u^3 f^2)
-            u_arr = np.asarray(u, dtype=float)
-            f = pdf(u_arr)
-            val = (1.0 - cdf(u_arr)) * (2.0 * f + u_arr * fprime(u_arr)) / (u_arr ** 3 * f * f)
-            out = np.where((u_arr > u0) & (u_arr < u1), val, 0.0)
-            return out if out.ndim else float(out)
+    def rho_of_u(u):
+        # -d/du of the unclipped profile: (1-F)(2f + u f') / (u^3 f^2)
+        u_arr = np.asarray(u, dtype=float)
+        f = pdf(u_arr)
+        val = (1.0 - cdf(u_arr)) * (2.0 * f + u_arr * dist.pdf_prime(u_arr)) / (u_arr ** 3 * f * f)
+        out = np.where((u_arr > u0) & (u_arr < u1), val, 0.0)
+        return out if out.ndim else float(out)
 
     return PowerDensity(i_of_u=i_of_u, u0=u0, u1=u1, total_power=total_power,
                         rho_of_u=rho_of_u)
-
-
-def _layering_density(density: PowerDensity) -> Callable:
-    """rho = -dI/du on scalars or arrays: ``rho_of_u`` when the density has
-    it, else a central difference whose step balances roundoff against
-    curvature, with the stencil kept inside the active range."""
-    if density.rho_of_u is not None:
-        return density.rho_of_u
-
-    def rho(u):
-        u = np.asarray(u, dtype=float)
-        h = 6e-6 * np.maximum(np.abs(u), density.u1 - density.u0)
-        a, b = np.maximum(density.u0, u - h), np.minimum(density.u1, u + h)
-        out = (density.i_of_u(a) - density.i_of_u(b)) / (b - a)
-        return out if out.ndim else float(out)
-
-    return rho
 
 
 def continuous_layering(cfg: PowerConfig, mode: Literal["siso", "relay", "miso"]
@@ -241,7 +220,7 @@ def cumulative_rate(density: PowerDensity, points: int,
     us = np.linspace(density.u0, density.u1, points)
     inner = us[1:-1]
     weight = 1.0 if dist is None else 1.0 - np.asarray(dist.cdf(inner), dtype=float)
-    rho = np.asarray(_layering_density(density)(inner), dtype=float)
+    rho = np.asarray(density.rho_of_u(inner), dtype=float)
     i_vals = np.asarray(density.i_of_u(inner), dtype=float)
     g = np.zeros_like(us)
     g[1:-1] = weight * inner * rho / (1.0 + inner * i_vals)  # reordering moves fig3/fig4 bits
@@ -281,7 +260,7 @@ def broadcast_rate(density: PowerDensity, dist: FadingDistribution) -> float:
     edges = density.u0 + (density.u1 - density.u0) * fractions
     half = 0.5 * np.diff(edges)[:, None]
     u = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * x).ravel()
-    rho = _layering_density(density)(u)
+    rho = density.rho_of_u(u)
     integrand = (1.0 - dist.cdf(u)) * u * rho / (1.0 + u * density.i_of_u(u))
     return float(np.sum((half * w).ravel() * integrand))
 

@@ -60,7 +60,7 @@ def _db2lin(db: float) -> float:
 
 
 def _ps_grid(start=0.0, stop=25.0, step=2.5) -> list[float]:
-    n = int(round((stop - start) / step))
+    n = math.floor((stop - start) / step + 1e-9)  # never past stop
     return [start + i * step for i in range(n + 1)]
 
 

@@ -41,8 +41,8 @@ _TOL = 1e-6  # coordinate passes stop once no parameter moves by more
 _MAX_PASSES = 40
 _N_STARTS = 3  # coarse-grid points refined by maximize_throughput
 # array-scored grid points within this of the third-best are rescored on the
-# scalar kernel; it covers the array kernels' rounding, which _seg's
-# difference quotient amplifies for slopes near 1
+# scalar kernel; it covers the last-ulp gaps between numpy's and math's
+# exp/log1p in the direct and miso-equal grids
 _SHORTLIST_RTOL = 1e-6
 
 
@@ -138,13 +138,13 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     one), accepting only improving moves, until no parameter shifts by more
     than 1e-6.  With one free parameter the search box does not depend on the
     start, so only the best grid point is refined, by one line search.
-    Direct and MISO score the grid in one array call, then rescore with the
-    bit-exact scalar kernel every point within 1e-6 (relative) of the
+    Direct and miso-equal score the grid in one array call, then rescore with
+    the bit-exact scalar kernel every point within 1e-6 (relative) of the
     third-best, because numpy's exp/log1p may differ from math's in the last
-    ulp and grids hold near-ties; simplex goes point by point.  ``n_evals``
-    counts each feasible grid point once, plus every refinement step, and
-    ``coarse_best`` is the best grid value.  ``coarse_points`` must be at
-    least 1.
+    ulp and grids hold near-ties; miso-unequal and simplex go point by point.
+    ``n_evals`` counts each feasible grid point once, plus every refinement
+    step, and ``coarse_best`` is the best grid value.  ``coarse_points`` must
+    be at least 1.
 
     ``miso-unequal`` with beta and another parameter free has no grid: the
     ``miso-equal`` search over the other free parameters (at

@@ -157,15 +157,6 @@ def _seg(lo: float, hi: float, slope: float, anchor: float) -> float:
     return (point(hi) - point(lo)) / (slope - 1.0)
 
 
-def _seg_grid(lo, hi, slope, anchor) -> np.ndarray:
-    """_seg over arrays; lanes it sends to 0 may overflow (call under errstate)."""
-    expos = [-v - slope * (anchor - v) for v in (hi, lo)]
-    p_hi, p_lo = (np.where(e > -745.0, np.exp(e), 0.0) for e in expos)
-    out = np.where(np.abs(slope - 1.0) < 1e-9, np.exp(-anchor) * (hi - lo),
-                   (p_hi - p_lo) / (slope - 1.0))
-    return np.where((hi <= lo) | np.isinf(slope), 0.0, out)
-
-
 def _miso_unequal_parts(alpha: float, beta: float, eta1: float, eta2: float,
                         p_s: float, p_r: float) -> tuple[float, float, float, float]:
     """(r1, r2, p1, p_both) of miso_unequal_throughput, clipped as
@@ -212,36 +203,6 @@ def _miso_unequal_two_layer_rate(alpha: float, beta: float, eta1: float, eta2: f
     return r1 * p1 + r2 * p_both
 
 
-def _miso_unequal_grid(alpha, beta, eta1, eta2, p_s: float, p_r: float) -> np.ndarray:
-    """_miso_unequal_two_layer_rate over arrays, to rounding.  Every branch
-    runs on every lane and np.where picks, so the lanes not picked may
-    divide by zero or overflow; errstate keeps that silent."""
-    if p_r == 0.0:
-        return _direct_grid(alpha, beta, eta1, eta2, p_s, p_r)
-    e1, e2 = eta1, eta2
-    with np.errstate(all="ignore"):
-        ab, bb = 1.0 - alpha, 1.0 - beta
-        d = beta + e1 * p_s * (beta - alpha)
-        n = np.where(bb > 0.0, ab * p_s / (bb * p_r), np.inf)
-        k = alpha * p_s / (d * p_r)
-        kk = -k
-        v1 = np.where(np.isinf(n) | (k * e1 <= n * e2), 0.0,
-                      np.minimum(np.maximum((n * e2 - k * e1) / (n - k), 0.0), e1))
-        v2 = (n * e2 - k * e1) / (n - k)
-        expo = -v2 - kk * (v2 - e1)
-        vertical = np.abs(d) <= 1e-12 * np.maximum(1.0, beta + e1 * p_s * (beta + alpha))
-        p1 = np.where(vertical, np.exp(-e1), np.where(
-            d > 0.0, np.exp(-e1) + _seg_grid(0.0, e1, k, e1), np.exp(-e1) * kk / (1.0 + kk)))
-        p_both = np.where(vertical, np.exp(-e2) + _seg_grid(e1, e2, n, e2), np.where(
-            d > 0.0, np.exp(-e2) + _seg_grid(v1, e2, n, e2) + _seg_grid(0.0, v1, k, e1),
-            np.exp(-e2) + _seg_grid(v2, e2, n, e2)
-            - np.where(expo > -745.0, np.exp(expo) / (1.0 + kk), 0.0)))
-    p1 = np.clip(p1, 0.0, 1.0)
-    r1 = np.log1p(e1 * p_s) - np.log1p(e1 * ab * p_s)
-    r2 = np.log1p(e2 * ab * p_s)
-    return r1 * p1 + r2 * np.where(r2 == 0.0, p1, np.clip(p_both, 0.0, p1))
-
-
 def miso_unequal_throughput(alloc: TwoLayerAllocation, p_s: float,
                             p_r: float) -> ThroughputResult:
     """Two-layer MISO with an independent relay power split beta.
@@ -268,13 +229,10 @@ def miso_max_throughput(alloc: TwoLayerAllocation, p_s: float) -> ThroughputResu
     return ThroughputResult.build(r1, r2, p1, min(p_both, p1))
 
 
-def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig,
-                        x: float | None = None) -> ThroughputResult:
-    """Simplex assembly; ``x`` overrides the relay decoding time (used for
-    limit analyses such as the infinite collocation gain)."""
+def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> ThroughputResult:
+    """Simplex assembly: the relay forwards from its decoding time of layer 2."""
     r1, r2 = layer_rates(alloc, cfg.p_s)
-    if x is None:
-        x = decoding_times(alloc, cfg).eps2
+    x = decoding_times(alloc, cfg).eps2
     # a relay that never decodes within the block, or is silent, leaves the
     # source alone
     if x >= 1.0 or cfg.p_r == 0.0:
@@ -331,8 +289,9 @@ def simplex_unequal_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> T
 
 class _TwoLayerForm(NamedTuple):
     """A CLOSED_FORMS entry; calling it evaluates the closed form.  ``rate``
-    and ``grid`` give r_av from unchecked (alpha, beta, eta1, eta2, p_s,
-    p_r), on floats bit for bit and on arrays to rounding."""
+    (direct and MISO) gives r_av from unchecked floats (alpha, beta, eta1,
+    eta2, p_s, p_r) bit for bit; ``grid`` (direct and miso-equal only) gives
+    it from arrays, to rounding."""
 
     closed_form: Callable[[TwoLayerAllocation, PowerConfig], ThroughputResult]
     rate: Callable[..., float] | None = None
@@ -359,7 +318,7 @@ CLOSED_FORMS: dict[str, _TwoLayerForm] = {
         _miso_equal_two_layer_rate, _miso_equal_grid),
     "miso-unequal": _TwoLayerForm(
         lambda a, cfg: miso_unequal_throughput(a, cfg.p_s, cfg.p_r),
-        _miso_unequal_two_layer_rate, _miso_unequal_grid),
+        _miso_unequal_two_layer_rate),
     "simplex-equal": _TwoLayerForm(lambda a, cfg: simplex_equal_throughput(a, cfg)),
     "simplex-unequal": _TwoLayerForm(lambda a, cfg: simplex_unequal_throughput(a, cfg)),
 }

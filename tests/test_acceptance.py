@@ -17,7 +17,6 @@ from relaycast.bounds import _k_values
 from relaycast.montecarlo import SimConfig, simulate_strategy
 from relaycast.optimize import (horizontal_db_gain, maximize_throughput,
                                 oblivious_rate_plan)
-from relaycast.twolayer import _simplex_throughput
 from relaycast.validation import convention_arbitration, run_validation
 
 CORPUS_SEED = 20_240_001
@@ -301,7 +300,8 @@ def test_criterion_11_non_convergence(plan_cache):
     assert 0.0 < x_inf < 1.0
     cfg60 = PowerConfig(p_s=p, p_r=p, q=db2lin(60.0))
     simplex60 = rc.simplex_equal_throughput(plan, cfg60).r_av
-    limit = _simplex_throughput(plan, cfg60, x=x_inf).r_av
+    # Q -> infinity: the relay decodes at x_inf
+    limit = rc.simplex_equal_throughput(plan, PowerConfig(p_s=p, p_r=p, q=1e30)).r_av
     miso = rc.miso_equal_throughput((plan.eta1, plan.eta2),
                                     (plan.alpha, plan.alpha_bar), p, p).r_av
     print(f"  simplex(Q=60dB) = {simplex60:.5f}, limit = {limit:.5f}, "

@@ -85,6 +85,18 @@ class TestOptimalPowerDensity:
                                                 r"\(a=1e\+07\).*u1 = 10000"):
             optimal_power_density(0.01, dist)
 
+    @pytest.mark.parametrize("ps_db", [-20.0, 10.0, 50.0])
+    @pytest.mark.parametrize("mode,ratio", [("siso", 0.0), ("relay", 2.0), ("miso", 0.5),
+                                            ("miso", 1.0), ("miso", 2.0)])
+    def test_rho_is_the_central_difference_of_i(self, mode, ratio, ps_db):
+        p_s = 10.0 ** (ps_db / 10.0)
+        d, _, _ = broadcast.continuous_layering(
+            PowerConfig(p_s=p_s, p_r=ratio * p_s, q=1.0), mode)
+        u = np.linspace(d.u0, d.u1, 41)[1:-1]
+        h = 1e-6 * (d.u1 - d.u0)
+        numeric = (d.i_of_u(u - h) - d.i_of_u(u + h)) / (2.0 * h)
+        np.testing.assert_allclose(d.rho_of_u(u), numeric, rtol=1e-6)
+
     def test_monotone_profile_and_nonnegative_density(self):
         d = optimal_power_density(10.0, sum_fading_distribution(1.5))
         us = np.linspace(d.u0, d.u1, 10_000)
@@ -120,14 +132,6 @@ class TestBroadcastRate:
         best = single_user_throughput(optimal_single_user_rate(p_s), p_s).r_av
         assert siso_broadcast_rate(p_s) >= best
 
-    def test_numeric_rho_fallback_matches_analytic(self):
-        dist = rayleigh_distribution()
-        d = optimal_power_density(5.0, dist)
-        stripped = PowerDensity(i_of_u=d.i_of_u, u0=d.u0, u1=d.u1,
-                                total_power=d.total_power, rho_of_u=None)
-        assert broadcast_rate(stripped, dist) == pytest.approx(
-            broadcast_rate(d, dist), abs=1e-6)
-
     def test_reparameterization_invariance(self):
         # stretching the fading axis by c leaves the rate unchanged
         c = 3.0
@@ -135,7 +139,8 @@ class TestBroadcastRate:
         d = optimal_power_density(4.0, dist)
         scaled_dist = type(dist)(cdf=lambda s: dist.cdf(np.asarray(s) / c),
                                  pdf=lambda s: dist.pdf(np.asarray(s) / c) / c,
-                                 pdf_prime=None, label="scaled")
+                                 pdf_prime=lambda s: dist.pdf_prime(np.asarray(s) / c) / c ** 2,
+                                 label="scaled")
         scaled_density = PowerDensity(
             i_of_u=lambda u: np.asarray(d.i_of_u(np.asarray(u) / c)) / c,
             u0=d.u0 * c, u1=d.u1 * c, total_power=d.total_power / c,
@@ -149,7 +154,7 @@ DB_GRID = np.arange(-20.0, 80.1, 5.0)
 
 def quad_rate(density, dist):
     """broadcast_rate's integral by adaptive quadrature, point by point."""
-    rho = broadcast._layering_density(density)
+    rho = density.rho_of_u
 
     def integrand(u):
         return ((1.0 - float(dist.cdf(u))) * u * float(rho(u))

@@ -90,6 +90,14 @@ def test_sweep_grid_order_and_workers(tmp_path):
     assert vals == sorted(vals)
 
 
+@pytest.mark.parametrize("step,want", [("0.6", ["0", "0.6"]), ("0.4", ["0", "0.4", "0.8"])])
+def test_sweep_grid_stops_at_or_below_its_stop(tmp_path, step, want):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scheme", "single-user", "--ps-db-start", "0",
+                 "--ps-db-stop", "1", "--ps-db-step", step, "--out", str(out)]) == 0
+    assert [r["ps_db"] for r in read_csv(out)] == want
+
+
 def test_sweep_plans_once_per_source_power(tmp_path, monkeypatch):
     import relaycast.figures as figures
 

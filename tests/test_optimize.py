@@ -182,6 +182,10 @@ PINNED = [
     (80.0, 1.0, "miso-equal", ("alpha", "eta1", "eta2"), {}, 12, 17.28591815112988,
      {"alpha": 0.9999994625095001, "eta1": 0.10712425231115612,
       "eta2": 0.6708513117367508}, 2448),
+    (10.0, 2.0, "miso-unequal", ("alpha", "eta1", "eta2"), {"beta": 0.3}, 10,
+     2.063729879177752,
+     {"alpha": 0.31026006914706417, "beta": 0.3, "eta1": 0.5882868488102133,
+      "eta2": 1.2576313902758125}, 12190),
 ]
 
 

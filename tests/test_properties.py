@@ -1,13 +1,15 @@
-"""Property checks of the two-layer closed forms over the documented domain:
-alpha, beta in [0, 1] with their end points, eta1 <= eta2 with equality,
-P_r = 0, P_s from -20 dB to 80 dB and Q from -20 dB to 80 dB."""
+"""Property checks over the documented domain: the two-layer closed forms
+at alpha, beta in [0, 1] with their end points, eta1 <= eta2 with equality,
+P_r = 0, P_s from -20 dB to 80 dB and Q from -20 dB to 80 dB; the
+single-layer schemes and bounds of the CLI at P_s from -20 dB to 80 dB,
+P_r/P_s from 0 to 1e7 and any Q."""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relaycast import PowerConfig, TwoLayerAllocation
+from relaycast import PowerConfig, TwoLayerAllocation, figures
 from relaycast.twolayer import CLOSED_FORMS
 
 # exact end points first, so every run draws the degenerate plans
@@ -48,3 +50,37 @@ def test_closed_form_is_finite_and_within_the_layer_rates(scheme):
         assert 0.0 <= res.r_av <= res.r1 + res.r2
 
     check()
+
+
+# P_r/P_s: 0, 1e7 and -30..70 dB
+RATIO = st.one_of(st.sampled_from([0.0, 1e7]), _from_db(-30.0, 70.0))
+RATIO_POWERS = st.builds(lambda p_s, ratio, q: PowerConfig(p_s=p_s, p_r=ratio * p_s, q=q),
+                         _from_db(-20.0, 80.0), RATIO, _from_db(-20.0, 80.0))
+
+
+@pytest.mark.filterwarnings("ignore:upper layering boundary:UserWarning")
+@pytest.mark.parametrize("scheme", sorted(figures._SINGLE_LAYER) + sorted(figures._BOUNDS))
+def test_single_layer_and_bound_values_are_finite_or_raise(scheme):
+    # a single-layer value lies in [0, its rate], a bound's in [0, inf);
+    # a ValueError is the one other outcome allowed
+    evaluated = 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg=RATIO_POWERS)
+    def check(cfg):
+        nonlocal evaluated
+        try:
+            if scheme in figures._BOUNDS:
+                value, ceiling = figures._BOUNDS[scheme](cfg), math.inf
+            else:
+                default_rate, throughput = figures._SINGLE_LAYER[scheme]
+                ceiling = default_rate(cfg)
+                value = throughput(ceiling, cfg).r_av
+        except ValueError:
+            return
+        evaluated += 1
+        assert math.isfinite(value)
+        assert 0.0 <= value <= ceiling
+
+    check()
+    assert evaluated > 0

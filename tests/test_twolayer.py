@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -14,9 +13,8 @@ from relaycast import (PowerConfig, TwoLayerAllocation,
                        y_sum_tail)
 from relaycast import BoundContext, discontinuity_point, twolayer
 from relaycast.bounds import _k_values, _u_values
-from relaycast.broadcast import continuous_layering
 from relaycast.montecarlo import SimConfig, simulate_strategy
-from relaycast.twolayer import _direct_two_layer_rate, discretize_power_density
+from relaycast.twolayer import _direct_two_layer_rate
 from relaycast.validation import validation_corpus
 
 
@@ -227,7 +225,7 @@ def test_scalar_kernels_match_the_closed_forms_bit_for_bit(scheme):
                 (alpha, beta, eta1, eta2, p_s, p_r)
 
 
-@pytest.mark.parametrize("scheme", ["direct", "miso-equal", "miso-unequal"])
+@pytest.mark.parametrize("scheme", ["direct", "miso-equal"])
 def test_array_kernels_match_the_scalar_kernels(scheme):
     form = twolayer.CLOSED_FORMS[scheme]
     for p_s, p_r, plans in kernel_draw_groups():
@@ -236,9 +234,7 @@ def test_array_kernels_match_the_scalar_kernels(scheme):
             warnings.simplefilter("error")
             got = form.grid(*np.array(plans).T, p_s, p_r)
         # the absolute part is ulps of the decode probabilities times the
-        # layer rates, up to log(1 + eta2 P_s) nats, which _seg's difference
-        # quotient can amplify where the result itself cancels (measured
-        # <= 1e-14 per nat over 90,000 draws)
+        # layer rates, up to log(1 + eta2 P_s) nats
         rates = np.maximum(1.0, np.log1p(np.array(plans)[:, 3] * p_s))
         bad = np.abs(got - want) > 1e-12 * np.abs(want) + 1e-13 * rates
         assert not bad.any(), (p_s, p_r, np.array(plans)[bad], got[bad], want[bad])
@@ -430,13 +426,3 @@ def test_closed_form_table_calls_the_module_attribute(monkeypatch):
     res = twolayer.CLOSED_FORMS["simplex-equal"](alloc, cfg)
     assert seen == [alloc]
     assert res == original(alloc, cfg)
-
-
-@pytest.mark.parametrize("mode,p_r", [("siso", 0.0), ("miso", 5.0)])
-def test_discretize_numeric_rho_matches_analytic(mode, p_r):
-    # a density without a closed-form rho takes the central-difference path
-    density, dist, _ = continuous_layering(PowerConfig(p_s=10.0, p_r=p_r, q=1.0), mode)
-    want = discretize_power_density(density, dist, 8)
-    got = discretize_power_density(dataclasses.replace(density, rho_of_u=None), dist, 8)
-    for g, w in zip(got, want):
-        assert g == pytest.approx(w, abs=1e-6)

@@ -19,7 +19,8 @@ Runs, in-process and into a temporary directory:
   over all four parameters and ``simplex-unequal`` over beta alone; at
   -20 dB and 80 dB for ``miso-equal`` (default free set) and
   ``miso-unequal`` over all four parameters; at 10 dB for ``simplex-equal``
-  (default free set);
+  (default free set) and for ``miso-unequal`` with ``--beta 0.3`` (default
+  free set);
 * ``validate --draws 2 --blocks 200000 --z-max inf`` at ``--workers 1`` and
   ``--workers 2``, so the Monte-Carlo oracle's bytes beyond fig9 (every
   strategy the corpus draws, and the merge of two threads' partial sums)
@@ -69,7 +70,7 @@ OPTIMIZE = (
     ("10", "simplex-unequal", "--free", "beta", *ALLOC),
     ("-20", "miso-equal"), ("-20", "miso-unequal", *ALL_FREE),
     ("80", "miso-equal"), ("80", "miso-unequal", *ALL_FREE),
-    ("10", "simplex-equal"),
+    ("10", "simplex-equal"), ("10", "miso-unequal", "--beta", "0.3"),
 )
 # (CSV name suffix, alpha, eta1, eta2) of the extra simplex-equal rate runs
 SIMPLEX_EDGES = (("alpha-0", "0", "0.5", "1"), ("eta1-eq-eta2", "0.5", "1", "1"))
