@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 _BRACKET_LO = 1e-8
-_BRACKET_HI = 1e4
+_BRACKET_HI = 1e9
 _SUM_FADING_EQUAL_ATOL = 1e-6
 
 

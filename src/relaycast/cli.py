@@ -7,6 +7,7 @@ are given in dB, outputs are nats/channel use unless --bits is passed.
 Every CSV is written with 12 significant digits, POSIX newlines and UTF-8,
 and is accompanied by a one-line JSON manifest recording the seed, grid and
 artifact version, so identical invocations reproduce identical bytes.
+Errors and Python warnings reach stderr as one ``relaycast: ...`` line each.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__, figures, twolayer, validation
@@ -345,11 +347,16 @@ def main(argv=None) -> int:
         print(f"relaycast: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
+    # only the format: warnings.showwarning stays whatever the caller installed
+    formatwarning, warnings.formatwarning = warnings.formatwarning, (
+        lambda message, *_: "relaycast: warning: " + " ".join(str(message).split()) + "\n")
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"relaycast: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

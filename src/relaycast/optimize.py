@@ -1,7 +1,8 @@
 """Deterministic allocation optimizers.
 
-All searches are a dense coarse grid followed by coordinate-wise
-golden-section refinement: the objectives are cheap, at most
+Every two-layer search, the source's oblivious plan included, is one coarse
+grid over the eta1 <= eta2 triangle (maximize_throughput) followed by
+coordinate-wise golden-section refinement: the objectives are cheap, at most
 four-dimensional, and may be non-smooth at branch boundaries of the closed
 forms, so an auditable deterministic search beats stochastic methods here.
 ``miso-unequal`` with beta free has no grid of its own: the unequal split
@@ -133,11 +134,14 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
                         coarse_points: int | None = None) -> OptResult:
     """Maximize a two-layer scheme over a subset of {alpha, beta, eta1, eta2}.
 
-    Coarse grid over the free box (feasible points only), then coordinate
-    golden-section passes from the 3 best grid points (ties to the earlier
-    one), accepting only improving moves, until no parameter shifts by more
-    than 1e-6.  With one free parameter the search box does not depend on the
-    start, so only the best grid point is refined, by one line search.
+    The coarse grid is the (alpha, beta) rows (beta >= alpha for
+    simplex-unequal) against the eta1 <= eta2 pairs of the free box.
+    Coordinate golden-section passes run from its 3 best points, accepting
+    only improving moves, until no parameter shifts by more than 1e-6; with
+    one free parameter the search box does not depend on the start, so only
+    the best point is refined, by one line search.  Exact ties go to the point
+    with fewer grid steps between eta1 and eta2 when both are free, then to
+    the earlier one.
     Direct and miso-equal score the grid in one array call, then rescore with
     the bit-exact scalar kernel every point within 1e-6 (relative) of the
     third-best, because numpy's exp/log1p may differ from math's in the last
@@ -169,62 +173,66 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     form = twolayer.CLOSED_FORMS[scheme]
     rate = form.rate or (lambda a, b, e1, e2, *_: form(
         TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b), cfg).r_av)
+    p_s, p_r = cfg.p_s, cfg.p_r
+    slots = [_PARAM_ORDER.index(name) for name in free]
     evals = 0
 
-    # one (alpha, beta, eta1, eta2) point per grid row: a fixed value fills
-    # its slot, an absent one is NaN, and a NaN beta means beta = alpha
-    slots = [_PARAM_ORDER.index(name) for name in free]
+    # each axis holds a free parameter's grid or its fixed value (NaN if
+    # absent; a NaN beta means beta = alpha).  The grid is the (alpha, beta)
+    # rows against the feasible (eta1, eta2) pairs, in 4-D meshgrid order
     axes = [np.linspace(0.0, _ETA_MAX if name.startswith("eta") else 1.0, n_pts)
-            if name in free else [float(fixed.get(name, math.nan))] for name in _PARAM_ORDER]
-    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    alpha, beta, eta1, eta2 = points.T
+            if name in free else np.array([float(fixed.get(name, math.nan))])
+            for name in _PARAM_ORDER]
     beta_is_alpha = (scheme not in ("miso-unequal", "simplex-unequal")
-                     or math.isnan(beta[0]))
+                     or math.isnan(axes[1][0]))
     beta_ge_alpha = scheme == "simplex-unequal" and not beta_is_alpha
+    alpha, beta = (m.ravel() for m in np.meshgrid(axes[0], axes[1], indexing="ij"))
+    if beta_ge_alpha:
+        keep = ~(beta < alpha)
+        alpha, beta = alpha[keep], beta[keep]
+    j, k = np.nonzero(~(axes[2][:, None] > axes[3]))  # indices into the eta axes
+    if not (alpha.size and j.size):
+        raise ValueError("empty feasible set on the coarse grid")
+    eta1, eta2 = axes[2][j], axes[3][k]
 
-    def score(x: Sequence[float]) -> float:
-        alpha, beta, eta1, eta2 = x
-        if beta_is_alpha:
-            beta = alpha
-        return rate(alpha, beta, eta1, eta2, cfg.p_s, cfg.p_r)
+    def point(i: int) -> list[float]:  # grid point i, in meshgrid order
+        row, pair = divmod(i, j.size)
+        return [float(alpha[row]), float(beta[row]), float(eta1[pair]), float(eta2[pair])]
 
     def value(x: Sequence[float]) -> float:
         nonlocal evals
         evals += 1
-        return score(x)
+        return rate(x[0], x[0] if beta_is_alpha else x[1], x[2], x[3], p_s, p_r)
 
-    if beta_is_alpha:
-        beta = alpha
-    feasible = ~(eta1 > eta2)
-    if beta_ge_alpha:
-        feasible &= ~(beta < alpha)
-    rows = np.flatnonzero(feasible)
-    if not rows.size:
-        raise ValueError("empty feasible set on the coarse grid")
     # the search box keeps free values in the domain, so only fixed values,
     # the same in every row, can leave it; TwoLayerAllocation raises its ValueError
-    a, b, e1, e2 = (float(v[rows[0]]) for v in (alpha, beta, eta1, eta2))
+    a, b, e1, e2 = point(0)
+    b = a if beta_is_alpha else b
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= e1 <= e2 < math.inf):
         TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b)
 
-    if form.grid is None:
-        scored = [(value(x), x) for x in points[rows].tolist()]
-    else:
-        coarse = form.grid(alpha[rows], beta[rows], eta1[rows], eta2[rows], cfg.p_s, cfg.p_r)
-        evals += rows.size
-        third = np.sort(coarse)[-min(_N_STARTS, rows.size)]
-        shortlist = rows[coarse >= third - _SHORTLIST_RTOL * abs(third)]
-        scored = [(score(x), x) for x in points[shortlist].tolist()]
-    scored.sort(key=lambda t: -t[0])
-    coarse_best = scored[0][0]
+    coarse = (np.array([value(point(i)) for i in range(alpha.size * j.size)])
+              if form.grid is None else
+              form.grid(alpha[:, None], beta[:, None], eta1, eta2, p_s, p_r).ravel())
+    n_top = min(_N_STARTS, coarse.size)
+    third = np.partition(coarse, -n_top)[-n_top]
+    shortlist = np.flatnonzero(coarse >= third - _SHORTLIST_RTOL * abs(third)).tolist()
+    if form.grid is not None:  # rescored on the scalar kernel; each point counts once
+        evals += coarse.size - len(shortlist)
+        coarse[shortlist] = [value(point(i)) for i in shortlist]
+    # exact ties go to fewer grid steps between eta1 and eta2 when both are
+    # free, then to the earlier point
+    steps = k - j if "eta1" in free and "eta2" in free else 0 * j
+    shortlist.sort(key=lambda i: (-coarse[i], steps[i % j.size], i))
 
     best_val, best = max(
-        (_coordinate_ascent(value, start, slots,
+        (_coordinate_ascent(value, (float(coarse[i]), point(i)), slots,
                             lambda i, x: _search_box(i, x, beta_ge_alpha))
-         for start in scored[:_N_STARTS if len(slots) > 1 else 1]),
+         for i in shortlist[:_N_STARTS if len(slots) > 1 else 1]),
         key=lambda t: t[0])
     params = {**fixed, **{name: best[i] for name, i in zip(free, slots)}}
-    return OptResult(params=params, value=best_val, n_evals=evals, coarse_best=coarse_best)
+    return OptResult(params=params, value=best_val, n_evals=evals,
+                     coarse_best=float(coarse[shortlist[0]]))
 
 
 def _unequal_from_equal(equal: OptResult, free: Sequence[str],
@@ -254,9 +262,9 @@ def _unequal_from_equal(equal: OptResult, free: Sequence[str],
 def oblivious_rate_plan(p_s: float, n_layers: int = 2) -> TwoLayerAllocation:
     """The source's relay-unaware plan: maximize the direct throughput.
 
-    One layer reduces to the optimal single-user rate; two layers run a
-    64-per-dimension grid over the feasible (alpha, eta1 <= eta2) points and
-    coordinate golden-section refinement from its 3 best points.
+    One layer reduces to the optimal single-user rate; two layers are the
+    maximize_throughput("direct") search over (alpha, eta1, eta2) with 64
+    grid points per dimension.
     """
     if p_s <= 0.0:
         raise ValueError("p_s must be positive")
@@ -265,33 +273,9 @@ def oblivious_rate_plan(p_s: float, n_layers: int = 2) -> TwoLayerAllocation:
         return TwoLayerAllocation(alpha=1.0, eta1=eta, eta2=eta)
     if n_layers != 2:
         raise ValueError("only 1 or 2 layers are supported here")
-
-    n = 64
-    alphas = np.linspace(0.0, 1.0, n)
-    etas = np.linspace(0.0, _ETA_MAX, n)
-    # the feasible triangle eta1 <= eta2 only, in (alpha, eta1, eta2) grid order
-    j, k = np.triu_indices(n)
-    e1, e2 = etas[j], etas[k]
-    obj = twolayer._direct_grid(alphas[:, None], None, e1, e2, p_s, 0.0).ravel()
-    # the 3 best points.  Exact ties occur below about -17.5 dB and above
-    # about 71 dB, along the alpha = 0 and alpha = 1 rows, where one
-    # threshold drops out of the objective; they go to the point with the
-    # fewer grid steps between eta1 and eta2, then to the earlier grid point
-    third = obj[np.argpartition(obj, -3)[-3:]].min()
-    tied = np.flatnonzero(obj >= third)
-    starts = tied[np.lexsort((tied, (k - j)[tied % len(j)], -obj[tied]))][:3]
-
-    def value(x: Sequence[float]) -> float:  # beta, at x[1], is unused
-        return twolayer._direct_two_layer_rate(x[0], x[2], x[3], p_s)
-
-    refined = []
-    for idx in starts:
-        i, pair = divmod(int(idx), len(j))
-        start = [float(alphas[i]), math.nan, float(e1[pair]), float(e2[pair])]
-        refined.append(_coordinate_ascent(value, (value(start), start), (0, 2, 3),
-                                          _search_box))
-    best = max(refined, key=lambda t: t[0])[1]
-    return TwoLayerAllocation(alpha=best[0], eta1=best[2], eta2=best[3])
+    res = maximize_throughput("direct", ("alpha", "eta1", "eta2"), {},
+                              PowerConfig(p_s, 0.0, 0.0), coarse_points=64)
+    return TwoLayerAllocation(**res.params)
 
 
 def miso_single_layer_rate(p_s: float, p_r: float) -> float:

@@ -96,10 +96,10 @@ def _two_layer_rate(alpha: float, eta1: float, eta2: float, p_s: float,
     return r1 * p1 + r2 * p_both
 
 
-def _direct_two_layer_rate(alpha: float, eta1: float, eta2: float, p_s: float) -> float:
-    """``direct_multilayer_throughput((eta1, eta2), (alpha, 1 - alpha), p_s).r_av``
-    bit for bit, without validation or result objects: the inner loop of
-    optimize.oblivious_rate_plan.  Needs 0 <= alpha <= 1 and 0 <= eta1 <= eta2."""
+def _direct_two_layer_rate(alpha: float, beta: float, eta1: float, eta2: float,
+                           p_s: float, p_r: float) -> float:
+    """``direct_multilayer_throughput((eta1, eta2), (alpha, 1 - alpha), p_s).r_av`` bit
+    for bit, unchecked (0 <= alpha <= 1, 0 <= eta1 <= eta2); beta and p_r are ignored."""
     return _two_layer_rate(alpha, eta1, eta2, p_s, math.exp(-eta1), math.exp(-eta2))
 
 
@@ -310,8 +310,7 @@ CLOSED_FORMS: dict[str, _TwoLayerForm] = {
     "direct": _TwoLayerForm(
         lambda a, cfg: direct_multilayer_throughput(
             (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s),
-        lambda a, b, e1, e2, p_s, p_r: _direct_two_layer_rate(a, e1, e2, p_s),
-        _direct_grid),
+        _direct_two_layer_rate, _direct_grid),
     "miso-equal": _TwoLayerForm(
         lambda a, cfg: miso_equal_throughput(
             (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s, cfg.p_r),

@@ -1,9 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import relaycast
 from relaycast import PowerConfig, TwoLayerAllocation, simplex_equal_throughput
 from relaycast.cli import main
 
@@ -176,8 +182,8 @@ def test_optimize_requires_all_parameters():
      "--eta1", "0.3", "--eta2", "1.8"],
     # a plan with eta1 > eta2
     ["rate", "--scheme", "simplex-equal", "--alpha", "0.7", "--eta1", "1.8", "--eta2", "0.3"],
-    # the miso layering range cannot be bracketed at P_r/P_s = 10^7
-    pytest.param(["rate", "--scheme", "continuous-miso", "--ps-db", "-20",
+    # the miso layering range cannot be bracketed at P_r/P_s = 10^12 and P_s = -70 dB
+    pytest.param(["rate", "--scheme", "continuous-miso", "--ps-db", "-70",
                   "--pr-db", "50", "--q-db", "0"],
                  marks=pytest.mark.filterwarnings("ignore:upper layering boundary")),
 ])
@@ -190,6 +196,29 @@ def test_library_errors_exit_with_one_line(tmp_path, capsys, argv):
                 "simplex-equal": "eta1 <= eta2 required",
                 "continuous-miso": "no layering range for sum-fading"}
     assert expected[argv[2]] in err
+
+
+@pytest.mark.parametrize("argv", [
+    # scipy's quad warns on this simplex plan, in three lines of its own format
+    ["rate", "--scheme", "simplex-equal", "--alpha", "0.48717948717948717",
+     "--eta1", "3.5897435897435894", "--eta2", "3.5897435897435894"],
+    # the upper layering boundary is clamped at P_r/P_s = 10^12
+    ["rate", "--scheme", "continuous-miso", "--ps-db", "-20", "--pr-db", "100"],
+])
+def test_warnings_print_one_line_each(tmp_path, argv):
+    # a fresh interpreter, so the warning reaches stderr as it does for a user
+    env = {**os.environ, "PYTHONPATH": str(Path(relaycast.__file__).resolve().parent.parent)}
+    run = subprocess.run([sys.executable, "-m", "relaycast.cli", *argv,
+                          "--out", str(tmp_path / "out.csv")],
+                         capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == 0
+    lines = run.stderr.splitlines()
+    assert lines and all(line.startswith("relaycast: warning: ") for line in lines)
+    before = warnings.formatwarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv + ["--out", str(tmp_path / "again.csv")]) == 0
+    assert warnings.formatwarning is before
 
 
 def test_rate_of_a_two_layer_scheme_needs_its_plan():

@@ -62,6 +62,51 @@ class TestObliviousPlan:
             oblivious_rate_plan(1.0, 3)
 
 
+# (P_s dB, alpha, eta1, eta2 as float.hex) of oblivious_rate_plan(P_s, 2), as
+# its own 64-point grid search gave them before the plan became a direct
+# maximize_throughput call.  The coarse grid holds exact ties below about
+# -17.5 dB and above about 71 dB (one threshold drops out of the objective on
+# the alpha = 0 and alpha = 1 rows); at -19.5, -19.25, -18.75, 71.5, 71.75 and
+# 74.5 dB the plan depends on breaking them by fewer grid steps between eta1
+# and eta2
+PINNED_PLANS = [
+    (-20.0, "0x1.0177dc0efd794p-1", "0x1.fc39c7e5b7e22p-1", "0x1.febc57712deb1p-1"),
+    (-19.5, "0x1.01a53a9b9e275p-1", "0x1.fbc6237de4f1bp-1", "0x1.fe9563d1d860fp-1"),
+    (-19.25, "0x1.01beecc1144d7p-1", "0x1.fb8756b9e48d6p-1", "0x1.fe803b52407bfp-1"),
+    (-18.75, "0x1.01f3363de2743p-1", "0x1.fafece72832e3p-1", "0x1.fe52237f7e208p-1"),
+    (-18.0, "0x1.024f36f7fdba3p-1", "0x1.fa13bccabdc26p-1", "0x1.fe02a9db8b82ep-1"),
+    (-17.5, "0x1.029504093aa46p-1", "0x1.f96037eee38edp-1", "0x1.fdc5d5da69de3p-1"),
+    (-17.0, "0x1.02e3693feed0ap-1", "0x1.f8982a127dbe2p-1", "0x1.fd81ee2d0b359p-1"),
+    (-15.0, "0x1.04804f178a9b8p-1", "0x1.f47c2dcf90720p-1", "0x1.fc1a8b294f8efp-1"),
+    (-12.5, "0x1.07bc146201ee1p-1", "0x1.ec4c5ae3d59a6p-1", "0x1.f9431de9185c1p-1"),
+    (-10.0, "0x1.0cfd6b6a3dc0dp-1", "0x1.df1f63e9be75bp-1", "0x1.f48fdb249ca5ep-1"),
+    (-5.0, "0x1.20d125e323da5p-1", "0x1.aefdee6d81d6ep-1", "0x1.e1ff5871850a5p-1"),
+    (0.0, "0x1.43701369af81cp-1", "0x1.610f4124cbdc6p-1", "0x1.bed7b8ea12cc5p-1"),
+    (5.0, "0x1.6fa6f5b6ceb5ap-1", "0x1.08bdda4bd26fbp-1", "0x1.8e0bb9c790962p-1"),
+    (10.0, "0x1.9bc09116f0590p-1", "0x1.785f9cb81990dp-2", "0x1.59f5a73d88589p-1"),
+    (15.0, "0x1.c07ef5fa20328p-1", "0x1.06e359cfb2274p-2", "0x1.2b2ed937503b7p-1"),
+    (20.0, "0x1.db17a4c1d7a2dp-1", "0x1.71fb9adbf3774p-3", "0x1.04fc3801cc0b5p-1"),
+    (25.0, "0x1.ec2fda4ea150cp-1", "0x1.0a2221b1d1612p-3", "0x1.ce49d4799117fp-2"),
+    (30.0, "0x1.f61944f223703p-1", "0x1.8a2002a2bd7c1p-4", "0x1.a05d3e2b84599p-2"),
+    (40.0, "0x1.fdef1b61a6de3p-1", "0x1.d9ba19fa692e0p-5", "0x1.616f39f89ee35p-2"),
+    (50.0, "0x1.ffa3ff45e4ba0p-1", "0x1.3cf8336156f5ep-5", "0x1.3a2478103b964p-2"),
+    (60.0, "0x1.fff1d6d624cf2p-1", "0x1.cb74de4382cb3p-6", "0x1.1fba0bbc336dcp-2"),
+    (70.0, "0x1.fffe0664c0433p-1", "0x1.62bbca5c04c60p-6", "0x1.0d8f03221e46ap-2"),
+    (71.5, "0x1.fffe8d27aa0e6p-1", "0x1.57c6670ee48d7p-6", "0x1.0bbab0106a9eap-2"),
+    (71.75, "0x1.fffe940b345a4p-1", "0x1.519faf7c77f96p-6", "0x1.09befb4be7884p-2"),
+    (72.5, "0x1.fffec7849de60p-1", "0x1.4c1a246387ebfp-6", "0x1.08b8fb605cae6p-2"),
+    (74.5, "0x1.ffff2cd720415p-1", "0x1.3c208dca7eb51p-6", "0x1.054b72838d163p-2"),
+    (77.5, "0x1.ffff8b461850bp-1", "0x1.267f3670d9114p-6", "0x1.0084521036288p-2"),
+    (80.0, "0x1.ffffb39a0a0c8p-1", "0x1.0e2646f2c9357p-6", "0x1.f2c53aee0e333p-3"),
+]
+
+
+@pytest.mark.parametrize("ps_db,alpha,eta1,eta2", PINNED_PLANS)
+def test_pinned_plans(ps_db, alpha, eta1, eta2):
+    plan = oblivious_rate_plan(10 ** (ps_db / 10), 2)
+    assert (plan.alpha, plan.eta1, plan.eta2) == tuple(map(float.fromhex, (alpha, eta1, eta2)))
+
+
 class TestMaximizeThroughput:
     def test_feasible_and_improves_on_coarse(self):
         cfg = PowerConfig(p_s=10.0, p_r=10.0, q=100.0)
@@ -186,26 +231,48 @@ PINNED = [
      2.063729879177752,
      {"alpha": 0.31026006914706417, "beta": 0.3, "eta1": 0.5882868488102133,
       "eta2": 1.2576313902758125}, 12190),
+    # alpha = 0 drops eta1 out, so all 16 grid points tie; with eta2 fixed the
+    # search starts from, and keeps, the earliest one
+    (-20.0, 0.0, "direct", ("eta1",), {"alpha": 0.0, "eta2": 2.0}, 16, 0.0026799941739575595,
+     {"alpha": 0.0, "eta2": 2.0, "eta1": 0.0}, 41),
 ]
 
 
-# (value, params, n_evals) of the miso-unequal rows above with beta free,
-# keyed by (P_s dB, P_r/P_s, free), re-captured when that search began to
-# start from the equal-split optimum; their PINNED value is the 4-D grid's,
-# which the new value may not fall below by more than 1e-6 relative
+# (value, params, n_evals) of rows above, keyed by (P_s dB, P_r/P_s, free),
+# re-captured when their search changed: the miso-unequal rows with beta free
+# when that search began to start from the equal-split optimum, and the rows
+# whose coarse grid holds exact ties when those began to go to the point with
+# fewer grid steps between eta1 and eta2.  A new value may not fall below the
+# PINNED value by more than 1e-6 relative
 RECAPTURED = {
+    (-20.0, 0.5, ("alpha", "eta1", "eta2")): (
+        0.006103627694240707,
+        {"alpha": 0.5032174057633415, "eta1": 1.2035740048186694,
+         "eta2": 1.2090996522479156}, 12672),
+    (25.0, 0.0, ("alpha", "eta1", "eta2")): (
+        3.642567693986696,
+        {"alpha": 0.9613023822998997, "eta1": 0.1299477349843, "eta2": 0.4514530469459957},
+        5384),
+    (-20.0, 0.0, ("alpha", "eta1", "eta2")): (
+        0.003660578116517921,
+        {"alpha": 0.5028698580515196, "eta1": 0.9926284201830822,
+         "eta2": 0.9975306362775664}, 5968),
+    (80.0, 1.0, ("alpha", "eta1", "eta2")): (
+        17.28591815112988,
+        {"alpha": 0.9999994625095001, "eta1": 0.10712425231115612,
+         "eta2": 0.6708513117367508}, 2922),
     (25.0, 2.0, ("alpha", "beta", "eta1", "eta2")): (
         5.188095902063042,
         {"alpha": 0.98523993284817, "beta": 0.9844136984828225,
          "eta1": 0.4338422403783624, "eta2": 1.3685664779437259}, 12261),
     (-20.0, 0.0, ("alpha", "beta", "eta1", "eta2")): (
-        0.0036605670114499556,
-        {"alpha": 0.0, "beta": 0.0, "eta1": 0.5714285714285714,
-         "eta2": 0.9950655649293677}, 895),
+        0.0036605781165179223,
+        {"alpha": 0.5028721348978143, "beta": 0.5028721348978143,
+         "eta1": 0.9926284396615764, "eta2": 0.9975306558522576}, 3930),
     (10.0, 0.0, ("alpha", "beta", "eta1", "eta2")): (
         1.1214241254672634,
         {"alpha": 0.8042032105697833, "beta": 0.8042035427571808,
-         "eta1": 0.3675522606382542, "eta2": 0.6757020525912635}, 4217),
+         "eta1": 0.3675522606382542, "eta2": 0.6757020525912635}, 5833),
     (50.0, 1000.0, ("alpha", "beta")): (
         12.09146697959807,
         {"eta1": 0.3, "eta2": 1.8, "alpha": 0.9698698347980078,

@@ -2,7 +2,7 @@
 at alpha, beta in [0, 1] with their end points, eta1 <= eta2 with equality,
 P_r = 0, P_s from -20 dB to 80 dB and Q from -20 dB to 80 dB; the
 single-layer schemes and bounds of the CLI at P_s from -20 dB to 80 dB,
-P_r/P_s from 0 to 1e7 and any Q."""
+P_r/P_s from 0 to 1e7 and any Q; and continuous-miso rising with P_r."""
 
 import math
 
@@ -84,3 +84,13 @@ def test_single_layer_and_bound_values_are_finite_or_raise(scheme):
 
     check()
     assert evaluated > 0
+
+
+@pytest.mark.parametrize("ps_db", [-20.0, 0.0, 20.0, 80.0])
+def test_continuous_miso_does_not_decrease_in_relay_power(ps_db):
+    # P_r/P_s from 1e3 to 1e7 in half decades; the upper layering boundary,
+    # about P_r/P_s, stays below the bracket cap
+    p_s = 10.0 ** (ps_db / 10.0)
+    values = [figures._BOUNDS["continuous-miso"](PowerConfig(p_s, 10.0 ** (e / 2) * p_s, 1.0))
+              for e in range(6, 15)]
+    assert all(b >= a for a, b in zip(values, values[1:])), values

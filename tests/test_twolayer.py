@@ -65,7 +65,7 @@ class TestDirect:
 
 
     def test_two_layer_kernel_bit_identical(self):
-        # oblivious_rate_plan's lean kernel against the public closed form,
+        # the direct search's lean kernel against the public closed form,
         # on P_s from -20 to 80 dB with the degenerate plans mixed in
         rng = np.random.default_rng(20_240_802)
         for i in range(3000):
@@ -74,7 +74,7 @@ class TestDirect:
             eta2 = eta1 if i % 5 == 0 else float(rng.uniform(eta1, 4.0))
             p_s = 10.0 ** float(rng.uniform(-2.0, 8.0))
             want = direct_multilayer_throughput((eta1, eta2), (alpha, 1.0 - alpha), p_s).r_av
-            got = _direct_two_layer_rate(alpha, eta1, eta2, p_s)
+            got = _direct_two_layer_rate(alpha, alpha, eta1, eta2, p_s, 0.0)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
                 (alpha, eta1, eta2, p_s)
 

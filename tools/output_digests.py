@@ -10,7 +10,9 @@ Runs, in-process and into a temporary directory:
   nearest its stopping rule;
 * ``sweep`` for every scheme it offers, at ``--q-db 15,20 --ratio 0.5,1``
   over 0..20 dB in 5 dB steps, and ``simplex-equal`` again at ``--q-db 20
-  --ratio 1`` over 50..80 dB in 10 dB steps;
+  --ratio 1`` over 50..80 dB in 10 dB steps, and ``direct-2`` over -20..-15
+  dB and 70..80 dB in 0.25 dB steps, where the oblivious plan's coarse grid
+  holds exact ties;
 * ``rate`` for every scheme at the default powers (the two-layer schemes at
   alpha 0.7, eta 0.3/1.8), and ``simplex-equal`` at alpha 0, eta 0.5/1 and
   at alpha 0.5, eta 1/1;
@@ -101,6 +103,10 @@ def commands(cli, out: Path):
     yield csv, ("sweep", "--scheme", "simplex-equal", "--q-db", "20", "--ratio", "1",
                 "--ps-db-start", "50", "--ps-db-stop", "80", "--ps-db-step", "10",
                 "--out", str(out / csv))
+    for start, stop in (("-20", "-15"), ("70", "80")):
+        csv = f"sweep-direct-2-from{start}db.csv"
+        yield csv, ("sweep", "--scheme", "direct-2", "--ps-db-start", start,
+                    "--ps-db-stop", stop, "--ps-db-step", "0.25", "--out", str(out / csv))
     for scheme in sorted(_scheme_choices(parser, "rate")):
         csv = f"rate-{scheme}.csv"
         alloc = ALLOC if scheme in cli.twolayer.CLOSED_FORMS else ()
