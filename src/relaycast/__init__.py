@@ -19,14 +19,14 @@ from .broadcast import (FadingDistribution, PowerDensity, broadcast_rate,
                         optimal_power_density, rayleigh_distribution,
                         relay_or_miso_broadcast_bound, siso_broadcast_rate,
                         sum_fading_distribution)
-from .bounds import (BoundContext, IntervalPartition, discontinuity_point,
-                     find_intersections, relay_threshold_bound, t_factor, u_bound)
+from .bounds import (BoundContext, discontinuity_point, find_intersections,
+                     relay_threshold_bound, t_factor, u_bound)
 from .twolayer import (DuplexVerdict, direct_multilayer_throughput,
                        duplex_gain_condition, miso_equal_throughput,
                        miso_max_throughput, miso_unequal_throughput,
                        simplex_equal_throughput, simplex_unequal_throughput)
-from .montecarlo import (ContinuousLayering, SimConfig, SimEstimate,
-                         conditional_layer_probability, simulate_strategy)
+from .montecarlo import (SimConfig, SimEstimate, conditional_layer_probability,
+                         simulate_strategy)
 from .optimize import (OptResult, horizontal_db_gain, maximize_throughput,
                        oblivious_rate_plan)
 from .dmt import DmtConfig, DmtExponents, dmt_average_rate, dmt_outage_exponents

@@ -2,11 +2,12 @@
 
 With the relay joining after the block fraction x, layer decodability at the
 destination reduces to nu_r exceeding a threshold curve in nu_s.  This module
-provides those curves: the auxiliary factor t, the layer-1 thresholds (the
-F family for equal and K for unequal relay allocation), the layer-2 threshold
-U, the point below which layer 1 is undecodable for any nu_r, and the
-scanner that cuts [v_lo, eta1] at the crossings of the layer-1 and layer-2
-thresholds and labels each piece with the curve that is larger there.
+provides those curves for the allocation in a BoundContext: the auxiliary
+factor t, the layer-1 threshold K (the F family when beta = alpha), the
+layer-2 threshold U, the point below which layer 1 is undecodable for any
+nu_r, and the scanner that cuts [v_lo, eta1] at the crossings of K and U and
+labels each piece with the curve that is larger there.  The relay's residual
+fraction beta_bar comes from the context's allocation throughout.
 
 For the derivation of t and the thresholds from the phase-wise mutual
 information balance see docs/conformance.md.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .model import PowerConfig, TwoLayerAllocation, decoding_times, layer_rates
 
 __all__ = [
     "BoundContext",
-    "IntervalPartition",
     "t_factor",
     "relay_threshold_bound",
     "u_bound",
@@ -97,10 +96,10 @@ def _divide(numer: float, denom: float) -> float:
 def t_factor(v_s: float, ctx: BoundContext) -> float:
     """t at one point, bit for bit as _t_values gives it.
 
-    The scalar kernels (t_factor, _k_scalar, u_bound) repeat their array
-    kernel's operations on Python floats and call numpy's log1p/exp/log,
-    which agree with numpy's array path; math.exp differs from it in the
-    last bit on a few percent of inputs.
+    The scalar kernels (t_factor, relay_threshold_bound, u_bound) repeat
+    their array kernel's operations on Python floats and call numpy's
+    log1p/exp/log, which agree with numpy's array path; math.exp differs
+    from it in the last bit on a few percent of inputs.
     """
     s = v_s * ctx.cfg.p_s
     log_g = float(np.log1p(s)) - float(np.log1p(ctx.alloc.alpha_bar * s))
@@ -125,8 +124,9 @@ def _k_values(v_s, ctx: BoundContext):
     return np.where(denom > 0.0, val, np.inf)
 
 
-def _k_scalar(v_s: float, ctx: BoundContext) -> float:
-    """K at one point, bit for bit as _k_values gives it."""
+def relay_threshold_bound(v_s: float, ctx: BoundContext) -> float:
+    """K at one point, bit for bit as _k_values gives it: +inf before the
+    layer-1 discontinuity, where no nu_r decodes layer 1."""
     t = t_factor(v_s, ctx)
     denom = 1.0 - t * ctx.alloc.beta_bar
     if not denom > 0.0:
@@ -135,93 +135,65 @@ def _k_scalar(v_s: float, ctx: BoundContext) -> float:
     return _divide(-s * (1.0 - t * ctx.alloc.alpha_bar) - (1.0 - t), denom * ctx.cfg.p_r)
 
 
-def relay_threshold_bound(v_s: float, ctx: BoundContext) -> float:
-    """Scalar layer-1 threshold; raises in the pre-discontinuity region."""
-    t = t_factor(v_s, ctx)
-    if 1.0 - t * ctx.alloc.beta_bar <= 0.0:
-        raise ValueError(
-            f"v_s={v_s!r} lies before the layer-1 discontinuity (1 - t*beta_bar <= 0)")
-    return _k_scalar(v_s, ctx)
-
-
-def _u_values(v_s, ctx: BoundContext, denom_fraction: float):
-    """Layer-2 threshold U = Z ((Z e^{-r2})^{1/(x-1)} - 1) / (fraction * P_r),
+def _u_values(v_s, ctx: BoundContext):
+    """Layer-2 threshold U = Z ((Z e^{-r2})^{1/(x-1)} - 1) / (beta_bar * P_r),
     with Z = 1 + v_s*alpha_bar*P_s.  Zero at eta2, negative beyond."""
     z = 1.0 + np.asarray(v_s, dtype=float) * ctx.alloc.alpha_bar * ctx.cfg.p_s
     log_pow = (np.log(z) - ctx.r2) / (ctx.x - 1.0)
     with np.errstate(over="ignore"):  # overflow gives inf, as in the scalar u_bound
         powed = np.where(log_pow > _EXP_OVERFLOW, np.inf, np.exp(log_pow))
         numer = z * (powed - 1.0)
-        if denom_fraction > 0.0:
-            return numer / (denom_fraction * ctx.cfg.p_r)
+        bb = ctx.alloc.beta_bar
+        if bb > 0.0:
+            return numer / (bb * ctx.cfg.p_r)
     # all relay power on layer 1: the relay cannot help layer 2 at all
     return np.where(numer > 0.0, np.inf, np.where(numer < 0.0, -np.inf, 0.0))
 
 
-def u_bound(v_s: float, ctx: BoundContext, denom_fraction: float) -> float:
+def u_bound(v_s: float, ctx: BoundContext) -> float:
     """U at one point, bit for bit as _u_values gives it."""
     z = 1.0 + v_s * ctx.alloc.alpha_bar * ctx.cfg.p_s
     log_pow = (float(np.log(z)) - ctx.r2) / (ctx.x - 1.0)
     powed = math.inf if log_pow > _EXP_OVERFLOW else float(np.exp(log_pow))
     numer = z * (powed - 1.0)
-    if denom_fraction > 0.0:
-        return _divide(numer, denom_fraction * ctx.cfg.p_r)
+    bb = ctx.alloc.beta_bar
+    if bb > 0.0:
+        return _divide(numer, bb * ctx.cfg.p_r)
     return math.inf if numer > 0.0 else -math.inf if numer < 0.0 else 0.0
 
 
-def discontinuity_point(ctx: BoundContext, fraction: float | None = None) -> float:
+def discontinuity_point(ctx: BoundContext) -> float:
     """The nu_s below which layer 1 is undecodable regardless of nu_r.
 
-    Solves t(v) = 1/fraction for the allocation fraction whose residual
-    interferes with layer 1 (beta_bar in general, alpha_bar when the relay
-    copies the source split); returns 0 when t(0) = e^{r1/(1-x)} never
-    reaches 1/fraction.  With t monotone in v the root has the closed form
-    G(v) = chi, log chi = (r1 + (1-x) log(fraction)) / x.
+    Solves t(v) = 1/beta_bar, where K's denominator 1 - t*beta_bar changes
+    sign (with beta = alpha this is the F family's point); returns 0 when
+    t(0) = e^{r1/(1-x)} never reaches 1/beta_bar.  With t monotone in v the
+    root has the closed form G(v) = chi,
+    log chi = (r1 + (1-x) log(beta_bar)) / x.
     """
-    if fraction is None:
-        fraction = ctx.alloc.beta_bar
-    if fraction <= 0.0:
+    bb = ctx.alloc.beta_bar
+    if bb <= 0.0:
         return 0.0
-    # existence: r1/(1-x) > -log(fraction)
-    if ctx.r1 <= -(1.0 - ctx.x) * math.log(fraction):
+    # existence: r1/(1-x) > -log(beta_bar)
+    if ctx.r1 <= -(1.0 - ctx.x) * math.log(bb):
         return 0.0
-    if t_factor(ctx.eta1, ctx) >= 1.0 / fraction:  # cannot happen for beta >= alpha
+    if t_factor(ctx.eta1, ctx) >= 1.0 / bb:  # cannot happen for beta >= alpha
         return ctx.eta1
-    if ctx.x == 0.0:  # t is constant: only rounding at t = 1/fraction gets here
+    if ctx.x == 0.0:  # t is constant: only rounding at t = 1/beta_bar gets here
         return 0.0
-    chi = math.exp((ctx.r1 + (1.0 - ctx.x) * math.log(fraction)) / ctx.x)
+    chi = math.exp((ctx.r1 + (1.0 - ctx.x) * math.log(bb)) / ctx.x)
     # the t(eta1) check above puts the root below eta1; at high P_s the closed form
     # cancels and can round past it
     root = (chi - 1.0) / (ctx.cfg.p_s * (1.0 - ctx.alloc.alpha_bar * chi))
     return min(root, ctx.eta1)
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
-    """Dominance pattern of the layer-1 and layer-2 thresholds on [v_lo, upper].
-
-    ``crossings`` are the interior points where the curves meet, strictly
-    increasing; they cut the interval into len(crossings) + 1 pieces, and
-    ``dominant`` names the larger curve on each ("F" for the layer-1 curve,
-    "U" for the layer-2 curve).
-    """
-
-    crossings: tuple[float, ...]
-    v_lo: float
-    upper: float
-    dominant: tuple[Literal["F", "U"], ...]
-
-    def segments(self):
-        """Yield (lo, hi, dominant) triples covering [v_lo, upper]."""
-        edges = (self.v_lo, *self.crossings, self.upper)
-        return zip(edges[:-1], edges[1:], self.dominant)
-
-
 def _bisect_crossing(diff, lo: float, hi: float) -> float:
     # refine to 1e-12 and then on to float resolution: the curves can be
     # near-vertical close to the discontinuity, where a fixed-width bracket
-    # would leave a visible residual
-    f_lo = diff(lo)
+    # would leave a visible residual.  A NaN (inf - inf) counts as F above U,
+    # as in find_intersections' scan and labels.
+    above_lo = not diff(lo) <= 0.0
     for _ in range(120):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -229,39 +201,39 @@ def _bisect_crossing(diff, lo: float, hi: float) -> float:
         f_mid = diff(mid)
         if f_mid == 0.0:
             return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+        if (not f_mid <= 0.0) == above_lo:
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def find_intersections(ctx: BoundContext) -> IntervalPartition:
-    """Locate the crossings of the layer-1 and layer-2 thresholds on [v_lo, eta1].
+def find_intersections(ctx: BoundContext) -> tuple[tuple[float, float, str], ...]:
+    """Cut [v_lo, eta1] at the crossings of the layer-1 and layer-2 thresholds.
 
-    Sign scan of F - U on _N_SCAN intervals, bisection refinement of each sign
-    change, and one evaluation of F - U at the midpoint of every piece between
-    crossings, which labels the piece with its larger curve.  A NaN
-    (inf - inf) counts as F above U, in the scan and in the labels.
+    Returns the pieces (lo, hi, dominant) in increasing order, from
+    v_lo = discontinuity_point(ctx) to eta1, with "F" (K above U) or "U" naming
+    the larger curve on each.  Sign scan of K - U on _N_SCAN intervals,
+    bisection refinement of each sign change, and one evaluation of K - U at
+    the midpoint of every piece, which labels it.  A NaN (inf - inf) counts
+    as F above U, in the scan, the bisection and the labels.
     """
     v_lo = discontinuity_point(ctx)
     eta1 = ctx.eta1
     if eta1 - v_lo <= 0.0:
-        return IntervalPartition(crossings=(), v_lo=v_lo, upper=eta1, dominant=("U",))
-    fraction = ctx.alloc.beta_bar
+        return ((v_lo, eta1, "U"),)
 
     def diff_scalar(v: float) -> float:
-        return _k_scalar(v, ctx) - u_bound(v, ctx, fraction)
+        return relay_threshold_bound(v, ctx) - u_bound(v, ctx)
 
     span = eta1 - v_lo
     grid = np.linspace(v_lo, eta1, _N_SCAN + 1)
     grid[0] += 1e-9 * span   # dodge the pole at v_lo
     grid[-1] -= 1e-12 * span
     with np.errstate(invalid="ignore"):
-        signs = ~(_k_values(grid, ctx) - _u_values(grid, ctx, fraction) <= 0.0)
+        signs = ~(_k_values(grid, ctx) - _u_values(grid, ctx) <= 0.0)
     crossings = tuple(_bisect_crossing(diff_scalar, float(grid[i]), float(grid[i + 1]))
                       for i in np.nonzero(signs[:-1] != signs[1:])[0])
     edges = (v_lo, *crossings, eta1)
-    dominant = tuple("U" if diff_scalar(0.5 * (lo + hi)) <= 0.0 else "F"
-                     for lo, hi in zip(edges[:-1], edges[1:]))
-    return IntervalPartition(crossings=crossings, v_lo=v_lo, upper=eta1, dominant=dominant)
+    return tuple((lo, hi, "U" if diff_scalar(0.5 * (lo + hi)) <= 0.0 else "F")
+                 for lo, hi in zip(edges[:-1], edges[1:]))

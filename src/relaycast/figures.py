@@ -120,7 +120,7 @@ def fig3(ps_db=tuple(_ps_grid())):
         density, dist, _ = broadcast.continuous_layering(cfg, "siso")
         values = {
             1: _throughput("single-user", cfg),
-            2: twolayer.CLOSED_FORMS["direct"](oblivious_rate_plan(p_s, 2), cfg).r_av,
+            2: twolayer.CLOSED_FORMS["direct"](oblivious_rate_plan(p_s), cfg).r_av,
             8: _refined_layered(p_s, lambda eta: math.exp(-eta), 8, density, dist),
         }
         for n, value in values.items():
@@ -190,7 +190,7 @@ def _oblivious_rows(ps_db, q_db_list, ratios, schemes):
     rows = []
     for db in ps_db:
         p_s = _db2lin(db)
-        plan = oblivious_rate_plan(p_s, 2) if needs_plan else None
+        plan = oblivious_rate_plan(p_s) if needs_plan else None
         direct = None
         for q_db in q_db_list:
             for ratio in ratios:
@@ -237,7 +237,7 @@ def fig9(ps_db=(0.0, 5.0, 10.0, 15.0, 20.0), q_db=(0.0, 5.0, 10.0, 20.0),
     rows = []
     for db in ps_db:
         p_s = _db2lin(db)
-        plan = oblivious_rate_plan(p_s, 2)
+        plan = oblivious_rate_plan(p_s)
         for q in q_db:
             for ratio in ratios:
                 cfg = PowerConfig(p_s=p_s, p_r=ratio * p_s, q=_db2lin(q))

@@ -3,7 +3,10 @@
 Per fading block the mutual-information decoding conditions are applied
 directly (no closed forms), so estimates from this module arbitrate every
 analytic expression in the package.  It is also the only evaluator of the
-full-duplex relay, whose layer-1 condition has no closed form.
+full-duplex relay, whose layer-1 condition has no closed form.  A
+SimConfig's ``params`` is the rate of ``single-layer-SDF``, the
+TwoLayerAllocation of a two-layer strategy, or the mode ("siso", "relay"
+or "miso") of broadcast.continuous_layering for ``layered-continuous``.
 
 Reproducibility: fading is drawn from the counter-based Philox4x64 generator,
 keyed per 65536-block chunk as (seed, chunk_index), with exponentials via the
@@ -37,7 +40,6 @@ __all__ = [
     "RNG_ID",
     "SimConfig",
     "SimEstimate",
-    "ContinuousLayering",
     "simulate_strategy",
     "conditional_layer_probability",
 ]
@@ -52,13 +54,6 @@ _CONTINUOUS_TABLE_POINTS = 4097  # the layered-continuous strategy's rate table
 STRATEGIES = ("single-layer-SDF", "direct", "miso-equal", "miso-unequal",
               "simplex-equal", "simplex-unequal", "full-duplex",
               "layered-continuous")
-
-
-@dataclass(frozen=True)
-class ContinuousLayering:
-    """Parameters of the layered-continuous strategy (see relaycast.broadcast)."""
-
-    mode: str = "relay"  # relay | miso | siso
 
 
 @dataclass(frozen=True)
@@ -271,9 +266,9 @@ def _chunk_rate(config: SimConfig, cfg: PowerConfig, chunk_index: int,
     return _two_layer_credit(nu[0], nu_r, alloc, cfg, eps1, eps2, r1, r2, ws)
 
 
-def _continuous_table(params: ContinuousLayering, cfg: PowerConfig):
+def _continuous_table(mode: str, cfg: PowerConfig):
     """Cumulative assigned rate versus combined fading level, for interpolation."""
-    density, _, a = broadcast.continuous_layering(cfg, params.mode)
+    density, _, a = broadcast.continuous_layering(cfg, mode)
     return (*broadcast.cumulative_rate(density, _CONTINUOUS_TABLE_POINTS), a)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import twolayer
 from .model import PowerConfig, TwoLayerAllocation
-from .outage import optimal_single_user_rate, y_sum_tail
+from .outage import y_sum_tail
 
 __all__ = [
     "OptResult",
@@ -259,20 +259,14 @@ def _unequal_from_equal(equal: OptResult, free: Sequence[str],
                      coarse_best=equal.coarse_best)
 
 
-def oblivious_rate_plan(p_s: float, n_layers: int = 2) -> TwoLayerAllocation:
-    """The source's relay-unaware plan: maximize the direct throughput.
+def oblivious_rate_plan(p_s: float) -> TwoLayerAllocation:
+    """The source's relay-unaware two-layer plan: maximize the direct throughput.
 
-    One layer reduces to the optimal single-user rate; two layers are the
-    maximize_throughput("direct") search over (alpha, eta1, eta2) with 64
+    The maximize_throughput("direct") search over (alpha, eta1, eta2) with 64
     grid points per dimension.
     """
     if p_s <= 0.0:
         raise ValueError("p_s must be positive")
-    if n_layers == 1:
-        eta = math.expm1(optimal_single_user_rate(p_s)) / p_s
-        return TwoLayerAllocation(alpha=1.0, eta1=eta, eta2=eta)
-    if n_layers != 2:
-        raise ValueError("only 1 or 2 layers are supported here")
     res = maximize_throughput("direct", ("alpha", "eta1", "eta2"), {},
                               PowerConfig(p_s, 0.0, 0.0), coarse_points=64)
     return TwoLayerAllocation(**res.params)

@@ -17,8 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import integrate
 
-from .bounds import (BoundContext, IntervalPartition, _k_scalar, find_intersections,
-                     u_bound)
+from .bounds import BoundContext, find_intersections, relay_threshold_bound, u_bound
 from .broadcast import cumulative_rate
 from .model import (PowerConfig, ThroughputResult, TwoLayerAllocation,
                     _check_nonneg, decoding_times, layer_rates)
@@ -141,20 +140,16 @@ def _miso_equal_grid(alpha, beta, eta1, eta2, p_s: float, p_r: float) -> np.ndar
 
 def _seg(lo: float, hi: float, slope: float, anchor: float) -> float:
     """int_lo^hi exp(-v - slope*(anchor - v)) dv for a threshold line
-    slope*(anchor - v); evaluated endpoint-wise so large slopes underflow
-    cleanly instead of overflowing."""
-    if hi <= lo:
+    slope*(anchor - v): the larger endpoint's value times
+    -expm1(-|slope - 1|*(hi - lo))/|slope - 1|, which neither cancels near
+    unit slope nor overflows at large slopes."""
+    if hi <= lo or math.isinf(slope):
         return 0.0
-    if math.isinf(slope):
-        return 0.0
-
-    def point(v: float) -> float:
-        expo = -v - slope * (anchor - v)
-        return math.exp(expo) if expo > -745.0 else 0.0
-
-    if abs(slope - 1.0) < 1e-9:
-        return math.exp(-anchor) * (hi - lo)
-    return (point(hi) - point(lo)) / (slope - 1.0)
+    v = hi if slope > 1.0 else lo
+    expo = -v - slope * (anchor - v)
+    top = math.exp(expo) if expo > -745.0 else 0.0
+    c = abs(slope - 1.0)
+    return top * (hi - lo) if c == 0.0 else top * -math.expm1(-c * (hi - lo)) / c
 
 
 def _miso_unequal_parts(alpha: float, beta: float, eta1: float, eta2: float,
@@ -213,8 +208,7 @@ def miso_unequal_throughput(alloc: TwoLayerAllocation, p_s: float,
     alpha_bar*P_s.  The sign of d = beta + eta1*P_s*(beta - alpha), i.e. of
     1 - e^{r1}*beta_bar, selects whether relay power helps or hurts layer 1;
     d < 0 is reachable only for beta < alpha and flips the layer-1 region
-    below its threshold line.  Slopes within 1e-9 of 1 use the limit forms;
-    P_r = 0 gives the direct form.
+    below its threshold line.  P_r = 0 gives the direct form.
     """
     return ThroughputResult.build(*_miso_unequal_parts(
         alloc.alpha, alloc.beta, alloc.eta1, alloc.eta2, _check_nonneg("p_s", p_s), p_r))
@@ -242,30 +236,29 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Throughp
         return miso_unequal_throughput(alloc, cfg.p_s, cfg.p_r)
 
     ctx = BoundContext(alloc=alloc, cfg=cfg, x=x, r1=r1, r2=r2)
-    bb = alloc.beta_bar
 
     def exp_k(v: float) -> float:
-        thr = max(_k_scalar(v, ctx), 0.0)
+        thr = max(relay_threshold_bound(v, ctx), 0.0)
         expo = -thr - v
         return math.exp(expo) if expo > -745.0 else 0.0
 
     def exp_u(v: float) -> float:
-        thr = max(u_bound(v, ctx, bb), 0.0)
+        thr = max(u_bound(v, ctx), 0.0)
         expo = -thr - v
         return math.exp(expo) if expo > -745.0 else 0.0
 
     if r1 == 0.0:
         # a zero-rate layer 1 (alpha = 0) always decodes and sets no
         # threshold; K would read +inf from 0/0 at beta = 0
-        p1, part = 1.0, IntervalPartition((), 0.0, alloc.eta1, ("U",))
+        p1, pieces = 1.0, ((0.0, alloc.eta1, "U"),)
     else:
-        part = find_intersections(ctx)
+        pieces = find_intersections(ctx)
         p1 = math.exp(-alloc.eta1)
-        p1 += integrate.quad(exp_k, part.v_lo, alloc.eta1, **_QUAD_OPTS)[0]
+        p1 += integrate.quad(exp_k, pieces[0][0], alloc.eta1, **_QUAD_OPTS)[0]
 
     p_both = math.exp(-alloc.eta2)
     p_both += integrate.quad(exp_u, alloc.eta1, alloc.eta2, **_QUAD_OPTS)[0]
-    for lo, hi, dominant in part.segments():
+    for lo, hi, dominant in pieces:
         f = exp_k if dominant == "F" else exp_u
         p_both += integrate.quad(f, lo, hi, **_QUAD_OPTS)[0]
     return ThroughputResult.build(r1, r2, p1, min(p_both, p1))

@@ -47,7 +47,7 @@ def plan_cache():
 
     def plans(db):
         if db not in cache:
-            cache[db] = oblivious_rate_plan(db2lin(db), 2)
+            cache[db] = oblivious_rate_plan(db2lin(db))
         return cache[db]
 
     return plans
@@ -230,7 +230,7 @@ def test_criterion_09_bound_properties():
         assert np.all(np.diff(ts) < 0.0)                        # t decreasing
         assert t_factor(eta1, ctx) == pytest.approx(math.exp(r1), rel=1e-9)
 
-        v_dc = discontinuity_point(eq_ctx, fraction=alloc.alpha_bar)
+        v_dc = discontinuity_point(eq_ctx)
         grid = np.linspace(v_dc + 1e-9 * eta1 + 1e-12, eta1, 1000)
         f = np.array([relay_threshold_bound(v, eq_ctx) for v in grid])
         assert np.all(np.diff(f) < 1e-12)                       # F decreasing
@@ -238,11 +238,10 @@ def test_criterion_09_bound_properties():
         t_grid = np.array([t_factor(v, eq_ctx) for v in grid])
         assert np.all(np.sign(f[:-1]) == np.sign(1 - t_grid[:-1] * alloc.alpha_bar))
 
-        u = np.array([u_bound(v, ctx, alloc.beta_bar)
-                      for v in np.linspace(0.0, eta2 * 0.999, 1000)])
+        u = np.array([u_bound(v, ctx) for v in np.linspace(0.0, eta2 * 0.999, 1000)])
         assert np.all(np.diff(u) < 0.0)                         # U decreasing
         assert np.all(np.diff(u, 2) >= -1e-9)                   # U convex
-        assert abs(u_bound(eta2, ctx, alloc.beta_bar)) < 1e-9   # U(eta2) = 0
+        assert abs(u_bound(eta2, ctx)) < 1e-9                   # U(eta2) = 0
 
         hi_ctx = BoundContext(alloc=alloc, cfg=cfg, x=min(x + 0.04, 0.97),
                               r1=r1, r2=r2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from relaycast import (BoundContext, PowerConfig, TwoLayerAllocation,
                        conditional_layer_probability, discontinuity_point,
                        find_intersections, layer_rates, relay_threshold_bound,
                        simplex_equal_throughput, t_factor, u_bound)
-from relaycast.bounds import _k_scalar, _k_values, _t_values, _u_values
+from relaycast.bounds import _bisect_crossing, _k_values, _t_values, _u_values
 from relaycast.optimize import oblivious_rate_plan
 from relaycast.validation import validation_corpus
 
@@ -20,6 +21,11 @@ def make_ctx(alpha=0.6, beta=None, eta1=0.4, eta2=1.4, p_s=8.0, p_r=5.0, x=0.5):
     cfg = PowerConfig(p_s=p_s, p_r=p_r, q=1.0)
     r1, r2 = layer_rates(alloc, p_s)
     return BoundContext(alloc=alloc, cfg=cfg, x=x, r1=r1, r2=r2)
+
+
+def with_beta(ctx, beta):
+    """ctx with the relay split beta, at the same decoding time and rates."""
+    return replace(ctx, alloc=ctx.alloc.with_beta(beta))
 
 
 def try_ctx(alloc, cfg):
@@ -84,7 +90,7 @@ class TestRelayThreshold:
                 assert relay_threshold_bound(v, ctx_k) == pytest.approx(
                     relay_threshold_bound(v, ctx_f), abs=1e-12)
 
-    def test_sign_rule_and_prediscontinuity_error(self):
+    def test_sign_rule_and_prediscontinuity_inf(self):
         ctx = make_ctx(alpha=0.35, eta1=1.1, eta2=2.0, p_s=30.0, x=0.5)
         v_dc = discontinuity_point(ctx)
         assert v_dc > 0.0
@@ -92,8 +98,7 @@ class TestRelayThreshold:
             t = t_factor(v, ctx)
             assert (1.0 - t * ctx.alloc.alpha_bar) > 0.0
             assert relay_threshold_bound(v, ctx) >= -1e-12
-        with pytest.raises(ValueError):
-            relay_threshold_bound(0.5 * v_dc, ctx)
+        assert relay_threshold_bound(0.5 * v_dc, ctx) == math.inf
 
     def test_unequal_lowers_threshold(self, param_rng):
         for _ in range(10):
@@ -124,8 +129,8 @@ class TestRelayThreshold:
 class TestUBound:
     def test_zero_at_eta2(self):
         ctx = make_ctx()
-        assert u_bound(ctx.eta2, ctx, ctx.alloc.beta_bar) == pytest.approx(0.0, abs=1e-9)
-        assert u_bound(ctx.eta2 + 0.2, ctx, ctx.alloc.beta_bar) < 0.0
+        assert u_bound(ctx.eta2, ctx) == pytest.approx(0.0, abs=1e-9)
+        assert u_bound(ctx.eta2 + 0.2, ctx) < 0.0
 
     def test_decreasing_and_convex(self, param_rng):
         for _ in range(20):
@@ -133,7 +138,7 @@ class TestUBound:
             ctx = make_ctx(alpha=alloc.alpha, beta=alloc.beta, eta1=alloc.eta1,
                            eta2=alloc.eta2, x=float(param_rng.uniform(0.05, 0.95)))
             vs = np.linspace(0.0, 0.999 * ctx.eta2, 1000)
-            u = np.array([u_bound(v, ctx, ctx.alloc.beta_bar) for v in vs])
+            u = np.array([u_bound(v, ctx) for v in vs])
             assert np.all(np.diff(u) < 0.0)
             assert np.all(np.diff(u, 2) >= -1e-9)
 
@@ -141,15 +146,14 @@ class TestUBound:
         base = make_ctx(x=0.4)
         hi = make_ctx(x=0.6)
         for v in np.linspace(0.0, 0.99 * base.eta2, 50):
-            assert u_bound(v, hi, base.alloc.beta_bar) > \
-                u_bound(v, base, base.alloc.beta_bar)
+            assert u_bound(v, hi) > u_bound(v, base)
 
     def test_conditional_simulation_oracle(self):
         alloc = TwoLayerAllocation(alpha=0.55, eta1=0.5, eta2=1.6, beta=0.7)
         cfg = PowerConfig(p_s=6.0, p_r=4.0, q=25.0)
         ctx = BoundContext.from_config(alloc, cfg)
         for v in (0.7, 1.0, 1.4):
-            want = math.exp(-u_bound(v, ctx, ctx.alloc.beta_bar))
+            want = math.exp(-u_bound(v, ctx))
             est = conditional_layer_probability(v, 2, ctx, blocks=200_000, seed=62)
             assert abs(want - est.mean) < 3 * max(est.stderr, 1e-4)
 
@@ -179,7 +183,7 @@ class TestDiscontinuityPoint:
         if v_dcv > 0.0:
             assert abs(t_factor(v_dcv, ctx) * ctx.alloc.beta_bar - 1.0) < 1e-9
         # the K family switches sign later than the F family
-        assert v_dcv <= discontinuity_point(ctx, fraction=ctx.alloc.alpha_bar)
+        assert v_dcv <= discontinuity_point(with_beta(ctx, ctx.alloc.alpha))
 
 
 class TestThresholdComparisons:
@@ -218,22 +222,21 @@ class TestFindIntersections:
             alloc = draw_alloc(param_rng, beta_mode="ge")
             ctx = make_ctx(alpha=alloc.alpha, beta=alloc.beta, eta1=alloc.eta1,
                            eta2=alloc.eta2, x=float(param_rng.uniform(0.05, 0.95)))
-            part = find_intersections(ctx)
+            segs = find_intersections(ctx)
             checked += 1
-            assert part.upper == ctx.eta1
-            assert all(b > a for a, b in zip(part.crossings, part.crossings[1:]))
-            segs = list(part.segments())
-            assert len(segs) == len(part.crossings) + 1
+            assert segs[0][0] == discontinuity_point(ctx) and segs[-1][1] == ctx.eta1
+            assert all(s0[1] == s1[0] for s0, s1 in zip(segs, segs[1:]))
+            crossings = [hi for _, hi, _ in segs[:-1]]
+            assert all(b > a for a, b in zip(crossings, crossings[1:]))
             for lo, hi, dominant in segs:
                 # each piece is labelled with the larger curve at its midpoint
                 mid = 0.5 * (lo + hi)
-                k_above_u = not _k_scalar(mid, ctx) <= u_bound(mid, ctx, ctx.alloc.beta_bar)
+                k_above_u = not relay_threshold_bound(mid, ctx) <= u_bound(mid, ctx)
                 assert dominant == ("F" if k_above_u else "U")
-            assert segs[0][0] == part.v_lo and segs[-1][1] == part.upper
             assert all(s0[2] != s1[2] for s0, s1 in zip(segs, segs[1:]))
-            for v in part.crossings:
+            for v in crossings:
                 f = float(_k_values(v, ctx))
-                u = float(_u_values(v, ctx, ctx.alloc.beta_bar))
+                u = float(_u_values(v, ctx))
                 if abs(f) < 745.0:
                     # thresholds large enough to underflow exp(-f) cannot
                     # affect any integral, and near its pole the evaluation
@@ -243,13 +246,12 @@ class TestFindIntersections:
 
     def test_miso_like_counts(self, param_rng):
         # at zero decoding time the threshold curves are the MISO lines:
-        # only 0, 1 or 2 crossings can occur
+        # only 0, 1 or 2 crossings, so 1, 2 or 3 pieces, can occur
         for _ in range(40):
             alloc = draw_alloc(param_rng, beta_mode="ge")
             ctx = make_ctx(alpha=alloc.alpha, beta=alloc.beta, eta1=alloc.eta1,
                            eta2=alloc.eta2, x=0.0)
-            part = find_intersections(ctx)
-            assert len(part.crossings) in (0, 1, 2)
+            assert len(find_intersections(ctx)) in (1, 2, 3)
 
 
 def same_float(a, b) -> bool:
@@ -262,8 +264,8 @@ def same_float(a, b) -> bool:
 
 class TestScalarKernels:
     """The scalar t/K/U kernels behind quad's integrands and the crossing
-    bisection (t_factor, _k_scalar, u_bound) must reproduce the array
-    kernels bit for bit."""
+    bisection (t_factor, relay_threshold_bound, u_bound) must reproduce the
+    array kernels bit for bit."""
 
     CASES = {
         "ordinary": dict(),
@@ -283,16 +285,18 @@ class TestScalarKernels:
     @staticmethod
     def assert_kernels_agree(ctx):
         vs = np.linspace(0.0, ctx.eta2 + 0.5, 2001)
-        fractions = (ctx.alloc.beta_bar, ctx.alloc.alpha_bar, 0.0)
+        # U at the context's beta_bar, at alpha_bar and at 0 (all relay power
+        # on layer 1)
+        u_ctxs = [with_beta(ctx, beta) for beta in (ctx.alloc.beta, ctx.alloc.alpha, 1.0)]
         with np.errstate(all="ignore"):
             t, k = _t_values(vs, ctx), _k_values(vs, ctx)
-            u = [_u_values(vs, ctx, f) for f in fractions]
+            u = [_u_values(vs, c) for c in u_ctxs]
         for i, v in enumerate(vs):
             v = float(v)
             assert same_float(t_factor(v, ctx), t[i]), (v, "t")
-            assert same_float(_k_scalar(v, ctx), k[i]), (v, "K")
-            for f, u_f in zip(fractions, u):
-                assert same_float(u_bound(v, ctx, f), u_f[i]), (v, "U", f)
+            assert same_float(relay_threshold_bound(v, ctx), k[i]), (v, "K")
+            for c, u_c in zip(u_ctxs, u):
+                assert same_float(u_bound(v, c), u_c[i]), (v, "U", c.alloc.beta)
         return t, k
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -315,11 +319,11 @@ class TestScalarKernels:
         assert checked >= 6
 
 
-def bisect_discontinuity(ctx, fraction):
-    """Bisection on the monotone t for t(v) = 1/fraction: the cross-check
+def bisect_discontinuity(ctx):
+    """Bisection on the monotone t for t(v) = 1/beta_bar: the cross-check
     that discontinuity_point ran beside its closed form."""
     lo, hi = 0.0, ctx.eta1
-    target = 1.0 / fraction
+    target = 1.0 / ctx.alloc.beta_bar
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if t_factor(mid, ctx) > target:
@@ -349,7 +353,7 @@ def simplex_contexts():
         for db in ps_db:
             p_s = 10.0 ** (db / 10.0)
             if db not in plans:
-                plans[db] = oblivious_rate_plan(p_s, 2)
+                plans[db] = oblivious_rate_plan(p_s)
             plan = plans[db]
             betas = [plan.alpha] + [b for b in np.linspace(0.0, 1.0, 12) if b >= plan.alpha]
             for q in q_db:
@@ -365,13 +369,24 @@ def test_discontinuity_closed_form_matches_bisection():
         ctx = try_ctx(alloc, cfg)
         if ctx is None or ctx.x == 0.0:
             continue  # never reaches the threshold machinery
-        for fraction in (ctx.alloc.beta_bar, ctx.alloc.alpha_bar):
-            v = discontinuity_point(ctx, fraction)
+        for c in (ctx, with_beta(ctx, ctx.alloc.alpha)):
+            v = discontinuity_point(c)
             if 0.0 < v < ctx.eta1:
-                assert abs(v - bisect_discontinuity(ctx, fraction)) <= \
-                    1e-8 * max(1.0, ctx.eta1), (alloc, cfg, fraction)
+                assert abs(v - bisect_discontinuity(c)) <= \
+                    1e-8 * max(1.0, ctx.eta1), (alloc, cfg, c.alloc.beta)
                 checked += 1
     assert checked >= 300
+
+
+@pytest.mark.parametrize("diff", [
+    lambda v: math.nan if v < 0.3 else -1.0,
+    lambda v: -1.0 if v < 0.3 else math.nan,
+])
+def test_bisection_counts_nan_as_f_above_u(diff):
+    # K - U is NaN (inf - inf) where both curves are infinite; the scan and
+    # the labels count that as F above U, so the bisection must too and find
+    # the boundary at 0.3
+    assert _bisect_crossing(diff, 0.0, 1.0) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_discontinuity_point_stays_below_eta1_at_high_power():
@@ -381,7 +396,7 @@ def test_discontinuity_point_stays_below_eta1_at_high_power():
     cfg = PowerConfig(p_s=3.4095e7, p_r=3.4095e7, q=100.0)
     ctx = BoundContext.from_config(alloc, cfg)
     assert discontinuity_point(ctx) <= ctx.eta1
-    part = find_intersections(ctx)
-    assert part.v_lo <= part.upper == ctx.eta1
+    segs = find_intersections(ctx)
+    assert segs[0][0] <= segs[-1][1] == ctx.eta1
     res = simplex_equal_throughput(alloc, cfg)
     assert math.isfinite(res.r_av) and 0.0 <= res.r_av <= ctx.r1 + ctx.r2

@@ -8,7 +8,7 @@ from relaycast import (PowerConfig, broadcast, optimal_power_density, rayleigh_d
                        relay_or_miso_broadcast_bound, siso_broadcast_rate,
                        single_user_throughput, optimal_single_user_rate,
                        sum_fading_distribution, broadcast_rate, PowerDensity)
-from relaycast.montecarlo import ContinuousLayering, SimConfig, simulate_strategy
+from relaycast.montecarlo import SimConfig, simulate_strategy
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -215,8 +215,7 @@ class TestRelayBounds:
         cfg = PowerConfig(p_s=10.0, p_r=15.0, q=1.0)
         analytic = relay_or_miso_broadcast_bound(cfg, mode)
         est = simulate_strategy(SimConfig(blocks=400_000, seed=314,
-                                          strategy="layered-continuous",
-                                          params=ContinuousLayering(mode=mode)), cfg)
+                                          strategy="layered-continuous", params=mode), cfg)
         assert abs(analytic - est.mean) < 3 * est.stderr
 
     @pytest.mark.xfail(strict=True, reason="D8: the oracle's rate table is a 4097-point "
@@ -228,8 +227,7 @@ class TestRelayBounds:
         cfg = PowerConfig(p_s=1.0, p_r=1e5, q=1.0)
         analytic = relay_or_miso_broadcast_bound(cfg, "miso")
         est = simulate_strategy(SimConfig(blocks=200_000, seed=314,
-                                          strategy="layered-continuous",
-                                          params=ContinuousLayering(mode="miso")), cfg)
+                                          strategy="layered-continuous", params="miso"), cfg)
         assert abs(analytic - est.mean) < 3 * est.stderr
 
     def test_unknown_mode_rejected(self):

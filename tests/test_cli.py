@@ -110,9 +110,9 @@ def test_sweep_plans_once_per_source_power(tmp_path, monkeypatch):
     calls = []
     plan = figures.oblivious_rate_plan
 
-    def counted(p_s, n_layers=2):
+    def counted(p_s):
         calls.append(p_s)
-        return plan(p_s, n_layers)
+        return plan(p_s)
 
     monkeypatch.setattr(figures, "oblivious_rate_plan", counted)
     outputs = []
@@ -129,7 +129,7 @@ def test_sweep_plans_once_per_source_power(tmp_path, monkeypatch):
     rows = read_csv(tmp_path / "sweep1.csv")
     assert len(rows) == 12
     p_s = 10.0
-    want = simplex_equal_throughput(plan(p_s, 2), PowerConfig(p_s=p_s, p_r=p_s, q=100.0))
+    want = simplex_equal_throughput(plan(p_s), PowerConfig(p_s=p_s, p_r=p_s, q=100.0))
     got = [r for r in rows if (r["ps_db"], r["q_db"], r["pr_over_ps"]) == ("10", "20", "1")]
     assert float(got[0]["throughput_nats"]) == float(f"{want.r_av:.12g}")
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from relaycast import PowerConfig, TwoLayerAllocation, layer_rates
 from relaycast.bounds import BoundContext
 from relaycast.cli import main
-from relaycast.montecarlo import (CHUNK_BLOCKS, ContinuousLayering, SimConfig,
-                                  SimEstimate, _chunk_rate, _continuous_table,
+from relaycast.montecarlo import (CHUNK_BLOCKS, SimConfig, SimEstimate,
+                                  _chunk_rate, _continuous_table,
                                   _two_layer_credit, conditional_layer_probability,
                                   simulate_strategy)
 from relaycast.twolayer import direct_multilayer_throughput
@@ -88,19 +88,16 @@ def test_layered_continuous_modes_run():
     cfg = PowerConfig(p_s=10.0, p_r=5.0, q=1.0)
     for mode in ("relay", "miso", "siso"):
         est = simulate_strategy(SimConfig(blocks=50_000, seed=3,
-                                          strategy="layered-continuous",
-                                          params=ContinuousLayering(mode=mode)), cfg)
+                                          strategy="layered-continuous", params=mode), cfg)
         assert est.mean > 0.0 and est.stderr > 0.0
 
 
 def test_continuous_table_of_a_vanishing_relay_is_the_siso_table():
     # P_r/P_s below 1e-12 falls back to SISO, as the closed-form bound does
-    siso = _continuous_table(ContinuousLayering(mode="siso"),
-                             PowerConfig(p_s=10.0, p_r=0.0, q=1.0))
+    siso = _continuous_table("siso", PowerConfig(p_s=10.0, p_r=0.0, q=1.0))
     assert siso[2] == 0.0
     for mode in ("relay", "miso"):
-        grid, cum, a = _continuous_table(ContinuousLayering(mode=mode),
-                                         PowerConfig(p_s=10.0, p_r=1e-12, q=1.0))
+        grid, cum, a = _continuous_table(mode, PowerConfig(p_s=10.0, p_r=1e-12, q=1.0))
         assert a == 0.0
         assert np.array_equal(grid, siso[0]) and np.array_equal(cum, siso[1])
 
@@ -132,9 +129,9 @@ PIN_CASES = {
     "full-duplex-eps2-1": ("full-duplex", ALLOC, PowerConfig(p_s=1.0, p_r=1.0, q=1.0)),
     "sdf-eps-below-1": ("single-layer-SDF", 1.0, CFG),  # eps = 0.175
     "sdf-eps-1": ("single-layer-SDF", 1.0, _LOW_Q),
-    "continuous-relay": ("layered-continuous", ContinuousLayering("relay"), _CONTINUOUS),
-    "continuous-miso": ("layered-continuous", ContinuousLayering("miso"), _CONTINUOUS),
-    "continuous-siso": ("layered-continuous", ContinuousLayering("siso"), _CONTINUOUS),
+    "continuous-relay": ("layered-continuous", "relay", _CONTINUOUS),
+    "continuous-miso": ("layered-continuous", "miso", _CONTINUOUS),
+    "continuous-siso": ("layered-continuous", "siso", _CONTINUOUS),
     "simplex-unequal-silent-relay": ("simplex-unequal", _ALLOC_UNEQUAL, _SILENT),
     "miso-unequal-silent-relay": ("miso-unequal", _ALLOC_UNEQUAL, _SILENT),
 }

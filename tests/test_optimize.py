@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -37,32 +35,25 @@ def test_golden_section_max():
 
 
 class TestObliviousPlan:
-    def test_single_layer_known_point(self):
-        plan = oblivious_rate_plan(math.e, 1)
-        assert plan.alpha == 1.0
-        assert plan.eta1 == pytest.approx((math.e - 1.0) / math.e, abs=1e-10)
-
     @pytest.mark.parametrize("p_s", [1.0, 10.0, 100.0])
     def test_two_layers_beat_one(self, p_s):
         one = single_user_throughput(optimal_single_user_rate(p_s), p_s).r_av
-        assert plan_value(oblivious_rate_plan(p_s, 2), p_s) >= one - 1e-12
+        assert plan_value(oblivious_rate_plan(p_s), p_s) >= one - 1e-12
 
     @pytest.mark.parametrize("p_s", [1.0, 10.0])
     def test_beats_brute_force_grid(self, p_s):
         brute = brute_direct_optimum(p_s)
-        assert plan_value(oblivious_rate_plan(p_s, 2), p_s) >= brute - 1e-6
+        assert plan_value(oblivious_rate_plan(p_s), p_s) >= brute - 1e-6
 
     def test_deterministic(self):
-        assert oblivious_rate_plan(7.0, 2) == oblivious_rate_plan(7.0, 2)
+        assert oblivious_rate_plan(7.0) == oblivious_rate_plan(7.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            oblivious_rate_plan(0.0, 2)
-        with pytest.raises(ValueError):
-            oblivious_rate_plan(1.0, 3)
+            oblivious_rate_plan(0.0)
 
 
-# (P_s dB, alpha, eta1, eta2 as float.hex) of oblivious_rate_plan(P_s, 2), as
+# (P_s dB, alpha, eta1, eta2 as float.hex) of oblivious_rate_plan(P_s), as
 # its own 64-point grid search gave them before the plan became a direct
 # maximize_throughput call.  The coarse grid holds exact ties below about
 # -17.5 dB and above about 71 dB (one threshold drops out of the objective on
@@ -103,7 +94,7 @@ PINNED_PLANS = [
 
 @pytest.mark.parametrize("ps_db,alpha,eta1,eta2", PINNED_PLANS)
 def test_pinned_plans(ps_db, alpha, eta1, eta2):
-    plan = oblivious_rate_plan(10 ** (ps_db / 10), 2)
+    plan = oblivious_rate_plan(10 ** (ps_db / 10))
     assert (plan.alpha, plan.eta1, plan.eta2) == tuple(map(float.fromhex, (alpha, eta1, eta2)))
 
 
@@ -118,7 +109,7 @@ class TestMaximizeThroughput:
 
     def test_beta_constraint_respected(self):
         cfg = PowerConfig(p_s=10.0, p_r=10.0, q=100.0)
-        plan = oblivious_rate_plan(10.0, 2)
+        plan = oblivious_rate_plan(10.0)
         res = maximize_throughput("simplex-unequal", ("beta",),
                                   {"alpha": plan.alpha, "eta1": plan.eta1,
                                    "eta2": plan.eta2}, cfg, coarse_points=8)
@@ -133,7 +124,7 @@ class TestMaximizeThroughput:
 
     def test_dominates_equal_split_point(self):
         cfg = PowerConfig(p_s=10.0, p_r=10.0, q=100.0)
-        plan = oblivious_rate_plan(10.0, 2)
+        plan = oblivious_rate_plan(10.0)
         from relaycast import simplex_equal_throughput
         eq = simplex_equal_throughput(plan, cfg).r_av
         res = maximize_throughput("simplex-unequal", ("beta",),

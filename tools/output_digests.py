@@ -14,8 +14,9 @@ Runs, in-process and into a temporary directory:
   dB and 70..80 dB in 0.25 dB steps, where the oblivious plan's coarse grid
   holds exact ties;
 * ``rate`` for every scheme at the default powers (the two-layer schemes at
-  alpha 0.7, eta 0.3/1.8), and ``simplex-equal`` at alpha 0, eta 0.5/1 and
-  at alpha 0.5, eta 1/1;
+  alpha 0.7, eta 0.3/1.8), ``simplex-equal`` at alpha 0, eta 0.5/1 and
+  at alpha 0.5, eta 1/1, and ``miso-unequal`` at beta 0.70000003, whose
+  layer-2 threshold slope lies 1e-7 from 1;
 * ``optimize`` with a coarse grid of 10: at 10 dB for ``direct``,
   ``miso-equal`` and ``miso-unequal`` (default free set), ``miso-unequal``
   over all four parameters and ``simplex-unequal`` over beta alone; at
@@ -115,6 +116,9 @@ def commands(cli, out: Path):
         csv = f"rate-simplex-equal-{name}.csv"
         yield csv, ("rate", "--scheme", "simplex-equal", "--alpha", alpha, "--eta1", eta1,
                     "--eta2", eta2, "--out", str(out / csv))
+    csv = "rate-miso-unequal-near-unit-slope.csv"
+    yield csv, ("rate", "--scheme", "miso-unequal", *ALLOC, "--beta", "0.70000003",
+                "--out", str(out / csv))
     for i, (ps_db, scheme, *extra) in enumerate(OPTIMIZE):
         csv = f"optimize-{i}-{scheme}.csv"
         yield csv, ("optimize", "--scheme", scheme, "--ps-db", ps_db, "--coarse", "10",
