@@ -5,9 +5,9 @@ destination reduces to nu_r exceeding a threshold curve in nu_s.  This module
 provides those curves for the allocation in a BoundContext: the auxiliary
 factor t, the layer-1 threshold K (the F family when beta = alpha), the
 layer-2 threshold U, the point below which layer 1 is undecodable for any
-nu_r, and the scanner that cuts [v_lo, eta1] at the crossings of K and U and
-labels each piece with the curve that is larger there.  The relay's residual
-fraction beta_bar comes from the context's allocation throughout.
+nu_r, and the scanner that cuts [v_lo, eta1] at the crossings of K and U,
+where :mod:`relaycast.twolayer`'s fixed Gauss-Legendre rule breaks its panels.
+The relay's residual fraction beta_bar comes from the context's allocation.
 
 For the derivation of t and the thresholds from the phase-wise mutual
 information balance see docs/conformance.md.
@@ -191,8 +191,8 @@ def discontinuity_point(ctx: BoundContext) -> float:
 def _bisect_crossing(diff, lo: float, hi: float) -> float:
     # refine to 1e-12 and then on to float resolution: the curves can be
     # near-vertical close to the discontinuity, where a fixed-width bracket
-    # would leave a visible residual.  A NaN (inf - inf) counts as F above U,
-    # as in find_intersections' scan and labels.
+    # would leave a visible residual.  A NaN (inf - inf) counts as K above U,
+    # as in find_intersections' scan.
     above_lo = not diff(lo) <= 0.0
     for _ in range(120):
         mid = 0.5 * (lo + hi)
@@ -208,32 +208,24 @@ def _bisect_crossing(diff, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def find_intersections(ctx: BoundContext) -> tuple[tuple[float, float, str], ...]:
+def find_intersections(ctx: BoundContext) -> tuple[float, ...]:
     """Cut [v_lo, eta1] at the crossings of the layer-1 and layer-2 thresholds.
 
-    Returns the pieces (lo, hi, dominant) in increasing order, from
-    v_lo = discontinuity_point(ctx) to eta1, with "F" (K above U) or "U" naming
-    the larger curve on each.  Sign scan of K - U on _N_SCAN intervals,
-    bisection refinement of each sign change, and one evaluation of K - U at
-    the midpoint of every piece, which labels it.  A NaN (inf - inf) counts
-    as F above U, in the scan, the bisection and the labels.
+    Returns (v_lo, *crossings, eta1), v_lo = discontinuity_point(ctx): a sign
+    scan of K - U on _N_SCAN intervals, then a bisection of each sign change.
+    A NaN (inf - inf) counts as K above U in both.
     """
     v_lo = discontinuity_point(ctx)
-    eta1 = ctx.eta1
-    if eta1 - v_lo <= 0.0:
-        return ((v_lo, eta1, "U"),)
 
     def diff_scalar(v: float) -> float:
         return relay_threshold_bound(v, ctx) - u_bound(v, ctx)
 
-    span = eta1 - v_lo
-    grid = np.linspace(v_lo, eta1, _N_SCAN + 1)
+    span = ctx.eta1 - v_lo
+    grid = np.linspace(v_lo, ctx.eta1, _N_SCAN + 1)
     grid[0] += 1e-9 * span   # dodge the pole at v_lo
     grid[-1] -= 1e-12 * span
     with np.errstate(invalid="ignore"):
         signs = ~(_k_values(grid, ctx) - _u_values(grid, ctx) <= 0.0)
-    crossings = tuple(_bisect_crossing(diff_scalar, float(grid[i]), float(grid[i + 1]))
-                      for i in np.nonzero(signs[:-1] != signs[1:])[0])
-    edges = (v_lo, *crossings, eta1)
-    return tuple((lo, hi, "U" if diff_scalar(0.5 * (lo + hi)) <= 0.0 else "F")
-                 for lo, hi in zip(edges[:-1], edges[1:]))
+    crossings = (_bisect_crossing(diff_scalar, float(grid[i]), float(grid[i + 1]))
+                 for i in np.nonzero(signs[:-1] != signs[1:])[0])
+    return (v_lo, *crossings, ctx.eta1)

@@ -5,7 +5,9 @@ The MISO results come from the decode-region geometry in the (nu_s, nu_r)
 plane: each layer is decodable above a straight threshold line, and the
 average throughput is a sum of closed-form exponential integrals over the
 regions between those lines.  The simplex results replace the lines by the
-curved thresholds of :mod:`relaycast.bounds` and integrate numerically.
+curved thresholds of :mod:`relaycast.bounds` and integrate numerically: over
+[v_lo, eta1] by 64-point Gauss-Legendre on panels that halve toward both ends
+and break at the K/U crossings, over [eta1, eta2] by adaptive ``quad``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import integrate
 
-from .bounds import BoundContext, find_intersections, relay_threshold_bound, u_bound
-from .broadcast import cumulative_rate
+from .bounds import BoundContext, _k_values, _u_values, find_intersections, u_bound
+from .broadcast import _ladder, _panel_rule, cumulative_rate
 from .model import (PowerConfig, ThroughputResult, TwoLayerAllocation,
                     _check_nonneg, decoding_times, layer_rates)
 from .outage import y_sum_tail
@@ -237,30 +239,32 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Throughp
 
     ctx = BoundContext(alloc=alloc, cfg=cfg, x=x, r1=r1, r2=r2)
 
-    def exp_k(v: float) -> float:
-        thr = max(relay_threshold_bound(v, ctx), 0.0)
-        expo = -thr - v
-        return math.exp(expo) if expo > -745.0 else 0.0
-
     def exp_u(v: float) -> float:
         thr = max(u_bound(v, ctx), 0.0)
         expo = -thr - v
         return math.exp(expo) if expo > -745.0 else 0.0
 
+    # [eta1, eta2] stays on adaptive quad: perfbench pins D5's validate cell
+    p_both = math.exp(-alloc.eta2)
+    p_both += integrate.quad(exp_u, alloc.eta1, alloc.eta2, **_QUAD_OPTS)[0]
+    # [v_lo, eta1] by the SDF's rule (an alpha = 1 plan is the SDF one), cut at K = U
+    cuts = (0.0, alloc.eta1) if r1 == 0.0 else find_intersections(ctx)
+    v, w = _panel_rule(_ladder(cuts), 64)
+
+    def integral(thr: np.ndarray) -> float:
+        # int exp(-max(thr, 0) - v); a NaN threshold contributes 0
+        return float(np.nansum(w * np.exp(-np.maximum(thr, 0.0) - v)))
+
+    u = _u_values(v, ctx)
     if r1 == 0.0:
         # a zero-rate layer 1 (alpha = 0) always decodes and sets no
         # threshold; K would read +inf from 0/0 at beta = 0
-        p1, pieces = 1.0, ((0.0, alloc.eta1, "U"),)
+        p1, p_both = 1.0, p_both + integral(u)
     else:
-        pieces = find_intersections(ctx)
-        p1 = math.exp(-alloc.eta1)
-        p1 += integrate.quad(exp_k, pieces[0][0], alloc.eta1, **_QUAD_OPTS)[0]
-
-    p_both = math.exp(-alloc.eta2)
-    p_both += integrate.quad(exp_u, alloc.eta1, alloc.eta2, **_QUAD_OPTS)[0]
-    for lo, hi, dominant in pieces:
-        f = exp_k if dominant == "F" else exp_u
-        p_both += integrate.quad(f, lo, hi, **_QUAD_OPTS)[0]
+        k = _k_values(v, ctx)
+        p1 = math.exp(-alloc.eta1) + integral(k)
+        with np.errstate(invalid="ignore"):  # K - U is NaN where both are inf
+            p_both += integral(np.where(k - u <= 0.0, u, k))
     return ThroughputResult.build(r1, r2, p1, min(p_both, p1))
 
 

@@ -222,19 +222,11 @@ class TestFindIntersections:
             alloc = draw_alloc(param_rng, beta_mode="ge")
             ctx = make_ctx(alpha=alloc.alpha, beta=alloc.beta, eta1=alloc.eta1,
                            eta2=alloc.eta2, x=float(param_rng.uniform(0.05, 0.95)))
-            segs = find_intersections(ctx)
+            cuts = find_intersections(ctx)
             checked += 1
-            assert segs[0][0] == discontinuity_point(ctx) and segs[-1][1] == ctx.eta1
-            assert all(s0[1] == s1[0] for s0, s1 in zip(segs, segs[1:]))
-            crossings = [hi for _, hi, _ in segs[:-1]]
-            assert all(b > a for a, b in zip(crossings, crossings[1:]))
-            for lo, hi, dominant in segs:
-                # each piece is labelled with the larger curve at its midpoint
-                mid = 0.5 * (lo + hi)
-                k_above_u = not relay_threshold_bound(mid, ctx) <= u_bound(mid, ctx)
-                assert dominant == ("F" if k_above_u else "U")
-            assert all(s0[2] != s1[2] for s0, s1 in zip(segs, segs[1:]))
-            for v in crossings:
+            assert cuts[0] == discontinuity_point(ctx) and cuts[-1] == ctx.eta1
+            assert all(b > a for a, b in zip(cuts, cuts[1:]))
+            for v in cuts[1:-1]:
                 f = float(_k_values(v, ctx))
                 u = float(_u_values(v, ctx))
                 if abs(f) < 745.0:
@@ -246,12 +238,12 @@ class TestFindIntersections:
 
     def test_miso_like_counts(self, param_rng):
         # at zero decoding time the threshold curves are the MISO lines:
-        # only 0, 1 or 2 crossings, so 1, 2 or 3 pieces, can occur
+        # only 0, 1 or 2 crossings, so 2, 3 or 4 cut points, can occur
         for _ in range(40):
             alloc = draw_alloc(param_rng, beta_mode="ge")
             ctx = make_ctx(alpha=alloc.alpha, beta=alloc.beta, eta1=alloc.eta1,
                            eta2=alloc.eta2, x=0.0)
-            assert len(find_intersections(ctx)) in (1, 2, 3)
+            assert len(find_intersections(ctx)) in (2, 3, 4)
 
 
 def same_float(a, b) -> bool:
@@ -383,9 +375,9 @@ def test_discontinuity_closed_form_matches_bisection():
     lambda v: -1.0 if v < 0.3 else math.nan,
 ])
 def test_bisection_counts_nan_as_f_above_u(diff):
-    # K - U is NaN (inf - inf) where both curves are infinite; the scan and
-    # the labels count that as F above U, so the bisection must too and find
-    # the boundary at 0.3
+    # K - U is NaN (inf - inf) where both curves are infinite; the scan
+    # counts that as K above U, so the bisection must too and find the
+    # boundary at 0.3
     assert _bisect_crossing(diff, 0.0, 1.0) == pytest.approx(0.3, abs=1e-15)
 
 
@@ -396,7 +388,7 @@ def test_discontinuity_point_stays_below_eta1_at_high_power():
     cfg = PowerConfig(p_s=3.4095e7, p_r=3.4095e7, q=100.0)
     ctx = BoundContext.from_config(alloc, cfg)
     assert discontinuity_point(ctx) <= ctx.eta1
-    segs = find_intersections(ctx)
-    assert segs[0][0] <= segs[-1][1] == ctx.eta1
+    cuts = find_intersections(ctx)
+    assert cuts[0] <= cuts[-1] == ctx.eta1
     res = simplex_equal_throughput(alloc, cfg)
     assert math.isfinite(res.r_av) and 0.0 <= res.r_av <= ctx.r1 + ctx.r2

@@ -146,7 +146,7 @@ class TestMaximizeThroughput:
                                   {"alpha": 0.7, "eta1": 0.3, "eta2": 1.8},
                                   PowerConfig(10.0, 10.0, 100.0), coarse_points=10)
         assert searches == [(0.7, 1.0)]
-        assert (res.value, res.params["beta"]) == (1.0410386128522582, 0.7000002609033692)
+        assert (res.value, res.params["beta"]) == (1.0410386128522764, 0.7000002609033692)
 
     def test_reproducible(self):
         cfg = PowerConfig(p_s=3.0, p_r=9.0, q=1.0)

@@ -18,6 +18,24 @@ def mc_sum_tail(u, p_s, p_r, n=1_000_000, seed=5150):
     return hits.mean(), hits.std(ddof=1) / math.sqrt(n)
 
 
+def dense_decode_prob(r, eps, p_s, p_r, depth=60, sub=100):
+    """_relay_aided_decode_prob by brute force: 20-point Gauss-Legendre on
+    `sub` equal parts of each panel of a ladder halving toward 0 and eta down
+    to 2^-depth eta (2 * depth * sub * 20 = 240,000 nodes)."""
+    eta = math.expm1(r) / p_s
+    steps = eta * 0.5 ** np.arange(depth, 0, -1)
+    ladder = np.concatenate(([0.0], steps, eta - steps[-2::-1], [eta]))
+    edges = np.concatenate([np.linspace(lo, hi, sub + 1)[:-1]
+                            for lo, hi in zip(ladder[:-1], ladder[1:])] + [[eta]])
+    x, w = np.polynomial.legendre.leggauss(20)
+    half = 0.5 * np.diff(edges)[:, None]
+    v = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x
+    a = (r - eps * np.log1p(v * p_s)) / (1.0 - eps)
+    need = np.expm1(np.minimum(a, 700.0)) - v * p_s
+    f = np.where(a > 700.0, 0.0, np.exp(-np.maximum(need, 0.0) / p_r - v))
+    return min(math.exp(-eta) + float(np.sum(half * w * f)), 1.0)
+
+
 class TestYSumTail:
     def test_boundaries(self):
         assert y_sum_tail(0.0, 2.0, 1.0) == 1.0
@@ -117,6 +135,24 @@ class TestSdfSingleLayer:
         est = simulate_strategy(SimConfig(blocks=1_000_000, seed=17,
                                           strategy="single-layer-SDF", params=1.0), cfg)
         assert abs(res.r_av - est.mean) < 3 * est.stderr
+
+    @pytest.mark.parametrize("eps", [0.2, 0.9, 0.999, 1.0 - 1e-7])
+    def test_late_relay_matches_a_dense_reference(self, eps):
+        # the later the relay joins, the closer to eta the integrand collapses
+        from relaycast.outage import _relay_aided_decode_prob
+        r, p_s, p_r = 1.5, 10.0, 5.0
+        want = dense_decode_prob(r, eps, p_s, p_r)
+        assert _relay_aided_decode_prob(r, eps, p_s, p_r) == pytest.approx(want, rel=1e-12)
+
+    def test_large_threshold_keeps_the_mass_near_zero(self):
+        # eta ~ 7e4: e^{-v} holds the integrand within a few units of 0,
+        # which adaptive quad on panels that only halve toward eta missed
+        # (it read 6.4e-16)
+        from relaycast.outage import _relay_aided_decode_prob
+        r, eps, p_s, p_r = 7.0, 0.011, 0.015, 1.2e5
+        want = dense_decode_prob(r, eps, p_s, p_r)
+        assert want > 0.99
+        assert _relay_aided_decode_prob(r, eps, p_s, p_r) == pytest.approx(want, rel=1e-12)
 
     def test_scheme_ordering_and_q_monotonicity(self, param_rng):
         for _ in range(25):

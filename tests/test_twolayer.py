@@ -360,11 +360,13 @@ class TestSimplex:
             res = simplex_unequal_throughput(alloc, cfg)
             assert res.r_av.hex() == want and res.p_layer1 == 1.0
 
+    @pytest.mark.filterwarnings("error")
     def test_noise_crossings_at_high_power_match_a_dense_reference(self):
         # at 72.7 dB the relay decodes after all but 3.3e-8 of the block, and
-        # the sign scan of K - U finds crossings made of rounding noise; each
-        # piece takes the curve that is larger at its midpoint, which keeps
-        # r_av at composite Gauss-Legendre applied to max(K, U)
+        # the sign scan of K - U finds crossings made of rounding noise; the
+        # rule takes the larger curve at every node, which keeps r_av at
+        # composite Gauss-Legendre applied to max(K, U), and a piece an ulp
+        # wide no longer makes adaptive quad warn
         alloc = TwoLayerAllocation(alpha=0.005409707427599053, eta1=1.5391245754166443,
                                    eta2=2.9341772085613624)
         cfg = PowerConfig(p_s=1.8443289253065765e7, p_r=7.692303295090042e4,
@@ -387,13 +389,12 @@ class TestSimplex:
         got = simplex_equal_throughput(alloc, cfg).r_av
         assert got == pytest.approx(want, rel=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="D9: the layer-1 quad misses a narrow "
-                       "peak of exp(-K - v) below eta1")
     def test_one_layer_plan_matches_the_single_layer_sdf(self):
         # alpha = 1 and eta1 = eta2 = expm1(r)/P_s send one layer at rate r,
         # so the simplex form is the single-layer SDF one, which agrees with
-        # a dense reference to 4e-16; the simplex form reads 0.0032258121521
-        # (-6.7e-4)
+        # a dense reference to 4e-16; adaptive quad on the layer-1 integral
+        # missed a narrow peak of exp(-K - v) below eta1 and read
+        # 0.0032258121521 (-6.7e-4)
         r = 5.922695910116097
         cfg = PowerConfig(p_s=49.55410510340221, p_r=0.2991693503646765,
                           q=15.757603356988609)

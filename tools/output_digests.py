@@ -17,6 +17,10 @@ Runs, in-process and into a temporary directory:
   alpha 0.7, eta 0.3/1.8), ``simplex-equal`` at alpha 0, eta 0.5/1 and
   at alpha 0.5, eta 1/1, and ``miso-unequal`` at beta 0.70000003, whose
   layer-2 threshold slope lies 1e-7 from 1;
+* ``rate`` for ``simplex-equal`` at alpha 1, eta1 = eta2 = expm1(5.9)/P_s
+  and for ``single-sdf`` at rate 5.9, both at 17/-5/12 dB: the one-layer
+  simplex plan is the SDF one, with a narrow peak of the layer-1 integrand
+  just below eta1;
 * ``optimize`` with a coarse grid of 10: at 10 dB for ``direct``,
   ``miso-equal`` and ``miso-unequal`` (default free set), ``miso-unequal``
   over all four parameters and ``simplex-unequal`` over beta alone; at
@@ -77,6 +81,14 @@ OPTIMIZE = (
 )
 # (CSV name suffix, alpha, eta1, eta2) of the extra simplex-equal rate runs
 SIMPLEX_EDGES = (("alpha-0", "0", "0.5", "1"), ("eta1-eq-eta2", "0.5", "1", "1"))
+# a one-layer simplex plan and the single-layer SDF rate it sends
+ONE_LAYER_POWERS = ("--ps-db", "17", "--pr-db", "-5", "--q-db", "12")
+ONE_LAYER = (
+    ("rate-simplex-equal-one-layer.csv",
+     ("--scheme", "simplex-equal", "--alpha", "1", "--eta1", "7.263502408683853",
+      "--eta2", "7.263502408683853")),
+    ("rate-single-sdf-one-layer.csv", ("--scheme", "single-sdf", "--rate", "5.9")),
+)
 
 
 def _scheme_choices(parser, command: str) -> list[str]:
@@ -116,6 +128,8 @@ def commands(cli, out: Path):
         csv = f"rate-simplex-equal-{name}.csv"
         yield csv, ("rate", "--scheme", "simplex-equal", "--alpha", alpha, "--eta1", eta1,
                     "--eta2", eta2, "--out", str(out / csv))
+    for csv, argv in ONE_LAYER:
+        yield csv, ("rate", *argv, *ONE_LAYER_POWERS, "--out", str(out / csv))
     csv = "rate-miso-unequal-near-unit-slope.csv"
     yield csv, ("rate", "--scheme", "miso-unequal", *ALLOC, "--beta", "0.70000003",
                 "--out", str(out / csv))
