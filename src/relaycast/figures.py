@@ -9,7 +9,9 @@ are nats/channel use, powers dB.
 
 from __future__ import annotations
 
+import functools
 import inspect
+import logging
 import math
 
 import numpy as np
@@ -24,6 +26,8 @@ from .outage import (ergodic_miso_capacity, miso_single_layer_throughput,
                      single_user_throughput, y_sum_tail)
 
 __all__ = ["PRESETS", "run_preset"]
+
+log = logging.getLogger(__name__)
 
 # single-layer schemes: (the source's default rate, throughput at a rate)
 _SINGLE_LAYER = {
@@ -66,18 +70,31 @@ def _ps_grid(start=0.0, stop=25.0, step=2.5) -> list[float]:
 
 def _refined_layered(p_s: float, tail, n_layers: int, density, dist) -> float:
     """Quantize the continuous profile into n layers and polish it by four
-    coordinate golden-section passes over thresholds and residual fractions."""
+    coordinate golden-section passes over thresholds and residual fractions.
+
+    A line search moves one coordinate, so it changes at most two of the n
+    layer terms.  The polish computes each layer term
+    (log1p(eta*prev*P_s) - log1p(eta*r_i*P_s))*tail(eta) once per
+    (eta, prev, r_i), in a cache that lasts one call; the rate is still the
+    left-to-right sum of the n terms, bit for bit.  Each term computation
+    calls ``tail`` once, so a caller whose tail costs more than a cache
+    lookup (fig4's y_sum_tail, not fig3's exp) passes a functools.cache of
+    it made for the call, and the DEBUG line then counts its misses."""
     thresholds, fractions = twolayer.discretize_power_density(density, dist, n_layers)
     resids = np.clip(1.0 - np.cumsum(fractions), 0.0, 1.0)
     # the point: n thresholds, then the power fractions left after each of the
     # first n - 1 layers; the fraction left after the last layer is 0
     n, last = n_layers, 2 * n_layers - 2
 
+    @functools.cache
+    def term(eta: float, prev: float, r_i: float) -> float:
+        return (math.log1p(eta * prev * p_s) - math.log1p(eta * r_i * p_s)) * tail(eta)
+
     def rate(x) -> float:
         total, prev = 0.0, 1.0
         for i in range(n):
-            eta, r_i = x[i], (x[n + i] if i < n - 1 else 0.0)
-            total += (math.log1p(eta * prev * p_s) - math.log1p(eta * r_i * p_s)) * tail(eta)
+            r_i = x[n + i] if i < n - 1 else 0.0
+            total += term(x[i], prev, r_i)
             prev = r_i
         return total
 
@@ -88,8 +105,14 @@ def _refined_layered(p_s: float, tail, n_layers: int, density, dist) -> float:
         return (x[i + 1] if i < last else 0.0, x[i - 1] if i > n else 1.0)
 
     x0 = [*thresholds, *resids[:-1]]
-    return _coordinate_ascent(rate, (rate(x0), x0), range(last + 1), bounds,
-                              max_passes=4)[0]
+    value = _coordinate_ascent(rate, (rate(x0), x0), range(last + 1), bounds,
+                               max_passes=4)[0]
+    terms = term.cache_info()  # every evaluation looks up n terms
+    cached = getattr(tail, "cache_info", None)  # a tail the caller caches
+    log.debug("_refined_layered layers=%d evals=%d terms=%d%s value=%.6g", n,
+              (terms.hits + terms.misses) // n, terms.misses,
+              "" if cached is None else f" tails={cached().misses}", value)
+    return value
 
 
 # fig2's curves: CSV label -> scheme
@@ -153,7 +176,8 @@ def fig4(ps_db=tuple(_ps_grid(step=5.0)), ratios=(0.5, 1.0, 2.0)):
                 ("miso-2-equal", 2, equal2),
                 ("miso-2-unequal", 2, unequal2),
                 ("miso-8-equal", 8, _refined_layered(
-                    p_s, lambda eta: y_sum_tail(eta * p_s, p_s, cfg.p_r), 8, density, dist)),
+                    p_s, functools.cache(lambda eta: y_sum_tail(eta * p_s, p_s, cfg.p_r)),
+                    8, density, dist)),
                 ("continuous-miso", 0, broadcast.broadcast_rate(density, dist)),
                 ("ergodic-miso", 0, _throughput("ergodic-miso", cfg)),
             )

@@ -8,11 +8,21 @@ forms, so an auditable deterministic search beats stochastic methods here.
 ``miso-unequal`` with beta free has no grid of its own: the unequal split
 contains the equal one (beta = alpha), so it refines the ``miso-equal``
 optimum over all free parameters.
+A ``miso-equal`` search computes each threshold's tail P(Y > eta*P_s) once:
+a line search moves at most one threshold and the alpha lines none, so the
+grid, the rescoring and the refinement read one cache, made when the search
+starts and dropped when it returns (a form's ``tail`` in
+twolayer.CLOSED_FORMS, with the form's kernels rebuilt on the cache by
+twolayer._tail_kernels).  ``direct`` stays on math.exp, which costs less
+than a cache lookup.  Each search logs one DEBUG line with its evaluations
+and, where it caches tails, its tail computations.
 No randomness anywhere; rerunning returns bit-identical output.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -31,6 +41,8 @@ __all__ = [
     "miso_single_layer_rate",
     "horizontal_db_gain",
 ]
+
+log = logging.getLogger(__name__)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PARAM_ORDER = ("alpha", "beta", "eta1", "eta2")
@@ -171,9 +183,15 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     if n_pts < 1:
         raise ValueError(f"coarse_points must be at least 1, got {n_pts}")
     form = twolayer.CLOSED_FORMS[scheme]
-    rate = form.rate or (lambda a, b, e1, e2, *_: form(
-        TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b), cfg).r_av)
     p_s, p_r = cfg.p_s, cfg.p_r
+    rate, grid, tail = form.rate, form.grid, None
+    if form.tail is not None:
+        # each threshold's tail is computed once in this search; a line
+        # search moves at most one threshold, and the alpha lines none
+        tail = functools.cache(form.tail)
+        rate, grid = twolayer._tail_kernels(tail)
+    rate = rate or (lambda a, b, e1, e2, *_: form(
+        TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b), cfg).r_av)
     slots = [_PARAM_ORDER.index(name) for name in free]
     evals = 0
 
@@ -212,12 +230,12 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b)
 
     coarse = (np.array([value(point(i)) for i in range(alpha.size * j.size)])
-              if form.grid is None else
-              form.grid(alpha[:, None], beta[:, None], eta1, eta2, p_s, p_r).ravel())
+              if grid is None else
+              grid(alpha[:, None], beta[:, None], eta1, eta2, p_s, p_r).ravel())
     n_top = min(_N_STARTS, coarse.size)
     third = np.partition(coarse, -n_top)[-n_top]
     shortlist = np.flatnonzero(coarse >= third - _SHORTLIST_RTOL * abs(third)).tolist()
-    if form.grid is not None:  # rescored on the scalar kernel; each point counts once
+    if grid is not None:  # rescored on the scalar kernel; each point counts once
         evals += coarse.size - len(shortlist)
         coarse[shortlist] = [value(point(i)) for i in shortlist]
     # exact ties go to fewer grid steps between eta1 and eta2 when both are
@@ -231,6 +249,12 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
          for i in shortlist[:_N_STARTS if len(slots) > 1 else 1]),
         key=lambda t: t[0])
     params = {**fixed, **{name: best[i] for name, i in zip(free, slots)}}
+    if tail is None:
+        log.debug("maximize_throughput %s free=%s evals=%d value=%.6g", scheme,
+                  ",".join(free), evals, best_val)
+    else:
+        log.debug("maximize_throughput %s free=%s evals=%d tails=%d value=%.6g", scheme,
+                  ",".join(free), evals, tail.cache_info().misses, best_val)
     return OptResult(params=params, value=best_val, n_evals=evals,
                      coarse_best=float(coarse[shortlist[0]]))
 
@@ -255,6 +279,8 @@ def _unequal_from_equal(equal: OptResult, free: Sequence[str],
     slots = sorted(_PARAM_ORDER.index(name) for name in free)
     best_val, best = _coordinate_ascent(value, (value(start), start), slots, _search_box)
     params = {**fixed, **{_PARAM_ORDER[i]: best[i] for i in slots}}
+    log.debug("maximize_throughput miso-unequal from miso-equal free=%s evals=%d "
+              "value=%.6g", ",".join(_PARAM_ORDER[i] for i in slots), evals, best_val)
     return OptResult(params=params, value=best_val, n_evals=equal.n_evals + evals,
                      coarse_best=equal.coarse_best)
 

@@ -41,10 +41,10 @@ def y_sum_tail(u: float, p_s: float, p_r: float) -> float:
     (P_r e^{-u/P_r} - P_s e^{-u/P_s}) / (P_r - P_s).  Near-equal powers are
     routed to the equal-power branch.
     """
-    if u <= 0.0:
-        return 1.0
     if p_s < 0.0 or p_r < 0.0:
         raise ValueError("powers must be nonnegative")
+    if u <= 0.0:
+        return 1.0
     lo, hi = min(p_s, p_r), max(p_s, p_r)
     if hi == 0.0:
         return 0.0

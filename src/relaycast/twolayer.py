@@ -118,26 +118,33 @@ def miso_equal_throughput(thresholds: Sequence[float], fractions: Sequence[float
                            lambda eta: y_sum_tail(eta * p_s, p_s, p_r))
 
 
-def _miso_equal_two_layer_rate(alpha: float, beta: float, eta1: float, eta2: float,
-                               p_s: float, p_r: float) -> float:
-    """``miso_equal_throughput((eta1, eta2), (alpha, 1 - alpha), p_s, p_r).r_av``
-    bit for bit, without validation or result objects; beta is ignored."""
-    p1 = min(max(y_sum_tail(eta1 * p_s, p_s, p_r), 0.0), 1.0)
-    t2 = min(max(y_sum_tail(eta2 * p_s, p_s, p_r), 0.0), 1.0)
-    return _two_layer_rate(alpha, eta1, eta2, p_s, p1, t2)
+def _miso_tail(eta: float, p_s: float, p_r: float) -> float:
+    """The MISO layer tail P(Y > eta*P_s), clipped to [0, 1] as
+    _layered_result clips it."""
+    return min(max(y_sum_tail(eta * p_s, p_s, p_r), 0.0), 1.0)
 
 
-def _miso_equal_grid(alpha, beta, eta1, eta2, p_s: float, p_r: float) -> np.ndarray:
-    """_miso_equal_two_layer_rate over arrays, to rounding; the tails run
-    once per distinct threshold."""
-    def tails(eta: np.ndarray) -> np.ndarray:
-        uniq, inv = np.unique(eta, return_inverse=True)
-        return np.array([min(max(y_sum_tail(u * p_s, p_s, p_r), 0.0), 1.0)
-                         for u in uniq.tolist()])[inv]
+def _tail_kernels(tail: Callable[[float, float, float], float]):
+    """(rate, grid) kernels from a layer tail(eta, p_s, p_r) in [0, 1]: rate
+    is _two_layer_rate(alpha, eta1, eta2, p_s, tail(eta1), tail(eta2)) from
+    unchecked floats (alpha, beta, eta1, eta2, p_s, p_r), beta ignored; grid
+    is rate over arrays with eta1 <= eta2, to rounding, and runs ``tail``
+    once per distinct threshold of each of eta1 and eta2."""
+    def rate(alpha: float, beta: float, eta1: float, eta2: float,
+             p_s: float, p_r: float) -> float:
+        return _two_layer_rate(alpha, eta1, eta2, p_s,
+                               tail(eta1, p_s, p_r), tail(eta2, p_s, p_r))
 
-    p1, t2, ab = tails(eta1), tails(eta2), 1.0 - alpha
-    r1 = np.log1p(eta1 * p_s) - np.log1p(eta1 * ab * p_s)
-    return r1 * p1 + np.log1p(eta2 * ab * p_s) * np.minimum(t2, p1)
+    def grid(alpha, beta, eta1, eta2, p_s: float, p_r: float) -> np.ndarray:
+        def tails(eta: np.ndarray) -> np.ndarray:
+            uniq, inv = np.unique(eta, return_inverse=True)
+            return np.array([tail(u, p_s, p_r) for u in uniq.tolist()])[inv]
+
+        p1, t2, ab = tails(eta1), tails(eta2), 1.0 - alpha
+        r1 = np.log1p(eta1 * p_s) - np.log1p(eta1 * ab * p_s)
+        return r1 * p1 + np.log1p(eta2 * ab * p_s) * np.minimum(t2, p1)
+
+    return rate, grid
 
 
 def _seg(lo: float, hi: float, slope: float, anchor: float) -> float:
@@ -288,11 +295,15 @@ class _TwoLayerForm(NamedTuple):
     """A CLOSED_FORMS entry; calling it evaluates the closed form.  ``rate``
     (direct and MISO) gives r_av from unchecked floats (alpha, beta, eta1,
     eta2, p_s, p_r) bit for bit; ``grid`` (direct and miso-equal only) gives
-    it from arrays, to rounding."""
+    it from arrays, to rounding.  ``tail`` (miso-equal only), a function of
+    (eta, p_s, p_r), is the layer tail in [0, 1] that ``rate`` and ``grid``
+    read at each threshold: both are _tail_kernels(tail), so a search may
+    rebuild them on a cached tail and compute each tail once."""
 
     closed_form: Callable[[TwoLayerAllocation, PowerConfig], ThroughputResult]
     rate: Callable[..., float] | None = None
     grid: Callable[..., np.ndarray] | None = None
+    tail: Callable[[float, float, float], float] | None = None
 
     def __call__(self, alloc: TwoLayerAllocation, cfg: PowerConfig) -> ThroughputResult:
         return self.closed_form(alloc, cfg)
@@ -311,7 +322,7 @@ CLOSED_FORMS: dict[str, _TwoLayerForm] = {
     "miso-equal": _TwoLayerForm(
         lambda a, cfg: miso_equal_throughput(
             (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s, cfg.p_r),
-        _miso_equal_two_layer_rate, _miso_equal_grid),
+        *_tail_kernels(_miso_tail), _miso_tail),
     "miso-unequal": _TwoLayerForm(
         lambda a, cfg: miso_unequal_throughput(a, cfg.p_s, cfg.p_r),
         _miso_unequal_two_layer_rate),

@@ -1,11 +1,12 @@
 """The figure presets at one-point grids: the orderings their curves show,
 and the polished 8-layer rate of fig3/fig4 pinned bit for bit."""
 
+import logging
 import math
 
 import pytest
 
-from relaycast import figures
+from relaycast import figures, y_sum_tail
 
 
 def rates(name, **grid):
@@ -39,6 +40,25 @@ def test_fig4_layerings_are_ordered(ps_db, ratio, polished):
     assert r["continuous-miso"] >= r["miso-8-equal"] >= max(two)
     assert min(two) >= r["miso-1-layer"]
     assert r["ergodic-miso"] == max(r.values())
+
+
+def test_fig4_polish_computes_each_tail_once(monkeypatch, caplog):
+    # fig4's polish reads the tail through figures' own y_sum_tail, so only
+    # its calls are recorded here
+    seen = []
+
+    def recording(u, p_s, p_r):
+        seen.append(u)
+        return y_sum_tail(u, p_s, p_r)
+
+    monkeypatch.setattr(figures, "y_sum_tail", recording)
+    caplog.set_level(logging.DEBUG, logger="relaycast.figures")
+    r = rates("fig4", ps_db=[10.0], ratios=(1.0,))
+    assert r["miso-8-equal"] == float.fromhex("0x1.d9d0f98ce4e99p+0")
+    assert seen and len(set(seen)) == len(seen)
+    [record] = caplog.records
+    assert record.getMessage().startswith("_refined_layered layers=8 evals=")
+    assert f" tails={len(seen)} value=" in record.getMessage()
 
 
 def test_fig2_broadcasting_beats_one_layer():

@@ -1,10 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 
 from relaycast import (PowerConfig, optimize, twolayer,
                        direct_multilayer_throughput, maximize_throughput,
                        oblivious_rate_plan, optimal_single_user_rate,
-                       single_user_throughput)
+                       single_user_throughput, y_sum_tail)
 from relaycast.optimize import golden_section_max, horizontal_db_gain
 
 
@@ -287,6 +289,43 @@ def test_pinned_results(ps_db, ratio, scheme, free, fixed, coarse, value, params
         assert res.value >= value * (1.0 - 1e-6)
         value, params, n_evals = recaptured
     assert (res.value, res.params, res.n_evals) == (value, params, n_evals)
+
+
+def test_miso_equal_search_computes_each_tail_once(monkeypatch, caplog, capsys):
+    # a line search moves at most one threshold and the alpha lines none, so
+    # the search keeps every tail it has computed, the coarse grid's included
+    ps_db, ratio, scheme, free, fixed, coarse, value, params, n_evals = next(
+        row for row in PINNED if row[:3] == (25.0, 2.0, "miso-equal"))
+    seen = []
+
+    def recording(u, p_s, p_r):
+        seen.append(u)
+        return y_sum_tail(u, p_s, p_r)
+
+    monkeypatch.setattr(twolayer, "y_sum_tail", recording)
+    caplog.set_level(logging.DEBUG, logger="relaycast.optimize")
+    p_s = 10 ** (ps_db / 10)
+    res = maximize_throughput(scheme, free, fixed, PowerConfig(p_s, ratio * p_s, 1.0),
+                              coarse_points=coarse)
+    assert (res.value, res.params, res.n_evals) == (value, params, n_evals)
+    assert seen and len(set(seen)) == len(seen)
+    # one DEBUG line per search, counting the tails computed; nothing on stdout
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage().startswith(
+        f"maximize_throughput miso-equal free=alpha,eta1,eta2 evals={n_evals} "
+        f"tails={len(seen)} ")
+    assert capsys.readouterr().out == ""
+
+
+def test_direct_search_logs_no_tail_count(caplog):
+    # direct scores math.exp at every evaluation and caches no tail
+    caplog.set_level(logging.DEBUG, logger="relaycast.optimize")
+    res = maximize_throughput("direct", ("alpha", "eta1", "eta2"), {},
+                              PowerConfig(10.0, 0.0, 1.0))
+    [record] = caplog.records
+    assert record.getMessage() == (f"maximize_throughput direct free=alpha,eta1,eta2 "
+                                   f"evals={res.n_evals} value={res.value:.6g}")
 
 
 def test_direct_and_miso_objectives_build_no_objects(monkeypatch):

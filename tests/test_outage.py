@@ -57,6 +57,14 @@ class TestYSumTail:
     def test_degenerate_powers(self):
         assert y_sum_tail(1.0, 2.0, 0.0) == pytest.approx(math.exp(-0.5))
         assert y_sum_tail(1.0, 0.0, 0.0) == 0.0
+        assert y_sum_tail(0.0, 0.0, 0.0) == y_sum_tail(-1.0, 0.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("u", [-1.0, 0.0, 1.0])
+    def test_negative_powers_raise_at_every_u(self, u):
+        # the powers are checked before the u <= 0 shortcut
+        for p_s, p_r in ((-1.0, 1.0), (1.0, -2.0)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                y_sum_tail(u, p_s, p_r)
 
     @given(p_s=st.floats(0.1, 50.0), p_r=st.floats(0.1, 50.0))
     def test_nonincreasing_in_u(self, p_s, p_r):
