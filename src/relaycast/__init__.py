@@ -19,8 +19,8 @@ from .broadcast import (FadingDistribution, PowerDensity, broadcast_rate,
                         optimal_power_density, rayleigh_distribution,
                         relay_or_miso_broadcast_bound, siso_broadcast_rate,
                         sum_fading_distribution)
-from .bounds import (BoundContext, discontinuity_point, find_intersections,
-                     relay_threshold_bound, t_factor, u_bound)
+from .bounds import (BoundContext, discontinuity_point, relay_threshold_bound,
+                     t_factor, u_bound)
 from .twolayer import (DuplexVerdict, direct_multilayer_throughput,
                        duplex_gain_condition, miso_equal_throughput,
                        miso_max_throughput, miso_unequal_throughput,

@@ -4,9 +4,9 @@ With the relay joining after the block fraction x, layer decodability at the
 destination reduces to nu_r exceeding a threshold curve in nu_s.  This module
 provides those curves for the allocation in a BoundContext: the auxiliary
 factor t, the layer-1 threshold K (the F family when beta = alpha), the
-layer-2 threshold U, the point below which layer 1 is undecodable for any
-nu_r, and the scanner that cuts [v_lo, eta1] at the crossings of K and U,
-where :mod:`relaycast.twolayer`'s fixed Gauss-Legendre rule breaks its panels.
+layer-2 threshold U, the point v_lo below which layer 1 is undecodable for any
+nu_r, and the K/U crossings between the nodes of :mod:`relaycast.twolayer`'s
+fixed Gauss-Legendre rule on [v_lo, eta1], where that rule breaks its panels.
 The relay's residual fraction beta_bar comes from the context's allocation.
 
 For the derivation of t and the thresholds from the phase-wise mutual
@@ -28,11 +28,9 @@ __all__ = [
     "relay_threshold_bound",
     "u_bound",
     "discontinuity_point",
-    "find_intersections",
 ]
 
 _EXP_OVERFLOW = 700.0
-_N_SCAN = 10_000  # sign-scan intervals of find_intersections
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,7 @@ def _bisect_crossing(diff, lo: float, hi: float) -> float:
     # refine to 1e-12 and then on to float resolution: the curves can be
     # near-vertical close to the discontinuity, where a fixed-width bracket
     # would leave a visible residual.  A NaN (inf - inf) counts as K above U,
-    # as in find_intersections' scan.
+    # as in find_intersections' sign test.
     above_lo = not diff(lo) <= 0.0
     for _ in range(120):
         mid = 0.5 * (lo + hi)
@@ -208,24 +206,18 @@ def _bisect_crossing(diff, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def find_intersections(ctx: BoundContext) -> tuple[float, ...]:
-    """Cut [v_lo, eta1] at the crossings of the layer-1 and layer-2 thresholds.
-
-    Returns (v_lo, *crossings, eta1), v_lo = discontinuity_point(ctx): a sign
-    scan of K - U on _N_SCAN intervals, then a bisection of each sign change.
-    A NaN (inf - inf) counts as K above U in both.
-    """
-    v_lo = discontinuity_point(ctx)
-
-    def diff_scalar(v: float) -> float:
-        return relay_threshold_bound(v, ctx) - u_bound(v, ctx)
-
-    span = ctx.eta1 - v_lo
-    grid = np.linspace(v_lo, ctx.eta1, _N_SCAN + 1)
-    grid[0] += 1e-9 * span   # dodge the pole at v_lo
-    grid[-1] -= 1e-12 * span
+def find_intersections(ctx: BoundContext, v, k, u) -> tuple[float, ...]:
+    """The bisected sign changes of K - U between the ascending nodes v, given
+    K and U there; a NaN (inf - inf) counts as K above U.  A sign change is
+    skipped where exp(-max(K, U, 0) - v) is 0 at both its nodes: max(K, U) is
+    nonincreasing, so no integrand panel need break there (at high power,
+    rounding flips K between about 1e6 and +inf where U = +inf)."""
     with np.errstate(invalid="ignore"):
-        signs = ~(_k_values(grid, ctx) - _u_values(grid, ctx) <= 0.0)
-    crossings = (_bisect_crossing(diff_scalar, float(grid[i]), float(grid[i + 1]))
-                 for i in np.nonzero(signs[:-1] != signs[1:])[0])
-    return (v_lo, *crossings, ctx.eta1)
+        above = ~(k - u <= 0.0)
+        live = np.exp(-np.maximum(np.maximum(k, u), 0.0) - v) > 0.0
+
+    def diff(x: float) -> float:
+        return relay_threshold_bound(x, ctx) - u_bound(x, ctx)
+
+    flips = np.nonzero((above[:-1] != above[1:]) & (live[:-1] | live[1:]))[0]
+    return tuple(_bisect_crossing(diff, float(v[i]), float(v[i + 1])) for i in flips)

@@ -7,7 +7,7 @@ average throughput is a sum of closed-form exponential integrals over the
 regions between those lines.  The simplex results replace the lines by the
 curved thresholds of :mod:`relaycast.bounds` and integrate numerically: over
 [v_lo, eta1] by 64-point Gauss-Legendre on panels that halve toward both ends
-and break at the K/U crossings, over [eta1, eta2] by adaptive ``quad``.
+and break at the K/U crossings its nodes see, over [eta1, eta2] by ``quad``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import integrate
 
-from .bounds import BoundContext, _k_values, _u_values, find_intersections, u_bound
+from .bounds import (BoundContext, _k_values, _u_values, discontinuity_point,
+                     find_intersections, u_bound)
 from .broadcast import _ladder, _panel_rule, cumulative_rate
 from .model import (PowerConfig, ThroughputResult, TwoLayerAllocation,
                     _check_nonneg, decoding_times, layer_rates)
@@ -255,8 +256,8 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Throughp
     p_both = math.exp(-alloc.eta2)
     p_both += integrate.quad(exp_u, alloc.eta1, alloc.eta2, **_QUAD_OPTS)[0]
     # [v_lo, eta1] by the SDF's rule (an alpha = 1 plan is the SDF one), cut at K = U
-    cuts = (0.0, alloc.eta1) if r1 == 0.0 else find_intersections(ctx)
-    v, w = _panel_rule(_ladder(cuts), 64)
+    v_lo = discontinuity_point(ctx)
+    v, w = _panel_rule(_ladder((v_lo, alloc.eta1)), 64)
 
     def integral(thr: np.ndarray) -> float:
         # int exp(-max(thr, 0) - v); a NaN threshold contributes 0
@@ -265,10 +266,14 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Throughp
     u = _u_values(v, ctx)
     if r1 == 0.0:
         # a zero-rate layer 1 (alpha = 0) always decodes and sets no
-        # threshold; K would read +inf from 0/0 at beta = 0
+        # threshold (v_lo is 0); K would read +inf from 0/0 at beta = 0
         p1, p_both = 1.0, p_both + integral(u)
     else:
         k = _k_values(v, ctx)
+        crossings = find_intersections(ctx, v, k, u)
+        if crossings:
+            v, w = _panel_rule(_ladder((v_lo, *crossings, alloc.eta1)), 64)
+            k, u = _k_values(v, ctx), _u_values(v, ctx)
         p1 = math.exp(-alloc.eta1) + integral(k)
         with np.errstate(invalid="ignore"):  # K - U is NaN where both are inf
             p_both += integral(np.where(k - u <= 0.0, u, k))

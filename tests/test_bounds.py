@@ -7,9 +7,11 @@ import pytest
 from conftest import draw_alloc, draw_powers
 from relaycast import (BoundContext, PowerConfig, TwoLayerAllocation,
                        conditional_layer_probability, discontinuity_point,
-                       find_intersections, layer_rates, relay_threshold_bound,
-                       simplex_equal_throughput, t_factor, u_bound)
-from relaycast.bounds import _bisect_crossing, _k_values, _t_values, _u_values
+                       layer_rates, relay_threshold_bound, simplex_equal_throughput,
+                       t_factor, u_bound)
+from relaycast.bounds import (_bisect_crossing, _k_values, _t_values, _u_values,
+                              find_intersections)
+from relaycast.broadcast import _ladder, _panel_rule
 from relaycast.optimize import oblivious_rate_plan
 from relaycast.validation import validation_corpus
 
@@ -215,6 +217,12 @@ class TestThresholdComparisons:
             assert np.all(np.diff(k)[both] <= 1e-10)
 
 
+def rule_crossings(ctx):
+    """find_intersections on the nodes of the simplex closed forms' rule."""
+    v, _ = _panel_rule(_ladder((discontinuity_point(ctx), ctx.eta1)), 64)
+    return find_intersections(ctx, v, _k_values(v, ctx), _u_values(v, ctx))
+
+
 class TestFindIntersections:
     def test_partition_structure(self, param_rng):
         checked = 0
@@ -222,9 +230,8 @@ class TestFindIntersections:
             alloc = draw_alloc(param_rng, beta_mode="ge")
             ctx = make_ctx(alpha=alloc.alpha, beta=alloc.beta, eta1=alloc.eta1,
                            eta2=alloc.eta2, x=float(param_rng.uniform(0.05, 0.95)))
-            cuts = find_intersections(ctx)
+            cuts = (discontinuity_point(ctx), *rule_crossings(ctx), ctx.eta1)
             checked += 1
-            assert cuts[0] == discontinuity_point(ctx) and cuts[-1] == ctx.eta1
             assert all(b > a for a, b in zip(cuts, cuts[1:]))
             for v in cuts[1:-1]:
                 f = float(_k_values(v, ctx))
@@ -238,12 +245,12 @@ class TestFindIntersections:
 
     def test_miso_like_counts(self, param_rng):
         # at zero decoding time the threshold curves are the MISO lines:
-        # only 0, 1 or 2 crossings, so 2, 3 or 4 cut points, can occur
+        # only 0, 1 or 2 crossings can occur
         for _ in range(40):
             alloc = draw_alloc(param_rng, beta_mode="ge")
             ctx = make_ctx(alpha=alloc.alpha, beta=alloc.beta, eta1=alloc.eta1,
                            eta2=alloc.eta2, x=0.0)
-            assert len(find_intersections(ctx)) in (2, 3, 4)
+            assert len(rule_crossings(ctx)) in (0, 1, 2)
 
 
 def same_float(a, b) -> bool:
@@ -355,6 +362,83 @@ def simplex_contexts():
                         yield plan.with_beta(float(beta)), cfg
 
 
+def scan_sign_changes(ctx, visible=True):
+    """The brackets of the sign changes of K - U on a uniform 10,001-point
+    grid of [v_lo, eta1], nudged off the pole at v_lo and off eta1: a dense
+    reference for the crossings.  With ``visible``, only those where
+    exp(-max(K, U, 0) - v) is nonzero at either end."""
+    v_lo = discontinuity_point(ctx)
+    span = ctx.eta1 - v_lo
+    grid = np.linspace(v_lo, ctx.eta1, 10_001)
+    grid[0] += 1e-9 * span
+    grid[-1] -= 1e-12 * span
+    with np.errstate(invalid="ignore"):
+        k, u = _k_values(grid, ctx), _u_values(grid, ctx)
+        above = ~(k - u <= 0.0)
+        live = np.exp(-np.maximum(np.maximum(k, u), 0.0) - grid) > 0.0
+    flips = above[:-1] != above[1:]
+    if visible:
+        flips &= live[:-1] | live[1:]
+    return [(grid[i], grid[i + 1]) for i in np.nonzero(flips)[0]]
+
+
+def random_plans(rng, n):
+    """n simplex plans from -20 to 80 dB, with beta = alpha in about half."""
+    for _ in range(n):
+        alpha = float(rng.uniform(0.0, 1.0))
+        beta = alpha if rng.uniform() < 0.5 else float(rng.uniform(alpha, 1.0))
+        eta1, eta2 = sorted(float(e) for e in rng.uniform(0.0, 4.0, 2))
+        p_s = 10.0 ** (rng.uniform(-20.0, 80.0) / 10.0)
+        yield (TwoLayerAllocation(alpha=alpha, eta1=eta1, eta2=eta2, beta=beta),
+               PowerConfig(p_s=p_s, p_r=p_s * 10.0 ** rng.uniform(-2.0, 2.0),
+                           q=10.0 ** rng.uniform(-2.0, 8.0)))
+
+
+def test_rule_nodes_lose_no_visible_crossing(param_rng):
+    # every sign change that the dense uniform scan sees, and that the
+    # integrand can see, lies in a bracket holding a crossing of the rule's
+    # nodes
+    visible = 0
+    for alloc, cfg in (*simplex_contexts(), *random_plans(param_rng, 300)):
+        ctx = try_ctx(alloc, cfg)
+        if ctx is None or ctx.r1 == 0.0:
+            continue  # no layer-1 threshold to cross
+        crossings = rule_crossings(ctx)
+        for lo, hi in scan_sign_changes(ctx):
+            assert any(lo <= c <= hi for c in crossings), (alloc, cfg, lo, hi)
+            visible += 1
+    assert visible >= 100
+
+
+def test_noise_crossings_are_skipped():
+    # at 66 dB rounding flips K between about 1e6 and +inf where U = +inf:
+    # thousands of sign changes, none of which the integrand can see
+    alpha = 0.33749905930863977
+    alloc = TwoLayerAllocation(alpha=alpha, eta1=3.991948240095225,
+                               eta2=3.9939568722355077, beta=alpha)
+    cfg = PowerConfig(p_s=4341282.5630751755, p_r=61252089.78125765,
+                      q=93.43343293320558)
+    ctx = BoundContext.from_config(alloc, cfg)
+    assert len(scan_sign_changes(ctx, visible=False)) > 1000
+    assert scan_sign_changes(ctx) == []
+    assert rule_crossings(ctx) == ()
+    # r_av with the K/U cuts from the dense scan, bisected
+    assert simplex_equal_throughput(alloc, cfg).r_av == pytest.approx(
+        0.3071593155010401, rel=1e-9)
+
+
+def test_sign_change_skipped_only_where_integrand_vanishes():
+    ctx = make_ctx()
+    v = np.array([0.1, 0.2])
+    inf = math.inf
+    # K: +inf -> 1e6 under U = +inf flips the sign (NaN, then -inf) with
+    # exp(-max(K, U)) = 0 at both nodes
+    assert find_intersections(ctx, v, np.array([inf, 1e6]), np.array([inf, inf])) == ()
+    # a flip to thresholds that the integrand sees is kept
+    crossings = find_intersections(ctx, v, np.array([inf, 1.0]), np.array([inf, 3.0]))
+    assert len(crossings) == 1 and 0.1 <= crossings[0] <= 0.2
+
+
 def test_discontinuity_closed_form_matches_bisection():
     checked = 0
     for alloc, cfg in simplex_contexts():
@@ -375,9 +459,9 @@ def test_discontinuity_closed_form_matches_bisection():
     lambda v: -1.0 if v < 0.3 else math.nan,
 ])
 def test_bisection_counts_nan_as_f_above_u(diff):
-    # K - U is NaN (inf - inf) where both curves are infinite; the scan
-    # counts that as K above U, so the bisection must too and find the
-    # boundary at 0.3
+    # K - U is NaN (inf - inf) where both curves are infinite;
+    # find_intersections' sign test counts that as K above U, so the
+    # bisection must too and find the boundary at 0.3
     assert _bisect_crossing(diff, 0.0, 1.0) == pytest.approx(0.3, abs=1e-15)
 
 
@@ -387,8 +471,8 @@ def test_discontinuity_point_stays_below_eta1_at_high_power():
                                eta2=2.5219466540055393)
     cfg = PowerConfig(p_s=3.4095e7, p_r=3.4095e7, q=100.0)
     ctx = BoundContext.from_config(alloc, cfg)
-    assert discontinuity_point(ctx) <= ctx.eta1
-    cuts = find_intersections(ctx)
-    assert cuts[0] <= cuts[-1] == ctx.eta1
+    v_lo = discontinuity_point(ctx)
+    assert v_lo <= ctx.eta1
+    assert all(v_lo < c < ctx.eta1 for c in rule_crossings(ctx))
     res = simplex_equal_throughput(alloc, cfg)
     assert math.isfinite(res.r_av) and 0.0 <= res.r_av <= ctx.r1 + ctx.r2

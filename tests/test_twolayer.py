@@ -363,10 +363,10 @@ class TestSimplex:
     @pytest.mark.filterwarnings("error")
     def test_noise_crossings_at_high_power_match_a_dense_reference(self):
         # at 72.7 dB the relay decodes after all but 3.3e-8 of the block, and
-        # the sign scan of K - U finds crossings made of rounding noise; the
-        # rule takes the larger curve at every node, which keeps r_av at
-        # composite Gauss-Legendre applied to max(K, U), and a piece an ulp
-        # wide no longer makes adaptive quad warn
+        # K - U changes sign with rounding noise; the rule takes the larger
+        # curve at every node, which keeps r_av at composite Gauss-Legendre
+        # applied to max(K, U), and a piece an ulp wide no longer makes
+        # adaptive quad warn
         alloc = TwoLayerAllocation(alpha=0.005409707427599053, eta1=1.5391245754166443,
                                    eta2=2.9341772085613624)
         cfg = PowerConfig(p_s=1.8443289253065765e7, p_r=7.692303295090042e4,
