@@ -116,8 +116,8 @@ def _k_values(v_s, ctx: BoundContext):
     s = np.asarray(v_s, dtype=float) * ctx.cfg.p_s
     ab = ctx.alloc.alpha_bar
     bb = ctx.alloc.beta_bar
-    denom = 1.0 - t * bb
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        denom = 1.0 - t * bb  # inf * 0 is NaN where t overflows at beta = 1
         val = (-s * (1.0 - t * ab) - (1.0 - t)) / (denom * ctx.cfg.p_r)
     return np.where(denom > 0.0, val, np.inf)
 

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import broadcast
-from .model import PowerConfig, TwoLayerAllocation, decoding_times, layer_rates
+from .model import (PowerConfig, TwoLayerAllocation, _time_fraction, decoding_times,
+                    layer_rates)
 
 __all__ = [
     "CHUNK_BLOCKS",
@@ -233,8 +234,7 @@ def _chunk_rate(config: SimConfig, cfg: PowerConfig, chunk_index: int,
     strategy = config.strategy
     if strategy == "single-layer-SDF":
         rate = float(config.params)
-        cap = math.log1p(cfg.p_s * cfg.q)
-        eps = min(1.0, rate / cap) if cap > 0.0 and rate > 0.0 else 1.0
+        eps = _time_fraction(rate, math.log1p(cfg.p_s * cfg.q))  # rate 0 credits 0 anyway
         nu = _fading_chunk(config.seed, chunk_index, ws, size, read=1 if eps == 1.0 else 2)
         return _sdf_credit(nu, cfg, rate, eps, ws)
 

@@ -5,20 +5,19 @@ which the relay joins in as a second antenna once it has decoded, the
 relay-always-on 2x1 MISO limit, and the tail distribution of the combined
 received power Y = nu_s*P_s + nu_r*P_r used throughout the package.
 
-The SDF integral is a fixed rule, 64-point Gauss-Legendre on panels that
-halve toward both ends of [0, eta], in one array expression;
-:func:`ergodic_miso_capacity` is the one adaptive ``quad`` call left here.
+The SDF is the one-layer simplex plan of :mod:`relaycast.twolayer`, with its
+listen time from :func:`~relaycast.model.decoding_times`, so its decode
+integral is that module's; :func:`ergodic_miso_capacity` is the one adaptive
+``quad`` call left here.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 from scipy import integrate, special
 
-from .broadcast import _ladder, _panel_rule
-from .model import PowerConfig, ThroughputResult
+from .model import PowerConfig, ThroughputResult, TwoLayerAllocation
 
 __all__ = [
     "y_sum_tail",
@@ -73,46 +72,25 @@ def optimal_single_user_rate(p_s: float) -> float:
     return float(special.lambertw(p_s).real)
 
 
-def _relay_aided_decode_prob(r: float, eps: float, p_s: float, p_r: float) -> float:
-    """P(decode) when the relay starts forwarding at block fraction eps < 1.
-
-    Integrates, over the source fadings below the solo-decode threshold
-    eta = (e^r - 1)/P_s, the chance that the relay's second-antenna phase
-    supplies the missing mutual information:
-
-        P = e^{-eta} + int_0^eta exp(-(e^{(r - eps*log(1+v*P_s))/(1-eps)}
-                                       - 1 - v*P_s)/P_r) e^{-v} dv
-
-    The integrand collapses toward eta when eps is close to 1, and toward 0
-    when eta is large, so the rule works on panels that halve toward both ends
-    (with 32 points it is off by up to 1.6e-6 where the relay's rise is steep).
-    """
-    eta = math.expm1(r) / p_s
-    v, w = _panel_rule(_ladder((0.0, eta)), 64)
-    a = (r - eps * np.log1p(v * p_s)) / (1.0 - eps)
-    need = np.expm1(np.minimum(a, 700.0)) - v * p_s  # a > 700: out of reach
-    vals = np.where(a > 700.0, 0.0, np.exp(-np.maximum(need, 0.0) / p_r - v))
-    return min(math.exp(-eta) + float(np.sum(w * vals)), 1.0)
-
-
 def sdf_single_layer_throughput(r: float, cfg: PowerConfig) -> ThroughputResult:
     """Single-layer sequential decode-and-forward average throughput.
 
-    The relay listens for the fraction eps = min(1, r / log(1 + P_s*Q)) of
-    the block and acts as a second transmit antenna afterwards.  For rates
-    at or above the source-relay capacity the relay never finishes and the
-    result equals :func:`single_user_throughput`.
+    The one-layer simplex plan alpha = beta = 1, eta1 = eta2 = (e^r - 1)/P_s:
+    the relay listens for the fraction min(1, r / log(1 + P_s*Q)) that
+    :func:`~relaycast.model.decoding_times` gives, then acts as a second
+    transmit antenna.  At or above the source-relay capacity the relay never
+    finishes and the result is :func:`single_user_throughput`'s.
     """
     if r < 0.0:
         raise ValueError("rate must be nonnegative")
     if r == 0.0:
         return ThroughputResult.build(0.0, 0.0, 1.0, 1.0)
-    cap = math.log1p(cfg.p_s * cfg.q)
-    eps = min(1.0, r / cap) if cap > 0.0 else 1.0
-    if eps >= 1.0 or cfg.p_r == 0.0 or cfg.p_s == 0.0:
+    if cfg.p_s == 0.0:  # eta would divide by zero; nothing is ever decoded
         return single_user_throughput(r, cfg.p_s)
-    p = _relay_aided_decode_prob(r, eps, cfg.p_s, cfg.p_r)
-    return ThroughputResult.build(r, 0.0, p, p)
+    from .twolayer import _simplex_throughput  # twolayer imports this module
+
+    eta = math.expm1(r) / cfg.p_s
+    return _simplex_throughput(TwoLayerAllocation(alpha=1.0, eta1=eta, eta2=eta), cfg)
 
 
 def miso_single_layer_throughput(r: float, p_s: float, p_r: float) -> ThroughputResult:

@@ -255,7 +255,7 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Throughp
     # [eta1, eta2] stays on adaptive quad: perfbench pins D5's validate cell
     p_both = math.exp(-alloc.eta2)
     p_both += integrate.quad(exp_u, alloc.eta1, alloc.eta2, **_QUAD_OPTS)[0]
-    # [v_lo, eta1] by the SDF's rule (an alpha = 1 plan is the SDF one), cut at K = U
+    # [v_lo, eta1], the single-layer SDF's whole integral, by the panel rule cut at K = U
     v_lo = discontinuity_point(ctx)
     v, w = _panel_rule(_ladder((v_lo, alloc.eta1)), 64)
 

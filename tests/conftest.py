@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,22 @@ def draw_powers(rng, q_hi=1000.0):
         return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
     return PowerConfig(p_s=lu(0.5, 100.0), p_r=lu(0.5, 100.0), q=lu(0.5, q_hi))
+
+
+def dense_decode_prob(r, eps, p_s, p_r, depth=60, sub=100):
+    """The single-layer SDF's decode probability at listen time eps < 1 by
+    brute force: 20-point Gauss-Legendre on `sub` equal parts of each panel
+    of a ladder halving toward 0 and eta down to 2^-depth eta
+    (2 * depth * sub * 20 = 240,000 nodes)."""
+    eta = math.expm1(r) / p_s
+    steps = eta * 0.5 ** np.arange(depth, 0, -1)
+    ladder = np.concatenate(([0.0], steps, eta - steps[-2::-1], [eta]))
+    edges = np.concatenate([np.linspace(lo, hi, sub + 1)[:-1]
+                            for lo, hi in zip(ladder[:-1], ladder[1:])] + [[eta]])
+    x, w = np.polynomial.legendre.leggauss(20)
+    half = 0.5 * np.diff(edges)[:, None]
+    v = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x
+    a = (r - eps * np.log1p(v * p_s)) / (1.0 - eps)
+    need = np.expm1(np.minimum(a, 700.0)) - v * p_s
+    f = np.where(a > 700.0, 0.0, np.exp(-np.maximum(need, 0.0) / p_r - v))
+    return min(math.exp(-eta) + float(np.sum(half * w * f)), 1.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -126,6 +127,18 @@ class TestRelayThreshold:
             want = math.exp(-relay_threshold_bound(v, ctx))
             est = conditional_layer_probability(v, 1, ctx, blocks=200_000, seed=61)
             assert abs(want - est.mean) < 3 * max(est.stderr, 1e-4)
+
+    def test_overflowing_t_at_beta_one_is_inf_without_a_warning(self):
+        # alpha = beta = 1: beta_bar = 0, and t = inf near 0 makes t * beta_bar
+        # inf * 0; the NaN denominator fails denom > 0, so K is +inf there
+        ctx = make_ctx(alpha=1.0, eta1=1.0, eta2=1.0, p_s=1e4, x=0.99)
+        v = np.array([0.0, 1e-5, 0.5])
+        assert np.isinf(_t_values(v[:2], ctx)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = _k_values(v, ctx)
+        assert k[0] == k[1] == math.inf
+        assert list(k) == [relay_threshold_bound(float(x), ctx) for x in v]
 
 
 class TestUBound:

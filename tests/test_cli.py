@@ -205,6 +205,12 @@ def test_library_errors_exit_with_one_line(tmp_path, capsys, argv):
      "--eta1", "3.5897435897435894", "--eta2", "3.5897435897435894"],
     # the upper layering boundary is clamped at P_r/P_s = 10^12
     ["rate", "--scheme", "continuous-miso", "--ps-db", "-20", "--pr-db", "100"],
+    # one-layer plans whose t overflows near 0, where beta_bar = 0 made the
+    # layer-1 threshold warn of inf * 0
+    ["rate", "--scheme", "simplex-equal", "--ps-db", "40", "--pr-db", "40", "--q-db", "0.4",
+     "--alpha", "1", "--eta1", "1", "--eta2", "1"],
+    ["rate", "--scheme", "single-sdf", "--ps-db", "40", "--pr-db", "40", "--q-db", "0.4",
+     "--rate", "9.2"],
 ])
 def test_warnings_print_one_line_each(tmp_path, argv):
     # a fresh interpreter, so the warning reaches stderr as it does for a user
@@ -214,7 +220,7 @@ def test_warnings_print_one_line_each(tmp_path, argv):
                          capture_output=True, text=True, env=env, check=False)
     assert run.returncode == 0
     lines = run.stderr.splitlines()
-    warns = {"simplex-equal": False, "continuous-miso": True}[argv[2]]
+    warns = {"simplex-equal": False, "single-sdf": False, "continuous-miso": True}[argv[2]]
     assert bool(lines) == warns
     assert all(line.startswith("relaycast: warning: ") for line in lines)
     before = warnings.formatwarning

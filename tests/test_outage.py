@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import special
 
+from conftest import dense_decode_prob
 from relaycast import (PowerConfig, ergodic_miso_capacity,
                        miso_single_layer_throughput, optimal_single_user_rate,
                        sdf_single_layer_throughput, single_user_throughput,
@@ -16,24 +17,6 @@ def mc_sum_tail(u, p_s, p_r, n=1_000_000, seed=5150):
     nu = -np.log1p(-np.random.default_rng(seed).random((n, 2)))
     hits = nu[:, 0] * p_s + nu[:, 1] * p_r > u
     return hits.mean(), hits.std(ddof=1) / math.sqrt(n)
-
-
-def dense_decode_prob(r, eps, p_s, p_r, depth=60, sub=100):
-    """_relay_aided_decode_prob by brute force: 20-point Gauss-Legendre on
-    `sub` equal parts of each panel of a ladder halving toward 0 and eta down
-    to 2^-depth eta (2 * depth * sub * 20 = 240,000 nodes)."""
-    eta = math.expm1(r) / p_s
-    steps = eta * 0.5 ** np.arange(depth, 0, -1)
-    ladder = np.concatenate(([0.0], steps, eta - steps[-2::-1], [eta]))
-    edges = np.concatenate([np.linspace(lo, hi, sub + 1)[:-1]
-                            for lo, hi in zip(ladder[:-1], ladder[1:])] + [[eta]])
-    x, w = np.polynomial.legendre.leggauss(20)
-    half = 0.5 * np.diff(edges)[:, None]
-    v = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x
-    a = (r - eps * np.log1p(v * p_s)) / (1.0 - eps)
-    need = np.expm1(np.minimum(a, 700.0)) - v * p_s
-    f = np.where(a > 700.0, 0.0, np.exp(-np.maximum(need, 0.0) / p_r - v))
-    return min(math.exp(-eta) + float(np.sum(half * w * f)), 1.0)
 
 
 class TestYSumTail:
@@ -128,12 +111,9 @@ class TestSdfSingleLayer:
             single_user_throughput(r, cfg.p_s).r_av, abs=1e-15)
 
     def test_vanishing_listen_time_reaches_miso(self):
-        # eps shrinks only like r / log(1 + P_s Q), so the limit is checked by
-        # driving eps directly; a huge finite Q must approach from below
-        from relaycast.outage import _relay_aided_decode_prob
+        # eps shrinks only like r / log(1 + P_s Q) (no finite Q reaches 1e-8),
+        # so a huge finite Q must approach the MISO limit from below
         want = miso_single_layer_throughput(0.8, 5.0, 3.0).r_av
-        p = _relay_aided_decode_prob(0.8, 1e-8, 5.0, 3.0)
-        assert 0.8 * p == pytest.approx(want, abs=1e-6)
         via_q = sdf_single_layer_throughput(0.8, PowerConfig(p_s=5.0, p_r=3.0, q=1e12))
         assert want - 2e-3 < via_q.r_av < want
 
@@ -144,23 +124,27 @@ class TestSdfSingleLayer:
                                           strategy="single-layer-SDF", params=1.0), cfg)
         assert abs(res.r_av - est.mean) < 3 * est.stderr
 
+    @staticmethod
+    def decode_prob_and_reference(r, eps, p_s, p_r):
+        """p_layer1 with the listen time set to eps through Q, and the dense
+        reference at the listen time that Q gives."""
+        cfg = PowerConfig(p_s=p_s, p_r=p_r, q=math.expm1(r / eps) / p_s)
+        got = sdf_single_layer_throughput(r, cfg).p_layer1
+        return got, dense_decode_prob(r, r / math.log1p(p_s * cfg.q), p_s, p_r)
+
     @pytest.mark.parametrize("eps", [0.2, 0.9, 0.999, 1.0 - 1e-7])
     def test_late_relay_matches_a_dense_reference(self, eps):
         # the later the relay joins, the closer to eta the integrand collapses
-        from relaycast.outage import _relay_aided_decode_prob
-        r, p_s, p_r = 1.5, 10.0, 5.0
-        want = dense_decode_prob(r, eps, p_s, p_r)
-        assert _relay_aided_decode_prob(r, eps, p_s, p_r) == pytest.approx(want, rel=1e-12)
+        got, want = self.decode_prob_and_reference(1.5, eps, 10.0, 5.0)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_large_threshold_keeps_the_mass_near_zero(self):
         # eta ~ 7e4: e^{-v} holds the integrand within a few units of 0,
         # which adaptive quad on panels that only halve toward eta missed
-        # (it read 6.4e-16)
-        from relaycast.outage import _relay_aided_decode_prob
-        r, eps, p_s, p_r = 7.0, 0.011, 0.015, 1.2e5
-        want = dense_decode_prob(r, eps, p_s, p_r)
+        # (it read 6.4e-16); Q ~ 1.6e278 sets eps = 0.011
+        got, want = self.decode_prob_and_reference(7.0, 0.011, 0.015, 1.2e5)
         assert want > 0.99
-        assert _relay_aided_decode_prob(r, eps, p_s, p_r) == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_scheme_ordering_and_q_monotonicity(self, param_rng):
         for _ in range(25):

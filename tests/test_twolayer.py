@@ -4,13 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import draw_alloc, draw_powers
+from conftest import dense_decode_prob, draw_alloc, draw_powers
 from relaycast import (PowerConfig, TwoLayerAllocation,
                        direct_multilayer_throughput, duplex_gain_condition,
                        miso_equal_throughput, miso_max_throughput,
-                       miso_unequal_throughput, sdf_single_layer_throughput,
-                       simplex_equal_throughput, simplex_unequal_throughput,
-                       single_user_throughput, y_sum_tail)
+                       miso_unequal_throughput, simplex_equal_throughput,
+                       simplex_unequal_throughput, single_user_throughput, y_sum_tail)
 from relaycast import BoundContext, discontinuity_point, twolayer
 from relaycast.bounds import _k_values, _u_values
 from relaycast.montecarlo import SimConfig, simulate_strategy
@@ -391,17 +390,17 @@ class TestSimplex:
 
     def test_one_layer_plan_matches_the_single_layer_sdf(self):
         # alpha = 1 and eta1 = eta2 = expm1(r)/P_s send one layer at rate r,
-        # so the simplex form is the single-layer SDF one, which agrees with
-        # a dense reference to 4e-16; adaptive quad on the layer-1 integral
-        # missed a narrow peak of exp(-K - v) below eta1 and read
-        # 0.0032258121521 (-6.7e-4)
+        # so the simplex form is the single-layer SDF one (the SDF is computed
+        # as this plan) and agrees with the SDF's dense reference to 2e-16;
+        # adaptive quad on the layer-1 integral missed a narrow peak of
+        # exp(-K - v) below eta1 and read r_av 0.0032258121521 (-6.7e-4)
         r = 5.922695910116097
         cfg = PowerConfig(p_s=49.55410510340221, p_r=0.2991693503646765,
                           q=15.757603356988609)
         eta = math.expm1(r) / cfg.p_s
         got = simplex_equal_throughput(TwoLayerAllocation(alpha=1.0, eta1=eta, eta2=eta), cfg)
-        want = sdf_single_layer_throughput(r, cfg)
-        assert got.r_av == pytest.approx(want.r_av, rel=1e-9)
+        want = dense_decode_prob(r, r / math.log1p(cfg.p_s * cfg.q), cfg.p_s, cfg.p_r)
+        assert got.p_layer1 == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.xfail(strict=True, reason="D5: adaptive quad misses the layer-2 "
                        "integral when the relay decodes late (x -> 1)")

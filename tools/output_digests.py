@@ -24,6 +24,9 @@ Runs, in-process and into a temporary directory:
   and for ``single-sdf`` at rate 5.9, both at 17/-5/12 dB: the one-layer
   simplex plan is the SDF one, with a narrow peak of the layer-1 integrand
   just below eta1;
+* ``rate`` for ``single-sdf`` at rate 9.2 and for ``simplex-equal`` at
+  alpha 1, eta 1/1, both at 40/40/0.4 dB, where the layer-1 integrand's t
+  overflows near 0;
 * ``optimize`` with a coarse grid of 10: at 10 dB for ``direct``,
   ``miso-equal`` and ``miso-unequal`` (default free set), ``miso-unequal``
   over all four parameters and ``simplex-unequal`` over beta alone; at
@@ -95,6 +98,13 @@ ONE_LAYER = (
       "--eta2", "7.263502408683853")),
     ("rate-single-sdf-one-layer.csv", ("--scheme", "single-sdf", "--rate", "5.9")),
 )
+# one-layer plans (beta_bar = 0) whose layer-1 t overflows near 0
+T_OVERFLOW_POWERS = ("--ps-db", "40", "--pr-db", "40", "--q-db", "0.4")
+T_OVERFLOW = (
+    ("rate-single-sdf-t-overflow.csv", ("--scheme", "single-sdf", "--rate", "9.2")),
+    ("rate-simplex-equal-t-overflow.csv",
+     ("--scheme", "simplex-equal", "--alpha", "1", "--eta1", "1", "--eta2", "1")),
+)
 
 
 def _scheme_choices(parser, command: str) -> list[str]:
@@ -138,6 +148,8 @@ def commands(cli, out: Path):
     yield csv, ("rate", *NOISE, "--out", str(out / csv))
     for csv, argv in ONE_LAYER:
         yield csv, ("rate", *argv, *ONE_LAYER_POWERS, "--out", str(out / csv))
+    for csv, argv in T_OVERFLOW:
+        yield csv, ("rate", *argv, *T_OVERFLOW_POWERS, "--out", str(out / csv))
     csv = "rate-miso-unequal-near-unit-slope.csv"
     yield csv, ("rate", "--scheme", "miso-unequal", *ALLOC, "--beta", "0.70000003",
                 "--out", str(out / csv))
