@@ -17,7 +17,7 @@ import math
 
 from scipy import integrate, special
 
-from .model import PowerConfig, ThroughputResult, TwoLayerAllocation
+from .model import PowerConfig, ThroughputResult, TwoLayerAllocation, _check_nonneg
 
 __all__ = [
     "y_sum_tail",
@@ -57,8 +57,7 @@ def y_sum_tail(u: float, p_s: float, p_r: float) -> float:
 
 def single_user_throughput(r: float, p_s: float) -> ThroughputResult:
     """No-relay baseline: r times the probability that log(1 + nu_s*P_s) > r."""
-    if r < 0.0:
-        raise ValueError("rate must be nonnegative")
+    r = _check_nonneg("rate", r)
     if r == 0.0:
         return ThroughputResult.build(0.0, 0.0, 1.0, 1.0)
     eta = math.expm1(r) / p_s if p_s > 0.0 else math.inf
@@ -81,10 +80,7 @@ def sdf_single_layer_throughput(r: float, cfg: PowerConfig) -> ThroughputResult:
     transmit antenna.  At or above the source-relay capacity the relay never
     finishes and the result is :func:`single_user_throughput`'s.
     """
-    if r < 0.0:
-        raise ValueError("rate must be nonnegative")
-    if r == 0.0:
-        return ThroughputResult.build(0.0, 0.0, 1.0, 1.0)
+    r = _check_nonneg("rate", r)
     if cfg.p_s == 0.0:  # eta would divide by zero; nothing is ever decoded
         return single_user_throughput(r, cfg.p_s)
     from .twolayer import _simplex_throughput  # twolayer imports this module
@@ -95,10 +91,7 @@ def sdf_single_layer_throughput(r: float, cfg: PowerConfig) -> ThroughputResult:
 
 def miso_single_layer_throughput(r: float, p_s: float, p_r: float) -> ThroughputResult:
     """Zero relay-decoding-time limit: r times P(nu_s*P_s + nu_r*P_r > e^r - 1)."""
-    if r < 0.0:
-        raise ValueError("rate must be nonnegative")
-    if r == 0.0:
-        return ThroughputResult.build(0.0, 0.0, 1.0, 1.0)
+    r = _check_nonneg("rate", r)
     p = y_sum_tail(math.expm1(r), p_s, p_r)
     return ThroughputResult.build(r, 0.0, p, p)
 
@@ -111,7 +104,7 @@ def ergodic_miso_capacity(p_s: float, p_r: float) -> float:
     """
     if p_s < 0.0 or p_r < 0.0:
         raise ValueError("powers must be nonnegative")
-    if p_s == 0.0 and p_r == 0.0:
+    if max(p_s, p_r) == 0.0:
         return 0.0
     # adaptive quad stays: perfbench's tracer test counts miso-layering's quad calls
     val, _ = integrate.quad(lambda u: y_sum_tail(u, p_s, p_r) / (1.0 + u),

@@ -7,7 +7,8 @@ average throughput is a sum of closed-form exponential integrals over the
 regions between those lines.  The simplex results replace the lines by the
 curved thresholds of :mod:`relaycast.bounds` and integrate numerically: over
 [v_lo, eta1] by 64-point Gauss-Legendre on panels that halve toward both ends
-and break at the K/U crossings its nodes see, over [eta1, eta2] by ``quad``.
+and break at the K/U crossings its nodes see, over [eta1, eta2] by ``quad``.  A
+layer of rate 0 always decodes and sets no threshold.
 """
 
 from __future__ import annotations
@@ -246,6 +247,25 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Throughp
         return miso_unequal_throughput(alloc, cfg.p_s, cfg.p_r)
 
     ctx = BoundContext(alloc=alloc, cfg=cfg, x=x, r1=r1, r2=r2)
+    # [v_lo, eta1], the single-layer SDF's whole integral, by the panel rule cut
+    # at K = U; a layer of rate 0 sets no threshold (K would read 0/0 at beta = 0)
+    v_lo = discontinuity_point(ctx)
+    v, w = _panel_rule(_ladder((v_lo, alloc.eta1)), 64)
+
+    def integral(thr: np.ndarray) -> float:
+        # int exp(-max(thr, 0) - v); a NaN threshold contributes 0
+        return float(np.nansum(w * np.exp(-np.maximum(thr, 0.0) - v)))
+
+    k = _k_values(v, ctx) if r1 > 0.0 else None
+    u = _u_values(v, ctx) if r2 > 0.0 else None
+    if k is not None and u is not None:
+        crossings = find_intersections(ctx, v, k, u)
+        if crossings:
+            v, w = _panel_rule(_ladder((v_lo, *crossings, alloc.eta1)), 64)
+            k, u = _k_values(v, ctx), _u_values(v, ctx)
+    p1 = 1.0 if k is None else math.exp(-alloc.eta1) + integral(k)
+    if u is None:  # layer 2 has rate 0 (alpha = 1, as in every SDF plan)
+        return ThroughputResult.build(r1, r2, p1, p1)
 
     def exp_u(v: float) -> float:
         thr = max(u_bound(v, ctx), 0.0)
@@ -255,28 +275,10 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Throughp
     # [eta1, eta2] stays on adaptive quad: perfbench pins D5's validate cell
     p_both = math.exp(-alloc.eta2)
     p_both += integrate.quad(exp_u, alloc.eta1, alloc.eta2, **_QUAD_OPTS)[0]
-    # [v_lo, eta1], the single-layer SDF's whole integral, by the panel rule cut at K = U
-    v_lo = discontinuity_point(ctx)
-    v, w = _panel_rule(_ladder((v_lo, alloc.eta1)), 64)
-
-    def integral(thr: np.ndarray) -> float:
-        # int exp(-max(thr, 0) - v); a NaN threshold contributes 0
-        return float(np.nansum(w * np.exp(-np.maximum(thr, 0.0) - v)))
-
-    u = _u_values(v, ctx)
-    if r1 == 0.0:
-        # a zero-rate layer 1 (alpha = 0) always decodes and sets no
-        # threshold (v_lo is 0); K would read +inf from 0/0 at beta = 0
-        p1, p_both = 1.0, p_both + integral(u)
-    else:
-        k = _k_values(v, ctx)
-        crossings = find_intersections(ctx, v, k, u)
-        if crossings:
-            v, w = _panel_rule(_ladder((v_lo, *crossings, alloc.eta1)), 64)
-            k, u = _k_values(v, ctx), _u_values(v, ctx)
-        p1 = math.exp(-alloc.eta1) + integral(k)
+    if k is not None:  # layer 2 needs layer 1 first: its threshold is max(K, U)
         with np.errstate(invalid="ignore"):  # K - U is NaN where both are inf
-            p_both += integral(np.where(k - u <= 0.0, u, k))
+            u = np.where(k - u <= 0.0, u, k)
+    p_both += integral(u)
     return ThroughputResult.build(r1, r2, p1, min(p_both, p1))
 
 

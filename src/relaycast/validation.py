@@ -79,7 +79,7 @@ def validation_corpus(seed: int, draws: int) -> list[ValidationCase]:
     exercising all closed-form branches, including beta < alpha for the
     MISO and degenerate relay decoding times for the simplex forms.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xC0DE], dtype=np.uint64)))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0xC0DE], dtype=np.uint64)))
     cases: list[ValidationCase] = []
     for scheme in SCHEMES:
         for _ in range(draws):

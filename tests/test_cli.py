@@ -454,3 +454,18 @@ def test_validate_calls_an_undecidable_convention_check_inconclusive(capsys):
     line = next(line for line in capsys.readouterr().out.splitlines()
                 if line.startswith("convention-check"))
     assert line.endswith("(inconclusive)")
+
+
+@pytest.mark.parametrize("scheme", ["single-user", "single-sdf", "miso-single"])
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_a_non_finite_rate_exits_with_one_line(scheme, rate, capsys):
+    assert main(["rate", "--scheme", scheme, f"--rate={rate}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"relaycast: rate must be finite and nonnegative, got {rate}\n"
+
+
+def test_validate_takes_a_negative_seed(capsys):
+    # the corpus keys its Philox with the seed modulo 2**64, as every MC run does
+    assert main(["validate", "--draws", "1", "--blocks", "2000", "--seed", "-1",
+                 "--z-max", "inf"]) == 0

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from scipy import special
 
 from conftest import dense_decode_prob
-from relaycast import (PowerConfig, ergodic_miso_capacity,
+from relaycast import (PowerConfig, ThroughputResult, ergodic_miso_capacity,
                        miso_single_layer_throughput, optimal_single_user_rate,
                        sdf_single_layer_throughput, single_user_throughput,
                        y_sum_tail)
@@ -158,6 +158,26 @@ class TestSdfSingleLayer:
             hi = miso_single_layer_throughput(r, p_s, p_r).r_av
             assert all(lo - 1e-9 <= v <= hi + 1e-9 for v in vals)
             assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("p_s", [0.0, 1e-3, 10.0, 1e8])
+@pytest.mark.parametrize("p_r", [0.0, 1.0, 1e6])
+@pytest.mark.parametrize("q", [0.0, 1.0, 1e9])
+def test_a_zero_rate_always_decodes(p_s, p_r, q):
+    # no special case: the general paths give (0, 0, 1, 1) exactly
+    want = ThroughputResult.build(0.0, 0.0, 1.0, 1.0)
+    assert sdf_single_layer_throughput(0.0, PowerConfig(p_s=p_s, p_r=p_r, q=q)) == want
+    assert miso_single_layer_throughput(0.0, p_s, p_r) == want
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -1.0])
+def test_a_rate_must_be_finite_and_nonnegative(r):
+    cfg = PowerConfig(p_s=10.0, p_r=10.0, q=100.0)
+    for evaluate in (lambda: single_user_throughput(r, cfg.p_s),
+                     lambda: sdf_single_layer_throughput(r, cfg),
+                     lambda: miso_single_layer_throughput(r, cfg.p_s, cfg.p_r)):
+        with pytest.raises(ValueError, match="rate must be finite and nonnegative"):
+            evaluate()
 
 
 class TestMisoSingleLayer:

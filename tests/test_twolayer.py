@@ -9,9 +9,11 @@ from relaycast import (PowerConfig, TwoLayerAllocation,
                        direct_multilayer_throughput, duplex_gain_condition,
                        miso_equal_throughput, miso_max_throughput,
                        miso_unequal_throughput, simplex_equal_throughput,
-                       simplex_unequal_throughput, single_user_throughput, y_sum_tail)
+                       sdf_single_layer_throughput, simplex_unequal_throughput,
+                       single_user_throughput, y_sum_tail)
 from relaycast import BoundContext, discontinuity_point, twolayer
 from relaycast.bounds import _k_values, _u_values
+from relaycast.model import decoding_times
 from relaycast.montecarlo import SimConfig, simulate_strategy
 from relaycast.twolayer import _direct_two_layer_rate
 from relaycast.validation import validation_corpus
@@ -401,6 +403,38 @@ class TestSimplex:
         got = simplex_equal_throughput(TwoLayerAllocation(alpha=1.0, eta1=eta, eta2=eta), cfg)
         want = dense_decode_prob(r, r / math.log1p(cfg.p_s * cfg.q), cfg.p_s, cfg.p_r)
         assert got.p_layer1 == pytest.approx(want, rel=1e-12)
+
+    def test_a_zero_rate_layer_sets_no_threshold(self, monkeypatch):
+        # a layer of rate 0 always decodes: alpha = 1 (every SDF plan among
+        # them) evaluates no U, crossing search or [eta1, eta2] quad, and
+        # alpha = 0 no K and no crossing search
+        calls = set()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.add(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_k_values", "_u_values", "find_intersections"):
+            monkeypatch.setattr(twolayer, name, counted(name, getattr(twolayer, name)))
+        monkeypatch.setattr(twolayer.integrate, "quad",
+                            counted("quad", twolayer.integrate.quad))
+        cfg = PowerConfig(p_s=10.0, p_r=10.0, q=100.0)
+        cases = (((1.0, 0.5, 0.5), {"_k_values"}),
+                 ((1.0, 0.5, 1.0), {"_k_values"}),
+                 ((0.0, 0.5, 1.0), {"_u_values", "quad"}),
+                 ((0.7, 0.3, 1.8),
+                  {"_k_values", "_u_values", "find_intersections", "quad"}))
+        for (alpha, eta1, eta2), want in cases:
+            alloc = TwoLayerAllocation(alpha=alpha, eta1=eta1, eta2=eta2)
+            assert 0.0 < decoding_times(alloc, cfg).eps2 < 1.0
+            calls.clear()
+            simplex_equal_throughput(alloc, cfg)
+            assert calls == want, alloc
+        calls.clear()
+        sdf_single_layer_throughput(1.0, cfg)
+        assert calls == {"_k_values"}
 
     @pytest.mark.xfail(strict=True, reason="D5: adaptive quad misses the layer-2 "
                        "integral when the relay decodes late (x -> 1)")

@@ -38,3 +38,8 @@ def test_closed_form_value_rejects_an_unknown_scheme():
                           alloc=TwoLayerAllocation(alpha=0.7, eta1=0.3, eta2=1.8))
     with pytest.raises(ValueError, match="unknown scheme 'full-duplex'"):
         closed_form_value(case)
+
+
+def test_the_corpus_takes_any_integer_seed():
+    # the Philox key is the seed modulo 2**64, as in the Monte-Carlo oracle
+    assert validation_corpus(-1, 1) == validation_corpus(2**64 - 1, 1)

@@ -27,6 +27,10 @@ Runs, in-process and into a temporary directory:
 * ``rate`` for ``single-sdf`` at rate 9.2 and for ``simplex-equal`` at
   alpha 1, eta 1/1, both at 40/40/0.4 dB, where the layer-1 integrand's t
   overflows near 0;
+* ``rate`` for ``simplex-unequal`` at beta 1 and eta 0.3/1.8 with alpha 1
+  (a one-layer plan with an unused eta2) and alpha 0 (beta_bar = 0, where
+  the layer-2 threshold is +-inf), and for ``single-user`` at ``--rate
+  inf`` (a usage error);
 * ``optimize`` with a coarse grid of 10: at 10 dB for ``direct``,
   ``miso-equal`` and ``miso-unequal`` (default free set), ``miso-unequal``
   over all four parameters and ``simplex-unequal`` over beta alone; at
@@ -49,8 +53,8 @@ Runs, in-process and into a temporary directory:
   ``figure fig3 --ps-db 10`` with a ``--config`` file holding ``q_db`` and
   ``blocks``, which fig3 does not take either;
 * ``validate --draws 1 --blocks 2000 --z-max inf``, where the convention
-  check cannot separate the two readings, and ``sweep --scheme single-user
-  --q-db ,`` (an empty list).
+  check cannot separate the two readings, the same at ``--seed -1``, and
+  ``sweep --scheme single-user --q-db ,`` (an empty list).
 
 A command that exits nonzero, or exits through argparse, prints ``exit
 <code>`` in place of digests; one that raises prints ``raised <type>``.
@@ -98,6 +102,8 @@ ONE_LAYER = (
       "--eta2", "7.263502408683853")),
     ("rate-single-sdf-one-layer.csv", ("--scheme", "single-sdf", "--rate", "5.9")),
 )
+# simplex-unequal plans with a zero-rate layer: (CSV name suffix, alpha)
+ZERO_RATE = (("alpha-1", "1"), ("alpha-0", "0"))
 # one-layer plans (beta_bar = 0) whose layer-1 t overflows near 0
 T_OVERFLOW_POWERS = ("--ps-db", "40", "--pr-db", "40", "--q-db", "0.4")
 T_OVERFLOW = (
@@ -150,6 +156,12 @@ def commands(cli, out: Path):
         yield csv, ("rate", *argv, *ONE_LAYER_POWERS, "--out", str(out / csv))
     for csv, argv in T_OVERFLOW:
         yield csv, ("rate", *argv, *T_OVERFLOW_POWERS, "--out", str(out / csv))
+    for name, alpha in ZERO_RATE:
+        csv = f"rate-simplex-unequal-{name}.csv"
+        yield csv, ("rate", "--scheme", "simplex-unequal", "--alpha", alpha, "--beta", "1",
+                    "--eta1", "0.3", "--eta2", "1.8", "--out", str(out / csv))
+    csv = "rate-single-user-inf.csv"
+    yield csv, ("rate", "--scheme", "single-user", "--rate", "inf", "--out", str(out / csv))
     csv = "rate-miso-unequal-near-unit-slope.csv"
     yield csv, ("rate", "--scheme", "miso-unequal", *ALLOC, "--beta", "0.70000003",
                 "--out", str(out / csv))
@@ -185,6 +197,9 @@ def commands(cli, out: Path):
     csv = "validate-2000-blocks.csv"
     yield csv, ("validate", "--draws", "1", "--blocks", "2000", "--z-max", "inf",
                 "--out", str(out / csv))
+    csv = "validate-2000-blocks-seed-minus-1.csv"
+    yield csv, ("validate", "--draws", "1", "--blocks", "2000", "--seed", "-1",
+                "--z-max", "inf", "--out", str(out / csv))
     csv = "sweep-empty-q-db.csv"
     yield csv, ("sweep", "--scheme", "single-user", "--q-db", ",", "--out", str(out / csv))
 
