@@ -19,8 +19,8 @@ import numpy as np
 from . import broadcast, twolayer
 from .model import PowerConfig
 from .montecarlo import SimConfig, simulate_strategy
-from .optimize import (_coordinate_ascent, _unequal_from_equal, maximize_throughput,
-                       miso_single_layer_rate, oblivious_rate_plan)
+from .optimize import (_ascent_stats, _coordinate_ascent, _unequal_from_equal,
+                       maximize_throughput, miso_single_layer_rate, oblivious_rate_plan)
 from .outage import (ergodic_miso_capacity, miso_single_layer_throughput,
                      optimal_single_user_rate, sdf_single_layer_throughput,
                      single_user_throughput, y_sum_tail)
@@ -68,9 +68,14 @@ def _ps_grid(start=0.0, stop=25.0, step=2.5) -> list[float]:
     return [start + i * step for i in range(n + 1)]
 
 
+_POLISH_PASSES = 4  # coordinate passes of the 8-layer polish
+
+
 def _refined_layered(p_s: float, tail, n_layers: int, density, dist) -> float:
     """Quantize the continuous profile into n layers and polish it by four
-    coordinate golden-section passes over thresholds and residual fractions.
+    coordinate golden-section passes over thresholds and residual fractions:
+    the first over each coordinate's whole range, later ones over brackets
+    around each coordinate's last move (optimize._coordinate_ascent).
 
     A line search moves one coordinate, so it changes at most two of the n
     layer terms.  The polish computes each layer term
@@ -105,13 +110,15 @@ def _refined_layered(p_s: float, tail, n_layers: int, density, dist) -> float:
         return (x[i + 1] if i < last else 0.0, x[i - 1] if i > n else 1.0)
 
     x0 = [*thresholds, *resids[:-1]]
-    value = _coordinate_ascent(rate, (rate(x0), x0), range(last + 1), bounds,
-                               max_passes=4)[0]
+    run = _coordinate_ascent(rate, (rate(x0), x0), range(last + 1), bounds,
+                             max_passes=_POLISH_PASSES)
+    value = run[0]
     terms = term.cache_info()  # every evaluation looks up n terms
     cached = getattr(tail, "cache_info", None)  # a tail the caller caches
-    log.debug("_refined_layered layers=%d evals=%d terms=%d%s value=%.6g", n,
+    log.debug("_refined_layered layers=%d evals=%d terms=%d%s %s value=%.6g", n,
               (terms.hits + terms.misses) // n, terms.misses,
-              "" if cached is None else f" tails={cached().misses}", value)
+              "" if cached is None else f" tails={cached().misses}",
+              _ascent_stats([run], _POLISH_PASSES), value)
     return value
 
 

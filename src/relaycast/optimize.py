@@ -2,9 +2,12 @@
 
 Every two-layer search, the source's oblivious plan included, is one coarse
 grid over the eta1 <= eta2 triangle (maximize_throughput) followed by
-coordinate-wise golden-section refinement: the objectives are cheap, at most
-four-dimensional, and may be non-smooth at branch boundaries of the closed
-forms, so an auditable deterministic search beats stochastic methods here.
+coordinate-wise golden-section refinement (_coordinate_ascent): the
+objectives are cheap, at most four-dimensional, and may be non-smooth at
+branch boundaries of the closed forms, so an auditable deterministic search
+beats stochastic methods here.  A coordinate's first line search spans its
+whole box, later ones a bracket sized by its last move; a search ends on a
+whole-box pass that moves nothing by more than _TOL.
 ``miso-unequal`` with beta free has no grid of its own: the unequal split
 contains the equal one (beta = alpha), so it refines the ``miso-equal``
 optimum over all free parameters.
@@ -14,8 +17,9 @@ grid, the rescoring and the refinement read one cache, made when the search
 starts and dropped when it returns (a form's ``tail`` in
 twolayer.CLOSED_FORMS, with the form's kernels rebuilt on the cache by
 twolayer._tail_kernels).  ``direct`` stays on math.exp, which costs less
-than a cache lookup.  Each search logs one DEBUG line with its evaluations
-and, where it caches tails, its tail computations.
+than a cache lookup.  Each search logs one DEBUG line with its evaluations,
+where it caches tails its tail computations, and per ascent the passes run,
+the brackets widened and whether it ran all its passes (capped).
 No randomness anywhere; rerunning returns bit-identical output.
 """
 
@@ -52,6 +56,7 @@ _COARSE_BY_DIM = {1: 64, 2: 64, 3: 40, 4: 16}
 _ETA_MAX = 4.0  # upper end of every eta search range
 _TOL = 1e-6  # coordinate passes stop once no parameter moves by more
 _MAX_PASSES = 40
+_BRACKET_MIN = 10 * _TOL  # least half-width of a later line search's bracket
 _N_STARTS = 3  # coarse-grid points refined by maximize_throughput
 # array-scored grid points within this of the third-best are rescored on the
 # scalar kernel; it covers the last-ulp gaps between numpy's and math's
@@ -112,33 +117,66 @@ def _search_box(i: int, x: Sequence[float], beta_ge_alpha: bool = False
 def _coordinate_ascent(value: Callable[[list[float]], float],
                        start: tuple[float, Sequence[float]], coords: Sequence[int],
                        bounds: Callable[[int, list[float]], tuple[float, float]],
-                       max_passes: int = _MAX_PASSES) -> tuple[float, list[float]]:
+                       max_passes: int = _MAX_PASSES
+                       ) -> tuple[float, list[float], int, int]:
     """Cyclic golden-section line searches over positions ``coords`` of a point,
-    each over ``bounds(i, point)``, from ``start``, a (value, point) pair,
-    accepting only strictly improving moves, until a pass moves no position by
-    more than _TOL or ``max_passes`` passes ran.  One position stops after one
-    pass, since ``bounds`` of a position does not read that position, so a
-    second pass would repeat the same search.  Returns the final (value, point).
+    from ``start``, a (value, point) pair, accepting only strictly improving
+    moves, until a pass whose searches span their whole boxes moves no
+    position by more than _TOL, or ``max_passes`` passes ran.  One position
+    stops after one pass, since ``bounds`` of a position does not read that
+    position, so a second pass would repeat the same search.
+
+    A whole-box pass searches each position over ``bounds(i, point)``; the
+    first pass is one, and so is the pass after any other pass that moved no
+    position by more than _TOL.  In the other passes a line search spans a
+    bracket around the position, clipped to its box, of half-width twice the
+    position's last move (0 after a search that found no strict gain),
+    floored at _BRACKET_MIN; while the best probe lies within _TOL of a
+    bracket edge that is not a box edge, the half-width grows 8-fold and the
+    search runs again.  Returns the final (value, point), the passes run and
+    the brackets widened.
     """
     cur_val, cur = start[0], list(start[1])
-    for _ in range(max_passes):
-        moved = 0.0
+    half = dict.fromkeys(coords, math.inf)  # bracket half-width per position
+    widened = 0
+    for passes in range(1, max_passes + 1):
+        moved, whole = 0.0, math.inf in half.values()  # all inf or none
         for i in coords:
-            lo, hi = bounds(i, cur)
+            box_lo, box_hi = bounds(i, cur)
 
             def line(xv: float, _i=i) -> float:
                 trial = cur.copy()
                 trial[_i] = xv
                 return value(trial)
 
-            x_new, f_new = golden_section_max(line, lo, hi, tol=_TOL)
+            while True:
+                lo, hi = max(box_lo, cur[i] - half[i]), min(box_hi, cur[i] + half[i])
+                x_new, f_new = golden_section_max(line, lo, hi, tol=_TOL)
+                if not ((lo > box_lo and x_new - lo <= _TOL)
+                        or (hi < box_hi and hi - x_new <= _TOL)):
+                    break
+                half[i] *= 8.0
+                widened += 1
+            step = 0.0
             if f_new > cur_val:
-                moved = max(moved, abs(x_new - cur[i]))
+                step = abs(x_new - cur[i])
                 cur[i] = x_new
                 cur_val = f_new
-        if moved <= _TOL or len(coords) == 1:
+            moved = max(moved, step)
+            half[i] = max(2.0 * step, _BRACKET_MIN)
+        if (moved <= _TOL and whole) or len(coords) == 1:
             break
-    return cur_val, cur
+        if moved <= _TOL:  # confirmed, or not, by a whole-box pass
+            half = dict.fromkeys(coords, math.inf)
+    return cur_val, cur, passes, widened
+
+
+def _ascent_stats(runs: Sequence[tuple], max_passes: int = _MAX_PASSES) -> str:
+    """The DEBUG fields of _coordinate_ascent results ``runs``: the passes of
+    each, the brackets widened in all, and how many ran all ``max_passes``."""
+    return (f"passes={','.join(str(r[2]) for r in runs)} "
+            f"widened={sum(r[3] for r in runs)} "
+            f"capped={sum(r[2] == max_passes for r in runs)}")
 
 
 def maximize_throughput(scheme: str, free_params: Iterable[str],
@@ -149,11 +187,13 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     The coarse grid is the (alpha, beta) rows (beta >= alpha for
     simplex-unequal) against the eta1 <= eta2 pairs of the free box.
     Coordinate golden-section passes run from its 3 best points, accepting
-    only improving moves, until no parameter shifts by more than 1e-6; with
-    one free parameter the search box does not depend on the start, so only
-    the best point is refined, by one line search.  Exact ties go to the point
-    with fewer grid steps between eta1 and eta2 when both are free, then to
-    the earlier one.
+    only improving moves, until a pass over the whole boxes shifts no
+    parameter by more than 1e-6 (the passes between search brackets around
+    each parameter's last move; see _coordinate_ascent); with one free
+    parameter the search box does not depend on the start, so only the best
+    point is refined, by one line search over its box.  Exact ties go to the
+    point with fewer grid steps between eta1 and eta2 when both are free,
+    then to the earlier one.
     Direct and miso-equal score the grid in one array call, then rescore with
     the bit-exact scalar kernel every point within 1e-6 (relative) of the
     third-best, because numpy's exp/log1p may differ from math's in the last
@@ -243,18 +283,14 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     steps = k - j if "eta1" in free and "eta2" in free else 0 * j
     shortlist.sort(key=lambda i: (-coarse[i], steps[i % j.size], i))
 
-    best_val, best = max(
-        (_coordinate_ascent(value, (float(coarse[i]), point(i)), slots,
-                            lambda i, x: _search_box(i, x, beta_ge_alpha))
-         for i in shortlist[:_N_STARTS if len(slots) > 1 else 1]),
-        key=lambda t: t[0])
+    runs = [_coordinate_ascent(value, (float(coarse[i]), point(i)), slots,
+                               lambda i, x: _search_box(i, x, beta_ge_alpha))
+            for i in shortlist[:_N_STARTS if len(slots) > 1 else 1]]
+    best_val, best = max(runs, key=lambda t: t[0])[:2]
     params = {**fixed, **{name: best[i] for name, i in zip(free, slots)}}
-    if tail is None:
-        log.debug("maximize_throughput %s free=%s evals=%d value=%.6g", scheme,
-                  ",".join(free), evals, best_val)
-    else:
-        log.debug("maximize_throughput %s free=%s evals=%d tails=%d value=%.6g", scheme,
-                  ",".join(free), evals, tail.cache_info().misses, best_val)
+    tails = "" if tail is None else f" tails={tail.cache_info().misses}"
+    log.debug("maximize_throughput %s free=%s evals=%d%s %s value=%.6g", scheme,
+              ",".join(free), evals, tails, _ascent_stats(runs), best_val)
     return OptResult(params=params, value=best_val, n_evals=evals,
                      coarse_best=float(coarse[shortlist[0]]))
 
@@ -277,10 +313,12 @@ def _unequal_from_equal(equal: OptResult, free: Sequence[str],
     p = equal.params
     start = [p["alpha"], p["alpha"], p["eta1"], p["eta2"]]
     slots = sorted(_PARAM_ORDER.index(name) for name in free)
-    best_val, best = _coordinate_ascent(value, (value(start), start), slots, _search_box)
+    run = _coordinate_ascent(value, (value(start), start), slots, _search_box)
+    best_val, best = run[:2]
     params = {**fixed, **{_PARAM_ORDER[i]: best[i] for i in slots}}
     log.debug("maximize_throughput miso-unequal from miso-equal free=%s evals=%d "
-              "value=%.6g", ",".join(_PARAM_ORDER[i] for i in slots), evals, best_val)
+              "%s value=%.6g", ",".join(_PARAM_ORDER[i] for i in slots), evals,
+              _ascent_stats([run]), best_val)
     return OptResult(params=params, value=best_val, n_evals=equal.n_evals + evals,
                      coarse_best=equal.coarse_best)
 

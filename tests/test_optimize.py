@@ -1,9 +1,11 @@
 import logging
+import math
+import re
 
 import numpy as np
 import pytest
 
-from relaycast import (PowerConfig, optimize, twolayer,
+from relaycast import (PowerConfig, TwoLayerAllocation, optimize, twolayer,
                        direct_multilayer_throughput, maximize_throughput,
                        oblivious_rate_plan, optimal_single_user_rate,
                        single_user_throughput, y_sum_tail)
@@ -94,10 +96,117 @@ PINNED_PLANS = [
 ]
 
 
+# the plans of PINNED_PLANS, keyed by P_s dB, as each of them moved when every
+# line search after a coordinate's first began to span a bracket around the
+# coordinate's last move.  A plan's direct objective may not fall below the
+# PINNED_PLANS plan's by more than 1e-6 relative
+RECAPTURED_PLANS = {
+    -20.0: ("0x1.01793ae1e291cp-1", "0x1.fc39cc0b84fdap-1", "0x1.febc59a725a74p-1"),
+    -19.5: ("0x1.01a582778ca32p-1", "0x1.fbc624891deb4p-1", "0x1.fe95637fd5e14p-1"),
+    -19.25: ("0x1.01be6b4a5e2dcp-1", "0x1.fb875622fbcefp-1", "0x1.fe8037f9ed655p-1"),
+    -18.75: ("0x1.01f311e71d30ep-1", "0x1.fafeceed2e97ap-1", "0x1.fe52241777ce1p-1"),
+    -18.0: ("0x1.024f569096b1ap-1", "0x1.fa13bcf641370p-1", "0x1.fe02aa73eec85p-1"),
+    -17.5: ("0x1.02959876ae64fp-1", "0x1.f9603a2e80bc2p-1", "0x1.fdc5d80d7e4fep-1"),
+    -17.0: ("0x1.02e3b5a5e4c42p-1", "0x1.f8982c10d582bp-1", "0x1.fd81efe8044fdp-1"),
+    -15.0: ("0x1.04804c5771fb1p-1", "0x1.f47c2e05d384ap-1", "0x1.fc1a8b5f4e3e7p-1"),
+    -12.5: ("0x1.07bbf0290a428p-1", "0x1.ec4c58be10de9p-1", "0x1.f9431f20cfe55p-1"),
+    -10.0: ("0x1.0cfd3c32c1b92p-1", "0x1.df1f60eeb9821p-1", "0x1.f48fd707398f5p-1"),
+    -5.0: ("0x1.20d137ec25f63p-1", "0x1.aefded7fda529p-1", "0x1.e1ff5d731e0dbp-1"),
+    0.0: ("0x1.43700160ad65ep-1", "0x1.610f3bb072f6cp-1", "0x1.bed7b5c1991d0p-1"),
+    5.0: ("0x1.6fa707bfd0d18p-1", "0x1.08bddd2626c63p-1", "0x1.8e0bbd7d774c0p-1"),
+    10.0: ("0x1.9bc07f0dee3d2p-1", "0x1.785f9f64e9e47p-2", "0x1.59f598ffc955bp-1"),
+    15.0: ("0x1.c07f011f98027p-1", "0x1.06e35f6e81127p-2", "0x1.2b2ee5a1451a2p-1"),
+    20.0: ("0x1.db17a4c1d7a2dp-1", "0x1.71fbab9b1531cp-3", "0x1.04fc3bd53bbe8p-1"),
+    25.0: ("0x1.ec2fda4ea150cp-1", "0x1.0a22150761681p-3", "0x1.ce49e308dc98dp-2"),
+    30.0: ("0x1.f61950179b402p-1", "0x1.8a206e71a7cafp-4", "0x1.a05dafb3627d6p-2"),
+    40.0: ("0x1.fdef1c6158a74p-1", "0x1.d9ba68c5b2eb6p-5", "0x1.616f57d94082dp-2"),
+    50.0: ("0x1.ffa3f968f9dcbp-1", "0x1.3cf10ab03cab3p-5", "0x1.3a204bb01ec63p-2"),
+    60.0: ("0x1.fff1daa24d9bcp-1", "0x1.cba334b1699bfp-6", "0x1.1fc96c2ccceb2p-2"),
+    70.0: ("0x1.fffe04186af4cp-1", "0x1.621b7ace51b78p-6", "0x1.0d52be683278ep-2"),
+    71.5: ("0x1.fffe8712d429bp-1", "0x1.5599588a37ff0p-6", "0x1.0ae53017cac97p-2"),
+    71.75: ("0x1.fffe940b345a4p-1", "0x1.519fa6ff3e86ep-6", "0x1.09bef89d3763fp-2"),
+    72.5: ("0x1.fffec9afecdedp-1", "0x1.4d025d9f5eee2p-6", "0x1.0913217a41ceap-2"),
+    74.5: ("0x1.ffff309fa921cp-1", "0x1.3e63e1d80a3d0p-6", "0x1.06310930d2033p-2"),
+    77.5: ("0x1.ffff8bb8827a7p-1", "0x1.26f247e158913p-6", "0x1.00b3870d817b6p-2"),
+    80.0: ("0x1.ffffb62c96066p-1", "0x1.11e6a1bae47bdp-6", "0x1.f5eee857a4480p-3"),
+}
+
+
 @pytest.mark.parametrize("ps_db,alpha,eta1,eta2", PINNED_PLANS)
 def test_pinned_plans(ps_db, alpha, eta1, eta2):
-    plan = oblivious_rate_plan(10 ** (ps_db / 10))
-    assert (plan.alpha, plan.eta1, plan.eta2) == tuple(map(float.fromhex, (alpha, eta1, eta2)))
+    p_s = 10 ** (ps_db / 10)
+    plan = oblivious_rate_plan(p_s)
+    old = TwoLayerAllocation(*map(float.fromhex, (alpha, eta1, eta2)))
+    assert plan_value(plan, p_s) >= plan_value(old, p_s) * (1.0 - 1e-6)
+    pinned = RECAPTURED_PLANS.get(ps_db, (alpha, eta1, eta2))
+    assert (plan.alpha, plan.eta1, plan.eta2) == tuple(map(float.fromhex, pinned))
+
+
+class TestCoordinateAscent:
+    """optimize._coordinate_ascent's bracketed line searches on toy objectives
+    over the unit square."""
+
+    @staticmethod
+    def run(monkeypatch, value, start):
+        searches = []  # (lo, hi, best x) of every line search
+
+        def recorded(f, lo, hi, tol):
+            x, fx = golden_section_max(f, lo, hi, tol)
+            searches.append((lo, hi, x))
+            return x, fx
+
+        monkeypatch.setattr(optimize, "golden_section_max", recorded)
+        result = optimize._coordinate_ascent(value, (value(start), start), [0, 1],
+                                             lambda i, x: (0.0, 1.0))
+        return result, searches
+
+    def test_bracket_widens_to_a_moved_line_maximum(self, monkeypatch):
+        # the line maximum in x[0] jumps from 0.2 to 0.25 once x[1] passes 0.4,
+        # far outside the 1e-5 bracket x[0] gets after its first search found
+        # no gain; the whole-box optimum is (0.25, 0.5)
+        def value(x):
+            return -0.01 * (x[0] - (0.2 if x[1] < 0.4 else 0.25)) ** 2 - (x[1] - 0.5) ** 2
+
+        (val, x, passes, widened), searches = self.run(monkeypatch, value, [0.2, 0.0])
+        assert x == pytest.approx([0.25, 0.5], abs=1e-6) and val == pytest.approx(0.0, abs=1e-12)
+        # pass 2 searches x[0] on 0.2 +- 1e-5 * 8^k, clipped to the box, until
+        # the best probe leaves the bracket's inner edge: at k = 5, [0, 0.5277]
+        halves = [optimize._BRACKET_MIN]  # 10 * 1e-6
+        while len(halves) < 6:
+            halves.append(halves[-1] * 8.0)
+        assert [s[:2] for s in searches[2:8]] == [(max(0.0, 0.2 - h), 0.2 + h)
+                                                  for h in halves]
+        assert widened == 5 and searches[7][2] == pytest.approx(0.25, abs=1e-6)
+
+    def test_bracket_stops_widening_at_a_box_edge(self, monkeypatch):
+        # x[0]'s maximum is the box edge 1: the bracket 1 +- 2 * 0.01 after the
+        # first pass moved x[0] from 0.99 is clipped there, and does not widen
+        def value(x):
+            return x[0] - (x[1] - 0.3) ** 2
+
+        (val, x, passes, widened), searches = self.run(monkeypatch, value, [0.99, 0.0])
+        assert widened == 0 and x == pytest.approx([1.0, 0.3], abs=1e-6)
+        lo, hi, best = searches[2]
+        assert 0.0 < lo < 0.99 and hi == 1.0 and best >= 1.0 - 1e-6
+
+    def test_one_coordinate_is_one_box_search(self):
+        # a lone coordinate's one line search spans its box: the same probes,
+        # in the same order, and the same result as golden_section_max there
+        probes, direct = [], []
+
+        def line(v):
+            return math.sin(3.0 * v) + v
+
+        def value(x):
+            probes.append(x[0])
+            return line(x[0])
+
+        result = optimize._coordinate_ascent(value, (line(1.9), [1.9]), [0],
+                                             lambda i, x: (0.0, 2.0))
+        best = golden_section_max(lambda v: direct.append(v) or line(v), 0.0, 2.0,
+                                  tol=1e-6)
+        assert probes == direct
+        assert result == (best[1], [best[0]], 1, 0)
 
 
 class TestMaximizeThroughput:
@@ -231,50 +340,122 @@ PINNED = [
 ]
 
 
-# (value, params, n_evals) of rows above, keyed by (P_s dB, P_r/P_s, free),
-# re-captured when their search changed: the miso-unequal rows with beta free
-# when that search began to start from the equal-split optimum, and the rows
-# whose coarse grid holds exact ties when those began to go to the point with
-# fewer grid steps between eta1 and eta2.  A new value may not fall below the
-# PINNED value by more than 1e-6 relative
+# captures of (value, params, n_evals) of rows above, oldest first, keyed by
+# (P_s dB, P_r/P_s, free), taken when their search changed: the miso-unequal
+# rows with beta free when that search began to start from the equal-split
+# optimum; the rows whose coarse grid holds exact ties when those began to go
+# to the point with fewer grid steps between eta1 and eta2; and every row with
+# more than one free parameter when each line search after a coordinate's
+# first began to span a bracket around the coordinate's last move.  The last
+# capture is the current result, and it may not fall below the PINNED value or
+# an earlier capture by more than 1e-6 relative
 RECAPTURED = {
-    (-20.0, 0.5, ("alpha", "eta1", "eta2")): (
-        0.006103627694240707,
-        {"alpha": 0.5032174057633415, "eta1": 1.2035740048186694,
-         "eta2": 1.2090996522479156}, 12672),
-    (25.0, 0.0, ("alpha", "eta1", "eta2")): (
-        3.642567693986696,
-        {"alpha": 0.9613023822998997, "eta1": 0.1299477349843, "eta2": 0.4514530469459957},
-        5384),
-    (-20.0, 0.0, ("alpha", "eta1", "eta2")): (
-        0.003660578116517921,
-        {"alpha": 0.5028698580515196, "eta1": 0.9926284201830822,
-         "eta2": 0.9975306362775664}, 5968),
-    (80.0, 1.0, ("alpha", "eta1", "eta2")): (
-        17.28591815112988,
-        {"alpha": 0.9999994625095001, "eta1": 0.10712425231115612,
-         "eta2": 0.6708513117367508}, 2922),
-    (25.0, 2.0, ("alpha", "beta", "eta1", "eta2")): (
-        5.188095902063042,
-        {"alpha": 0.98523993284817, "beta": 0.9844136984828225,
-         "eta1": 0.4338422403783624, "eta2": 1.3685664779437259}, 12261),
-    (-20.0, 0.0, ("alpha", "beta", "eta1", "eta2")): (
-        0.0036605781165179223,
-        {"alpha": 0.5028721348978143, "beta": 0.5028721348978143,
-         "eta1": 0.9926284396615764, "eta2": 0.9975306558522576}, 3930),
-    (10.0, 0.0, ("alpha", "beta", "eta1", "eta2")): (
-        1.1214241254672634,
-        {"alpha": 0.8042032105697833, "beta": 0.8042035427571808,
-         "eta1": 0.3675522606382542, "eta2": 0.6757020525912635}, 5833),
-    (50.0, 1000.0, ("alpha", "beta")): (
-        12.09146697959807,
-        {"eta1": 0.3, "eta2": 1.8, "alpha": 0.9698698347980078,
-         "beta": 0.9699666157421898}, 172),
-    (10.0, 2.0, ("beta", "eta1", "eta2")): (
-        2.098919764469623,
-        {"alpha": 0.7, "beta": 0.6997096228045993, "eta1": 0.7806654637084773,
-         "eta2": 1.4363257995053693}, 2683),
+    (-20.0, 0.5, ("alpha", "eta1", "eta2")): [
+        (0.006103627694240707,
+         {"alpha": 0.5032174057633415, "eta1": 1.2035740048186694,
+          "eta2": 1.2090996522479156}, 12672),
+        (0.006103627694240703,
+         {"alpha": 0.5032203178684223, "eta1": 1.2035739936625052,
+          "eta2": 1.2090996411137955}, 10158),
+    ],
+    (25.0, 2.0, ("alpha", "eta1", "eta2")): [
+        (5.187470690352275,
+         {"alpha": 0.9845432179997308, "eta1": 0.46147421427140967,
+          "eta2": 1.321859625952951}, 10754),
+    ],
+    (25.0, 2.0, ("alpha", "beta", "eta1", "eta2")): [
+        (5.188095902063042,
+         {"alpha": 0.98523993284817, "beta": 0.9844136984828225,
+          "eta1": 0.4338422403783624, "eta2": 1.3685664779437259}, 12261),
+        (5.188095886268883,
+         {"alpha": 0.9852405895693436, "beta": 0.9844144342314023,
+          "eta1": 0.43384896228306385, "eta2": 1.368574956066071}, 6833),
+    ],
+    (-20.0, 0.0, ("alpha", "beta", "eta1", "eta2")): [
+        (0.0036605781165179223,
+         {"alpha": 0.5028721348978143, "beta": 0.5028721348978143,
+          "eta1": 0.9926284396615764, "eta2": 0.9975306558522576}, 3930),
+        (0.003660578116517924,
+         {"alpha": 0.5028713155173081, "beta": 0.5028713155173081,
+          "eta1": 0.9926283927033653, "eta2": 0.9975306808707265}, 2590),
+    ],
+    (10.0, 0.0, ("alpha", "beta", "eta1", "eta2")): [
+        (1.1214241254672634,
+         {"alpha": 0.8042032105697833, "beta": 0.8042035427571808,
+          "eta1": 0.3675522606382542, "eta2": 0.6757020525912635}, 5833),
+        (1.121424125467326,
+         {"alpha": 0.8042028783823858, "beta": 0.8042030052666809,
+          "eta1": 0.3675522426616668, "eta2": 0.6757018600913219}, 3649),
+    ],
+    (25.0, 0.0, ("alpha", "eta1", "eta2")): [
+        (3.642567693986696,
+         {"alpha": 0.9613023822998997, "eta1": 0.1299477349843,
+          "eta2": 0.4514530469459957}, 5384),
+        (3.642567693990334,
+         {"alpha": 0.9613027191591771, "eta1": 0.1299479936575992,
+          "eta2": 0.45145406464113524}, 4088),
+    ],
+    (-20.0, 0.0, ("alpha", "eta1", "eta2")): [
+        (0.003660578116517921,
+         {"alpha": 0.5028698580515196, "eta1": 0.9926284201830822,
+          "eta2": 0.9975306362775664}, 5968),
+        (0.003660578116517918,
+         {"alpha": 0.5028648151835192, "eta1": 0.9926283034674103,
+          "eta2": 0.997530659660653}, 4024),
+    ],
+    (80.0, 0.0, ("alpha", "eta2")): [
+        (13.885961897291823,
+         {"eta1": 0.2, "alpha": 0.9999996678126025, "eta2": 0.3601808564869735}, 638),
+    ],
+    (50.0, 1000.0, ("alpha", "beta")): [
+        (12.09146697959807,
+         {"eta1": 0.3, "eta2": 1.8, "alpha": 0.9698698347980078,
+          "beta": 0.9699666157421898}, 172),
+        (12.09146697959807,
+         {"eta1": 0.3, "eta2": 1.8, "alpha": 0.9698698347980078,
+          "beta": 0.9699666157421898}, 196),
+    ],
+    (10.0, 2.0, ("beta", "eta1", "eta2")): [
+        (2.098919764469623,
+         {"alpha": 0.7, "beta": 0.6997096228045993, "eta1": 0.7806654637084773,
+          "eta2": 1.4363257995053693}, 2683),
+        (2.098919764475214,
+         {"alpha": 0.7, "beta": 0.6997086215705269, "eta1": 0.7806597264894524,
+          "eta2": 1.43632818628552}, 1751),
+    ],
+    (80.0, 0.001, ("eta1", "eta2")): [
+        (14.772221721346606,
+         {"alpha": 0.6, "eta1": 0.0002651354165459188, "eta2": 0.06752580546314912}, 663),
+    ],
+    (-7.5, 0.5, ("alpha", "eta1", "eta2")): [
+        (0.09926113274116638,
+         {"alpha": 0.545810575187512, "eta1": 1.0968933802738106,
+          "eta2": 1.1709922238552193}, 3860),
+    ],
+    (80.0, 1.0, ("alpha", "eta1", "eta2")): [
+        (17.28591815112988,
+         {"alpha": 0.9999994625095001, "eta1": 0.10712425231115612,
+          "eta2": 0.6708513117367508}, 2922),
+        (17.28591815112991,
+         {"alpha": 0.9999994625095001, "eta1": 0.10712428332939371,
+          "eta2": 0.6708513515644289}, 3620),
+    ],
+    (10.0, 2.0, ("alpha", "eta1", "eta2")): [
+        (2.063729879179878,
+         {"beta": 0.3, "alpha": 0.31026013406657105, "eta1": 0.5882863134032964,
+          "eta2": 1.2576313854588959}, 6734),
+    ],
 }
+
+
+def expected(row):
+    """The current (value, params, n_evals) of a PINNED row, after checking
+    that it falls below no earlier capture by more than 1e-6 relative."""
+    ps_db, ratio, _, free, *_, value, params, n_evals = row
+    *earlier, current = [(value, params, n_evals),
+                         *RECAPTURED.get((ps_db, ratio, free), ())]
+    assert all(current[0] >= old[0] * (1.0 - 1e-6) for old in earlier)
+    return current
 
 
 @pytest.mark.parametrize("ps_db,ratio,scheme,free,fixed,coarse,value,params,n_evals",
@@ -284,31 +465,38 @@ def test_pinned_results(ps_db, ratio, scheme, free, fixed, coarse, value, params
     p_s = 10 ** (ps_db / 10)
     res = maximize_throughput(scheme, free, fixed, PowerConfig(p_s, ratio * p_s, 1.0),
                               coarse_points=coarse)
-    recaptured = RECAPTURED.get((ps_db, ratio, free))
-    if recaptured is not None:
-        assert res.value >= value * (1.0 - 1e-6)
-        value, params, n_evals = recaptured
-    assert (res.value, res.params, res.n_evals) == (value, params, n_evals)
+    assert (res.value, res.params, res.n_evals) == expected(
+        (ps_db, ratio, scheme, free, fixed, coarse, value, params, n_evals))
 
 
 def test_miso_equal_search_computes_each_tail_once(monkeypatch, caplog, capsys):
     # a line search moves at most one threshold and the alpha lines none, so
     # the search keeps every tail it has computed, the coarse grid's included
-    ps_db, ratio, scheme, free, fixed, coarse, value, params, n_evals = next(
-        row for row in PINNED if row[:3] == (25.0, 2.0, "miso-equal"))
-    seen = []
+    row = next(row for row in PINNED if row[:3] == (25.0, 2.0, "miso-equal"))
+    ps_db, ratio, scheme, free, fixed, coarse = row[:6]
+    value, params, n_evals = expected(row)
+    seen, thresholds = [], []
 
     def recording(u, p_s, p_r):
         seen.append(u)
         return y_sum_tail(u, p_s, p_r)
 
+    # two thresholds an ulp apart can share u = eta*P_s, so the tail's own
+    # thresholds are recorded too
+    form = twolayer.CLOSED_FORMS[scheme]
+
+    def recording_tail(eta, p_s, p_r):
+        thresholds.append(eta)
+        return form.tail(eta, p_s, p_r)
+
     monkeypatch.setattr(twolayer, "y_sum_tail", recording)
+    monkeypatch.setitem(twolayer.CLOSED_FORMS, scheme, form._replace(tail=recording_tail))
     caplog.set_level(logging.DEBUG, logger="relaycast.optimize")
     p_s = 10 ** (ps_db / 10)
     res = maximize_throughput(scheme, free, fixed, PowerConfig(p_s, ratio * p_s, 1.0),
                               coarse_points=coarse)
     assert (res.value, res.params, res.n_evals) == (value, params, n_evals)
-    assert seen and len(set(seen)) == len(seen)
+    assert seen and len(seen) == len(thresholds) == len(set(thresholds))
     # one DEBUG line per search, counting the tails computed; nothing on stdout
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
@@ -324,8 +512,9 @@ def test_direct_search_logs_no_tail_count(caplog):
     res = maximize_throughput("direct", ("alpha", "eta1", "eta2"), {},
                               PowerConfig(10.0, 0.0, 1.0))
     [record] = caplog.records
-    assert record.getMessage() == (f"maximize_throughput direct free=alpha,eta1,eta2 "
-                                   f"evals={res.n_evals} value={res.value:.6g}")
+    assert re.fullmatch(rf"maximize_throughput direct free=alpha,eta1,eta2 "
+                        rf"evals={res.n_evals} passes=\d+,\d+,\d+ widened=\d+ capped=0 "
+                        rf"value={res.value:.6g}", record.getMessage())
 
 
 def test_direct_and_miso_objectives_build_no_objects(monkeypatch):
