@@ -9,8 +9,15 @@ nu_r, and the K/U crossings between the nodes of :mod:`relaycast.twolayer`'s
 fixed Gauss-Legendre rule on [v_lo, eta1], where that rule breaks its panels.
 The relay's residual fraction beta_bar comes from the context's allocation.
 
-For the derivation of t and the thresholds from the phase-wise mutual
-information balance see docs/conformance.md.
+t, K and v_lo are written in complement variables, so that they keep their
+digits as the relay decodes late (x -> 1).  With S = nu_s P_s, G = (1 + S)/(1 +
+alpha_bar S) and delta = (r1 - log G)/x_bar, a log1p over the context's
+x_bar = 1 - x (_delta): t = G e^delta, and K = (1 + S) expm1(delta) / (P_r
+(1 - t beta_bar)) with 1 - t beta_bar = (beta + (beta - alpha) S)/(1 +
+alpha_bar S) - beta_bar G expm1(delta); v_lo is eta1 less a gap
+(discontinuity_point).  For the derivation of t and the
+thresholds from the phase-wise mutual information balance, and of the
+complement form, see docs/conformance.md.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ class BoundContext:
     ``x`` is the effective relay decoding time used in all bounds (the
     layer-2 time, which already dominates the layer-1 time by construction);
     x = 1 is the no-relay degenerate case and is rejected here because the
-    callers route it to direct transmission.
+    callers route it to direct transmission.  ``x_bar`` = 1 - x, which t, K
+    and v_lo read, defaults to 1 - x; from_config computes it from its own
+    log1p (_listen_complement).
     """
 
     alloc: TwoLayerAllocation
@@ -48,16 +57,20 @@ class BoundContext:
     x: float
     r1: float
     r2: float
+    x_bar: float = math.nan
 
     def __post_init__(self):
         if not 0.0 <= self.x < 1.0:
             raise ValueError(f"x must lie in [0, 1), got {self.x!r}")
+        if math.isnan(self.x_bar):
+            object.__setattr__(self, "x_bar", 1.0 - self.x)
 
     @classmethod
     def from_config(cls, alloc: TwoLayerAllocation, cfg: PowerConfig) -> "BoundContext":
         r1, r2 = layer_rates(alloc, cfg.p_s)
         x = decoding_times(alloc, cfg).eps2
-        return cls(alloc=alloc, cfg=cfg, x=x, r1=r1, r2=r2)
+        return cls(alloc=alloc, cfg=cfg, x=x, r1=r1, r2=r2,
+                   x_bar=_listen_complement(alloc, cfg, x, r1, r2))
 
     @property
     def eta1(self) -> float:
@@ -68,18 +81,35 @@ class BoundContext:
         return self.alloc.eta2
 
 
-def _log_g(v_s, alloc: TwoLayerAllocation, p_s: float):
-    """log of G = (1 + S) / (1 + alpha_bar*S), the solo layer-1 SINR term."""
-    s = np.asarray(v_s, dtype=float) * p_s
-    return np.log1p(s) - np.log1p(alloc.alpha_bar * s)
+def _listen_complement(alloc: TwoLayerAllocation, cfg: PowerConfig, x: float,
+                       r1: float, r2: float) -> float:
+    """1 - x for x = decoding_times(alloc, cfg).eps2 and layer rates r1, r2:
+    the smaller of the layers' (cap - r)/cap, with cap - r written as a log1p
+    (a layer of rate 0 takes none); 1 - x itself unless 0 < x < 1, or where
+    rounding leaves the result outside (0, 1]."""
+    if not 0.0 < x < 1.0:
+        return 1.0 - x
+    a, ab, p_s, q = alloc.alpha, alloc.alpha_bar, cfg.p_s, cfg.q
+    qp = q * p_s
+    x_bar = 1.0
+    if r1 > 0.0:
+        x_bar = (math.log1p(a * p_s * (q - alloc.eta1)
+                            / ((1.0 + qp * ab) * (1.0 + alloc.eta1 * p_s)))
+                 / math.log1p(qp * a / (1.0 + qp * ab)))
+    if r2 > 0.0:
+        x_bar = min(x_bar, math.log1p(ab * p_s * (q - alloc.eta2)
+                                      / (1.0 + alloc.eta2 * ab * p_s)) / math.log1p(qp * ab))
+    return x_bar if 0.0 < x_bar <= 1.0 else 1.0 - x
 
 
-def _t_values(v_s, ctx: BoundContext):
-    """t = exp((r1 - x*log G)/(1 - x)); the layer-1 balance solved for the
-    combined-phase SINR.  Monotone decreasing in v_s, equal to e^{r1} at eta1."""
-    log_t = (ctx.r1 - ctx.x * _log_g(v_s, ctx.alloc, ctx.cfg.p_s)) / (1.0 - ctx.x)
-    with np.errstate(over="ignore"):
-        return np.where(log_t > _EXP_OVERFLOW, np.inf, np.exp(log_t))
+def _delta(v_s, ctx: BoundContext):
+    """delta = (r1 - log G)/x_bar, with r1 - log G = log(G(eta1)/G(v_s)) as the
+    log1p of alpha P_s (eta1 - v_s)/((1 + alpha_bar s1)(1 + S)); on an array
+    or (as an np.float64) on a float, with the same operations."""
+    p_s = ctx.cfg.p_s
+    ab_s1 = 1.0 + ctx.alloc.alpha_bar * ctx.eta1 * p_s
+    return np.log1p(ctx.alloc.alpha * p_s * (ctx.eta1 - v_s)
+                    / (ab_s1 * (1.0 + v_s * p_s))) / ctx.x_bar
 
 
 def _divide(numer: float, denom: float) -> float:
@@ -92,45 +122,58 @@ def _divide(numer: float, denom: float) -> float:
 
 
 def t_factor(v_s: float, ctx: BoundContext) -> float:
-    """t at one point, bit for bit as _t_values gives it.
+    """t = G e^delta at one point: the layer-1 balance solved for the
+    combined-phase SINR, t = exp((r1 - x log G)/(1 - x)).  Monotone
+    decreasing in v_s, equal to e^{r1} at eta1; +inf where delta > 700.
 
     The scalar kernels (t_factor, relay_threshold_bound, u_bound) repeat
     their array kernel's operations on Python floats and call numpy's
-    log1p/exp/log, which agree with numpy's array path; math.exp differs
-    from it in the last bit on a few percent of inputs.
+    log1p/expm1/exp/log, which agree with numpy's array path; math.exp
+    differs from it in the last bit on a few percent of inputs.
     """
     s = v_s * ctx.cfg.p_s
-    log_g = float(np.log1p(s)) - float(np.log1p(ctx.alloc.alpha_bar * s))
-    log_t = (ctx.r1 - ctx.x * log_g) / (1.0 - ctx.x)
-    return math.inf if log_t > _EXP_OVERFLOW else float(np.exp(log_t))
+    delta = float(_delta(v_s, ctx))
+    if delta > _EXP_OVERFLOW:
+        return math.inf
+    return (1.0 + s) / (1.0 + ctx.alloc.alpha_bar * s) * float(np.exp(delta))
 
 
 def _k_values(v_s, ctx: BoundContext):
     """Layer-1 threshold on nu_r (K family; equals F when beta = alpha).
 
-    nu_r >= (-S (1 - t*alpha_bar) - (1 - t)) / ((1 - t*beta_bar) P_r),
-    valid where 1 - t*beta_bar > 0.  Returns +inf where the denominator is
-    nonpositive (the pre-discontinuity region: undecodable for any nu_r).
+    K = (1 + S) expm1(delta) / (bracket * P_r), with the bracket
+    (beta + (beta - alpha) S)/(1 + alpha_bar S) - beta_bar G expm1(delta) =
+    1 - t beta_bar; neither the numerator nor the bracket forms a
+    difference of t-sized terms.  Returns +inf where the bracket is not
+    positive (the pre-discontinuity region: undecodable for any nu_r).
     """
-    t = _t_values(v_s, ctx)
-    s = np.asarray(v_s, dtype=float) * ctx.cfg.p_s
-    ab = ctx.alloc.alpha_bar
-    bb = ctx.alloc.beta_bar
+    v = np.asarray(v_s, dtype=float)
+    s = v * ctx.cfg.p_s
+    alloc = ctx.alloc
+    delta = _delta(v, ctx)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        denom = 1.0 - t * bb  # inf * 0 is NaN where t overflows at beta = 1
-        val = (-s * (1.0 - t * ab) - (1.0 - t)) / (denom * ctx.cfg.p_r)
-    return np.where(denom > 0.0, val, np.inf)
+        grow = np.where(delta > _EXP_OVERFLOW, np.inf, np.expm1(delta))
+        one_s, one_as = 1.0 + s, 1.0 + alloc.alpha_bar * s
+        # beta_bar * inf is NaN at beta = 1, where the bracket then fails > 0
+        bracket = ((alloc.beta + (alloc.beta - alloc.alpha) * s) / one_as
+                   - alloc.beta_bar * (one_s / one_as) * grow)
+        val = one_s * grow / (bracket * ctx.cfg.p_r)
+    return np.where(bracket > 0.0, val, np.inf)
 
 
 def relay_threshold_bound(v_s: float, ctx: BoundContext) -> float:
     """K at one point, bit for bit as _k_values gives it: +inf before the
     layer-1 discontinuity, where no nu_r decodes layer 1."""
-    t = t_factor(v_s, ctx)
-    denom = 1.0 - t * ctx.alloc.beta_bar
-    if not denom > 0.0:
-        return math.inf
     s = v_s * ctx.cfg.p_s
-    return _divide(-s * (1.0 - t * ctx.alloc.alpha_bar) - (1.0 - t), denom * ctx.cfg.p_r)
+    alloc = ctx.alloc
+    delta = float(_delta(v_s, ctx))
+    grow = math.inf if delta > _EXP_OVERFLOW else float(np.expm1(delta))
+    one_s, one_as = 1.0 + s, 1.0 + alloc.alpha_bar * s
+    bracket = ((alloc.beta + (alloc.beta - alloc.alpha) * s) / one_as
+               - alloc.beta_bar * (one_s / one_as) * grow)
+    if not bracket > 0.0:
+        return math.inf
+    return _divide(one_s * grow, bracket * ctx.cfg.p_r)
 
 
 def _u_values(v_s, ctx: BoundContext):
@@ -163,27 +206,29 @@ def u_bound(v_s: float, ctx: BoundContext) -> float:
 def discontinuity_point(ctx: BoundContext) -> float:
     """The nu_s below which layer 1 is undecodable regardless of nu_r.
 
-    Solves t(v) = 1/beta_bar, where K's denominator 1 - t*beta_bar changes
-    sign (with beta = alpha this is the F family's point); returns 0 when
-    t(0) = e^{r1/(1-x)} never reaches 1/beta_bar.  With t monotone in v the
-    root has the closed form G(v) = chi,
-    log chi = (r1 + (1-x) log(beta_bar)) / x.
+    Solves t(v) = 1/beta_bar, where K's bracket 1 - t*beta_bar changes sign
+    (with beta = alpha this is the F family's point), as its distance below
+    eta1; 0 when t(0) = e^{r1/x_bar} never reaches 1/beta_bar.  With
+    c1 = 1 - e^{r1} beta_bar = (beta + (beta - alpha) s1)/(1 + alpha_bar s1),
+    the root has G(v)/G(eta1) = e^{-D}, D = -x_bar log1p(-c1)/x, and with
+    w = -expm1(-D) the log1p identity of _delta gives
+    eta1 - v = w (1 + s1)(1 + alpha_bar s1) / (P_s (alpha + alpha_bar w (1 + s1))),
+    which forms no difference of nearly equal terms.
     """
-    bb = ctx.alloc.beta_bar
-    if bb <= 0.0:
-        return 0.0
-    # existence: r1/(1-x) > -log(beta_bar)
-    if ctx.r1 <= -(1.0 - ctx.x) * math.log(bb):
-        return 0.0
-    if t_factor(ctx.eta1, ctx) >= 1.0 / bb:  # cannot happen for beta >= alpha
+    alloc = ctx.alloc
+    if alloc.beta_bar <= 0.0 or not ctx.r1 > 0.0:
+        return 0.0  # the bracket is positive throughout, or K is never used
+    s1 = ctx.eta1 * ctx.cfg.p_s
+    one_as1 = 1.0 + alloc.alpha_bar * s1
+    c1 = (alloc.beta + (alloc.beta - alloc.alpha) * s1) / one_as1
+    if not c1 > 0.0:  # t(eta1) >= 1/beta_bar: cannot happen for beta >= alpha
         return ctx.eta1
-    if ctx.x == 0.0:  # t is constant: only rounding at t = 1/beta_bar gets here
+    if ctx.x == 0.0:  # t = e^{r1} is constant, below 1/beta_bar
         return 0.0
-    chi = math.exp((ctx.r1 + (1.0 - ctx.x) * math.log(bb)) / ctx.x)
-    # the t(eta1) check above puts the root below eta1; at high P_s the closed form
-    # cancels and can round past it
-    root = (chi - 1.0) / (ctx.cfg.p_s * (1.0 - ctx.alloc.alpha_bar * chi))
-    return min(root, ctx.eta1)
+    w = -math.expm1(ctx.x_bar * math.log1p(-c1) / ctx.x)
+    gap = w * (1.0 + s1) * one_as1 / (ctx.cfg.p_s * (alloc.alpha
+                                                     + alloc.alpha_bar * w * (1.0 + s1)))
+    return max(ctx.eta1 - gap, 0.0)
 
 
 def _bisect_crossing(diff, lo: float, hi: float) -> float:

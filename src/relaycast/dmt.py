@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = ["DmtConfig", "DmtExponents", "dmt_outage_exponents", "dmt_average_rate"]
 
@@ -55,9 +54,19 @@ class DmtExponents:
     p_out2: tuple
 
 
-def _lambda_cdf(x):
-    """P(lambda < x) for lambda = |h_s|^2 + |h_d|^2 ~ Gamma(2, 1)."""
-    return special.gammainc(2.0, np.maximum(x, 0.0))
+def _lambda_cdf(x: float) -> float:
+    """P(lambda < x) for lambda = |h_s|^2 + |h_d|^2 ~ Gamma(2, 1): the
+    regularized gamma P(2, x) = 1 - e^{-x}(1 + x).  Below x = 0.5, where that
+    difference cancels, the series sum_n (-1)^n x^{n+2}/(n! (n+2))."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 0.5:
+        return 1.0 - math.exp(-x) * (1.0 + x)
+    total, power = 0.0, x * x  # power = x^{n+2}/n!
+    for n in range(20):
+        total += (-power if n % 2 else power) / (n + 2)
+        power *= x / (n + 1)
+    return total
 
 
 def _outage_probs(config: DmtConfig, p_s: float) -> tuple[float, float]:
@@ -65,8 +74,8 @@ def _outage_probs(config: DmtConfig, p_s: float) -> tuple[float, float]:
     p2 = p_s ** config.alpha_exp + (config.c * p_s) ** config.beta_exp
     t1 = p_tot ** config.r1
     denom = p_tot - t1 * p2
-    out1 = 1.0 if denom <= 0.0 else float(_lambda_cdf(t1 / denom))
-    out2 = float(_lambda_cdf(p_tot ** config.r2 / p2))
+    out1 = 1.0 if denom <= 0.0 else _lambda_cdf(t1 / denom)
+    out2 = _lambda_cdf(p_tot ** config.r2 / p2)
     return out1, out2
 
 

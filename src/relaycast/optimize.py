@@ -271,7 +271,7 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
 
     coarse = (np.array([value(point(i)) for i in range(alpha.size * j.size)])
               if grid is None else
-              grid(alpha[:, None], beta[:, None], eta1, eta2, p_s, p_r).ravel())
+              grid(alpha[:, None], beta[:, None], axes[2], axes[3], j, k, p_s, p_r).ravel())
     n_top = min(_N_STARTS, coarse.size)
     third = np.partition(coarse, -n_top)[-n_top]
     shortlist = np.flatnonzero(coarse >= third - _SHORTLIST_RTOL * abs(third)).tolist()

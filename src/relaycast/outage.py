@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from scipy import integrate, special
+from scipy import integrate
 
 from .model import PowerConfig, ThroughputResult, TwoLayerAllocation, _check_nonneg
 
@@ -65,10 +65,25 @@ def single_user_throughput(r: float, p_s: float) -> ThroughputResult:
 
 
 def optimal_single_user_rate(p_s: float) -> float:
-    """The rate maximizing r * exp(-(e^r - 1)/P_s), i.e. the root of r e^r = P_s."""
+    """The rate maximizing r * exp(-(e^r - 1)/P_s), i.e. the root of r e^r = P_s
+    (the Lambert W function), by Halley's iteration on w e^w = P_s (Corless
+    et al., On the Lambert W function, Adv. Comput. Math. 5, 1996)."""
     if p_s <= 0.0:
         return 0.0
-    return float(special.lambertw(p_s).real)
+    if p_s < math.e:
+        w = math.log1p(p_s)
+    else:  # the first terms of W's asymptotic series
+        l1 = math.log(p_s)
+        l2 = math.log(l1)
+        w = l1 - l2 + l2 / l1
+    for _ in range(20):
+        e = math.exp(w)
+        f = w * e - p_s
+        step = f / (e * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 4e-16 * w:
+            break
+    return w
 
 
 def sdf_single_layer_throughput(r: float, cfg: PowerConfig) -> ThroughputResult:

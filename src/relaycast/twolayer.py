@@ -6,7 +6,7 @@ plane: each layer is decodable above a straight threshold line, and the
 average throughput is a sum of closed-form exponential integrals over the
 regions between those lines.  The simplex results replace the lines by the
 curved thresholds of :mod:`relaycast.bounds` and integrate numerically: over
-[v_lo, eta1] by 64-point Gauss-Legendre on panels that halve toward both ends
+[v_lo, eta1] by 16-point Gauss-Legendre on panels that halve toward both ends
 and break at the K/U crossings its nodes see, over [eta1, eta2] by ``quad``.  A
 layer of rate 0 always decodes and sets no threshold.
 """
@@ -42,6 +42,7 @@ __all__ = [
 
 _QUAD_OPTS = dict(epsabs=1e-9, epsrel=1e-9, limit=200)
 _DISCRETIZE_POINTS = 20001  # discretize_power_density's cumulative-rate table
+_LOWER_NODES = 16  # Gauss-Legendre nodes per panel of the simplex rule on [v_lo, eta1]
 
 
 def _layer_rate_list(thresholds: Sequence[float], fractions: Sequence[float],
@@ -106,11 +107,15 @@ def _direct_two_layer_rate(alpha: float, beta: float, eta1: float, eta2: float,
     return _two_layer_rate(alpha, eta1, eta2, p_s, math.exp(-eta1), math.exp(-eta2))
 
 
-def _direct_grid(alpha, beta, eta1, eta2, p_s: float, p_r: float) -> np.ndarray:
-    """_direct_two_layer_rate over arrays with eta1 <= eta2, to rounding."""
+def _direct_grid(alpha, beta, eta1, eta2, j, k, p_s: float, p_r: float) -> np.ndarray:
+    """_direct_two_layer_rate, to rounding, at the rows ``alpha`` (a column)
+    against the threshold pairs (eta1[j], eta2[k]) of the axes eta1 and eta2,
+    with eta1[j] <= eta2[k]: each layer's term is tabled once per row and axis
+    point, and the grid is the sum of two gathers."""
     ab = 1.0 - alpha
-    return ((np.log1p(eta1 * p_s) - np.log1p(eta1 * ab * p_s)) * np.exp(-eta1)
-            + np.log1p(eta2 * ab * p_s) * np.exp(-eta2))
+    layer1 = (np.log1p(eta1 * p_s) - np.log1p(eta1 * ab * p_s)) * np.exp(-eta1)
+    layer2 = np.log1p(eta2 * ab * p_s) * np.exp(-eta2)
+    return np.take(layer1, j, axis=-1) + np.take(layer2, k, axis=-1)
 
 
 def miso_equal_throughput(thresholds: Sequence[float], fractions: Sequence[float],
@@ -130,21 +135,20 @@ def _tail_kernels(tail: Callable[[float, float, float], float]):
     """(rate, grid) kernels from a layer tail(eta, p_s, p_r) in [0, 1]: rate
     is _two_layer_rate(alpha, eta1, eta2, p_s, tail(eta1), tail(eta2)) from
     unchecked floats (alpha, beta, eta1, eta2, p_s, p_r), beta ignored; grid
-    is rate over arrays with eta1 <= eta2, to rounding, and runs ``tail``
-    once per distinct threshold of each of eta1 and eta2."""
+    is rate, to rounding, on the pairs of axes that _direct_grid takes, and
+    runs ``tail`` once per axis point."""
     def rate(alpha: float, beta: float, eta1: float, eta2: float,
              p_s: float, p_r: float) -> float:
         return _two_layer_rate(alpha, eta1, eta2, p_s,
                                tail(eta1, p_s, p_r), tail(eta2, p_s, p_r))
 
-    def grid(alpha, beta, eta1, eta2, p_s: float, p_r: float) -> np.ndarray:
-        def tails(eta: np.ndarray) -> np.ndarray:
-            uniq, inv = np.unique(eta, return_inverse=True)
-            return np.array([tail(u, p_s, p_r) for u in uniq.tolist()])[inv]
-
-        p1, t2, ab = tails(eta1), tails(eta2), 1.0 - alpha
-        r1 = np.log1p(eta1 * p_s) - np.log1p(eta1 * ab * p_s)
-        return r1 * p1 + np.log1p(eta2 * ab * p_s) * np.minimum(t2, p1)
+    def grid(alpha, beta, eta1, eta2, j, k, p_s: float, p_r: float) -> np.ndarray:
+        t1, t2 = (np.array([tail(e, p_s, p_r) for e in axis.tolist()])
+                  for axis in (eta1, eta2))
+        ab = 1.0 - alpha
+        layer1 = (np.log1p(eta1 * p_s) - np.log1p(eta1 * ab * p_s)) * t1
+        return (np.take(layer1, j, axis=-1) + np.take(np.log1p(eta2 * ab * p_s), k, axis=-1)
+                * np.minimum(t2[k], t1[j]))
 
     return rate, grid
 
@@ -236,7 +240,6 @@ def miso_max_throughput(alloc: TwoLayerAllocation, p_s: float) -> ThroughputResu
 
 def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> ThroughputResult:
     """Simplex assembly: the relay forwards from its decoding time of layer 2."""
-    r1, r2 = layer_rates(alloc, cfg.p_s)
     x = decoding_times(alloc, cfg).eps2
     # a relay that never decodes within the block, or is silent, leaves the
     # source alone
@@ -246,11 +249,12 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Throughp
     if x <= 0.0:
         return miso_unequal_throughput(alloc, cfg.p_s, cfg.p_r)
 
-    ctx = BoundContext(alloc=alloc, cfg=cfg, x=x, r1=r1, r2=r2)
+    ctx = BoundContext.from_config(alloc, cfg)
+    r1, r2 = ctx.r1, ctx.r2
     # [v_lo, eta1], the single-layer SDF's whole integral, by the panel rule cut
     # at K = U; a layer of rate 0 sets no threshold (K would read 0/0 at beta = 0)
     v_lo = discontinuity_point(ctx)
-    v, w = _panel_rule(_ladder((v_lo, alloc.eta1)), 64)
+    v, w = _panel_rule(_ladder((v_lo, alloc.eta1)), _LOWER_NODES)
 
     def integral(thr: np.ndarray) -> float:
         # int exp(-max(thr, 0) - v); a NaN threshold contributes 0
@@ -261,7 +265,7 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Throughp
     if k is not None and u is not None:
         crossings = find_intersections(ctx, v, k, u)
         if crossings:
-            v, w = _panel_rule(_ladder((v_lo, *crossings, alloc.eta1)), 64)
+            v, w = _panel_rule(_ladder((v_lo, *crossings, alloc.eta1)), _LOWER_NODES)
             k, u = _k_values(v, ctx), _u_values(v, ctx)
     p1 = 1.0 if k is None else math.exp(-alloc.eta1) + integral(k)
     if u is None:  # layer 2 has rate 0 (alpha = 1, as in every SDF plan)
@@ -302,7 +306,9 @@ class _TwoLayerForm(NamedTuple):
     """A CLOSED_FORMS entry; calling it evaluates the closed form.  ``rate``
     (direct and MISO) gives r_av from unchecked floats (alpha, beta, eta1,
     eta2, p_s, p_r) bit for bit; ``grid`` (direct and miso-equal only) gives
-    it from arrays, to rounding.  ``tail`` (miso-equal only), a function of
+    it, to rounding, from arrays (alpha, beta, eta1, eta2, j, k, p_s, p_r): at
+    the rows (alpha, beta) against the pairs (eta1[j], eta2[k]) of two
+    threshold axes.  ``tail`` (miso-equal only), a function of
     (eta, p_s, p_r), is the layer tail in [0, 1] that ``rate`` and ``grid``
     read at each threshold: both are _tail_kernels(tail), so a search may
     rebuild them on a cached tail and compute each tail once."""

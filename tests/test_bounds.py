@@ -7,11 +7,10 @@ import pytest
 
 from conftest import draw_alloc, draw_powers
 from relaycast import (BoundContext, PowerConfig, TwoLayerAllocation,
-                       conditional_layer_probability, discontinuity_point,
-                       layer_rates, relay_threshold_bound, simplex_equal_throughput,
-                       t_factor, u_bound)
-from relaycast.bounds import (_bisect_crossing, _k_values, _t_values, _u_values,
-                              find_intersections)
+                       conditional_layer_probability, decoding_times,
+                       discontinuity_point, layer_rates, relay_threshold_bound,
+                       simplex_equal_throughput, t_factor, twolayer, u_bound)
+from relaycast.bounds import _bisect_crossing, _k_values, _u_values, find_intersections
 from relaycast.broadcast import _ladder, _panel_rule
 from relaycast.optimize import oblivious_rate_plan
 from relaycast.validation import validation_corpus
@@ -129,11 +128,12 @@ class TestRelayThreshold:
             assert abs(want - est.mean) < 3 * max(est.stderr, 1e-4)
 
     def test_overflowing_t_at_beta_one_is_inf_without_a_warning(self):
-        # alpha = beta = 1: beta_bar = 0, and t = inf near 0 makes t * beta_bar
-        # inf * 0; the NaN denominator fails denom > 0, so K is +inf there
+        # alpha = beta = 1: beta_bar = 0, and t = inf near 0 (expm1(delta)
+        # overflows) makes the bracket's beta_bar * G * expm1(delta) inf * 0;
+        # the NaN bracket fails bracket > 0, so K is +inf there
         ctx = make_ctx(alpha=1.0, eta1=1.0, eta2=1.0, p_s=1e4, x=0.99)
         v = np.array([0.0, 1e-5, 0.5])
-        assert np.isinf(_t_values(v[:2], ctx)).all()
+        assert all(t_factor(float(x), ctx) == math.inf for x in v[:2])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             k = _k_values(v, ctx)
@@ -232,7 +232,7 @@ class TestThresholdComparisons:
 
 def rule_crossings(ctx):
     """find_intersections on the nodes of the simplex closed forms' rule."""
-    v, _ = _panel_rule(_ladder((discontinuity_point(ctx), ctx.eta1)), 64)
+    v, _ = _panel_rule(_ladder((discontinuity_point(ctx), ctx.eta1)), twolayer._LOWER_NODES)
     return find_intersections(ctx, v, _k_values(v, ctx), _u_values(v, ctx))
 
 
@@ -275,9 +275,9 @@ def same_float(a, b) -> bool:
 
 
 class TestScalarKernels:
-    """The scalar t/K/U kernels behind quad's integrands and the crossing
-    bisection (t_factor, relay_threshold_bound, u_bound) must reproduce the
-    array kernels bit for bit."""
+    """The scalar K/U kernels behind quad's integrand and the crossing
+    bisection (relay_threshold_bound, u_bound) must reproduce the array
+    kernels bit for bit; t is read from the scalar t_factor."""
 
     CASES = {
         "ordinary": dict(),
@@ -301,11 +301,11 @@ class TestScalarKernels:
         # on layer 1)
         u_ctxs = [with_beta(ctx, beta) for beta in (ctx.alloc.beta, ctx.alloc.alpha, 1.0)]
         with np.errstate(all="ignore"):
-            t, k = _t_values(vs, ctx), _k_values(vs, ctx)
+            k = _k_values(vs, ctx)
             u = [_u_values(vs, c) for c in u_ctxs]
+        t = np.array([t_factor(float(v), ctx) for v in vs])
         for i, v in enumerate(vs):
             v = float(v)
-            assert same_float(t_factor(v, ctx), t[i]), (v, "t")
             assert same_float(relay_threshold_bound(v, ctx), k[i]), (v, "K")
             for c, u_c in zip(u_ctxs, u):
                 assert same_float(u_bound(v, c), u_c[i]), (v, "U", c.alloc.beta)
@@ -424,20 +424,24 @@ def test_rule_nodes_lose_no_visible_crossing(param_rng):
 
 
 def test_noise_crossings_are_skipped():
-    # at 66 dB rounding flips K between about 1e6 and +inf where U = +inf:
-    # thousands of sign changes, none of which the integrand can see
+    # at 66 dB the relay decodes after all but 6.8e-8 of the block.  K formed
+    # as a difference of t-sized terms flipped by rounding between about 1e6
+    # and +inf where U = +inf: over 1,000 sign changes on the scan, none of
+    # which the integrand could see.  In complement variables K falls
+    # smoothly from the discontinuity to 0 at eta1, below U = +inf, so no
+    # sign change is left to skip
     alpha = 0.33749905930863977
     alloc = TwoLayerAllocation(alpha=alpha, eta1=3.991948240095225,
                                eta2=3.9939568722355077, beta=alpha)
     cfg = PowerConfig(p_s=4341282.5630751755, p_r=61252089.78125765,
                       q=93.43343293320558)
     ctx = BoundContext.from_config(alloc, cfg)
-    assert len(scan_sign_changes(ctx, visible=False)) > 1000
-    assert scan_sign_changes(ctx) == []
+    assert scan_sign_changes(ctx, visible=False) == []
     assert rule_crossings(ctx) == ()
-    # r_av with the K/U cuts from the dense scan, bisected
+    # r_av with p1's lower-range integral from an 80-digit mpmath K and
+    # discontinuity point; the difference form read 0.3071593155010401
     assert simplex_equal_throughput(alloc, cfg).r_av == pytest.approx(
-        0.3071593155010401, rel=1e-9)
+        0.3071593165100845, rel=1e-12)
 
 
 def test_sign_change_skipped_only_where_integrand_vanishes():
@@ -489,3 +493,56 @@ def test_discontinuity_point_stays_below_eta1_at_high_power():
     assert all(v_lo < c < ctx.eta1 for c in rule_crossings(ctx))
     res = simplex_equal_throughput(alloc, cfg)
     assert math.isfinite(res.r_av) and 0.0 <= res.r_av <= ctx.r1 + ctx.r2
+
+
+# Trapezoid sums of exp(-max(K, 0) - v) over 801 uniform nodes of [0, eta1]
+# (K is +inf below the discontinuity) for the first 24 random_plans (seed 3)
+# at 60-80 dB whose relay decodes with 0 < 1 - x <= 1e-4, with K evaluated
+# once by 80-digit mpmath from the same float plans.  K formed as a
+# difference of t-sized terms was off by up to 4.5e-5 on these plans
+HIGH_POWER_K_INTEGRALS = (
+    0.000157924889994144, 6.060717624867828e-05, 0.00014245650317555952,
+    0.10243205676262211, 0.00016865425790175227, 0.0001995699176239257,
+    0.11308133831564124, 9.524040588717865e-05, 0.0001272365956027611,
+    0.0043730031429225985, 9.529314262419017e-05, 0.0210696002846101,
+    0.009230948599786144, 8.051722699691675e-05, 0.00021968870295980124,
+    0.0001560118322680095, 0.020716599645756832, 0.00016506742323275014,
+    0.04268022783712035, 0.00022132784059876042, 0.00015283309306979756,
+    0.0001875387236141981, 0.124382371402516, 0.0001689440828053379,
+)
+
+
+def test_k_at_high_power_matches_an_80_digit_evaluation():
+    got = []
+    for alloc, cfg in random_plans(np.random.default_rng(3), 6000):
+        x = decoding_times(alloc, cfg).eps2
+        if cfg.p_s >= 1e6 and 0.0 < 1.0 - x <= 1e-4:
+            ctx = BoundContext.from_config(alloc, cfg)
+            v = np.linspace(0.0, alloc.eta1, 801)
+            w = np.full(801, alloc.eta1 / 800)
+            w[[0, -1]] *= 0.5
+            with np.errstate(all="ignore"):
+                k = _k_values(v, ctx)
+            got.append(float(np.sum(w * np.exp(-np.maximum(k, 0.0) - v))))
+            if len(got) == len(HIGH_POWER_K_INTEGRALS):
+                break
+    assert got == pytest.approx(HIGH_POWER_K_INTEGRALS, rel=1e-13)
+
+
+def test_lower_range_integral_at_78_7_db():
+    # the relay decodes after all but 4.75e-9 of the block, and layer 1 is
+    # decodable only on the 1.35e-8 below eta1.  On 4,001 uniform nodes K is
+    # +inf below eta1, as its exact value is; the rule's lower-range
+    # integral of p1 matches its 80-digit value 8.79e-11, where the
+    # difference forms of K and of the discontinuity point read 6.3e-7
+    alloc = TwoLayerAllocation(alpha=0.0085, eta1=2.8515610502662736,
+                               eta2=3.3904975210181356)
+    cfg = PowerConfig(p_s=74131024.13009177, p_r=29847158.50734121,
+                      q=3408.0063706907818)
+    ctx = BoundContext.from_config(alloc, cfg)
+    assert 1.0 - ctx.x == pytest.approx(4.75e-9, rel=1e-3)
+    assert ctx.eta1 - discontinuity_point(ctx) == pytest.approx(1.3536e-8, rel=1e-4)
+    with np.errstate(all="ignore"):
+        assert np.isinf(_k_values(np.linspace(0.0, ctx.eta1, 4001)[:-1], ctx)).all()
+    lower = simplex_equal_throughput(alloc, cfg).p_layer1 - math.exp(-alloc.eta1)
+    assert lower == pytest.approx(8.790207232865943e-11, abs=1e-16)

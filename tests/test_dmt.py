@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
+from scipy import special
 
 from relaycast import DmtConfig, dmt_average_rate, dmt_outage_exponents
+from relaycast.dmt import _lambda_cdf
 
 
 def test_config_validation():
@@ -11,6 +14,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DmtConfig(r1=0.1, r2=0.2, alpha_exp=0.5, beta_exp=0.5,
                   snr_grid_db=(40.0, 50.0))
+
+
+def test_gamma2_cdf_matches_scipy():
+    # the closed form above x = 0.5 and the series below it, against scipy's
+    # regularized incomplete gamma P(2, x)
+    for x in np.geomspace(1e-12, 50.0, 2001):
+        assert _lambda_cdf(float(x)) == pytest.approx(special.gammainc(2.0, x), rel=1e-14)
+    assert _lambda_cdf(0.0) == _lambda_cdf(-1.0) == 0.0
 
 
 class TestOutageExponents:

@@ -89,6 +89,13 @@ class TestOptimalRate:
             assert optimal_single_user_rate(p) == pytest.approx(
                 self.bisect_root(p), abs=1e-10)
 
+    def test_matches_scipy_lambertw(self):
+        # Halley's iteration against scipy's W0 over -20..80 dB
+        for db in np.linspace(-20.0, 80.0, 401):
+            p = 10.0 ** (db / 10.0)
+            assert optimal_single_user_rate(p) == pytest.approx(
+                special.lambertw(p).real, rel=1e-15)
+
     def test_known_points(self):
         assert optimal_single_user_rate(math.e) == pytest.approx(1.0, abs=1e-12)
         assert optimal_single_user_rate(100.0) == pytest.approx(3.3856301402900497,

@@ -239,9 +239,12 @@ def test_array_kernels_match_the_scalar_kernels(scheme):
     form = twolayer.CLOSED_FORMS[scheme]
     for p_s, p_r, plans in kernel_draw_groups():
         want = np.array([form.rate(*plan, p_s, p_r) for plan in plans])
+        alpha, beta, eta1, eta2 = np.array(plans).T
+        each = np.arange(len(plans))  # plan i's row against its own pair
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = form.grid(*np.array(plans).T, p_s, p_r)
+            got = np.diagonal(form.grid(alpha[:, None], beta[:, None], eta1, eta2,
+                                        each, each, p_s, p_r))
         # the absolute part is ulps of the decode probabilities times the
         # layer rates, up to log(1 + eta2 P_s) nats
         rates = np.maximum(1.0, np.log1p(np.array(plans)[:, 3] * p_s))

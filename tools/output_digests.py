@@ -18,8 +18,12 @@ Runs, in-process and into a temporary directory:
   at alpha 0.5, eta 1/1, and ``miso-unequal`` at beta 0.70000003, whose
   layer-2 threshold slope lies 1e-7 from 1;
 * ``rate`` for ``simplex-equal`` at alpha 0.3375, eta 3.9919/3.994 and
-  66.4/77.9/19.7 dB, where rounding flips the layer-1 threshold between
-  about 1e6 and +inf above an infinite layer-2 threshold;
+  66.4/77.9/19.7 dB, where rounding flipped the layer-1 threshold's
+  difference form between about 1e6 and +inf above an infinite layer-2
+  threshold;
+* ``rate`` for ``simplex-equal`` at alpha 0.0085, eta 2.8516/3.3905 and
+  78.7/74.7/35.3 dB, where the relay decodes after all but 4.75e-9 of the
+  block and the layer-1 threshold's difference form cancels;
 * ``rate`` for ``simplex-equal`` at alpha 1, eta1 = eta2 = expm1(5.9)/P_s
   and for ``single-sdf`` at rate 5.9, both at 17/-5/12 dB: the one-layer
   simplex plan is the SDF one, with a narrow peak of the layer-1 integrand
@@ -91,9 +95,14 @@ OPTIMIZE = (
 )
 # (CSV name suffix, alpha, eta1, eta2) of the extra simplex-equal rate runs
 SIMPLEX_EDGES = (("alpha-0", "0", "0.5", "1"), ("eta1-eq-eta2", "0.5", "1", "1"))
-# a simplex plan whose layer-1 threshold is rounding noise where the integrand is 0
+# a simplex plan whose layer-1 threshold, formed as a difference, was rounding
+# noise where the integrand is 0
 NOISE = ("--scheme", "simplex-equal", "--ps-db", "66.4", "--pr-db", "77.9", "--q-db",
          "19.7", "--alpha", "0.3375", "--eta1", "3.9919", "--eta2", "3.994")
+# a simplex plan whose relay decodes after all but 4.75e-9 of the block
+LATE_RELAY = ("--scheme", "simplex-equal", "--ps-db", "78.7", "--pr-db", "74.74902991970525",
+              "--q-db", "35.32500397935409", "--alpha", "0.0085",
+              "--eta1", "2.8515610502662736", "--eta2", "3.3904975210181356")
 # a one-layer simplex plan and the single-layer SDF rate it sends
 ONE_LAYER_POWERS = ("--ps-db", "17", "--pr-db", "-5", "--q-db", "12")
 ONE_LAYER = (
@@ -152,6 +161,8 @@ def commands(cli, out: Path):
                     "--eta2", eta2, "--out", str(out / csv))
     csv = "rate-simplex-equal-noise.csv"
     yield csv, ("rate", *NOISE, "--out", str(out / csv))
+    csv = "rate-simplex-equal-late-relay.csv"
+    yield csv, ("rate", *LATE_RELAY, "--out", str(out / csv))
     for csv, argv in ONE_LAYER:
         yield csv, ("rate", *argv, *ONE_LAYER_POWERS, "--out", str(out / csv))
     for csv, argv in T_OVERFLOW:
