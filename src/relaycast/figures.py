@@ -73,9 +73,9 @@ _POLISH_PASSES = 4  # coordinate passes of the 8-layer polish
 
 def _refined_layered(p_s: float, tail, n_layers: int, density, dist) -> float:
     """Quantize the continuous profile into n layers and polish it by four
-    coordinate golden-section passes over thresholds and residual fractions:
-    the first over each coordinate's whole range, later ones over brackets
-    around each coordinate's last move (optimize._coordinate_ascent).
+    coordinate passes of Brent line searches over thresholds and residual
+    fractions: the first over each coordinate's whole range, later ones over
+    brackets around each coordinate's last move (optimize._coordinate_ascent).
 
     A line search moves one coordinate, so it changes at most two of the n
     layer terms.  The polish computes each layer term
@@ -118,7 +118,7 @@ def _refined_layered(p_s: float, tail, n_layers: int, density, dist) -> float:
     log.debug("_refined_layered layers=%d evals=%d terms=%d%s %s value=%.6g", n,
               (terms.hits + terms.misses) // n, terms.misses,
               "" if cached is None else f" tails={cached().misses}",
-              _ascent_stats([run], _POLISH_PASSES), value)
+              _ascent_stats([run], last + 1, _POLISH_PASSES), value)
     return value
 
 

@@ -41,7 +41,8 @@ Runs, in-process and into a temporary directory:
   -20 dB and 80 dB for ``miso-equal`` (default free set) and
   ``miso-unequal`` over all four parameters; at 10 dB for ``simplex-equal``
   (default free set) and for ``miso-unequal`` with ``--beta 0.3`` (default
-  free set);
+  free set); and ``miso-equal`` at 80 dB, P_r 80 dB, Q 0 dB with a coarse
+  grid of 12, where alpha lies within 1e-6 of 1;
 * ``validate --draws 2 --blocks 200000 --z-max inf`` at ``--workers 1`` and
   ``--workers 2``, so the Monte-Carlo oracle's bytes beyond fig9 (every
   strategy the corpus draws, and the merge of two threads' partial sums)
@@ -180,6 +181,9 @@ def commands(cli, out: Path):
         csv = f"optimize-{i}-{scheme}.csv"
         yield csv, ("optimize", "--scheme", scheme, "--ps-db", ps_db, "--coarse", "10",
                     *extra, "--out", str(out / csv))
+    csv = "optimize-miso-equal-80db-coarse-12.csv"
+    yield csv, ("optimize", "--scheme", "miso-equal", "--ps-db", "80", "--pr-db", "80",
+                "--q-db", "0", "--coarse", "12", "--out", str(out / csv))
     for workers in ("1", "2"):
         csv = f"validate-workers{workers}.csv"
         yield csv, ("validate", "--draws", "2", "--blocks", "200000", "--z-max", "inf",
