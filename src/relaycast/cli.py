@@ -115,9 +115,11 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.ps_db_step <= 0.0 or args.ps_db_stop < args.ps_db_start:
+    start, stop, step = args.ps_db_start, args.ps_db_stop, args.ps_db_step
+    # NaN fails every test here, and an infinite bound or count the last one
+    if not (start <= stop and 0.0 < step < math.inf and math.isfinite((stop - start) / step)):
         raise SystemExit("invalid --ps-db grid")
-    ps_grid = figures._ps_grid(args.ps_db_start, args.ps_db_stop, args.ps_db_step)
+    ps_grid = figures._ps_grid(start, stop, step)
     rows = figures._oblivious_rows(ps_grid, args.q_db, args.ratio, (args.scheme,))
     _write_csv(args.out, figures._ROW_FIELDS, rows, bits=args.bits)
     _write_manifest(args.out, "sweep", args.seed,

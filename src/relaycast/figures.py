@@ -211,18 +211,16 @@ def _oblivious_rows(ps_db, q_db_list, ratios, schemes):
     """Rows of ``sweep`` and of fig6-fig8, in _ROW_FIELDS.
 
     ``schemes`` holds _SINGLE_LAYER or _BOUNDS names, or plan schemes:
-    "direct-2", "simplex-unequal-opt" (beta >= alpha searched per relay
-    setting) and twolayer.CLOSED_FORMS names, which follow the source's
-    oblivious plan.  The plan depends only on P_s, so it is computed once per
-    P_s, and only when a plan scheme is asked for; so is the direct rate,
-    which ignores the relay.
+    "direct-2" (CLOSED_FORMS["direct"]), "simplex-unequal-opt" (beta >= alpha
+    searched per relay setting) and twolayer.CLOSED_FORMS names, which follow
+    the source's oblivious plan.  The plan depends only on P_s, so it is
+    computed once per P_s, and only when a plan scheme is asked for.
     """
     needs_plan = any(s not in _SINGLE_LAYER and s not in _BOUNDS for s in schemes)
     rows = []
     for db in ps_db:
         p_s = _db2lin(db)
         plan = oblivious_rate_plan(p_s) if needs_plan else None
-        direct = None
         for q_db in q_db_list:
             for ratio in ratios:
                 cfg = PowerConfig(p_s=p_s, p_r=ratio * p_s, q=_db2lin(q_db))
@@ -234,12 +232,9 @@ def _oblivious_rows(ps_db, q_db_list, ratios, schemes):
                             "simplex-unequal", ("beta",),
                             {"alpha": plan.alpha, "eta1": plan.eta1, "eta2": plan.eta2},
                             cfg, coarse_points=12).value
-                    elif scheme == "direct-2":
-                        if direct is None:
-                            direct = twolayer.CLOSED_FORMS["direct"](plan, cfg).r_av
-                        value = direct
                     else:
-                        value = twolayer.CLOSED_FORMS[scheme](plan, cfg).r_av
+                        name = "direct" if scheme == "direct-2" else scheme
+                        value = twolayer.CLOSED_FORMS[name](plan, cfg).r_av
                     rows.append({"ps_db": db, "q_db": q_db, "pr_over_ps": ratio,
                                  "scheme": scheme, "throughput_nats": value})
     return rows

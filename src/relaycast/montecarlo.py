@@ -376,17 +376,15 @@ def conditional_layer_probability(v_s: float, layer: int, ctx, blocks: int,
         known, rate = x * math.log1p(ab * s), ctx.r2
 
     def chunk_values(i: int, size: int, ws: _Workspace) -> np.ndarray:
-        el, info, den = (row[:size] for row in ws.rows[:3])
+        el, info, den, bb_el = (row[:size] for row in ws.rows[:4])
         np.multiply(_fading_chunk(seed, i, ws, size, columns=1, read=1)[0], cfg.p_r,
                     out=el)
-        if layer == 1:  # log1p((a s + b el) / (1 + ab s + bb el))
-            np.add(np.multiply(el, b, out=info), a * s, out=info)
-            np.add(np.multiply(el, bb, out=den), 1.0 + ab * s, out=den)
-            np.divide(info, den, out=info)
-        else:  # log1p(ab s + bb el)
-            np.add(np.multiply(el, bb, out=info), ab * s, out=info)
-        np.log1p(info, out=info)
-        np.add(np.multiply(info, 1.0 - x, out=info), known, out=info)
+        np.multiply(el, bb, out=bb_el)
+        if layer == 1:  # (1 - x) log1p((a s + b el) / (1 + ab s + bb el))
+            _relay_phase(info, den, s, a, el, b, ab * s, bb_el, 1.0 - x)
+        else:  # (1 - x) log1p(ab s + bb el)
+            _scaled(np.log1p(np.add(bb_el, ab * s, out=info), out=info), 1.0 - x)
+        np.add(info, known, out=info)
         return _credited(ws, np.greater_equal(info, rate, out=ws.flags[0][:size]), 1.0)
 
     n, mean, m2 = _run_chunks(blocks, chunk_values)

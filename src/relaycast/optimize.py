@@ -12,16 +12,16 @@ by more than _TOL = 1e-6.
 ``miso-unequal`` with beta free has no grid of its own: the unequal split
 contains the equal one (beta = alpha), so it refines the ``miso-equal``
 optimum over all free parameters.
-A ``miso-equal`` search computes each threshold's tail P(Y > eta*P_s) once:
-a line search moves at most one threshold and the alpha lines none, so the
-grid, the rescoring and the refinement read one cache, made when the search
-starts and dropped when it returns (a form's ``tail`` in
-twolayer.CLOSED_FORMS, with the form's kernels rebuilt on the cache by
-twolayer._tail_kernels).  ``direct`` stays on math.exp, which costs less
-than a cache lookup.  Each search logs one DEBUG line with its evaluations,
-where it caches tails its tail computations, and per ascent the passes run,
-then the line searches, the brackets widened and the ascents that ran all
-their passes (capped).
+The ``direct`` and ``miso-equal`` kernels are twolayer._tail_kernels of
+their layer tails, e^{-eta} and P(Y > eta*P_s).  A ``miso-equal`` search
+computes each tail once: a line search moves at most one threshold and the
+alpha lines none, so the grid, the rescoring and the refinement read one
+cache, made when the search starts and dropped when it returns (the form's
+``tail``, with the kernels rebuilt on the cache).  ``direct`` has no
+``tail``: its math.exp costs less than a cache lookup.  Each search logs one
+DEBUG line with its evaluations, where it caches tails its tail
+computations, and per ascent the passes run, then the line searches, the
+brackets widened and the ascents that ran all their passes (capped).
 No randomness anywhere; rerunning returns bit-identical output.
 """
 
@@ -349,7 +349,7 @@ def _unequal_from_equal(equal: OptResult, free: Sequence[str],
     ``n_evals`` adds the ascent's evaluations, the scored start included, to
     ``equal``'s, and ``coarse_best`` is ``equal``'s."""
     evals = 0
-    rate = twolayer._miso_unequal_two_layer_rate
+    rate = twolayer.CLOSED_FORMS["miso-unequal"].rate
 
     def value(x: Sequence[float]) -> float:
         nonlocal evals

@@ -88,41 +88,16 @@ def direct_multilayer_throughput(thresholds: Sequence[float],
     return _layered_result(thresholds, fractions, p_s, lambda eta: math.exp(-eta))
 
 
-def _two_layer_rate(alpha: float, eta1: float, eta2: float, p_s: float,
-                    p1: float, t2: float) -> float:
-    """``_layered_result(...).r_av`` of the split (alpha, 1 - alpha) at
-    (eta1, eta2) with tail values p1, t2 in [0, 1], bit for bit."""
-    ab = max(1.0 - alpha, 0.0)
-    r1 = math.log1p(eta1 * p_s) - math.log1p(eta1 * ab * p_s)
-    r2 = math.log1p(eta2 * ab * p_s)
-    # the rate-weighted layer-2 probability of _layered_result, rounding included
-    p_both = min(r2 * t2 / r2, p1) if r2 > 0.0 else p1
-    return r1 * p1 + r2 * p_both
-
-
-def _direct_two_layer_rate(alpha: float, beta: float, eta1: float, eta2: float,
-                           p_s: float, p_r: float) -> float:
-    """``direct_multilayer_throughput((eta1, eta2), (alpha, 1 - alpha), p_s).r_av`` bit
-    for bit, unchecked (0 <= alpha <= 1, 0 <= eta1 <= eta2); beta and p_r are ignored."""
-    return _two_layer_rate(alpha, eta1, eta2, p_s, math.exp(-eta1), math.exp(-eta2))
-
-
-def _direct_grid(alpha, beta, eta1, eta2, j, k, p_s: float, p_r: float) -> np.ndarray:
-    """_direct_two_layer_rate, to rounding, at the rows ``alpha`` (a column)
-    against the threshold pairs (eta1[j], eta2[k]) of the axes eta1 and eta2,
-    with eta1[j] <= eta2[k]: each layer's term is tabled once per row and axis
-    point, and the grid is the sum of two gathers."""
-    ab = 1.0 - alpha
-    layer1 = (np.log1p(eta1 * p_s) - np.log1p(eta1 * ab * p_s)) * np.exp(-eta1)
-    layer2 = np.log1p(eta2 * ab * p_s) * np.exp(-eta2)
-    return np.take(layer1, j, axis=-1) + np.take(layer2, k, axis=-1)
-
-
 def miso_equal_throughput(thresholds: Sequence[float], fractions: Sequence[float],
                           p_s: float, p_r: float) -> ThroughputResult:
     """Always-on relay reusing the source split: R_av = sum_i R_i P(Y > eta_i P_s)."""
     return _layered_result(thresholds, fractions, p_s,
                            lambda eta: y_sum_tail(eta * p_s, p_s, p_r))
+
+
+def _direct_tail(eta: float, p_s: float, p_r: float) -> float:
+    """The direct layer tail e^{-eta}; p_s and p_r are ignored."""
+    return math.exp(-eta)
 
 
 def _miso_tail(eta: float, p_s: float, p_r: float) -> float:
@@ -132,23 +107,34 @@ def _miso_tail(eta: float, p_s: float, p_r: float) -> float:
 
 
 def _tail_kernels(tail: Callable[[float, float, float], float]):
-    """(rate, grid) kernels from a layer tail(eta, p_s, p_r) in [0, 1]: rate
-    is _two_layer_rate(alpha, eta1, eta2, p_s, tail(eta1), tail(eta2)) from
-    unchecked floats (alpha, beta, eta1, eta2, p_s, p_r), beta ignored; grid
-    is rate, to rounding, on the pairs of axes that _direct_grid takes, and
-    runs ``tail`` once per axis point."""
+    """(rate, grid) kernels from a layer tail(eta, p_s, p_r) in [0, 1]: rate is
+    ``_layered_result(...).r_av`` of the split (alpha, 1 - alpha) at (eta1,
+    eta2) bit for bit, from unchecked floats (alpha, beta, eta1, eta2, p_s,
+    p_r), beta ignored; grid is rate, to rounding, at the rows ``alpha`` (a
+    column) against the pairs (eta1[j], eta2[k]) of two threshold axes, with
+    eta1[j] <= eta2[k]: one ``tail`` call per axis point, each layer's term
+    tabled once per row and axis point and summed over two gathers, and layer
+    2's tail capped at layer 1's only where rounding left it above."""
     def rate(alpha: float, beta: float, eta1: float, eta2: float,
              p_s: float, p_r: float) -> float:
-        return _two_layer_rate(alpha, eta1, eta2, p_s,
-                               tail(eta1, p_s, p_r), tail(eta2, p_s, p_r))
+        p1, t2 = tail(eta1, p_s, p_r), tail(eta2, p_s, p_r)
+        ab = max(1.0 - alpha, 0.0)
+        r1 = math.log1p(eta1 * p_s) - math.log1p(eta1 * ab * p_s)
+        r2 = math.log1p(eta2 * ab * p_s)
+        # the rate-weighted layer-2 probability of _layered_result, rounding included
+        p_both = min(r2 * t2 / r2, p1) if r2 > 0.0 else p1
+        return r1 * p1 + r2 * p_both
 
     def grid(alpha, beta, eta1, eta2, j, k, p_s: float, p_r: float) -> np.ndarray:
         t1, t2 = (np.array([tail(e, p_s, p_r) for e in axis.tolist()])
                   for axis in (eta1, eta2))
         ab = 1.0 - alpha
         layer1 = (np.log1p(eta1 * p_s) - np.log1p(eta1 * ab * p_s)) * t1
-        return (np.take(layer1, j, axis=-1) + np.take(np.log1p(eta2 * ab * p_s), k, axis=-1)
-                * np.minimum(t2[k], t1[j]))
+        r2 = np.log1p(eta2 * ab * p_s)
+        out = np.take(layer1, j, axis=-1) + np.take(r2 * t2, k, axis=-1)
+        up = t2[k] > t1[j]  # rounding left layer 2's tail above layer 1's: cap it
+        out[..., up] = np.take(layer1, j[up], axis=-1) + np.take(r2, k[up], axis=-1) * t1[j[up]]
+        return out
 
     return rate, grid
 
@@ -161,8 +147,7 @@ def _seg(lo: float, hi: float, slope: float, anchor: float) -> float:
     if hi <= lo or math.isinf(slope):
         return 0.0
     v = hi if slope > 1.0 else lo
-    expo = -v - slope * (anchor - v)
-    top = math.exp(expo) if expo > -745.0 else 0.0
+    top = math.exp(-v - slope * (anchor - v))
     c = abs(slope - 1.0)
     return top * (hi - lo) if c == 0.0 else top * -math.expm1(-c * (hi - lo)) / c
 
@@ -200,8 +185,7 @@ def _miso_unequal_parts(alpha: float, beta: float, eta1: float, eta2: float,
         kk = -k
         p1 = math.exp(-e1) * kk / (1.0 + kk)
         v2 = (n * e2 - k * e1) / (n - k)  # crossing in [eta1, eta2]
-        expo = -v2 - kk * (v2 - e1)
-        tail_above = math.exp(expo) / (1.0 + kk) if expo > -745.0 else 0.0
+        tail_above = math.exp(-v2 - kk * (v2 - e1)) / (1.0 + kk)
         p_both = math.exp(-e2) + _seg(v2, e2, n, e2) - tail_above
     p1 = min(max(p1, 0.0), 1.0)
     return r1, r2, p1, p1 if r2 == 0.0 else min(max(p_both, 0.0), p1)
@@ -308,10 +292,10 @@ class _TwoLayerForm(NamedTuple):
     eta2, p_s, p_r) bit for bit; ``grid`` (direct and miso-equal only) gives
     it, to rounding, from arrays (alpha, beta, eta1, eta2, j, k, p_s, p_r): at
     the rows (alpha, beta) against the pairs (eta1[j], eta2[k]) of two
-    threshold axes.  ``tail`` (miso-equal only), a function of
-    (eta, p_s, p_r), is the layer tail in [0, 1] that ``rate`` and ``grid``
-    read at each threshold: both are _tail_kernels(tail), so a search may
-    rebuild them on a cached tail and compute each tail once."""
+    threshold axes.  For direct and miso-equal both are _tail_kernels of the
+    scheme's layer tail; ``tail`` (miso-equal only: direct's e^{-eta} costs
+    less than a cache lookup) is that tail(eta, p_s, p_r) in [0, 1], so a
+    search may rebuild the kernels on a cached tail and compute each once."""
 
     closed_form: Callable[[TwoLayerAllocation, PowerConfig], ThroughputResult]
     rate: Callable[..., float] | None = None
@@ -331,7 +315,7 @@ CLOSED_FORMS: dict[str, _TwoLayerForm] = {
     "direct": _TwoLayerForm(
         lambda a, cfg: direct_multilayer_throughput(
             (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s),
-        _direct_two_layer_rate, _direct_grid),
+        *_tail_kernels(_direct_tail)),
     "miso-equal": _TwoLayerForm(
         lambda a, cfg: miso_equal_throughput(
             (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s, cfg.p_r),

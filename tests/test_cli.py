@@ -140,6 +140,20 @@ def test_sweep_rejects_bad_grid():
               "--ps-db-stop", "0", "--ps-db-step", "5"])
 
 
+@pytest.mark.parametrize("flag,value", [
+    *((flag, value) for flag in ("--ps-db-start", "--ps-db-stop", "--ps-db-step")
+      for value in ("nan", "inf")),
+    ("--ps-db-step", "1e-320"),  # finite bounds, but (stop - start) / step overflows
+])
+def test_sweep_rejects_a_non_finite_grid(flag, value):
+    grid = {"--ps-db-start": "0", "--ps-db-stop": "10", "--ps-db-step": "5", flag: value}
+    argv = ["sweep", "--scheme", "single-user"]
+    for name, text in grid.items():
+        argv += [name, text]
+    with pytest.raises(SystemExit, match="invalid --ps-db grid"):
+        main(argv)
+
+
 def test_optimize_subcommand(tmp_path):
     out = tmp_path / "opt.csv"
     rc = main(["optimize", "--scheme", "direct", "--free", "alpha,eta1,eta2",

@@ -15,7 +15,6 @@ from relaycast import BoundContext, discontinuity_point, twolayer
 from relaycast.bounds import _k_values, _u_values
 from relaycast.model import decoding_times
 from relaycast.montecarlo import SimConfig, simulate_strategy
-from relaycast.twolayer import _direct_two_layer_rate
 from relaycast.validation import validation_corpus
 
 
@@ -75,7 +74,7 @@ class TestDirect:
             eta2 = eta1 if i % 5 == 0 else float(rng.uniform(eta1, 4.0))
             p_s = 10.0 ** float(rng.uniform(-2.0, 8.0))
             want = direct_multilayer_throughput((eta1, eta2), (alpha, 1.0 - alpha), p_s).r_av
-            got = _direct_two_layer_rate(alpha, alpha, eta1, eta2, p_s, 0.0)
+            got = twolayer.CLOSED_FORMS["direct"].rate(alpha, alpha, eta1, eta2, p_s, 0.0)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
                 (alpha, eta1, eta2, p_s)
 
@@ -184,13 +183,17 @@ class TestMisoUnequal:
         assert twolayer._seg(lo, hi, slope, anchor) == pytest.approx(want, rel=1e-15)
 
 
-def kernel_draw_groups(n_groups=120, per_group=30):
+def kernel_draw_groups(n_groups=120, per_group=30, n_near=40):
     """(p_s, p_r, [(alpha, beta, eta1, eta2), ...]) over P_s from -20 to 80 dB.
 
     P_r cycles through 0, a vanishing 1e-12 P_s, P_s and a random ratio;
     alpha and beta mix 0, 1 and random values with the special splits
     beta = alpha, a vertical layer-1 line (d = 0) and a layer-2 slope within
-    5e-10 of 1; every fifth plan has eta1 = eta2.
+    5e-10 of 1; every fifth plan has eta1 = eta2.  Then ``n_near`` groups with
+    P_r = P_s (1 + {1.5e-8, 3e-8, 1e-7, 1e-6}), where y_sum_tail's
+    unequal-power branch cancels, at eta2 - eta1 in {0, 1e-12, 1e-9, 1e-6}:
+    there rounding can put the layer-2 tail above the layer-1 tail.  They come
+    from a generator of their own, so the groups before them keep their draws.
     """
     rng = np.random.default_rng(20_240_803)
     for g in range(n_groups):
@@ -218,6 +221,17 @@ def kernel_draw_groups(n_groups=120, per_group=30):
                 if not 0.0 <= beta <= 1.0:
                     beta = float(rng.uniform())
             plans.append((alpha, beta, eta1, eta2))
+        yield p_s, p_r, plans
+    rng = np.random.default_rng(20_241_023)
+    for g in range(n_near):
+        p_s = 10.0 ** float(rng.uniform(-2.0, 8.0))
+        p_r = p_s * (1.0 + (1.5e-8, 3e-8, 1e-7, 1e-6)[g % 4])
+        plans = []
+        for i in range(per_group):
+            alpha = float(rng.uniform())
+            beta = alpha if i % 3 else float(rng.uniform())
+            eta1 = float(rng.uniform(0.0, 4.0))
+            plans.append((alpha, beta, eta1, eta1 + (0.0, 1e-12, 1e-9, 1e-6)[i % 4]))
         yield p_s, p_r, plans
 
 
