@@ -300,7 +300,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
     p = sub.add_parser("validate", parents=[common],
                        help="closed forms vs the Monte-Carlo oracle")
-    p.add_argument("--draws", type=int, default=50)
+    p.add_argument("--draws", type=_positive_int, default=50)
     p.add_argument("--blocks", type=int, default=1_000_000)
     p.add_argument("--z-max", type=float, default=3.0)
     _add_workers_flag(p, "threads for the Monte-Carlo simulations")

@@ -14,8 +14,6 @@ import inspect
 import logging
 import math
 
-import numpy as np
-
 from . import broadcast, twolayer
 from .model import PowerConfig
 from .montecarlo import SimConfig, simulate_strategy
@@ -23,7 +21,7 @@ from .optimize import (_ascent_stats, _coordinate_ascent, _unequal_from_equal,
                        maximize_throughput, miso_single_layer_rate, oblivious_rate_plan)
 from .outage import (ergodic_miso_capacity, miso_single_layer_throughput,
                      optimal_single_user_rate, sdf_single_layer_throughput,
-                     single_user_throughput, y_sum_tail)
+                     single_user_throughput)
 
 __all__ = ["PRESETS", "run_preset"]
 
@@ -71,29 +69,30 @@ def _ps_grid(start=0.0, stop=25.0, step=2.5) -> list[float]:
 _POLISH_PASSES = 4  # coordinate passes of the 8-layer polish
 
 
-def _refined_layered(p_s: float, tail, n_layers: int, density, dist) -> float:
+def _refined_layered(cfg: PowerConfig, tail, n_layers: int, density, dist) -> float:
     """Quantize the continuous profile into n layers and polish it by four
-    coordinate passes of Brent line searches over thresholds and residual
-    fractions: the first over each coordinate's whole range, later ones over
-    brackets around each coordinate's last move (optimize._coordinate_ascent).
+    coordinate passes of Brent line searches over the thresholds and the
+    residual power fractions of twolayer.discretize_power_density: the
+    first over each coordinate's whole range, later ones over brackets
+    around each coordinate's last move (optimize._coordinate_ascent).
 
     A line search moves one coordinate, so it changes at most two of the n
     layer terms.  The polish computes each layer term
-    (log1p(eta*prev*P_s) - log1p(eta*r_i*P_s))*tail(eta) once per
+    (log1p(eta*prev*P_s) - log1p(eta*r_i*P_s))*tail(eta, P_s, P_r) once per
     (eta, prev, r_i), in a cache that lasts one call; the rate is still the
-    left-to-right sum of the n terms, bit for bit.  Each term computation
-    calls ``tail`` once, so a caller whose tail costs more than a cache
-    lookup (fig4's y_sum_tail, not fig3's exp) passes a functools.cache of
+    left-to-right sum of the n terms, bit for bit.  ``tail`` is a layer
+    tail of twolayer (the contract of _TwoLayerForm.tail), called once per
+    term computation, so a caller whose tail costs more than a cache lookup
+    (fig4's _miso_tail, not fig3's _direct_tail) passes a functools.cache of
     it made for the call, and the DEBUG line then counts its misses."""
-    thresholds, fractions = twolayer.discretize_power_density(density, dist, n_layers)
-    resids = np.clip(1.0 - np.cumsum(fractions), 0.0, 1.0)
+    thresholds, residuals = twolayer.discretize_power_density(density, dist, n_layers)
     # the point: n thresholds, then the power fractions left after each of the
     # first n - 1 layers; the fraction left after the last layer is 0
-    n, last = n_layers, 2 * n_layers - 2
+    n, last, p_s, p_r = n_layers, 2 * n_layers - 2, cfg.p_s, cfg.p_r
 
     @functools.cache
     def term(eta: float, prev: float, r_i: float) -> float:
-        return (math.log1p(eta * prev * p_s) - math.log1p(eta * r_i * p_s)) * tail(eta)
+        return (math.log1p(eta * prev * p_s) - math.log1p(eta * r_i * p_s)) * tail(eta, p_s, p_r)
 
     def rate(x) -> float:
         total, prev = 0.0, 1.0
@@ -109,7 +108,7 @@ def _refined_layered(p_s: float, tail, n_layers: int, density, dist) -> float:
                     x[i + 1] if i < n - 1 else max(4.0, x[i] * 2.0))
         return (x[i + 1] if i < last else 0.0, x[i - 1] if i > n else 1.0)
 
-    x0 = [*thresholds, *resids[:-1]]
+    x0 = [*thresholds, *residuals]
     run = _coordinate_ascent(rate, (rate(x0), x0), range(last + 1), bounds,
                              max_passes=_POLISH_PASSES)
     value = run[0]
@@ -151,7 +150,7 @@ def fig3(ps_db=tuple(_ps_grid())):
         values = {
             1: _throughput("single-user", cfg),
             2: twolayer.CLOSED_FORMS["direct"](oblivious_rate_plan(p_s), cfg).r_av,
-            8: _refined_layered(p_s, lambda eta: math.exp(-eta), 8, density, dist),
+            8: _refined_layered(cfg, twolayer._direct_tail, 8, density, dist),
         }
         for n, value in values.items():
             rows.append({"ps_db": db, "scheme": f"direct-{n}-layer", "n_layers": n,
@@ -183,8 +182,7 @@ def fig4(ps_db=tuple(_ps_grid(step=5.0)), ratios=(0.5, 1.0, 2.0)):
                 ("miso-2-equal", 2, equal2),
                 ("miso-2-unequal", 2, unequal2),
                 ("miso-8-equal", 8, _refined_layered(
-                    p_s, functools.cache(lambda eta: y_sum_tail(eta * p_s, p_s, cfg.p_r)),
-                    8, density, dist)),
+                    cfg, functools.cache(twolayer._miso_tail), 8, density, dist)),
                 ("continuous-miso", 0, broadcast.broadcast_rate(density, dist)),
                 ("ergodic-miso", 0, _throughput("ergodic-miso", cfg)),
             )

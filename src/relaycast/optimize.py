@@ -290,6 +290,15 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     beta_is_alpha = (scheme not in ("miso-unequal", "simplex-unequal")
                      or math.isnan(axes[1][0]))
     beta_ge_alpha = scheme == "simplex-unequal" and not beta_is_alpha
+    # the search box keeps free values in the domain, so only fixed values can
+    # leave it, and TwoLayerAllocation raises its ValueError before any grid.
+    # A free value is checked at its range's start, 0, and a free eta2 at
+    # eta1, so a fixed eta1 past _ETA_MAX leaves the grid empty
+    a, b, e1, e2 = (float(axis[0]) for axis in axes)
+    b = a if beta_is_alpha else b
+    e2 = e1 if "eta2" in free else e2
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= e1 <= e2 < math.inf):
+        TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b)
     alpha, beta = (m.ravel() for m in np.meshgrid(axes[0], axes[1], indexing="ij"))
     if beta_ge_alpha:
         keep = ~(beta < alpha)
@@ -307,13 +316,6 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         nonlocal evals
         evals += 1
         return rate(x[0], x[0] if beta_is_alpha else x[1], x[2], x[3], p_s, p_r)
-
-    # the search box keeps free values in the domain, so only fixed values,
-    # the same in every row, can leave it; TwoLayerAllocation raises its ValueError
-    a, b, e1, e2 = point(0)
-    b = a if beta_is_alpha else b
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= e1 <= e2 < math.inf):
-        TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b)
 
     coarse = (np.array([value(point(i)) for i in range(alpha.size * j.size)])
               if grid is None else

@@ -64,14 +64,16 @@ def _layer_rate_list(thresholds: Sequence[float], fractions: Sequence[float],
 
 
 def _layered_result(thresholds: Sequence[float], fractions: Sequence[float],
-                    p_s: float, tail: Callable[[float], float]) -> ThroughputResult:
-    """Sum R_i * tail(eta_i) packaged as a ThroughputResult.
+                    p_s: float, p_r: float,
+                    tail: Callable[[float, float, float], float]) -> ThroughputResult:
+    """Sum R_i * tail(eta_i, p_s, p_r) packaged as a ThroughputResult, each
+    tail clipped to [0, 1] (e^{-eta} passes 1 at a caller's eta < 0).
 
     For more than two layers r2/p_both aggregate the upper layers
     (rate-weighted), preserving r_av = r1*p1 + r2*p_both exactly.
     """
     rates = _layer_rate_list(thresholds, fractions, p_s)
-    tails = [min(max(tail(eta), 0.0), 1.0) for eta in thresholds]
+    tails = [min(max(tail(eta, p_s, p_r), 0.0), 1.0) for eta in thresholds]
     r1, p1 = rates[0], tails[0]
     r_hi = sum(rates[1:])
     if r_hi > 0.0:
@@ -85,14 +87,13 @@ def direct_multilayer_throughput(thresholds: Sequence[float],
                                  fractions: Sequence[float],
                                  p_s: float) -> ThroughputResult:
     """No-relay layered transmission: R_av = sum_i R_i e^{-eta_i}."""
-    return _layered_result(thresholds, fractions, p_s, lambda eta: math.exp(-eta))
+    return _layered_result(thresholds, fractions, p_s, 0.0, _direct_tail)
 
 
 def miso_equal_throughput(thresholds: Sequence[float], fractions: Sequence[float],
                           p_s: float, p_r: float) -> ThroughputResult:
     """Always-on relay reusing the source split: R_av = sum_i R_i P(Y > eta_i P_s)."""
-    return _layered_result(thresholds, fractions, p_s,
-                           lambda eta: y_sum_tail(eta * p_s, p_s, p_r))
+    return _layered_result(thresholds, fractions, p_s, p_r, _miso_tail)
 
 
 def _direct_tail(eta: float, p_s: float, p_r: float) -> float:
@@ -355,27 +356,19 @@ def duplex_gain_condition(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Duplex
 
 
 def discretize_power_density(density, dist, n_layers: int) -> tuple[list[float], list[float]]:
-    """Quantize a continuous layering profile into an n-layer plan.
+    """Quantize a continuous layering profile into an n-layer plan:
+    (thresholds, residuals).
 
     Thresholds are placed at equal increments of the cumulative continuous
-    rate over [u0, u1]; the fraction of layer i is the share of the total
-    power released up to the next threshold, so the discrete residual
-    interference matches I at every threshold.
+    rate over [u0, u1].  The residuals are the power fractions left after
+    each of the first n - 1 layers, I(eta_i)/P, so the discrete residual
+    interference matches I at every threshold; the last layer leaves 0.
     """
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
     us, cum = cumulative_rate(density, _DISCRETIZE_POINTS, dist)
     total = cum[-1]
     targets = total * (np.arange(n_layers) + 0.5) / n_layers
-    thresholds = np.interp(targets, cum, us)
-
-    # residual after layer i copies the continuous residual at eta_i;
-    # the last layer absorbs whatever the continuous profile keeps above eta_N
+    thresholds = [float(t) for t in np.interp(targets, cum, us)]
     p = density.total_power
-    resids = [float(density.i_of_u(u)) / p for u in thresholds[:-1]] + [0.0]
-    fractions = []
-    prev = 1.0
-    for resid in resids:
-        fractions.append(max(prev - resid, 0.0))
-        prev = resid
-    return [float(t) for t in thresholds], fractions
+    return thresholds, [float(density.i_of_u(u)) / p for u in thresholds[:-1]]

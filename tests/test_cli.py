@@ -339,6 +339,15 @@ def test_workers_is_rejected_where_unread_or_below_one(argv, capsys):
     assert "--workers" in stderr and "Traceback" not in stderr
 
 
+def test_validate_rejects_draws_below_one(capsys):
+    # -3 draws ran no case: a header-only CSV and exit 0
+    with pytest.raises(SystemExit) as err:
+        main(["validate", "--draws", "-3", "--blocks", "100"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "--draws" in stderr and "Traceback" not in stderr
+
+
 @pytest.mark.parametrize("argv,csv", [
     (["rate", "--scheme", "single-user"], ""),
     (["figure", "fig7", "--q-db", "10", "--ratio", "1"], "fig7.csv"),

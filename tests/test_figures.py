@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from relaycast import figures, y_sum_tail
+from relaycast import figures, twolayer, y_sum_tail
 
 
 def rates(name, **grid):
@@ -19,13 +19,18 @@ def rates(name, **grid):
 # float.hex of figures._refined_layered, captured before it moved onto
 # optimize._coordinate_ascent (the keys), and the values each moved to, oldest
 # first: when every line search after a coordinate's first began to span a
-# bracket around the coordinate's last move, and when the line searches
-# became Brent's to a 1e-7 bracket
+# bracket around the coordinate's last move, when the line searches became
+# Brent's to a 1e-7 bracket, and when the polish started from the residuals
+# I(eta_i)/P themselves, not from 1 - cumsum of per-layer fractions
 RECAPTURED = {
-    "0x1.222d12cb571d1p+0": ["0x1.222d12cf9349cp+0", "0x1.222d12cf6ca1ap+0"],
-    "0x1.ddfd9824046f0p+1": ["0x1.ddfd981d59c86p+1", "0x1.ddfd98458db3ep+1"],
-    "0x1.d9d0f98ce4e99p+0": ["0x1.d9d0f9827863fp+0", "0x1.d9d0f983837e6p+0"],
-    "0x1.51ed7fa7888bap+2": ["0x1.51ed805ac6d0bp+2", "0x1.51ed80259f7b6p+2"],
+    "0x1.222d12cb571d1p+0": ["0x1.222d12cf9349cp+0", "0x1.222d12cf6ca1ap+0",
+                             "0x1.222d12cf218d7p+0"],
+    "0x1.ddfd9824046f0p+1": ["0x1.ddfd981d59c86p+1", "0x1.ddfd98458db3ep+1",
+                             "0x1.ddfd9844e1168p+1"],
+    "0x1.d9d0f98ce4e99p+0": ["0x1.d9d0f9827863fp+0", "0x1.d9d0f983837e6p+0",
+                             "0x1.d9d0f983dcf7cp+0"],
+    "0x1.51ed7fa7888bap+2": ["0x1.51ed805ac6d0bp+2", "0x1.51ed80259f7b6p+2",
+                             "0x1.51ed8022ad914p+2"],
 }
 
 
@@ -63,15 +68,21 @@ def test_fig4_layerings_are_ordered(ps_db, ratio, polished):
 
 
 def test_fig4_polish_computes_each_tail_once(monkeypatch, caplog):
-    # fig4's polish reads the tail through figures' own y_sum_tail, so only
-    # its calls are recorded here
+    # fig4's two-layer searches read y_sum_tail through twolayer too, so its
+    # calls are recorded only while the polish runs
     seen = []
 
     def recording(u, p_s, p_r):
         seen.append(u)
         return y_sum_tail(u, p_s, p_r)
 
-    monkeypatch.setattr(figures, "y_sum_tail", recording)
+    def polish(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(twolayer, "y_sum_tail", recording)
+            return refined_layered(*args)
+
+    refined_layered = figures._refined_layered
+    monkeypatch.setattr(figures, "_refined_layered", polish)
     caplog.set_level(logging.DEBUG, logger="relaycast.figures")
     r = rates("fig4", ps_db=[10.0], ratios=(1.0,))
     assert r["miso-8-equal"] == polished_rate("0x1.d9d0f98ce4e99p+0")

@@ -674,15 +674,22 @@ def test_direct_and_miso_objectives_build_no_objects(monkeypatch):
         assert res.value >= res.coarse_best > 0.0
 
 
-@pytest.mark.parametrize("scheme,fixed,message", [
-    ("direct", {"alpha": 1.5}, "alpha must lie in"),
-    ("miso-equal", {"alpha": -0.1}, "alpha must lie in"),
-    ("miso-unequal", {"alpha": 0.5, "beta": 2.0}, "beta must lie in"),
-])
-def test_fixed_values_outside_the_domain_raise(scheme, fixed, message):
+@pytest.mark.parametrize("scheme,free,fixed,message", [
+    ("direct", ("eta1", "eta2"), {"alpha": 1.5}, "alpha must lie in"),
+    ("miso-equal", ("eta1", "eta2"), {"alpha": -0.1}, "alpha must lie in"),
+    ("miso-unequal", ("eta1", "eta2"), {"alpha": 0.5, "beta": 2.0}, "beta must lie in"),
+    # fixed values that leave no eta pair are checked before the grid
+    ("miso-unequal", ("beta",), {"alpha": 0.5, "eta1": 0.3, "eta2": 0.2},
+     "eta1 <= eta2 required"),
+    ("direct", ("eta1",), {"alpha": 0.5, "eta2": -1.0}, "eta2 must be finite and nonnegative"),
+    # a fixed eta1 in the domain but past the eta2 range leaves the grid empty
+    ("direct", ("eta2",), {"alpha": 0.5, "eta1": 5.0}, "empty feasible set"),
+], ids=["direct-alpha", "miso-equal-alpha", "miso-unequal-beta", "miso-unequal-eta-order",
+        "direct-eta2", "direct-eta1-past-grid"])
+def test_fixed_values_outside_the_domain_raise(scheme, free, fixed, message):
     cfg = PowerConfig(p_s=10.0, p_r=10.0, q=1.0)
     with pytest.raises(ValueError, match=message):
-        maximize_throughput(scheme, ("eta1", "eta2"), fixed, cfg, coarse_points=6)
+        maximize_throughput(scheme, free, fixed, cfg, coarse_points=6)
 
 
 def test_unequal_split_at_least_matches_equal_split():

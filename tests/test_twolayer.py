@@ -10,8 +10,8 @@ from relaycast import (PowerConfig, TwoLayerAllocation,
                        miso_equal_throughput, miso_max_throughput,
                        miso_unequal_throughput, simplex_equal_throughput,
                        sdf_single_layer_throughput, simplex_unequal_throughput,
-                       single_user_throughput, y_sum_tail)
-from relaycast import BoundContext, discontinuity_point, twolayer
+                       single_user_throughput)
+from relaycast import BoundContext, broadcast, discontinuity_point, twolayer
 from relaycast.bounds import _k_values, _u_values
 from relaycast.model import decoding_times
 from relaycast.montecarlo import SimConfig, simulate_strategy
@@ -102,11 +102,23 @@ class TestMisoEqual:
         cfg = PowerConfig(p_s=p, p_r=p, q=1.0)
         dist = sum_fading_distribution(1.0)
         density = optimal_power_density(p, dist)
-        r8 = _refined_layered(p, lambda eta: y_sum_tail(eta * p, p, p), 8, density, dist)
+        r8 = _refined_layered(cfg, twolayer._miso_tail, 8, density, dist)
         r2 = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {}, cfg,
                                  coarse_points=24).value
         cont = broadcast_rate(density, dist)
         assert r2 <= r8 <= cont
+
+
+@pytest.mark.parametrize("mode", ["siso", "miso"])
+@pytest.mark.parametrize("ps_db", [0.0, 25.0])
+def test_discretized_residuals_are_the_continuous_residuals(mode, ps_db):
+    # the n - 1 residuals are I(eta_i)/P at the first n - 1 thresholds, bit for bit
+    p_s = 10.0 ** (ps_db / 10.0)
+    density, dist, _ = broadcast.continuous_layering(PowerConfig(p_s=p_s, p_r=p_s, q=1.0), mode)
+    thresholds, residuals = twolayer.discretize_power_density(density, dist, 8)
+    assert len(thresholds) == 8
+    assert residuals == [float(density.i_of_u(u)) / density.total_power
+                         for u in thresholds[:-1]]
 
 
 class TestMisoUnequal:
