@@ -145,11 +145,13 @@ def _cmd_figure(args) -> int:
 def _cmd_validate(args) -> int:
     rows = validation.run_validation(args.draws, args.blocks, args.seed,
                                      workers=args.workers)
-    failures = [r for r in rows if not r.ok(args.z_max)]
+    # every corpus case plus the convention check
+    z_max = validation.family_z(len(rows) + 1) if args.z_max is None else args.z_max
+    failures = [r for r in rows if not r.ok(z_max)]
     adopted_z, literal_z, _ = validation.convention_arbitration(args.blocks, args.seed)
     # the readings' gap grows like sqrt(blocks); up to 10 it decides nothing
     convention = ("inconclusive" if abs(literal_z - adopted_z) <= 10.0 else
-                  "ok" if abs(adopted_z) <= args.z_max and abs(literal_z) > 10.0 else
+                  "ok" if abs(adopted_z) <= z_max and abs(literal_z) > 10.0 else
                   "VIOLATION")
 
     out_rows = [{"scheme": r.scheme, "index": r.index, "analytic_nats": r.analytic,
@@ -166,7 +168,7 @@ def _cmd_validate(args) -> int:
         per_scheme[r.scheme] = max(per_scheme.get(r.scheme, 0.0), abs(r.z))
     for scheme, worst in sorted(per_scheme.items()):
         print(f"{scheme:18s} worst |z| = {worst:5.2f}  "
-              f"({'ok' if worst <= args.z_max else 'VIOLATION'})")
+              f"({'ok' if worst <= z_max else 'VIOLATION'})")
     print(f"convention-check   adopted z = {adopted_z:+.2f}, literal z = {literal_z:+.1f}  "
           f"({convention})")
     if failures or convention == "VIOLATION":
@@ -302,7 +304,10 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
                        help="closed forms vs the Monte-Carlo oracle")
     p.add_argument("--draws", type=_positive_int, default=50)
     p.add_argument("--blocks", type=int, default=1_000_000)
-    p.add_argument("--z-max", type=float, default=3.0)
+    p.add_argument("--z-max", type=float, default=None,
+                   help="largest |z| accepted per comparison (default: the two-sided "
+                        "Bonferroni bound for the run's comparisons at a family "
+                        "false-alarm rate of 1e-3)")
     _add_workers_flag(p, "threads for the Monte-Carlo simulations")
     p.set_defaults(func=_cmd_validate)
 

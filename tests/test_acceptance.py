@@ -17,7 +17,7 @@ from relaycast.bounds import _k_values
 from relaycast.montecarlo import SimConfig, simulate_strategy
 from relaycast.optimize import (horizontal_db_gain, maximize_throughput,
                                 oblivious_rate_plan)
-from relaycast.validation import convention_arbitration, run_validation
+from relaycast.validation import convention_arbitration, family_z, run_validation
 
 CORPUS_SEED = 20_240_001
 BLOCKS = 1_000_000
@@ -68,12 +68,16 @@ def siso_curves(plan_cache):
     return grid, np.array(single), np.array(two), np.array(cont)
 
 
-@report(1, "closed forms match the Monte-Carlo oracle within 3 sigma")
+@report(1, "closed forms match the Monte-Carlo oracle within the family-wise bound")
 def test_criterion_01_oracle_equivalence():
-    rows = run_validation(draws=50, blocks=BLOCKS, seed=CORPUS_SEED)
+    # the bound `relaycast validate` applies to this corpus, family_z of its
+    # 300 cases plus the convention check, |z| <= 4.65, with the blocks raised
+    # by (4.65 / 3)^2 so that the smallest bias it detects per case is the one
+    # |z| <= 3 at 1e6 blocks did
+    rows = run_validation(draws=50, blocks=2_400_000, seed=CORPUS_SEED)
     assert len(rows) == 300
     worst = max(abs(r.z) for r in rows)
-    failures = [r for r in rows if not r.ok(3.0)]
+    failures = [r for r in rows if not r.ok(family_z(len(rows) + 1))]
     print(f"  300 comparisons, worst |z| = {worst:.2f}")
     assert not failures, failures
 

@@ -218,12 +218,11 @@ class TestRelayBounds:
                                           strategy="layered-continuous", params=mode), cfg)
         assert abs(analytic - est.mean) < 3 * est.stderr
 
-    @pytest.mark.xfail(strict=True, reason="D8: the oracle's rate table is a 4097-point "
-                       "even trapezoid that reads low when u1/u0 is large")
     def test_layered_simulator_at_a_strong_relay(self):
-        # P_r/P_s = 1e5 puts the upper layering boundary near 1e5: the bound
-        # reads 9.3003 nats and agrees with adaptive quadrature, the oracle
-        # reads 9.219 +- 0.004
+        # P_r/P_s = 1e5 puts the upper layering boundary near 1e5, where an
+        # even-node rate table reads low (9.219 +- 0.004 from a 4097-point
+        # trapezoid); the bound reads 9.3003 nats and agrees with adaptive
+        # quadrature
         cfg = PowerConfig(p_s=1.0, p_r=1e5, q=1.0)
         analytic = relay_or_miso_broadcast_bound(cfg, "miso")
         est = simulate_strategy(SimConfig(blocks=200_000, seed=314,

@@ -16,10 +16,10 @@ def test_z_floor_when_no_block_decodes():
     row = ValidationRow(scheme=case.scheme, index=9, analytic=analytic, mc_mean=0.0,
                         mc_stderr=0.0, blocks=1_000_000, min_credit=case.min_credit)
     assert row.z == pytest.approx(analytic / (case.rate / 1_000_000))
-    assert row.ok()
+    assert row.ok(3.0)
     assert not ValidationRow(scheme=case.scheme, index=9, analytic=10 * case.rate / 1e6,
                              mc_mean=0.0, mc_stderr=0.0, blocks=1_000_000,
-                             min_credit=case.min_credit).ok()
+                             min_credit=case.min_credit).ok(3.0)
 
 
 def test_min_credit_of_layered_plans():
