@@ -230,7 +230,7 @@ def _positive_int(text: str) -> int:
 # a figure preset's grid parameter -> (its flag's dest, the flag's type)
 _GRID_FLAGS = {"ps_db": ("ps_db", _parse_list), "pr_db": ("pr_db", _parse_list),
                "q_db": ("q_db", _parse_list), "ratios": ("ratio", _parse_list),
-               "blocks": ("blocks", int)}
+               "blocks": ("blocks", _positive_int)}
 
 
 def _add_workers_flag(p, help_text):
@@ -303,7 +303,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p = sub.add_parser("validate", parents=[common],
                        help="closed forms vs the Monte-Carlo oracle")
     p.add_argument("--draws", type=_positive_int, default=50)
-    p.add_argument("--blocks", type=int, default=1_000_000)
+    p.add_argument("--blocks", type=_positive_int, default=1_000_000)
     p.add_argument("--z-max", type=float, default=None,
                    help="largest |z| accepted per comparison (default: the two-sided "
                         "Bonferroni bound for the run's comparisons at a family "

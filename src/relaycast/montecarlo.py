@@ -17,14 +17,17 @@ strategies (common random numbers).
 
 Cost: each worker thread writes every step of its chunks into one reused
 workspace, maps only the fading columns its strategy reads and evaluates
-only the decoding phases of nonzero length.  On a 2-core Xeon (numpy 2.4)
-a 65536-block chunk then takes about 0.57 ms of PCG64DXSM draws and
-inverse-CDF mapping, the floor, plus about 0.5 ms (direct) to 1.9 ms
-(full-duplex with three phases) of credit: 15 to 40 ns per block.
+only the decoding phases of nonzero length; a two-layer or SDF chunk then
+reduces to two decision counts.  On a 2-core Xeon (numpy 2.4) a 65536-block
+chunk takes about 0.50 ms of PCG64DXSM draws and inverse-CDF mapping, the
+floor, plus 0.27 ms (direct) to 1.5 ms (full-duplex with three phases) of
+decisions and counts: 12 to 30 ns per block.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
 import time
@@ -96,7 +99,6 @@ class _Workspace:
         self.nu = np.empty(n)  # the first fading column when only it is read
         self.rows = np.empty((9, n))
         self.flags = np.empty((2, n), dtype=bool)
-        self.values = np.empty(n)  # the chunk's per-block values
 
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -140,14 +142,6 @@ def _sum(terms: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _credited(ws: _Workspace, dec1, r1: float, dec2=None, r2: float = 0.0) -> np.ndarray:
-    """r1 * dec1 (+ r2 * dec2) into ``ws.values``, bools taken as 1.0 / 0.0."""
-    out = np.multiply(dec1, r1, out=ws.values[:dec1.size])
-    if dec2 is not None:
-        np.add(out, np.multiply(dec2, r2, out=ws.rows[0][:dec1.size]), out=out)
-    return out
-
-
 def _relay_phase(out, den, s, a, el, c, ab_s, bb_el, weight: float) -> np.ndarray:
     """weight * log1p((a s + c el) / (1 + ab s + bb el)) into ``out``, with
     ``den`` as scratch; bb_el = None drops that term."""
@@ -162,8 +156,9 @@ def _relay_phase(out, den, s, a, el, c, ab_s, bb_el, weight: float) -> np.ndarra
 
 def _two_layer_credit(nu_s, nu_r, alloc: TwoLayerAllocation, cfg: PowerConfig,
                       eps1: float, eps2: float, r1: float, r2: float,
-                      ws: _Workspace | None = None) -> np.ndarray:
-    """Credited rate per block under successive decoding of two layers.
+                      ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block decisions (dec1, dec2) under successive decoding of two
+    layers: dec1 decodes layer 1, dec2 both layers (so dec2 implies dec1).
 
     Phase structure of the destination's mutual information: the relay is
     silent until eps1, sends layer 1 at full power on [eps1, eps2), and uses
@@ -174,10 +169,9 @@ def _two_layer_credit(nu_s, nu_r, alloc: TwoLayerAllocation, cfg: PowerConfig,
     1; eps2 and 1 - eps2 for layer 2) are computed, and a weight of 1 is not
     multiplied.  Every term is finite and nonnegative, so 0 * x = +0 and
     x + 0 = x make both skips exact.  ``nu_r`` is read only when eps1 < 1.
-    Writes into ``ws`` (a fresh workspace when None).
+    Writes into ``ws``; the decisions are views of ``ws.flags``.
     """
     size = nu_s.size
-    ws = _Workspace(size) if ws is None else ws
     s, ab_s, el, bb_el, late, mid, early, log_ab_s, tmp = (row[:size] for row in ws.rows)
     a, ab = alloc.alpha, alloc.alpha_bar
     b, bb = alloc.beta, alloc.beta_bar
@@ -211,12 +205,12 @@ def _two_layer_credit(nu_s, nu_r, alloc: TwoLayerAllocation, cfg: PowerConfig,
     dec1, dec2 = ws.flags[0][:size], ws.flags[1][:size]
     np.greater_equal(i1, r1, out=dec1)
     np.logical_and(dec1, np.greater_equal(i2, r2, out=dec2), out=dec2)
-    return _credited(ws, dec1, r1, dec2, r2)
+    return dec1, dec2
 
 
 def _sdf_credit(nu, cfg: PowerConfig, rate: float, eps: float, ws: _Workspace) -> np.ndarray:
-    """Single-layer SDF: eps log1p(s) + (1 - eps) log1p(s + nu_r P_r), the
-    relay joining after eps; nu[1] is read only when eps < 1."""
+    """Single-layer SDF decisions eps log1p(s) + (1 - eps) log1p(s + nu_r P_r)
+    >= rate, the relay joining after eps; nu[1] is read only when eps < 1."""
     size = nu[0].size
     s, direct, relayed = (row[:size] for row in ws.rows[:3])
     np.multiply(nu[0], cfg.p_s, out=s)
@@ -224,21 +218,38 @@ def _sdf_credit(nu, cfg: PowerConfig, rate: float, eps: float, ws: _Workspace) -
     if eps < 1.0:
         np.add(s, np.multiply(nu[1], cfg.p_r, out=relayed), out=relayed)
         terms.append(_scaled(np.log1p(relayed, out=relayed), 1.0 - eps))
-    dec = np.greater_equal(_sum(terms), rate, out=ws.flags[0][:size])
-    return _credited(ws, dec, rate)
+    return np.greater_equal(_sum(terms), rate, out=ws.flags[0][:size])
+
+
+def _count_stats(rates, decisions):
+    """(n, mean, M2) of blocks credited 0, r1, r1 + r2, ...: decisions[k]
+    marks those that decode layer k + 1, of rate rates[k], and every layer
+    below it.  Each credit level is weighted by its share of the blocks, so
+    blocks that all earn one level give it as the mean and M2 = 0."""
+    n = decisions[0].size
+    decoded = [n, *map(np.count_nonzero, decisions), 0]
+    levels = [(level, (hi - lo) / n) for level, hi, lo in
+              zip(itertools.accumulate(rates, initial=0.0), decoded, decoded[1:])]
+    mean = math.fsum(level * share for level, share in levels)
+    return n, mean, n * math.fsum(share * (level - mean) ** 2 for level, share in levels)
+
+
+def _chunk_stats(values: np.ndarray):
+    """(n, mean, M2) of ``values``, which it overwrites."""
+    mean = float(values.mean())
+    dev = np.subtract(values, mean, out=values)
+    return values.size, mean, float(np.square(dev, out=dev).sum())
 
 
 def _chunk_rate(config: SimConfig, cfg: PowerConfig, chunk_index: int,
-                size: int, table, ws: _Workspace | None = None) -> np.ndarray:
-    """Credited rate of every block of one chunk, written into ``ws`` (a
-    fresh workspace, so a fresh array, when None)."""
-    ws = _Workspace(size) if ws is None else ws
+                size: int, table, ws: _Workspace):
+    """(n, mean, M2) of one chunk's credited rates, computed in ``ws``."""
     strategy = config.strategy
     if strategy == "single-layer-SDF":
         rate = float(config.params)
         eps = _time_fraction(rate, math.log1p(cfg.p_s * cfg.q))  # rate 0 credits 0 anyway
         nu = _fading_chunk(config.seed, chunk_index, ws, size, read=1 if eps == 1.0 else 2)
-        return _sdf_credit(nu, cfg, rate, eps, ws)
+        return _count_stats((rate,), (_sdf_credit(nu, cfg, rate, eps, ws),))
 
     if strategy == "layered-continuous":
         grid, cum, a = table
@@ -247,7 +258,7 @@ def _chunk_rate(config: SimConfig, cfg: PowerConfig, chunk_index: int,
         if a != 0.0:
             s = ws.rows[0][:size]
             np.add(nu[0], np.multiply(nu[1], a, out=s), out=s)
-        return np.interp(s, grid, cum)
+        return _chunk_stats(np.interp(s, grid, cum))
 
     alloc: TwoLayerAllocation = config.params
     if strategy.endswith("-equal") and alloc.beta != alloc.alpha:
@@ -265,7 +276,8 @@ def _chunk_rate(config: SimConfig, cfg: PowerConfig, chunk_index: int,
             eps1 = eps2 = times.eps2
     nu = _fading_chunk(config.seed, chunk_index, ws, size, read=1 if eps1 == 1.0 else 2)
     nu_r = nu[1] if eps1 < 1.0 else None
-    return _two_layer_credit(nu[0], nu_r, alloc, cfg, eps1, eps2, r1, r2, ws)
+    return _count_stats((r1, r2), _two_layer_credit(nu[0], nu_r, alloc, cfg,
+                                                    eps1, eps2, r1, r2, ws))
 
 
 def _continuous_table(mode: str, cfg: PowerConfig):
@@ -284,53 +296,36 @@ def _merge(stats_a, stats_b):
     """Chan et al. pairwise merge of (n, mean, M2) accumulators."""
     n_a, mean_a, m2_a = stats_a
     n_b, mean_b, m2_b = stats_b
-    if n_b == 0:
-        return stats_a
-    if n_a == 0:
-        return stats_b
     n = n_a + n_b
     delta = mean_b - mean_a
-    mean = mean_a + delta * n_b / n
-    m2 = m2_a + m2_b + delta * delta * n_a * n_b / n
-    return n, mean, m2
+    return n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n
 
 
-def _chunk_stats(values: np.ndarray, ws: _Workspace):
-    n = values.size
-    mean = float(values.mean())
-    dev = np.subtract(values, mean, out=ws.rows[0][:n])
-    return n, mean, float(np.square(dev, out=dev).sum())
-
-
-def _run_chunks(blocks: int, chunk_values, workers: int = 1):
+def _run_chunks(blocks: int, chunk_stats, workers: int = 1):
     """(n, mean, M2) of the per-block values of every chunk of ``blocks``.
 
-    ``chunk_values(i, size, ws)`` returns the values of chunk ``i``, written
-    into the workspace ``ws``.  The chunks are split into ``workers``
-    contiguous ranges, each run on its own thread with its own workspace, and
-    the partial statistics are merged in range order, so the result is a pure
-    function of the inputs up to the float-associativity of that merge.
+    ``chunk_stats(i, size, ws)`` returns the (n, mean, M2) of chunk ``i``,
+    computed in the workspace ``ws``.  The chunks are split into ``workers``
+    contiguous ranges, each run on its own thread with its own workspace
+    (one worker runs on the calling thread), and the chunks' statistics are
+    then merged in chunk order, so the result is the same bits at every
+    worker count.
     """
     n_chunks = (blocks + CHUNK_BLOCKS - 1) // CHUNK_BLOCKS
 
     def run_range(lo: int, hi: int):
         ws = _Workspace(blocks)
-        acc = (0, 0.0, 0.0)
-        for i in range(lo, hi):
-            size = min(CHUNK_BLOCKS, blocks - i * CHUNK_BLOCKS)
-            acc = _merge(acc, _chunk_stats(chunk_values(i, size, ws), ws))
-        return acc
+        return [chunk_stats(i, min(CHUNK_BLOCKS, blocks - i * CHUNK_BLOCKS), ws)
+                for i in range(lo, hi)]
 
     workers = min(workers, n_chunks)
-    if workers == 1:
-        return run_range(0, n_chunks)
     bounds = [round(w * n_chunks / workers) for w in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run_range, bounds[:-1], bounds[1:]))
-    total = (0, 0.0, 0.0)
-    for part in parts:
-        total = _merge(total, part)
-    return total
+    if workers == 1:
+        parts = map(run_range, bounds[:-1], bounds[1:])
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run_range, bounds[:-1], bounds[1:]))
+    return functools.reduce(_merge, itertools.chain.from_iterable(parts))
 
 
 def _stderr(n: int, m2: float) -> float:
@@ -341,9 +336,9 @@ def simulate_strategy(config: SimConfig, cfg: PowerConfig, workers: int = 1) -> 
     """Estimate the average throughput of a strategy by direct simulation.
 
     The block stream is split into fixed chunks processed by ``workers``
-    threads (at least 1) whose partial statistics are merged in worker order,
-    so the estimate is a pure function of (config, cfg) up to the
-    float-associativity of that merge.
+    threads (at least 1), and the chunks' statistics are merged in chunk
+    order, so the estimate is a pure function of (config, cfg): the worker
+    count changes no bit of it.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -383,7 +378,7 @@ def conditional_layer_probability(v_s: float, layer: int, ctx, blocks: int,
     else:
         known, rate = x * math.log1p(ab * s), ctx.r2
 
-    def chunk_values(i: int, size: int, ws: _Workspace) -> np.ndarray:
+    def chunk_stats(i: int, size: int, ws: _Workspace):
         el, info, den, bb_el = (row[:size] for row in ws.rows[:4])
         np.multiply(_fading_chunk(seed, i, ws, size, columns=1, read=1)[0], cfg.p_r,
                     out=el)
@@ -393,7 +388,7 @@ def conditional_layer_probability(v_s: float, layer: int, ctx, blocks: int,
         else:  # (1 - x) log1p(ab s + bb el)
             _scaled(np.log1p(np.add(bb_el, ab * s, out=info), out=info), 1.0 - x)
         np.add(info, known, out=info)
-        return _credited(ws, np.greater_equal(info, rate, out=ws.flags[0][:size]), 1.0)
+        return _count_stats((1.0,), (np.greater_equal(info, rate, out=ws.flags[0][:size]),))
 
-    n, mean, m2 = _run_chunks(blocks, chunk_values)
+    n, mean, m2 = _run_chunks(blocks, chunk_stats)
     return SimEstimate(mean=mean, stderr=_stderr(n, m2), blocks=n, seed=seed)

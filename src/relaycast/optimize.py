@@ -326,8 +326,9 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     if grid is not None:  # rescored on the scalar kernel; each point counts once
         evals += coarse.size - len(shortlist)
         coarse[shortlist] = [value(point(i)) for i in shortlist]
-    # exact ties go to fewer grid steps between eta1 and eta2 when both are
-    # free, then to the earlier point
+    # ties go to fewer eta steps: by grid order alone 10 of 401 oblivious plans
+    # (-20..80 dB) fall, by up to 5.3e-6 near -19 dB from a tied start on the
+    # flat alpha = 0 edge, for 0.02% fewer evaluations (ROADMAP, Settled)
     steps = k - j if "eta1" in free and "eta2" in free else 0 * j
     shortlist.sort(key=lambda i: (-coarse[i], steps[i % j.size], i))
 

@@ -351,6 +351,35 @@ def test_validate_rejects_draws_below_one(capsys):
     assert "--draws" in stderr and "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--draws", "1", "--blocks", "0"],
+    ["figure", "fig9", "--ps-db", "0", "--blocks", "-5"],
+])
+def test_blocks_below_one_is_a_usage_error(argv, capsys):
+    # it used to exit 1 only once the command had started (fig9 after its plan)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "--blocks" in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("argv, out, csv", [
+    (["validate", "--draws", "1", "--blocks", "200000", "--z-max", "inf"], "v.csv", "v.csv"),
+    (["figure", "fig9", "--ps-db", "0,10", "--q-db", "0,10", "--blocks", "200000"],
+     ".", "fig9.csv"),
+])
+def test_simulations_write_the_same_bytes_at_any_worker_count(tmp_path, argv, out, csv):
+    # four chunks per simulation: two workers run (0-1) and (2-3), and the
+    # chunks' statistics still merge in chunk order
+    outputs = []
+    for workers in ("1", "2"):
+        (tmp_path / workers).mkdir()
+        assert main(argv + ["--workers", workers, "--out", str(tmp_path / workers / out)]) == 0
+        outputs.append((tmp_path / workers / csv).read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("argv,csv", [
     (["rate", "--scheme", "single-user"], ""),
     (["figure", "fig7", "--q-db", "10", "--ratio", "1"], "fig7.csv"),

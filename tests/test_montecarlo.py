@@ -11,9 +11,10 @@ from relaycast.bounds import BoundContext
 from relaycast.broadcast import (continuous_layering, relay_or_miso_broadcast_bound,
                                   siso_broadcast_rate)
 from relaycast.cli import main
-from relaycast.montecarlo import (CHUNK_BLOCKS, RNG_ID, SimConfig, SimEstimate,
-                                  _chunk_rate, _continuous_table, _fading_chunk,
-                                  _two_layer_credit, _Workspace,
+from relaycast.model import decoding_times
+from relaycast.montecarlo import (CHUNK_BLOCKS, RNG_ID, STRATEGIES, SimConfig, SimEstimate,
+                                  _chunk_stats, _continuous_table, _count_stats,
+                                  _fading_chunk, _two_layer_credit, _Workspace,
                                   conditional_layer_probability, simulate_strategy)
 from relaycast.twolayer import direct_multilayer_throughput
 
@@ -39,21 +40,15 @@ def test_bitwise_determinism():
 
 
 def test_worker_split_preserves_samples():
-    config = SimConfig(blocks=5 * CHUNK_BLOCKS + 17, seed=9,
-                       strategy="miso-equal", params=ALLOC)
-    single = simulate_strategy(config, CFG, workers=1)
-    for workers in (2, 3, 4):
-        split = simulate_strategy(config, CFG, workers=workers)
-        assert split.blocks == single.blocks
-        assert abs(split.mean - single.mean) <= 1e-12 * abs(single.mean)
-
-
-def test_credited_rates_are_quantized():
-    r1, r2 = layer_rates(ALLOC, CFG.p_s)
-    config = SimConfig(blocks=5000, seed=2, strategy="simplex-equal", params=ALLOC)
-    rates = _chunk_rate(config, CFG, 0, 5000, None)
-    levels = {0.0, r1, r1 + r2}
-    assert set(np.round(np.unique(rates), 12)) <= set(np.round(sorted(levels), 12))
+    # every pinned case, at a block count whose six chunks split unevenly over
+    # 4 workers: the chunks' statistics merge in chunk order at any worker count
+    assert {strategy for strategy, _, _ in PIN_CASES.values()} == set(STRATEGIES)
+    for case, (strategy, params, cfg) in PIN_CASES.items():
+        config = SimConfig(blocks=5 * CHUNK_BLOCKS + 17, seed=9, strategy=strategy,
+                           params=params)
+        single = simulate_strategy(config, cfg, workers=1)
+        for workers in (2, 3, 4):
+            assert simulate_strategy(config, cfg, workers=workers) == single, (case, workers)
 
 
 def test_direct_strategy_against_closed_form():
@@ -64,16 +59,25 @@ def test_direct_strategy_against_closed_form():
     assert abs(res.r_av - est.mean) < 3 * est.stderr
 
 
+def _chunk_decisions(cfg, eps1, eps2, seed=4):
+    ws = _Workspace(CHUNK_BLOCKS)
+    nu_s, nu_r = _fading_chunk(seed, 0, ws, CHUNK_BLOCKS)
+    r1, r2 = layer_rates(ALLOC, cfg.p_s)
+    return tuple(d.copy() for d in _two_layer_credit(nu_s, nu_r, ALLOC, cfg, eps1, eps2,
+                                                     r1, r2, ws))
+
+
 def test_full_duplex_dominates_simplex_per_block():
     # the middle phase only adds relay power on layer 1, so with common
-    # randomness the credited rate can never drop
+    # randomness full-duplex decodes every layer that simplex decodes
     cfg = PowerConfig(p_s=1.0, p_r=1.0, q=1.0)  # low gain: eps1 < eps2
-    base = SimConfig(blocks=CHUNK_BLOCKS, seed=4, strategy="simplex-equal", params=ALLOC)
-    fd = SimConfig(blocks=CHUNK_BLOCKS, seed=4, strategy="full-duplex", params=ALLOC)
-    rates_sx = _chunk_rate(base, cfg, 0, CHUNK_BLOCKS, None)
-    rates_fd = _chunk_rate(fd, cfg, 0, CHUNK_BLOCKS, None)
-    assert np.all(rates_fd >= rates_sx)
-    assert rates_fd.mean() > rates_sx.mean()
+    times = decoding_times(ALLOC, cfg)
+    assert times.eps1 < times.eps2
+    simplex = _chunk_decisions(cfg, times.eps2, times.eps2)
+    duplex = _chunk_decisions(cfg, times.eps1, times.eps2)
+    for sx, fd in zip(simplex, duplex):
+        assert np.all(fd[sx])
+    assert np.count_nonzero(duplex[0]) > np.count_nonzero(simplex[0])
 
 
 def test_full_duplex_equals_simplex_when_layer1_slower():
@@ -177,38 +181,38 @@ PIN_CASES = {
 PINNED = {
     "direct": (
         ("0x1.3e116bcd39e7cp+1", "0x0.0p+0"),
-        ("0x1.031ee1871d231p+0", "0x1.f5986f901c79dp-3"),
-        ("0x1.d245f33e228b2p-1", "0x1.deda284634dc8p-9"),
+        ("0x1.031ee1871d230p+0", "0x1.f5986f901c79cp-3"),
+        ("0x1.d245f33e228b3p-1", "0x1.deda284634dc7p-9"),
     ),
     "miso-equal": (
         ("0x1.3e116bcd39e7cp+1", "0x0.0p+0"),
         ("0x1.dc0ba04720d7cp+0", "0x1.f6a530a2faae6p-3"),
-        ("0x1.9568352b1b447p+0", "0x1.f4a38575a00bbp-9"),
+        ("0x1.9568352b1b445p+0", "0x1.f4a38575a00bbp-9"),
     ),
     "miso-unequal": (
         ("0x1.3e116bcd39e7cp+1", "0x0.0p+0"),
-        ("0x1.736143cf8bed5p+0", "0x1.f81c957ee640cp-3"),
+        ("0x1.736143cf8bed4p+0", "0x1.f81c957ee640cp-3"),
         ("0x1.5355386d24462p+0", "0x1.dea23ebd7b5a6p-9"),
     ),
     "simplex-eps2-below-1": (
         ("0x1.3e116bcd39e7cp+1", "0x0.0p+0"),
-        ("0x1.318b0a010ea0bp+0", "0x1.f1777f49bd961p-3"),
-        ("0x1.11dddb506307cp+0", "0x1.f2608183123b2p-9"),
+        ("0x1.318b0a010ea0ap+0", "0x1.f1777f49bd961p-3"),
+        ("0x1.11dddb506307bp+0", "0x1.f2608183123b2p-9"),
     ),
     "simplex-eps2-1": (
         ("0x1.3e116bcd39e7cp+1", "0x0.0p+0"),
-        ("0x1.031ee1871d231p+0", "0x1.f5986f901c79dp-3"),
-        ("0x1.d245f33e228b2p-1", "0x1.deda284634dc8p-9"),
+        ("0x1.031ee1871d230p+0", "0x1.f5986f901c79cp-3"),
+        ("0x1.d245f33e228b3p-1", "0x1.deda284634dc7p-9"),
     ),
     "full-duplex-three-phases": (
         ("0x1.51f7b55cce4f7p+0", "0x0.0p+0"),
         ("0x1.4932f79e41bf8p-1", "0x1.058828b0fcec9p-3"),
-        ("0x1.4bbccbd6ca81dp-1", "0x1.ed989a394de8dp-10"),
+        ("0x1.4bbccbd6ca81ep-1", "0x1.ed989a394de8cp-10"),
     ),
     "full-duplex-eps2-1": (
         ("0x1.2ffc405b7ebbap-1", "0x0.0p+0"),
         ("0x1.0c964164f60c2p-2", "0x1.c071ca82a2374p-5"),
-        ("0x1.03cc6d8c5cef6p-2", "0x1.9314a9e8e54c7p-11"),
+        ("0x1.03cc6d8c5cef6p-2", "0x1.9314a9e8e54c8p-11"),
     ),
     "sdf-eps-below-1": (
         ("0x1.0000000000000p+0", "0x0.0p+0"),
@@ -237,13 +241,13 @@ PINNED = {
     ),
     "simplex-unequal-silent-relay": (
         ("0x1.3e116bcd39e7cp+1", "0x0.0p+0"),
-        ("0x1.031ee1871d231p+0", "0x1.f5986f901c79dp-3"),
-        ("0x1.d245f33e228b2p-1", "0x1.deda284634dc8p-9"),
+        ("0x1.031ee1871d230p+0", "0x1.f5986f901c79cp-3"),
+        ("0x1.d245f33e228b3p-1", "0x1.deda284634dc7p-9"),
     ),
     "miso-unequal-silent-relay": (
         ("0x1.3e116bcd39e7cp+1", "0x0.0p+0"),
-        ("0x1.031ee1871d231p+0", "0x1.f5986f901c79dp-3"),
-        ("0x1.d245f33e228b2p-1", "0x1.deda284634dc8p-9"),
+        ("0x1.031ee1871d230p+0", "0x1.f5986f901c79cp-3"),
+        ("0x1.d245f33e228b3p-1", "0x1.deda284634dc7p-9"),
     ),
 }
 PIN_BLOCKS = (1, 17, CHUNK_BLOCKS + 17)
@@ -260,15 +264,17 @@ def test_estimates_are_pinned_bit_for_bit(case, blocks, workers):
     assert est.blocks == blocks
 
 
+_MERGE_PINNED = {
+    "full-duplex-three-phases": ("0x1.4afffec94f01fp-1", "0x1.ecdfcfcc30380p-11"),
+    "continuous-relay": ("0x1.90360e12825a4p+0", "0x1.20ca2264b8679p-10"),
+}
+
+
 @pytest.mark.parametrize("case, workers, pinned", [
-    ("full-duplex-three-phases", 1, ("0x1.4afffec94f01ep-1", "0x1.ecdfcfcc30381p-11")),
-    ("full-duplex-three-phases", 2, ("0x1.4afffec94f01fp-1", "0x1.ecdfcfcc30381p-11")),
-    ("continuous-relay", 1, ("0x1.90360e12825a4p+0", "0x1.20ca2264b8679p-10")),
-    ("continuous-relay", 2, ("0x1.90360e12825a3p+0", "0x1.20ca2264b8679p-10")),
-])
+    (case, workers, pinned) for case, pinned in _MERGE_PINNED.items() for workers in (1, 2)])
 def test_two_thread_merge_is_pinned(case, workers, pinned):
-    # five chunks: two threads merge (0-1) with (2-4), one thread merges in
-    # sequence, so the last bits differ and both orders are pinned
+    # five chunks: two threads run (0-1) and (2-4), one thread runs all five,
+    # and both merge the five chunks' statistics in chunk order
     strategy, params, cfg = PIN_CASES[case]
     est = simulate_strategy(SimConfig(blocks=4 * CHUNK_BLOCKS + 17, seed=20_240_001,
                                       strategy=strategy, params=params), cfg, workers=workers)
@@ -289,12 +295,6 @@ def _reference_information(nu_s, nu_r, alloc, cfg, eps1, eps2):
         i1 += eps1 * (np.log1p(s) - np.log1p(ab * s))
     i2 = eps2 * np.log1p(ab * s) + (1.0 - eps2) * np.log1p(ab * s + bb * el)
     return i1, i2
-
-
-def _reference_credit(i1, i2, r1, r2):
-    dec1 = i1 >= r1
-    dec2 = dec1 & (i2 >= r2)
-    return r1 * dec1 + r2 * dec2
 
 
 _unit = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
@@ -326,18 +326,29 @@ def test_credit_kernel_matches_the_reference_formula(alpha, beta, eta1, eta_gap,
         r1, r2 = float(i1[-1]), float(i2[-1])
         if rates == "ulp-above":
             r1, r2 = np.nextafter(r1, np.inf), np.nextafter(r2, np.inf)
-    want = _reference_credit(i1, i2, r1, r2)
-    got = _two_layer_credit(nu[:, 0], nu[:, 1] if eps1 < 1.0 else None,
-                            alloc, cfg, eps1, eps2, r1, r2)
-    assert np.array_equal(got, want)
+    dec1, dec2 = _two_layer_credit(nu[:, 0], nu[:, 1] if eps1 < 1.0 else None,
+                                   alloc, cfg, eps1, eps2, r1, r2, _Workspace(size))
+    assert np.array_equal(dec1, i1 >= r1)
+    assert np.array_equal(dec2, (i1 >= r1) & (i2 >= r2))
 
 
-def test_chunk_rate_without_a_workspace_returns_fresh_arrays():
-    config = SimConfig(blocks=5000, seed=2, strategy="full-duplex", params=ALLOC)
-    a = _chunk_rate(config, CFG, 0, 5000, None)
-    b = _chunk_rate(config, CFG, 0, 5000, None)
-    assert not np.shares_memory(a, b)
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("size", [1, 2, 17, 5000, CHUNK_BLOCKS])
+@pytest.mark.parametrize("decoded", ["random", "none", "layer-1", "both"])
+def test_count_stats_match_the_credit_array(size, decoded):
+    # (n, mean, M2) from the counts of nested decisions, against the same
+    # statistics of the explicit per-block credit r1 dec1 + r2 dec2
+    rng = np.random.default_rng(size)
+    for r1, r2 in [(0.8367, 1.1273), (1e-3, 7.5), (2.0, 0.0), (0.0, 0.3)]:
+        u = rng.random((2, size))
+        dec1 = u[0] < 0.7 if decoded == "random" else np.full(size, decoded != "none")
+        dec2 = dec1 & (u[1] < 0.5 if decoded == "random" else decoded == "both")
+        n, mean, m2 = _count_stats((r1, r2), (dec1, dec2))
+        want_n, want_mean, want_m2 = _chunk_stats(r1 * dec1 + r2 * dec2)
+        assert n == want_n == size
+        assert mean == pytest.approx(want_mean, rel=1e-15, abs=0.0)
+        assert m2 == pytest.approx(want_m2, rel=1e-13, abs=1e-13 * size * mean ** 2)
+        if decoded != "random":  # one credit level: its value, and no spread
+            assert (mean, m2) == ({"none": 0.0, "layer-1": r1, "both": r1 + r2}[decoded], 0.0)
 
 
 def test_conditional_probability_rejects_empty_runs():

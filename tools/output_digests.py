@@ -47,8 +47,8 @@ Runs, in-process and into a temporary directory:
   a coarse grid of 12, where alpha lies within 1e-6 of 1;
 * ``validate --draws 2 --blocks 200000 --z-max inf`` at ``--workers 1`` and
   ``--workers 2``, so the Monte-Carlo oracle's bytes beyond fig9 (every
-  strategy the corpus draws, and the merge of two threads' partial sums)
-  are covered;
+  strategy the corpus draws) are covered, and equal digests on the two
+  lines show that a second worker moves no byte;
 * ``--bits`` runs of ``rate`` (``simplex-equal`` at alpha 0.7, eta
   0.3/1.8, and ``ergodic-miso``), ``sweep --scheme miso-single``,
   ``optimize --scheme direct --coarse 6`` and ``validate --draws 1
