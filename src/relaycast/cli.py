@@ -217,14 +217,20 @@ def _add_alloc_flags(p):
     p.add_argument("--eta2", type=float, default=None)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(kind, low):
+    """An argparse type: ``kind`` of the flag's text, at least ``low`` (NaN is not)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _at_least(int, 1)
 
 
 # a figure preset's grid parameter -> (its flag's dest, the flag's type)
@@ -304,10 +310,10 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
                        help="closed forms vs the Monte-Carlo oracle")
     p.add_argument("--draws", type=_positive_int, default=50)
     p.add_argument("--blocks", type=_positive_int, default=1_000_000)
-    p.add_argument("--z-max", type=float, default=None,
-                   help="largest |z| accepted per comparison (default: the two-sided "
-                        "Bonferroni bound for the run's comparisons at a family "
-                        "false-alarm rate of 1e-3)")
+    p.add_argument("--z-max", type=_at_least(float, 0), default=None,
+                   help="largest |z| accepted per comparison, from 0 to inf "
+                        "(default: the two-sided Bonferroni bound for the run's "
+                        "comparisons at a family false-alarm rate of 1e-3)")
     _add_workers_flag(p, "threads for the Monte-Carlo simulations")
     p.set_defaults(func=_cmd_validate)
 

@@ -69,7 +69,7 @@ def _ps_grid(start=0.0, stop=25.0, step=2.5) -> list[float]:
 _POLISH_PASSES = 4  # coordinate passes of the 8-layer polish
 
 
-def _refined_layered(cfg: PowerConfig, tail, n_layers: int, density, dist) -> float:
+def _refined_layered(cfg: PowerConfig, tail, n_layers: int, density) -> float:
     """Quantize the continuous profile into n layers and polish it by four
     coordinate passes of Brent line searches over the thresholds and the
     residual power fractions of twolayer.discretize_power_density: the
@@ -85,7 +85,7 @@ def _refined_layered(cfg: PowerConfig, tail, n_layers: int, density, dist) -> fl
     term computation, so a caller whose tail costs more than a cache lookup
     (fig4's _miso_tail, not fig3's _direct_tail) passes a functools.cache of
     it made for the call, and the DEBUG line then counts its misses."""
-    thresholds, residuals = twolayer.discretize_power_density(density, dist, n_layers)
+    thresholds, residuals = twolayer.discretize_power_density(density, n_layers)
     # the point: n thresholds, then the power fractions left after each of the
     # first n - 1 layers; the fraction left after the last layer is 0
     n, last, p_s, p_r = n_layers, 2 * n_layers - 2, cfg.p_s, cfg.p_r
@@ -150,7 +150,7 @@ def fig3(ps_db=tuple(_ps_grid())):
         values = {
             1: _throughput("single-user", cfg),
             2: twolayer.CLOSED_FORMS["direct"](oblivious_rate_plan(p_s), cfg).r_av,
-            8: _refined_layered(cfg, twolayer._direct_tail, 8, density, dist),
+            8: _refined_layered(cfg, twolayer._direct_tail, 8, density),
         }
         for n, value in values.items():
             rows.append({"ps_db": db, "scheme": f"direct-{n}-layer", "n_layers": n,
@@ -182,7 +182,7 @@ def fig4(ps_db=tuple(_ps_grid(step=5.0)), ratios=(0.5, 1.0, 2.0)):
                 ("miso-2-equal", 2, equal2),
                 ("miso-2-unequal", 2, unequal2),
                 ("miso-8-equal", 8, _refined_layered(
-                    cfg, functools.cache(twolayer._miso_tail), 8, density, dist)),
+                    cfg, functools.cache(twolayer._miso_tail), 8, density)),
                 ("continuous-miso", 0, broadcast.broadcast_rate(density, dist)),
                 ("ergodic-miso", 0, _throughput("ergodic-miso", cfg)),
             )

@@ -6,7 +6,8 @@ analytic expression in the package.  It is also the only evaluator of the
 full-duplex relay, whose layer-1 condition has no closed form.  A
 SimConfig's ``params`` is the rate of ``single-layer-SDF``, the
 TwoLayerAllocation of a two-layer strategy, or the mode ("siso", "relay"
-or "miso") of broadcast.continuous_layering for ``layered-continuous``.
+or "miso") of broadcast.continuous_layering for ``layered-continuous``, which
+credits a block R(s) of broadcast.cumulative_rate's table at its fading s.
 
 Reproducibility: fading is drawn from PCG64DXSM, seeded per 65536-block
 chunk by SeedSequence([seed mod 2^64, chunk_index]) (``RNG_ID``), with
@@ -54,8 +55,6 @@ log = logging.getLogger(__name__)
 CHUNK_BLOCKS = 1 << 16
 RNG_ID = "pcg64dxsm/seedseq-chunk65536/inv-cdf/v2"
 _MASK64 = (1 << 64) - 1
-# the layered-continuous strategy's rate table: Gauss-Legendre panels x nodes
-_TABLE_PANELS, _TABLE_NODES = 1024, 8
 
 STRATEGIES = ("single-layer-SDF", "direct", "miso-equal", "miso-unequal",
               "simplex-equal", "simplex-unequal", "full-duplex",
@@ -281,15 +280,9 @@ def _chunk_rate(config: SimConfig, cfg: PowerConfig, chunk_index: int,
 
 
 def _continuous_table(mode: str, cfg: PowerConfig):
-    """(u, R(u), P_r/P_s): the assigned rate R(u) = int_{u0}^u v rho(v) /
-    (1 + v I(v)) dv of the layers decodable at combined fading level u, for
-    interpolation.  The nodes u are the edges of broadcast._geometric_panels'
-    1024 panels, each summed by 8-node Gauss-Legendre."""
+    """(u, R(u), a): broadcast.cumulative_rate of the mode's profile, s = nu_s + a nu_r."""
     density, _, a = broadcast.continuous_layering(cfg, mode)
-    edges, u, w = broadcast._geometric_panels(density, _TABLE_PANELS, _TABLE_NODES)
-    g = w * u * density.rho_of_u(u) / (1.0 + u * density.i_of_u(u))
-    panels = g.reshape(_TABLE_PANELS, _TABLE_NODES).sum(axis=1)
-    return edges, np.concatenate(([0.0], np.cumsum(panels))), a
+    return (*broadcast.cumulative_rate(density), a)
 
 
 def _merge(stats_a, stats_b):

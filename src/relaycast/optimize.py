@@ -406,13 +406,17 @@ def horizontal_db_gain(ps_db: Sequence[float], base_rates: Sequence[float],
 
     Reads the baseline throughput at ``at_ps_db`` and returns how many fewer
     dB of source power the better curve needs to match it (horizontal gap of
-    the throughput-versus-dB plots).  Both curves must be increasing in P_s.
+    the throughput-versus-dB plots).  Both curves must be increasing in P_s and
+    sampled on the increasing ``ps_db`` grid, which must span ``at_ps_db``.
     """
     ps = np.asarray(ps_db, dtype=float)
     base = np.asarray(base_rates, dtype=float)
     better = np.asarray(better_rates, dtype=float)
-    if np.any(np.diff(base) <= 0.0) or np.any(np.diff(better) <= 0.0):
-        raise ValueError("throughput curves must be strictly increasing in P_s")
+    if any(np.any(np.diff(x) <= 0.0) for x in (ps, base, better)):
+        raise ValueError("ps_db and both throughput curves must be strictly increasing")
+    if not (len(ps) == len(base) == len(better) and ps[0] <= at_ps_db <= ps[-1]):
+        raise ValueError("the curves must have one value per ps_db point, and "
+                         f"at_ps_db ({at_ps_db}) must lie in [{ps[0]}, {ps[-1]}]")
     level = float(np.interp(at_ps_db, ps, base))
     if level < better[0] or level > better[-1]:
         raise ValueError("baseline level outside the better curve's range; "

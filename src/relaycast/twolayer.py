@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _QUAD_OPTS = dict(epsabs=1e-9, epsrel=1e-9, limit=200)
-_DISCRETIZE_POINTS = 20001  # discretize_power_density's cumulative-rate table
 _LOWER_NODES = 16  # Gauss-Legendre nodes per panel of the simplex rule on [v_lo, eta1]
 
 
@@ -76,10 +75,7 @@ def _layered_result(thresholds: Sequence[float], fractions: Sequence[float],
     tails = [min(max(tail(eta, p_s, p_r), 0.0), 1.0) for eta in thresholds]
     r1, p1 = rates[0], tails[0]
     r_hi = sum(rates[1:])
-    if r_hi > 0.0:
-        p_hi = sum(r * t for r, t in zip(rates[1:], tails[1:])) / r_hi
-    else:
-        p_hi = p1
+    p_hi = sum(r * t for r, t in zip(rates[1:], tails[1:])) / r_hi if r_hi > 0.0 else p1
     return ThroughputResult.build(r1, r_hi, p1, p_hi)
 
 
@@ -355,20 +351,18 @@ def duplex_gain_condition(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Duplex
     return DuplexVerdict(simplex_sufficient=margin > 0.0, margin=margin)
 
 
-def discretize_power_density(density, dist, n_layers: int) -> tuple[list[float], list[float]]:
+def discretize_power_density(density, n_layers: int) -> tuple[list[float], list[float]]:
     """Quantize a continuous layering profile into an n-layer plan:
     (thresholds, residuals).
 
-    Thresholds are placed at equal increments of the cumulative continuous
-    rate over [u0, u1].  The residuals are the power fractions left after
-    each of the first n - 1 layers, I(eta_i)/P, so the discrete residual
+    The thresholds sit at equal increments R(u1)(i + 1/2)/n of
+    broadcast.cumulative_rate's R(u), so each layer carries an equal share of
+    the profile's rate.  The residuals are the power fractions left after each
+    of the first n - 1 layers, I(eta_i)/P, so the discrete residual
     interference matches I at every threshold; the last layer leaves 0.
     """
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
-    us, cum = cumulative_rate(density, _DISCRETIZE_POINTS, dist)
-    total = cum[-1]
-    targets = total * (np.arange(n_layers) + 0.5) / n_layers
-    thresholds = [float(t) for t in np.interp(targets, cum, us)]
-    p = density.total_power
-    return thresholds, [float(density.i_of_u(u)) / p for u in thresholds[:-1]]
+    us, cum = cumulative_rate(density)
+    thresholds = np.interp(cum[-1] * (np.arange(n_layers) + 0.5) / n_layers, cum, us).tolist()
+    return thresholds, [float(density.i_of_u(u)) / density.total_power for u in thresholds[:-1]]

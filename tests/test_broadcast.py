@@ -191,6 +191,24 @@ class TestFixedRule:
                 quad_rate(density, dist), rel=1e-12), ps_db
 
 
+@pytest.mark.parametrize("mode, ps_db, ratio", [
+    ("siso", 0.0, 1.0), ("siso", 25.0, 1.0), ("miso", 0.0, 1.0), ("miso", 25.0, 1.0),
+    ("miso", 0.0, 1e5),
+])
+def test_cumulative_rate_is_monotone_and_totals_the_profile(mode, ps_db, ratio):
+    # R(u) starts at 0, never falls, and ends at int_{u0}^{u1} u rho / (1 + u I)
+    p_s = 10.0 ** (ps_db / 10.0)
+    density, _, _ = broadcast.continuous_layering(
+        PowerConfig(p_s=p_s, p_r=ratio * p_s, q=1.0), mode)
+    u, cum = broadcast.cumulative_rate(density)
+    assert u[0] == density.u0 and u[-1] == density.u1
+    assert cum[0] == 0.0 and np.all(np.diff(cum) >= 0.0)
+    total = integrate.quad(
+        lambda v: v * float(density.rho_of_u(v)) / (1.0 + v * float(density.i_of_u(v))),
+        density.u0, density.u1, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+    assert cum[-1] == pytest.approx(total, rel=1e-12, abs=0.0)
+
+
 class TestRelayBounds:
     def test_vanishing_relay_collapses_to_siso(self):
         base = siso_broadcast_rate(10.0)

@@ -188,6 +188,16 @@ def test_validate_reports_violations_and_still_writes_its_csv(tmp_path, capsys):
     assert len(read_csv(out)) == 6
 
 
+@pytest.mark.parametrize("z_max", ["-1", "nan", "-inf"])
+def test_validate_rejects_a_z_max_below_zero_or_nan(z_max, capsys):
+    # they used to run every case and then flag each row as a VIOLATION
+    with pytest.raises(SystemExit) as err:
+        main(["validate", "--draws", "1", "--blocks", "100", f"--z-max={z_max}"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "--z-max: must be >= 0" in stderr and "Traceback" not in stderr
+
+
 def test_optimize_requires_all_parameters():
     with pytest.raises(SystemExit):
         main(["optimize", "--scheme", "direct", "--free", "alpha"])

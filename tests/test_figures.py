@@ -20,17 +20,19 @@ def rates(name, **grid):
 # optimize._coordinate_ascent (the keys), and the values each moved to, oldest
 # first: when every line search after a coordinate's first began to span a
 # bracket around the coordinate's last move, when the line searches became
-# Brent's to a 1e-7 bracket, and when the polish started from the residuals
-# I(eta_i)/P themselves, not from 1 - cumsum of per-layer fractions
+# Brent's to a 1e-7 bracket, when the polish started from the residuals
+# I(eta_i)/P themselves, not from 1 - cumsum of per-layer fractions, and when
+# the plan was quantized on the Gauss-Legendre R(u) table of
+# broadcast.cumulative_rate, not on a (1 - F)-weighted trapezoid
 RECAPTURED = {
     "0x1.222d12cb571d1p+0": ["0x1.222d12cf9349cp+0", "0x1.222d12cf6ca1ap+0",
-                             "0x1.222d12cf218d7p+0"],
+                             "0x1.222d12cf218d7p+0", "0x1.22403c7fc1e0cp+0"],
     "0x1.ddfd9824046f0p+1": ["0x1.ddfd981d59c86p+1", "0x1.ddfd98458db3ep+1",
-                             "0x1.ddfd9844e1168p+1"],
+                             "0x1.ddfd9844e1168p+1", "0x1.de7983759d0eap+1"],
     "0x1.d9d0f98ce4e99p+0": ["0x1.d9d0f9827863fp+0", "0x1.d9d0f983837e6p+0",
-                             "0x1.d9d0f983dcf7cp+0"],
+                             "0x1.d9d0f983dcf7cp+0", "0x1.d9e9d45f31deap+0"],
     "0x1.51ed7fa7888bap+2": ["0x1.51ed805ac6d0bp+2", "0x1.51ed80259f7b6p+2",
-                             "0x1.51ed8022ad914p+2"],
+                             "0x1.51ed8022ad914p+2", "0x1.52218082b1aa1p+2"],
 }
 
 

@@ -719,3 +719,15 @@ class TestHorizontalGain:
             horizontal_db_gain(ps, up[::-1], up, 5.0)
         with pytest.raises(ValueError):
             horizontal_db_gain(ps, up + 10.0, up, 5.0)
+        # a reading point off the 0..10 dB grid, or NaN, used to extrapolate
+        for at in (-3.0, 10.5, 30.0, math.nan):
+            with pytest.raises(ValueError):
+                horizontal_db_gain(ps, up, up + 0.05, at)
+        with pytest.raises(ValueError):  # curves of unequal length
+            horizontal_db_gain(ps, up[:-1], up, 5.0)
+        with pytest.raises(ValueError):
+            horizontal_db_gain(ps, up, up[:-1], 5.0)
+        with pytest.raises(ValueError):  # an out-of-order grid used to give a wrong gain
+            horizontal_db_gain(ps[[0, 2, 1, *range(3, 11)]], up, up + 0.05, 5.0)
+        assert horizontal_db_gain(ps, up, up + 0.05, 10.0) == pytest.approx(0.5)
+        assert horizontal_db_gain(ps, up + 0.05, up, 0.0) == pytest.approx(-0.5)

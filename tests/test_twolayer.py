@@ -102,7 +102,7 @@ class TestMisoEqual:
         cfg = PowerConfig(p_s=p, p_r=p, q=1.0)
         dist = sum_fading_distribution(1.0)
         density = optimal_power_density(p, dist)
-        r8 = _refined_layered(cfg, twolayer._miso_tail, 8, density, dist)
+        r8 = _refined_layered(cfg, twolayer._miso_tail, 8, density)
         r2 = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {}, cfg,
                                  coarse_points=24).value
         cont = broadcast_rate(density, dist)
@@ -114,11 +114,15 @@ class TestMisoEqual:
 def test_discretized_residuals_are_the_continuous_residuals(mode, ps_db):
     # the n - 1 residuals are I(eta_i)/P at the first n - 1 thresholds, bit for bit
     p_s = 10.0 ** (ps_db / 10.0)
-    density, dist, _ = broadcast.continuous_layering(PowerConfig(p_s=p_s, p_r=p_s, q=1.0), mode)
-    thresholds, residuals = twolayer.discretize_power_density(density, dist, 8)
+    density, _, _ = broadcast.continuous_layering(PowerConfig(p_s=p_s, p_r=p_s, q=1.0), mode)
+    thresholds, residuals = twolayer.discretize_power_density(density, 8)
     assert len(thresholds) == 8
     assert residuals == [float(density.i_of_u(u)) / density.total_power
                          for u in thresholds[:-1]]
+    # and each threshold reads back through the R(u) table to R(u1)(i + 1/2)/n
+    u, cum = broadcast.cumulative_rate(density)
+    targets = cum[-1] * (np.arange(8) + 0.5) / 8
+    np.testing.assert_allclose(np.interp(thresholds, u, cum), targets, rtol=1e-12, atol=0.0)
 
 
 class TestMisoUnequal:
