@@ -9,13 +9,14 @@ nu_r, and the K/U crossings between the nodes of :mod:`relaycast.twolayer`'s
 fixed Gauss-Legendre rule on [v_lo, eta1], where that rule breaks its panels.
 The relay's residual fraction beta_bar comes from the context's allocation.
 
-t, K and v_lo are written in complement variables, so that they keep their
-digits as the relay decodes late (x -> 1).  With S = nu_s P_s, G = (1 + S)/(1 +
-alpha_bar S) and delta = (r1 - log G)/x_bar, a log1p over the context's
-x_bar = 1 - x (_delta): t = G e^delta, and K = (1 + S) expm1(delta) / (P_r
-(1 - t beta_bar)) with 1 - t beta_bar = (beta + (beta - alpha) S)/(1 +
-alpha_bar S) - beta_bar G expm1(delta); v_lo is eta1 less a gap
-(discontinuity_point).  For the derivation of t and the
+t, K, U and v_lo are written in complement variables, so that they keep
+their digits as the relay decodes late (x -> 1).  With S = nu_s P_s,
+G = (1 + S)/(1 + alpha_bar S) and delta = (r1 - log G)/x_bar, a log1p over
+the context's x_bar = 1 - x (_delta): t = G e^delta, and
+K = (1 + S) expm1(delta) / (P_r (1 - t beta_bar)) with 1 - t beta_bar =
+(beta + (beta - alpha) S)/(1 + alpha_bar S) - beta_bar G expm1(delta); U
+takes r2 - log Z as a log1p over x_bar in the same way (_u_values); v_lo is
+eta1 less a gap (discontinuity_point).  For the derivation of t and the
 thresholds from the phase-wise mutual information balance, and of the
 complement form, see docs/conformance.md.
 """
@@ -47,8 +48,8 @@ class BoundContext:
     ``x`` is the effective relay decoding time used in all bounds (the
     layer-2 time, which already dominates the layer-1 time by construction);
     x = 1 is the no-relay degenerate case and is rejected here because the
-    callers route it to direct transmission.  ``x_bar`` = 1 - x, which t, K
-    and v_lo read, defaults to 1 - x; from_config computes it from its own
+    callers route it to direct transmission.  ``x_bar`` = 1 - x, which t, K,
+    U and v_lo read, defaults to 1 - x; from_config computes it from its own
     log1p (_listen_complement).
     """
 
@@ -177,14 +178,18 @@ def relay_threshold_bound(v_s: float, ctx: BoundContext) -> float:
 
 
 def _u_values(v_s, ctx: BoundContext):
-    """Layer-2 threshold U = Z ((Z e^{-r2})^{1/(x-1)} - 1) / (beta_bar * P_r),
-    with Z = 1 + v_s*alpha_bar*P_s.  Zero at eta2, negative beyond."""
-    z = 1.0 + np.asarray(v_s, dtype=float) * ctx.alloc.alpha_bar * ctx.cfg.p_s
-    log_pow = (np.log(z) - ctx.r2) / (ctx.x - 1.0)
+    """Layer-2 threshold U = Z expm1((r2 - log Z)/x_bar) / (beta_bar * P_r),
+    with Z = 1 + v_s*alpha_bar*P_s and r2 - log Z = log(Z(eta2)/Z) as the
+    log1p of alpha_bar P_s (eta2 - v_s)/Z, so that U keeps its digits as the
+    relay decodes late (x -> 1).  Zero at eta2, negative beyond."""
+    alloc = ctx.alloc
+    ab, p_s = alloc.alpha_bar, ctx.cfg.p_s
+    v = np.asarray(v_s, dtype=float)
+    z = 1.0 + v * ab * p_s
+    log_pow = np.log1p(ab * p_s * (alloc.eta2 - v) / z) / ctx.x_bar
     with np.errstate(over="ignore"):  # overflow gives inf, as in the scalar u_bound
-        powed = np.where(log_pow > _EXP_OVERFLOW, np.inf, np.exp(log_pow))
-        numer = z * (powed - 1.0)
-        bb = ctx.alloc.beta_bar
+        numer = z * np.where(log_pow > _EXP_OVERFLOW, np.inf, np.expm1(log_pow))
+        bb = alloc.beta_bar
         if bb > 0.0:
             return numer / (bb * ctx.cfg.p_r)
     # all relay power on layer 1: the relay cannot help layer 2 at all
@@ -193,11 +198,12 @@ def _u_values(v_s, ctx: BoundContext):
 
 def u_bound(v_s: float, ctx: BoundContext) -> float:
     """U at one point, bit for bit as _u_values gives it."""
-    z = 1.0 + v_s * ctx.alloc.alpha_bar * ctx.cfg.p_s
-    log_pow = (float(np.log(z)) - ctx.r2) / (ctx.x - 1.0)
-    powed = math.inf if log_pow > _EXP_OVERFLOW else float(np.exp(log_pow))
-    numer = z * (powed - 1.0)
-    bb = ctx.alloc.beta_bar
+    alloc = ctx.alloc
+    ab, p_s = alloc.alpha_bar, ctx.cfg.p_s
+    z = 1.0 + v_s * ab * p_s
+    log_pow = float(np.log1p(ab * p_s * (alloc.eta2 - v_s) / z)) / ctx.x_bar
+    numer = z * (math.inf if log_pow > _EXP_OVERFLOW else float(np.expm1(log_pow)))
+    bb = alloc.beta_bar
     if bb > 0.0:
         return _divide(numer, bb * ctx.cfg.p_r)
     return math.inf if numer > 0.0 else -math.inf if numer < 0.0 else 0.0

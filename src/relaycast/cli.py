@@ -116,8 +116,9 @@ def _cmd_rate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     start, stop, step = args.ps_db_start, args.ps_db_stop, args.ps_db_step
-    # NaN fails every test here, and an infinite bound or count the last one
-    if not (start <= stop and 0.0 < step < math.inf and math.isfinite((stop - start) / step)):
+    # NaN fails every test here, and an infinite bound or count the last one,
+    # as does a grid of more than 10^6 points (each one an oblivious plan)
+    if not (start <= stop and 0.0 < step < math.inf and (stop - start) / step < 1e6 - 1):
         raise SystemExit("invalid --ps-db grid")
     ps_grid = figures._ps_grid(start, stop, step)
     rows = figures._oblivious_rows(ps_grid, args.q_db, args.ratio, (args.scheme,))
@@ -365,8 +366,8 @@ def main(argv=None) -> int:
         lambda message, *_: "relaycast: warning: " + " ".join(str(message).split()) + "\n")
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
-        print(f"relaycast: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, ArithmeticError, MemoryError) as exc:
+        print(f"relaycast: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     finally:
         warnings.formatwarning = formatwarning

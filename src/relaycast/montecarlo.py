@@ -10,8 +10,9 @@ or "miso") of broadcast.continuous_layering for ``layered-continuous``, which
 credits a block R(s) of broadcast.cumulative_rate's table at its fading s.
 
 Reproducibility: fading is drawn from PCG64DXSM, seeded per 65536-block
-chunk by SeedSequence([seed mod 2^64, chunk_index]) (``RNG_ID``), with
-exponentials via the inverse CDF -log(1 - u).  Each chunk is keyed on its
+chunk by SeedSequence([seed mod 2^64, chunk_index]) (``RNG_ID``), in one
+layout for every simulation, blocks x 2 uniforms, with exponentials via
+the inverse CDF -log(1 - u).  Each chunk is keyed on its
 own, so the stream depends only on (seed, block index), never on how many
 workers process the chunks, and runs with the same seed share fading across
 strategies (common random numbers).
@@ -94,7 +95,7 @@ class _Workspace:
 
     def __init__(self, blocks: int):
         n = min(CHUNK_BLOCKS, blocks)
-        self.draws = np.empty(2 * n)  # the chunk's uniforms, blocks x columns
+        self.draws = np.empty(2 * n)  # the chunk's uniforms, blocks x 2
         self.nu = np.empty(n)  # the first fading column when only it is read
         self.rows = np.empty((9, n))
         self.flags = np.empty((2, n), dtype=bool)
@@ -106,24 +107,24 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _fading_chunk(seed: int, chunk_index: int, ws: _Workspace, size: int,
-                  columns: int = 2, read: int = 2) -> tuple[np.ndarray, ...]:
+                  read: int = 2) -> tuple[np.ndarray, ...]:
     """Exponential fading of one chunk, as a tuple of ``read`` 1-D columns.
 
-    Draws the chunk's ``size`` x ``columns`` uniforms into ``ws`` and maps
-    only the first ``read`` columns (all of them, or the first alone) through
-    -log(1 - u).  Columns that are not read are still drawn, so every block
-    keeps its place in the stream.
+    Draws the chunk's ``size`` x 2 uniforms into ``ws`` and maps the first
+    ``read`` columns (both, or the first alone) through -log(1 - u).  The
+    second column is drawn even when it is not read, so every block keeps
+    its place in the stream.
     """
-    u = ws.draws[:size * columns].reshape(size, columns)
+    u = ws.draws[:size * 2].reshape(size, 2)
     _chunk_generator(seed, chunk_index).random(out=u)
-    if read == columns:
-        src = out = ws.draws[:size * columns]
+    if read == 2:
+        src = out = ws.draws[:size * 2]
     else:  # the first column alone, mapped into a contiguous buffer
         src, out = u[:, 0], ws.nu[:size]
     np.negative(src, out=out)
     np.log1p(out, out=out)
     np.negative(out, out=out)
-    return (out,) if read == 1 else tuple(u[:, j] for j in range(columns))
+    return (out,) if read == 1 else (u[:, 0], u[:, 1])
 
 
 def _scaled(x: np.ndarray, weight: float) -> np.ndarray:
@@ -354,34 +355,24 @@ def conditional_layer_probability(v_s: float, layer: int, ctx, blocks: int,
                                   seed: int) -> SimEstimate:
     """Empirical P(layer decodable | nu_s = v_s) under the simplex conditions.
 
-    Samples nu_r only; layer 1 checks the two-phase layer-1 information
-    against r1, layer 2 checks the post-cancellation information against r2.
-    The comparand for the analytic bounds is exp(-threshold(v_s)).
+    Runs the strategies' decision kernel (_two_layer_credit, with the relay
+    joining after ctx.x) at nu_s = v_s on every block, with nu_r read from
+    the first fading column.  Layer 2 is checked against r1 = 0, which every
+    block's nonnegative layer-1 information meets, so its decision is the
+    post-cancellation condition alone.  The comparand for the analytic
+    bounds is exp(-threshold(v_s)).
     """
     if layer not in (1, 2):
         raise ValueError("layer must be 1 or 2")
     if blocks < 1:
         raise ValueError("blocks must be >= 1")
-    alloc, cfg, x = ctx.alloc, ctx.cfg, ctx.x
-    s = v_s * cfg.p_s
-    a, ab = alloc.alpha, alloc.alpha_bar
-    b, bb = alloc.beta, alloc.beta_bar
-    if layer == 1:
-        known, rate = x * (math.log1p(s) - math.log1p(ab * s)), ctx.r1
-    else:
-        known, rate = x * math.log1p(ab * s), ctx.r2
+    r1 = ctx.r1 if layer == 1 else 0.0
 
     def chunk_stats(i: int, size: int, ws: _Workspace):
-        el, info, den, bb_el = (row[:size] for row in ws.rows[:4])
-        np.multiply(_fading_chunk(seed, i, ws, size, columns=1, read=1)[0], cfg.p_r,
-                    out=el)
-        np.multiply(el, bb, out=bb_el)
-        if layer == 1:  # (1 - x) log1p((a s + b el) / (1 + ab s + bb el))
-            _relay_phase(info, den, s, a, el, b, ab * s, bb_el, 1.0 - x)
-        else:  # (1 - x) log1p(ab s + bb el)
-            _scaled(np.log1p(np.add(bb_el, ab * s, out=info), out=info), 1.0 - x)
-        np.add(info, known, out=info)
-        return _count_stats((1.0,), (np.greater_equal(info, rate, out=ws.flags[0][:size]),))
+        nu_r = _fading_chunk(seed, i, ws, size, read=1)[0]
+        decisions = _two_layer_credit(np.full(size, v_s), nu_r, ctx.alloc, ctx.cfg,
+                                      ctx.x, ctx.x, r1, ctx.r2, ws)
+        return _count_stats((1.0,), (decisions[layer - 1],))
 
     n, mean, m2 = _run_chunks(blocks, chunk_stats)
     return SimEstimate(mean=mean, stderr=_stderr(n, m2), blocks=n, seed=seed)

@@ -172,6 +172,17 @@ class TestUBound:
             est = conditional_layer_probability(v, 2, ctx, blocks=200_000, seed=62)
             assert abs(want - est.mean) < 3 * max(est.stderr, 1e-4)
 
+    def test_conditional_layer_two_ignores_layer_one(self):
+        # below the discontinuity no nu_r decodes layer 1 (K = +inf), yet the
+        # layer-2 estimate is U's condition alone: exp(-U) = 0.066 here
+        ctx = BoundContext.from_config(TwoLayerAllocation(alpha=0.9, eta1=0.5, eta2=0.75),
+                                       PowerConfig(p_s=5.0, p_r=5.0, q=1.5))
+        v = 0.0486
+        assert v < discontinuity_point(ctx) and relay_threshold_bound(v, ctx) == math.inf
+        assert conditional_layer_probability(v, 1, ctx, blocks=200_000, seed=64).mean == 0.0
+        est = conditional_layer_probability(v, 2, ctx, blocks=200_000, seed=64)
+        assert abs(math.exp(-u_bound(v, ctx)) - est.mean) < 3 * max(est.stderr, 1e-4)
+
     def test_probability_one_beyond_eta2(self):
         alloc = TwoLayerAllocation(alpha=0.6, eta1=0.4, eta2=1.4)
         ctx = BoundContext.from_config(alloc, PowerConfig(p_s=8.0, p_r=5.0, q=30.0))
@@ -529,16 +540,20 @@ def test_k_at_high_power_matches_an_80_digit_evaluation():
     assert got == pytest.approx(HIGH_POWER_K_INTEGRALS, rel=1e-13)
 
 
+# a 78.7 dB plan whose relay decodes after all but 4.75e-9 of the block
+LATE_RELAY_PLAN = (TwoLayerAllocation(alpha=0.0085, eta1=2.8515610502662736,
+                                      eta2=3.3904975210181356),
+                   PowerConfig(p_s=74131024.13009177, p_r=29847158.50734121,
+                               q=3408.0063706907818))
+
+
 def test_lower_range_integral_at_78_7_db():
     # the relay decodes after all but 4.75e-9 of the block, and layer 1 is
     # decodable only on the 1.35e-8 below eta1.  On 4,001 uniform nodes K is
     # +inf below eta1, as its exact value is; the rule's lower-range
     # integral of p1 matches its 80-digit value 8.79e-11, where the
     # difference forms of K and of the discontinuity point read 6.3e-7
-    alloc = TwoLayerAllocation(alpha=0.0085, eta1=2.8515610502662736,
-                               eta2=3.3904975210181356)
-    cfg = PowerConfig(p_s=74131024.13009177, p_r=29847158.50734121,
-                      q=3408.0063706907818)
+    alloc, cfg = LATE_RELAY_PLAN
     ctx = BoundContext.from_config(alloc, cfg)
     assert 1.0 - ctx.x == pytest.approx(4.75e-9, rel=1e-3)
     assert ctx.eta1 - discontinuity_point(ctx) == pytest.approx(1.3536e-8, rel=1e-4)
@@ -546,3 +561,19 @@ def test_lower_range_integral_at_78_7_db():
         assert np.isinf(_k_values(np.linspace(0.0, ctx.eta1, 4001)[:-1], ctx)).all()
     lower = simplex_equal_throughput(alloc, cfg).p_layer1 - math.exp(-alloc.eta1)
     assert lower == pytest.approx(8.790207232865943e-11, abs=1e-16)
+
+
+# U at LATE_RELAY_PLAN's nu_s = eta2 - f (eta2 - eta1) for f = 1e-6, 1e-7,
+# 1e-8 and 1e-9, evaluated once by 60-digit mpmath from the same float plan
+# and points, with the plan's exact 1 - x.  U formed from (log Z - r2)/(x - 1)
+# was off by up to 9.3e-4 on these points
+LATE_RELAY_U = (2939121854520531.5, 231.26692783957745, 3.3494022377745942,
+                0.2867593176108984)
+
+
+def test_u_at_78_7_db_matches_a_60_digit_evaluation():
+    alloc, cfg = LATE_RELAY_PLAN
+    ctx = BoundContext.from_config(alloc, cfg)
+    v = [alloc.eta2 - f * (alloc.eta2 - alloc.eta1) for f in (1e-6, 1e-7, 1e-8, 1e-9)]
+    assert list(_u_values(np.array(v), ctx)) == pytest.approx(LATE_RELAY_U, rel=1e-12)
+    assert [u_bound(x, ctx) for x in v] == pytest.approx(LATE_RELAY_U, rel=1e-12)

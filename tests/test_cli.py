@@ -147,6 +147,7 @@ def test_sweep_rejects_bad_grid():
     *((flag, value) for flag in ("--ps-db-start", "--ps-db-stop", "--ps-db-step")
       for value in ("nan", "inf")),
     ("--ps-db-step", "1e-320"),  # finite bounds, but (stop - start) / step overflows
+    ("--ps-db-step", "1e-300"),  # a finite count of 10^301 points
 ])
 def test_sweep_rejects_a_non_finite_grid(flag, value):
     grid = {"--ps-db-start": "0", "--ps-db-stop": "10", "--ps-db-step": "5", flag: value}
@@ -223,6 +224,17 @@ def test_library_errors_exit_with_one_line(tmp_path, capsys, argv):
                 "simplex-equal": "eta1 <= eta2 required",
                 "continuous-miso": "no layering range for sum-fading"}
     assert expected[argv[2]] in err
+
+
+def test_an_allocation_failure_exits_with_one_line(monkeypatch, capsys):
+    # --coarse 2000000 asks for a 3.64 TiB eta-pair mask; no test allocates it
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 3.64 TiB for an array")
+
+    monkeypatch.setattr(relaycast.cli, "maximize_throughput", fail)
+    assert main(["optimize", "--scheme", "direct", "--ps-db", "10", "--coarse", "2000000"]) == 1
+    err = capsys.readouterr().err
+    assert err == "relaycast: Unable to allocate 3.64 TiB for an array\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -341,10 +341,11 @@ class TestMaximizeThroughput:
                                   PowerConfig(10.0, 10.0, 100.0), coarse_points=10)
         assert searches == [(0.7, 1.0)]
         # (value, beta) captured before the line searches became Brent's to a
-        # 1e-7 bracket, then after; the current value may not fall below the
-        # old by more than 1e-6 relative
+        # 1e-7 bracket, then after (its last bit re-captured when U moved to
+        # the complement x_bar); the current value may not fall below the old
+        # by more than 1e-6 relative
         old = (1.0410386128522764, 0.7000002609033692)
-        current = (1.0410386151708304, 0.7000000365909307)
+        current = (1.0410386151708306, 0.7000000365909307)
         assert current[0] >= old[0] * (1.0 - 1e-6)
         assert (res.value, res.params["beta"]) == current
 
