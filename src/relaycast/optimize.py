@@ -1,8 +1,8 @@
 """Deterministic allocation optimizers.
 
-Every two-layer search, the source's oblivious plan included, is one coarse
-grid over the eta1 <= eta2 triangle (maximize_throughput) followed by
-coordinate-wise Brent line searches to a 1e-7 bracket (_coordinate_ascent,
+Every two-layer search of a free parameter subset is one coarse grid over
+the eta1 <= eta2 triangle (maximize_throughput) followed by coordinate-wise
+Brent line searches to a 1e-7 bracket (_coordinate_ascent,
 golden_section_max): the objectives are cheap, at most four-dimensional,
 and may be non-smooth at branch boundaries of the closed forms, so an
 auditable deterministic search beats stochastic methods here.  A
@@ -12,6 +12,10 @@ by more than _TOL = 1e-6.
 ``miso-unequal`` with beta free has no grid of its own: the unequal split
 contains the equal one (beta = alpha), so it refines the ``miso-equal``
 optimum over all free parameters.
+The source's oblivious plan (oblivious_rate_plan) is a direct search with a
+structure of its own: at a fixed alpha the direct value separates into one
+problem per threshold, each solved in closed form or by a monotone root, so
+the plan is one Brent search over alpha.
 The ``direct`` and ``miso-equal`` kernels are twolayer._tail_kernels of
 their layer tails, e^{-eta} and P(Y > eta*P_s).  A ``miso-equal`` search
 computes each tail once: a line search moves at most one threshold and the
@@ -37,7 +41,7 @@ import numpy as np
 
 from . import twolayer
 from .model import PowerConfig, TwoLayerAllocation
-from .outage import y_sum_tail
+from .outage import optimal_single_user_rate, y_sum_tail
 
 __all__ = [
     "OptResult",
@@ -65,6 +69,9 @@ _N_STARTS = 3  # coarse-grid points refined by maximize_throughput
 # scalar kernel; it covers the last-ulp gaps between numpy's and math's
 # exp/log1p in the direct and miso-equal grids
 _SHORTLIST_RTOL = 1e-6
+_ALPHA_SCAN = 17  # evenly spaced alphas the oblivious plan scores first
+_ALPHA_TOL = 1e-9  # bracket width the plan's alpha search ends at
+_ROOT_STEPS = 100  # most evaluations of h per eta1 root
 
 
 @dataclass(frozen=True)
@@ -166,7 +173,8 @@ def _coordinate_ascent(value: Callable[[list[float]], float],
     passes ran.  One position stops after one pass, since ``bounds`` of a
     position does not read that position, so a second pass would repeat the
     same search.  Line searches end ten times finer than _TOL: at 1e-6 the
-    oblivious plan fell by up to 2.1e-5 at 79 dB, where 1 - alpha < 1e-6.
+    64-point direct search over (alpha, eta1, eta2) fell by up to 2.1e-5 at
+    79 dB, where 1 - alpha < 1e-6.
 
     A whole-box pass searches each position over ``bounds(i, point)``; the
     first pass is one, and so is the pass after any other pass that moved no
@@ -326,9 +334,10 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     if grid is not None:  # rescored on the scalar kernel; each point counts once
         evals += coarse.size - len(shortlist)
         coarse[shortlist] = [value(point(i)) for i in shortlist]
-    # ties go to fewer eta steps: by grid order alone 10 of 401 oblivious plans
-    # (-20..80 dB) fall, by up to 5.3e-6 near -19 dB from a tied start on the
-    # flat alpha = 0 edge, for 0.02% fewer evaluations (ROADMAP, Settled)
+    # ties go to fewer eta steps: by grid order alone 10 of 401 64-point direct
+    # searches over (alpha, eta1, eta2) at -20..80 dB fall, by up to 5.3e-6
+    # near -19 dB from a tied start on the flat alpha = 0 edge, for 0.02%
+    # fewer evaluations (ROADMAP, Settled)
     steps = k - j if "eta1" in free and "eta2" in free else 0 * j
     shortlist.sort(key=lambda i: (-coarse[i], steps[i % j.size], i))
 
@@ -372,17 +381,91 @@ def _unequal_from_equal(equal: OptResult, free: Sequence[str],
                      coarse_best=equal.coarse_best)
 
 
+def _single_layer_eta(p: float) -> float:
+    """expm1(W(P))/P, the threshold maximizing log1p(eta P) e^{-eta}."""
+    return math.expm1(optimal_single_user_rate(p)) / p
+
+
+def _profiled_thresholds(alpha: float, p_s: float, eta_w: float
+                         ) -> tuple[float, float, int]:
+    """(eta1, eta2, root steps) maximizing the direct value at power split
+    alpha, with eta_w = _single_layer_eta(p_s).
+
+    The value r1(eta1) e^{-eta1} + r2(eta2) e^{-eta2} separates.  eta2 is
+    _single_layer_eta(alpha_bar P), and eta1 the root of the cancellation-free
+    h(eta) = alpha P/((1 + eta P)(1 + eta alpha_bar P))
+             - log1p(eta alpha P/(1 + eta alpha_bar P)),
+    convex and falling from alpha P to log(alpha_bar).  h(eta_w) <= 0 (as a
+    function of alpha_bar P on [0, P] it is 0 at both ends with one minimum
+    between), so eta1 <= eta_w <= eta2.  Newton steps run from eta_w on the
+    bracket [0, eta_w] that h's signs narrow, bisecting where a step leaves
+    it, until a step would move eta1 by at most 4e-16 of itself, or for
+    _ROOT_STEPS evaluations of h (the root steps).  At alpha 0 or 1, at a
+    split that underflows, and where rounding puts eta1 above eta2, the
+    result is the single-layer pair eta1 = eta2 = eta_w.
+    """
+    a, b = alpha * p_s, max(1.0 - alpha, 0.0) * p_s
+    if not (a > 0.0 and b > 0.0):
+        return eta_w, eta_w, 0
+    lo, hi, x, steps = 0.0, eta_w, eta_w, 0
+    while steps < _ROOT_STEPS:
+        steps += 1
+        u, v = 1.0 + x * p_s, 1.0 + x * b
+        g = a / u / v
+        hx = g - math.log1p(x * a / v)
+        if hx > 0.0:
+            lo = x
+        elif hx < 0.0:
+            hi = x
+        else:  # a root, or NaN past overflow
+            break
+        d = g * (1.0 + p_s / u + b / v)  # -h'(x)
+        if abs(hx) <= 4e-16 * x * d:  # the Newton step is rounding
+            break
+        t = x + hx / d if d > 0.0 else math.nan
+        x = t if lo < t < hi else 0.5 * (lo + hi)
+    eta2 = _single_layer_eta(b)
+    return (eta_w, eta_w, steps) if x > eta2 else (x, eta2, steps)
+
+
 def oblivious_rate_plan(p_s: float) -> TwoLayerAllocation:
     """The source's relay-unaware two-layer plan: maximize the direct throughput.
 
-    The maximize_throughput("direct") search over (alpha, eta1, eta2) with 64
-    grid points per dimension.
+    Both thresholds are profiled out (_profiled_thresholds), so the plan is a
+    search over alpha alone, each alpha scored by CLOSED_FORMS["direct"].rate:
+    a scan of _ALPHA_SCAN evenly spaced alphas on [0, 1], then a Brent search
+    (golden_section_max) to a _ALPHA_TOL bracket between the best scan
+    point's neighbours, whose result is kept only if it is not below that
+    point.  ``p_s`` must be positive and finite.  Logs one DEBUG line with
+    the alphas scored, the root steps of eta1 (total and most for one alpha),
+    the alphas whose thresholds fell back to the single-layer pair, whether
+    the plan is that pair, and its value.
     """
-    if p_s <= 0.0:
-        raise ValueError("p_s must be positive")
-    res = maximize_throughput("direct", ("alpha", "eta1", "eta2"), {},
-                              PowerConfig(p_s, 0.0, 0.0), coarse_points=64)
-    return TwoLayerAllocation(**res.params)
+    if not 0.0 < p_s < math.inf:
+        raise ValueError(f"p_s must be positive and finite, got {p_s!r}")
+    rate = twolayer.CLOSED_FORMS["direct"].rate
+    eta_w = _single_layer_eta(p_s)
+    steps, fallbacks = [], 0
+
+    def value(alpha: float) -> float:
+        nonlocal fallbacks
+        eta1, eta2, n = _profiled_thresholds(alpha, p_s, eta_w)
+        steps.append(n)
+        fallbacks += eta1 == eta2
+        return rate(alpha, alpha, eta1, eta2, p_s, 0.0)
+
+    grid = [i / (_ALPHA_SCAN - 1) for i in range(_ALPHA_SCAN)]
+    scan = [value(a) for a in grid]
+    i = scan.index(max(scan))
+    alpha, best = golden_section_max(value, grid[max(i - 1, 0)],
+                                     grid[min(i + 1, _ALPHA_SCAN - 1)], tol=_ALPHA_TOL)
+    if best < scan[i]:
+        alpha, best = grid[i], scan[i]
+    eta1, eta2, _ = _profiled_thresholds(alpha, p_s, eta_w)
+    log.debug("oblivious_rate_plan p_s=%.6g alphas=%d root_steps=%d max_root_steps=%d "
+              "fallbacks=%d single_layer=%s value=%.6g", p_s, len(steps), sum(steps),
+              max(steps), fallbacks, eta1 == eta2, best)
+    return TwoLayerAllocation(alpha=alpha, eta1=eta1, eta2=eta2)
 
 
 def miso_single_layer_rate(p_s: float, p_r: float) -> float:

@@ -108,14 +108,115 @@ class TestObliviousPlan:
         with pytest.raises(ValueError):
             oblivious_rate_plan(0.0)
 
+    @pytest.mark.parametrize("p_s", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_p_s_outside_the_domain_before_any_search(self, p_s, monkeypatch):
+        # no threshold is computed: NaN would otherwise reach
+        # TwoLayerAllocation's "eta1 must be finite"
+        monkeypatch.setattr(optimize, "_single_layer_eta", None)
+        monkeypatch.setattr(optimize, "_profiled_thresholds", None)
+        with pytest.raises(ValueError, match="p_s must be positive and finite"):
+            oblivious_rate_plan(p_s)
+
+    def test_never_below_the_grid_search(self):
+        # the 64-point maximize_throughput("direct") search that was the plan,
+        # at the 41 points -20..80 dB in 2.5 dB steps
+        for ps_db in np.arange(-20.0, 80.1, 2.5):
+            p_s = 10 ** (ps_db / 10)
+            grid = maximize_throughput("direct", ("alpha", "eta1", "eta2"), {},
+                                       PowerConfig(p_s, 0.0, 0.0), coarse_points=64)
+            grid_value = plan_value(TwoLayerAllocation(**grid.params), p_s)
+            assert plan_value(oblivious_rate_plan(p_s), p_s) >= grid_value * (1.0 - 1e-12)
+
+    def test_logs_one_debug_line(self, monkeypatch, caplog, capsys):
+        steps, searches = [], []
+
+        def profiled(alpha, p_s, eta_w):
+            result = thresholds(alpha, p_s, eta_w)
+            steps.append(result[2])
+            return result
+
+        def counted(*args, **kwargs):
+            searches.append(args[1:3])
+            return golden_section_max(*args, **kwargs)
+
+        thresholds = optimize._profiled_thresholds
+        monkeypatch.setattr(optimize, "_profiled_thresholds", profiled)
+        monkeypatch.setattr(optimize, "golden_section_max", counted)
+        caplog.set_level(logging.DEBUG, logger="relaycast.optimize")
+        plan = oblivious_rate_plan(10.0)
+        [record] = caplog.records
+        # the last call re-derives the chosen plan's thresholds
+        scored = steps[:-1]
+        assert len(searches) == 1 and len(scored) > optimize._ALPHA_SCAN
+        assert record.levelno == logging.DEBUG and capsys.readouterr().out == ""
+        assert record.getMessage() == (
+            f"oblivious_rate_plan p_s=10 alphas={len(scored)} root_steps={sum(scored)} "
+            f"max_root_steps={max(scored)} fallbacks=2 single_layer=False "
+            f"value={plan_value(plan, 10.0):.6g}")
+
+
+# (alpha, P_s, eta1, eta2) with eta1 the root of h and eta2 = expm1(W(alpha_bar
+# P_s))/(alpha_bar P_s), both evaluated once by 40-digit mpmath (eta1 by 200
+# bisections of h) from the same floats; the last two are the 70 and 80 dB
+# plans' splits
+PROFILED_THRESHOLDS = (
+    (0.05, 0.01, 0.99043565296436762, 0.99530921916674779),
+    (0.5, 0.01, 0.99261441952530219, 0.9975165273615797),
+    (0.3, 1.0, 0.6469069097539164, 0.80621396617673709),
+    (0.75, 1.0, 0.70907611669522524, 0.90464500270457471),
+    (0.1, 10.0, 0.27620771581303502, 0.48447567899764487),
+    (0.8, 10.0, 0.36634035514032521, 0.67287537746138276),
+    (0.99, 316.22776601683796, 0.1745547108014359, 0.61222676086227498),
+    (0.5, 100000.0, 0.0037905061679717614, 0.1154407288596295),
+    (0.9999847675013748, 10000000.0, 0.021560042539061652, 0.26269189072108352),
+    (0.9999979730859314, 100000000.0, 0.017276290553402174, 0.24884760951372794),
+)
+# expm1(W(P))/P, the single-layer threshold, by 40-digit mpmath
+SINGLE_LAYER_ETA = {0.01: 0.99506556257502963, 1.0: 0.76322283435189671,
+                    10.0: 0.47289255653869415, 1e8: 0.063820285463711153}
+
+
+class TestProfiledThresholds:
+    """optimize._profiled_thresholds, the thresholds of the oblivious plan at
+    a fixed power split."""
+
+    @pytest.mark.parametrize("alpha,p_s,eta1,eta2", PROFILED_THRESHOLDS)
+    def test_matches_a_40_digit_evaluation(self, alpha, p_s, eta1, eta2):
+        got1, got2, steps = optimize._profiled_thresholds(
+            alpha, p_s, optimize._single_layer_eta(p_s))
+        assert got1 == pytest.approx(eta1, rel=1e-13, abs=0.0)
+        assert got2 == pytest.approx(eta2, rel=1e-13, abs=0.0)
+        assert 0 < steps < optimize._ROOT_STEPS
+
+    @pytest.mark.parametrize("p_s,eta", SINGLE_LAYER_ETA.items())
+    def test_edges_are_the_single_layer_plan(self, p_s, eta):
+        assert optimize._single_layer_eta(p_s) == pytest.approx(eta, rel=1e-13, abs=0.0)
+        eta_w = optimize._single_layer_eta(p_s)
+        for alpha in (0.0, 1.0):
+            assert optimize._profiled_thresholds(alpha, p_s, eta_w) == (eta_w, eta_w, 0)
+
+    def test_eta1_never_exceeds_eta2(self):
+        # h(eta_w) <= 0 at every split, so eta1 <= eta_w <= eta2
+        for p_s in 10.0 ** np.arange(-2.0, 8.01, 0.5):
+            eta_w = optimize._single_layer_eta(p_s)
+            for alpha in np.linspace(0.0, 1.0, 41).tolist() + [1e-9, 1.0 - 1e-9]:
+                eta1, eta2, _ = optimize._profiled_thresholds(alpha, p_s, eta_w)
+                assert eta1 <= eta_w <= eta2
+
+    def test_crossed_thresholds_fall_back_to_the_single_layer_plan(self, monkeypatch):
+        # an eta2 below the eta1 root (rounding's doing at the far edges of
+        # the domain) gives the single-layer pair
+        eta_w = optimize._single_layer_eta(10.0)
+        monkeypatch.setattr(optimize, "_single_layer_eta", lambda p: 0.01)
+        assert optimize._profiled_thresholds(0.5, 10.0, eta_w)[:2] == (eta_w, eta_w)
+
 
 # (P_s dB, alpha, eta1, eta2 as float.hex) of oblivious_rate_plan(P_s), as
 # its own 64-point grid search gave them before the plan became a direct
-# maximize_throughput call.  The coarse grid holds exact ties below about
-# -17.5 dB and above about 71 dB (one threshold drops out of the objective on
-# the alpha = 0 and alpha = 1 rows); at -19.5, -19.25, -18.75, 71.5, 71.75 and
-# 74.5 dB the plan depends on breaking them by fewer grid steps between eta1
-# and eta2
+# maximize_throughput call.  That grid held exact ties below about -17.5 dB
+# and above about 71 dB, which its tie rule broke; the plan is now a search
+# over alpha alone with both thresholds profiled out, so no grid tie decides
+# it, and these dB points stay as they were pinned
 PINNED_PLANS = [
     (-20.0, "0x1.0177dc0efd794p-1", "0x1.fc39c7e5b7e22p-1", "0x1.febc57712deb1p-1"),
     (-19.5, "0x1.01a53a9b9e275p-1", "0x1.fbc6237de4f1bp-1", "0x1.fe9563d1d860fp-1"),
@@ -150,67 +251,96 @@ PINNED_PLANS = [
 
 # the plans of PINNED_PLANS, keyed by P_s dB, as each of them moved, oldest
 # first: when every line search after a coordinate's first began to span a
-# bracket around the coordinate's last move, and when the line searches
-# became Brent's to a 1e-7 bracket.  The last capture is the current plan,
+# bracket around the coordinate's last move, when the line searches became
+# Brent's to a 1e-7 bracket, and when both thresholds were profiled out of
+# a search over alpha alone.  The last capture is the current plan,
 # and its direct objective may not fall below the PINNED_PLANS plan's or an
 # earlier capture's by more than 1e-6 relative
 RECAPTURED_PLANS = {
     -20.0: [("0x1.01793ae1e291cp-1", "0x1.fc39cc0b84fdap-1", "0x1.febc59a725a74p-1"),
-            ("0x1.01781bae9f33bp-1", "0x1.fc39c9f52212cp-1", "0x1.febc574a4c9a2p-1")],
+            ("0x1.01781bae9f33bp-1", "0x1.fc39c9f52212cp-1", "0x1.febc574a4c9a2p-1"),
+            ("0x1.01783f9c5e685p-1", "0x1.fc39ca26e9e2cp-1", "0x1.febc57c2de833p-1")],
     -19.5: [("0x1.01a582778ca32p-1", "0x1.fbc624891deb4p-1", "0x1.fe95637fd5e14p-1"),
-            ("0x1.01a562b8dc38fp-1", "0x1.fbc62438d479bp-1", "0x1.fe9563a8480c5p-1")],
+            ("0x1.01a562b8dc38fp-1", "0x1.fbc62438d479bp-1", "0x1.fe9563a8480c5p-1"),
+            ("0x1.01a5bb63afee9p-1", "0x1.fbc624ffd669dp-1", "0x1.fe95647eee619p-1")],
     -19.25: [("0x1.01be6b4a5e2dcp-1", "0x1.fb875622fbcefp-1", "0x1.fe8037f9ed655p-1"),
-             ("0x1.01bd536bfd65fp-1", "0x1.fb8752abfcc43p-1", "0x1.fe80363f94e7fp-1")],
+             ("0x1.01bd536bfd65fp-1", "0x1.fb8752abfcc43p-1", "0x1.fe80363f94e7fp-1"),
+             ("0x1.01be5da501762p-1", "0x1.fb87556adee63p-1", "0x1.fe8037ce0f620p-1")],
     -18.75: [("0x1.01f311e71d30ep-1", "0x1.fafeceed2e97ap-1", "0x1.fe52241777ce1p-1"),
-             ("0x1.01f357dbe1c87p-1", "0x1.fafecf6870f35p-1", "0x1.fe5223f033f6cp-1")],
+             ("0x1.01f357dbe1c87p-1", "0x1.fafecf6870f35p-1", "0x1.fe5223f033f6cp-1"),
+             ("0x1.01f36296c88d9p-1", "0x1.fafecf6a7d394p-1", "0x1.fe52251b22cabp-1")],
     -18.0: [("0x1.024f569096b1ap-1", "0x1.fa13bcf641370p-1", "0x1.fe02aa73eec85p-1"),
-            ("0x1.024f1d2b5b61ap-1", "0x1.fa13bbd3cfc03p-1", "0x1.fe02aa0811361p-1")],
+            ("0x1.024f1d2b5b61ap-1", "0x1.fa13bbd3cfc03p-1", "0x1.fe02aa0811361p-1"),
+            ("0x1.024f76ef3a238p-1", "0x1.fa13bcba43348p-1", "0x1.fe02aae64cde5p-1")],
     -17.5: [("0x1.02959876ae64fp-1", "0x1.f9603a2e80bc2p-1", "0x1.fdc5d80d7e4fep-1"),
-            ("0x1.029543039495cp-1", "0x1.f96038d6d0f69p-1", "0x1.fdc5d76241a63p-1")],
+            ("0x1.029543039495cp-1", "0x1.f96038d6d0f69p-1", "0x1.fdc5d76241a63p-1"),
+            ("0x1.02959497bcf7bp-1", "0x1.f960398c9701fp-1", "0x1.fdc5d8a17dbfap-1")],
     -17.0: [("0x1.02e3b5a5e4c42p-1", "0x1.f8982c10d582bp-1", "0x1.fd81efe8044fdp-1"),
-            ("0x1.02e3b483a6807p-1", "0x1.f8982c642f4a3p-1", "0x1.fd81ef4430708p-1")],
+            ("0x1.02e3b483a6807p-1", "0x1.f8982c642f4a3p-1", "0x1.fd81ef4430708p-1"),
+            ("0x1.02e3cb3d343f3p-1", "0x1.f8982c556405ap-1", "0x1.fd81ef7c7810fp-1")],
     -15.0: [("0x1.04804c5771fb1p-1", "0x1.f47c2e05d384ap-1", "0x1.fc1a8b5f4e3e7p-1"),
-            ("0x1.04806d979839ap-1", "0x1.f47c2e7c46903p-1", "0x1.fc1a8da2fb328p-1")],
+            ("0x1.04806d979839ap-1", "0x1.f47c2e7c46903p-1", "0x1.fc1a8da2fb328p-1"),
+            ("0x1.0480975573ef4p-1", "0x1.f47c2f9ef025bp-1", "0x1.fc1a8e453cec3p-1")],
     -12.5: [("0x1.07bbf0290a428p-1", "0x1.ec4c58be10de9p-1", "0x1.f9431f20cfe55p-1"),
-            ("0x1.07bbf31e9c6fcp-1", "0x1.ec4c5969b6314p-1", "0x1.f9431ec8a4dbdp-1")],
+            ("0x1.07bbf31e9c6fcp-1", "0x1.ec4c5969b6314p-1", "0x1.f9431ec8a4dbdp-1"),
+            ("0x1.07bbd23957d61p-1", "0x1.ec4c57f12d0a0p-1", "0x1.f9431d25f0616p-1")],
     -10.0: [("0x1.0cfd3c32c1b92p-1", "0x1.df1f60eeb9821p-1", "0x1.f48fd707398f5p-1"),
-            ("0x1.0cfd42d624437p-1", "0x1.df1f612ce8ccdp-1", "0x1.f48fd76b7d0abp-1")],
+            ("0x1.0cfd42d624437p-1", "0x1.df1f612ce8ccdp-1", "0x1.f48fd76b7d0abp-1"),
+            ("0x1.0cfd3c8d46f09p-1", "0x1.df1f611f8e600p-1", "0x1.f48fd66c96c1dp-1")],
     -5.0: [("0x1.20d137ec25f63p-1", "0x1.aefded7fda529p-1", "0x1.e1ff5d731e0dbp-1"),
-           ("0x1.20d13e20ac3f3p-1", "0x1.aefded1d5e90cp-1", "0x1.e1ff5e1f07e86p-1")],
+           ("0x1.20d13e20ac3f3p-1", "0x1.aefded1d5e90cp-1", "0x1.e1ff5e1f07e86p-1"),
+           ("0x1.20d147002e424p-1", "0x1.aefdee7851ac3p-1", "0x1.e1ff5f0fcdad4p-1")],
     0.0: [("0x1.43700160ad65ep-1", "0x1.610f3bb072f6cp-1", "0x1.bed7b5c1991d0p-1"),
-          ("0x1.437001c39234ap-1", "0x1.610f3bf6af98fp-1", "0x1.bed7b545da2cap-1")],
+          ("0x1.437001c39234ap-1", "0x1.610f3bf6af98fp-1", "0x1.bed7b545da2cap-1"),
+          ("0x1.436ff58a2bbb5p-1", "0x1.610f39a61f214p-1", "0x1.bed7b25d2cda8p-1")],
     5.0: [("0x1.6fa707bfd0d18p-1", "0x1.08bddd2626c63p-1", "0x1.8e0bbd7d774c0p-1"),
-          ("0x1.6fa704ef9c091p-1", "0x1.08bddd92856acp-1", "0x1.8e0bbf6e0be90p-1")],
+          ("0x1.6fa704ef9c091p-1", "0x1.08bddd92856acp-1", "0x1.8e0bbf6e0be90p-1"),
+          ("0x1.6fa711bba3053p-1", "0x1.08bde04aa38f7p-1", "0x1.8e0bc5101c8d9p-1")],
     10.0: [("0x1.9bc07f0dee3d2p-1", "0x1.785f9f64e9e47p-2", "0x1.59f598ffc955bp-1"),
-           ("0x1.9bc084785d69ep-1", "0x1.785f9ceae0a34p-2", "0x1.59f59d7b4bc5ep-1")],
+           ("0x1.9bc084785d69ep-1", "0x1.785f9ceae0a34p-2", "0x1.59f59d7b4bc5ep-1"),
+           ("0x1.9bc07139354d0p-1", "0x1.785f919f3ded6p-2", "0x1.59f5906d00b0ap-1")],
     15.0: [("0x1.c07f011f98027p-1", "0x1.06e35f6e81127p-2", "0x1.2b2ee5a1451a2p-1"),
-           ("0x1.c07f00565a2fdp-1", "0x1.06e361688d04ep-2", "0x1.2b2ee4fd57d9cp-1")],
+           ("0x1.c07f00565a2fdp-1", "0x1.06e361688d04ep-2", "0x1.2b2ee4fd57d9cp-1"),
+           ("0x1.c07f0e14a1b7ap-1", "0x1.06e36c44ccafbp-2", "0x1.2b2ef3347a26fp-1")],
     20.0: [("0x1.db17a4c1d7a2dp-1", "0x1.71fbab9b1531cp-3", "0x1.04fc3bd53bbe8p-1"),
-           ("0x1.db17a30c859ddp-1", "0x1.71fba49635383p-3", "0x1.04fc383c5587cp-1")],
+           ("0x1.db17a30c859ddp-1", "0x1.71fba49635383p-3", "0x1.04fc383c5587cp-1"),
+           ("0x1.db179a08d3cc8p-1", "0x1.71fb9036948a4p-3", "0x1.04fc2952f3b62p-1")],
     25.0: [("0x1.ec2fda4ea150cp-1", "0x1.0a22150761681p-3", "0x1.ce49e308dc98dp-2"),
-           ("0x1.ec2fea4c73262p-1", "0x1.0a224e5928d9ap-3", "0x1.ce4a322b26374p-2")],
+           ("0x1.ec2fea4c73262p-1", "0x1.0a224e5928d9ap-3", "0x1.ce4a322b26374p-2"),
+           ("0x1.ec2fe315273dep-1", "0x1.0a2236bb9dcf7p-3", "0x1.ce4a0b8dcf652p-2")],
     30.0: [("0x1.f61950179b402p-1", "0x1.8a206e71a7cafp-4", "0x1.a05dafb3627d6p-2"),
-           ("0x1.f61948d99229ap-1", "0x1.8a202562bc735p-4", "0x1.a05d67181478ap-2")],
+           ("0x1.f61948d99229ap-1", "0x1.8a202562bc735p-4", "0x1.a05d67181478ap-2"),
+           ("0x1.f6194c85f5309p-1", "0x1.8a204e529fcd2p-4", "0x1.a05d8a278dbfbp-2")],
     40.0: [("0x1.fdef1c6158a74p-1", "0x1.d9ba68c5b2eb6p-5", "0x1.616f57d94082dp-2"),
-           ("0x1.fdef1d41c2036p-1", "0x1.d9baaf4c8eb13p-5", "0x1.616f7a782b1d2p-2")],
+           ("0x1.fdef1d41c2036p-1", "0x1.d9baaf4c8eb13p-5", "0x1.616f7a782b1d2p-2"),
+           ("0x1.fdef1e64c079ap-1", "0x1.d9bb04354502dp-5", "0x1.616fa4c5e03c0p-2")],
     50.0: [("0x1.ffa3f968f9dcbp-1", "0x1.3cf10ab03cab3p-5", "0x1.3a204bb01ec63p-2"),
-           ("0x1.ffa3fb89d4cccp-1", "0x1.3cf39f82b935ep-5", "0x1.3a21cfe9c42edp-2")],
+           ("0x1.ffa3fb89d4cccp-1", "0x1.3cf39f82b935ep-5", "0x1.3a21cfe9c42edp-2"),
+           ("0x1.ffa3fb7228f06p-1", "0x1.3cf382177ef62p-5", "0x1.3a21be13e50eep-2")],
     60.0: [("0x1.fff1daa24d9bcp-1", "0x1.cba334b1699bfp-6", "0x1.1fc96c2ccceb2p-2"),
-           ("0x1.fff1db99d55c6p-1", "0x1.cbaf144bd12d9p-6", "0x1.1fcd5af04aa9cp-2")],
+           ("0x1.fff1db99d55c6p-1", "0x1.cbaf144bd12d9p-6", "0x1.1fcd5af04aa9cp-2"),
+           ("0x1.fff1dc2de7739p-1", "0x1.cbb61fc2bac9ep-6", "0x1.1fcfb3fe76c8dp-2")],
     70.0: [("0x1.fffe04186af4cp-1", "0x1.621b7ace51b78p-6", "0x1.0d52be683278ep-2"),
-           ("0x1.fffe0106abfccp-1", "0x1.614748a53a0e7p-6", "0x1.0d02d5b7f85bbp-2")],
+           ("0x1.fffe0106abfccp-1", "0x1.614748a53a0e7p-6", "0x1.0d02d5b7f85bbp-2"),
+           ("0x1.fffe00e1d5495p-1", "0x1.613d5f66ff057p-6", "0x1.0cff1a5e5fdcap-2")],
     71.5: [("0x1.fffe8712d429bp-1", "0x1.5599588a37ff0p-6", "0x1.0ae53017cac97p-2"),
-           ("0x1.fffe84df9552dp-1", "0x1.54d27fd13be7cp-6", "0x1.0a990ddd401e2p-2")],
+           ("0x1.fffe84df9552dp-1", "0x1.54d27fd13be7cp-6", "0x1.0a990ddd401e2p-2"),
+           ("0x1.fffe85109e550p-1", "0x1.54e3bbd0f0591p-6", "0x1.0a9fa8a236cd3p-2")],
     71.75: [("0x1.fffe940b345a4p-1", "0x1.519fa6ff3e86ep-6", "0x1.09bef89d3763fp-2"),
-            ("0x1.fffe976641c10p-1", "0x1.52d99fb7d76f7p-6", "0x1.0a3798fec057ap-2")],
+            ("0x1.fffe976641c10p-1", "0x1.52d99fb7d76f7p-6", "0x1.0a3798fec057ap-2"),
+            ("0x1.fffe978af9805p-1", "0x1.52e71f363b6bdp-6", "0x1.0a3cc904bc79dp-2")],
     72.5: [("0x1.fffec9afecdedp-1", "0x1.4d025d9f5eee2p-6", "0x1.0913217a41ceap-2"),
-           ("0x1.fffec98d520abp-1", "0x1.4cf3f124105fcp-6", "0x1.090d7bb24dcbbp-2")],
+           ("0x1.fffec98d520abp-1", "0x1.4cf3f124105fcp-6", "0x1.090d7bb24dcbbp-2"),
+           ("0x1.fffec9cf477dcp-1", "0x1.4d0fb17c4636ep-6", "0x1.09183d43020b5p-2")],
     74.5: [("0x1.ffff309fa921cp-1", "0x1.3e63e1d80a3d0p-6", "0x1.06310930d2033p-2"),
-           ("0x1.ffff309fd8263p-1", "0x1.3e64068cf7a1dp-6", "0x1.06311516faab2p-2")],
+           ("0x1.ffff309fd8263p-1", "0x1.3e64068cf7a1dp-6", "0x1.06311516faab2p-2"),
+           ("0x1.ffff307d3846ep-1", "0x1.3e4f13ee32584p-6", "0x1.0628c80048735p-2")],
     77.5: [("0x1.ffff8bb8827a7p-1", "0x1.26f247e158913p-6", "0x1.00b3870d817b6p-2"),
-           ("0x1.ffff8eaa5a31bp-1", "0x1.29f8a42d306adp-6", "0x1.01f09f4355328p-2")],
+           ("0x1.ffff8eaa5a31bp-1", "0x1.29f8a42d306adp-6", "0x1.01f09f4355328p-2"),
+           ("0x1.ffff8edfc609ap-1", "0x1.2a307f5c80411p-6", "0x1.02077fcac7b10p-2")],
     80.0: [("0x1.ffffb62c96066p-1", "0x1.11e6a1bae47bdp-6", "0x1.f5eee857a4480p-3"),
-           ("0x1.ffffbba9792d0p-1", "0x1.1a83a301e8e14p-6", "0x1.fd2f779f5465cp-3")],
+           ("0x1.ffffbba9792d0p-1", "0x1.1a83a301e8e14p-6", "0x1.fd2f779f5465cp-3"),
+           ("0x1.ffffbbfcf0d38p-1", "0x1.1b0e03bb1359cp-6", "0x1.fda3d0c464d7fp-3")],
 }
 
 

@@ -11,8 +11,8 @@ Runs, in-process and into a temporary directory:
 * ``sweep`` for every scheme it offers, at ``--q-db 15,20 --ratio 0.5,1``
   over 0..20 dB in 5 dB steps, and ``simplex-equal`` again at ``--q-db 20
   --ratio 1`` over 50..80 dB in 10 dB steps, and ``direct-2`` over -20..-15
-  dB and 70..80 dB in 0.25 dB steps, where the oblivious plan's coarse grid
-  holds exact ties;
+  dB and 70..80 dB in 0.25 dB steps, where the 64-point grid that was the
+  oblivious plan's search held exact ties;
 * ``rate`` for every scheme at the default powers (the two-layer schemes at
   alpha 0.7, eta 0.3/1.8), ``simplex-equal`` at alpha 0, eta 0.5/1 and
   at alpha 0.5, eta 1/1, and ``miso-unequal`` at beta 0.70000003, whose
