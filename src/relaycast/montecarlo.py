@@ -17,13 +17,25 @@ own, so the stream depends only on (seed, block index), never on how many
 workers process the chunks, and runs with the same seed share fading across
 strategies (common random numbers).
 
+Decision domains: a chunk decides in the cheapest domain whose decisions
+equal the log-domain ones up to a rounding tie (docs/conformance.md):
+``uniform`` when the relay never helps (eps1 = 1: direct, SDF at eps = 1,
+a simplex or full-duplex relay that never decodes), where layer i decodes
+iff u_s reaches the least uniform whose fading reaches eta_i (about
+1 - e^-eta_i), with no inverse-CDF map; ``line`` for MISO
+(eps2 = 0), whose layers decode above straight lines in (nu_s, nu_r); and
+``log``, the phases' summed mutual information, for the phase-mixed rest.
+The map returns log1p(-u) = -nu, and every consumer scales it by -P, which
+is exact: IEEE multiplication is sign-symmetric.
+
 Cost: each worker thread writes every step of its chunks into one reused
-workspace, maps only the fading columns its strategy reads and evaluates
+workspace, maps only the fading columns its domain reads and evaluates
 only the decoding phases of nonzero length; a two-layer or SDF chunk then
 reduces to two decision counts.  On a 2-core Xeon (numpy 2.4) a 65536-block
-chunk takes about 0.50 ms of PCG64DXSM draws and inverse-CDF mapping, the
-floor, plus 0.27 ms (direct) to 1.5 ms (full-duplex with three phases) of
-decisions and counts: 12 to 30 ns per block.
+chunk takes about 0.32 ms of PCG64DXSM draws, the floor, plus 0.25 ms to
+map both columns where its domain reads nu, plus 0.06 ms (uniform), 0.26 ms
+(line) or 1.1 to 1.7 ms (log) of decisions and counts: 6, 13 and 26 to
+35 ns per block.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ import functools
 import itertools
 import logging
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -74,6 +87,19 @@ class SimConfig:
             raise ValueError("blocks must be >= 1")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        params = self.params
+        if self.strategy == "single-layer-SDF":
+            if isinstance(params, bool) or not isinstance(params, numbers.Real) \
+                    or not (math.isfinite(params) and params >= 0.0):
+                raise ValueError(f"single-layer-SDF needs a finite rate >= 0, got {params!r}")
+            object.__setattr__(self, "params", float(params))
+        elif self.strategy == "layered-continuous":
+            if not (isinstance(params, str) and params in ("siso", "relay", "miso")):
+                raise ValueError("layered-continuous needs the mode 'siso', 'relay' or "
+                                 f"'miso', got {params!r}")
+        elif not isinstance(params, TwoLayerAllocation):
+            raise ValueError(f"{self.strategy} needs a TwoLayerAllocation, "
+                             f"got {type(params).__name__}")
 
 
 @dataclass(frozen=True)
@@ -87,18 +113,22 @@ class SimEstimate:
 
 class _Workspace:
     """Scratch arrays for the chunks of one thread, sized for
-    min(CHUNK_BLOCKS, blocks) blocks.
+    min(CHUNK_BLOCKS, blocks) blocks, and the thread's seconds in
+    _fading_chunk (``rng_s``).
 
     Every step of a chunk writes into these with ``out=``, so a simulation
-    allocates its temporaries once instead of once per chunk.
+    allocates its temporaries once instead of once per chunk.  The last two
+    rows first hold the chunk's fading columns (``fading``); every kernel
+    reads those before it writes these rows.
     """
 
     def __init__(self, blocks: int):
         n = min(CHUNK_BLOCKS, blocks)
         self.draws = np.empty(2 * n)  # the chunk's uniforms, blocks x 2
-        self.nu = np.empty(n)  # the first fading column when only it is read
         self.rows = np.empty((9, n))
+        self.fading = self.rows[7:]
         self.flags = np.empty((2, n), dtype=bool)
+        self.rng_s = 0.0
 
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -108,23 +138,25 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _fading_chunk(seed: int, chunk_index: int, ws: _Workspace, size: int,
                   read: int = 2) -> tuple[np.ndarray, ...]:
-    """Exponential fading of one chunk, as a tuple of ``read`` 1-D columns.
+    """Fading of one chunk, as a tuple of contiguous columns in ``ws.fading``.
 
-    Draws the chunk's ``size`` x 2 uniforms into ``ws`` and maps the first
-    ``read`` columns (both, or the first alone) through -log(1 - u).  The
+    Draws the chunk's ``size`` x 2 uniforms into ``ws``.  ``read`` = 0
+    returns the first column's uniforms u_s as drawn; 1 returns that column
+    mapped through log1p(-u) = -nu; 2 returns both columns mapped.  The
     second column is drawn even when it is not read, so every block keeps
     its place in the stream.
     """
+    start = time.perf_counter()
     u = ws.draws[:size * 2].reshape(size, 2)
     _chunk_generator(seed, chunk_index).random(out=u)
-    if read == 2:
-        src = out = ws.draws[:size * 2]
-    else:  # the first column alone, mapped into a contiguous buffer
-        src, out = u[:, 0], ws.nu[:size]
-    np.negative(src, out=out)
-    np.log1p(out, out=out)
-    np.negative(out, out=out)
-    return (out,) if read == 1 else (u[:, 0], u[:, 1])
+    out = tuple(col[:size] for col in ws.fading[:max(read, 1)])
+    if read == 0:
+        np.copyto(out[0], u[:, 0])
+    else:
+        for k, col in enumerate(out):
+            np.log1p(np.negative(u[:, k], out=col), out=col)
+    ws.rng_s += time.perf_counter() - start
+    return out
 
 
 def _scaled(x: np.ndarray, weight: float) -> np.ndarray:
@@ -142,6 +174,54 @@ def _sum(terms: list[np.ndarray]) -> np.ndarray:
     return total
 
 
+def _threshold_decisions(x, thresholds, ws: _Workspace) -> tuple[np.ndarray, ...]:
+    """Nested decisions x >= max(t_1, ..., t_k) for k = 1, 2, ...: layer k
+    decodes with every layer below it.  Written into ``ws.flags``."""
+    return tuple(np.greater_equal(x, t, out=flag[:x.size]) for t, flag in
+                 zip(itertools.accumulate(thresholds, max), ws.flags))
+
+
+def _uniform_thresholds(etas, rates) -> list[float]:
+    """Per layer that decodes iff nu_s >= eta, the least uniform u_s whose
+    fading -log1p(-u_s) reaches eta: -expm1(-eta), one ulp up where its own
+    fading falls short (above u = 1/2 one ulp of u is many of nu).  A layer
+    of rate 0 always decodes (threshold 0)."""
+    thresholds = []
+    for eta, rate in zip(etas, rates):
+        t = 0.0 if rate == 0.0 else -math.expm1(-eta)
+        if 0.0 < t < 1.0 and -math.log1p(-t) < eta:
+            t = math.nextafter(t, 1.0)
+        thresholds.append(t)
+    return thresholds
+
+
+def _line_decisions(m_s, m_r, lines, ws: _Workspace) -> tuple[np.ndarray, ...]:
+    """Nested decisions k_s m_s + k_r m_r >= c, one line (k_s, k_r, c) per
+    layer, each and-ed with the layers below.  Writes into ``ws``."""
+    size = m_s.size
+    value, tmp = (row[:size] for row in ws.rows[:2])
+    decisions = []
+    for (k_s, k_r, c), flag in zip(lines, ws.flags):
+        np.add(np.multiply(m_s, k_s, out=value), np.multiply(m_r, k_r, out=tmp), out=value)
+        dec = np.greater_equal(value, c, out=flag[:size])
+        if decisions:
+            np.logical_and(dec, decisions[-1], out=dec)
+        decisions.append(dec)
+    return tuple(decisions)
+
+
+def _miso_lines(alloc: TwoLayerAllocation, cfg: PowerConfig, r1: float, r2: float):
+    """The MISO decode lines in (m_s, m_r) = (-nu_s, -nu_r), as
+    (k_s, k_r, c) per layer.  With c_i = expm1(r_i), layer 1 decodes iff
+    (a - c1 ab) P_s nu_s + (b - c1 bb) P_r nu_r >= c1, and layer 2 iff
+    ab P_s nu_s + bb P_r nu_r >= c2; a line of rate 0 has c = 0, which every
+    block meets."""
+    a, ab, b, bb = alloc.alpha, alloc.alpha_bar, alloc.beta, alloc.beta_bar
+    c1, c2 = math.expm1(r1), math.expm1(r2)  # r_i <= log1p(eta_i P_s): no overflow
+    return ((-(a - c1 * ab) * cfg.p_s, -(b - c1 * bb) * cfg.p_r, c1),
+            (-ab * cfg.p_s, -bb * cfg.p_r, c2))
+
+
 def _relay_phase(out, den, s, a, el, c, ab_s, bb_el, weight: float) -> np.ndarray:
     """weight * log1p((a s + c el) / (1 + ab s + bb el)) into ``out``, with
     ``den`` as scratch; bb_el = None drops that term."""
@@ -154,34 +234,36 @@ def _relay_phase(out, den, s, a, el, c, ab_s, bb_el, weight: float) -> np.ndarra
     return _scaled(np.log1p(out, out=out), weight)
 
 
-def _two_layer_credit(nu_s, nu_r, alloc: TwoLayerAllocation, cfg: PowerConfig,
+def _two_layer_credit(m_s, m_r, alloc: TwoLayerAllocation, cfg: PowerConfig,
                       eps1: float, eps2: float, r1: float, r2: float,
                       ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Per-block decisions (dec1, dec2) under successive decoding of two
-    layers: dec1 decodes layer 1, dec2 both layers (so dec2 implies dec1).
+    layers, in the log domain: dec1 decodes layer 1, dec2 both layers (so
+    dec2 implies dec1).  ``m_s``, ``m_r`` are the fading columns -nu_s,
+    -nu_r.
 
     Phase structure of the destination's mutual information: the relay is
     silent until eps1, sends layer 1 at full power on [eps1, eps2), and uses
     its split beta afterwards (eps1 <= eps2).  Simplex strategies pass
-    eps1 == eps2.
+    eps1 == eps2.  The phases mix here: eps1 < 1 and eps2 > 0 (eps1 = 1
+    decides on thresholds, eps2 = 0 on lines).
 
     Only phases of nonzero weight (1 - eps2, eps2 - eps1 and eps1 for layer
     1; eps2 and 1 - eps2 for layer 2) are computed, and a weight of 1 is not
     multiplied.  Every term is finite and nonnegative, so 0 * x = +0 and
-    x + 0 = x make both skips exact.  ``nu_r`` is read only when eps1 < 1.
-    Writes into ``ws``; the decisions are views of ``ws.flags``.
+    x + 0 = x make both skips exact.  Writes into ``ws``; the decisions are
+    views of ``ws.flags``.
     """
-    size = nu_s.size
+    size = m_s.size
     s, ab_s, el, bb_el, late, mid, early, log_ab_s, tmp = (row[:size] for row in ws.rows)
     a, ab = alloc.alpha, alloc.alpha_bar
     b, bb = alloc.beta, alloc.beta_bar
-    np.multiply(nu_s, cfg.p_s, out=s)
+    # m_s and m_r may be the rows of log_ab_s and tmp: read them first
+    np.multiply(m_s, -cfg.p_s, out=s)
+    np.multiply(m_r, -cfg.p_r, out=el)
     np.multiply(s, ab, out=ab_s)
-    if eps1 < 1.0:
-        np.multiply(nu_r, cfg.p_r, out=el)
-        np.multiply(el, bb, out=bb_el)
-    if eps2 > 0.0:
-        np.log1p(ab_s, out=log_ab_s)  # shared by layer 1 before eps1 and by layer 2
+    np.multiply(el, bb, out=bb_el)
+    np.log1p(ab_s, out=log_ab_s)  # shared by layer 1 before eps1 and by layer 2
 
     # layer 1: the phases after eps2, on [eps1, eps2) and before eps1, summed
     # in that order
@@ -196,7 +278,7 @@ def _two_layer_credit(nu_s, nu_r, alloc: TwoLayerAllocation, cfg: PowerConfig,
     i1 = _sum(terms)
 
     # layer 2: eps2 log1p(ab s) + (1 - eps2) log1p(ab s + bb el)
-    terms = [_scaled(log_ab_s, eps2)] if eps2 > 0.0 else []
+    terms = [_scaled(log_ab_s, eps2)]
     if eps2 < 1.0:
         np.log1p(np.add(ab_s, bb_el, out=tmp), out=tmp)
         terms.append(_scaled(tmp, 1.0 - eps2))
@@ -208,17 +290,45 @@ def _two_layer_credit(nu_s, nu_r, alloc: TwoLayerAllocation, cfg: PowerConfig,
     return dec1, dec2
 
 
-def _sdf_credit(nu, cfg: PowerConfig, rate: float, eps: float, ws: _Workspace) -> np.ndarray:
+def _two_layer_decisions(draw, alloc: TwoLayerAllocation, cfg: PowerConfig,
+                         eps1: float, eps2: float, r1: float, r2: float, ws: _Workspace):
+    """(dec1, dec2) of one chunk in its decision domain: on the uniform
+    thresholds when the relay never helps (eps1 = 1), on the decode lines
+    for MISO (eps2 = 0), in the log domain otherwise.  ``draw(read)``
+    returns the chunk's fading columns as _fading_chunk(..., read) does."""
+    if eps1 == 1.0:
+        thresholds = _uniform_thresholds((alloc.eta1, alloc.eta2), (r1, r2))
+        return _threshold_decisions(draw(0)[0], thresholds, ws)
+    m_s, m_r = draw(2)
+    if eps2 == 0.0:
+        return _line_decisions(m_s, m_r, _miso_lines(alloc, cfg, r1, r2), ws)
+    return _two_layer_credit(m_s, m_r, alloc, cfg, eps1, eps2, r1, r2, ws)
+
+
+def _sdf_credit(m, cfg: PowerConfig, rate: float, eps: float, ws: _Workspace) -> np.ndarray:
     """Single-layer SDF decisions eps log1p(s) + (1 - eps) log1p(s + nu_r P_r)
-    >= rate, the relay joining after eps; nu[1] is read only when eps < 1."""
-    size = nu[0].size
+    >= rate in the log domain, the relay joining after eps < 1; ``m`` holds
+    the fading columns -nu_s, -nu_r."""
+    size = m[0].size
     s, direct, relayed = (row[:size] for row in ws.rows[:3])
-    np.multiply(nu[0], cfg.p_s, out=s)
+    np.multiply(m[0], -cfg.p_s, out=s)
     terms = [_scaled(np.log1p(s, out=direct), eps)]
-    if eps < 1.0:
-        np.add(s, np.multiply(nu[1], cfg.p_r, out=relayed), out=relayed)
-        terms.append(_scaled(np.log1p(relayed, out=relayed), 1.0 - eps))
+    np.add(s, np.multiply(m[1], -cfg.p_r, out=relayed), out=relayed)
+    terms.append(_scaled(np.log1p(relayed, out=relayed), 1.0 - eps))
     return np.greater_equal(_sum(terms), rate, out=ws.flags[0][:size])
+
+
+def _sdf_decisions(draw, cfg: PowerConfig, rate: float, eps: float, ws: _Workspace):
+    """(dec,) of one single-layer SDF chunk: at eps = 1 on the uniform
+    threshold of nu_s >= expm1(rate)/P_s (+inf where expm1 overflows or
+    P_s = 0), otherwise in the log domain."""
+    if eps == 1.0:
+        try:
+            eta = math.expm1(rate) / cfg.p_s
+        except (OverflowError, ZeroDivisionError):
+            eta = math.inf
+        return _threshold_decisions(draw(0)[0], _uniform_thresholds((eta,), (rate,)), ws)
+    return (_sdf_credit(draw(2), cfg, rate, eps, ws),)
 
 
 def _count_stats(rates, decisions):
@@ -241,24 +351,33 @@ def _chunk_stats(values: np.ndarray):
     return values.size, mean, float(np.square(dev, out=dev).sum())
 
 
-def _chunk_rate(config: SimConfig, cfg: PowerConfig, chunk_index: int,
-                size: int, table, ws: _Workspace):
-    """(n, mean, M2) of one chunk's credited rates, computed in ``ws``."""
-    strategy = config.strategy
-    if strategy == "single-layer-SDF":
-        rate = float(config.params)
-        eps = _time_fraction(rate, math.log1p(cfg.p_s * cfg.q))  # rate 0 credits 0 anyway
-        nu = _fading_chunk(config.seed, chunk_index, ws, size, read=1 if eps == 1.0 else 2)
-        return _count_stats((rate,), (_sdf_credit(nu, cfg, rate, eps, ws),))
+def _simulation(config: SimConfig, cfg: PowerConfig):
+    """(domain, chunk_stats) of a simulation: the decision domain of its
+    chunks, and chunk_stats(i, size, ws), the (n, mean, M2) of chunk i's
+    credited rates, computed in ``ws``."""
+    strategy, seed = config.strategy, config.seed
+
+    def draw(i: int, size: int, ws: _Workspace):
+        return functools.partial(_fading_chunk, seed, i, ws, size)
 
     if strategy == "layered-continuous":
-        grid, cum, a = table
-        nu = _fading_chunk(config.seed, chunk_index, ws, size, read=1 if a == 0.0 else 2)
-        s = nu[0]  # a = 0 makes s = nu_s + 0 * nu_r = nu_s exactly
-        if a != 0.0:
+        grid, cum, a = _continuous_table(config.params, cfg)
+
+        def continuous(i: int, size: int, ws: _Workspace):
             s = ws.rows[0][:size]
-            np.add(nu[0], np.multiply(nu[1], a, out=s), out=s)
-        return _chunk_stats(np.interp(s, grid, cum))
+            if a == 0.0:  # s = nu_s + 0 * nu_r = nu_s exactly
+                np.negative(_fading_chunk(seed, i, ws, size, read=1)[0], out=s)
+            else:  # nu_s + a nu_r as (-a)(-nu_r) - (-nu_s): the same bits
+                m_s, m_r = _fading_chunk(seed, i, ws, size)
+                np.subtract(np.multiply(m_r, -a, out=s), m_s, out=s)
+            return _chunk_stats(np.interp(s, grid, cum))
+        return "table", continuous
+
+    if strategy == "single-layer-SDF":
+        rate = config.params
+        eps = _time_fraction(rate, math.log1p(cfg.p_s * cfg.q))  # rate 0 credits 0 anyway
+        return "uniform" if eps == 1.0 else "log", lambda i, size, ws: _count_stats(
+            (rate,), _sdf_decisions(draw(i, size, ws), cfg, rate, eps, ws))
 
     alloc: TwoLayerAllocation = config.params
     if strategy.endswith("-equal") and alloc.beta != alloc.alpha:
@@ -274,10 +393,9 @@ def _chunk_rate(config: SimConfig, cfg: PowerConfig, chunk_index: int,
             eps1, eps2 = times.eps1, times.eps2
         else:  # simplex: the relay stays silent until it has both layers
             eps1 = eps2 = times.eps2
-    nu = _fading_chunk(config.seed, chunk_index, ws, size, read=1 if eps1 == 1.0 else 2)
-    nu_r = nu[1] if eps1 < 1.0 else None
-    return _count_stats((r1, r2), _two_layer_credit(nu[0], nu_r, alloc, cfg,
-                                                    eps1, eps2, r1, r2, ws))
+    domain = "uniform" if eps1 == 1.0 else "line" if eps2 == 0.0 else "log"
+    return domain, lambda i, size, ws: _count_stats(
+        (r1, r2), _two_layer_decisions(draw(i, size, ws), alloc, cfg, eps1, eps2, r1, r2, ws))
 
 
 def _continuous_table(mode: str, cfg: PowerConfig):
@@ -296,7 +414,9 @@ def _merge(stats_a, stats_b):
 
 
 def _run_chunks(blocks: int, chunk_stats, workers: int = 1):
-    """(n, mean, M2) of the per-block values of every chunk of ``blocks``.
+    """((n, mean, M2), rng_s, busy_s) of the per-block values of every chunk
+    of ``blocks``: the statistics, and the seconds in _fading_chunk and in
+    the chunks in all, summed over the threads.
 
     ``chunk_stats(i, size, ws)`` returns the (n, mean, M2) of chunk ``i``,
     computed in the workspace ``ws``.  The chunks are split into ``workers``
@@ -309,17 +429,20 @@ def _run_chunks(blocks: int, chunk_stats, workers: int = 1):
 
     def run_range(lo: int, hi: int):
         ws = _Workspace(blocks)
-        return [chunk_stats(i, min(CHUNK_BLOCKS, blocks - i * CHUNK_BLOCKS), ws)
-                for i in range(lo, hi)]
+        start = time.perf_counter()
+        stats = [chunk_stats(i, min(CHUNK_BLOCKS, blocks - i * CHUNK_BLOCKS), ws)
+                 for i in range(lo, hi)]
+        return stats, ws.rng_s, time.perf_counter() - start
 
     workers = min(workers, n_chunks)
     bounds = [round(w * n_chunks / workers) for w in range(workers + 1)]
     if workers == 1:
-        parts = map(run_range, bounds[:-1], bounds[1:])
+        parts = [run_range(0, n_chunks)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_range, bounds[:-1], bounds[1:]))
-    return functools.reduce(_merge, itertools.chain.from_iterable(parts))
+    stats, rng_s, busy_s = zip(*parts)
+    return functools.reduce(_merge, itertools.chain.from_iterable(stats)), sum(rng_s), sum(busy_s)
 
 
 def _stderr(n: int, m2: float) -> float:
@@ -332,22 +455,21 @@ def simulate_strategy(config: SimConfig, cfg: PowerConfig, workers: int = 1) -> 
     The block stream is split into fixed chunks processed by ``workers``
     threads (at least 1), and the chunks' statistics are merged in chunk
     order, so the estimate is a pure function of (config, cfg): the worker
-    count changes no bit of it.
+    count changes no bit of it.  The DEBUG line names the chunks' decision
+    domain and splits the chunks' thread-seconds into RNG (draws and map)
+    and decision (decisions and counts) time.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     start = time.perf_counter()
-    table = _continuous_table(config.params, cfg) \
-        if config.strategy == "layered-continuous" else None
-    n, mean, m2 = _run_chunks(
-        config.blocks,
-        lambda i, size, ws: _chunk_rate(config, cfg, i, size, table, ws),
-        workers)
+    domain, chunk_stats = _simulation(config, cfg)
+    (n, mean, m2), rng_s, busy_s = _run_chunks(config.blocks, chunk_stats, workers)
     stderr = _stderr(n, m2)
     wall = time.perf_counter() - start
-    log.debug("simulate_strategy %s blocks=%d seed=%d rng=%s mean=%.6g stderr=%.3g "
-              "wall=%.3gs blocks/s=%.3g", config.strategy, n, config.seed, RNG_ID,
-              mean, stderr, wall, n / wall if wall > 0.0 else math.inf)
+    log.debug("simulate_strategy %s domain=%s blocks=%d seed=%d rng=%s mean=%.6g "
+              "stderr=%.3g rng_s=%.3g decision_s=%.3g wall=%.3gs blocks/s=%.3g",
+              config.strategy, domain, n, config.seed, RNG_ID, mean, stderr, rng_s,
+              busy_s - rng_s, wall, n / wall if wall > 0.0 else math.inf)
     return SimEstimate(mean=mean, stderr=stderr, blocks=n, seed=config.seed)
 
 
@@ -355,10 +477,11 @@ def conditional_layer_probability(v_s: float, layer: int, ctx, blocks: int,
                                   seed: int) -> SimEstimate:
     """Empirical P(layer decodable | nu_s = v_s) under the simplex conditions.
 
-    Runs the strategies' decision kernel (_two_layer_credit, with the relay
-    joining after ctx.x) at nu_s = v_s on every block, with nu_r read from
-    the first fading column.  Layer 2 is checked against r1 = 0, which every
-    block's nonnegative layer-1 information meets, so its decision is the
+    Runs the strategies' decision kernels (the relay joining after
+    ctx.x < 1: on the decode lines at x = 0, in the log domain otherwise) at
+    nu_s = v_s on every block, with nu_r read from the first fading column.
+    Layer 2 is checked against r1 = 0, which every block's
+    nonnegative layer-1 information meets, so its decision is the
     post-cancellation condition alone.  The comparand for the analytic
     bounds is exp(-threshold(v_s)).
     """
@@ -366,13 +489,15 @@ def conditional_layer_probability(v_s: float, layer: int, ctx, blocks: int,
         raise ValueError("layer must be 1 or 2")
     if blocks < 1:
         raise ValueError("blocks must be >= 1")
+    if not (math.isfinite(v_s) and v_s >= 0.0):
+        raise ValueError(f"v_s must be finite and >= 0, got {v_s!r}")
     r1 = ctx.r1 if layer == 1 else 0.0
 
     def chunk_stats(i: int, size: int, ws: _Workspace):
-        nu_r = _fading_chunk(seed, i, ws, size, read=1)[0]
-        decisions = _two_layer_credit(np.full(size, v_s), nu_r, ctx.alloc, ctx.cfg,
-                                      ctx.x, ctx.x, r1, ctx.r2, ws)
+        def draw(read: int):  # ctx.x < 1, so both columns are read
+            return np.full(size, -v_s), _fading_chunk(seed, i, ws, size, read=1)[0]
+        decisions = _two_layer_decisions(draw, ctx.alloc, ctx.cfg, ctx.x, ctx.x, r1, ctx.r2, ws)
         return _count_stats((1.0,), (decisions[layer - 1],))
 
-    n, mean, m2 = _run_chunks(blocks, chunk_stats)
+    (n, mean, m2), _, _ = _run_chunks(blocks, chunk_stats)
     return SimEstimate(mean=mean, stderr=_stderr(n, m2), blocks=n, seed=seed)

@@ -1,9 +1,12 @@
+import functools
 import logging
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from relaycast import PowerConfig, TwoLayerAllocation, layer_rates
@@ -14,7 +17,9 @@ from relaycast.cli import main
 from relaycast.model import decoding_times
 from relaycast.montecarlo import (CHUNK_BLOCKS, RNG_ID, STRATEGIES, SimConfig, SimEstimate,
                                   _chunk_stats, _continuous_table, _count_stats,
-                                  _fading_chunk, _two_layer_credit, _Workspace,
+                                  _fading_chunk, _line_decisions, _miso_lines,
+                                  _sdf_decisions, _threshold_decisions, _two_layer_credit,
+                                  _two_layer_decisions, _uniform_thresholds, _Workspace,
                                   conditional_layer_probability, simulate_strategy)
 from relaycast.twolayer import direct_multilayer_throughput
 
@@ -27,6 +32,32 @@ def test_config_validation():
         SimConfig(blocks=0, seed=1, strategy="direct", params=ALLOC)
     with pytest.raises(ValueError):
         SimConfig(blocks=10, seed=1, strategy="warp-drive", params=ALLOC)
+
+
+@pytest.mark.parametrize("strategy, params", [
+    ("single-layer-SDF", -1.0),  # returned mean -1.0
+    ("single-layer-SDF", float("nan")),  # returned NaN
+    ("single-layer-SDF", float("inf")),  # raised a RuntimeWarning
+    ("single-layer-SDF", "1.0"),
+    ("single-layer-SDF", True),
+    ("single-layer-SDF", ALLOC),
+    ("direct", 1.0),  # raised AttributeError
+    ("simplex-equal", (0.6, 0.3, 1.4)),
+    ("full-duplex", None),
+    ("layered-continuous", "duplex"),
+    ("layered-continuous", ALLOC),
+])
+def test_config_checks_params_per_strategy(strategy, params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=strategy):
+            SimConfig(blocks=10, seed=1, strategy=strategy, params=params)
+
+
+def test_sdf_rate_is_a_float_and_rate_zero_always_decodes():
+    config = SimConfig(blocks=10, seed=1, strategy="single-layer-SDF", params=np.int64(0))
+    assert type(config.params) is float
+    assert simulate_strategy(config, CFG) == SimEstimate(mean=0.0, stderr=0.0, blocks=10, seed=1)
 
 
 def test_bitwise_determinism():
@@ -60,11 +91,12 @@ def test_direct_strategy_against_closed_form():
 
 
 def _chunk_decisions(cfg, eps1, eps2, seed=4):
+    # one chunk's decisions in its decision domain, as simulate_strategy makes them
     ws = _Workspace(CHUNK_BLOCKS)
-    nu_s, nu_r = _fading_chunk(seed, 0, ws, CHUNK_BLOCKS)
     r1, r2 = layer_rates(ALLOC, cfg.p_s)
-    return tuple(d.copy() for d in _two_layer_credit(nu_s, nu_r, ALLOC, cfg, eps1, eps2,
-                                                     r1, r2, ws))
+    draw = functools.partial(_fading_chunk, seed, 0, ws, CHUNK_BLOCKS)
+    return tuple(d.copy() for d in _two_layer_decisions(draw, ALLOC, cfg, eps1, eps2,
+                                                        r1, r2, ws))
 
 
 def test_full_duplex_dominates_simplex_per_block():
@@ -142,15 +174,24 @@ def test_estimate_metadata():
 @pytest.mark.parametrize("seed, key", [(20_240_001, 20_240_001), (-1, 2**64 - 1)])
 def test_each_chunk_draws_its_own_keyed_stream(seed, key):
     # chunk i at seed s draws PCG64DXSM(SeedSequence([s mod 2**64, i]))'s
-    # uniforms, block-major in two columns, mapped through -log1p(-u)
+    # uniforms, block-major in two columns.  read=0 returns the first column
+    # as drawn; read=1 and read=2 map the first or both through log1p(-u),
+    # which is -nu for the inverse-CDF exponential nu = -log1p(-u)
     assert RNG_ID.endswith("/v2")
     ws = _Workspace(CHUNK_BLOCKS)
     for chunk in (0, 1, 7):
         u = np.random.Generator(np.random.PCG64DXSM(
             np.random.SeedSequence([key, chunk]))).random((CHUNK_BLOCKS, 2))
-        nu_s, nu_r = _fading_chunk(seed, chunk, ws, CHUNK_BLOCKS)
-        assert np.array_equal(nu_s, -np.log1p(-u[:, 0]))
-        assert np.array_equal(nu_r, -np.log1p(-u[:, 1]))
+        (u_s,) = _fading_chunk(seed, chunk, ws, CHUNK_BLOCKS, read=0)
+        assert np.array_equal(u_s, u[:, 0])
+        (m_s,) = _fading_chunk(seed, chunk, ws, CHUNK_BLOCKS, read=1)
+        assert np.array_equal(m_s, np.log1p(-u[:, 0]))
+        m_s, m_r = _fading_chunk(seed, chunk, ws, CHUNK_BLOCKS)
+        assert np.array_equal(m_s, np.log1p(-u[:, 0]))
+        assert np.array_equal(m_r, np.log1p(-u[:, 1]))
+        # the sign fold is exact: (-nu) * (-P) is nu * P, bit for bit
+        for p in (1e-2, 10.0, 1e8):
+            assert np.array_equal(m_s * -p, -np.log1p(-u[:, 0]) * p)
 
 
 # Bit pins: (mean, stderr) as float.hex at seed 20240001 for 1, 17 and
@@ -298,38 +339,168 @@ def _reference_information(nu_s, nu_r, alloc, cfg, eps1, eps2):
 
 
 _unit = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+_plans = dict(alpha=_unit, beta=_unit, eta1=st.floats(0.0, 5.0),
+              eta_gap=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+              ps_db=st.floats(-20.0, 80.0),
+              pr_db=st.one_of(st.none(), st.floats(-20.0, 80.0)),
+              size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=300, deadline=None)
-@given(alpha=_unit, beta=_unit, eta1=st.floats(0.0, 5.0),
-       eta_gap=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
-       ps_db=st.floats(-20.0, 80.0),
-       pr_db=st.one_of(st.none(), st.floats(-20.0, 80.0)),
-       eps=st.lists(_unit, min_size=2, max_size=2),
-       size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
-       rates=st.sampled_from(("layer", "tie", "ulp-above")))
-def test_credit_kernel_matches_the_reference_formula(alpha, beta, eta1, eta_gap, ps_db,
-                                                    pr_db, eps, size, seed, rates):
+def _plan(alpha, beta, eta1, eta_gap, ps_db, pr_db):
     alloc = TwoLayerAllocation(alpha=alpha, eta1=eta1, eta2=eta1 + eta_gap, beta=beta)
     cfg = PowerConfig(p_s=10.0 ** (ps_db / 10.0),
                       p_r=0.0 if pr_db is None else 10.0 ** (pr_db / 10.0), q=1.0)
-    eps1, eps2 = sorted(eps)
+    return alloc, cfg
+
+
+def _uniforms(seed, size):
     u = np.random.default_rng(seed).random((size, 2))
     u[0] = 0.0  # zero fading on both links
-    nu = -np.log1p(-u)
-    i1, i2 = _reference_information(nu[:, 0], nu[:, 1], alloc, cfg, eps1, eps2)
-    if rates == "layer":
-        r1, r2 = layer_rates(alloc, cfg.p_s)
-    else:
-        # thresholds on (or one ulp above) the last block's information, so
-        # that an ulp of difference in either kernel flips a decision
-        r1, r2 = float(i1[-1]), float(i2[-1])
-        if rates == "ulp-above":
-            r1, r2 = np.nextafter(r1, np.inf), np.nextafter(r2, np.inf)
-    dec1, dec2 = _two_layer_credit(nu[:, 0], nu[:, 1] if eps1 < 1.0 else None,
-                                   alloc, cfg, eps1, eps2, r1, r2, _Workspace(size))
+    return u
+
+
+def _at(values, rates):
+    """The rates of the kernel tests: the plan's own ("layer"), or exactly
+    on (or one ulp above) the last block's value in the kernel's own
+    variables, so that an ulp of difference in the kernel flips a decision."""
+    if rates == "tie":
+        return [float(v[-1]) for v in values]
+    return [float(np.nextafter(v[-1], np.inf)) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_plans, eps=st.lists(_unit, min_size=2, max_size=2),
+       rates=st.sampled_from(("layer", "tie", "ulp-above")))
+def test_credit_kernel_matches_the_reference_formula(alpha, beta, eta1, eta_gap, ps_db,
+                                                    pr_db, size, seed, eps, rates):
+    # the phase-mixed domain (eps1 < 1, eps2 > 0), in information
+    eps1, eps2 = sorted(eps)
+    assume(eps1 < 1.0 and eps2 > 0.0)
+    alloc, cfg = _plan(alpha, beta, eta1, eta_gap, ps_db, pr_db)
+    m = np.log1p(-_uniforms(seed, size))
+    i1, i2 = _reference_information(-m[:, 0], -m[:, 1], alloc, cfg, eps1, eps2)
+    r1, r2 = layer_rates(alloc, cfg.p_s) if rates == "layer" else _at((i1, i2), rates)
+    dec1, dec2 = _two_layer_credit(m[:, 0], m[:, 1], alloc, cfg, eps1, eps2, r1, r2,
+                                   _Workspace(size))
     assert np.array_equal(dec1, i1 >= r1)
     assert np.array_equal(dec2, (i1 >= r1) & (i2 >= r2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_plans, rates=st.sampled_from(("layer", "tie", "ulp-above")))
+def test_line_kernel_matches_the_reference_formula(alpha, beta, eta1, eta_gap, ps_db, pr_db,
+                                                   size, seed, rates):
+    # the MISO domain, in line values k_s m_s + k_r m_r
+    alloc, cfg = _plan(alpha, beta, eta1, eta_gap, ps_db, pr_db)
+    m = np.log1p(-_uniforms(seed, size))
+    lines = _miso_lines(alloc, cfg, *layer_rates(alloc, cfg.p_s))
+    values = [m[:, 0] * k_s + m[:, 1] * k_r for k_s, k_r, _ in lines]
+    if rates != "layer":
+        lines = [(k_s, k_r, c) for (k_s, k_r, _), c in zip(lines, _at(values, rates))]
+    dec1, dec2 = _line_decisions(m[:, 0], m[:, 1], lines, _Workspace(size))
+    assert np.array_equal(dec1, values[0] >= lines[0][2])
+    assert np.array_equal(dec2, (values[0] >= lines[0][2]) & (values[1] >= lines[1][2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_plans, rates=st.sampled_from(("layer", "tie", "ulp-above")))
+def test_threshold_kernel_matches_the_reference_formula(alpha, beta, eta1, eta_gap, ps_db,
+                                                        pr_db, size, seed, rates):
+    # the relay-free domain, in uniforms; the tie thresholds are the last
+    # two blocks' u_s, in either order
+    alloc, cfg = _plan(alpha, beta, eta1, eta_gap, ps_db, pr_db)
+    u_s = _uniforms(seed, size)[:, 0]
+    if rates == "layer":
+        t1, t2 = _uniform_thresholds((alloc.eta1, alloc.eta2), layer_rates(alloc, cfg.p_s))
+    else:
+        t1, t2 = _at((u_s, u_s[:-1] if size > 1 else u_s), rates)
+    dec1, dec2 = _threshold_decisions(u_s, (t1, t2), _Workspace(size))
+    assert np.array_equal(dec1, u_s >= t1)
+    assert np.array_equal(dec2, (u_s >= t1) & (u_s >= t2))
+
+
+def _few_ulps(scale, p_s):
+    """8 ulps of ``scale``, plus 8 subnormal steps times P_s: a product such as
+    layer_rates' eta1 * alpha_bar that underflows before it is scaled by P_s."""
+    return 8.0 * (np.spacing(scale) + max(p_s, 1.0) * np.spacing(0.0))
+
+
+def _draw_from(u):
+    """A chunk's draw(read) for the uniforms ``u`` (blocks x 2)."""
+    return lambda read: (u[:, 0],) if read == 0 else tuple(np.log1p(-u).T.copy())
+
+
+def _near_boundaries(nu, alloc, cfg, domain, sdf_rate):
+    """Fadings 2^-44 and 2^-40 (relative) to either side of the domain's
+    decision boundaries and the SDF's, the MISO lines' met at each block's
+    nu_s or nu_r: an error in a domain's thresholds or lines of that size
+    flips some of them."""
+    rows = []
+
+    def around(nu_s, nu_r, col):
+        for step in (-2.0**-40, -2.0**-44, 2.0**-44, 2.0**-40):
+            point = np.column_stack(np.broadcast_arrays(nu_s, nu_r)).astype(float)
+            point[:, col] *= 1.0 + step
+            rows.append(point)
+
+    around(math.expm1(min(sdf_rate, 700.0)) / cfg.p_s, 1.0, 0)
+    if domain == "uniform":
+        around(np.array([alloc.eta1, alloc.eta2]), 1.0, 0)
+    else:
+        for k_s, k_r, c in _miso_lines(alloc, cfg, *layer_rates(alloc, cfg.p_s)):
+            with np.errstate(over="ignore"):  # points past 30 are dropped below
+                if k_r < 0.0:  # the line in nu is -k_s nu_s - k_r nu_r = c
+                    around(nu[:, 0], (c + k_s * nu[:, 0]) / -k_r, 1)
+                if k_s < 0.0:
+                    around((c + k_r * nu[:, 1]) / -k_s, nu[:, 1], 0)
+    points = np.concatenate(rows)
+    return points[np.all((points > 0.0) & (points < 30.0), axis=1)]  # u < 1 after the map
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_plans, domain=st.sampled_from(("uniform", "line")),
+       sdf_rate=st.one_of(st.sampled_from((0.0, 800.0)), st.floats(0.0, 12.0)))
+def test_decision_domains_agree_with_the_log_domain(alpha, beta, eta1, eta_gap, ps_db, pr_db,
+                                                    size, seed, domain, sdf_rate):
+    # over the documented domain, a uniform or line decision equals the
+    # log-domain reference wherever the block's information lies more than
+    # a few ulps of its terms from its rate, on random blocks and on blocks
+    # placed next to each boundary; a rate-0 layer always decodes, and no
+    # RuntimeWarning is raised (expm1 of the 800-nat SDF rate overflows)
+    alloc, cfg = _plan(alpha, beta, eta1, eta_gap, ps_db, pr_db)
+    u = _uniforms(seed, size)
+    u = np.concatenate([u, -np.expm1(-_near_boundaries(-np.log1p(-u), alloc, cfg, domain,
+                                                       sdf_rate))])
+    size = len(u)
+    nu = -np.log1p(-u)
+    r1, r2 = layer_rates(alloc, cfg.p_s)
+    eps = 1.0 if domain == "uniform" else 0.0
+    i1, i2 = _reference_information(nu[:, 0], nu[:, 1], alloc, cfg, eps, eps)
+    s = nu[:, 0] * cfg.p_s
+    # the log-domain sums' rounding scales: the early phase (and r1) differ
+    # two log1p terms; a line-domain decision compares with the same r1
+    scale1 = np.log1p(s) + np.log1p(alloc.alpha_bar * s) if domain == "uniform" else i1
+    scale_r1 = math.log1p(alloc.eta1 * cfg.p_s) + math.log1p(alloc.eta1 * alloc.alpha_bar
+                                                            * cfg.p_s) \
+        if domain == "uniform" else r1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ws = _Workspace(size)
+        dec1, dec2 = (d.copy() for d in _two_layer_decisions(
+            _draw_from(u), alloc, cfg, eps, eps, r1, r2, ws))
+        (sdf,) = _sdf_decisions(_draw_from(u), cfg, sdf_rate, 1.0, ws)
+        i_sdf = np.log1p(s)
+    far1 = np.abs(i1 - r1) > _few_ulps(scale1 + scale_r1, cfg.p_s)
+    far2 = np.abs(i2 - r2) > _few_ulps(i2 + r2, cfg.p_s)
+    assert np.array_equal(dec1[far1], (i1 >= r1)[far1])
+    assert np.array_equal(dec2[far2], (dec1 & (i2 >= r2))[far2])
+    far = np.abs(i_sdf - sdf_rate) > _few_ulps(i_sdf + sdf_rate, cfg.p_s)
+    assert np.array_equal(sdf[far], (i_sdf >= sdf_rate)[far])
+    assert dec1.all() or r1 != 0.0
+    assert np.array_equal(dec2, dec1) or r2 != 0.0
+    assert sdf.all() or sdf_rate != 0.0
+    if sdf_rate == 800.0:
+        assert not sdf.any()
 
 
 @pytest.mark.parametrize("size", [1, 2, 17, 5000, CHUNK_BLOCKS])
@@ -358,6 +529,33 @@ def test_conditional_probability_rejects_empty_runs():
             conditional_layer_probability(0.5, 1, ctx, blocks=blocks, seed=1)
 
 
+@pytest.mark.parametrize("v_s", [float("nan"), -0.01, -1.0, float("inf"), -float("inf")])
+def test_conditional_probability_rejects_a_fading_outside_its_domain(v_s):
+    # NaN and -0.01 returned 0.0; -1 and inf raised RuntimeWarnings
+    ctx = BoundContext.from_config(ALLOC, CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for layer in (1, 2):
+            with pytest.raises(ValueError, match="v_s"):
+                conditional_layer_probability(v_s, layer, ctx, blocks=10, seed=1)
+
+
+def test_conditional_probability_at_x_0_decides_on_the_lines():
+    # a relay that listens for no time (x = 0) puts the conditional oracle on
+    # the MISO decode lines; it counts the blocks whose log-domain
+    # information meets each rate at nu_s = v_s
+    alloc = TwoLayerAllocation(alpha=0.55, eta1=0.5, eta2=1.6, beta=0.7)
+    cfg = PowerConfig(p_s=6.0, p_r=4.0, q=25.0)
+    ctx = BoundContext(alloc, cfg, 0.0, *layer_rates(alloc, cfg.p_s))
+    nu_r = -np.log1p(-np.random.Generator(np.random.PCG64DXSM(
+        np.random.SeedSequence([5, 0]))).random((1000, 2))[:, 0])
+    for v in (0.1, 0.4, 0.9, 1.5):
+        i1, i2 = _reference_information(np.full(1000, v), nu_r, alloc, cfg, 0.0, 0.0)
+        for layer, want in ((1, i1 >= ctx.r1), (2, i2 >= ctx.r2)):
+            est = conditional_layer_probability(v, layer, ctx, blocks=1000, seed=5)
+            assert est.mean == np.count_nonzero(want) / 1000
+
+
 def test_simulation_logs_its_throughput_without_touching_outputs(tmp_path, caplog):
     argv = ["figure", "fig9", "--ps-db", "0", "--q-db", "0,10", "--blocks", "3000"]
     assert main(argv + ["--out", str(tmp_path / "quiet")]) == 0
@@ -366,12 +564,31 @@ def test_simulation_logs_its_throughput_without_touching_outputs(tmp_path, caplo
     lines = [r.getMessage() for r in caplog.records if r.name == "relaycast.montecarlo"]
     assert len(lines) == 4  # two Q points x two strategies
     for line in lines:
-        match = re.search(r"blocks=3000 .* wall=(\S+)s blocks/s=(\S+)$", line)
+        match = re.search(r" domain=(uniform|line|log) blocks=3000 .* rng_s=(\S+) "
+                          r"decision_s=(\S+) wall=(\S+)s blocks/s=(\S+)$", line)
         assert match, line
-        assert float(match[1]) > 0.0 and float(match[2]) > 0.0
+        rng_s, decision_s, wall, rate = map(float, match.groups()[1:])
+        assert rng_s > 0.0 and decision_s > 0.0 and rate > 0.0
+        assert rng_s + decision_s <= wall  # one worker: the chunks run inside the call
     for name in ("fig9.csv", "fig9.csv.manifest.json"):
         assert (tmp_path / "quiet" / name).read_bytes() == \
             (tmp_path / "logged" / name).read_bytes()
+
+
+@pytest.mark.parametrize("case, domain", [
+    ("direct", "uniform"), ("simplex-eps2-1", "uniform"), ("sdf-eps-1", "uniform"),
+    ("miso-equal", "line"), ("miso-unequal", "line"), ("miso-unequal-silent-relay", "line"),
+    ("simplex-eps2-below-1", "log"), ("full-duplex-three-phases", "log"),
+    ("full-duplex-eps2-1", "log"), ("sdf-eps-below-1", "log"),
+    ("continuous-relay", "table"),
+])
+def test_simulation_logs_its_decision_domain(case, domain, caplog):
+    # the relay never helps: uniforms; MISO: decode lines; phase-mixed: logs
+    strategy, params, cfg = PIN_CASES[case]
+    caplog.set_level(logging.DEBUG, logger="relaycast.montecarlo")
+    simulate_strategy(SimConfig(blocks=100, seed=1, strategy=strategy, params=params), cfg)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "relaycast.montecarlo"]
+    assert line.startswith(f"simulate_strategy {strategy} domain={domain} "), line
 
 
 @pytest.mark.parametrize("strategy", ["miso-equal", "simplex-equal"])
@@ -386,3 +603,13 @@ def test_workers_below_one_raise():
     config = SimConfig(blocks=10, seed=1, strategy="direct", params=ALLOC)
     with pytest.raises(ValueError, match="workers"):
         simulate_strategy(config, CFG, workers=0)
+
+
+@pytest.mark.parametrize("strategy, params", [("single-layer-SDF", 1.0), ("direct", ALLOC),
+                                              ("miso-unequal", _ALLOC_UNEQUAL)])
+def test_a_silent_source_credits_nothing(strategy, params):
+    # P_s = 0: the SDF's uniform threshold is +inf (no division by zero), and
+    # both layer rates are 0, so every block decodes a rate of 0
+    est = simulate_strategy(SimConfig(blocks=1000, seed=1, strategy=strategy, params=params),
+                            PowerConfig(p_s=0.0, p_r=8.0, q=30.0))
+    assert (est.mean, est.stderr) == (0.0, 0.0)
