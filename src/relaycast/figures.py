@@ -9,23 +9,19 @@ are nats/channel use, powers dB.
 
 from __future__ import annotations
 
-import functools
 import inspect
-import logging
 import math
 
 from . import broadcast, twolayer
 from .model import PowerConfig
 from .montecarlo import SimConfig, simulate_strategy
-from .optimize import (_ascent_stats, _coordinate_ascent, _unequal_from_equal,
-                       maximize_throughput, miso_single_layer_rate, oblivious_rate_plan)
-from .outage import (ergodic_miso_capacity, miso_single_layer_throughput,
+from .optimize import (_layered_plan, _unequal_from_equal, maximize_throughput,
+                       miso_single_layer_rate, oblivious_rate_plan)
+from .outage import (_layer_tail_terms, ergodic_miso_capacity, miso_single_layer_throughput,
                      optimal_single_user_rate, sdf_single_layer_throughput,
                      single_user_throughput)
 
 __all__ = ["PRESETS", "run_preset"]
-
-log = logging.getLogger(__name__)
 
 # single-layer schemes: (the source's default rate, throughput at a rate)
 _SINGLE_LAYER = {
@@ -66,59 +62,13 @@ def _ps_grid(start=0.0, stop=25.0, step=2.5) -> list[float]:
     return [start + i * step for i in range(n + 1)]
 
 
-_POLISH_PASSES = 4  # coordinate passes of the 8-layer polish
-
-
-def _refined_layered(cfg: PowerConfig, tail, n_layers: int, density) -> float:
-    """Quantize the continuous profile into n layers and polish it by four
-    coordinate passes of Brent line searches over the thresholds and the
-    residual power fractions of twolayer.discretize_power_density: the
-    first over each coordinate's whole range, later ones over brackets
-    around each coordinate's last move (optimize._coordinate_ascent).
-
-    A line search moves one coordinate, so it changes at most two of the n
-    layer terms.  The polish computes each layer term
-    (log1p(eta*prev*P_s) - log1p(eta*r_i*P_s))*tail(eta, P_s, P_r) once per
-    (eta, prev, r_i), in a cache that lasts one call; the rate is still the
-    left-to-right sum of the n terms, bit for bit.  ``tail`` is a layer
-    tail of twolayer (the contract of _TwoLayerForm.tail), called once per
-    term computation, so a caller whose tail costs more than a cache lookup
-    (fig4's _miso_tail, not fig3's _direct_tail) passes a functools.cache of
-    it made for the call, and the DEBUG line then counts its misses."""
-    thresholds, residuals = twolayer.discretize_power_density(density, n_layers)
-    # the point: n thresholds, then the power fractions left after each of the
-    # first n - 1 layers; the fraction left after the last layer is 0
-    n, last, p_s, p_r = n_layers, 2 * n_layers - 2, cfg.p_s, cfg.p_r
-
-    @functools.cache
-    def term(eta: float, prev: float, r_i: float) -> float:
-        return (math.log1p(eta * prev * p_s) - math.log1p(eta * r_i * p_s)) * tail(eta, p_s, p_r)
-
-    def rate(x) -> float:
-        total, prev = 0.0, 1.0
-        for i in range(n):
-            r_i = x[n + i] if i < n - 1 else 0.0
-            total += term(x[i], prev, r_i)
-            prev = r_i
-        return total
-
-    def bounds(i: int, x) -> tuple[float, float]:
-        if i < n:  # a threshold stays between its neighbours
-            return (x[i - 1] if i else 1e-6,
-                    x[i + 1] if i < n - 1 else max(4.0, x[i] * 2.0))
-        return (x[i + 1] if i < last else 0.0, x[i - 1] if i > n else 1.0)
-
-    x0 = [*thresholds, *residuals]
-    run = _coordinate_ascent(rate, (rate(x0), x0), range(last + 1), bounds,
-                             max_passes=_POLISH_PASSES)
-    value = run[0]
-    terms = term.cache_info()  # every evaluation looks up n terms
-    cached = getattr(tail, "cache_info", None)  # a tail the caller caches
-    log.debug("_refined_layered layers=%d evals=%d terms=%d%s %s value=%.6g", n,
-              (terms.hits + terms.misses) // n, terms.misses,
-              "" if cached is None else f" tails={cached().misses}",
-              _ascent_stats([run], last + 1, _POLISH_PASSES), value)
-    return value
+def _eight_layer_plan(cfg: PowerConfig, density) -> tuple[list[float], list[float]]:
+    """fig3's and fig4's 8-layer plan (thresholds, fractions): the exact
+    equal-split optimum for the MISO layer tail (e^{-eta} at P_r = 0) by
+    optimize._layered_plan, started from the continuous profile quantized by
+    twolayer.discretize_power_density."""
+    return _layered_plan(_layer_tail_terms(cfg.p_s, cfg.p_r), 8, cfg.p_s,
+                         twolayer.discretize_power_density(density, 8))
 
 
 # fig2's curves: CSV label -> scheme
@@ -150,7 +100,8 @@ def fig3(ps_db=tuple(_ps_grid())):
         values = {
             1: _throughput("single-user", cfg),
             2: twolayer.CLOSED_FORMS["direct"](oblivious_rate_plan(p_s), cfg).r_av,
-            8: _refined_layered(cfg, twolayer._direct_tail, 8, density),
+            8: twolayer.direct_multilayer_throughput(*_eight_layer_plan(cfg, density),
+                                                     p_s).r_av,
         }
         for n, value in values.items():
             rows.append({"ps_db": db, "scheme": f"direct-{n}-layer", "n_layers": n,
@@ -181,8 +132,8 @@ def fig4(ps_db=tuple(_ps_grid(step=5.0)), ratios=(0.5, 1.0, 2.0)):
                 ("miso-1-layer", 1, _throughput("miso-single", cfg)),
                 ("miso-2-equal", 2, equal2),
                 ("miso-2-unequal", 2, unequal2),
-                ("miso-8-equal", 8, _refined_layered(
-                    cfg, functools.cache(twolayer._miso_tail), 8, density)),
+                ("miso-8-equal", 8, twolayer.miso_equal_throughput(
+                    *_eight_layer_plan(cfg, density), p_s, cfg.p_r).r_av),
                 ("continuous-miso", 0, broadcast.broadcast_rate(density, dist)),
                 ("ergodic-miso", 0, _throughput("ergodic-miso", cfg)),
             )

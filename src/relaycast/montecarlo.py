@@ -100,6 +100,8 @@ class SimConfig:
         elif not isinstance(params, TwoLayerAllocation):
             raise ValueError(f"{self.strategy} needs a TwoLayerAllocation, "
                              f"got {type(params).__name__}")
+        elif self.strategy.endswith("-equal") and params.beta != params.alpha:
+            raise ValueError(f"{self.strategy} requires beta == alpha")
 
 
 @dataclass(frozen=True)
@@ -380,8 +382,6 @@ def _simulation(config: SimConfig, cfg: PowerConfig):
             (rate,), _sdf_decisions(draw(i, size, ws), cfg, rate, eps, ws))
 
     alloc: TwoLayerAllocation = config.params
-    if strategy.endswith("-equal") and alloc.beta != alloc.alpha:
-        raise ValueError(f"{strategy} requires beta == alpha")
     r1, r2 = layer_rates(alloc, cfg.p_s)
     if strategy == "direct":
         eps1 = eps2 = 1.0

@@ -16,6 +16,10 @@ The source's oblivious plan (oblivious_rate_plan) is a direct search with a
 structure of its own: at a fixed alpha the direct value separates into one
 problem per threshold, each solved in closed form or by a monotone root, so
 the plan is one Brent search over alpha.
+The n-layer equal-split plans (_layered_plan, fig3's and fig4's 8 layers)
+have no grid and no line searches either: each threshold is a Newton root
+of its own layer term, and the residual powers solve by Newton steps on an
+analytic tridiagonal Hessian, to the exact stationary point.
 The ``direct`` and ``miso-equal`` kernels are twolayer._tail_kernels of
 their layer tails, e^{-eta} and P(Y > eta*P_s).  A ``miso-equal`` search
 computes each tail once: a line search moves at most one threshold and the
@@ -71,7 +75,11 @@ _N_STARTS = 3  # coarse-grid points refined by maximize_throughput
 _SHORTLIST_RTOL = 1e-6
 _ALPHA_SCAN = 17  # evenly spaced alphas the oblivious plan scores first
 _ALPHA_TOL = 1e-9  # bracket width the plan's alpha search ends at
-_ROOT_STEPS = 100  # most evaluations of h per eta1 root
+_ROOT_STEPS = 100  # most evaluations of h per threshold root (eta1, or one layer's)
+_PLAN_ITERATIONS = 50  # most Newton steps of _layered_plan
+_PLAN_STEP = 2.0  # most any log residual moves in one of its steps
+_PLAN_HALVINGS = 40  # most halvings of one step
+_PLAN_RTOL = 1e-16  # the plan ends once a step would gain no more, relative
 
 
 @dataclass(frozen=True)
@@ -163,13 +171,12 @@ def _search_box(i: int, x: Sequence[float], beta_ge_alpha: bool = False
 
 def _coordinate_ascent(value: Callable[[list[float]], float],
                        start: tuple[float, Sequence[float]], coords: Sequence[int],
-                       bounds: Callable[[int, list[float]], tuple[float, float]],
-                       max_passes: int = _MAX_PASSES
+                       bounds: Callable[[int, list[float]], tuple[float, float]]
                        ) -> tuple[float, list[float], int, int]:
     """Cyclic line searches (golden_section_max to a _LINE_TOL bracket) over
     positions ``coords`` of a point, from ``start``, a (value, point) pair,
     accepting only strictly improving moves, until a pass whose searches span
-    their whole boxes moves no position by more than _TOL, or ``max_passes``
+    their whole boxes moves no position by more than _TOL, or _MAX_PASSES
     passes ran.  One position stops after one pass, since ``bounds`` of a
     position does not read that position, so a second pass would repeat the
     same search.  Line searches end ten times finer than _TOL: at 1e-6 the
@@ -189,7 +196,7 @@ def _coordinate_ascent(value: Callable[[list[float]], float],
     cur_val, cur = start[0], list(start[1])
     half = dict.fromkeys(coords, math.inf)  # bracket half-width per position
     widened = 0
-    for passes in range(1, max_passes + 1):
+    for passes in range(1, _MAX_PASSES + 1):
         moved, whole = 0.0, math.inf in half.values()  # all inf or none
         for i in coords:
             box_lo, box_hi = bounds(i, cur)
@@ -221,16 +228,15 @@ def _coordinate_ascent(value: Callable[[list[float]], float],
     return cur_val, cur, passes, widened
 
 
-def _ascent_stats(runs: Sequence[tuple], n_coords: int,
-                  max_passes: int = _MAX_PASSES) -> str:
+def _ascent_stats(runs: Sequence[tuple], n_coords: int) -> str:
     """The DEBUG fields of _coordinate_ascent results ``runs`` over
     ``n_coords`` positions: the passes of each, the line searches in all
     (one per position and pass, plus one per widened bracket), the brackets
-    widened in all, and how many ran all ``max_passes``."""
+    widened in all, and how many ran all _MAX_PASSES."""
     passes, widened = [r[2] for r in runs], sum(r[3] for r in runs)
     return (f"passes={','.join(map(str, passes))} "
             f"lines={n_coords * sum(passes) + widened} widened={widened} "
-            f"capped={passes.count(max_passes)}")
+            f"capped={passes.count(_MAX_PASSES)}")
 
 
 def maximize_throughput(scheme: str, free_params: Iterable[str],
@@ -466,6 +472,150 @@ def oblivious_rate_plan(p_s: float) -> TwoLayerAllocation:
               "fallbacks=%d single_layer=%s value=%.6g", p_s, len(steps), sum(steps),
               max(steps), fallbacks, eta1 == eta2, best)
     return TwoLayerAllocation(alpha=alpha, eta1=eta1, eta2=eta2)
+
+
+def _layer_threshold(tail, a: float, b: float, x: float) -> tuple[float, ...]:
+    """(eta, L T, T, T', h', root steps) of the threshold maximizing the layer
+    term L(eta) T(eta), L = log1p(eta a) - log1p(eta b), between residual
+    powers a > b >= 0, from the guess x > 0; ``tail`` gives (T, T', T'').
+
+    eta is the root of h = L'T + LT', with L' = (a - b)/(uv), u = 1 + eta a,
+    v = 1 + eta b, and L'' = -L'(a/u + b/v): L and a log-concave T make the
+    term log-concave, so h > 0 below the root and h < 0 above it.  Newton
+    steps on h' = L''T + 2L'T' + LT'' run inside the bracket that h's signs
+    narrow, bisecting (or doubling, while no h < 0 is seen) where a step
+    leaves it, until a step would move eta by at most 4e-16 of itself, or
+    for _ROOT_STEPS evaluations.
+    """
+    lo, hi, steps = 0.0, math.inf, 0
+    while True:
+        steps += 1
+        u, v = 1.0 + x * a, 1.0 + x * b
+        t, t1, t2 = tail(x)
+        dl = (a - b) / (u * v)
+        ell = math.log1p(x * (a - b) / v)
+        h = dl * t + ell * t1
+        dh = -dl * (a / u + b / v) * t + 2.0 * dl * t1 + ell * t2
+        if h > 0.0:
+            lo = x
+        elif h < 0.0:
+            hi = x
+        if h == 0.0 or abs(h) <= 4e-16 * x * -dh or steps >= _ROOT_STEPS:
+            return x, ell * t, t, t1, dh, steps
+        nxt = x - h / dh if dh < 0.0 else math.nan
+        x = nxt if lo < nxt < hi else 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
+
+
+def _layered_plan(tail, n: int, p_s: float, start) -> tuple[list[float], list[float]]:
+    """The optimal n-layer equal-split plan (thresholds, power fractions) for the
+    layer tail ``tail`` (eta -> (T, T', T''), log-concave), from ``start``,
+    a (thresholds, residuals) plan such as twolayer.discretize_power_density's.
+
+    The residual powers c_0 = P_s > c_1 > ... > c_{n-1} > c_n = 0 (residuals
+    c_i/P_s) give the value sum_k L_k(eta_k) T(eta_k), where layer k's term
+    reads only (c_{k-1}, c_k), so each eta_k is profiled out by
+    _layer_threshold.  By the envelope theorem dV/dc_j = phi(eta_{j+1}, c_j)
+    - phi(eta_j, c_j), phi(eta, c) = eta T/(1 + eta c), and with the implicit
+    d eta_k/dc = -(dh_k/dc)/h_k' the Hessian over the residual powers is
+    tridiagonal.  Newton steps run over log c_1..c_{n-1}: a Levenberg shift
+    (0, then growing tenfold from 1e-9 of the largest diagonal entry) until
+    every pivot of the tridiagonal LDL^T is negative, the step scaled to move
+    no log residual by more than _PLAN_STEP, then halved until the residual
+    powers stay ordered, the thresholds increase and the value does not fall
+    (at most _PLAN_HALVINGS times, else the plan stops).  The plan stops once
+    the gain grad.step/2 that the Newton model predicts is at most _PLAN_RTOL
+    of the value, or after _PLAN_ITERATIONS steps.  Logs one DEBUG line with
+    the steps taken (iterations), the root steps of all thresholds, the
+    shifts and the value.  The fractions returned are the closed forms'
+    (twolayer.direct_multilayer_throughput, miso_equal_throughput).
+    """
+    thresholds, residuals = start
+    c = [p_s, *(r * p_s for r in residuals), 0.0]
+    root_steps = shifts = 0
+
+    def layers(c: list[float], guess: list[float]):
+        nonlocal root_steps
+        out = [_layer_threshold(tail, c[k], c[k + 1], guess[k]) for k in range(n)]
+        root_steps += sum(t[5] for t in out)
+        return out, sum(t[1] for t in out)
+
+    terms, value = layers(c, thresholds)
+    iterations = 0
+    while iterations < _PLAN_ITERATIONS:
+        # per layer (a, b) = (c_k, c_{k+1}): dV/da, d2V/da2, dV/db, d2V/db2 and
+        # d2V/dadb, thresholds profiled, with psi_a = dh/da and psi_b = -dh/db
+        parts = []
+        for k, (eta, _, t, t1, dh, _) in enumerate(terms):
+            u, v = 1.0 + eta * c[k], 1.0 + eta * c[k + 1]
+            psi_a, psi_b = t / (u * u) + t1 * eta / u, t / (v * v) + t1 * eta / v
+            parts.append((eta * t / u, -eta * eta * t / (u * u) - psi_a * psi_a / dh,
+                          -eta * t / v, eta * eta * t / (v * v) - psi_b * psi_b / dh,
+                          psi_a * psi_b / dh))
+        # in log c_1..c_{n-1}: H_jm c_j c_m, plus c_j dV/dc_j on the diagonal
+        s = c[1:n]
+        grad = [(parts[j][2] + parts[j + 1][0]) * cj for j, cj in enumerate(s)]
+        diag = [(parts[j][3] + parts[j + 1][1]) * cj * cj + g
+                for j, (cj, g) in enumerate(zip(s, grad))]
+        off = [parts[j][4] * cj * ck for j, (cj, ck) in enumerate(zip(s, s[1:]), 1)]
+        step, tried = _shifted_newton_step(grad, diag, off)
+        shifts += tried
+        # the gain the Newton model predicts; NaN ends the plan too
+        if not 0.5 * sum(g * d for g, d in zip(grad, step)) > _PLAN_RTOL * value:
+            break
+        scale = min(1.0, _PLAN_STEP / max(map(abs, step)))
+        for _ in range(_PLAN_HALVINGS):
+            trial = [p_s, *(cj * math.exp(scale * d) for cj, d in zip(s, step)), 0.0]
+            if trial != c and all(x > y for x, y in zip(trial, trial[1:])):
+                new_terms, new_value = layers(trial, [t[0] for t in terms])
+                if (new_value >= value
+                        and all(x[0] < y[0] for x, y in zip(new_terms, new_terms[1:]))):
+                    break
+            scale *= 0.5
+        else:
+            break
+        c, terms, value = trial, new_terms, new_value
+        iterations += 1
+    log.debug("_layered_plan layers=%d iterations=%d root_steps=%d shifts=%d value=%.17g",
+              n, iterations, root_steps, shifts, value)
+    # per-layer fractions whose running differences from 1, as the closed forms
+    # take them, give back the residuals to rounding and end at 0 exactly
+    fractions, resid = [], 1.0
+    for cj in c[1:n]:
+        fractions.append(resid - cj / p_s)
+        resid -= fractions[-1]
+    return [t[0] for t in terms], [*fractions, resid]
+
+
+def _shifted_newton_step(grad: list[float], diag: list[float], off: list[float]
+                         ) -> tuple[list[float], int]:
+    """(step, shifts): the solution of (H - lam I) step = -grad for the
+    symmetric tridiagonal H (``diag``, ``off``), by LDL^T with the least lam of
+    0, 1e-9 and tenfold steps of the largest |diag| that leaves every pivot
+    negative; ``shifts`` counts the nonzero lams tried.  A Hessian that no
+    finite lam makes negative definite (a NaN entry) gives a NaN step."""
+    m = len(grad)
+    lam, shifts, scale = 0.0, 0, max(map(abs, diag), default=0.0) or 1.0
+    while True:
+        pivots, ratios = [], []
+        for j in range(m):
+            p = diag[j] - lam - (ratios[-1] * off[j - 1] if j else 0.0)
+            if not p < 0.0:
+                break
+            pivots.append(p)
+            ratios.append(off[j] / p if j < m - 1 else 0.0)
+        else:
+            break
+        if not lam < math.inf:
+            return [math.nan] * m, shifts
+        shifts += 1
+        lam = 10.0 * lam if lam else 1e-9 * scale
+    y = []  # forward: L y = -grad; then back: D L^T x = y
+    for j in range(m):
+        y.append(-grad[j] - (ratios[j - 1] * y[j - 1] if j else 0.0))
+    x = [0.0] * m
+    for j in reversed(range(m)):
+        x[j] = y[j] / pivots[j] - (ratios[j] * x[j + 1] if j < m - 1 else 0.0)
+    return x, shifts
 
 
 def miso_single_layer_rate(p_s: float, p_r: float) -> float:

@@ -55,6 +55,43 @@ def y_sum_tail(u: float, p_s: float, p_r: float) -> float:
     return (p_r * math.exp(-u / p_r) - p_s * math.exp(-u / p_s)) / (p_r - p_s)
 
 
+def _layer_tail_terms(p_s: float, p_r: float):
+    """eta -> (T, T', T''): the layer tail T(eta) = y_sum_tail(eta*P_s, P_s, P_r)
+    and its first two derivatives in eta, for P_s > 0.
+
+    With rho = P_r/P_s and w = (e^{-eta/rho} - e^{-eta})/(rho - 1), T =
+    e^{-eta} + rho w, T' = -w and T'' = (w - e^{-eta})/rho.  w is written
+    with expm1, as -e^{-eta/rho} expm1(-eta g)/(rho - 1) for rho > 1 and
+    e^{-eta} expm1(eta g)/(rho - 1) for rho < 1, g = (rho - 1)/rho, so it
+    neither cancels as rho -> 1 nor overflows at large eta.  P_r = 0 gives
+    e^{-eta}, and powers within y_sum_tail's near-equal tolerance its
+    equal-power branch (1 + x)e^{-x}, x = eta/max(rho, 1), differentiated as
+    it stands.
+    """
+    rho = p_r / p_s
+    if rho == 0.0:
+        def direct(eta: float) -> tuple[float, float, float]:
+            e = math.exp(-eta)
+            return e, -e, e
+        return direct
+    if abs(rho - 1.0) < _EQUAL_POWER_RTOL * max(rho, 1.0):
+        k = 1.0 / max(rho, 1.0)
+
+        def equal(eta: float) -> tuple[float, float, float]:
+            x = eta * k
+            e = math.exp(-x)
+            return (1.0 + x) * e, -x * e * k, (x - 1.0) * e * k * k
+        return equal
+    g, d = (rho - 1.0) / rho, rho - 1.0
+
+    def unequal(eta: float) -> tuple[float, float, float]:
+        e = math.exp(-eta)
+        w = (-math.exp(-eta / rho) * math.expm1(-eta * g) if g > 0.0
+             else e * math.expm1(eta * g)) / d
+        return e + rho * w, -w, (w - e) / rho
+    return unequal
+
+
 def single_user_throughput(r: float, p_s: float) -> ThroughputResult:
     """No-relay baseline: r times the probability that log(1 + nu_s*P_s) > r."""
     r = _check_nonneg("rate", r)

@@ -594,9 +594,8 @@ def test_simulation_logs_its_decision_domain(case, domain, caplog):
 @pytest.mark.parametrize("strategy", ["miso-equal", "simplex-equal"])
 def test_equal_strategies_reject_a_split_beta(strategy):
     split = TwoLayerAllocation(alpha=0.6, eta1=0.3, eta2=1.4, beta=0.4)
-    config = SimConfig(blocks=10, seed=1, strategy=strategy, params=split)
     with pytest.raises(ValueError, match="requires beta == alpha"):
-        simulate_strategy(config, CFG)
+        SimConfig(blocks=10, seed=1, strategy=strategy, params=split)
 
 
 def test_workers_below_one_raise():

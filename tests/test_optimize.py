@@ -5,11 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from relaycast import (PowerConfig, TwoLayerAllocation, optimize, twolayer,
+from relaycast import (PowerConfig, TwoLayerAllocation, broadcast, optimize, twolayer,
                        direct_multilayer_throughput, maximize_throughput,
-                       oblivious_rate_plan, optimal_single_user_rate,
+                       miso_equal_throughput, oblivious_rate_plan, optimal_single_user_rate,
                        single_user_throughput, y_sum_tail)
+from relaycast.montecarlo import SimConfig, simulate_strategy
 from relaycast.optimize import golden_section_max, horizontal_db_gain
+from relaycast.outage import _layer_tail_terms
+from relaycast.validation import family_z
 
 
 def plan_value(plan, p_s):
@@ -862,3 +865,114 @@ class TestHorizontalGain:
             horizontal_db_gain(ps[[0, 2, 1, *range(3, 11)]], up, up + 0.05, 5.0)
         assert horizontal_db_gain(ps, up, up + 0.05, 10.0) == pytest.approx(0.5)
         assert horizontal_db_gain(ps, up + 0.05, up, 0.0) == pytest.approx(-0.5)
+
+
+def layered_plan(ps_db, ratio, n=8):
+    """(value, plan, continuous bound) of optimize._layered_plan for n layers
+    at P_s = ps_db and P_r/P_s = ratio, from the quantized continuous profile,
+    the value read by the closed form at the plan."""
+    p_s = 10.0 ** (ps_db / 10.0)
+    cfg = PowerConfig(p_s=p_s, p_r=ratio * p_s, q=1.0)
+    density, dist, _ = broadcast.continuous_layering(cfg, "miso" if ratio else "siso")
+    plan = optimize._layered_plan(_layer_tail_terms(p_s, cfg.p_r), n, p_s,
+                                  twolayer.discretize_power_density(density, n))
+    value = miso_equal_throughput(*plan, p_s, cfg.p_r).r_av
+    return value, plan, broadcast.broadcast_rate(density, dist)
+
+
+class TestLayeredPlan:
+    """optimize._layered_plan, the exact equal-split n-layer plan, against
+    Nelder-Mead, the two-layer searches, the Monte-Carlo oracle and the
+    values the coordinate polish it replaced fell short of."""
+
+    @pytest.mark.parametrize("ps_db,ratio", [(25.0, 0.0), (25.0, 2.0)])
+    def test_agrees_with_nelder_mead_over_the_residuals(self, ps_db, ratio):
+        # the 7 log residual powers searched by Nelder-Mead from the solver's
+        # own start, each threshold profiled by optimize._layer_threshold and
+        # each value summed on y_sum_tail; at the optimum found, a bounded
+        # scalar search of each layer term finds no better threshold
+        from scipy.optimize import minimize, minimize_scalar
+
+        value, _, _ = layered_plan(ps_db, ratio)
+        p_s = 10.0 ** (ps_db / 10.0)
+        p_r = ratio * p_s
+        tail = _layer_tail_terms(p_s, p_r)
+        density, _, _ = broadcast.continuous_layering(
+            PowerConfig(p_s, p_r, 1.0), "miso" if ratio else "siso")
+        thresholds, residuals = twolayer.discretize_power_density(density, 8)
+
+        def term(eta, a, b):
+            return ((math.log1p(eta * a) - math.log1p(eta * b))
+                    * y_sum_tail(eta * p_s, p_s, p_r))
+
+        def layers(x):
+            c = [p_s, *np.exp(x), 0.0]
+            return list(zip(c, c[1:]))
+
+        def negative(x):
+            pairs = layers(x)
+            if any(a <= b for a, b in pairs):
+                return math.inf
+            return -sum(term(optimize._layer_threshold(tail, a, b, eta)[0], a, b)
+                        for (a, b), eta in zip(pairs, thresholds))
+
+        found = minimize(negative, np.log(np.array(residuals) * p_s), method="Nelder-Mead",
+                         options={"xatol": 1e-7, "fatol": 1e-13, "maxiter": 20_000,
+                                  "maxfev": 20_000, "adaptive": True})
+        assert found.success
+        assert -found.fun == pytest.approx(value, rel=1e-12, abs=0.0)
+        for (a, b), eta in zip(layers(found.x), thresholds):
+            profiled = term(optimize._layer_threshold(tail, a, b, eta)[0], a, b)
+            scalar = -minimize_scalar(lambda e: -term(e, a, b), bounds=(0.0, 50.0),
+                                      method="bounded", options={"xatol": 1e-12}).fun
+            assert profiled >= scalar * (1.0 - 1e-14)
+
+    @pytest.mark.parametrize("ps_db", [0.0, 10.0, 25.0, 40.0])
+    def test_two_direct_layers_are_the_oblivious_plan(self, ps_db):
+        value, _, _ = layered_plan(ps_db, 0.0, n=2)
+        p_s = 10.0 ** (ps_db / 10.0)
+        assert value == pytest.approx(plan_value(oblivious_rate_plan(p_s), p_s),
+                                      rel=1e-12, abs=0.0)
+
+    def test_two_miso_layers_match_the_grid_search(self):
+        # fig4's settings (0..25 dB x P_r/P_s 0.5, 1, 2) and fig5's (P_s 40 dB,
+        # P_r 0..40 dB in 4 dB steps), against their coarse-24 miso-equal search
+        settings = [(ps, ratio) for ps in np.arange(0.0, 25.1, 5.0) for ratio in (0.5, 1.0, 2.0)]
+        settings += [(40.0, 10.0 ** ((pr - 40.0) / 10.0)) for pr in np.arange(0.0, 40.1, 4.0)]
+        for ps_db, ratio in settings:
+            p_s = 10.0 ** (ps_db / 10.0)
+            grid = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {},
+                                       PowerConfig(p_s, ratio * p_s, 1.0), coarse_points=24)
+            value, _, _ = layered_plan(ps_db, ratio, n=2)
+            assert value >= grid.value * (1.0 - 1e-12), (ps_db, ratio)
+
+    def test_two_layer_plans_agree_with_the_oracle(self):
+        z_max = family_z(2)
+        for strategy, ratio in (("direct", 0.0), ("miso-equal", 1.0)):
+            value, (thresholds, fractions), _ = layered_plan(10.0, ratio, n=2)
+            alloc = TwoLayerAllocation(alpha=fractions[0], eta1=thresholds[0],
+                                       eta2=thresholds[1])
+            est = simulate_strategy(SimConfig(blocks=400_000, seed=31, strategy=strategy,
+                                              params=alloc), PowerConfig(10.0, 10.0 * ratio, 1.0))
+            assert abs(value - est.mean) <= z_max * est.stderr, (strategy, value, est)
+
+    @pytest.mark.parametrize("ps_db,ratio,floor", [(60.0, 1.0, 12.938844),
+                                                   (80.0, 0.0, 16.160077)])
+    def test_high_power_plans_reach_the_optimum(self, ps_db, ratio, floor):
+        # the coordinate polish stopped at 12.902013 and 16.084331 here
+        value, _, bound = layered_plan(ps_db, ratio)
+        assert floor <= value <= bound
+
+    def test_shifted_newton_step(self):
+        # negative definite: the Newton step itself, no shift; indefinite: a
+        # shift that leaves an uphill step; a NaN entry: a NaN step, at once
+        grad, off = [1.0, 2.0, -0.5], [0.1, 0.3]
+        step, shifts = optimize._shifted_newton_step(grad, [-2.0, -1.0, -3.0], off)
+        hessian = np.diag([-2.0, -1.0, -3.0]) + np.diag(off, 1) + np.diag(off, -1)
+        np.testing.assert_allclose(step, np.linalg.solve(hessian, -np.array(grad)),
+                                   rtol=1e-14)
+        assert shifts == 0
+        step, shifts = optimize._shifted_newton_step(grad, [1.0, -1.0, -3.0], off)
+        assert shifts > 0 and np.dot(grad, step) > 0.0
+        step, _ = optimize._shifted_newton_step(grad, [-1.0, math.nan, -3.0], off)
+        assert all(map(math.isnan, step))

@@ -2,14 +2,16 @@
 at alpha, beta in [0, 1] with their end points, eta1 <= eta2 with equality,
 P_r = 0, P_s from -20 dB to 80 dB and Q from -20 dB to 80 dB; the
 single-layer schemes and bounds of the CLI at P_s from -20 dB to 80 dB,
-P_r/P_s from 0 to 1e7 and any Q; and continuous-miso rising with P_r."""
+P_r/P_s from 0 to 1e7 and any Q; continuous-miso rising with P_r; and the
+exact 8-layer plans of fig3/fig4 at P_s from -20 dB to 80 dB."""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relaycast import PowerConfig, TwoLayerAllocation, figures
+from relaycast import (PowerConfig, TwoLayerAllocation, broadcast, figures,
+                       maximize_throughput, miso_equal_throughput, oblivious_rate_plan)
 from relaycast.twolayer import CLOSED_FORMS
 
 # exact end points first, so every run draws the degenerate plans
@@ -94,3 +96,30 @@ def test_continuous_miso_does_not_decrease_in_relay_power(ps_db):
     values = [figures._BOUNDS["continuous-miso"](PowerConfig(p_s, 10.0 ** (e / 2) * p_s, 1.0))
               for e in range(6, 15)]
     assert all(b >= a for a, b in zip(values, values[1:])), values
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ps_db=st.one_of(st.sampled_from([-20.0, 80.0]), st.floats(-20.0, 80.0)),
+       ratio=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+def test_eight_layer_plans_are_ordered_and_bracketed(ps_db, ratio):
+    # fig3's plan at P_r = 0, fig4's otherwise: finite, thresholds rising,
+    # residual power fractions falling inside (0, 1), and a value between the
+    # optimal 2-layer value and the continuous bound
+    p_s = 10.0 ** (ps_db / 10.0)
+    cfg = PowerConfig(p_s=p_s, p_r=ratio * p_s, q=1.0)
+    density, dist, _ = broadcast.continuous_layering(cfg, "miso" if ratio else "siso")
+    thresholds, fractions = figures._eight_layer_plan(cfg, density)
+    residuals, resid = [], 1.0
+    for f in fractions[:-1]:
+        resid -= f
+        residuals.append(resid)
+    value = miso_equal_throughput(thresholds, fractions, p_s, cfg.p_r).r_av
+    assert all(map(math.isfinite, [*thresholds, *fractions, value]))
+    assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+    assert all(a > b for a, b in zip([1.0, *residuals], [*residuals, 0.0]))
+    if ratio:
+        two = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {}, cfg,
+                                  coarse_points=24).value
+    else:
+        two = CLOSED_FORMS["direct"](oblivious_rate_plan(p_s), cfg).r_av
+    assert two <= value <= broadcast.broadcast_rate(density, dist)

@@ -92,17 +92,19 @@ class TestMisoEqual:
         mc_check("miso-equal", alloc, cfg, res.r_av, blocks=400_000)
 
     def test_eight_layer_bracket(self):
-        # a quantized-and-polished 8-layer plan must land between the optimal
-        # 2-layer rate and the continuous bound
+        # the exact 8-layer plan must land between the optimal 2-layer rate
+        # and the continuous bound
         from relaycast import optimal_power_density, sum_fading_distribution, broadcast_rate
-        from relaycast.figures import _refined_layered
-        from relaycast.optimize import maximize_throughput
+        from relaycast.optimize import _layered_plan, maximize_throughput
+        from relaycast.outage import _layer_tail_terms
 
         p = 10.0
         cfg = PowerConfig(p_s=p, p_r=p, q=1.0)
         dist = sum_fading_distribution(1.0)
         density = optimal_power_density(p, dist)
-        r8 = _refined_layered(cfg, twolayer._miso_tail, 8, density)
+        plan = _layered_plan(_layer_tail_terms(p, p), 8, p,
+                             twolayer.discretize_power_density(density, 8))
+        r8 = miso_equal_throughput(*plan, p, p).r_av
         r2 = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {}, cfg,
                                  coarse_points=24).value
         cont = broadcast_rate(density, dist)

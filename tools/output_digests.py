@@ -6,8 +6,8 @@ Runs, in-process and into a temporary directory:
 * ``figure fig2`` .. ``fig9`` at their default grids, ``fig2`` again at
   50, 65 and 80 dB, where the continuous bounds' integrands are steepest
   near the lower layering boundary, and ``fig3`` and ``fig4`` (at P_r/P_s
-  1 and 10) again at 70, 75 and 80 dB, where the 8-layer polish is
-  nearest its stopping rule;
+  1 and 10) again at 70, 75 and 80 dB, where the 8-layer plans take the
+  most Newton steps and Levenberg shifts;
 * ``sweep`` for every scheme it offers, at ``--q-db 15,20 --ratio 0.5,1``
   over 0..20 dB in 5 dB steps, and ``simplex-equal`` again at ``--q-db 20
   --ratio 1`` over 50..80 dB in 10 dB steps, and ``direct-2`` over -20..-15
