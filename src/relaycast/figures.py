@@ -68,7 +68,7 @@ def _eight_layer_plan(cfg: PowerConfig, density) -> tuple[list[float], list[floa
     optimize._layered_plan, started from the continuous profile quantized by
     twolayer.discretize_power_density."""
     return _layered_plan(_layer_tail_terms(cfg.p_s, cfg.p_r), 8, cfg.p_s,
-                         twolayer.discretize_power_density(density, 8))
+                         twolayer.discretize_power_density(density, 8))[:2]
 
 
 # fig2's curves: CSV label -> scheme

@@ -8,7 +8,10 @@ and may be non-smooth at branch boundaries of the closed forms, so an
 auditable deterministic search beats stochastic methods here.  A
 coordinate's first line search spans its whole box, later ones a bracket
 sized by its last move; a search ends on a whole-box pass that moves nothing
-by more than _TOL = 1e-6.
+by more than _TOL = 1e-6.  The ``direct`` and ``miso-equal`` searches over
+all of (alpha, eta1, eta2) refine their grid by the exact two-layer plan
+instead (_layered_plan at n = 2, below), and by the line searches only
+where that plan leaves the search box.
 ``miso-unequal`` with beta free has no grid of its own: the unequal split
 contains the equal one (beta = alpha), so it refines the ``miso-equal``
 optimum over all free parameters.
@@ -23,13 +26,14 @@ analytic tridiagonal Hessian, to the exact stationary point.
 The ``direct`` and ``miso-equal`` kernels are twolayer._tail_kernels of
 their layer tails, e^{-eta} and P(Y > eta*P_s).  A ``miso-equal`` search
 computes each tail once: a line search moves at most one threshold and the
-alpha lines none, so the grid, the rescoring and the refinement read one
+alpha lines none, so the grid, the rescoring and the line searches read one
 cache, made when the search starts and dropped when it returns (the form's
 ``tail``, with the kernels rebuilt on the cache).  ``direct`` has no
 ``tail``: its math.exp costs less than a cache lookup.  Each search logs one
 DEBUG line with its evaluations, where it caches tails its tail
-computations, and per ascent the passes run, then the line searches, the
-brackets widened and the ascents that ran all their passes (capped).
+computations, and ``plan`` where the exact plan refined it, else per ascent
+the passes run, then the line searches, the brackets widened and the
+ascents that ran all their passes (capped).
 No randomness anywhere; rerunning returns bit-identical output.
 """
 
@@ -45,7 +49,7 @@ import numpy as np
 
 from . import twolayer
 from .model import PowerConfig, TwoLayerAllocation
-from .outage import optimal_single_user_rate, y_sum_tail
+from .outage import _layer_tail_terms, optimal_single_user_rate, y_sum_tail
 
 __all__ = [
     "OptResult",
@@ -253,14 +257,19 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     parameter the search box does not depend on the start, so only the best
     point is refined, by one line search over its box.  Exact ties go to the
     point with fewer grid steps between eta1 and eta2 when both are free,
-    then to the earlier one.
+    then to the earlier one.  Direct and miso-equal with exactly alpha, eta1
+    and eta2 free (beta is alpha) refine the best point by the exact
+    two-layer plan instead (_two_layer_plan), scored by the scalar kernel;
+    they run the passes only where that value is not finite or is below the
+    best grid value, or the plan leaves 0 <= eta1 <= eta2 <= _ETA_MAX.
     Direct and miso-equal score the grid in one array call, then rescore with
     the bit-exact scalar kernel every point within 1e-6 (relative) of the
     third-best, because numpy's exp/log1p may differ from math's in the last
     ulp and grids hold near-ties; miso-unequal and simplex go point by point.
     ``n_evals`` counts each feasible grid point once, plus every refinement
-    step, and ``coarse_best`` is the best grid value.  ``coarse_points`` must
-    be at least 1.
+    step (the plan's values and its scoring, and the passes' line-search
+    probes), and ``coarse_best`` is the best grid value.  ``coarse_points``
+    must be at least 1.
 
     ``miso-unequal`` with beta and another parameter free has no grid: the
     ``miso-equal`` search over the other free parameters (at
@@ -341,22 +350,47 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         evals += coarse.size - len(shortlist)
         coarse[shortlist] = [value(point(i)) for i in shortlist]
     # ties go to fewer eta steps: by grid order alone 10 of 401 64-point direct
-    # searches over (alpha, eta1, eta2) at -20..80 dB fall, by up to 5.3e-6
+    # searches over (alpha, eta1, eta2) at -20..80 dB fell, by up to 5.3e-6
     # near -19 dB from a tied start on the flat alpha = 0 edge, for 0.02%
-    # fewer evaluations (ROADMAP, Settled)
+    # fewer evaluations (ROADMAP, Settled).  Those searches refine by the
+    # exact plan, so the rule serves the ascents: subsets, and plans not kept
     steps = k - j if "eta1" in free and "eta2" in free else 0 * j
     shortlist.sort(key=lambda i: (-coarse[i], steps[i % j.size], i))
 
-    runs = [_coordinate_ascent(value, (float(coarse[i]), point(i)), slots,
-                               lambda i, x: _search_box(i, x, beta_ge_alpha))
-            for i in shortlist[:_N_STARTS if len(slots) > 1 else 1]]
-    best_val, best = max(runs, key=lambda t: t[0])[:2]
+    coarse_best = float(coarse[shortlist[0]])
+    best = None
+    if scheme in ("direct", "miso-equal") and free == ["alpha", "eta1", "eta2"]:
+        plan, plan_evals = _two_layer_plan(point(shortlist[0]), n_pts, p_s,
+                                           p_r if scheme == "miso-equal" else 0.0)
+        evals += plan_evals
+        if 0.0 <= plan[2] <= plan[3] <= _ETA_MAX:
+            plan_val = value(plan)
+            if coarse_best <= plan_val < math.inf:
+                best_val, best, path = plan_val, plan, "plan"
+    if best is None:
+        runs = [_coordinate_ascent(value, (float(coarse[i]), point(i)), slots,
+                                   lambda i, x: _search_box(i, x, beta_ge_alpha))
+                for i in shortlist[:_N_STARTS if len(slots) > 1 else 1]]
+        best_val, best = max(runs, key=lambda t: t[0])[:2]
+        path = _ascent_stats(runs, len(slots))
     params = {**fixed, **{name: best[i] for name, i in zip(free, slots)}}
     tails = "" if tail is None else f" tails={tail.cache_info().misses}"
     log.debug("maximize_throughput %s free=%s evals=%d%s %s value=%.6g", scheme,
-              ",".join(free), evals, tails, _ascent_stats(runs, len(slots)), best_val)
-    return OptResult(params=params, value=best_val, n_evals=evals,
-                     coarse_best=float(coarse[shortlist[0]]))
+              ",".join(free), evals, tails, path, best_val)
+    return OptResult(params=params, value=best_val, n_evals=evals, coarse_best=coarse_best)
+
+
+def _two_layer_plan(x: Sequence[float], n_pts: int, p_s: float, p_r: float
+                    ) -> tuple[list[float], int]:
+    """(alpha, alpha, eta1, eta2) of _layered_plan at n = 2 for the MISO layer
+    tail (e^{-eta} at P_r = 0), and its plan values, from the best point ``x``
+    of an ``n_pts`` grid moved half a grid step inside 0 < 1 - alpha < 1 and
+    0 < eta1 < eta2: grids of 1 or 2 points put their best on an edge."""
+    half = 0.5 / max(n_pts - 1, 1)
+    eta1 = max(x[2], half * _ETA_MAX)
+    start = [eta1, max(x[3], eta1 + half * _ETA_MAX)], [min(max(1.0 - x[0], half), 1.0 - half)]
+    (eta1, eta2), (alpha, _), evals = _layered_plan(_layer_tail_terms(p_s, p_r), 2, p_s, start)
+    return [alpha, alpha, eta1, eta2], evals
 
 
 def _unequal_from_equal(equal: OptResult, free: Sequence[str],
@@ -506,10 +540,12 @@ def _layer_threshold(tail, a: float, b: float, x: float) -> tuple[float, ...]:
         x = nxt if lo < nxt < hi else 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
 
 
-def _layered_plan(tail, n: int, p_s: float, start) -> tuple[list[float], list[float]]:
+def _layered_plan(tail, n: int, p_s: float, start
+                  ) -> tuple[list[float], list[float], int]:
     """The optimal n-layer equal-split plan (thresholds, power fractions) for the
     layer tail ``tail`` (eta -> (T, T', T''), log-concave), from ``start``,
-    a (thresholds, residuals) plan such as twolayer.discretize_power_density's.
+    a (thresholds, residuals) plan such as twolayer.discretize_power_density's,
+    and the plan values it computed (the start's and every trial step's).
 
     The residual powers c_0 = P_s > c_1 > ... > c_{n-1} > c_n = 0 (residuals
     c_i/P_s) give the value sum_k L_k(eta_k) T(eta_k), where layer k's term
@@ -531,12 +567,13 @@ def _layered_plan(tail, n: int, p_s: float, start) -> tuple[list[float], list[fl
     """
     thresholds, residuals = start
     c = [p_s, *(r * p_s for r in residuals), 0.0]
-    root_steps = shifts = 0
+    root_steps = shifts = values = 0
 
     def layers(c: list[float], guess: list[float]):
-        nonlocal root_steps
+        nonlocal root_steps, values
         out = [_layer_threshold(tail, c[k], c[k + 1], guess[k]) for k in range(n)]
         root_steps += sum(t[5] for t in out)
+        values += 1
         return out, sum(t[1] for t in out)
 
     terms, value = layers(c, thresholds)
@@ -583,7 +620,7 @@ def _layered_plan(tail, n: int, p_s: float, start) -> tuple[list[float], list[fl
     for cj in c[1:n]:
         fractions.append(resid - cj / p_s)
         resid -= fractions[-1]
-    return [t[0] for t in terms], [*fractions, resid]
+    return [t[0] for t in terms], [*fractions, resid], values
 
 
 def _shifted_newton_step(grad: list[float], diag: list[float], off: list[float]

@@ -77,11 +77,12 @@ def test_fig4_layerings_are_ordered(ps_db, ratio, pinned):
 def test_fig4_logs_one_line_per_eight_layer_plan(caplog):
     # one line per plan, with the Newton steps, the threshold root steps and
     # the shifts the plan took, and its value; the cell is the closed form at
-    # the plan, which reads the same value to rounding
+    # the plan, which reads the same value to rounding.  The two-layer search
+    # logs a plan of its own, of 2 layers
     caplog.set_level(logging.DEBUG, logger="relaycast.optimize")
     r = rates("fig4", ps_db=[10.0], ratios=(1.0,))
     [line] = [rec.getMessage() for rec in caplog.records
-              if rec.getMessage().startswith("_layered_plan ")]
+              if rec.getMessage().startswith("_layered_plan layers=8 ")]
     fields = dict(f.split("=") for f in line.split()[1:])
     assert set(fields) == {"layers", "iterations", "root_steps", "shifts", "value"}
     assert fields["layers"] == "8"

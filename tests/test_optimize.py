@@ -93,6 +93,25 @@ class TestLineSearch:
         assert fx == f(x) == max(f for _, f in probes if not math.isnan(f))
 
 
+# the values of the 64-point direct search over (alpha, eta1, eta2) at -20..80
+# dB in 2.5 dB steps, read by direct_multilayer_throughput at its result,
+# captured before that search became the exact two-layer plan, which the
+# oblivious plan stops up to 1.2e-12 below (at 77.5 dB)
+DIRECT_GRID_SEARCH = (
+    0.003660578116517924, 0.006484746328923097, 0.011454890428105144,
+    0.020135480917745446, 0.035107440189814584, 0.060423737616834075,
+    0.10199382005122276, 0.16757965674383915, 0.26606296170629773, 0.4059600683082546,
+    0.593688705938138, 0.8323411675866784, 1.1214241254672768, 1.4574812601768836,
+    1.8351679296959875, 2.248336591329179, 2.6908723781271027, 3.1572086507472283,
+    3.6425676939898333, 4.143011718696814, 4.655384710084661, 5.177204362142915,
+    5.706541140239811, 6.241904426797969, 6.782144508429411, 7.326372665974968,
+    7.873898307453096, 8.424180687530718, 8.976792421728845, 9.531392189950118,
+    10.08770442080101, 10.64550418827684, 11.204605956838641, 11.764855156051727,
+    12.326121813489195, 12.88829571789086, 13.451282695439883, 14.015001691549802,
+    14.579382459371594, 15.144364117654328, 15.70989241334238,
+)
+
+
 class TestObliviousPlan:
     @pytest.mark.parametrize("p_s", [1.0, 10.0, 100.0])
     def test_two_layers_beat_one(self, p_s):
@@ -122,12 +141,9 @@ class TestObliviousPlan:
 
     def test_never_below_the_grid_search(self):
         # the 64-point maximize_throughput("direct") search that was the plan,
-        # at the 41 points -20..80 dB in 2.5 dB steps
-        for ps_db in np.arange(-20.0, 80.1, 2.5):
+        # at the 41 points -20..80 dB in 2.5 dB steps, by its captured values
+        for ps_db, grid_value in zip(np.arange(-20.0, 80.1, 2.5), DIRECT_GRID_SEARCH):
             p_s = 10 ** (ps_db / 10)
-            grid = maximize_throughput("direct", ("alpha", "eta1", "eta2"), {},
-                                       PowerConfig(p_s, 0.0, 0.0), coarse_points=64)
-            grid_value = plan_value(TwoLayerAllocation(**grid.params), p_s)
             assert plan_value(oblivious_rate_plan(p_s), p_s) >= grid_value * (1.0 - 1e-12)
 
     def test_logs_one_debug_line(self, monkeypatch, caplog, capsys):
@@ -569,8 +585,10 @@ PINNED = [
 # optimum; the rows whose coarse grid holds exact ties when those began to go
 # to the point with fewer grid steps between eta1 and eta2; every row with
 # more than one free parameter when each line search after a coordinate's
-# first began to span a bracket around the coordinate's last move; and every
-# row when the line searches became Brent's to a 1e-7 bracket.  The last
+# first began to span a bracket around the coordinate's last move; every row
+# when the line searches became Brent's to a 1e-7 bracket; and the direct and
+# miso-equal rows over (alpha, eta1, eta2), and the miso-unequal rows that
+# start from such a search, when it became the exact two-layer plan.  The last
 # capture is the current result, and it may not fall below the PINNED value or
 # an earlier capture by more than 1e-6 relative
 RECAPTURED = {
@@ -584,6 +602,9 @@ RECAPTURED = {
         (0.006103627694240707,
          {"alpha": 0.5032181483920116, "eta1": 1.2035740378050277,
           "eta2": 1.209099697910897}, 8832),
+        (0.006103627694240709,
+         {"alpha": 0.5032151692468776, "eta1": 1.2035739958914855,
+          "eta2": 1.2090996552562818}, 7207),
     ],
     (25.0, 2.0, ("alpha", "eta1", "eta2")): [
         (5.187470690352275,
@@ -592,6 +613,9 @@ RECAPTURED = {
         (5.187470690352123,
          {"alpha": 0.9845431930668596, "eta1": 0.4614739646496458,
           "eta2": 1.3218592841722079}, 8879),
+        (5.187470690352317,
+         {"alpha": 0.984543235939507, "eta1": 0.4614742579804331,
+          "eta2": 1.321859864586427}, 7206),
     ],
     (25.0, 2.0, ("alpha", "beta", "eta1", "eta2")): [
         (5.188095902063042,
@@ -603,6 +627,9 @@ RECAPTURED = {
         (5.188095892852301,
          {"alpha": 0.9852403173257571, "beta": 0.9844140691124934,
           "eta1": 0.43384401533607936, "eta2": 1.368574051618472}, 3891),
+        (5.188095892505418,
+         {"alpha": 0.9852403317827947, "beta": 0.9844140828181139,
+          "eta1": 0.433844068396481, "eta2": 1.3685743206012633}, 2094),
     ],
     (-20.0, 0.0, ("alpha", "beta", "eta1", "eta2")): [
         (0.0036605781165179223,
@@ -614,6 +641,9 @@ RECAPTURED = {
         (0.003660578116517924,
          {"alpha": 0.5028747615114978, "beta": 0.5028747615114978,
           "eta1": 0.9926284206866312, "eta2": 0.9975307038630545}, 2043),
+        (0.003660578116517925,
+         {"alpha": 0.5028717542436328, "beta": 0.5028717542436328,
+          "eta1": 0.9926284053899055, "eta2": 0.9975306976114764}, 373),
     ],
     (10.0, 0.0, ("alpha", "beta", "eta1", "eta2")): [
         (1.1214241254672634,
@@ -625,6 +655,9 @@ RECAPTURED = {
         (1.1214241254673436,
          {"alpha": 0.8042028466337533, "beta": 0.8042030479981469,
           "eta1": 0.36755214142320475, "eta2": 0.6757018024623981}, 1784),
+        (1.1214241254673585,
+         {"alpha": 0.80420260992138, "beta": 0.80420260992138,
+          "eta1": 0.3675520710776634, "eta2": 0.6757016423350749}, 367),
     ],
     (25.0, 0.0, ("alpha", "eta1", "eta2")): [
         (3.642567693986696,
@@ -636,6 +669,9 @@ RECAPTURED = {
         (3.6425676939895677,
          {"alpha": 0.961302601706062, "eta1": 0.1299478542486806,
           "eta2": 0.45145367088096067}, 2549),
+        (3.642567693990665,
+         {"alpha": 0.9613028489365973, "eta1": 0.12994806997906155,
+          "eta2": 0.4514543342393238}, 943),
     ],
     (-20.0, 0.0, ("alpha", "eta1", "eta2")): [
         (0.003660578116517921,
@@ -647,6 +683,9 @@ RECAPTURED = {
         (0.003660578116517923,
          {"alpha": 0.5028674141524717, "eta1": 0.9926283732123128,
           "eta2": 0.9975306646053497}, 3040),
+        (0.003660578116517924,
+         {"alpha": 0.5028717333863502, "eta1": 0.9926284058605465,
+          "eta2": 0.9975306975085556}, 557),
     ],
     (80.0, 0.0, ("alpha", "eta2")): [
         (13.885961897291823,
@@ -700,6 +739,9 @@ RECAPTURED = {
         (17.288797845649015,
          {"alpha": 0.9999996174041471, "eta1": 0.11795182486929875,
           "eta2": 0.7022982364362407}, 3052),
+        (17.288798250223756,
+         {"alpha": 0.999999618917286, "eta1": 0.11808263165547782,
+          "eta2": 0.7026821124645235}, 951),
     ],
     (10.0, 2.0, ("alpha", "eta1", "eta2")): [
         (2.063729879179878,
@@ -737,9 +779,9 @@ def test_pinned_results(ps_db, ratio, scheme, free, fixed, coarse, value, params
 
 
 def test_miso_equal_search_computes_each_tail_once(monkeypatch, caplog, capsys):
-    # a line search moves at most one threshold and the alpha lines none, so
-    # the search keeps every tail it has computed, the coarse grid's included
-    row = next(row for row in PINNED if row[:3] == (25.0, 2.0, "miso-equal"))
+    # a line search moves at most one threshold, so the search keeps every
+    # tail it has computed, the coarse grid's included
+    row = next(row for row in PINNED if row[:3] == (80.0, 0.001, "miso-equal"))
     ps_db, ratio, scheme, free, fixed, coarse = row[:6]
     value, params, n_evals = expected(row)
     seen, thresholds = [], []
@@ -768,8 +810,8 @@ def test_miso_equal_search_computes_each_tail_once(monkeypatch, caplog, capsys):
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
     assert record.getMessage().startswith(
-        f"maximize_throughput miso-equal free=alpha,eta1,eta2 evals={n_evals} "
-        f"tails={len(seen)} ")
+        f"maximize_throughput miso-equal free=eta1,eta2 evals={n_evals} "
+        f"tails={len(seen)} passes=")
     assert capsys.readouterr().out == ""
 
 
@@ -784,13 +826,57 @@ def test_direct_search_logs_no_tail_count(monkeypatch, caplog):
 
     monkeypatch.setattr(optimize, "golden_section_max", counted)
     caplog.set_level(logging.DEBUG, logger="relaycast.optimize")
-    res = maximize_throughput("direct", ("alpha", "eta1", "eta2"), {},
+    res = maximize_throughput("direct", ("eta1", "eta2"), {"alpha": 0.7},
                               PowerConfig(10.0, 0.0, 1.0))
     [record] = caplog.records
-    assert re.fullmatch(rf"maximize_throughput direct free=alpha,eta1,eta2 "
+    assert re.fullmatch(rf"maximize_throughput direct free=eta1,eta2 "
                         rf"evals={res.n_evals} passes=\d+,\d+,\d+ lines={len(searches)} "
                         rf"widened=\d+ capped=0 value={res.value:.6g}", record.getMessage())
 
+
+@pytest.mark.parametrize("scheme,ratio", [("direct", 0.0), ("miso-equal", 2.0)])
+def test_all_threshold_search_is_the_two_layer_plan(scheme, ratio, monkeypatch, caplog):
+    # the grid, then _layered_plan at n = 2 from its best point and no line
+    # search; the value is the scalar kernel's at the plan, and n_evals adds
+    # the plan's values and that one to the grid's 12 x 78 points
+    monkeypatch.setattr(optimize, "golden_section_max", None)
+    caplog.set_level(logging.DEBUG, logger="relaycast.optimize")
+    cfg = PowerConfig(10.0, 10.0 * ratio, 1.0)
+    res = maximize_throughput(scheme, ("alpha", "eta1", "eta2"), {}, cfg, coarse_points=12)
+    plan_line, line = (rec.getMessage() for rec in caplog.records)
+    assert plan_line.startswith("_layered_plan layers=2 ")
+    tails = r" tails=\d+" if scheme == "miso-equal" else ""
+    assert re.fullmatch(rf"maximize_throughput {scheme} free=alpha,eta1,eta2 "
+                        rf"evals={res.n_evals}{tails} plan value={res.value:.6g}", line)
+    p = res.params
+    assert res.value == twolayer.CLOSED_FORMS[scheme].rate(
+        p["alpha"], p["alpha"], p["eta1"], p["eta2"], cfg.p_s, cfg.p_r)
+    assert res.value >= res.coarse_best and res.n_evals > 12 * 78 + 1
+
+
+def test_all_threshold_search_agrees_with_nelder_mead():
+    # the 80 dB miso-equal row (P_r = P_s, coarse 12), which the coordinate
+    # ascents left 2.3e-8 below this: Nelder-Mead over (log(1 - alpha), eta1,
+    # eta2) on the scalar kernel, from the ascents' last result
+    from scipy.optimize import minimize
+
+    p_s = 1e8
+    rate = twolayer.CLOSED_FORMS["miso-equal"].rate
+
+    def negative(x):
+        if not (x[0] < 0.0 and 0.0 <= x[1] <= x[2]):
+            return math.inf
+        alpha = -math.expm1(x[0])
+        return -rate(alpha, alpha, x[1], x[2], p_s, p_s)
+
+    start = [math.log1p(-0.9999996174041471), 0.11795182486929875, 0.7022982364362407]
+    found = minimize(negative, start, method="Nelder-Mead",
+                     options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 20_000,
+                              "maxfev": 20_000, "adaptive": True})
+    assert found.success
+    res = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {},
+                              PowerConfig(p_s, p_s, 1.0), coarse_points=12)
+    assert res.value == pytest.approx(-found.fun, rel=1e-12, abs=0.0)
 
 def test_direct_and_miso_objectives_build_no_objects(monkeypatch):
     def forbidden(*args, **kwargs):
@@ -875,7 +961,7 @@ def layered_plan(ps_db, ratio, n=8):
     cfg = PowerConfig(p_s=p_s, p_r=ratio * p_s, q=1.0)
     density, dist, _ = broadcast.continuous_layering(cfg, "miso" if ratio else "siso")
     plan = optimize._layered_plan(_layer_tail_terms(p_s, cfg.p_r), n, p_s,
-                                  twolayer.discretize_power_density(density, n))
+                                  twolayer.discretize_power_density(density, n))[:2]
     value = miso_equal_throughput(*plan, p_s, cfg.p_r).r_av
     return value, plan, broadcast.broadcast_rate(density, dist)
 
@@ -936,15 +1022,23 @@ class TestLayeredPlan:
 
     def test_two_miso_layers_match_the_grid_search(self):
         # fig4's settings (0..25 dB x P_r/P_s 0.5, 1, 2) and fig5's (P_s 40 dB,
-        # P_r 0..40 dB in 4 dB steps), against their coarse-24 miso-equal search
+        # P_r 0..40 dB in 4 dB steps), against the values of their coarse-24
+        # miso-equal search, captured before it became this plan
         settings = [(ps, ratio) for ps in np.arange(0.0, 25.1, 5.0) for ratio in (0.5, 1.0, 2.0)]
         settings += [(40.0, 10.0 ** ((pr - 40.0) / 10.0)) for pr in np.arange(0.0, 40.1, 4.0)]
-        for ps_db, ratio in settings:
-            p_s = 10.0 ** (ps_db / 10.0)
-            grid = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {},
-                                       PowerConfig(p_s, ratio * p_s, 1.0), coarse_points=24)
+        searched = (
+            0.41933363752039443, 0.527009746983816, 0.6753790224301539, 0.892574993616679,
+            1.0688865366980804, 1.2913764234975902, 1.5968251529142816, 1.832428184010569,
+            2.1114837579178736, 2.4797843779148123, 2.755308074979712, 3.069146697033051,
+            3.4749325558407262, 3.7737618464593687, 4.1066238163330135, 4.532937815011349,
+            4.8446341040620275, 5.187470690352123, 6.782822790708249, 6.783848534136816,
+            6.78642645404323, 6.792910546109885, 6.809252621283067, 6.850491983231482,
+            6.944797366872503, 7.116052088454348, 7.389959795706788, 7.75595051882124,
+            8.18229657251915,
+        )
+        for (ps_db, ratio), grid_value in zip(settings, searched, strict=True):
             value, _, _ = layered_plan(ps_db, ratio, n=2)
-            assert value >= grid.value * (1.0 - 1e-12), (ps_db, ratio)
+            assert value >= grid_value * (1.0 - 1e-12), (ps_db, ratio)
 
     def test_two_layer_plans_agree_with_the_oracle(self):
         z_max = family_z(2)

@@ -103,7 +103,7 @@ class TestMisoEqual:
         dist = sum_fading_distribution(1.0)
         density = optimal_power_density(p, dist)
         plan = _layered_plan(_layer_tail_terms(p, p), 8, p,
-                             twolayer.discretize_power_density(density, 8))
+                             twolayer.discretize_power_density(density, 8))[:2]
         r8 = miso_equal_throughput(*plan, p, p).r_av
         r2 = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {}, cfg,
                                  coarse_points=24).value
