@@ -14,7 +14,8 @@ instead (_layered_plan at n = 2, below), and by the line searches only
 where that plan leaves the search box.
 ``miso-unequal`` with beta free has no grid of its own: the unequal split
 contains the equal one (beta = alpha), so it refines the ``miso-equal``
-optimum over all free parameters.
+optimum over all free parameters, by Newton steps on central differences
+(_difference_newton) and one confirming coordinate ascent.
 The source's oblivious plan (oblivious_rate_plan) is a direct search with a
 structure of its own: at a fixed alpha the direct value separates into one
 problem per threshold, each solved in closed form or by a monotone root, so
@@ -33,7 +34,8 @@ cache, made when the search starts and dropped when it returns (the form's
 DEBUG line with its evaluations, where it caches tails its tail
 computations, and ``plan`` where the exact plan refined it, else per ascent
 the passes run, then the line searches, the brackets widened and the
-ascents that ran all their passes (capped).
+ascents that ran all their passes (capped); the unequal refinement logs its
+Newton steps, shifts, positions held on a face and confirming passes.
 No randomness anywhere; rerunning returns bit-identical output.
 """
 
@@ -84,6 +86,7 @@ _PLAN_ITERATIONS = 50  # most Newton steps of _layered_plan
 _PLAN_STEP = 2.0  # most any log residual moves in one of its steps
 _PLAN_HALVINGS = 40  # most halvings of one step
 _PLAN_RTOL = 1e-16  # the plan ends once a step would gain no more, relative
+_DIFF_STEP = 1e-4  # _difference_newton's difference step, as a share of a position's room
 
 
 @dataclass(frozen=True)
@@ -232,17 +235,6 @@ def _coordinate_ascent(value: Callable[[list[float]], float],
     return cur_val, cur, passes, widened
 
 
-def _ascent_stats(runs: Sequence[tuple], n_coords: int) -> str:
-    """The DEBUG fields of _coordinate_ascent results ``runs`` over
-    ``n_coords`` positions: the passes of each, the line searches in all
-    (one per position and pass, plus one per widened bracket), the brackets
-    widened in all, and how many ran all _MAX_PASSES."""
-    passes, widened = [r[2] for r in runs], sum(r[3] for r in runs)
-    return (f"passes={','.join(map(str, passes))} "
-            f"lines={n_coords * sum(passes) + widened} widened={widened} "
-            f"capped={passes.count(_MAX_PASSES)}")
-
-
 def maximize_throughput(scheme: str, free_params: Iterable[str],
                         fixed: Mapping[str, float], cfg: PowerConfig,
                         coarse_points: int | None = None) -> OptResult:
@@ -273,9 +265,9 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
 
     ``miso-unequal`` with beta and another parameter free has no grid: the
     ``miso-equal`` search over the other free parameters (at
-    ``coarse_points``) gives the start, with beta = alpha, of one ascent
-    over all of them (_unequal_from_equal).  ``n_evals`` counts both
-    searches and ``coarse_best`` is the equal search's.
+    ``coarse_points``) gives the start, with beta = alpha, of Newton steps
+    over all of them and one confirming ascent (_unequal_from_equal).
+    ``n_evals`` counts both searches and ``coarse_best`` is the equal search's.
     """
     free = [p for p in _PARAM_ORDER if p in set(free_params)]
     if not free:
@@ -372,7 +364,10 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
                                    lambda i, x: _search_box(i, x, beta_ge_alpha))
                 for i in shortlist[:_N_STARTS if len(slots) > 1 else 1]]
         best_val, best = max(runs, key=lambda t: t[0])[:2]
-        path = _ascent_stats(runs, len(slots))
+        passes, widened = [r[2] for r in runs], sum(r[3] for r in runs)
+        path = (f"passes={','.join(map(str, passes))} lines="
+                f"{len(slots) * sum(passes) + widened} widened={widened} "
+                f"capped={passes.count(_MAX_PASSES)}")
     params = {**fixed, **{name: best[i] for name, i in zip(free, slots)}}
     tails = "" if tail is None else f" tails={tail.cache_info().misses}"
     log.debug("maximize_throughput %s free=%s evals=%d%s %s value=%.6g", scheme,
@@ -395,11 +390,12 @@ def _two_layer_plan(x: Sequence[float], n_pts: int, p_s: float, p_r: float
 
 def _unequal_from_equal(equal: OptResult, free: Sequence[str],
                         fixed: Mapping[str, float], cfg: PowerConfig) -> OptResult:
-    """The miso-unequal optimum over ``free`` (beta among them), by one
-    coordinate ascent from ``equal``, a miso-equal result over the other free
-    parameters, with beta = alpha: the unequal split contains the equal one.
-    ``n_evals`` adds the ascent's evaluations, the scored start included, to
-    ``equal``'s, and ``coarse_best`` is ``equal``'s."""
+    """The miso-unequal optimum over ``free`` (beta among them), from
+    ``equal``, a miso-equal result over the other free parameters, with beta =
+    alpha (the unequal split contains the equal one): Newton steps
+    (_difference_newton), then one coordinate ascent, which a converged Newton
+    point ends in its first, whole-box pass.  ``n_evals`` adds both stages'
+    evaluations to ``equal``'s, and ``coarse_best`` is ``equal``'s."""
     evals = 0
     rate = twolayer.CLOSED_FORMS["miso-unequal"].rate
 
@@ -411,14 +407,89 @@ def _unequal_from_equal(equal: OptResult, free: Sequence[str],
     p = equal.params
     start = [p["alpha"], p["alpha"], p["eta1"], p["eta2"]]
     slots = sorted(_PARAM_ORDER.index(name) for name in free)
-    run = _coordinate_ascent(value, (value(start), start), slots, _search_box)
+    newton = _difference_newton(value, (value(start), start), slots)
+    run = _coordinate_ascent(value, newton[:2], slots, _search_box)
     best_val, best = run[:2]
     params = {**fixed, **{_PARAM_ORDER[i]: best[i] for i in slots}}
     log.debug("maximize_throughput miso-unequal from miso-equal free=%s evals=%d "
-              "%s value=%.6g", ",".join(_PARAM_ORDER[i] for i in slots), evals,
-              _ascent_stats([run], len(slots)), best_val)
+              "newton=%d shifts=%d held=%d passes=%d value=%.6g",
+              ",".join(_PARAM_ORDER[i] for i in slots), evals, *newton[2:], run[2], best_val)
     return OptResult(params=params, value=best_val, n_evals=equal.n_evals + evals,
                      coarse_best=equal.coarse_best)
+
+
+def _difference_newton(value: Callable[[list[float]], float],
+                       start: tuple[float, Sequence[float]], coords: Sequence[int]
+                       ) -> tuple[float, list[float], int, int, int]:
+    """(value, point, iterations, shifts, held) of Newton steps on central
+    differences of ``value`` over positions ``coords`` of an (alpha, beta,
+    eta1, eta2) point, from ``start``, a (value, point) pair, in _search_box.
+    A position's difference step is _DIFF_STEP of its distance to the nearer
+    end of its box, so 1 - alpha of 1e-7 is resolved as well as 0.5; one on an
+    end is held there (``held`` at the last step) while a step of _DIFF_STEP
+    of its box inward does not raise the value, except that eta1 = eta2, both
+    held, move as one.  Each step is _shifted_newton_step's, clipped to the
+    box and halved until the value rises; the search stops where
+    _layered_plan's would.
+    """
+    fx, x = start[0], list(start[1])
+    iterations = shifts = held = 0
+    while iterations < _PLAN_ITERATIONS:
+        groups, h = [], []  # the positions each difference step moves, and its size
+        for i in coords:
+            lo, hi = _search_box(i, x)
+            if min(x[i] - lo, hi - x[i]) <= 0.0 < hi - lo:  # on a face: one step in
+                probe = x.copy()
+                probe[i] += math.copysign(_DIFF_STEP * (hi - lo), lo + hi - 2.0 * x[i])
+                inward = value(probe)
+                if inward > fx:
+                    x, fx = probe, inward
+            if min(x[i] - lo, hi - x[i]) > 0.0:
+                groups.append((i,))
+                h.append(_DIFF_STEP * min(x[i] - lo, hi - x[i]))
+        if x[2] == x[3] and 0.0 < x[2] < _ETA_MAX and {2, 3} <= set(coords):
+            groups.append((2, 3))
+            h.append(_DIFF_STEP * min(x[2], _ETA_MAX - x[2]))
+        held = len(coords) - sum(map(len, groups))
+
+        def at(*moves: tuple[int, float]) -> float:
+            trial = x.copy()
+            for k, t in moves:
+                for i in groups[k]:
+                    trial[i] += t * h[k]
+            return value(trial)
+
+        ends = [(at((k, 1.0)), at((k, -1.0))) for k in range(len(groups))]
+        grad = [0.5 * (up - down) for up, down in ends]
+        curv = [up + down - 2.0 * fx for up, down in ends]
+        # the lower triangle, by f(x + u) + f(x - u) - 2 f(x) = u^T H u
+        hess = [[0.5 * (at((j, 1.0), (k, 1.0)) + at((j, -1.0), (k, -1.0)) - 2.0 * fx
+                        - curv[j] - curv[k]) for k in range(j)] + [curv[j]]
+                for j in range(len(groups))]
+        step, tried = _shifted_newton_step(grad, hess)
+        shifts += tried
+        if not 0.5 * sum(g * d for g, d in zip(grad, step)) > _PLAN_RTOL * abs(fx):
+            break
+        scale = 1.0
+        for _ in range(_PLAN_HALVINGS):
+            trial = x.copy()
+            for group, d, hk in zip(groups, step, h):
+                for i in group:
+                    trial[i] += scale * d * hk
+            for i in reversed(coords):  # eta2 before eta1
+                lo, hi = _search_box(i, trial)
+                trial[i] = min(max(trial[i], lo), hi)
+            if trial != x and all(lo <= trial[i] <= hi for i in coords
+                                  for lo, hi in [_search_box(i, trial)]):
+                new = value(trial)
+                if new > fx:
+                    break
+            scale *= 0.5
+        else:
+            break
+        x, fx = trial, new
+        iterations += 1
+    return fx, x, iterations, shifts, held
 
 
 def _single_layer_eta(p: float) -> float:
@@ -591,10 +662,10 @@ def _layered_plan(tail, n: int, p_s: float, start
         # in log c_1..c_{n-1}: H_jm c_j c_m, plus c_j dV/dc_j on the diagonal
         s = c[1:n]
         grad = [(parts[j][2] + parts[j + 1][0]) * cj for j, cj in enumerate(s)]
-        diag = [(parts[j][3] + parts[j + 1][1]) * cj * cj + g
-                for j, (cj, g) in enumerate(zip(s, grad))]
-        off = [parts[j][4] * cj * ck for j, (cj, ck) in enumerate(zip(s, s[1:]), 1)]
-        step, tried = _shifted_newton_step(grad, diag, off)
+        hess = [[(parts[j][3] + parts[j + 1][1]) * cj * cj + grad[j] if k == j else
+                 parts[j][4] * s[k] * cj if k == j - 1 else 0.0 for k in range(j + 1)]
+                for j, cj in enumerate(s)]  # the lower triangle
+        step, tried = _shifted_newton_step(grad, hess)
         shifts += tried
         # the gain the Newton model predicts; NaN ends the plan too
         if not 0.5 * sum(g * d for g, d in zip(grad, step)) > _PLAN_RTOL * value:
@@ -623,23 +694,29 @@ def _layered_plan(tail, n: int, p_s: float, start
     return [t[0] for t in terms], [*fractions, resid], values
 
 
-def _shifted_newton_step(grad: list[float], diag: list[float], off: list[float]
+def _shifted_newton_step(grad: list[float], hess: list[list[float]]
                          ) -> tuple[list[float], int]:
     """(step, shifts): the solution of (H - lam I) step = -grad for the
-    symmetric tridiagonal H (``diag``, ``off``), by LDL^T with the least lam of
-    0, 1e-9 and tenfold steps of the largest |diag| that leaves every pivot
-    negative; ``shifts`` counts the nonzero lams tried.  A Hessian that no
-    finite lam makes negative definite (a NaN entry) gives a NaN step."""
+    symmetric H ``hess`` (its lower triangle read), by LDL^T with the least
+    lam of 0, 1e-9 and tenfold steps of the largest |diagonal entry| that
+    leaves every pivot negative; ``shifts`` counts the nonzero lams tried.  A
+    Hessian that no finite lam makes negative definite (a NaN entry) gives a
+    NaN step.  The terms off a band are exact zeros, so a tridiagonal H
+    rounds as a tridiagonal solver would."""
     m = len(grad)
-    lam, shifts, scale = 0.0, 0, max(map(abs, diag), default=0.0) or 1.0
+    lam, shifts = 0.0, 0
+    scale = max((abs(hess[j][j]) for j in range(m)), default=0.0) or 1.0
     while True:
-        pivots, ratios = [], []
+        low, pivots = [], []  # the rows of L left of the diagonal, and D
         for j in range(m):
-            p = diag[j] - lam - (ratios[-1] * off[j - 1] if j else 0.0)
+            u = []  # L_jk D_k, k < j
+            for k in range(j):
+                u.append(hess[j][k] - sum(a * b for a, b in zip(u, low[k])))
+            low.append([a / p for a, p in zip(u, pivots)])
+            p = hess[j][j] - lam - sum(a * b for a, b in zip(low[j], u))
             if not p < 0.0:
                 break
             pivots.append(p)
-            ratios.append(off[j] / p if j < m - 1 else 0.0)
         else:
             break
         if not lam < math.inf:
@@ -648,10 +725,10 @@ def _shifted_newton_step(grad: list[float], diag: list[float], off: list[float]
         lam = 10.0 * lam if lam else 1e-9 * scale
     y = []  # forward: L y = -grad; then back: D L^T x = y
     for j in range(m):
-        y.append(-grad[j] - (ratios[j - 1] * y[j - 1] if j else 0.0))
+        y.append(-grad[j] - sum(a * b for a, b in zip(low[j], y)))
     x = [0.0] * m
     for j in reversed(range(m)):
-        x[j] = y[j] / pivots[j] - (ratios[j] * x[j + 1] if j < m - 1 else 0.0)
+        x[j] = y[j] / pivots[j] - sum(low[k][j] * x[k] for k in range(j + 1, m))
     return x, shifts
 
 

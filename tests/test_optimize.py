@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from relaycast import (PowerConfig, TwoLayerAllocation, broadcast, optimize, twolayer,
-                       direct_multilayer_throughput, maximize_throughput,
+from relaycast import (PowerConfig, TwoLayerAllocation, broadcast, figures, optimize,
+                       twolayer, direct_multilayer_throughput, maximize_throughput,
                        miso_equal_throughput, oblivious_rate_plan, optimal_single_user_rate,
                        single_user_throughput, y_sum_tail)
 from relaycast.montecarlo import SimConfig, simulate_strategy
@@ -588,9 +588,11 @@ PINNED = [
 # first began to span a bracket around the coordinate's last move; every row
 # when the line searches became Brent's to a 1e-7 bracket; and the direct and
 # miso-equal rows over (alpha, eta1, eta2), and the miso-unequal rows that
-# start from such a search, when it became the exact two-layer plan.  The last
-# capture is the current result, and it may not fall below the PINNED value or
-# an earlier capture by more than 1e-6 relative
+# start from such a search, when it became the exact two-layer plan; and the
+# miso-unequal rows with beta free when their search began with Newton steps
+# on central differences.  The last capture is the current result, and it may
+# not fall below the PINNED value or an earlier capture by more than 1e-6
+# relative
 RECAPTURED = {
     (-20.0, 0.5, ("alpha", "eta1", "eta2")): [
         (0.006103627694240707,
@@ -630,6 +632,9 @@ RECAPTURED = {
         (5.188095892505418,
          {"alpha": 0.9852403317827947, "beta": 0.9844140828181139,
           "eta1": 0.433844068396481, "eta2": 1.3685743206012633}, 2094),
+        (5.188097258373706,
+         {"alpha": 0.9851260550465076, "beta": 0.9843054341895784,
+          "eta1": 0.4334145104024886, "eta2": 1.3662769691220948}, 1111),
     ],
     (-20.0, 0.0, ("alpha", "beta", "eta1", "eta2")): [
         (0.0036605781165179223,
@@ -644,6 +649,9 @@ RECAPTURED = {
         (0.003660578116517925,
          {"alpha": 0.5028717542436328, "beta": 0.5028717542436328,
           "eta1": 0.9926284053899055, "eta2": 0.9975306976114764}, 373),
+        (0.003660578116517925,
+         {"alpha": 0.5028717542436328, "beta": 0.5028717542436328,
+          "eta1": 0.9926284053899055, "eta2": 0.9975306976114764}, 393),
     ],
     (10.0, 0.0, ("alpha", "beta", "eta1", "eta2")): [
         (1.1214241254672634,
@@ -658,6 +666,9 @@ RECAPTURED = {
         (1.1214241254673585,
          {"alpha": 0.80420260992138, "beta": 0.80420260992138,
           "eta1": 0.3675520710776634, "eta2": 0.6757016423350749}, 367),
+        (1.1214241254673585,
+         {"alpha": 0.80420260992138, "beta": 0.80420260992138,
+          "eta1": 0.3675520710776634, "eta2": 0.6757016423350749}, 387),
     ],
     (25.0, 0.0, ("alpha", "eta1", "eta2")): [
         (3.642567693986696,
@@ -703,6 +714,9 @@ RECAPTURED = {
         (12.091466979628242,
          {"eta1": 0.3, "eta2": 1.8, "alpha": 0.9698699088626281,
           "beta": 0.969966751501424}, 164),
+        (12.091467022700702,
+         {"eta1": 0.3, "eta2": 1.8, "alpha": 0.9701559000402733,
+          "beta": 0.9702523849153215}, 197),
     ],
     (10.0, 2.0, ("beta", "eta1", "eta2")): [
         (2.098919764469623,
@@ -714,6 +728,9 @@ RECAPTURED = {
         (2.0989197644750877,
          {"alpha": 0.7, "beta": 0.6997086717978469, "eta1": 0.7806599951893303,
           "eta2": 1.4363280435421553}, 843),
+        (2.0989197644756397,
+         {"alpha": 0.7, "beta": 0.6997082761944626, "eta1": 0.7806578025026308,
+          "eta2": 1.4363289859233663}, 375),
     ],
     (80.0, 0.001, ("eta1", "eta2")): [
         (14.772221721346606,
@@ -925,6 +942,111 @@ def test_unequal_split_at_least_matches_equal_split():
     assert uneq.value >= eq.value - 1e-9
 
 
+# miso-unequal values before the search began with Newton steps, at fig4's
+# default settings ((P_s dB, P_r/P_s)), at fig5's (P_r dB, P_s 40 dB) and
+# elsewhere ((P_s dB, P_r/P_s)): a coordinate ascent from the exact equal plan,
+# which ended at its 40-pass cap in 12 of fig4's 18 and 2 of fig5's 11
+UNEQUAL_ASCENT_FIG4 = {
+    (0.0, 0.5): 0.4194190637273316, (0.0, 1.0): 0.5270097469838211,
+    (0.0, 2.0): 0.6755589831010131, (5.0, 0.5): 0.8928330895745249,
+    (5.0, 1.0): 1.0688865366980944, (5.0, 2.0): 1.2917587217037836,
+    (10.0, 0.5): 1.5972821053550312, (10.0, 1.0): 1.8324281840106385,
+    (10.0, 2.0): 2.112030600711354, (15.0, 0.5): 2.480372980040014,
+    (15.0, 1.0): 2.7553080749798315, (15.0, 2.0): 3.0697740528343083,
+    (20.0, 0.5): 3.4755715211853357, (20.0, 1.0): 3.773761846459619,
+    (20.0, 2.0): 4.107266727097349, (25.0, 0.5): 4.533575159057957,
+    (25.0, 1.0): 4.844634104062418, (25.0, 2.0): 5.1880958924917095,
+}
+UNEQUAL_ASCENT_FIG5 = {
+    0.0: 6.783778166825461, 4.0: 6.786265116965303, 8.0: 6.79260781895995,
+    12.0: 6.809240656588068, 16.0: 6.854038587545128, 20.0: 6.937923899601959,
+    24.0: 7.051088785408096, 28.0: 7.193033494126676, 32.0: 7.399328478686293,
+    36.0: 7.757023949587282, 40.0: 8.182296572522283,
+}
+UNEQUAL_ASCENT_EDGES = {
+    (70.0, 0.5): 14.67166540637314, (70.0, 10.0): 16.320545559129506,
+    (80.0, 0.5): 16.95671312534396, (80.0, 10.0): 18.592386082951933,
+    (-10.0, 10.0): 0.2500268894273969,
+    # the optimum lies on eta1 = eta2 and beta = 1 (the thresholds move as one)
+    (-12.5, 0.01): 0.020399115900139347,
+    # the equal plan lies in the alpha = 0, eta1 = eta2 = 4 corner
+    (-20.0, 10.0): 0.029132007222034552,
+}
+
+
+def unequal_search(p_s, p_r, caplog):
+    """fig4's and fig5's unequal search at (p_s, p_r): (result, the unequal
+    stage's evaluations, its confirming passes), read off its DEBUG line."""
+    caplog.clear()
+    caplog.set_level(logging.DEBUG, logger="relaycast.optimize")
+    res = maximize_throughput("miso-unequal", ("alpha", "beta", "eta1", "eta2"), {},
+                              PowerConfig(p_s, p_r, 1.0), coarse_points=24)
+    [line] = [r.getMessage() for r in caplog.records if "from miso-equal" in r.getMessage()]
+    found = re.search(r"evals=(\d+) newton=\d+ shifts=\d+ held=\d+ passes=(\d+) ", line)
+    return res, int(found[1]), int(found[2])
+
+
+def in_search_box(params):
+    return (0.0 <= params["alpha"] <= 1.0 and 0.0 <= params["beta"] <= 1.0
+            and 0.0 <= params["eta1"] <= params["eta2"] <= optimize._ETA_MAX)
+
+
+class TestUnequalNewton:
+    """The miso-unequal search: Newton steps from the equal plan, then one
+    confirming coordinate ascent."""
+
+    def test_fig4_never_below_the_ascent_and_uncapped(self, caplog):
+        total = 0
+        for (ps_db, ratio), old in UNEQUAL_ASCENT_FIG4.items():
+            p_s = figures._db2lin(ps_db)
+            res, evals, passes = unequal_search(p_s, ratio * p_s, caplog)
+            assert res.value >= old * (1.0 - 1e-12), (ps_db, ratio)
+            assert passes < optimize._MAX_PASSES
+            total += evals
+        assert total <= 5000  # the capped ascents took 13,764
+
+    def test_fig5_never_below_the_ascent_and_uncapped(self, caplog):
+        for pr_db, old in UNEQUAL_ASCENT_FIG5.items():
+            res, _, passes = unequal_search(figures._db2lin(40.0), figures._db2lin(pr_db),
+                                            caplog)
+            assert res.value >= old * (1.0 - 1e-12), pr_db
+            assert passes < optimize._MAX_PASSES
+
+    @pytest.mark.parametrize("ps_db,ratio", list(UNEQUAL_ASCENT_EDGES))
+    def test_high_power_and_box_edges(self, ps_db, ratio, caplog):
+        p_s = figures._db2lin(ps_db)
+        res, _, _ = unequal_search(p_s, ratio * p_s, caplog)
+        assert math.isfinite(res.value) and in_search_box(res.params)
+        assert res.value >= UNEQUAL_ASCENT_EDGES[ps_db, ratio] * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("ps_db,ratio,pr_db", [
+        (0.0, 0.5, None), (25.0, 2.0, None), (40.0, None, 24.0), (40.0, None, 36.0)],
+        ids=["fig4-0dB-x0.5", "fig4-25dB-x2", "fig5-24dB-beta-face", "fig5-36dB"])
+    def test_agrees_with_nelder_mead(self, ps_db, ratio, pr_db, caplog):
+        from scipy.optimize import minimize
+        p_s = figures._db2lin(ps_db)
+        p_r = ratio * p_s if pr_db is None else figures._db2lin(pr_db)
+        res, _, _ = unequal_search(p_s, p_r, caplog)
+        x = np.array([res.params[name] for name in ("alpha", "beta", "eta1", "eta2")])
+        # Nelder-Mead in units of 1% of each parameter's room in its box
+        room = np.minimum(np.array([x[0], x[1], x[2], x[3] - x[2]]),
+                          np.array([1 - x[0], 1 - x[1], x[3] - x[2], 4.0 - x[3]]))
+        unit = 0.01 * np.where(room > 0.0, room, 1e-3)
+        rate = twolayer.CLOSED_FORMS["miso-unequal"].rate
+
+        def negative(z):
+            a, b, e1, e2 = x + z * unit
+            inside = 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= e1 <= e2 <= 4.0
+            return -rate(a, b, e1, e2, p_s, p_r) if inside else math.inf
+
+        best = res.value
+        for _ in range(2):
+            found = minimize(negative, np.zeros(4), method="Nelder-Mead",
+                             options={"xatol": 1e-10, "fatol": 1e-16, "maxfev": 20000})
+            x, best = x + found.x * unit, max(best, -found.fun)
+        assert abs(best - res.value) <= 1e-9
+
+
 class TestHorizontalGain:
     def test_exact_shift_recovered(self):
         ps = np.linspace(0.0, 20.0, 81)
@@ -1059,14 +1181,23 @@ class TestLayeredPlan:
 
     def test_shifted_newton_step(self):
         # negative definite: the Newton step itself, no shift; indefinite: a
-        # shift that leaves an uphill step; a NaN entry: a NaN step, at once
+        # shift that leaves an uphill step; a NaN entry: a NaN step, at once;
+        # a full matrix, as the unequal search's difference Hessian is
         grad, off = [1.0, 2.0, -0.5], [0.1, 0.3]
-        step, shifts = optimize._shifted_newton_step(grad, [-2.0, -1.0, -3.0], off)
-        hessian = np.diag([-2.0, -1.0, -3.0]) + np.diag(off, 1) + np.diag(off, -1)
+
+        def tridiagonal(diag):
+            return (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)).tolist()
+
+        hessian = tridiagonal([-2.0, -1.0, -3.0])
+        step, shifts = optimize._shifted_newton_step(grad, hessian)
         np.testing.assert_allclose(step, np.linalg.solve(hessian, -np.array(grad)),
                                    rtol=1e-14)
         assert shifts == 0
-        step, shifts = optimize._shifted_newton_step(grad, [1.0, -1.0, -3.0], off)
+        step, shifts = optimize._shifted_newton_step(grad, tridiagonal([1.0, -1.0, -3.0]))
         assert shifts > 0 and np.dot(grad, step) > 0.0
-        step, _ = optimize._shifted_newton_step(grad, [-1.0, math.nan, -3.0], off)
+        step, _ = optimize._shifted_newton_step(grad, tridiagonal([-1.0, math.nan, -3.0]))
         assert all(map(math.isnan, step))
+        full = [[-4.0, 1.0, 0.5], [1.0, -3.0, 0.8], [0.5, 0.8, -2.0]]
+        step, shifts = optimize._shifted_newton_step(grad, full)
+        np.testing.assert_allclose(step, np.linalg.solve(full, -np.array(grad)), rtol=1e-14)
+        assert shifts == 0
