@@ -9,21 +9,20 @@ auditable deterministic search beats stochastic methods here.  A
 coordinate's first line search spans its whole box, later ones a bracket
 sized by its last move; a search ends on a whole-box pass that moves nothing
 by more than _TOL = 1e-6.  The ``direct`` and ``miso-equal`` searches over
-all of (alpha, eta1, eta2) refine their grid by the exact two-layer plan
-instead (_layered_plan at n = 2, below), and by the line searches only
-where that plan leaves the search box.
+all of (alpha, eta1, eta2) are the exact two-layer plan instead
+(_layered_plan at n = 2, below); their grid only guards it, and the line
+searches run only where that plan leaves the search box or the grid beats it.
 ``miso-unequal`` with beta free has no grid of its own: the unequal split
 contains the equal one (beta = alpha), so it refines the ``miso-equal``
 optimum over all free parameters, by Newton steps on central differences
 (_difference_newton) and one confirming coordinate ascent.
-The source's oblivious plan (oblivious_rate_plan) is a direct search with a
-structure of its own: at a fixed alpha the direct value separates into one
-problem per threshold, each solved in closed form or by a monotone root, so
-the plan is one Brent search over alpha.
 The n-layer equal-split plans (_layered_plan, fig3's and fig4's 8 layers)
 have no grid and no line searches either: each threshold is a Newton root
 of its own layer term, and the residual powers solve by Newton steps on an
-analytic tridiagonal Hessian, to the exact stationary point.
+analytic tridiagonal Hessian, to the exact stationary point.  At n = 2 and
+the direct tail that plan is the source's oblivious plan
+(oblivious_rate_plan): every two-layer equal-split optimum over all of
+(alpha, eta1, eta2) is one _two_layer_plan from one fixed start.
 The ``direct`` and ``miso-equal`` kernels are twolayer._tail_kernels of
 their layer tails, e^{-eta} and P(Y > eta*P_s).  A ``miso-equal`` search
 computes each tail once: a line search moves at most one threshold and the
@@ -32,7 +31,7 @@ cache, made when the search starts and dropped when it returns (the form's
 ``tail``, with the kernels rebuilt on the cache).  ``direct`` has no
 ``tail``: its math.exp costs less than a cache lookup.  Each search logs one
 DEBUG line with its evaluations, where it caches tails its tail
-computations, and ``plan`` where the exact plan refined it, else per ascent
+computations, and ``plan`` where it is the exact plan, else per ascent
 the passes run, then the line searches, the brackets widened and the
 ascents that ran all their passes (capped); the unequal refinement logs its
 Newton steps, shifts, positions held on a face and confirming passes.
@@ -51,7 +50,7 @@ import numpy as np
 
 from . import twolayer
 from .model import PowerConfig, TwoLayerAllocation
-from .outage import _layer_tail_terms, optimal_single_user_rate, y_sum_tail
+from .outage import _layer_tail_terms, y_sum_tail
 
 __all__ = [
     "OptResult",
@@ -79,9 +78,7 @@ _N_STARTS = 3  # coarse-grid points refined by maximize_throughput
 # scalar kernel; it covers the last-ulp gaps between numpy's and math's
 # exp/log1p in the direct and miso-equal grids
 _SHORTLIST_RTOL = 1e-6
-_ALPHA_SCAN = 17  # evenly spaced alphas the oblivious plan scores first
-_ALPHA_TOL = 1e-9  # bracket width the plan's alpha search ends at
-_ROOT_STEPS = 100  # most evaluations of h per threshold root (eta1, or one layer's)
+_ROOT_STEPS = 100  # most evaluations of h per layer's threshold root
 _PLAN_ITERATIONS = 50  # most Newton steps of _layered_plan
 _PLAN_STEP = 2.0  # most any log residual moves in one of its steps
 _PLAN_HALVINGS = 40  # most halvings of one step
@@ -250,10 +247,10 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     point is refined, by one line search over its box.  Exact ties go to the
     point with fewer grid steps between eta1 and eta2 when both are free,
     then to the earlier one.  Direct and miso-equal with exactly alpha, eta1
-    and eta2 free (beta is alpha) refine the best point by the exact
-    two-layer plan instead (_two_layer_plan), scored by the scalar kernel;
-    they run the passes only where that value is not finite or is below the
-    best grid value, or the plan leaves 0 <= eta1 <= eta2 <= _ETA_MAX.
+    and eta2 free (beta is alpha) return the exact two-layer plan instead
+    (_two_layer_plan, from a fixed start, not the grid's), scored by the
+    scalar kernel; they run the passes only where that value is not finite or is
+    below the best grid value, or the plan leaves 0 <= eta1 <= eta2 <= _ETA_MAX.
     Direct and miso-equal score the grid in one array call, then rescore with
     the bit-exact scalar kernel every point within 1e-6 (relative) of the
     third-best, because numpy's exp/log1p may differ from math's in the last
@@ -352,8 +349,7 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     coarse_best = float(coarse[shortlist[0]])
     best = None
     if scheme in ("direct", "miso-equal") and free == ["alpha", "eta1", "eta2"]:
-        plan, plan_evals = _two_layer_plan(point(shortlist[0]), n_pts, p_s,
-                                           p_r if scheme == "miso-equal" else 0.0)
+        plan, plan_evals = _two_layer_plan(p_s, p_r if scheme == "miso-equal" else 0.0)
         evals += plan_evals
         if 0.0 <= plan[2] <= plan[3] <= _ETA_MAX:
             plan_val = value(plan)
@@ -375,16 +371,12 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     return OptResult(params=params, value=best_val, n_evals=evals, coarse_best=coarse_best)
 
 
-def _two_layer_plan(x: Sequence[float], n_pts: int, p_s: float, p_r: float
-                    ) -> tuple[list[float], int]:
+def _two_layer_plan(p_s: float, p_r: float) -> tuple[list[float], int]:
     """(alpha, alpha, eta1, eta2) of _layered_plan at n = 2 for the MISO layer
-    tail (e^{-eta} at P_r = 0), and its plan values, from the best point ``x``
-    of an ``n_pts`` grid moved half a grid step inside 0 < 1 - alpha < 1 and
-    0 < eta1 < eta2: grids of 1 or 2 points put their best on an edge."""
-    half = 0.5 / max(n_pts - 1, 1)
-    eta1 = max(x[2], half * _ETA_MAX)
-    start = [eta1, max(x[3], eta1 + half * _ETA_MAX)], [min(max(1.0 - x[0], half), 1.0 - half)]
-    (eta1, eta2), (alpha, _), evals = _layered_plan(_layer_tail_terms(p_s, p_r), 2, p_s, start)
+    tail (e^{-eta} at P_r = 0), and its plan values, from one fixed start:
+    thresholds (1, 1) and the residual 1/2."""
+    (eta1, eta2), (alpha, _), evals = _layered_plan(_layer_tail_terms(p_s, p_r), 2, p_s,
+                                                    ([1.0, 1.0], [0.5]))
     return [alpha, alpha, eta1, eta2], evals
 
 
@@ -430,7 +422,8 @@ def _difference_newton(value: Callable[[list[float]], float],
     of its box inward does not raise the value, except that eta1 = eta2, both
     held, move as one.  Each step is _shifted_newton_step's, clipped to the
     box and halved until the value rises; the search stops where
-    _layered_plan's would.
+    _layered_plan's would, or once the gain the Newton model predicts at the
+    halved step is at most half an ulp of the value, which rounding hides.
     """
     fx, x = start[0], list(start[1])
     iterations = shifts = held = 0
@@ -468,10 +461,13 @@ def _difference_newton(value: Callable[[list[float]], float],
                 for j in range(len(groups))]
         step, tried = _shifted_newton_step(grad, hess)
         shifts += tried
-        if not 0.5 * sum(g * d for g, d in zip(grad, step)) > _PLAN_RTOL * abs(fx):
+        gain = 0.5 * sum(g * d for g, d in zip(grad, step))  # the Newton model's
+        if not gain > _PLAN_RTOL * abs(fx):
             break
-        scale = 1.0
+        scale, new = 1.0, fx
         for _ in range(_PLAN_HALVINGS):
+            if scale * gain <= 0.5 * math.ulp(fx):  # a gain this small rounds away
+                break
             trial = x.copy()
             for group, d, hk in zip(groups, step, h):
                 for i in group:
@@ -485,97 +481,23 @@ def _difference_newton(value: Callable[[list[float]], float],
                 if new > fx:
                     break
             scale *= 0.5
-        else:
+        if not new > fx:
             break
         x, fx = trial, new
         iterations += 1
     return fx, x, iterations, shifts, held
 
 
-def _single_layer_eta(p: float) -> float:
-    """expm1(W(P))/P, the threshold maximizing log1p(eta P) e^{-eta}."""
-    return math.expm1(optimal_single_user_rate(p)) / p
-
-
-def _profiled_thresholds(alpha: float, p_s: float, eta_w: float
-                         ) -> tuple[float, float, int]:
-    """(eta1, eta2, root steps) maximizing the direct value at power split
-    alpha, with eta_w = _single_layer_eta(p_s).
-
-    The value r1(eta1) e^{-eta1} + r2(eta2) e^{-eta2} separates.  eta2 is
-    _single_layer_eta(alpha_bar P), and eta1 the root of the cancellation-free
-    h(eta) = alpha P/((1 + eta P)(1 + eta alpha_bar P))
-             - log1p(eta alpha P/(1 + eta alpha_bar P)),
-    convex and falling from alpha P to log(alpha_bar).  h(eta_w) <= 0 (as a
-    function of alpha_bar P on [0, P] it is 0 at both ends with one minimum
-    between), so eta1 <= eta_w <= eta2.  Newton steps run from eta_w on the
-    bracket [0, eta_w] that h's signs narrow, bisecting where a step leaves
-    it, until a step would move eta1 by at most 4e-16 of itself, or for
-    _ROOT_STEPS evaluations of h (the root steps).  At alpha 0 or 1, at a
-    split that underflows, and where rounding puts eta1 above eta2, the
-    result is the single-layer pair eta1 = eta2 = eta_w.
-    """
-    a, b = alpha * p_s, max(1.0 - alpha, 0.0) * p_s
-    if not (a > 0.0 and b > 0.0):
-        return eta_w, eta_w, 0
-    lo, hi, x, steps = 0.0, eta_w, eta_w, 0
-    while steps < _ROOT_STEPS:
-        steps += 1
-        u, v = 1.0 + x * p_s, 1.0 + x * b
-        g = a / u / v
-        hx = g - math.log1p(x * a / v)
-        if hx > 0.0:
-            lo = x
-        elif hx < 0.0:
-            hi = x
-        else:  # a root, or NaN past overflow
-            break
-        d = g * (1.0 + p_s / u + b / v)  # -h'(x)
-        if abs(hx) <= 4e-16 * x * d:  # the Newton step is rounding
-            break
-        t = x + hx / d if d > 0.0 else math.nan
-        x = t if lo < t < hi else 0.5 * (lo + hi)
-    eta2 = _single_layer_eta(b)
-    return (eta_w, eta_w, steps) if x > eta2 else (x, eta2, steps)
-
-
 def oblivious_rate_plan(p_s: float) -> TwoLayerAllocation:
     """The source's relay-unaware two-layer plan: maximize the direct throughput.
 
-    Both thresholds are profiled out (_profiled_thresholds), so the plan is a
-    search over alpha alone, each alpha scored by CLOSED_FORMS["direct"].rate:
-    a scan of _ALPHA_SCAN evenly spaced alphas on [0, 1], then a Brent search
-    (golden_section_max) to a _ALPHA_TOL bracket between the best scan
-    point's neighbours, whose result is kept only if it is not below that
-    point.  ``p_s`` must be positive and finite.  Logs one DEBUG line with
-    the alphas scored, the root steps of eta1 (total and most for one alpha),
-    the alphas whose thresholds fell back to the single-layer pair, whether
-    the plan is that pair, and its value.
+    The plan is the exact two-layer plan of the direct tail e^{-eta}
+    (_two_layer_plan at P_r = 0), whose DEBUG line reports it.  ``p_s`` must
+    be positive and finite.
     """
     if not 0.0 < p_s < math.inf:
         raise ValueError(f"p_s must be positive and finite, got {p_s!r}")
-    rate = twolayer.CLOSED_FORMS["direct"].rate
-    eta_w = _single_layer_eta(p_s)
-    steps, fallbacks = [], 0
-
-    def value(alpha: float) -> float:
-        nonlocal fallbacks
-        eta1, eta2, n = _profiled_thresholds(alpha, p_s, eta_w)
-        steps.append(n)
-        fallbacks += eta1 == eta2
-        return rate(alpha, alpha, eta1, eta2, p_s, 0.0)
-
-    grid = [i / (_ALPHA_SCAN - 1) for i in range(_ALPHA_SCAN)]
-    scan = [value(a) for a in grid]
-    i = scan.index(max(scan))
-    alpha, best = golden_section_max(value, grid[max(i - 1, 0)],
-                                     grid[min(i + 1, _ALPHA_SCAN - 1)], tol=_ALPHA_TOL)
-    if best < scan[i]:
-        alpha, best = grid[i], scan[i]
-    eta1, eta2, _ = _profiled_thresholds(alpha, p_s, eta_w)
-    log.debug("oblivious_rate_plan p_s=%.6g alphas=%d root_steps=%d max_root_steps=%d "
-              "fallbacks=%d single_layer=%s value=%.6g", p_s, len(steps), sum(steps),
-              max(steps), fallbacks, eta1 == eta2, best)
+    alpha, _, eta1, eta2 = _two_layer_plan(p_s, 0.0)[0]
     return TwoLayerAllocation(alpha=alpha, eta1=eta1, eta2=eta2)
 
 

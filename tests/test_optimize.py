@@ -95,8 +95,7 @@ class TestLineSearch:
 
 # the values of the 64-point direct search over (alpha, eta1, eta2) at -20..80
 # dB in 2.5 dB steps, read by direct_multilayer_throughput at its result,
-# captured before that search became the exact two-layer plan, which the
-# oblivious plan stops up to 1.2e-12 below (at 77.5 dB)
+# captured before that search became the exact two-layer plan
 DIRECT_GRID_SEARCH = (
     0.003660578116517924, 0.006484746328923097, 0.011454890428105144,
     0.020135480917745446, 0.035107440189814584, 0.060423737616834075,
@@ -132,10 +131,9 @@ class TestObliviousPlan:
 
     @pytest.mark.parametrize("p_s", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_rejects_p_s_outside_the_domain_before_any_search(self, p_s, monkeypatch):
-        # no threshold is computed: NaN would otherwise reach
+        # no plan is computed: NaN would otherwise reach
         # TwoLayerAllocation's "eta1 must be finite"
-        monkeypatch.setattr(optimize, "_single_layer_eta", None)
-        monkeypatch.setattr(optimize, "_profiled_thresholds", None)
+        monkeypatch.setattr(optimize, "_layered_plan", None)
         with pytest.raises(ValueError, match="p_s must be positive and finite"):
             oblivious_rate_plan(p_s)
 
@@ -146,32 +144,16 @@ class TestObliviousPlan:
             p_s = 10 ** (ps_db / 10)
             assert plan_value(oblivious_rate_plan(p_s), p_s) >= grid_value * (1.0 - 1e-12)
 
-    def test_logs_one_debug_line(self, monkeypatch, caplog, capsys):
-        steps, searches = [], []
-
-        def profiled(alpha, p_s, eta_w):
-            result = thresholds(alpha, p_s, eta_w)
-            steps.append(result[2])
-            return result
-
-        def counted(*args, **kwargs):
-            searches.append(args[1:3])
-            return golden_section_max(*args, **kwargs)
-
-        thresholds = optimize._profiled_thresholds
-        monkeypatch.setattr(optimize, "_profiled_thresholds", profiled)
-        monkeypatch.setattr(optimize, "golden_section_max", counted)
+    def test_logs_one_debug_line(self, caplog, capsys):
+        # the exact two-layer plan's own line reports the plan
         caplog.set_level(logging.DEBUG, logger="relaycast.optimize")
         plan = oblivious_rate_plan(10.0)
         [record] = caplog.records
-        # the last call re-derives the chosen plan's thresholds
-        scored = steps[:-1]
-        assert len(searches) == 1 and len(scored) > optimize._ALPHA_SCAN
         assert record.levelno == logging.DEBUG and capsys.readouterr().out == ""
-        assert record.getMessage() == (
-            f"oblivious_rate_plan p_s=10 alphas={len(scored)} root_steps={sum(scored)} "
-            f"max_root_steps={max(scored)} fallbacks=2 single_layer=False "
-            f"value={plan_value(plan, 10.0):.6g}")
+        found = re.fullmatch(r"_layered_plan layers=2 iterations=\d+ root_steps=\d+ "
+                             r"shifts=\d+ value=(\S+)", record.getMessage())
+        assert found
+        assert float(found[1]) == pytest.approx(plan_value(plan, 10.0), rel=1e-15, abs=0.0)
 
 
 # (alpha, P_s, eta1, eta2) with eta1 the root of h and eta2 = expm1(W(alpha_bar
@@ -196,46 +178,45 @@ SINGLE_LAYER_ETA = {0.01: 0.99506556257502963, 1.0: 0.76322283435189671,
 
 
 class TestProfiledThresholds:
-    """optimize._profiled_thresholds, the thresholds of the oblivious plan at
-    a fixed power split."""
+    """optimize._layer_threshold on the direct tail e^{-eta}: the thresholds
+    of the oblivious plan at a fixed power split alpha, layer 1 between P_s
+    and (1 - alpha)P_s and layer 2 between (1 - alpha)P_s and 0."""
+
+    @staticmethod
+    def thresholds(alpha, p_s):
+        tail, rest = _layer_tail_terms(p_s, 0.0), (1.0 - alpha) * p_s
+        return (optimize._layer_threshold(tail, p_s, rest, 1.0),
+                optimize._layer_threshold(tail, rest, 0.0, 1.0))
 
     @pytest.mark.parametrize("alpha,p_s,eta1,eta2", PROFILED_THRESHOLDS)
     def test_matches_a_40_digit_evaluation(self, alpha, p_s, eta1, eta2):
-        got1, got2, steps = optimize._profiled_thresholds(
-            alpha, p_s, optimize._single_layer_eta(p_s))
-        assert got1 == pytest.approx(eta1, rel=1e-13, abs=0.0)
-        assert got2 == pytest.approx(eta2, rel=1e-13, abs=0.0)
-        assert 0 < steps < optimize._ROOT_STEPS
+        first, second = self.thresholds(alpha, p_s)
+        assert first[0] == pytest.approx(eta1, rel=1e-13, abs=0.0)
+        assert second[0] == pytest.approx(eta2, rel=1e-13, abs=0.0)
+        assert 0 < first[5] < optimize._ROOT_STEPS and 0 < second[5] < optimize._ROOT_STEPS
 
     @pytest.mark.parametrize("p_s,eta", SINGLE_LAYER_ETA.items())
     def test_edges_are_the_single_layer_plan(self, p_s, eta):
-        assert optimize._single_layer_eta(p_s) == pytest.approx(eta, rel=1e-13, abs=0.0)
-        eta_w = optimize._single_layer_eta(p_s)
-        for alpha in (0.0, 1.0):
-            assert optimize._profiled_thresholds(alpha, p_s, eta_w) == (eta_w, eta_w, 0)
+        # at alpha 0 or 1 one layer holds all of P_s
+        got = optimize._layer_threshold(_layer_tail_terms(p_s, 0.0), p_s, 0.0, 1.0)[0]
+        assert got == pytest.approx(eta, rel=1e-13, abs=0.0)
 
     def test_eta1_never_exceeds_eta2(self):
-        # h(eta_w) <= 0 at every split, so eta1 <= eta_w <= eta2
+        # h(eta_w) <= 0 at every split, so eta1 <= eta_w <= eta2, with eta_w
+        # the single-layer threshold expm1(W(P_s))/P_s
         for p_s in 10.0 ** np.arange(-2.0, 8.01, 0.5):
-            eta_w = optimize._single_layer_eta(p_s)
-            for alpha in np.linspace(0.0, 1.0, 41).tolist() + [1e-9, 1.0 - 1e-9]:
-                eta1, eta2, _ = optimize._profiled_thresholds(alpha, p_s, eta_w)
-                assert eta1 <= eta_w <= eta2
-
-    def test_crossed_thresholds_fall_back_to_the_single_layer_plan(self, monkeypatch):
-        # an eta2 below the eta1 root (rounding's doing at the far edges of
-        # the domain) gives the single-layer pair
-        eta_w = optimize._single_layer_eta(10.0)
-        monkeypatch.setattr(optimize, "_single_layer_eta", lambda p: 0.01)
-        assert optimize._profiled_thresholds(0.5, 10.0, eta_w)[:2] == (eta_w, eta_w)
+            eta_w = math.expm1(optimal_single_user_rate(p_s)) / p_s
+            for alpha in np.linspace(0.0, 1.0, 41)[1:-1].tolist() + [1e-9, 1.0 - 1e-9]:
+                first, second = self.thresholds(alpha, p_s)
+                assert first[0] <= eta_w <= second[0]
 
 
 # (P_s dB, alpha, eta1, eta2 as float.hex) of oblivious_rate_plan(P_s), as
 # its own 64-point grid search gave them before the plan became a direct
 # maximize_throughput call.  That grid held exact ties below about -17.5 dB
-# and above about 71 dB, which its tie rule broke; the plan is now a search
-# over alpha alone with both thresholds profiled out, so no grid tie decides
-# it, and these dB points stay as they were pinned
+# and above about 71 dB, which its tie rule broke; the plan is now the exact
+# two-layer plan, so no grid tie decides it, and these dB points stay as
+# they were pinned
 PINNED_PLANS = [
     (-20.0, "0x1.0177dc0efd794p-1", "0x1.fc39c7e5b7e22p-1", "0x1.febc57712deb1p-1"),
     (-19.5, "0x1.01a53a9b9e275p-1", "0x1.fbc6237de4f1bp-1", "0x1.fe9563d1d860fp-1"),
@@ -271,95 +252,124 @@ PINNED_PLANS = [
 # the plans of PINNED_PLANS, keyed by P_s dB, as each of them moved, oldest
 # first: when every line search after a coordinate's first began to span a
 # bracket around the coordinate's last move, when the line searches became
-# Brent's to a 1e-7 bracket, and when both thresholds were profiled out of
-# a search over alpha alone.  The last capture is the current plan,
+# Brent's to a 1e-7 bracket, when both thresholds were profiled out of a
+# search over alpha alone, and when the plan became the exact two-layer plan
+# (_layered_plan at n = 2).  The last capture is the current plan,
 # and its direct objective may not fall below the PINNED_PLANS plan's or an
 # earlier capture's by more than 1e-6 relative
 RECAPTURED_PLANS = {
     -20.0: [("0x1.01793ae1e291cp-1", "0x1.fc39cc0b84fdap-1", "0x1.febc59a725a74p-1"),
             ("0x1.01781bae9f33bp-1", "0x1.fc39c9f52212cp-1", "0x1.febc574a4c9a2p-1"),
-            ("0x1.01783f9c5e685p-1", "0x1.fc39ca26e9e2cp-1", "0x1.febc57c2de833p-1")],
+            ("0x1.01783f9c5e685p-1", "0x1.fc39ca26e9e2cp-1", "0x1.febc57c2de833p-1"),
+            ("0x1.01786912c1ee2p-1", "0x1.fc39ca5a9c7e5p-1", "0x1.febc57f73f0e7p-1")],
     -19.5: [("0x1.01a582778ca32p-1", "0x1.fbc624891deb4p-1", "0x1.fe95637fd5e14p-1"),
             ("0x1.01a562b8dc38fp-1", "0x1.fbc62438d479bp-1", "0x1.fe9563a8480c5p-1"),
-            ("0x1.01a5bb63afee9p-1", "0x1.fbc624ffd669dp-1", "0x1.fe95647eee619p-1")],
+            ("0x1.01a5bb63afee9p-1", "0x1.fbc624ffd669dp-1", "0x1.fe95647eee619p-1"),
+            ("0x1.01a58d7a2237bp-1", "0x1.fbc624bfcedcep-1", "0x1.fe95643df5898p-1")],
     -19.25: [("0x1.01be6b4a5e2dcp-1", "0x1.fb875622fbcefp-1", "0x1.fe8037f9ed655p-1"),
              ("0x1.01bd536bfd65fp-1", "0x1.fb8752abfcc43p-1", "0x1.fe80363f94e7fp-1"),
-             ("0x1.01be5da501762p-1", "0x1.fb87556adee63p-1", "0x1.fe8037ce0f620p-1")],
+             ("0x1.01be5da501762p-1", "0x1.fb87556adee63p-1", "0x1.fe8037ce0f620p-1"),
+             ("0x1.01be142f1d64cp-1", "0x1.fb8754fe897f7p-1", "0x1.fe80376009f2dp-1")],
     -18.75: [("0x1.01f311e71d30ep-1", "0x1.fafeceed2e97ap-1", "0x1.fe52241777ce1p-1"),
              ("0x1.01f357dbe1c87p-1", "0x1.fafecf6870f35p-1", "0x1.fe5223f033f6cp-1"),
-             ("0x1.01f36296c88d9p-1", "0x1.fafecf6a7d394p-1", "0x1.fe52251b22cabp-1")],
+             ("0x1.01f36296c88d9p-1", "0x1.fafecf6a7d394p-1", "0x1.fe52251b22cabp-1"),
+             ("0x1.01f36804f316cp-1", "0x1.fafecf7370f47p-1", "0x1.fe5225243e7f5p-1")],
     -18.0: [("0x1.024f569096b1ap-1", "0x1.fa13bcf641370p-1", "0x1.fe02aa73eec85p-1"),
             ("0x1.024f1d2b5b61ap-1", "0x1.fa13bbd3cfc03p-1", "0x1.fe02aa0811361p-1"),
-            ("0x1.024f76ef3a238p-1", "0x1.fa13bcba43348p-1", "0x1.fe02aae64cde5p-1")],
+            ("0x1.024f76ef3a238p-1", "0x1.fa13bcba43348p-1", "0x1.fe02aae64cde5p-1"),
+            ("0x1.024f4aee9fbb6p-1", "0x1.fa13bc64995cep-1", "0x1.fe02aa8ede014p-1")],
     -17.5: [("0x1.02959876ae64fp-1", "0x1.f9603a2e80bc2p-1", "0x1.fdc5d80d7e4fep-1"),
             ("0x1.029543039495cp-1", "0x1.f96038d6d0f69p-1", "0x1.fdc5d76241a63p-1"),
-            ("0x1.02959497bcf7bp-1", "0x1.f960398c9701fp-1", "0x1.fdc5d8a17dbfap-1")],
+            ("0x1.02959497bcf7bp-1", "0x1.f960398c9701fp-1", "0x1.fdc5d8a17dbfap-1"),
+            ("0x1.0295839877058p-1", "0x1.f9603967a4aeep-1", "0x1.fdc5d87bb0ca3p-1")],
     -17.0: [("0x1.02e3b5a5e4c42p-1", "0x1.f8982c10d582bp-1", "0x1.fd81efe8044fdp-1"),
             ("0x1.02e3b483a6807p-1", "0x1.f8982c642f4a3p-1", "0x1.fd81ef4430708p-1"),
-            ("0x1.02e3cb3d343f3p-1", "0x1.f8982c556405ap-1", "0x1.fd81ef7c7810fp-1")],
+            ("0x1.02e3cb3d343f3p-1", "0x1.f8982c556405ap-1", "0x1.fd81ef7c7810fp-1"),
+            ("0x1.02e3d3120a95fp-1", "0x1.f8982c68631a6p-1", "0x1.fd81ef8ff4e4fp-1")],
     -15.0: [("0x1.04804c5771fb1p-1", "0x1.f47c2e05d384ap-1", "0x1.fc1a8b5f4e3e7p-1"),
             ("0x1.04806d979839ap-1", "0x1.f47c2e7c46903p-1", "0x1.fc1a8da2fb328p-1"),
-            ("0x1.0480975573ef4p-1", "0x1.f47c2f9ef025bp-1", "0x1.fc1a8e453cec3p-1")],
+            ("0x1.0480975573ef4p-1", "0x1.f47c2f9ef025bp-1", "0x1.fc1a8e453cec3p-1"),
+            ("0x1.04809428cb3dbp-1", "0x1.f47c2f9314447p-1", "0x1.fc1a8e38e69c1p-1")],
     -12.5: [("0x1.07bbf0290a428p-1", "0x1.ec4c58be10de9p-1", "0x1.f9431f20cfe55p-1"),
             ("0x1.07bbf31e9c6fcp-1", "0x1.ec4c5969b6314p-1", "0x1.f9431ec8a4dbdp-1"),
-            ("0x1.07bbd23957d61p-1", "0x1.ec4c57f12d0a0p-1", "0x1.f9431d25f0616p-1")],
+            ("0x1.07bbd23957d61p-1", "0x1.ec4c57f12d0a0p-1", "0x1.f9431d25f0616p-1"),
+            ("0x1.07bbd46e32083p-1", "0x1.ec4c57ff0451dp-1", "0x1.f9431d34bd9efp-1")],
     -10.0: [("0x1.0cfd3c32c1b92p-1", "0x1.df1f60eeb9821p-1", "0x1.f48fd707398f5p-1"),
             ("0x1.0cfd42d624437p-1", "0x1.df1f612ce8ccdp-1", "0x1.f48fd76b7d0abp-1"),
-            ("0x1.0cfd3c8d46f09p-1", "0x1.df1f611f8e600p-1", "0x1.f48fd66c96c1dp-1")],
+            ("0x1.0cfd3c8d46f09p-1", "0x1.df1f611f8e600p-1", "0x1.f48fd66c96c1dp-1"),
+            ("0x1.0cfd3cbcdd3f6p-1", "0x1.df1f6121721aap-1", "0x1.f48fd66eb30c6p-1")],
     -5.0: [("0x1.20d137ec25f63p-1", "0x1.aefded7fda529p-1", "0x1.e1ff5d731e0dbp-1"),
            ("0x1.20d13e20ac3f3p-1", "0x1.aefded1d5e90cp-1", "0x1.e1ff5e1f07e86p-1"),
-           ("0x1.20d147002e424p-1", "0x1.aefdee7851ac3p-1", "0x1.e1ff5f0fcdad4p-1")],
+           ("0x1.20d147002e424p-1", "0x1.aefdee7851ac3p-1", "0x1.e1ff5f0fcdad4p-1"),
+           ("0x1.20d1448a6b17bp-1", "0x1.aefdee407a4e5p-1", "0x1.e1ff5ec75b7a6p-1")],
     0.0: [("0x1.43700160ad65ep-1", "0x1.610f3bb072f6cp-1", "0x1.bed7b5c1991d0p-1"),
           ("0x1.437001c39234ap-1", "0x1.610f3bf6af98fp-1", "0x1.bed7b545da2cap-1"),
-          ("0x1.436ff58a2bbb5p-1", "0x1.610f39a61f214p-1", "0x1.bed7b25d2cda8p-1")],
+          ("0x1.436ff58a2bbb5p-1", "0x1.610f39a61f214p-1", "0x1.bed7b25d2cda8p-1"),
+          ("0x1.436ff502c091bp-1", "0x1.610f3991650cep-1", "0x1.bed7b23bd351bp-1")],
     5.0: [("0x1.6fa707bfd0d18p-1", "0x1.08bddd2626c63p-1", "0x1.8e0bbd7d774c0p-1"),
           ("0x1.6fa704ef9c091p-1", "0x1.08bddd92856acp-1", "0x1.8e0bbf6e0be90p-1"),
-          ("0x1.6fa711bba3053p-1", "0x1.08bde04aa38f7p-1", "0x1.8e0bc5101c8d9p-1")],
+          ("0x1.6fa711bba3053p-1", "0x1.08bde04aa38f7p-1", "0x1.8e0bc5101c8d9p-1"),
+          ("0x1.6fa711825979ap-1", "0x1.08bde03e1ddb3p-1", "0x1.8e0bc4f73f148p-1")],
     10.0: [("0x1.9bc07f0dee3d2p-1", "0x1.785f9f64e9e47p-2", "0x1.59f598ffc955bp-1"),
            ("0x1.9bc084785d69ep-1", "0x1.785f9ceae0a34p-2", "0x1.59f59d7b4bc5ep-1"),
-           ("0x1.9bc07139354d0p-1", "0x1.785f919f3ded6p-2", "0x1.59f5906d00b0ap-1")],
+           ("0x1.9bc07139354d0p-1", "0x1.785f919f3ded6p-2", "0x1.59f5906d00b0ap-1"),
+           ("0x1.9bc071ca92f3fp-1", "0x1.785f91f3ca858p-2", "0x1.59f590cfcbc29p-1")],
     15.0: [("0x1.c07f011f98027p-1", "0x1.06e35f6e81127p-2", "0x1.2b2ee5a1451a2p-1"),
            ("0x1.c07f00565a2fdp-1", "0x1.06e361688d04ep-2", "0x1.2b2ee4fd57d9cp-1"),
-           ("0x1.c07f0e14a1b7ap-1", "0x1.06e36c44ccafbp-2", "0x1.2b2ef3347a26fp-1")],
+           ("0x1.c07f0e14a1b7ap-1", "0x1.06e36c44ccafbp-2", "0x1.2b2ef3347a26fp-1"),
+           ("0x1.c07f0e13694d9p-1", "0x1.06e36c43d8100p-2", "0x1.2b2ef33337abep-1")],
     20.0: [("0x1.db17a4c1d7a2dp-1", "0x1.71fbab9b1531cp-3", "0x1.04fc3bd53bbe8p-1"),
            ("0x1.db17a30c859ddp-1", "0x1.71fba49635383p-3", "0x1.04fc383c5587cp-1"),
-           ("0x1.db179a08d3cc8p-1", "0x1.71fb9036948a4p-3", "0x1.04fc2952f3b62p-1")],
+           ("0x1.db179a08d3cc8p-1", "0x1.71fb9036948a4p-3", "0x1.04fc2952f3b62p-1"),
+           ("0x1.db1799f82407ep-1", "0x1.71fb901178f4cp-3", "0x1.04fc293804138p-1")],
     25.0: [("0x1.ec2fda4ea150cp-1", "0x1.0a22150761681p-3", "0x1.ce49e308dc98dp-2"),
            ("0x1.ec2fea4c73262p-1", "0x1.0a224e5928d9ap-3", "0x1.ce4a322b26374p-2"),
-           ("0x1.ec2fe315273dep-1", "0x1.0a2236bb9dcf7p-3", "0x1.ce4a0b8dcf652p-2")],
+           ("0x1.ec2fe315273dep-1", "0x1.0a2236bb9dcf7p-3", "0x1.ce4a0b8dcf652p-2"),
+           ("0x1.ec2fe31377cd6p-1", "0x1.0a2236b5e7a7fp-3", "0x1.ce4a0b84c7250p-2")],
     30.0: [("0x1.f61950179b402p-1", "0x1.8a206e71a7cafp-4", "0x1.a05dafb3627d6p-2"),
            ("0x1.f61948d99229ap-1", "0x1.8a202562bc735p-4", "0x1.a05d67181478ap-2"),
-           ("0x1.f6194c85f5309p-1", "0x1.8a204e529fcd2p-4", "0x1.a05d8a278dbfbp-2")],
+           ("0x1.f6194c85f5309p-1", "0x1.8a204e529fcd2p-4", "0x1.a05d8a278dbfbp-2"),
+           ("0x1.f6194ca31df92p-1", "0x1.8a204f974a8c2p-4", "0x1.a05d8b3dfd6bfp-2")],
     40.0: [("0x1.fdef1c6158a74p-1", "0x1.d9ba68c5b2eb6p-5", "0x1.616f57d94082dp-2"),
            ("0x1.fdef1d41c2036p-1", "0x1.d9baaf4c8eb13p-5", "0x1.616f7a782b1d2p-2"),
-           ("0x1.fdef1e64c079ap-1", "0x1.d9bb04354502dp-5", "0x1.616fa4c5e03c0p-2")],
+           ("0x1.fdef1e64c079ap-1", "0x1.d9bb04354502dp-5", "0x1.616fa4c5e03c0p-2"),
+           ("0x1.fdef1e605fa55p-1", "0x1.d9bb02f05adf4p-5", "0x1.616fa422dee3fp-2")],
     50.0: [("0x1.ffa3f968f9dcbp-1", "0x1.3cf10ab03cab3p-5", "0x1.3a204bb01ec63p-2"),
            ("0x1.ffa3fb89d4cccp-1", "0x1.3cf39f82b935ep-5", "0x1.3a21cfe9c42edp-2"),
-           ("0x1.ffa3fb7228f06p-1", "0x1.3cf382177ef62p-5", "0x1.3a21be13e50eep-2")],
+           ("0x1.ffa3fb7228f06p-1", "0x1.3cf382177ef62p-5", "0x1.3a21be13e50eep-2"),
+           ("0x1.ffa3fb7215963p-1", "0x1.3cf381ffe5676p-5", "0x1.3a21be0629a2ep-2")],
     60.0: [("0x1.fff1daa24d9bcp-1", "0x1.cba334b1699bfp-6", "0x1.1fc96c2ccceb2p-2"),
            ("0x1.fff1db99d55c6p-1", "0x1.cbaf144bd12d9p-6", "0x1.1fcd5af04aa9cp-2"),
-           ("0x1.fff1dc2de7739p-1", "0x1.cbb61fc2bac9ep-6", "0x1.1fcfb3fe76c8dp-2")],
+           ("0x1.fff1dc2de7739p-1", "0x1.cbb61fc2bac9ep-6", "0x1.1fcfb3fe76c8dp-2"),
+           ("0x1.fff1dc2e424cap-1", "0x1.cbb624156c028p-6", "0x1.1fcfb56f46d8ep-2")],
     70.0: [("0x1.fffe04186af4cp-1", "0x1.621b7ace51b78p-6", "0x1.0d52be683278ep-2"),
            ("0x1.fffe0106abfccp-1", "0x1.614748a53a0e7p-6", "0x1.0d02d5b7f85bbp-2"),
-           ("0x1.fffe00e1d5495p-1", "0x1.613d5f66ff057p-6", "0x1.0cff1a5e5fdcap-2")],
+           ("0x1.fffe00e1d5495p-1", "0x1.613d5f66ff057p-6", "0x1.0cff1a5e5fdcap-2"),
+           ("0x1.fffe00e2008aap-1", "0x1.613d6b08d8ed1p-6", "0x1.0cff1ebfeb6dap-2")],
     71.5: [("0x1.fffe8712d429bp-1", "0x1.5599588a37ff0p-6", "0x1.0ae53017cac97p-2"),
            ("0x1.fffe84df9552dp-1", "0x1.54d27fd13be7cp-6", "0x1.0a990ddd401e2p-2"),
-           ("0x1.fffe85109e550p-1", "0x1.54e3bbd0f0591p-6", "0x1.0a9fa8a236cd3p-2")],
+           ("0x1.fffe85109e550p-1", "0x1.54e3bbd0f0591p-6", "0x1.0a9fa8a236cd3p-2"),
+           ("0x1.fffe851040a79p-1", "0x1.54e39adfe2ae3p-6", "0x1.0a9f9c02da5e6p-2")],
     71.75: [("0x1.fffe940b345a4p-1", "0x1.519fa6ff3e86ep-6", "0x1.09bef89d3763fp-2"),
             ("0x1.fffe976641c10p-1", "0x1.52d99fb7d76f7p-6", "0x1.0a3798fec057ap-2"),
-            ("0x1.fffe978af9805p-1", "0x1.52e71f363b6bdp-6", "0x1.0a3cc904bc79dp-2")],
+            ("0x1.fffe978af9805p-1", "0x1.52e71f363b6bdp-6", "0x1.0a3cc904bc79dp-2"),
+            ("0x1.fffe978af2cecp-1", "0x1.52e71cbfff187p-6", "0x1.0a3cc8128e319p-2")],
     72.5: [("0x1.fffec9afecdedp-1", "0x1.4d025d9f5eee2p-6", "0x1.0913217a41ceap-2"),
            ("0x1.fffec98d520abp-1", "0x1.4cf3f124105fcp-6", "0x1.090d7bb24dcbbp-2"),
-           ("0x1.fffec9cf477dcp-1", "0x1.4d0fb17c4636ep-6", "0x1.09183d43020b5p-2")],
+           ("0x1.fffec9cf477dcp-1", "0x1.4d0fb17c4636ep-6", "0x1.09183d43020b5p-2"),
+           ("0x1.fffec9cfaf899p-1", "0x1.4d0fdd48932cep-6", "0x1.09184e3c4efe6p-2")],
     74.5: [("0x1.ffff309fa921cp-1", "0x1.3e63e1d80a3d0p-6", "0x1.06310930d2033p-2"),
            ("0x1.ffff309fd8263p-1", "0x1.3e64068cf7a1dp-6", "0x1.06311516faab2p-2"),
-           ("0x1.ffff307d3846ep-1", "0x1.3e4f13ee32584p-6", "0x1.0628c80048735p-2")],
+           ("0x1.ffff307d3846ep-1", "0x1.3e4f13ee32584p-6", "0x1.0628c80048735p-2"),
+           ("0x1.ffff307c3009ap-1", "0x1.3e4e7424661b1p-6", "0x1.062888ad98226p-2")],
     77.5: [("0x1.ffff8bb8827a7p-1", "0x1.26f247e158913p-6", "0x1.00b3870d817b6p-2"),
            ("0x1.ffff8eaa5a31bp-1", "0x1.29f8a42d306adp-6", "0x1.01f09f4355328p-2"),
-           ("0x1.ffff8edfc609ap-1", "0x1.2a307f5c80411p-6", "0x1.02077fcac7b10p-2")],
+           ("0x1.ffff8edfc609ap-1", "0x1.2a307f5c80411p-6", "0x1.02077fcac7b10p-2"),
+           ("0x1.ffff8ee07d8b9p-1", "0x1.2a313f875d563p-6", "0x1.0207ce78471f6p-2")],
     80.0: [("0x1.ffffb62c96066p-1", "0x1.11e6a1bae47bdp-6", "0x1.f5eee857a4480p-3"),
            ("0x1.ffffbba9792d0p-1", "0x1.1a83a301e8e14p-6", "0x1.fd2f779f5465cp-3"),
-           ("0x1.ffffbbfcf0d38p-1", "0x1.1b0e03bb1359cp-6", "0x1.fda3d0c464d7fp-3")],
+           ("0x1.ffffbbfcf0d38p-1", "0x1.1b0e03bb1359cp-6", "0x1.fda3d0c464d7fp-3"),
+           ("0x1.ffffbbfcf9ef5p-1", "0x1.1b0e12e12d75dp-6", "0x1.fda3dd80db639p-3")],
 }
 
 
@@ -590,7 +600,11 @@ PINNED = [
 # miso-equal rows over (alpha, eta1, eta2), and the miso-unequal rows that
 # start from such a search, when it became the exact two-layer plan; and the
 # miso-unequal rows with beta free when their search began with Newton steps
-# on central differences.  The last capture is the current result, and it may
+# on central differences; and the rows that search (alpha, eta1, eta2) by the
+# exact plan, or start from such a search, when that plan began from one
+# fixed start in place of the best grid point, and the miso-unequal rows with
+# beta free when their Newton steps stopped halving at a predicted gain of
+# half an ulp.  The last capture is the current result, and it may
 # not fall below the PINNED value or an earlier capture by more than 1e-6
 # relative
 RECAPTURED = {
@@ -607,6 +621,9 @@ RECAPTURED = {
         (0.006103627694240709,
          {"alpha": 0.5032151692468776, "eta1": 1.2035739958914855,
           "eta2": 1.2090996552562818}, 7207),
+        (0.006103627694240709,
+         {"alpha": 0.5032153054917142, "eta1": 1.2035739966396053,
+          "eta2": 1.2090996560139318}, 7204),
     ],
     (25.0, 2.0, ("alpha", "eta1", "eta2")): [
         (5.187470690352275,
@@ -618,6 +635,9 @@ RECAPTURED = {
         (5.187470690352317,
          {"alpha": 0.984543235939507, "eta1": 0.4614742579804331,
           "eta2": 1.321859864586427}, 7206),
+        (5.187470690352317,
+         {"alpha": 0.9845432359395272, "eta1": 0.4614742579805602,
+          "eta2": 1.3218598645867172}, 7207),
     ],
     (25.0, 2.0, ("alpha", "beta", "eta1", "eta2")): [
         (5.188095902063042,
@@ -635,6 +655,9 @@ RECAPTURED = {
         (5.188097258373706,
          {"alpha": 0.9851260550465076, "beta": 0.9843054341895784,
           "eta1": 0.4334145104024886, "eta2": 1.3662769691220948}, 1111),
+        (5.1880972583737055,
+         {"alpha": 0.985126055046594, "beta": 0.9843054341900597,
+          "eta1": 0.43341451042223794, "eta2": 1.3662769691050083}, 1113),
     ],
     (-20.0, 0.0, ("alpha", "beta", "eta1", "eta2")): [
         (0.0036605781165179223,
@@ -652,6 +675,9 @@ RECAPTURED = {
         (0.003660578116517925,
          {"alpha": 0.5028717542436328, "beta": 0.5028717542436328,
           "eta1": 0.9926284053899055, "eta2": 0.9975306976114764}, 393),
+        (0.003660578116517924,
+         {"alpha": 0.5028717837712657, "beta": 0.5028717837712657,
+          "eta1": 0.9926284061059475, "eta2": 0.997530697757182}, 398),
     ],
     (10.0, 0.0, ("alpha", "beta", "eta1", "eta2")): [
         (1.1214241254672634,
@@ -669,6 +695,9 @@ RECAPTURED = {
         (1.1214241254673585,
          {"alpha": 0.80420260992138, "beta": 0.80420260992138,
           "eta1": 0.3675520710776634, "eta2": 0.6757016423350749}, 387),
+        (1.1214241254673585,
+         {"alpha": 0.8042026096702256, "beta": 0.8042026099951513,
+          "eta1": 0.36755207109911714, "eta2": 0.675701642385211}, 388),
     ],
     (25.0, 0.0, ("alpha", "eta1", "eta2")): [
         (3.642567693986696,
@@ -683,6 +712,9 @@ RECAPTURED = {
         (3.642567693990665,
          {"alpha": 0.9613028489365973, "eta1": 0.12994806997906155,
           "eta2": 0.4514543342393238}, 943),
+        (3.6425676939906646,
+         {"alpha": 0.9613028489365216, "eta1": 0.1299480699789974,
+          "eta2": 0.45145433423912085}, 942),
     ],
     (-20.0, 0.0, ("alpha", "eta1", "eta2")): [
         (0.003660578116517921,
@@ -697,6 +729,9 @@ RECAPTURED = {
         (0.003660578116517924,
          {"alpha": 0.5028717333863502, "eta1": 0.9926284058605465,
           "eta2": 0.9975306975085556}, 557),
+        (0.003660578116517924,
+         {"alpha": 0.5028717837712657, "eta1": 0.9926284061059475,
+          "eta2": 0.997530697757182}, 554),
     ],
     (80.0, 0.0, ("alpha", "eta2")): [
         (13.885961897291823,
@@ -717,6 +752,9 @@ RECAPTURED = {
         (12.091467022700702,
          {"eta1": 0.3, "eta2": 1.8, "alpha": 0.9701559000402733,
           "beta": 0.9702523849153215}, 197),
+        (12.0914670227007,
+         {"eta1": 0.3, "eta2": 1.8, "alpha": 0.97015590007364,
+          "beta": 0.9702523849506612}, 157),
     ],
     (10.0, 2.0, ("beta", "eta1", "eta2")): [
         (2.098919764469623,
@@ -759,6 +797,9 @@ RECAPTURED = {
         (17.288798250223756,
          {"alpha": 0.999999618917286, "eta1": 0.11808263165547782,
           "eta2": 0.7026821124645235}, 951),
+        (17.288798250223753,
+         {"alpha": 0.999999618917286, "eta1": 0.11808263165548633,
+          "eta2": 0.7026821124645485}, 949),
     ],
     (10.0, 2.0, ("alpha", "eta1", "eta2")): [
         (2.063729879179878,
@@ -1135,12 +1176,24 @@ class TestLayeredPlan:
                                       method="bounded", options={"xatol": 1e-12}).fun
             assert profiled >= scalar * (1.0 - 1e-14)
 
-    @pytest.mark.parametrize("ps_db", [0.0, 10.0, 25.0, 40.0])
+    @pytest.mark.parametrize("ps_db", [x / 2.0 for x in range(-40, 161, 5)])
     def test_two_direct_layers_are_the_oblivious_plan(self, ps_db):
+        # from the continuous profile's start, and as the all-free direct search
         value, _, _ = layered_plan(ps_db, 0.0, n=2)
         p_s = 10.0 ** (ps_db / 10.0)
-        assert value == pytest.approx(plan_value(oblivious_rate_plan(p_s), p_s),
-                                      rel=1e-12, abs=0.0)
+        plan = plan_value(oblivious_rate_plan(p_s), p_s)
+        assert value == pytest.approx(plan, rel=1e-12, abs=0.0)
+        searched = maximize_throughput("direct", ("alpha", "eta1", "eta2"), {},
+                                       PowerConfig(p_s, 0.0, 1.0), coarse_points=24)
+        assert searched.value == pytest.approx(plan, rel=1e-15, abs=0.0)
+
+    def test_two_direct_layers_resolve_alpha_near_one(self):
+        # at 150 dB, outside the documented domain, 1 - alpha* is below 1e-12;
+        # the floor is 0.4 above a search over alpha, which stopped at 3e-10
+        p_s = 1e15
+        plan = oblivious_rate_plan(p_s)
+        assert 0.0 < plan.alpha_bar < 1e-11
+        assert plan_value(plan, p_s) >= 31.239574697139403 + 0.4
 
     def test_two_miso_layers_match_the_grid_search(self):
         # fig4's settings (0..25 dB x P_r/P_s 0.5, 1, 2) and fig5's (P_s 40 dB,

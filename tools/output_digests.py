@@ -10,9 +10,11 @@ Runs, in-process and into a temporary directory:
   most Newton steps and Levenberg shifts;
 * ``sweep`` for every scheme it offers, at ``--q-db 15,20 --ratio 0.5,1``
   over 0..20 dB in 5 dB steps, and ``simplex-equal`` again at ``--q-db 20
-  --ratio 1`` over 50..80 dB in 10 dB steps, and ``direct-2`` over -20..-15
+  --ratio 1`` over 50..80 dB in 10 dB steps, ``direct-2`` over -20..-15
   dB and 70..80 dB in 0.25 dB steps, where the 64-point grid that was the
-  oblivious plan's search held exact ties;
+  oblivious plan's search held exact ties, and ``direct-2`` again over
+  90..150 dB in 10 dB steps, past the documented domain, where 1 - alpha of
+  the oblivious plan falls from about 3e-7 to below 1e-12;
 * ``rate`` for every scheme at the default powers (the two-layer schemes at
   alpha 0.7, eta 0.3/1.8), ``simplex-equal`` at alpha 0, eta 0.5/1 and
   at alpha 0.5, eta 1/1, and ``miso-unequal`` at beta 0.70000003, whose
@@ -152,10 +154,11 @@ def commands(cli, out: Path):
     yield csv, ("sweep", "--scheme", "simplex-equal", "--q-db", "20", "--ratio", "1",
                 "--ps-db-start", "50", "--ps-db-stop", "80", "--ps-db-step", "10",
                 "--out", str(out / csv))
-    for start, stop in (("-20", "-15"), ("70", "80")):
+    for start, stop, step in (("-20", "-15", "0.25"), ("70", "80", "0.25"),
+                              ("90", "150", "10")):
         csv = f"sweep-direct-2-from{start}db.csv"
         yield csv, ("sweep", "--scheme", "direct-2", "--ps-db-start", start,
-                    "--ps-db-stop", stop, "--ps-db-step", "0.25", "--out", str(out / csv))
+                    "--ps-db-stop", stop, "--ps-db-step", step, "--out", str(out / csv))
     for scheme in sorted(_scheme_choices(parser, "rate")):
         csv = f"rate-{scheme}.csv"
         alloc = ALLOC if scheme in cli.twolayer.CLOSED_FORMS else ()
