@@ -1,46 +1,46 @@
 """Deterministic allocation optimizers.
 
-Every two-layer search of a free parameter subset is one coarse grid over
-the eta1 <= eta2 triangle (maximize_throughput) followed by coordinate-wise
-Brent line searches to a 1e-7 bracket (_coordinate_ascent,
+The equal-split optima are exact plans, with no grid and no line search
+(_layered_plan): each threshold is a Newton root of its own layer term,
+and the residual powers solve by Newton steps on an analytic tridiagonal
+Hessian, to the exact stationary point.  At n = 1 that is the single-layer
+MISO rate (miso_single_layer_rate), at n = 2 every ``direct`` and
+``miso-equal`` search over all of (alpha, eta1, eta2) (_two_layer_plan,
+from one fixed start; at the direct tail, the source's oblivious plan,
+oblivious_rate_plan), and at n = 8 fig3's and fig4's plans.
+Every other two-layer search of a free parameter subset, and a two-layer
+plan that leaves the search box, is one coarse grid over the eta1 <= eta2
+triangle (maximize_throughput), scored point by point, followed by
+coordinate-wise Brent line searches to a 1e-7 bracket (_coordinate_ascent,
 golden_section_max): the objectives are cheap, at most four-dimensional,
 and may be non-smooth at branch boundaries of the closed forms, so an
 auditable deterministic search beats stochastic methods here.  A
 coordinate's first line search spans its whole box, later ones a bracket
 sized by its last move; a search ends on a whole-box pass that moves nothing
-by more than _TOL = 1e-6.  The ``direct`` and ``miso-equal`` searches over
-all of (alpha, eta1, eta2) are the exact two-layer plan instead
-(_layered_plan at n = 2, below); their grid only guards it, and the line
-searches run only where that plan leaves the search box or the grid beats it.
-``miso-unequal`` with beta free has no grid of its own: the unequal split
-contains the equal one (beta = alpha), so it refines the ``miso-equal``
-optimum over all free parameters, by Newton steps on central differences
-(_difference_newton) and one confirming coordinate ascent.
-The n-layer equal-split plans (_layered_plan, fig3's and fig4's 8 layers)
-have no grid and no line searches either: each threshold is a Newton root
-of its own layer term, and the residual powers solve by Newton steps on an
-analytic tridiagonal Hessian, to the exact stationary point.  At n = 2 and
-the direct tail that plan is the source's oblivious plan
-(oblivious_rate_plan): every two-layer equal-split optimum over all of
-(alpha, eta1, eta2) is one _two_layer_plan from one fixed start.
+by more than _TOL = 1e-6.  ``miso-unequal`` with beta free has no grid of
+its own: the unequal split contains the equal one (beta = alpha), so it
+refines the ``miso-equal`` optimum over all free parameters, by Newton
+steps on central differences (_difference_newton) and one confirming
+coordinate ascent.
 The ``direct`` and ``miso-equal`` kernels are twolayer._tail_kernels of
 their layer tails, e^{-eta} and P(Y > eta*P_s).  A ``miso-equal`` search
 computes each tail once: a line search moves at most one threshold and the
-alpha lines none, so the grid, the rescoring and the line searches read one
-cache, made when the search starts and dropped when it returns (the form's
-``tail``, with the kernels rebuilt on the cache).  ``direct`` has no
-``tail``: its math.exp costs less than a cache lookup.  Each search logs one
-DEBUG line with its evaluations, where it caches tails its tail
-computations, and ``plan`` where it is the exact plan, else per ascent
-the passes run, then the line searches, the brackets widened and the
-ascents that ran all their passes (capped); the unequal refinement logs its
-Newton steps, shifts, positions held on a face and confirming passes.
+alpha lines none, so the grid and the line searches read one cache, made
+when the search starts and dropped when it returns (the form's ``tail``,
+with the kernel rebuilt on the cache).  ``direct`` has no ``tail``: its
+math.exp costs less than a cache lookup.  Each search logs one DEBUG line
+with its evaluations, where it caches tails its tail computations, and
+``plan`` where it is the exact plan, else per ascent the passes run, then
+the line searches, the brackets widened and the ascents that ran all their
+passes (capped); the unequal refinement logs its Newton steps, shifts,
+positions held on a face and confirming passes.
 No randomness anywhere; rerunning returns bit-identical output.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import twolayer
 from .model import PowerConfig, TwoLayerAllocation
-from .outage import _layer_tail_terms, y_sum_tail
+from .outage import _layer_tail_terms
 
 __all__ = [
     "OptResult",
@@ -74,10 +74,6 @@ _LINE_TOL = 1e-7  # bracket width each of _coordinate_ascent's line searches end
 _MAX_PASSES = 40
 _BRACKET_MIN = 10 * _TOL  # least half-width of a later line search's bracket
 _N_STARTS = 3  # coarse-grid points refined by maximize_throughput
-# array-scored grid points within this of the third-best are rescored on the
-# scalar kernel; it covers the last-ulp gaps between numpy's and math's
-# exp/log1p in the direct and miso-equal grids
-_SHORTLIST_RTOL = 1e-6
 _ROOT_STEPS = 100  # most evaluations of h per layer's threshold root
 _PLAN_ITERATIONS = 50  # most Newton steps of _layered_plan
 _PLAN_STEP = 2.0  # most any log residual moves in one of its steps
@@ -91,7 +87,6 @@ class OptResult:
     params: dict
     value: float
     n_evals: int
-    coarse_best: float  # best objective seen on the coarse grid
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
@@ -237,7 +232,12 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
                         coarse_points: int | None = None) -> OptResult:
     """Maximize a two-layer scheme over a subset of {alpha, beta, eta1, eta2}.
 
-    The coarse grid is the (alpha, beta) rows (beta >= alpha for
+    Direct and miso-equal read only alpha, so a free beta is dropped from
+    their search, and with alpha, eta1 and eta2 free they return the exact
+    two-layer plan (_two_layer_plan, from a fixed start), scored once by the
+    scalar kernel, wherever it is finite and lies in 0 <= eta1 <= eta2 <=
+    _ETA_MAX.  Every other search, and such a plan's fallback, scores a
+    coarse grid point by point: the (alpha, beta) rows (beta >= alpha for
     simplex-unequal) against the eta1 <= eta2 pairs of the free box.
     Coordinate line-search passes run from its 3 best points, accepting
     only improving moves, until a pass over the whole boxes shifts no
@@ -246,33 +246,25 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     parameter the search box does not depend on the start, so only the best
     point is refined, by one line search over its box.  Exact ties go to the
     point with fewer grid steps between eta1 and eta2 when both are free,
-    then to the earlier one.  Direct and miso-equal with exactly alpha, eta1
-    and eta2 free (beta is alpha) return the exact two-layer plan instead
-    (_two_layer_plan, from a fixed start, not the grid's), scored by the
-    scalar kernel; they run the passes only where that value is not finite or is
-    below the best grid value, or the plan leaves 0 <= eta1 <= eta2 <= _ETA_MAX.
-    Direct and miso-equal score the grid in one array call, then rescore with
-    the bit-exact scalar kernel every point within 1e-6 (relative) of the
-    third-best, because numpy's exp/log1p may differ from math's in the last
-    ulp and grids hold near-ties; miso-unequal and simplex go point by point.
-    ``n_evals`` counts each feasible grid point once, plus every refinement
-    step (the plan's values and its scoring, and the passes' line-search
-    probes), and ``coarse_best`` is the best grid value.  ``coarse_points``
-    must be at least 1.
+    then to the earlier one.  ``n_evals`` counts every evaluation: the plan's
+    values and its scoring, each feasible grid point once, and the passes'
+    line-search probes.  ``coarse_points`` must be at least 1.
 
     ``miso-unequal`` with beta and another parameter free has no grid: the
     ``miso-equal`` search over the other free parameters (at
     ``coarse_points``) gives the start, with beta = alpha, of Newton steps
-    over all of them and one confirming ascent (_unequal_from_equal).
-    ``n_evals`` counts both searches and ``coarse_best`` is the equal search's.
+    over all of them and one confirming ascent (_unequal_from_equal), and
+    ``n_evals`` counts both searches.
     """
-    free = [p for p in _PARAM_ORDER if p in set(free_params)]
-    if not free:
-        raise ValueError("free_params must name at least one parameter")
     if any(p not in _PARAM_ORDER for p in free_params):
         raise ValueError(f"free_params must be among {_PARAM_ORDER}")
     if scheme not in twolayer.CLOSED_FORMS:
         raise ValueError(f"unknown scheme {scheme!r}")
+    plan_scheme = scheme in ("direct", "miso-equal")  # these read only alpha
+    free = [p for p in _PARAM_ORDER if p in set(free_params)
+            and not (plan_scheme and p == "beta")]
+    if not free:
+        raise ValueError(f"free_params must name at least one parameter {scheme} reads")
     if scheme == "miso-unequal" and "beta" in free and len(free) > 1:
         equal = maximize_throughput("miso-equal", [p for p in free if p != "beta"],
                                     fixed, cfg, coarse_points)
@@ -282,93 +274,83 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         raise ValueError(f"coarse_points must be at least 1, got {n_pts}")
     form = twolayer.CLOSED_FORMS[scheme]
     p_s, p_r = cfg.p_s, cfg.p_r
-    rate, grid, tail = form.rate, form.grid, None
+    rate, tail = form.rate, None
     if form.tail is not None:
         # each threshold's tail is computed once in this search; a line
         # search moves at most one threshold, and the alpha lines none
         tail = functools.cache(form.tail)
-        rate, grid = twolayer._tail_kernels(tail)
+        rate = twolayer._tail_kernels(tail)
     rate = rate or (lambda a, b, e1, e2, *_: form(
         TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b), cfg).r_av)
     slots = [_PARAM_ORDER.index(name) for name in free]
-    evals = 0
-
-    # each axis holds a free parameter's grid or its fixed value (NaN if
-    # absent; a NaN beta means beta = alpha).  The grid is the (alpha, beta)
-    # rows against the feasible (eta1, eta2) pairs, in 4-D meshgrid order
-    axes = [np.linspace(0.0, _ETA_MAX if name.startswith("eta") else 1.0, n_pts)
-            if name in free else np.array([float(fixed.get(name, math.nan))])
-            for name in _PARAM_ORDER]
+    # a free or fixed beta is the scheme's own only for the unequal splits;
+    # a fixed NaN beta means beta = alpha
     beta_is_alpha = (scheme not in ("miso-unequal", "simplex-unequal")
-                     or math.isnan(axes[1][0]))
+                     or ("beta" not in free and math.isnan(fixed.get("beta", math.nan))))
     beta_ge_alpha = scheme == "simplex-unequal" and not beta_is_alpha
-    # the search box keeps free values in the domain, so only fixed values can
-    # leave it, and TwoLayerAllocation raises its ValueError before any grid.
-    # A free value is checked at its range's start, 0, and a free eta2 at
-    # eta1, so a fixed eta1 past _ETA_MAX leaves the grid empty
-    a, b, e1, e2 = (float(axis[0]) for axis in axes)
-    b = a if beta_is_alpha else b
-    e2 = e1 if "eta2" in free else e2
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= e1 <= e2 < math.inf):
-        TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b)
-    alpha, beta = (m.ravel() for m in np.meshgrid(axes[0], axes[1], indexing="ij"))
-    if beta_ge_alpha:
-        keep = ~(beta < alpha)
-        alpha, beta = alpha[keep], beta[keep]
-    j, k = np.nonzero(~(axes[2][:, None] > axes[3]))  # indices into the eta axes
-    if not (alpha.size and j.size):
-        raise ValueError("empty feasible set on the coarse grid")
-    eta1, eta2 = axes[2][j], axes[3][k]
-
-    def point(i: int) -> list[float]:  # grid point i, in meshgrid order
-        row, pair = divmod(i, j.size)
-        return [float(alpha[row]), float(beta[row]), float(eta1[pair]), float(eta2[pair])]
+    evals = 0
 
     def value(x: Sequence[float]) -> float:
         nonlocal evals
         evals += 1
         return rate(x[0], x[0] if beta_is_alpha else x[1], x[2], x[3], p_s, p_r)
 
-    coarse = (np.array([value(point(i)) for i in range(alpha.size * j.size)])
-              if grid is None else
-              grid(alpha[:, None], beta[:, None], axes[2], axes[3], j, k, p_s, p_r).ravel())
-    n_top = min(_N_STARTS, coarse.size)
-    third = np.partition(coarse, -n_top)[-n_top]
-    shortlist = np.flatnonzero(coarse >= third - _SHORTLIST_RTOL * abs(third)).tolist()
-    if grid is not None:  # rescored on the scalar kernel; each point counts once
-        evals += coarse.size - len(shortlist)
-        coarse[shortlist] = [value(point(i)) for i in shortlist]
-    # ties go to fewer eta steps: by grid order alone 10 of 401 64-point direct
-    # searches over (alpha, eta1, eta2) at -20..80 dB fell, by up to 5.3e-6
-    # near -19 dB from a tied start on the flat alpha = 0 edge, for 0.02%
-    # fewer evaluations (ROADMAP, Settled).  Those searches refine by the
-    # exact plan, so the rule serves the ascents: subsets, and plans not kept
-    steps = k - j if "eta1" in free and "eta2" in free else 0 * j
-    shortlist.sort(key=lambda i: (-coarse[i], steps[i % j.size], i))
+    def result(best_val: float, best: Sequence[float], path: str) -> OptResult:
+        tails = "" if tail is None else f" tails={tail.cache_info().misses}"
+        log.debug("maximize_throughput %s free=%s evals=%d%s %s value=%.6g", scheme,
+                  ",".join(free), evals, tails, path, best_val)
+        return OptResult(params={**fixed, **{name: best[i] for name, i in zip(free, slots)}},
+                         value=best_val, n_evals=evals)
 
-    coarse_best = float(coarse[shortlist[0]])
-    best = None
-    if scheme in ("direct", "miso-equal") and free == ["alpha", "eta1", "eta2"]:
-        plan, plan_evals = _two_layer_plan(p_s, p_r if scheme == "miso-equal" else 0.0)
-        evals += plan_evals
+    if plan_scheme and free == ["alpha", "eta1", "eta2"]:
+        plan, evals = _two_layer_plan(p_s, p_r if scheme == "miso-equal" else 0.0)
         if 0.0 <= plan[2] <= plan[3] <= _ETA_MAX:
             plan_val = value(plan)
-            if coarse_best <= plan_val < math.inf:
-                best_val, best, path = plan_val, plan, "plan"
-    if best is None:
-        runs = [_coordinate_ascent(value, (float(coarse[i]), point(i)), slots,
-                                   lambda i, x: _search_box(i, x, beta_ge_alpha))
-                for i in shortlist[:_N_STARTS if len(slots) > 1 else 1]]
-        best_val, best = max(runs, key=lambda t: t[0])[:2]
-        passes, widened = [r[2] for r in runs], sum(r[3] for r in runs)
-        path = (f"passes={','.join(map(str, passes))} lines="
-                f"{len(slots) * sum(passes) + widened} widened={widened} "
-                f"capped={passes.count(_MAX_PASSES)}")
-    params = {**fixed, **{name: best[i] for name, i in zip(free, slots)}}
-    tails = "" if tail is None else f" tails={tail.cache_info().misses}"
-    log.debug("maximize_throughput %s free=%s evals=%d%s %s value=%.6g", scheme,
-              ",".join(free), evals, tails, path, best_val)
-    return OptResult(params=params, value=best_val, n_evals=evals, coarse_best=coarse_best)
+            if plan_val < math.inf:
+                return result(plan_val, plan, "plan")
+
+    # each axis holds a free parameter's grid or its fixed value (NaN if
+    # absent).  The grid is the (alpha, beta) rows against the feasible
+    # (eta1, eta2) pairs, row by row
+    axes = [np.linspace(0.0, _ETA_MAX if name.startswith("eta") else 1.0, n_pts).tolist()
+            if name in free else [float(fixed.get(name, math.nan))]
+            for name in _PARAM_ORDER]
+    # the search box keeps free values in the domain, so only fixed values can
+    # leave it, and TwoLayerAllocation raises its ValueError before any grid.
+    # A free value is checked at its range's start, 0, and a free eta2 at
+    # eta1, so a fixed eta1 past _ETA_MAX leaves the grid empty
+    a, b, e1, e2 = (axis[0] for axis in axes)
+    b = a if beta_is_alpha else b
+    e2 = e1 if "eta2" in free else e2
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= e1 <= e2 < math.inf):
+        TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b)
+    rows = [(a, b) for a in axes[0] for b in axes[1] if not (beta_ge_alpha and b < a)]
+    # each (eta1, eta2) pair with its grid steps between eta1 and eta2 (0
+    # unless both are free): ties go to fewer steps, since by grid order
+    # alone 10 of 401 64-point direct searches over (alpha, eta1, eta2) at
+    # -20..80 dB fell, by up to 5.3e-6 near -19 dB from a tied start on the
+    # flat alpha = 0 edge, for 0.02% fewer evaluations (ROADMAP, Settled)
+    both = "eta1" in free and "eta2" in free
+    pairs = [(e1, e2, k - j if both else 0) for j, e1 in enumerate(axes[2])
+             for k, e2 in enumerate(axes[3]) if not e1 > e2]
+    if not (rows and pairs):
+        raise ValueError("empty feasible set on the coarse grid")
+
+    def point(i: int) -> list[float]:  # grid point i, row by row
+        row, pair = divmod(i, len(pairs))
+        return [*rows[row], *pairs[pair][:2]]
+
+    coarse = [value(point(i)) for i in range(len(rows) * len(pairs))]
+    starts = heapq.nsmallest(_N_STARTS if len(slots) > 1 else 1, range(len(coarse)),
+                             key=lambda i: (-coarse[i], pairs[i % len(pairs)][2], i))
+    runs = [_coordinate_ascent(value, (coarse[i], point(i)), slots,
+                               lambda i, x: _search_box(i, x, beta_ge_alpha))
+            for i in starts]
+    best_val, best = max(runs, key=lambda t: t[0])[:2]
+    passes, widened = [r[2] for r in runs], sum(r[3] for r in runs)
+    return result(best_val, best, f"passes={','.join(map(str, passes))} lines="
+                  f"{len(slots) * sum(passes) + widened} widened={widened} "
+                  f"capped={passes.count(_MAX_PASSES)}")
 
 
 def _two_layer_plan(p_s: float, p_r: float) -> tuple[list[float], int]:
@@ -387,7 +369,7 @@ def _unequal_from_equal(equal: OptResult, free: Sequence[str],
     alpha (the unequal split contains the equal one): Newton steps
     (_difference_newton), then one coordinate ascent, which a converged Newton
     point ends in its first, whole-box pass.  ``n_evals`` adds both stages'
-    evaluations to ``equal``'s, and ``coarse_best`` is ``equal``'s."""
+    evaluations to ``equal``'s."""
     evals = 0
     rate = twolayer.CLOSED_FORMS["miso-unequal"].rate
 
@@ -406,8 +388,7 @@ def _unequal_from_equal(equal: OptResult, free: Sequence[str],
     log.debug("maximize_throughput miso-unequal from miso-equal free=%s evals=%d "
               "newton=%d shifts=%d held=%d passes=%d value=%.6g",
               ",".join(_PARAM_ORDER[i] for i in slots), evals, *newton[2:], run[2], best_val)
-    return OptResult(params=params, value=best_val, n_evals=equal.n_evals + evals,
-                     coarse_best=equal.coarse_best)
+    return OptResult(params=params, value=best_val, n_evals=equal.n_evals + evals)
 
 
 def _difference_newton(value: Callable[[list[float]], float],
@@ -656,17 +637,18 @@ def _shifted_newton_step(grad: list[float], hess: list[list[float]]
 
 def miso_single_layer_rate(p_s: float, p_r: float) -> float:
     """The rate R maximizing the single-layer MISO throughput R P(Y > e^R - 1)
-    (outage.miso_single_layer_throughput): coarse scan plus a Brent line search
-    (golden_section_max) between the best scan point's neighbours."""
-    hi = math.log1p(10.0 * (p_s + p_r)) + 1.0
-    grid = np.linspace(0.0, hi, 64)
-
-    def throughput(r: float) -> float:
-        return r * y_sum_tail(math.expm1(r), p_s, p_r)
-
-    i = int(np.argmax([throughput(r) for r in grid]))
-    return float(golden_section_max(throughput, grid[max(i - 1, 0)],
-                                    grid[min(i + 1, len(grid) - 1)], tol=1e-7)[0])
+    (outage.miso_single_layer_throughput): the one-layer plan (_layered_plan
+    at n = 1, the _layer_threshold root between P and 0) of the MISO layer
+    tail, R = log1p(eta P).  The tail is symmetric in (P_s, P_r), so P is the
+    larger power; at P_r = 0 this is optimal_single_user_rate, and with both
+    powers 0 the rate is 0."""
+    p, other = max(p_s, p_r), min(p_s, p_r)
+    if other < 0.0:
+        raise ValueError("powers must be nonnegative")
+    if p == 0.0:
+        return 0.0
+    (eta,), _, _ = _layered_plan(_layer_tail_terms(p, other), 1, p, ([1.0], []))
+    return math.log1p(eta * p)
 
 
 def horizontal_db_gain(ps_db: Sequence[float], base_rates: Sequence[float],

@@ -104,14 +104,10 @@ def _miso_tail(eta: float, p_s: float, p_r: float) -> float:
 
 
 def _tail_kernels(tail: Callable[[float, float, float], float]):
-    """(rate, grid) kernels from a layer tail(eta, p_s, p_r) in [0, 1]: rate is
+    """The rate kernel of a layer tail(eta, p_s, p_r) in [0, 1]:
     ``_layered_result(...).r_av`` of the split (alpha, 1 - alpha) at (eta1,
     eta2) bit for bit, from unchecked floats (alpha, beta, eta1, eta2, p_s,
-    p_r), beta ignored; grid is rate, to rounding, at the rows ``alpha`` (a
-    column) against the pairs (eta1[j], eta2[k]) of two threshold axes, with
-    eta1[j] <= eta2[k]: one ``tail`` call per axis point, each layer's term
-    tabled once per row and axis point and summed over two gathers, and layer
-    2's tail capped at layer 1's only where rounding left it above."""
+    p_r), beta ignored."""
     def rate(alpha: float, beta: float, eta1: float, eta2: float,
              p_s: float, p_r: float) -> float:
         p1, t2 = tail(eta1, p_s, p_r), tail(eta2, p_s, p_r)
@@ -122,18 +118,7 @@ def _tail_kernels(tail: Callable[[float, float, float], float]):
         p_both = min(r2 * t2 / r2, p1) if r2 > 0.0 else p1
         return r1 * p1 + r2 * p_both
 
-    def grid(alpha, beta, eta1, eta2, j, k, p_s: float, p_r: float) -> np.ndarray:
-        t1, t2 = (np.array([tail(e, p_s, p_r) for e in axis.tolist()])
-                  for axis in (eta1, eta2))
-        ab = 1.0 - alpha
-        layer1 = (np.log1p(eta1 * p_s) - np.log1p(eta1 * ab * p_s)) * t1
-        r2 = np.log1p(eta2 * ab * p_s)
-        out = np.take(layer1, j, axis=-1) + np.take(r2 * t2, k, axis=-1)
-        up = t2[k] > t1[j]  # rounding left layer 2's tail above layer 1's: cap it
-        out[..., up] = np.take(layer1, j[up], axis=-1) + np.take(r2, k[up], axis=-1) * t1[j[up]]
-        return out
-
-    return rate, grid
+    return rate
 
 
 def _seg(lo: float, hi: float, slope: float, anchor: float) -> float:
@@ -286,17 +271,14 @@ def simplex_unequal_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> T
 class _TwoLayerForm(NamedTuple):
     """A CLOSED_FORMS entry; calling it evaluates the closed form.  ``rate``
     (direct and MISO) gives r_av from unchecked floats (alpha, beta, eta1,
-    eta2, p_s, p_r) bit for bit; ``grid`` (direct and miso-equal only) gives
-    it, to rounding, from arrays (alpha, beta, eta1, eta2, j, k, p_s, p_r): at
-    the rows (alpha, beta) against the pairs (eta1[j], eta2[k]) of two
-    threshold axes.  For direct and miso-equal both are _tail_kernels of the
-    scheme's layer tail; ``tail`` (miso-equal only: direct's e^{-eta} costs
-    less than a cache lookup) is that tail(eta, p_s, p_r) in [0, 1], so a
-    search may rebuild the kernels on a cached tail and compute each once."""
+    eta2, p_s, p_r) bit for bit; for direct and miso-equal it is the
+    _tail_kernels rate of the scheme's layer tail.  ``tail`` (miso-equal
+    only: direct's e^{-eta} costs less than a cache lookup) is that tail(eta,
+    p_s, p_r) in [0, 1], so a search may rebuild ``rate`` on a cached tail
+    and compute each tail once."""
 
     closed_form: Callable[[TwoLayerAllocation, PowerConfig], ThroughputResult]
     rate: Callable[..., float] | None = None
-    grid: Callable[..., np.ndarray] | None = None
     tail: Callable[[float, float, float], float] | None = None
 
     def __call__(self, alloc: TwoLayerAllocation, cfg: PowerConfig) -> ThroughputResult:
@@ -312,11 +294,11 @@ CLOSED_FORMS: dict[str, _TwoLayerForm] = {
     "direct": _TwoLayerForm(
         lambda a, cfg: direct_multilayer_throughput(
             (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s),
-        *_tail_kernels(_direct_tail)),
+        _tail_kernels(_direct_tail)),
     "miso-equal": _TwoLayerForm(
         lambda a, cfg: miso_equal_throughput(
             (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s, cfg.p_r),
-        *_tail_kernels(_miso_tail), _miso_tail),
+        _tail_kernels(_miso_tail), _miso_tail),
     "miso-unequal": _TwoLayerForm(
         lambda a, cfg: miso_unequal_throughput(a, cfg.p_s, cfg.p_r),
         _miso_unequal_two_layer_rate),

@@ -52,3 +52,15 @@ def dense_decode_prob(r, eps, p_s, p_r, depth=60, sub=100):
     need = np.expm1(np.minimum(a, 700.0)) - v * p_s
     f = np.where(a > 700.0, 0.0, np.exp(-np.maximum(need, 0.0) / p_r - v))
     return min(math.exp(-eta) + float(np.sum(half * w * f)), 1.0)
+
+
+def scalar_grid_best(scheme, cfg, n, beta_free=False):
+    """The best value of the n-point grid over alpha (and beta with
+    ``beta_free``) in [0, 1] and eta1 <= eta2 in [0, 4], scored point by
+    point on the scheme's scalar kernel (CLOSED_FORMS[scheme].rate)."""
+    from relaycast import twolayer
+
+    rate = twolayer.CLOSED_FORMS[scheme].rate
+    unit, eta = np.linspace(0.0, 1.0, n).tolist(), np.linspace(0.0, 4.0, n).tolist()
+    return max(rate(a, b, e1, e2, cfg.p_s, cfg.p_r) for a in unit
+               for b in (unit if beta_free else [a]) for e1 in eta for e2 in eta if e1 <= e2)

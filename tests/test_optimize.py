@@ -5,12 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from conftest import scalar_grid_best
 from relaycast import (PowerConfig, TwoLayerAllocation, broadcast, figures, optimize,
                        twolayer, direct_multilayer_throughput, maximize_throughput,
                        miso_equal_throughput, oblivious_rate_plan, optimal_single_user_rate,
                        single_user_throughput, y_sum_tail)
 from relaycast.montecarlo import SimConfig, simulate_strategy
-from relaycast.optimize import golden_section_max, horizontal_db_gain
+from relaycast.optimize import golden_section_max, horizontal_db_gain, miso_single_layer_rate
 from relaycast.outage import _layer_tail_terms
 from relaycast.validation import family_z
 
@@ -458,7 +459,7 @@ class TestMaximizeThroughput:
                                   coarse_points=16)
         p = res.params
         assert 0.0 <= p["alpha"] <= 1.0 and 0.0 <= p["eta1"] <= p["eta2"]
-        assert res.value >= res.coarse_best
+        assert res.value >= scalar_grid_best("miso-equal", cfg, 16)
 
     def test_beta_constraint_respected(self):
         cfg = PowerConfig(p_s=10.0, p_r=10.0, q=100.0)
@@ -525,6 +526,18 @@ class TestMaximizeThroughput:
             maximize_throughput("direct", ("gamma",), {}, cfg)
         with pytest.raises(ValueError):
             maximize_throughput("warp", ("alpha",), {"eta1": 0.1, "eta2": 0.2}, cfg)
+
+    @pytest.mark.parametrize("scheme,ratio", [("direct", 0.0), ("miso-equal", 1.0)])
+    def test_a_free_beta_is_dropped_where_only_alpha_is_read(self, scheme, ratio):
+        # a flat beta axis once made the all-free search score 16^2 grid rows,
+        # report beta = 0 and end up to 6e-14 below the exact plan
+        cfg = PowerConfig(10.0, 10.0 * ratio, 1.0)
+        four = maximize_throughput(scheme, ("alpha", "beta", "eta1", "eta2"), {}, cfg)
+        three = maximize_throughput(scheme, ("alpha", "eta1", "eta2"), {}, cfg)
+        assert four == three and "beta" not in four.params
+        with pytest.raises(ValueError, match="at least one parameter"):
+            maximize_throughput(scheme, ("beta",), {"alpha": 0.5, "eta1": 0.1, "eta2": 0.2},
+                                cfg)
 
     @pytest.mark.parametrize("coarse", [0, -2])
     def test_coarse_points_below_one_raise(self, coarse):
@@ -604,9 +617,11 @@ PINNED = [
 # exact plan, or start from such a search, when that plan began from one
 # fixed start in place of the best grid point, and the miso-unequal rows with
 # beta free when their Newton steps stopped halving at a predicted gain of
-# half an ulp.  The last capture is the current result, and it may
-# not fall below the PINNED value or an earlier capture by more than 1e-6
-# relative
+# half an ulp; and the rows that search (alpha, eta1, eta2) by the exact plan,
+# or start from such a search, when that plan stopped scoring the coarse grid
+# first (their n_evals alone moved).  The last capture is the current result,
+# and it may not fall below the PINNED value or an earlier capture by more
+# than 1e-6 relative
 RECAPTURED = {
     (-20.0, 0.5, ("alpha", "eta1", "eta2")): [
         (0.006103627694240707,
@@ -624,6 +639,9 @@ RECAPTURED = {
         (0.006103627694240709,
          {"alpha": 0.5032153054917142, "eta1": 1.2035739966396053,
           "eta2": 1.2090996560139318}, 7204),
+        (0.006103627694240709,
+         {"alpha": 0.5032153054917142, "eta1": 1.2035739966396053,
+          "eta2": 1.2090996560139318}, 4),
     ],
     (25.0, 2.0, ("alpha", "eta1", "eta2")): [
         (5.187470690352275,
@@ -638,6 +656,9 @@ RECAPTURED = {
         (5.187470690352317,
          {"alpha": 0.9845432359395272, "eta1": 0.4614742579805602,
           "eta2": 1.3218598645867172}, 7207),
+        (5.187470690352317,
+         {"alpha": 0.9845432359395272, "eta1": 0.4614742579805602,
+          "eta2": 1.3218598645867172}, 7),
     ],
     (25.0, 2.0, ("alpha", "beta", "eta1", "eta2")): [
         (5.188095902063042,
@@ -658,6 +679,9 @@ RECAPTURED = {
         (5.1880972583737055,
          {"alpha": 0.985126055046594, "beta": 0.9843054341900597,
           "eta1": 0.43341451042223794, "eta2": 1.3662769691050083}, 1113),
+        (5.1880972583737055,
+         {"alpha": 0.985126055046594, "beta": 0.9843054341900597,
+          "eta1": 0.43341451042223794, "eta2": 1.3662769691050083}, 177),
     ],
     (-20.0, 0.0, ("alpha", "beta", "eta1", "eta2")): [
         (0.0036605781165179223,
@@ -678,6 +702,9 @@ RECAPTURED = {
         (0.003660578116517924,
          {"alpha": 0.5028717837712657, "beta": 0.5028717837712657,
           "eta1": 0.9926284061059475, "eta2": 0.997530697757182}, 398),
+        (0.003660578116517924,
+         {"alpha": 0.5028717837712657, "beta": 0.5028717837712657,
+          "eta1": 0.9926284061059475, "eta2": 0.997530697757182}, 110),
     ],
     (10.0, 0.0, ("alpha", "beta", "eta1", "eta2")): [
         (1.1214241254672634,
@@ -698,6 +725,9 @@ RECAPTURED = {
         (1.1214241254673585,
          {"alpha": 0.8042026096702256, "beta": 0.8042026099951513,
           "eta1": 0.36755207109911714, "eta2": 0.675701642385211}, 388),
+        (1.1214241254673585,
+         {"alpha": 0.8042026096702256, "beta": 0.8042026099951513,
+          "eta1": 0.36755207109911714, "eta2": 0.675701642385211}, 100),
     ],
     (25.0, 0.0, ("alpha", "eta1", "eta2")): [
         (3.642567693986696,
@@ -715,6 +745,9 @@ RECAPTURED = {
         (3.6425676939906646,
          {"alpha": 0.9613028489365216, "eta1": 0.1299480699789974,
           "eta2": 0.45145433423912085}, 942),
+        (3.6425676939906646,
+         {"alpha": 0.9613028489365216, "eta1": 0.1299480699789974,
+          "eta2": 0.45145433423912085}, 6),
     ],
     (-20.0, 0.0, ("alpha", "eta1", "eta2")): [
         (0.003660578116517921,
@@ -732,6 +765,9 @@ RECAPTURED = {
         (0.003660578116517924,
          {"alpha": 0.5028717837712657, "eta1": 0.9926284061059475,
           "eta2": 0.997530697757182}, 554),
+        (0.003660578116517924,
+         {"alpha": 0.5028717837712657, "eta1": 0.9926284061059475,
+          "eta2": 0.997530697757182}, 4),
     ],
     (80.0, 0.0, ("alpha", "eta2")): [
         (13.885961897291823,
@@ -800,6 +836,9 @@ RECAPTURED = {
         (17.288798250223753,
          {"alpha": 0.999999618917286, "eta1": 0.11808263165548633,
           "eta2": 0.7026821124645485}, 949),
+        (17.288798250223753,
+         {"alpha": 0.999999618917286, "eta1": 0.11808263165548633,
+          "eta2": 0.7026821124645485}, 13),
     ],
     (10.0, 2.0, ("alpha", "eta1", "eta2")): [
         (2.063729879179878,
@@ -894,22 +933,24 @@ def test_direct_search_logs_no_tail_count(monkeypatch, caplog):
 
 @pytest.mark.parametrize("scheme,ratio", [("direct", 0.0), ("miso-equal", 2.0)])
 def test_all_threshold_search_is_the_two_layer_plan(scheme, ratio, monkeypatch, caplog):
-    # the grid, then _layered_plan at n = 2 from its best point and no line
-    # search; the value is the scalar kernel's at the plan, and n_evals adds
-    # the plan's values and that one to the grid's 12 x 78 points
+    # _layered_plan at n = 2 and no grid and no line search: the value is the
+    # scalar kernel's at the plan (two tails for miso-equal), and n_evals is
+    # the plan's values and that one; the grid the search no longer scores
+    # never beats it
     monkeypatch.setattr(optimize, "golden_section_max", None)
     caplog.set_level(logging.DEBUG, logger="relaycast.optimize")
     cfg = PowerConfig(10.0, 10.0 * ratio, 1.0)
     res = maximize_throughput(scheme, ("alpha", "eta1", "eta2"), {}, cfg, coarse_points=12)
     plan_line, line = (rec.getMessage() for rec in caplog.records)
     assert plan_line.startswith("_layered_plan layers=2 ")
-    tails = r" tails=\d+" if scheme == "miso-equal" else ""
+    tails = " tails=2" if scheme == "miso-equal" else ""
     assert re.fullmatch(rf"maximize_throughput {scheme} free=alpha,eta1,eta2 "
                         rf"evals={res.n_evals}{tails} plan value={res.value:.6g}", line)
     p = res.params
     assert res.value == twolayer.CLOSED_FORMS[scheme].rate(
         p["alpha"], p["alpha"], p["eta1"], p["eta2"], cfg.p_s, cfg.p_r)
-    assert res.value >= res.coarse_best and res.n_evals > 12 * 78 + 1
+    assert res.n_evals == optimize._two_layer_plan(cfg.p_s, cfg.p_r)[1] + 1
+    assert res.value >= scalar_grid_best(scheme, cfg, 12)
 
 
 def test_all_threshold_search_agrees_with_nelder_mead():
@@ -947,9 +988,10 @@ def test_direct_and_miso_objectives_build_no_objects(monkeypatch):
     monkeypatch.setattr(twolayer.ThroughputResult, "build", forbidden)
     cfg = PowerConfig(p_s=10.0, p_r=20.0, q=1.0)
     for scheme in ("direct", "miso-equal", "miso-unequal"):
+        grid = scalar_grid_best(scheme, cfg, 6, beta_free=scheme == "miso-unequal")
         res = maximize_throughput(scheme, ("alpha", "beta", "eta1", "eta2"), {}, cfg,
                                   coarse_points=6)
-        assert res.value >= res.coarse_best > 0.0
+        assert res.value >= grid > 0.0
 
 
 @pytest.mark.parametrize("scheme,free,fixed,message", [
@@ -1086,6 +1128,42 @@ class TestUnequalNewton:
                              options={"xatol": 1e-10, "fatol": 1e-16, "maxfev": 20000})
             x, best = x + found.x * unit, max(best, -found.fun)
         assert abs(best - res.value) <= 1e-9
+
+
+class TestMisoSingleLayerRate:
+    """miso_single_layer_rate, the one-layer plan of the MISO layer tail."""
+
+    @pytest.mark.parametrize("ps_db", [-20.0, -7.5, 0.0, 10.0, 25.0, 40.0, 60.0, 80.0])
+    def test_without_a_relay_is_the_single_user_rate(self, ps_db):
+        # the Brent search this replaced stopped up to 3.7e-11 off in rate
+        p_s = 10.0 ** (ps_db / 10.0)
+        assert miso_single_layer_rate(p_s, 0.0) == pytest.approx(
+            optimal_single_user_rate(p_s), rel=1e-15, abs=0.0)
+
+    def test_never_below_a_brent_reference(self):
+        # P_s -20..80 dB in 2.5 dB steps and P_r/P_s 0..1e7, the near-equal
+        # powers of y_sum_tail's equal-power branch included: the throughput
+        # at the rate never falls below a Brent search's best probe over the
+        # whole rate range, to a 1e-12 bracket, by more than 1e-15 relative
+        for ps_db in np.arange(-20.0, 80.1, 2.5):
+            p_s = 10.0 ** (ps_db / 10.0)
+            for ratio in (0.0, 0.01, 0.5, 1.0, 1.0 + 1e-9, 2.0, 100.0, 1e7):
+                p_r = ratio * p_s
+
+                def throughput(r):
+                    return r * y_sum_tail(math.expm1(r), p_s, p_r)
+
+                hi = math.log1p(10.0 * (p_s + p_r)) + 1.0
+                ref = golden_section_max(throughput, 0.0, hi, tol=1e-12)[1]
+                got = throughput(miso_single_layer_rate(p_s, p_r))
+                assert got >= ref * (1.0 - 1e-15), (ps_db, ratio, got, ref)
+
+    def test_zero_powers(self):
+        # no source power leaves the relay's single-user rate; no power at all
+        # sends nothing (the scan this replaced returned 0.0159)
+        assert miso_single_layer_rate(0.0, 10.0) == pytest.approx(
+            optimal_single_user_rate(10.0), rel=1e-15, abs=0.0)
+        assert miso_single_layer_rate(0.0, 0.0) == 0.0
 
 
 class TestHorizontalGain:

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -264,24 +263,6 @@ def test_scalar_kernels_match_the_closed_forms_bit_for_bit(scheme):
             got = form.rate(alpha, beta, eta1, eta2, p_s, p_r)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
                 (alpha, beta, eta1, eta2, p_s, p_r)
-
-
-@pytest.mark.parametrize("scheme", ["direct", "miso-equal"])
-def test_array_kernels_match_the_scalar_kernels(scheme):
-    form = twolayer.CLOSED_FORMS[scheme]
-    for p_s, p_r, plans in kernel_draw_groups():
-        want = np.array([form.rate(*plan, p_s, p_r) for plan in plans])
-        alpha, beta, eta1, eta2 = np.array(plans).T
-        each = np.arange(len(plans))  # plan i's row against its own pair
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = np.diagonal(form.grid(alpha[:, None], beta[:, None], eta1, eta2,
-                                        each, each, p_s, p_r))
-        # the absolute part is ulps of the decode probabilities times the
-        # layer rates, up to log(1 + eta2 P_s) nats
-        rates = np.maximum(1.0, np.log1p(np.array(plans)[:, 3] * p_s))
-        bad = np.abs(got - want) > 1e-12 * np.abs(want) + 1e-13 * rates
-        assert not bad.any(), (p_s, p_r, np.array(plans)[bad], got[bad], want[bad])
 
 
 class TestSimplex:

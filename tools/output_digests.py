@@ -45,8 +45,10 @@ Runs, in-process and into a temporary directory:
   (default free set) and for ``miso-unequal`` with ``--beta 0.3`` (default
   free set); at 10 dB for ``direct`` over eta1, eta2 at alpha 0.7 (a
   one-row grid) and ``miso-equal`` over alpha, eta2 at eta1 0.3 (a
-  one-point eta1 axis); and ``miso-equal`` at 80 dB, P_r 80 dB, Q 0 dB with
-  a coarse grid of 12, where alpha lies within 1e-6 of 1;
+  one-point eta1 axis); at 10 dB for ``direct`` and ``miso-equal`` over
+  all four parameters (neither reads beta, so the search drops it); and
+  ``miso-equal`` at 80 dB, P_r 80 dB, Q 0 dB with a coarse grid of 12,
+  where alpha lies within 1e-6 of 1;
 * ``validate --draws 2 --blocks 200000 --z-max inf`` at ``--workers 1`` and
   ``--workers 2``, so the Monte-Carlo oracle's bytes beyond fig9 (every
   strategy the corpus draws) are covered, and equal digests on the two
@@ -99,6 +101,7 @@ OPTIMIZE = (
     ("10", "simplex-equal"), ("10", "miso-unequal", "--beta", "0.3"),
     ("10", "direct", "--free", "eta1,eta2", "--alpha", "0.7"),
     ("10", "miso-equal", "--free", "alpha,eta2", "--eta1", "0.3"),
+    ("10", "direct", *ALL_FREE), ("10", "miso-equal", *ALL_FREE),
 )
 # (CSV name suffix, alpha, eta1, eta2) of the extra simplex-equal rate runs
 SIMPLEX_EDGES = (("alpha-0", "0", "0.5", "1"), ("eta1-eq-eta2", "0.5", "1", "1"))
