@@ -26,14 +26,14 @@ quantizes the 8-layer plans and credits the Monte-Carlo ``layered-continuous``.
 from __future__ import annotations
 
 import functools
-import warnings
+import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
-from scipy import optimize
 
 from .model import PowerConfig
+from .outage import _layer_tail_terms
 
 __all__ = [
     "FadingDistribution",
@@ -48,151 +48,115 @@ __all__ = [
     "relay_or_miso_broadcast_bound",
 ]
 
-_BRACKET_LO = 1e-8
-_BRACKET_HI = 1e9
-_SUM_FADING_EQUAL_ATOL = 1e-6
 # cumulative_rate's table: Gauss-Legendre panels x nodes
 _TABLE_PANELS, _TABLE_NODES = 1024, 8
 
 
 @dataclass(frozen=True)
 class FadingDistribution:
-    """CDF/PDF pair of the decode-governing fading variable.
+    """Law of the decode-governing fading s = nu_s + ratio * nu_r, for
+    independent unit-mean exponentials; ratio 0 is Rayleigh (s = nu_s).
+    ``terms`` is its tail T(u) = P(s > u) with T' and T'' on arrays, the
+    layered plans' outage._layer_tail_terms(1, ratio); ``cdf`` = 1 - T and
+    ``pdf`` = -T'."""
 
-    All callables accept scalars or numpy arrays; ``pdf_prime`` is the
-    derivative of ``pdf``, which the closed-form layering density reads.
-    """
-
-    cdf: Callable
-    pdf: Callable
+    ratio: float
     label: str
-    pdf_prime: Callable
+
+    def terms(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _layer_tail_terms(1.0, self.ratio, np)(np.asarray(u, dtype=float))
+
+    def cdf(self, u):
+        return 1.0 - self.terms(u)[0]
+
+    def pdf(self, u):
+        return -self.terms(u)[1]
 
 
 @dataclass(frozen=True)
 class PowerDensity:
-    """Residual interference profile I(u) with its active range [u0, u1].
+    """Residual interference profile I(u), matched to ``dist``, with its
+    active range [u0, u1].
 
-    I(u0) = total_power, I(u1) = 0 and I is nonincreasing in between.
-    ``rho_of_u`` is the layering density -dI/du in closed form.
+    I(u0) = total_power, I(u1) = 0 and I is nonincreasing in between; below
+    u0 it is total_power and above u1 it is 0.  With the tail T of ``dist``,
+    I = -(T + u T')/(u^2 T') on the range, and ``rho_of_u`` is the layering
+    density -dI/du = -T (2T' + u T'')/(u^3 T'^2) there, 0 outside it.
     """
 
-    i_of_u: Callable
+    dist: FadingDistribution
     u0: float
     u1: float
     total_power: float
-    rho_of_u: Callable
+
+    def profile(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(I, rho, T) at nodes u inside (u0, u1), from one tail evaluation."""
+        t, t1, t2 = self.dist.terms(u)
+        i = np.clip((t + u * t1) / (-u * u * t1), 0.0, self.total_power)
+        return i, -t * (2.0 * t1 + u * t2) / (u ** 3 * t1 * t1), t
+
+    def i_of_u(self, u):
+        u = np.asarray(u, dtype=float)
+        out = np.where(u <= self.u0, self.total_power,
+                       np.where(u >= self.u1, 0.0, self.profile(u)[0]))
+        return out if out.ndim else float(out)
+
+    def rho_of_u(self, u):
+        u = np.asarray(u, dtype=float)
+        out = np.where((u > self.u0) & (u < self.u1), self.profile(u)[1], 0.0)
+        return out if out.ndim else float(out)
 
 
 def rayleigh_distribution() -> FadingDistribution:
     """Unit-mean exponential fading power (Rayleigh amplitude)."""
-    return FadingDistribution(
-        cdf=lambda s: -np.expm1(-np.asarray(s, dtype=float)),
-        pdf=lambda s: np.exp(-np.asarray(s, dtype=float)),
-        pdf_prime=lambda s: -np.exp(-np.asarray(s, dtype=float)),
-        label="rayleigh",
-    )
+    return FadingDistribution(0.0, "rayleigh")
 
 
 def sum_fading_distribution(a: float) -> FadingDistribution:
-    """Distribution of s = nu_s + a*nu_r for independent unit-mean exponentials.
-
-    a != 1:  f(s) = e^{-s/a}/(a-1) + e^{-s}/(1-a),
-             F(s) = 1 + e^{-s}/(a-1) + a e^{-s/a}/(1-a)
-    a  = 1:  f(s) = s e^{-s},  F(s) = 1 - e^{-s} - s e^{-s}
-    Ratios within 1e-6 of unity are routed to the a = 1 branch.
-    """
+    """Distribution of s = nu_s + a*nu_r for independent unit-mean exponentials:
+    T(s) = (a e^{-s/a} - e^{-s})/(a - 1), and (1 + s) e^{-s} at a = 1."""
     if a <= 0.0:
         raise ValueError(f"power ratio must be positive, got {a!r}")
-    if abs(a - 1.0) < _SUM_FADING_EQUAL_ATOL:
-        return FadingDistribution(
-            cdf=lambda s: np.where(np.asarray(s) <= 0, 0.0,
-                                   -np.expm1(-np.asarray(s, dtype=float))
-                                   - np.asarray(s, dtype=float) * np.exp(-np.asarray(s, dtype=float))),
-            pdf=lambda s: np.asarray(s, dtype=float) * np.exp(-np.asarray(s, dtype=float)),
-            pdf_prime=lambda s: (1.0 - np.asarray(s, dtype=float)) * np.exp(-np.asarray(s, dtype=float)),
-            label="sum-fading(a=1)",
-        )
+    return FadingDistribution(a, f"sum-fading(a={a:g})")
 
-    def pdf(s):
-        s = np.asarray(s, dtype=float)
-        return np.exp(-s / a) / (a - 1.0) + np.exp(-s) / (1.0 - a)
 
-    def cdf(s):
-        s = np.asarray(s, dtype=float)
-        return np.where(s <= 0, 0.0,
-                        1.0 + np.exp(-s) / (a - 1.0) + a * np.exp(-s / a) / (1.0 - a))
-
-    def pdf_prime(s):
-        s = np.asarray(s, dtype=float)
-        return -np.exp(-s / a) / (a * (a - 1.0)) - np.exp(-s) / (1.0 - a)
-
-    return FadingDistribution(cdf=cdf, pdf=pdf, pdf_prime=pdf_prime,
-                              label=f"sum-fading(a={a:g})")
+def _layering_boundary(tail, p: float, hi: float) -> float:
+    """The root in (0, hi] of h = T + u T' + p u^2 T' for the tail T: u1 at
+    p = 0 (I = 0) and u0 at p = P (I = P), I(u) = -(T + u T')/(u^2 T').  The
+    slope (1 + p u)(2T' + u T'') is negative below u1, so h falls from 1 at
+    u = 0 through one root, and h(hi) <= 0 (hi = 1 + ratio for u1, u1 for
+    u0).  Newton steps from hi, each kept in the bracket that the signs seen
+    so far leave (else bisecting it), until a step moves u by an ulp or two."""
+    lo, u = 0.0, hi
+    while True:
+        t, t1, t2 = tail(u)
+        v = t + u * t1 + p * u * u * t1
+        if v == 0.0:
+            return u
+        lo, hi = (u, hi) if v > 0.0 else (lo, u)
+        step = u - v / ((1.0 + p * u) * (2.0 * t1 + u * t2))
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - u) <= 4e-16 * step:
+            return step
+        u = step
 
 
 def optimal_power_density(total_power: float, dist: FadingDistribution) -> PowerDensity:
-    """Rate-optimal residual interference for the given fading distribution.
-
-    On the active range the unclipped profile is
-    I(u) = (1 - F(u) - u f(u)) / (u^2 f(u)); u1 solves I(u1) = 0 and u0
-    solves I(u0) = total_power, both by bracketing root search.  Outside the
-    range I is clipped to total_power (below u0) and 0 (above u1).
+    """Rate-optimal residual interference for the given fading distribution:
+    the profile of :class:`PowerDensity` between the boundaries that
+    :func:`_layering_boundary` solves for.  For Rayleigh, h(1) = 0 gives
+    u1 = 1, and h = e^{-u}(1 - u - P u^2) has the closed-form root u0.
     """
     if total_power <= 0.0:
         raise ValueError("total_power must be positive")
-    cdf, pdf = dist.cdf, dist.pdf
-
-    def survival_excess(u):  # numerator 1 - F - u f, root gives u1
-        return float(1.0 - cdf(u) - u * pdf(u))
-
-    def i_raw(u):
-        return float((1.0 - cdf(u) - u * pdf(u)) / (u * u * pdf(u)))
-
-    hi = 1.0
-    while survival_excess(hi) > 0.0 and hi < _BRACKET_HI:
-        hi *= 2.0
-    if survival_excess(hi) > 0.0:
-        warnings.warn(f"upper layering boundary beyond {_BRACKET_HI:g}; clamped")
-        u1 = _BRACKET_HI
-    else:
-        u1 = optimize.brentq(survival_excess, min(hi / 2.0, _BRACKET_LO), hi,
-                             xtol=1e-14, rtol=8.9e-16)
-
-    lo = u1 / 2.0
-    while i_raw(lo) < total_power and lo > _BRACKET_LO:
-        lo /= 2.0
-    if i_raw(lo) < total_power:
-        warnings.warn(f"lower layering boundary below {_BRACKET_LO:g}; clamped")
-        u0 = _BRACKET_LO
-    elif i_raw(u1) >= total_power:
-        raise ValueError(f"no layering range for {dist.label}: I(u) is still at or "
-                         f"above the total power {total_power:g} at the clamped upper "
-                         f"layering boundary u1 = {u1:g}")
-    else:
-        u0 = optimize.brentq(lambda u: i_raw(u) - total_power, lo, u1,
-                             xtol=1e-14, rtol=8.9e-16)
-    if not u0 < u1:
-        raise ValueError(f"unsupported distribution shape: no layering range "
-                         f"found for {dist.label}")
-
-    def i_of_u(u):
-        u_arr = np.asarray(u, dtype=float)
-        mid = (1.0 - cdf(u_arr) - u_arr * pdf(u_arr)) / (u_arr * u_arr * pdf(u_arr))
-        out = np.where(u_arr <= u0, total_power,
-                       np.where(u_arr >= u1, 0.0, np.clip(mid, 0.0, total_power)))
-        return out if out.ndim else float(out)
-
-    def rho_of_u(u):
-        # -d/du of the unclipped profile: (1-F)(2f + u f') / (u^3 f^2)
-        u_arr = np.asarray(u, dtype=float)
-        f = pdf(u_arr)
-        val = (1.0 - cdf(u_arr)) * (2.0 * f + u_arr * dist.pdf_prime(u_arr)) / (u_arr ** 3 * f * f)
-        out = np.where((u_arr > u0) & (u_arr < u1), val, 0.0)
-        return out if out.ndim else float(out)
-
-    return PowerDensity(i_of_u=i_of_u, u0=u0, u1=u1, total_power=total_power,
-                        rho_of_u=rho_of_u)
+    tail = _layer_tail_terms(1.0, dist.ratio)
+    u1 = _layering_boundary(tail, 0.0, 1.0 + dist.ratio)
+    u0 = (_layering_boundary(tail, total_power, u1) if dist.ratio
+          else 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * total_power)))
+    if not u0 < u1:  # u1 - u0 is about P u1, so below P ~ 1e-16 it rounds to 0
+        raise ValueError(f"no layering range for {dist.label} at total power {total_power:g}")
+    return PowerDensity(dist, u0, u1, total_power)
 
 
 def continuous_layering(cfg: PowerConfig, mode: Literal["siso", "relay", "miso"]
@@ -254,14 +218,18 @@ def _ladder(cuts) -> np.ndarray:
 
 def _geometric_panels(density: PowerDensity, panels: int, nodes: int):
     """(edges, nodes, weights) of ``nodes``-point Gauss-Legendre on each of
-    ``panels`` panels of [u0, u1] with edges u0 + (u1 - u0) * {0, 1e-6, ..., 1}.
+    ``panels`` panels of [u0, u1] with edges u0 + (u1 - u0) * {0, f, ..., 1},
+    f = min(1e-6, u0/(u1 - u0)), geometric in between.
 
     The edges are geometric toward u0, where a high-power integrand is
     steepest; uniform panels are off by up to 2.3e-2 relative (miso, 80 dB,
-    P_r/P_s = 1000).
+    P_r/P_s = 1000).  Where u1/u0 exceeds about 1e6 the first panel shrinks
+    with u0, so it never spans the decades of u just above u0 (a fixed 1e-6
+    is off by 1.8e-2 at u1/u0 = 1e10).
     """
-    fractions = np.concatenate(([0.0], np.geomspace(1e-6, 1.0, panels)))
-    edges = density.u0 + (density.u1 - density.u0) * fractions
+    u0, u1 = density.u0, density.u1
+    fractions = np.concatenate(([0.0], np.geomspace(min(1e-6, u0 / (u1 - u0)), 1.0, panels)))
+    edges = u0 + (u1 - u0) * fractions
     return (edges, *_panel_rule(edges, nodes))
 
 
@@ -270,21 +238,24 @@ def cumulative_rate(density: PowerDensity) -> tuple[np.ndarray, np.ndarray]:
     of the layers decodable at fading level u, at the edges of
     :func:`_geometric_panels`' 1024 panels, each summed by 8-node Gauss-Legendre."""
     edges, u, w = _geometric_panels(density, _TABLE_PANELS, _TABLE_NODES)
-    g = w * u * density.rho_of_u(u) / (1.0 + u * density.i_of_u(u))
-    panels = g.reshape(_TABLE_PANELS, _TABLE_NODES).sum(axis=1)
+    i, rho, _ = density.profile(u)
+    panels = (w * u * rho / (1.0 + u * i)).reshape(_TABLE_PANELS, _TABLE_NODES).sum(axis=1)
     return edges, np.concatenate(([0.0], np.cumsum(panels)))
 
 
 def broadcast_rate(density: PowerDensity, dist: FadingDistribution) -> float:
-    """Average decoded rate int_{u0}^{u1} (1 - F(u)) u rho(u) / (1 + u I(u)) du.
+    """Average decoded rate int_{u0}^{u1} T(u) u rho(u) / (1 + u I(u)) du, T the
+    tail of ``dist``.
 
     Fixed rule: :func:`_geometric_panels` with 8 panels of 64 nodes, every
-    node in one call of the density's and the distribution's array callables.
+    node in one tail evaluation of the density (and one of ``dist`` where
+    the density is matched to another law, as the relay bound's is).
     """
     _, u, w = _geometric_panels(density, 8, 64)
-    rho = density.rho_of_u(u)
-    integrand = (1.0 - dist.cdf(u)) * u * rho / (1.0 + u * density.i_of_u(u))
-    return float(np.sum(w * integrand))
+    i, rho, t = density.profile(u)
+    if dist.ratio != density.dist.ratio:
+        t = dist.terms(u)[0]
+    return float(np.sum(w * t * u * rho / (1.0 + u * i)))
 
 
 def siso_broadcast_rate(p_s: float) -> float:

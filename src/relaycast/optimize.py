@@ -232,13 +232,14 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
                         coarse_points: int | None = None) -> OptResult:
     """Maximize a two-layer scheme over a subset of {alpha, beta, eta1, eta2}.
 
-    Direct and miso-equal read only alpha, so a free beta is dropped from
-    their search, and with alpha, eta1 and eta2 free they return the exact
-    two-layer plan (_two_layer_plan, from a fixed start), scored once by the
-    scalar kernel, wherever it is finite and lies in 0 <= eta1 <= eta2 <=
-    _ETA_MAX.  Every other search, and such a plan's fallback, scores a
-    coarse grid point by point: the (alpha, beta) rows (beta >= alpha for
-    simplex-unequal) against the eta1 <= eta2 pairs of the free box.
+    Only the unequal splits read beta, so the other schemes drop a free beta
+    from their search.  Direct and miso-equal with alpha, eta1 and eta2 free
+    return the exact two-layer plan (_two_layer_plan, from a fixed start),
+    scored once by the scalar kernel, wherever it is finite and lies in
+    0 <= eta1 <= eta2 <= _ETA_MAX.  Every other search, and such a plan's
+    fallback, scores a coarse grid point by point: the (alpha, beta) rows
+    (beta >= alpha for simplex-unequal) against the eta1 <= eta2 pairs of
+    the free box.
     Coordinate line-search passes run from its 3 best points, accepting
     only improving moves, until a pass over the whole boxes shifts no
     parameter by more than 1e-6 (the passes between search brackets around
@@ -260,9 +261,9 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         raise ValueError(f"free_params must be among {_PARAM_ORDER}")
     if scheme not in twolayer.CLOSED_FORMS:
         raise ValueError(f"unknown scheme {scheme!r}")
-    plan_scheme = scheme in ("direct", "miso-equal")  # these read only alpha
+    split_beta = scheme in ("miso-unequal", "simplex-unequal")  # the rest read only alpha
     free = [p for p in _PARAM_ORDER if p in set(free_params)
-            and not (plan_scheme and p == "beta")]
+            and (split_beta or p != "beta")]
     if not free:
         raise ValueError(f"free_params must name at least one parameter {scheme} reads")
     if scheme == "miso-unequal" and "beta" in free and len(free) > 1:
@@ -285,7 +286,7 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     slots = [_PARAM_ORDER.index(name) for name in free]
     # a free or fixed beta is the scheme's own only for the unequal splits;
     # a fixed NaN beta means beta = alpha
-    beta_is_alpha = (scheme not in ("miso-unequal", "simplex-unequal")
+    beta_is_alpha = (not split_beta
                      or ("beta" not in free and math.isnan(fixed.get("beta", math.nan))))
     beta_ge_alpha = scheme == "simplex-unequal" and not beta_is_alpha
     evals = 0
@@ -302,7 +303,7 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         return OptResult(params={**fixed, **{name: best[i] for name, i in zip(free, slots)}},
                          value=best_val, n_evals=evals)
 
-    if plan_scheme and free == ["alpha", "eta1", "eta2"]:
+    if scheme in ("direct", "miso-equal") and free == ["alpha", "eta1", "eta2"]:
         plan, evals = _two_layer_plan(p_s, p_r if scheme == "miso-equal" else 0.0)
         if 0.0 <= plan[2] <= plan[3] <= _ETA_MAX:
             plan_val = value(plan)

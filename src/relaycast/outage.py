@@ -55,23 +55,26 @@ def y_sum_tail(u: float, p_s: float, p_r: float) -> float:
     return (p_r * math.exp(-u / p_r) - p_s * math.exp(-u / p_s)) / (p_r - p_s)
 
 
-def _layer_tail_terms(p_s: float, p_r: float):
+def _layer_tail_terms(p_s: float, p_r: float, xp=math):
     """eta -> (T, T', T''): the layer tail T(eta) = y_sum_tail(eta*P_s, P_s, P_r)
-    and its first two derivatives in eta, for P_s > 0.
+    and its first two derivatives in eta, for P_s > 0.  T is the tail of
+    s = nu_s + rho nu_r, rho = P_r/P_s, the one law of s in the package: the
+    layered plans read it on scalars (``xp`` = math) and the continuous
+    densities of :mod:`relaycast.broadcast` on arrays (``xp`` = numpy).
 
-    With rho = P_r/P_s and w = (e^{-eta/rho} - e^{-eta})/(rho - 1), T =
-    e^{-eta} + rho w, T' = -w and T'' = (w - e^{-eta})/rho.  w is written
-    with expm1, as -e^{-eta/rho} expm1(-eta g)/(rho - 1) for rho > 1 and
+    With w = (e^{-eta/rho} - e^{-eta})/(rho - 1), T = e^{-eta} + rho w,
+    T' = -w and T'' = (w - e^{-eta})/rho.  w is written with expm1, as
+    -e^{-eta/rho} expm1(-eta g)/(rho - 1) for rho > 1 and
     e^{-eta} expm1(eta g)/(rho - 1) for rho < 1, g = (rho - 1)/rho, so it
     neither cancels as rho -> 1 nor overflows at large eta.  P_r = 0 gives
     e^{-eta}, and powers within y_sum_tail's near-equal tolerance its
     equal-power branch (1 + x)e^{-x}, x = eta/max(rho, 1), differentiated as
     it stands.
     """
-    rho = p_r / p_s
+    rho, exp, expm1 = p_r / p_s, xp.exp, xp.expm1
     if rho == 0.0:
         def direct(eta: float) -> tuple[float, float, float]:
-            e = math.exp(-eta)
+            e = exp(-eta)
             return e, -e, e
         return direct
     if abs(rho - 1.0) < _EQUAL_POWER_RTOL * max(rho, 1.0):
@@ -79,15 +82,15 @@ def _layer_tail_terms(p_s: float, p_r: float):
 
         def equal(eta: float) -> tuple[float, float, float]:
             x = eta * k
-            e = math.exp(-x)
+            e = exp(-x)
             return (1.0 + x) * e, -x * e * k, (x - 1.0) * e * k * k
         return equal
     g, d = (rho - 1.0) / rho, rho - 1.0
 
     def unequal(eta: float) -> tuple[float, float, float]:
-        e = math.exp(-eta)
-        w = (-math.exp(-eta / rho) * math.expm1(-eta * g) if g > 0.0
-             else e * math.expm1(eta * g)) / d
+        e = exp(-eta)
+        w = (-exp(-eta / rho) * expm1(-eta * g) if g > 0.0
+             else e * expm1(eta * g)) / d
         return e + rho * w, -w, (w - e) / rho
     return unequal
 

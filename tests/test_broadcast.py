@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,14 +77,28 @@ class TestOptimalPowerDensity:
         assert abs(raw(d.u0) - power) < 1e-10
         assert abs(raw(d.u1)) < 1e-10
 
-    def test_unbracketed_layering_range_raises_a_clear_error(self):
-        # P_s = -70 dB, P_r = 50 dB: the upper boundary is clamped at 1e9,
-        # where I(u), about (P_r/P_s)/u^2 = 1e-6, is still above the total power
+    def test_a_far_upper_layering_boundary_is_exact(self):
+        # P_s = -70 dB, P_r = 50 dB: u1, about P_r/P_s = 1e12, lies far past
+        # the 1e9 where a doubling bracket once clamped it and found no range
         dist = sum_fading_distribution(1e12)
-        with pytest.warns(UserWarning, match="clamped"), \
-                pytest.raises(ValueError, match=r"no layering range for sum-fading"
-                                                r"\(a=1e\+12\).*u1 = 1e\+09"):
-            optimal_power_density(1e-7, dist)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = optimal_power_density(1e-7, dist)
+            rate = broadcast_rate(d, dist)
+        t, t1, _ = dist.terms(np.array([d.u0, d.u1]))
+        assert abs(t[1] + d.u1 * t1[1]) < 1e-15 * t[1]
+        assert d.i_of_u(np.nextafter(d.u0, d.u1)) == pytest.approx(1e-7, rel=1e-13)
+        assert 1e9 < d.u0 < d.u1 < 1e12 + 1.0
+        assert rate == pytest.approx(9.30022986905, rel=1e-11)
+        est = simulate_strategy(SimConfig(blocks=400_000, seed=314, strategy="layered-continuous",
+                                          params="miso"), PowerConfig(p_s=1e-7, p_r=1e5, q=1.0))
+        assert abs(rate - est.mean) < 3 * est.stderr  # 9.30044 +- 0.00283
+
+    @pytest.mark.parametrize("dist", [rayleigh_distribution(), sum_fading_distribution(2.0)])
+    def test_a_range_that_rounds_away_raises_a_clear_error(self, dist):
+        # u1 - u0 is about P u1, so at P = 1e-17 (-170 dB) u0 rounds to u1
+        with pytest.raises(ValueError, match="no layering range for .* at total power 1e-17"):
+            optimal_power_density(1e-17, dist)
 
     @pytest.mark.parametrize("ps_db", [-20.0, 10.0, 50.0])
     @pytest.mark.parametrize("mode,ratio", [("siso", 0.0), ("relay", 2.0), ("miso", 0.5),
@@ -108,9 +123,14 @@ class TestOptimalPowerDensity:
 
 class TestBroadcastRate:
     def test_zero_density_gives_zero(self):
-        d = PowerDensity(i_of_u=lambda u: 2.0, u0=0.2, u1=1.0, total_power=2.0,
-                         rho_of_u=lambda u: 0.0)
-        assert broadcast_rate(d, rayleigh_distribution()) == 0.0
+        # a stand-in density that layers no power on [0.2, 1]
+        class Flat:
+            u0, u1, total_power, dist = 0.2, 1.0, 2.0, rayleigh_distribution()
+
+            def profile(self, u):
+                return np.full_like(u, 2.0), np.zeros_like(u), np.exp(-u)
+
+        assert broadcast_rate(Flat(), rayleigh_distribution()) == 0.0
 
     @pytest.mark.parametrize("p_s", [1.0, 10.0])
     def test_rayleigh_closed_form(self, p_s):
@@ -135,32 +155,34 @@ class TestBroadcastRate:
     def test_reparameterization_invariance(self):
         # stretching the fading axis by c leaves the rate unchanged
         c = 3.0
-        dist = rayleigh_distribution()
-        d = optimal_power_density(4.0, dist)
-        scaled_dist = type(dist)(cdf=lambda s: dist.cdf(np.asarray(s) / c),
-                                 pdf=lambda s: dist.pdf(np.asarray(s) / c) / c,
-                                 pdf_prime=lambda s: dist.pdf_prime(np.asarray(s) / c) / c ** 2,
-                                 label="scaled")
-        scaled_density = PowerDensity(
-            i_of_u=lambda u: np.asarray(d.i_of_u(np.asarray(u) / c)) / c,
-            u0=d.u0 * c, u1=d.u1 * c, total_power=d.total_power / c,
-            rho_of_u=lambda u: np.asarray(d.rho_of_u(np.asarray(u) / c)) / c ** 2)
-        assert broadcast_rate(scaled_density, scaled_dist) == pytest.approx(
-            broadcast_rate(d, dist), abs=1e-9)
+        rayleigh = rayleigh_distribution()
+        d = optimal_power_density(4.0, rayleigh)
+
+        class Stretched:  # a stand-in: the density and the law of c s
+            u0, u1, total_power, dist = d.u0 * c, d.u1 * c, d.total_power / c, rayleigh
+
+            def profile(self, u):
+                i, rho, t = d.profile(u / c)
+                return i / c, rho / c ** 2, t
+
+        assert broadcast_rate(Stretched(), rayleigh) == pytest.approx(
+            broadcast_rate(d, rayleigh), abs=1e-9)
 
 
 DB_GRID = np.arange(-20.0, 80.1, 5.0)
 
 
 def quad_rate(density, dist):
-    """broadcast_rate's integral by adaptive quadrature, point by point."""
+    """broadcast_rate's integral by adaptive quadrature, point by point, in
+    log u, so that spans of u1/u0 up to 1e10 need no hint."""
     rho = density.rho_of_u
 
-    def integrand(u):
-        return ((1.0 - float(dist.cdf(u))) * u * float(rho(u))
+    def integrand(x):
+        u = math.exp(x)
+        return ((1.0 - float(dist.cdf(u))) * u * u * float(rho(u))
                 / (1.0 + u * float(density.i_of_u(u))))
 
-    return integrate.quad(integrand, density.u0, density.u1,
+    return integrate.quad(integrand, math.log(density.u0), math.log(density.u1),
                           epsabs=1e-10, epsrel=1e-10, limit=400)[0]
 
 
@@ -181,7 +203,7 @@ class TestFixedRule:
         assert siso_broadcast_rate(p_s) == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["relay", "miso"])
-    @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0, 1000.0, 1e7])
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0, 1000.0, 1e7, 1e12])
     def test_relay_and_miso_match_adaptive_quadrature(self, mode, ratio):
         for ps_db in DB_GRID:
             p_s = 10.0 ** (ps_db / 10.0)
@@ -193,7 +215,7 @@ class TestFixedRule:
 
 @pytest.mark.parametrize("mode, ps_db, ratio", [
     ("siso", 0.0, 1.0), ("siso", 25.0, 1.0), ("miso", 0.0, 1.0), ("miso", 25.0, 1.0),
-    ("miso", 0.0, 1e5),
+    ("miso", 0.0, 1e5), ("miso", 80.0, 1e7),
 ])
 def test_cumulative_rate_is_monotone_and_totals_the_profile(mode, ps_db, ratio):
     # R(u) starts at 0, never falls, and ends at int_{u0}^{u1} u rho / (1 + u I)

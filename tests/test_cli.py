@@ -210,10 +210,6 @@ def test_optimize_requires_all_parameters():
      "--eta1", "0.3", "--eta2", "1.8"],
     # a plan with eta1 > eta2
     ["rate", "--scheme", "simplex-equal", "--alpha", "0.7", "--eta1", "1.8", "--eta2", "0.3"],
-    # the miso layering range cannot be bracketed at P_r/P_s = 10^12 and P_s = -70 dB
-    pytest.param(["rate", "--scheme", "continuous-miso", "--ps-db", "-70",
-                  "--pr-db", "50", "--q-db", "0"],
-                 marks=pytest.mark.filterwarnings("ignore:upper layering boundary")),
 ])
 def test_library_errors_exit_with_one_line(tmp_path, capsys, argv):
     rc = main(argv + ["--out", str(tmp_path / "out")])
@@ -221,8 +217,7 @@ def test_library_errors_exit_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("relaycast: ") and err.count("\n") == 1
     expected = {"simplex-unequal": "beta >= alpha required",
-                "simplex-equal": "eta1 <= eta2 required",
-                "continuous-miso": "no layering range for sum-fading"}
+                "simplex-equal": "eta1 <= eta2 required"}
     assert expected[argv[2]] in err
 
 
@@ -242,7 +237,8 @@ def test_an_allocation_failure_exits_with_one_line(monkeypatch, capsys):
     # format; the lower range's fixed rule leaves nothing to warn about
     ["rate", "--scheme", "simplex-equal", "--alpha", "0.48717948717948717",
      "--eta1", "3.5897435897435894", "--eta2", "3.5897435897435894"],
-    # the upper layering boundary is clamped at P_r/P_s = 10^12
+    # P_r/P_s = 10^12: a doubling bracket clamped the upper layering boundary
+    # at 1e9 and warned; the root is now exact
     ["rate", "--scheme", "continuous-miso", "--ps-db", "-20", "--pr-db", "100"],
     # one-layer plans whose t overflows near 0, where beta_bar = 0 made the
     # layer-1 threshold warn of inf * 0
@@ -250,23 +246,45 @@ def test_an_allocation_failure_exits_with_one_line(monkeypatch, capsys):
      "--alpha", "1", "--eta1", "1", "--eta2", "1"],
     ["rate", "--scheme", "single-sdf", "--ps-db", "40", "--pr-db", "40", "--q-db", "0.4",
      "--rate", "9.2"],
+    # P_r/P_s = 10^12 at P_s = -70 dB: the clamped boundary left no layering
+    # range, and the command failed
+    ["rate", "--scheme", "continuous-miso", "--ps-db", "-70", "--pr-db", "50", "--q-db", "0"],
 ])
 def test_warnings_print_one_line_each(tmp_path, argv):
-    # a fresh interpreter, so the warning reaches stderr as it does for a user
+    # inputs that once warned (or failed) now succeed silently, in a fresh
+    # interpreter as for a user; test_a_library_warning_prints_one_line keeps
+    # the one-line format
     env = {**os.environ, "PYTHONPATH": str(Path(relaycast.__file__).resolve().parent.parent)}
     run = subprocess.run([sys.executable, "-m", "relaycast.cli", *argv,
                           "--out", str(tmp_path / "out.csv")],
                          capture_output=True, text=True, env=env, check=False)
     assert run.returncode == 0
-    lines = run.stderr.splitlines()
-    warns = {"simplex-equal": False, "single-sdf": False, "continuous-miso": True}[argv[2]]
-    assert bool(lines) == warns
-    assert all(line.startswith("relaycast: warning: ") for line in lines)
+    assert run.stderr == ""
     before = warnings.formatwarning
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert main(argv + ["--out", str(tmp_path / "again.csv")]) == 0
     assert warnings.formatwarning is before
+
+
+def test_a_library_warning_prints_one_line(tmp_path):
+    # no documented input warns, so a library call warns on purpose, over
+    # two lines; a fresh interpreter, so the warning reaches stderr as it
+    # does for a user
+    code = ("import sys, warnings\n"
+            "import relaycast.broadcast as broadcast, relaycast.cli as cli\n"
+            "rate = broadcast.siso_broadcast_rate\n"
+            "def warned(p_s):\n"
+            "    warnings.warn('a library warning\\nover two lines')\n"
+            "    return rate(p_s)\n"
+            "broadcast.siso_broadcast_rate = warned\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(relaycast.__file__).resolve().parent.parent)}
+    run = subprocess.run([sys.executable, "-c", code, "rate", "--scheme", "continuous-siso",
+                          "--out", str(tmp_path / "out.csv")],
+                         capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == 0
+    assert run.stderr == "relaycast: warning: a library warning over two lines\n"
 
 
 def test_rate_of_a_two_layer_scheme_needs_its_plan():

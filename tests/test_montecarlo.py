@@ -270,10 +270,12 @@ PINNED = {
         ("0x1.986d1db1b24f8p+0", "0x1.3f5943e2aac12p-3"),
         ("0x1.900af3a64792bp+0", "0x1.2180dc917eb5cp-9"),
     ),
+    # re-captured when the miso profile came from outage._layer_tail_terms:
+    # its R(u) table moved at rounding level (the means by 1-2 ulps)
     "continuous-miso": (
-        ("0x1.1398b3978560cp+1", "0x0.0p+0"),
-        ("0x1.bbaccb1fddf84p+0", "0x1.840a39114b032p-3"),
-        ("0x1.9cc848cb4e82bp+0", "0x1.89988ad67eb71p-9"),
+        ("0x1.1398b3978560bp+1", "0x0.0p+0"),
+        ("0x1.bbaccb1fddf83p+0", "0x1.840a39114b030p-3"),
+        ("0x1.9cc848cb4e829p+0", "0x1.89988ad67eb70p-9"),
     ),
     "continuous-siso": (
         ("0x1.e33e153fc7e1ap+0", "0x0.0p+0"),

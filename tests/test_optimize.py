@@ -527,14 +527,23 @@ class TestMaximizeThroughput:
         with pytest.raises(ValueError):
             maximize_throughput("warp", ("alpha",), {"eta1": 0.1, "eta2": 0.2}, cfg)
 
-    @pytest.mark.parametrize("scheme,ratio", [("direct", 0.0), ("miso-equal", 1.0)])
-    def test_a_free_beta_is_dropped_where_only_alpha_is_read(self, scheme, ratio):
+    @pytest.mark.parametrize("scheme,cfg,free,fixed,coarse", [
+        pytest.param("direct", PowerConfig(10.0, 0.0, 1.0), ("alpha", "eta1", "eta2"), {},
+                     None, id="direct-0.0"),
+        pytest.param("miso-equal", PowerConfig(10.0, 10.0, 1.0), ("alpha", "eta1", "eta2"),
+                     {}, None, id="miso-equal-1.0"),
+        pytest.param("simplex-equal", PowerConfig(10.0, 10.0, 100.0), ("eta2",),
+                     {"alpha": 0.7, "eta1": 0.3}, 6, id="simplex-equal-eta2"),
+    ])
+    def test_a_free_beta_is_dropped_where_only_alpha_is_read(self, scheme, cfg, free, fixed,
+                                                              coarse):
         # a flat beta axis once made the all-free search score 16^2 grid rows,
-        # report beta = 0 and end up to 6e-14 below the exact plan
-        cfg = PowerConfig(10.0, 10.0 * ratio, 1.0)
-        four = maximize_throughput(scheme, ("alpha", "beta", "eta1", "eta2"), {}, cfg)
-        three = maximize_throughput(scheme, ("alpha", "eta1", "eta2"), {}, cfg)
-        assert four == three and "beta" not in four.params
+        # report beta = 0 and end up to 6e-14 below the exact plan; simplex-equal
+        # with (beta, eta2) free reported beta = 0 after 875 evaluations, where
+        # eta2 alone takes 18
+        with_beta = maximize_throughput(scheme, ("beta", *free), fixed, cfg, coarse)
+        without = maximize_throughput(scheme, free, fixed, cfg, coarse)
+        assert with_beta == without and "beta" not in with_beta.params
         with pytest.raises(ValueError, match="at least one parameter"):
             maximize_throughput(scheme, ("beta",), {"alpha": 0.5, "eta1": 0.1, "eta2": 0.2},
                                 cfg)

@@ -2,7 +2,8 @@
 at alpha, beta in [0, 1] with their end points, eta1 <= eta2 with equality,
 P_r = 0, P_s from -20 dB to 80 dB and Q from -20 dB to 80 dB; the
 single-layer schemes and bounds of the CLI at P_s from -20 dB to 80 dB,
-P_r/P_s from 0 to 1e7 and any Q; continuous-miso rising with P_r; and the
+P_r/P_s from 0 to 1e7 and any Q; continuous-miso rising with P_r up to
+P_r/P_s = 1e12, between the single-layer and ergodic MISO rates; and the
 exact 8-layer plans of fig3/fig4 at P_s from -20 dB to 80 dB; and the
 direct and miso-equal searches over all thresholds, which are the exact
 two-layer plan while it stays in the search box, and never end below the
@@ -95,12 +96,16 @@ def test_single_layer_and_bound_values_are_finite_or_raise(scheme):
 
 @pytest.mark.parametrize("ps_db", [-20.0, 0.0, 20.0, 80.0])
 def test_continuous_miso_does_not_decrease_in_relay_power(ps_db):
-    # P_r/P_s from 1e3 to 1e7 in half decades; the upper layering boundary,
-    # about P_r/P_s, stays below the bracket cap
+    # P_r/P_s from 1e3 to 1e12 in half decades, where the upper layering
+    # boundary, about P_r/P_s, reaches 1e12; and at each ratio the bound lies
+    # between the single-layer MISO rate and the ergodic MISO capacity
     p_s = 10.0 ** (ps_db / 10.0)
-    values = [figures._BOUNDS["continuous-miso"](PowerConfig(p_s, 10.0 ** (e / 2) * p_s, 1.0))
-              for e in range(6, 15)]
+    cfgs = [PowerConfig(p_s, 10.0 ** (e / 2) * p_s, 1.0) for e in range(6, 25)]
+    values = [figures._throughput("continuous-miso", cfg) for cfg in cfgs]
     assert all(b >= a for a, b in zip(values, values[1:])), values
+    for cfg, value in zip(cfgs, values):
+        assert (figures._throughput("miso-single", cfg) <= value
+                <= figures._throughput("ergodic-miso", cfg)), cfg
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -33,6 +33,9 @@ Runs, in-process and into a temporary directory:
 * ``rate`` for ``single-sdf`` at rate 9.2 and for ``simplex-equal`` at
   alpha 1, eta 1/1, both at 40/40/0.4 dB, where the layer-1 integrand's t
   overflows near 0;
+* ``rate`` for ``continuous-miso`` and ``continuous-relay`` at -20/100 dB
+  and 80/150 dB (P_r/P_s = 1e12 and 1e7), where the upper layering
+  boundary lies near P_r/P_s and the lower one 1e5 to 2e7 times below it;
 * ``rate`` for ``simplex-unequal`` at beta 1 and eta 0.3/1.8 with alpha 1
   (a one-layer plan with an unused eta2) and alpha 0 (beta_bar = 0, where
   the layer-2 threshold is +-inf), and for ``single-user`` at ``--rate
@@ -85,6 +88,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -121,6 +125,8 @@ ONE_LAYER = (
       "--eta2", "7.263502408683853")),
     ("rate-single-sdf-one-layer.csv", ("--scheme", "single-sdf", "--rate", "5.9")),
 )
+# (P_s dB, P_r dB) of the continuous bounds at extreme relay-to-source ratios
+FAR_RELAY = (("-20", "100"), ("80", "150"))
 # simplex-unequal plans with a zero-rate layer: (CSV name suffix, alpha)
 ZERO_RATE = (("alpha-1", "1"), ("alpha-0", "0"))
 # one-layer plans (beta_bar = 0) whose layer-1 t overflows near 0
@@ -178,6 +184,11 @@ def commands(cli, out: Path):
         yield csv, ("rate", *argv, *ONE_LAYER_POWERS, "--out", str(out / csv))
     for csv, argv in T_OVERFLOW:
         yield csv, ("rate", *argv, *T_OVERFLOW_POWERS, "--out", str(out / csv))
+    for (ps_db, pr_db), scheme in itertools.product(FAR_RELAY, ("continuous-miso",
+                                                              "continuous-relay")):
+        csv = f"rate-{scheme}-ps{ps_db}-pr{pr_db}db.csv"
+        yield csv, ("rate", "--scheme", scheme, "--ps-db", ps_db, "--pr-db", pr_db,
+                    "--out", str(out / csv))
     for name, alpha in ZERO_RATE:
         csv = f"rate-simplex-unequal-{name}.csv"
         yield csv, ("rate", "--scheme", "simplex-unequal", "--alpha", alpha, "--beta", "1",
