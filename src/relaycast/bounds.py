@@ -8,6 +8,9 @@ layer-2 threshold U, the point v_lo below which layer 1 is undecodable for any
 nu_r, and the K/U crossings between the nodes of :mod:`relaycast.twolayer`'s
 fixed Gauss-Legendre rule on [v_lo, eta1], where that rule breaks its panels.
 The relay's residual fraction beta_bar comes from the context's allocation.
+K and U come on arrays and on one float, from kernels that bind a context's
+constants once (_k_kernel, _u_kernel), which the crossing refinement reads
+and, on math's log1p/expm1, quad's [eta1, eta2] integrand.
 
 t, K, U and v_lo are written in complement variables, so that they keep
 their digits as the relay decodes late (x -> 1).  With S = nu_s P_s,
@@ -67,9 +70,11 @@ class BoundContext:
             object.__setattr__(self, "x_bar", 1.0 - self.x)
 
     @classmethod
-    def from_config(cls, alloc: TwoLayerAllocation, cfg: PowerConfig) -> "BoundContext":
+    def from_config(cls, alloc: TwoLayerAllocation, cfg: PowerConfig,
+                    x: float | None = None) -> "BoundContext":
+        # x is decoding_times(alloc, cfg).eps2, passed in by a caller that has it
         r1, r2 = layer_rates(alloc, cfg.p_s)
-        x = decoding_times(alloc, cfg).eps2
+        x = decoding_times(alloc, cfg).eps2 if x is None else x
         return cls(alloc=alloc, cfg=cfg, x=x, r1=r1, r2=r2,
                    x_bar=_listen_complement(alloc, cfg, x, r1, r2))
 
@@ -162,19 +167,30 @@ def _k_values(v_s, ctx: BoundContext):
     return np.where(bracket > 0.0, val, np.inf)
 
 
+def _k_kernel(ctx: BoundContext):
+    """v_s -> K on one float, bit for bit as _k_values gives it, with the
+    context's constants bound once."""
+    alloc, p_s, p_r, eta1, x_bar = ctx.alloc, ctx.cfg.p_s, ctx.cfg.p_r, ctx.eta1, ctx.x_bar
+    ab, beta, bb, b_less_a = alloc.alpha_bar, alloc.beta, alloc.beta_bar, alloc.beta - alloc.alpha
+    a_ps, ab_s1 = alloc.alpha * p_s, 1.0 + ab * eta1 * p_s
+
+    def k(v_s: float) -> float:
+        s = v_s * p_s
+        delta = float(np.log1p(a_ps * (eta1 - v_s) / (ab_s1 * (1.0 + s)))) / x_bar
+        grow = math.inf if delta > _EXP_OVERFLOW else float(np.expm1(delta))
+        one_s, one_as = 1.0 + s, 1.0 + ab * s
+        bracket = (beta + b_less_a * s) / one_as - bb * (one_s / one_as) * grow
+        if not bracket > 0.0:
+            return math.inf
+        return _divide(one_s * grow, bracket * p_r)
+
+    return k
+
+
 def relay_threshold_bound(v_s: float, ctx: BoundContext) -> float:
     """K at one point, bit for bit as _k_values gives it: +inf before the
     layer-1 discontinuity, where no nu_r decodes layer 1."""
-    s = v_s * ctx.cfg.p_s
-    alloc = ctx.alloc
-    delta = float(_delta(v_s, ctx))
-    grow = math.inf if delta > _EXP_OVERFLOW else float(np.expm1(delta))
-    one_s, one_as = 1.0 + s, 1.0 + alloc.alpha_bar * s
-    bracket = ((alloc.beta + (alloc.beta - alloc.alpha) * s) / one_as
-               - alloc.beta_bar * (one_s / one_as) * grow)
-    if not bracket > 0.0:
-        return math.inf
-    return _divide(one_s * grow, bracket * ctx.cfg.p_r)
+    return _k_kernel(ctx)(v_s)
 
 
 def _u_values(v_s, ctx: BoundContext):
@@ -196,17 +212,28 @@ def _u_values(v_s, ctx: BoundContext):
     return np.where(numer > 0.0, np.inf, np.where(numer < 0.0, -np.inf, 0.0))
 
 
+def _u_kernel(ctx: BoundContext, xp=np):
+    """v_s -> U on one float, with the context's constants bound once: bit for
+    bit as _u_values gives it on numpy's log1p/expm1 (``xp`` = numpy), and on
+    math's (``xp`` = math) for quad's integrand, never compared with it."""
+    ab, p_s, eta2, x_bar = ctx.alloc.alpha_bar, ctx.cfg.p_s, ctx.eta2, ctx.x_bar
+    ab_ps, bb = ab * p_s, ctx.alloc.beta_bar
+    bb_pr, log1p, expm1 = bb * ctx.cfg.p_r, xp.log1p, xp.expm1
+
+    def u(v_s: float) -> float:
+        z = 1.0 + v_s * ab * p_s
+        log_pow = float(log1p(ab_ps * (eta2 - v_s) / z)) / x_bar
+        numer = z * (math.inf if log_pow > _EXP_OVERFLOW else float(expm1(log_pow)))
+        if bb > 0.0:
+            return _divide(numer, bb_pr)
+        return math.inf if numer > 0.0 else -math.inf if numer < 0.0 else 0.0
+
+    return u
+
+
 def u_bound(v_s: float, ctx: BoundContext) -> float:
     """U at one point, bit for bit as _u_values gives it."""
-    alloc = ctx.alloc
-    ab, p_s = alloc.alpha_bar, ctx.cfg.p_s
-    z = 1.0 + v_s * ab * p_s
-    log_pow = float(np.log1p(ab * p_s * (alloc.eta2 - v_s) / z)) / ctx.x_bar
-    numer = z * (math.inf if log_pow > _EXP_OVERFLOW else float(np.expm1(log_pow)))
-    bb = alloc.beta_bar
-    if bb > 0.0:
-        return _divide(numer, bb * ctx.cfg.p_r)
-    return math.inf if numer > 0.0 else -math.inf if numer < 0.0 else 0.0
+    return _u_kernel(ctx)(v_s)
 
 
 def discontinuity_point(ctx: BoundContext) -> float:
@@ -237,38 +264,49 @@ def discontinuity_point(ctx: BoundContext) -> float:
     return max(ctx.eta1 - gap, 0.0)
 
 
-def _bisect_crossing(diff, lo: float, hi: float) -> float:
-    # refine to 1e-12 and then on to float resolution: the curves can be
-    # near-vertical close to the discontinuity, where a fixed-width bracket
-    # would leave a visible residual.  A NaN (inf - inf) counts as K above U,
-    # as in find_intersections' sign test.
-    above_lo = not diff(lo) <= 0.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f_mid = diff(mid)
-        if f_mid == 0.0:
-            return mid
-        if (not f_mid <= 0.0) == above_lo:
-            lo = mid
+def _refine_crossing(diff, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """The sign change of diff between lo and hi (f_lo = diff(lo), f_hi =
+    diff(hi)) to float resolution, since the curves can be near-vertical by
+    the discontinuity: regula falsi with the Illinois halving, a secant that
+    lands on an end trying the float next to it once and the midpoint where
+    it lands there again or a value is not finite.  A NaN (inf - inf) counts
+    as K above U, as in find_intersections' sign test; a zero is returned."""
+    above_lo, kept, crept = not f_lo <= 0.0, 0, False  # kept: -1 lo, 1 hi
+    while True:
+        gap = f_hi - f_lo  # inf or NaN where a value is not finite
+        x = hi - f_hi * (hi - lo) / gap if gap and math.isfinite(gap) else math.nan
+        crept = not crept and (x <= lo or x >= hi)
+        if crept:
+            x = math.nextafter(lo, hi) if x <= lo else math.nextafter(hi, lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return x
+        f = diff(x)
+        if f == 0.0:
+            return x
+        if (not f <= 0.0) == above_lo:
+            lo, f_lo, f_hi, kept = x, f, f_hi * (0.5 if kept == 1 else 1.0), 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, f_hi, f_lo, kept = x, f, f_lo * (0.5 if kept == -1 else 1.0), -1
 
 
 def find_intersections(ctx: BoundContext, v, k, u) -> tuple[float, ...]:
-    """The bisected sign changes of K - U between the ascending nodes v, given
-    K and U there; a NaN (inf - inf) counts as K above U.  A sign change is
-    skipped where exp(-max(K, U, 0) - v) is 0 at both its nodes: max(K, U) is
-    nonincreasing, so no integrand panel need break there (at high power,
-    rounding flips K between about 1e6 and +inf where U = +inf)."""
+    """The sign changes of K - U between the ascending nodes v, given K and U
+    there, each refined by _refine_crossing; a NaN (inf - inf) counts as K
+    above U.  A sign change is skipped where exp(-max(K, U, 0) - v) is 0 at
+    both its nodes: max(K, U) is nonincreasing, so no integrand panel need
+    break there (at high power, rounding flips K between about 1e6 and +inf
+    where U = +inf)."""
     with np.errstate(invalid="ignore"):
-        above = ~(k - u <= 0.0)
+        d = k - u
+        above = ~(d <= 0.0)
         live = np.exp(-np.maximum(np.maximum(k, u), 0.0) - v) > 0.0
+    k_of, u_of = _k_kernel(ctx), _u_kernel(ctx)
 
     def diff(x: float) -> float:
-        return relay_threshold_bound(x, ctx) - u_bound(x, ctx)
+        return k_of(x) - u_of(x)
 
     flips = np.nonzero((above[:-1] != above[1:]) & (live[:-1] | live[1:]))[0]
-    return tuple(_bisect_crossing(diff, float(v[i]), float(v[i + 1])) for i in flips)
+    return tuple(_refine_crossing(diff, float(v[i]), float(v[i + 1]),
+                                  float(d[i]), float(d[i + 1])) for i in flips)

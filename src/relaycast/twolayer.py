@@ -7,8 +7,9 @@ average throughput is a sum of closed-form exponential integrals over the
 regions between those lines.  The simplex results replace the lines by the
 curved thresholds of :mod:`relaycast.bounds` and integrate numerically: over
 [v_lo, eta1] by 16-point Gauss-Legendre on panels that halve toward both ends
-and break at the K/U crossings its nodes see, over [eta1, eta2] by ``quad``.  A
-layer of rate 0 always decodes and sets no threshold.
+and break at the K/U crossings its nodes see (refined to float resolution by
+regula falsi), over [eta1, eta2] by ``quad`` on a U that reads math's
+log1p/expm1.  A layer of rate 0 always decodes and sets no threshold.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import integrate
 
-from .bounds import (BoundContext, _k_values, _u_values, discontinuity_point,
-                     find_intersections, u_bound)
+from .bounds import (BoundContext, _k_values, _u_kernel, _u_values, discontinuity_point,
+                     find_intersections)
 from .broadcast import _ladder, _panel_rule, cumulative_rate
 from .model import (PowerConfig, ThroughputResult, TwoLayerAllocation,
                     _check_nonneg, decoding_times, layer_rates)
@@ -215,7 +216,7 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Throughp
     if x <= 0.0:
         return miso_unequal_throughput(alloc, cfg.p_s, cfg.p_r)
 
-    ctx = BoundContext.from_config(alloc, cfg)
+    ctx = BoundContext.from_config(alloc, cfg, x)
     r1, r2 = ctx.r1, ctx.r2
     # [v_lo, eta1], the single-layer SDF's whole integral, by the panel rule cut
     # at K = U; a layer of rate 0 sets no threshold (K would read 0/0 at beta = 0)
@@ -237,10 +238,11 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Throughp
     if u is None:  # layer 2 has rate 0 (alpha = 1, as in every SDF plan)
         return ThroughputResult.build(r1, r2, p1, p1)
 
-    def exp_u(v: float) -> float:
-        thr = max(u_bound(v, ctx), 0.0)
-        expo = -thr - v
-        return math.exp(expo) if expo > -745.0 else 0.0
+    u_of = _u_kernel(ctx, math)  # never compared with the array nodes
+
+    def exp_u(v: float) -> float:  # exp(-max(U, 0) - v): a conditional beats max
+        thr = u_of(v)
+        return math.exp(-(thr if thr > 0.0 else 0.0) - v)
 
     # [eta1, eta2] stays on adaptive quad: perfbench pins D5's validate cell
     p_both = math.exp(-alloc.eta2)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import draw_alloc, draw_powers
-from relaycast import (BoundContext, PowerConfig, TwoLayerAllocation,
+from relaycast import (BoundContext, PowerConfig, TwoLayerAllocation, bounds,
                        conditional_layer_probability, decoding_times,
-                       discontinuity_point, layer_rates, relay_threshold_bound,
+                       discontinuity_point, figures, layer_rates, relay_threshold_bound,
                        simplex_equal_throughput, t_factor, twolayer, u_bound)
-from relaycast.bounds import _bisect_crossing, _k_values, _u_values, find_intersections
+from relaycast.bounds import _k_values, _refine_crossing, _u_values, find_intersections
 from relaycast.broadcast import _ladder, _panel_rule
 from relaycast.optimize import oblivious_rate_plan
 from relaycast.validation import validation_corpus
@@ -486,11 +486,107 @@ def test_discontinuity_closed_form_matches_bisection():
     lambda v: math.nan if v < 0.3 else -1.0,
     lambda v: -1.0 if v < 0.3 else math.nan,
 ])
-def test_bisection_counts_nan_as_f_above_u(diff):
+def test_refinement_counts_nan_as_f_above_u(diff):
     # K - U is NaN (inf - inf) where both curves are infinite;
     # find_intersections' sign test counts that as K above U, so the
-    # bisection must too and find the boundary at 0.3
-    assert _bisect_crossing(diff, 0.0, 1.0) == pytest.approx(0.3, abs=1e-15)
+    # refinement must too and find the boundary at 0.3
+    assert _refine_crossing(diff, 0.0, 1.0, diff(0.0), diff(1.0)) == pytest.approx(
+        0.3, abs=1e-15)
+
+
+def bisect_sign_change(diff, lo, hi):
+    """Bisection of the sign change of diff between lo and hi down to
+    adjacent floats, a NaN counting as K above U: the reference for
+    _refine_crossing."""
+    above_lo = not diff(lo) <= 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if (not diff(mid) <= 0.0) == above_lo:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_refined_crossings_match_bisection(monkeypatch):
+    # every crossing that fig6-fig8 (their default grids, fig8's beta searches
+    # included), 400 simplex cases of the validation corpus and two
+    # TestScalarKernels contexts refine
+    calls, seen = [], {"ctx": None, "preset": True}
+    refine, k_kernel = bounds._refine_crossing, bounds._k_kernel
+
+    def record_ctx(ctx):
+        seen["ctx"] = ctx
+        return k_kernel(ctx)
+
+    def record(diff, lo, hi, f_lo, f_hi):
+        calls.append((seen["preset"], seen["ctx"], diff, lo, hi, f_lo, f_hi))
+        return refine(diff, lo, hi, f_lo, f_hi)
+
+    monkeypatch.setattr(bounds, "_k_kernel", record_ctx)
+    monkeypatch.setattr(bounds, "_refine_crossing", record)
+    for name in ("fig6", "fig7", "fig8"):
+        figures.run_preset(name)
+    seen["preset"] = False
+    for case in validation_corpus(20_240_001, 200):
+        if case.scheme.startswith("simplex"):
+            twolayer.CLOSED_FORMS[case.scheme](case.alloc, case.cfg)
+    for name in ("discontinuity", "late-relay"):
+        rule_crossings(make_ctx(**TestScalarKernels.CASES[name]))
+    assert sum(preset for preset, *_ in calls) >= 100 and len(calls) >= 200
+
+    def above(f):
+        return not f <= 0.0
+
+    for preset, ctx, diff, lo, hi, f_lo, f_hi in calls:
+        evals = 0
+
+        def counted(x):
+            nonlocal evals
+            evals += 1
+            return diff(x)
+
+        root = refine(counted, lo, hi, f_lo, f_hi)
+        assert evals <= 20 or not preset, (ctx, lo, hi, evals)
+        # a sign change at float resolution: diff is 0 at root, or changes
+        # sign between root and a neighbouring float
+        f = diff(root)
+        assert f == 0.0 or any(above(diff(math.nextafter(root, end))) != above(f)
+                               for end in (lo, hi)), (ctx, lo, hi, root)
+        ref = bisect_sign_change(diff, lo, hi)
+        if abs(root - ref) > 2 * math.ulp(ref):
+            # rounding flips the sign of K - U several times near the
+            # crossing (over up to about 1,000 ulps at nu_s ~ 2e-3), and the
+            # two searches stop at different flips: K and U agree to
+            # rounding between them
+            k_of = bounds._k_kernel(ctx)
+            for x in np.linspace(min(root, ref), max(root, ref), 65):
+                x = float(x)
+                assert abs(diff(x)) <= 1e-12 * max(1.0, abs(k_of(x))), (ctx, lo, hi, x)
+
+
+@pytest.mark.parametrize("name", sorted(TestScalarKernels.CASES))
+def test_layer2_integrand_matches_u_bound(name):
+    # quad's [eta1, eta2] integrand reads U on math's log1p/expm1, u_bound on
+    # numpy's.  It lies in [0, 1], and the two agree to 4 ulps of 1; not to
+    # 4 ulps of the integrand itself, since a one-ulp move of U moves
+    # exp(-U) by about U of its ulps, and the backends' U can differ by tens
+    # of ulps where expm1's argument is large.  U is 0/0 at eta2 when P_r = 0,
+    # which the closed forms send to the direct form
+    ctx = make_ctx(**TestScalarKernels.CASES[name])
+    vs = np.linspace(0.0, ctx.eta2 + 0.5, 2001)
+    checked = 0
+    for c in (ctx, with_beta(ctx, ctx.alloc.alpha), with_beta(ctx, 1.0)):
+        u_math = bounds._u_kernel(c, math)
+        for v in vs:
+            v = float(v)
+            u, thr = u_bound(v, c), u_math(v)
+            if not math.isnan(u):  # twolayer's integrand, as it writes it
+                got = math.exp(-(thr if thr > 0.0 else 0.0) - v)
+                assert abs(got - math.exp(-max(u, 0.0) - v)) <= 4 * math.ulp(1.0), (v, c)
+                checked += 1
+    assert checked >= 3 * len(vs) - 3
 
 
 def test_discontinuity_point_stays_below_eta1_at_high_power():

@@ -72,6 +72,12 @@ Runs, in-process and into a temporary directory:
 
 A command that exits nonzero, or exits through argparse, prints ``exit
 <code>`` in place of digests; one that raises prints ``raised <type>``.
+The last line, ``simplex-closed-forms.hex``, is a sha256 of ``float.hex``
+of (r_av, p_layer1, p_both) for every simplex closed form that ``figure
+fig6`` .. ``fig8`` evaluate at their default grids (fig8's beta searches
+included) and for the 400 simplex-equal and simplex-unequal cases of
+``validation_corpus(20240001, 200)``: a one-ulp move shows there, where the
+12-digit CSV cells hide it.
 Run it on two checkouts and diff the outputs to see which bytes moved:
 
     python3 tools/output_digests.py > new.txt
@@ -240,6 +246,29 @@ def commands(cli, out: Path):
     yield csv, ("sweep", "--scheme", "single-user", "--q-db", ",", "--out", str(out / csv))
 
 
+def simplex_digest(cli) -> str:
+    """The sha256 of the simplex-closed-forms.hex line (see the module
+    docstring), recorded through twolayer's module global."""
+    twolayer, results = cli.twolayer, []
+    simplex = twolayer._simplex_throughput
+
+    def record(alloc, cfg):
+        results.append(simplex(alloc, cfg))
+        return results[-1]
+
+    twolayer._simplex_throughput = record
+    try:
+        for name in ("fig6", "fig7", "fig8"):
+            cli.figures.run_preset(name)
+    finally:
+        twolayer._simplex_throughput = simplex
+    for case in cli.validation.validation_corpus(20_240_001, 200):
+        if case.scheme.startswith("simplex"):
+            results.append(twolayer.CLOSED_FORMS[case.scheme](case.alloc, case.cfg))
+    text = "".join(f"{r.r_av.hex()} {r.p_layer1.hex()} {r.p_both.hex()}\n" for r in results)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def main() -> int:
     default_src = Path(__file__).resolve().parent.parent / "src"
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -269,6 +298,7 @@ def main() -> int:
             for path in (out / csv, out / f"{csv}.manifest.json"):
                 print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
                       f"{path.relative_to(out)}")
+    print(f"{simplex_digest(cli)}  simplex-closed-forms.hex")
     return 0
 
 
