@@ -8,20 +8,19 @@ MISO rate (miso_single_layer_rate), at n = 2 every ``direct`` and
 ``miso-equal`` search over all of (alpha, eta1, eta2) (_two_layer_plan,
 from one fixed start; at the direct tail, the source's oblivious plan,
 oblivious_rate_plan), and at n = 8 fig3's and fig4's plans.
-Every other two-layer search of a free parameter subset, and a two-layer
-plan that leaves the search box, is one coarse grid over the eta1 <= eta2
-triangle (maximize_throughput), scored point by point, followed by
-coordinate-wise Brent line searches to a 1e-7 bracket (_coordinate_ascent,
-golden_section_max): the objectives are cheap, at most four-dimensional,
-and may be non-smooth at branch boundaries of the closed forms, so an
-auditable deterministic search beats stochastic methods here.  A
-coordinate's first line search spans its whole box, later ones a bracket
+Every other two-layer search of a free parameter subset is one coarse grid
+over the eta1 <= eta2 <= 4 triangle (maximize_throughput), scored point by
+point, followed by coordinate-wise Brent line searches to a 1e-7 bracket
+(_coordinate_ascent, golden_section_max): the objectives are cheap, at most
+four-dimensional, and may be non-smooth at branch boundaries of the closed
+forms, so an auditable deterministic search beats stochastic methods here.
+A coordinate's first line search spans its whole box, later ones a bracket
 sized by its last move; a search ends on a whole-box pass that moves nothing
 by more than _TOL = 1e-6.  ``miso-unequal`` with beta free has no grid of
 its own: the unequal split contains the equal one (beta = alpha), so it
 refines the ``miso-equal`` optimum over all free parameters, by Newton
 steps on central differences (_difference_newton) and one confirming
-coordinate ascent.
+coordinate ascent, in eta <= 4 max(1, P_r/P_s).
 The ``direct`` and ``miso-equal`` kernels are twolayer._tail_kernels of
 their layer tails, e^{-eta} and P(Y > eta*P_s).  A ``miso-equal`` search
 computes each tail once: a line search moves at most one threshold and the
@@ -68,7 +67,7 @@ _PARAM_ORDER = ("alpha", "beta", "eta1", "eta2")
 # coarse grid points per free dimension, keyed by dimensionality;
 # keeps the grid size near 64k evaluations in the worst case
 _COARSE_BY_DIM = {1: 64, 2: 64, 3: 40, 4: 16}
-_ETA_MAX = 4.0  # upper end of every eta search range
+_ETA_MAX = 4.0  # upper end of the grids' eta ranges (see _unequal_from_equal)
 _TOL = 1e-6  # coordinate passes stop once no parameter moves by more
 _LINE_TOL = 1e-7  # bracket width each of _coordinate_ascent's line searches ends at
 _MAX_PASSES = 40
@@ -155,17 +154,17 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
     return x, fx
 
 
-def _search_box(i: int, x: Sequence[float], beta_ge_alpha: bool = False
+def _search_box(i: int, x: Sequence[float], eta_max: float, beta_ge_alpha: bool = False
                 ) -> tuple[float, float]:
     """Search range of position i of an (alpha, beta, eta1, eta2) point x:
-    eta1 <= eta2 <= _ETA_MAX, and with ``beta_ge_alpha`` also alpha <= beta."""
+    eta1 <= eta2 <= ``eta_max``, and with ``beta_ge_alpha`` also alpha <= beta."""
     if i == 0:
         return 0.0, x[1] if beta_ge_alpha else 1.0
     if i == 1:
         return x[0] if beta_ge_alpha else 0.0, 1.0
     if i == 2:
         return 0.0, x[3]
-    return x[2], _ETA_MAX
+    return x[2], eta_max
 
 
 def _coordinate_ascent(value: Callable[[list[float]], float],
@@ -235,11 +234,10 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     Only the unequal splits read beta, so the other schemes drop a free beta
     from their search.  Direct and miso-equal with alpha, eta1 and eta2 free
     return the exact two-layer plan (_two_layer_plan, from a fixed start),
-    scored once by the scalar kernel, wherever it is finite and lies in
-    0 <= eta1 <= eta2 <= _ETA_MAX.  Every other search, and such a plan's
-    fallback, scores a coarse grid point by point: the (alpha, beta) rows
-    (beta >= alpha for simplex-unequal) against the eta1 <= eta2 pairs of
-    the free box.
+    scored once by the scalar kernel.  Every other search scores a coarse
+    grid point by point: the (alpha, beta) rows (beta >= alpha for
+    simplex-unequal) against the eta1 <= eta2 pairs of the free box, whose
+    eta axes end at _ETA_MAX.
     Coordinate line-search passes run from its 3 best points, accepting
     only improving moves, until a pass over the whole boxes shifts no
     parameter by more than 1e-6 (the passes between search brackets around
@@ -249,7 +247,7 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     point with fewer grid steps between eta1 and eta2 when both are free,
     then to the earlier one.  ``n_evals`` counts every evaluation: the plan's
     values and its scoring, each feasible grid point once, and the passes'
-    line-search probes.  ``coarse_points`` must be at least 1.
+    line-search probes.  ``coarse_points`` must be at least 1, P_s above 0.
 
     ``miso-unequal`` with beta and another parameter free has no grid: the
     ``miso-equal`` search over the other free parameters (at
@@ -257,6 +255,8 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     over all of them and one confirming ascent (_unequal_from_equal), and
     ``n_evals`` counts both searches.
     """
+    if not 0.0 < cfg.p_s < math.inf:
+        raise ValueError(f"p_s must be positive and finite, got {cfg.p_s!r}")
     if any(p not in _PARAM_ORDER for p in free_params):
         raise ValueError(f"free_params must be among {_PARAM_ORDER}")
     if scheme not in twolayer.CLOSED_FORMS:
@@ -305,10 +305,7 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
 
     if scheme in ("direct", "miso-equal") and free == ["alpha", "eta1", "eta2"]:
         plan, evals = _two_layer_plan(p_s, p_r if scheme == "miso-equal" else 0.0)
-        if 0.0 <= plan[2] <= plan[3] <= _ETA_MAX:
-            plan_val = value(plan)
-            if plan_val < math.inf:
-                return result(plan_val, plan, "plan")
+        return result(value(plan), plan, "plan")
 
     # each axis holds a free parameter's grid or its fixed value (NaN if
     # absent).  The grid is the (alpha, beta) rows against the feasible
@@ -327,10 +324,7 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b)
     rows = [(a, b) for a in axes[0] for b in axes[1] if not (beta_ge_alpha and b < a)]
     # each (eta1, eta2) pair with its grid steps between eta1 and eta2 (0
-    # unless both are free): ties go to fewer steps, since by grid order
-    # alone 10 of 401 64-point direct searches over (alpha, eta1, eta2) at
-    # -20..80 dB fell, by up to 5.3e-6 near -19 dB from a tied start on the
-    # flat alpha = 0 edge, for 0.02% fewer evaluations (ROADMAP, Settled)
+    # unless both are free): ties go to fewer steps (ROADMAP, Settled)
     both = "eta1" in free and "eta2" in free
     pairs = [(e1, e2, k - j if both else 0) for j, e1 in enumerate(axes[2])
              for k, e2 in enumerate(axes[3]) if not e1 > e2]
@@ -345,7 +339,7 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     starts = heapq.nsmallest(_N_STARTS if len(slots) > 1 else 1, range(len(coarse)),
                              key=lambda i: (-coarse[i], pairs[i % len(pairs)][2], i))
     runs = [_coordinate_ascent(value, (coarse[i], point(i)), slots,
-                               lambda i, x: _search_box(i, x, beta_ge_alpha))
+                               lambda i, x: _search_box(i, x, _ETA_MAX, beta_ge_alpha))
             for i in starts]
     best_val, best = max(runs, key=lambda t: t[0])[:2]
     passes, widened = [r[2] for r in runs], sum(r[3] for r in runs)
@@ -369,8 +363,10 @@ def _unequal_from_equal(equal: OptResult, free: Sequence[str],
     ``equal``, a miso-equal result over the other free parameters, with beta =
     alpha (the unequal split contains the equal one): Newton steps
     (_difference_newton), then one coordinate ascent, which a converged Newton
-    point ends in its first, whole-box pass.  ``n_evals`` adds both stages'
-    evaluations to ``equal``'s."""
+    point ends in its first, whole-box pass.  Both search eta <= _ETA_MAX
+    max(1, P_r/P_s), as the MISO thresholds grow with P_r/P_s (the equal
+    plan's eta2 stays below 1.62 max(1, P_r/P_s) on -20..80 dB and P_r/P_s up
+    to 1e4).  ``n_evals`` adds both stages' evaluations to ``equal``'s."""
     evals = 0
     rate = twolayer.CLOSED_FORMS["miso-unequal"].rate
 
@@ -382,8 +378,9 @@ def _unequal_from_equal(equal: OptResult, free: Sequence[str],
     p = equal.params
     start = [p["alpha"], p["alpha"], p["eta1"], p["eta2"]]
     slots = sorted(_PARAM_ORDER.index(name) for name in free)
-    newton = _difference_newton(value, (value(start), start), slots)
-    run = _coordinate_ascent(value, newton[:2], slots, _search_box)
+    box = functools.partial(_search_box, eta_max=_ETA_MAX * max(1.0, cfg.p_r / cfg.p_s))
+    newton = _difference_newton(value, (value(start), start), slots, box)
+    run = _coordinate_ascent(value, newton[:2], slots, box)
     best_val, best = run[:2]
     params = {**fixed, **{_PARAM_ORDER[i]: best[i] for i in slots}}
     log.debug("maximize_throughput miso-unequal from miso-equal free=%s evals=%d "
@@ -393,11 +390,13 @@ def _unequal_from_equal(equal: OptResult, free: Sequence[str],
 
 
 def _difference_newton(value: Callable[[list[float]], float],
-                       start: tuple[float, Sequence[float]], coords: Sequence[int]
+                       start: tuple[float, Sequence[float]], coords: Sequence[int],
+                       bounds: Callable[[int, list[float]], tuple[float, float]]
                        ) -> tuple[float, list[float], int, int, int]:
     """(value, point, iterations, shifts, held) of Newton steps on central
     differences of ``value`` over positions ``coords`` of an (alpha, beta,
-    eta1, eta2) point, from ``start``, a (value, point) pair, in _search_box.
+    eta1, eta2) point, from ``start``, a (value, point) pair, in the box
+    ``bounds`` (_unequal_from_equal's eta <= _ETA_MAX max(1, P_r/P_s)).
     A position's difference step is _DIFF_STEP of its distance to the nearer
     end of its box, so 1 - alpha of 1e-7 is resolved as well as 0.5; one on an
     end is held there (``held`` at the last step) while a step of _DIFF_STEP
@@ -412,7 +411,7 @@ def _difference_newton(value: Callable[[list[float]], float],
     while iterations < _PLAN_ITERATIONS:
         groups, h = [], []  # the positions each difference step moves, and its size
         for i in coords:
-            lo, hi = _search_box(i, x)
+            lo, hi = bounds(i, x)
             if min(x[i] - lo, hi - x[i]) <= 0.0 < hi - lo:  # on a face: one step in
                 probe = x.copy()
                 probe[i] += math.copysign(_DIFF_STEP * (hi - lo), lo + hi - 2.0 * x[i])
@@ -422,9 +421,10 @@ def _difference_newton(value: Callable[[list[float]], float],
             if min(x[i] - lo, hi - x[i]) > 0.0:
                 groups.append((i,))
                 h.append(_DIFF_STEP * min(x[i] - lo, hi - x[i]))
-        if x[2] == x[3] and 0.0 < x[2] < _ETA_MAX and {2, 3} <= set(coords):
+        eta_max = bounds(3, x)[1]
+        if x[2] == x[3] and 0.0 < x[2] < eta_max and {2, 3} <= set(coords):
             groups.append((2, 3))
-            h.append(_DIFF_STEP * min(x[2], _ETA_MAX - x[2]))
+            h.append(_DIFF_STEP * min(x[2], eta_max - x[2]))
         held = len(coords) - sum(map(len, groups))
 
         def at(*moves: tuple[int, float]) -> float:
@@ -455,10 +455,10 @@ def _difference_newton(value: Callable[[list[float]], float],
                 for i in group:
                     trial[i] += scale * d * hk
             for i in reversed(coords):  # eta2 before eta1
-                lo, hi = _search_box(i, trial)
+                lo, hi = bounds(i, trial)
                 trial[i] = min(max(trial[i], lo), hi)
             if trial != x and all(lo <= trial[i] <= hi for i in coords
-                                  for lo, hi in [_search_box(i, trial)]):
+                                  for lo, hi in [bounds(i, trial)]):
                 new = value(trial)
                 if new > fx:
                     break

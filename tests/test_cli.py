@@ -210,6 +210,8 @@ def test_optimize_requires_all_parameters():
      "--eta1", "0.3", "--eta2", "1.8"],
     # a plan with eta1 > eta2
     ["rate", "--scheme", "simplex-equal", "--alpha", "0.7", "--eta1", "1.8", "--eta2", "0.3"],
+    # no source power (it printed "relaycast: float division by zero")
+    ["optimize", "--scheme", "miso-equal", "--ps-db=-inf"],
 ])
 def test_library_errors_exit_with_one_line(tmp_path, capsys, argv):
     rc = main(argv + ["--out", str(tmp_path / "out")])
@@ -217,7 +219,8 @@ def test_library_errors_exit_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("relaycast: ") and err.count("\n") == 1
     expected = {"simplex-unequal": "beta >= alpha required",
-                "simplex-equal": "eta1 <= eta2 required"}
+                "simplex-equal": "eta1 <= eta2 required",
+                "miso-equal": "p_s must be positive and finite, got 0.0"}
     assert expected[argv[2]] in err
 
 

@@ -628,7 +628,9 @@ PINNED = [
 # beta free when their Newton steps stopped halving at a predicted gain of
 # half an ulp; and the rows that search (alpha, eta1, eta2) by the exact plan,
 # or start from such a search, when that plan stopped scoring the coarse grid
-# first (their n_evals alone moved).  The last capture is the current result,
+# first (their n_evals alone moved); and the miso-unequal rows with beta free
+# and P_r/P_s = 2 when the unequal refinement's box became eta <= 4 max(1,
+# P_r/P_s) (n_evals alone moved).  The last capture is the current result,
 # and it may not fall below the PINNED value or an earlier capture by more
 # than 1e-6 relative
 RECAPTURED = {
@@ -691,6 +693,9 @@ RECAPTURED = {
         (5.1880972583737055,
          {"alpha": 0.985126055046594, "beta": 0.9843054341900597,
           "eta1": 0.43341451042223794, "eta2": 1.3662769691050083}, 177),
+        (5.1880972583737055,
+         {"alpha": 0.985126055046594, "beta": 0.9843054341900597,
+          "eta1": 0.43341451042223794, "eta2": 1.3662769691050083}, 181),
     ],
     (-20.0, 0.0, ("alpha", "beta", "eta1", "eta2")): [
         (0.0036605781165179223,
@@ -814,6 +819,9 @@ RECAPTURED = {
         (2.0989197644756397,
          {"alpha": 0.7, "beta": 0.6997082761944626, "eta1": 0.7806578025026308,
           "eta2": 1.4363289859233663}, 375),
+        (2.0989197644756397,
+         {"alpha": 0.7, "beta": 0.6997082761944626, "eta1": 0.7806578025026308,
+          "eta2": 1.4363289859233663}, 373),
     ],
     (80.0, 0.001, ("eta1", "eta2")): [
         (14.772221721346606,
@@ -986,6 +994,76 @@ def test_all_threshold_search_agrees_with_nelder_mead():
                               PowerConfig(p_s, p_s, 1.0), coarse_points=12)
     assert res.value == pytest.approx(-found.fun, rel=1e-12, abs=0.0)
 
+
+@pytest.mark.parametrize("ps_db,pr_db", [(-5.0, 5.0), (0.0, 20.0), (-20.0, 10.0)])
+def test_far_relay_plans_agree_with_nelder_mead(ps_db, pr_db):
+    # P_r/P_s = 10, 100 and 1000, where the plan's eta2 (7.8, 51 and 676)
+    # lies past eta = 4 and the search used to fall back to a grid and
+    # ascents held in eta <= 4 (0.6072, 1.5617 and 0.0391 nats): Nelder-Mead
+    # over (alpha, eta1, eta2), unbounded in eta, from alpha = 0.5 and the
+    # plan's eta1 halved and eta2 raised by half, finds the plan's value
+    from scipy.optimize import minimize
+
+    p_s, p_r = 10.0 ** (ps_db / 10.0), 10.0 ** (pr_db / 10.0)
+    res = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {},
+                              PowerConfig(p_s, p_r, 1.0))
+    rate = twolayer.CLOSED_FORMS["miso-equal"].rate
+
+    def negative(x):
+        alpha, eta1, eta2 = x
+        inside = 0.0 <= alpha <= 1.0 and 0.0 <= eta1 <= eta2
+        return -rate(alpha, alpha, eta1, eta2, p_s, p_r) if inside else math.inf
+
+    x, best = np.array([0.5, 0.5 * res.params["eta1"], 1.5 * res.params["eta2"]]), -math.inf
+    for _ in range(3):
+        found = minimize(negative, x, method="Nelder-Mead",
+                         options={"xatol": 1e-10, "fatol": 1e-16, "maxfev": 20_000,
+                                  "adaptive": True})
+        x, best = found.x, max(best, -found.fun)
+    assert abs(best - res.value) <= 1e-9
+
+
+def test_a_far_relay_search_is_not_held_at_eta_4():
+    # -20 dB, P_r 10 dB, coarse 10: the search read 0.0391025278 nats at
+    # alpha = 0, eta1 = eta2 = 4, where the plan reads 1.1225467
+    res = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {},
+                              PowerConfig(0.01, 10.0, 1.0), coarse_points=10)
+    assert res.value == pytest.approx(1.1225467, abs=5e-8)
+    assert res.params["eta1"] == pytest.approx(367.552, abs=1e-3)
+    assert res.params["eta2"] == pytest.approx(675.702, abs=1e-3)
+
+
+def test_unequal_search_off_the_eta_4_corner():
+    # -5 dB, P_r 5 dB: with eta <= 4 the equal plan sat in the eta1 = eta2 = 4
+    # corner, on the kink of the unequal form at alpha = beta, and the
+    # unequal search read 0.6076510634; it now starts from the exact equal
+    # plan, 0.6592624607, and never ends below it
+    res = maximize_throughput("miso-unequal", ("alpha", "beta", "eta1", "eta2"), {},
+                              PowerConfig(10.0 ** -0.5, 10.0 ** 0.5, 1.0), coarse_points=24)
+    assert res.value >= 0.6592624607
+
+
+def test_all_free_miso_searches_reach_the_plan_over_the_domain():
+    # P_s -20..80 dB in 2.5 dB steps x P_r/P_s 0..1e4: every all-free
+    # miso-equal search is the exact plan, finite and ordered, with eta2 below
+    # 1.62 max(1, P_r/P_s) (the docstring's bound, well inside the unequal
+    # refinement's 4 max(1, P_r/P_s)), and every all-free miso-unequal search
+    # ends at least at that plan's value
+    for ps_db in np.arange(-20.0, 80.1, 2.5):
+        p_s = 10.0 ** (ps_db / 10.0)
+        for ratio in (0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1e3, 1e4):
+            cfg = PowerConfig(p_s, ratio * p_s, 1.0)
+            plan = optimize._two_layer_plan(p_s, cfg.p_r)[0]
+            assert all(map(math.isfinite, plan)), (ps_db, ratio)
+            assert 0.0 <= plan[0] <= 1.0 and 0.0 <= plan[2] <= plan[3], (ps_db, ratio)
+            assert plan[3] <= 1.62 * max(1.0, ratio), (ps_db, ratio)
+            equal = maximize_throughput("miso-equal", ("alpha", "eta1", "eta2"), {}, cfg)
+            assert [equal.params[k] for k in ("alpha", "alpha", "eta1", "eta2")] == plan
+            unequal = maximize_throughput("miso-unequal", ("alpha", "beta", "eta1", "eta2"),
+                                          {}, cfg)
+            assert unequal.value >= equal.value, (ps_db, ratio)
+
+
 def test_direct_and_miso_objectives_build_no_objects(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("object built during the search")
@@ -1019,6 +1097,20 @@ def test_fixed_values_outside_the_domain_raise(scheme, free, fixed, message):
     cfg = PowerConfig(p_s=10.0, p_r=10.0, q=1.0)
     with pytest.raises(ValueError, match=message):
         maximize_throughput(scheme, free, fixed, cfg, coarse_points=6)
+
+
+@pytest.mark.parametrize("scheme", sorted(twolayer.CLOSED_FORMS))
+@pytest.mark.parametrize("free", [("alpha", "beta", "eta1", "eta2"), ("eta2",)],
+                         ids=["all-free", "subset"])
+def test_zero_source_power_raises(scheme, free, monkeypatch):
+    # the all-free direct and miso-equal plans divided by P_s in the MISO
+    # layer tail (ZeroDivisionError), and every grid search read 0.0, since
+    # each layer rate is log1p(0); the check comes before any search
+    monkeypatch.setattr(optimize, "_two_layer_plan", None)
+    monkeypatch.setattr(optimize, "_coordinate_ascent", None)
+    with pytest.raises(ValueError, match="p_s must be positive and finite, got 0.0"):
+        maximize_throughput(scheme, free, {"alpha": 0.5, "eta1": 0.3},
+                            PowerConfig(0.0, 10.0, 1.0), coarse_points=4)
 
 
 def test_unequal_split_at_least_matches_equal_split():
@@ -1061,8 +1153,17 @@ UNEQUAL_ASCENT_EDGES = {
     (-10.0, 10.0): 0.2500268894273969,
     # the optimum lies on eta1 = eta2 and beta = 1 (the thresholds move as one)
     (-12.5, 0.01): 0.020399115900139347,
-    # the equal plan lies in the alpha = 0, eta1 = eta2 = 4 corner
+    # in the eta <= 4 box the equal plan lay in the alpha = 0, eta1 = eta2 = 4 corner
     (-20.0, 10.0): 0.029132007222034552,
+}
+# RECAPTURED edge values, (in the eta <= 4 box, in the box of eta <= 4 max(1,
+# P_r/P_s)), when the unequal refinement's box was scaled: at P_r/P_s = 10 the
+# search held eta2 = 4, where it now ends at eta2 = 4.19 (70 dB) and on the
+# eta2 = 40 face (-10 and -20 dB); 80 dB did not move
+UNEQUAL_EDGES_RECAPTURED = {
+    (70.0, 10.0): (16.322822623300258, 16.322966909600186),
+    (-10.0, 10.0): (0.2500579825534087, 0.301191879780146),
+    (-20.0, 10.0): (0.029132007222034552, 0.03956792992863442),
 }
 
 
@@ -1078,9 +1179,14 @@ def unequal_search(p_s, p_r, caplog):
     return res, int(found[1]), int(found[2])
 
 
-def in_search_box(params):
+def unequal_eta_max(p_s, p_r):
+    """The eta bound of the unequal refinement's search box."""
+    return optimize._ETA_MAX * max(1.0, p_r / p_s)
+
+
+def in_search_box(params, p_s, p_r):
     return (0.0 <= params["alpha"] <= 1.0 and 0.0 <= params["beta"] <= 1.0
-            and 0.0 <= params["eta1"] <= params["eta2"] <= optimize._ETA_MAX)
+            and 0.0 <= params["eta1"] <= params["eta2"] <= unequal_eta_max(p_s, p_r))
 
 
 class TestUnequalNewton:
@@ -1108,8 +1214,10 @@ class TestUnequalNewton:
     def test_high_power_and_box_edges(self, ps_db, ratio, caplog):
         p_s = figures._db2lin(ps_db)
         res, _, _ = unequal_search(p_s, ratio * p_s, caplog)
-        assert math.isfinite(res.value) and in_search_box(res.params)
-        assert res.value >= UNEQUAL_ASCENT_EDGES[ps_db, ratio] * (1.0 - 1e-12)
+        assert math.isfinite(res.value) and in_search_box(res.params, p_s, ratio * p_s)
+        floor = max([UNEQUAL_ASCENT_EDGES[ps_db, ratio],
+                     *UNEQUAL_EDGES_RECAPTURED.get((ps_db, ratio), ())])
+        assert res.value >= floor * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("ps_db,ratio,pr_db", [
         (0.0, 0.5, None), (25.0, 2.0, None), (40.0, None, 24.0), (40.0, None, 36.0)],
@@ -1121,14 +1229,15 @@ class TestUnequalNewton:
         res, _, _ = unequal_search(p_s, p_r, caplog)
         x = np.array([res.params[name] for name in ("alpha", "beta", "eta1", "eta2")])
         # Nelder-Mead in units of 1% of each parameter's room in its box
+        eta_max = unequal_eta_max(p_s, p_r)
         room = np.minimum(np.array([x[0], x[1], x[2], x[3] - x[2]]),
-                          np.array([1 - x[0], 1 - x[1], x[3] - x[2], 4.0 - x[3]]))
+                          np.array([1 - x[0], 1 - x[1], x[3] - x[2], eta_max - x[3]]))
         unit = 0.01 * np.where(room > 0.0, room, 1e-3)
         rate = twolayer.CLOSED_FORMS["miso-unequal"].rate
 
         def negative(z):
             a, b, e1, e2 = x + z * unit
-            inside = 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= e1 <= e2 <= 4.0
+            inside = 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= e1 <= e2 <= eta_max
             return -rate(a, b, e1, e2, p_s, p_r) if inside else math.inf
 
         best = res.value
