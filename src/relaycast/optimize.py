@@ -21,18 +21,13 @@ its own: the unequal split contains the equal one (beta = alpha), so it
 refines the ``miso-equal`` optimum over all free parameters, by Newton
 steps on central differences (_difference_newton) and one confirming
 coordinate ascent, in eta <= 4 max(1, P_r/P_s).
-The ``direct`` and ``miso-equal`` kernels are twolayer._tail_kernels of
-their layer tails, e^{-eta} and P(Y > eta*P_s).  A ``miso-equal`` search
-computes each tail once: a line search moves at most one threshold and the
-alpha lines none, so the grid and the line searches read one cache, made
-when the search starts and dropped when it returns (the form's ``tail``,
-with the kernel rebuilt on the cache).  ``direct`` has no ``tail``: its
-math.exp costs less than a cache lookup.  Each search logs one DEBUG line
-with its evaluations, where it caches tails its tail computations, and
-``plan`` where it is the exact plan, else per ascent the passes run, then
-the line searches, the brackets widened and the ascents that ran all their
-passes (capped); the unequal refinement logs its Newton steps, shifts,
-positions held on a face and confirming passes.
+The ``direct`` and ``miso-equal`` kernels and the plans read one law, the
+layer tail of outage._layer_tail_terms (e^{-eta} at P_r = 0).  Each search
+logs one DEBUG line with its evaluations and ``plan`` where it is the exact
+plan, else per ascent the passes run, then the line searches, the brackets
+widened and the ascents that ran all their passes (capped); the unequal
+refinement logs its Newton steps, shifts, positions held on a face and
+confirming passes.
 No randomness anywhere; rerunning returns bit-identical output.
 """
 
@@ -275,13 +270,7 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         raise ValueError(f"coarse_points must be at least 1, got {n_pts}")
     form = twolayer.CLOSED_FORMS[scheme]
     p_s, p_r = cfg.p_s, cfg.p_r
-    rate, tail = form.rate, None
-    if form.tail is not None:
-        # each threshold's tail is computed once in this search; a line
-        # search moves at most one threshold, and the alpha lines none
-        tail = functools.cache(form.tail)
-        rate = twolayer._tail_kernels(tail)
-    rate = rate or (lambda a, b, e1, e2, *_: form(
+    rate = form.rate or (lambda a, b, e1, e2, *_: form(
         TwoLayerAllocation(alpha=a, eta1=e1, eta2=e2, beta=b), cfg).r_av)
     slots = [_PARAM_ORDER.index(name) for name in free]
     # a free or fixed beta is the scheme's own only for the unequal splits;
@@ -297,9 +286,8 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
         return rate(x[0], x[0] if beta_is_alpha else x[1], x[2], x[3], p_s, p_r)
 
     def result(best_val: float, best: Sequence[float], path: str) -> OptResult:
-        tails = "" if tail is None else f" tails={tail.cache_info().misses}"
-        log.debug("maximize_throughput %s free=%s evals=%d%s %s value=%.6g", scheme,
-                  ",".join(free), evals, tails, path, best_val)
+        log.debug("maximize_throughput %s free=%s evals=%d %s value=%.6g", scheme,
+                  ",".join(free), evals, path, best_val)
         return OptResult(params={**fixed, **{name: best[i] for name, i in zip(free, slots)}},
                          value=best_val, n_evals=evals)
 

@@ -2,8 +2,10 @@
 
 Covers the no-relay baseline, the sequential decode-and-forward scheme in
 which the relay joins in as a second antenna once it has decoded, the
-relay-always-on 2x1 MISO limit, and the tail distribution of the combined
-received power Y = nu_s*P_s + nu_r*P_r used throughout the package.
+relay-always-on 2x1 MISO limit, and the law of the combined fading
+s = nu_s + (P_r/P_s)*nu_r (_layer_tail_terms): the one formula in the package
+for the tail of Y = nu_s*P_s + nu_r*P_r, which y_sum_tail, the direct and
+MISO closed forms, the layered plans and the continuous densities all read.
 
 The SDF is the one-layer simplex plan of :mod:`relaycast.twolayer`, with its
 listen time from :func:`~relaycast.model.decoding_times`, so its decode
@@ -28,62 +30,50 @@ __all__ = [
     "ergodic_miso_capacity",
 ]
 
-# relative power gap below which the equal-power branch is used; the unequal
-# branch cancels catastrophically as P_r -> P_s
-_EQUAL_POWER_RTOL = 1e-8
-
 
 def y_sum_tail(u: float, p_s: float, p_r: float) -> float:
     """P(nu_s*P_s + nu_r*P_r > u) for independent unit-mean exponential fadings.
 
-    Equal powers give (1 + u/P) * exp(-u/P); unequal powers give
-    (P_r e^{-u/P_r} - P_s e^{-u/P_s}) / (P_r - P_s).  Near-equal powers are
-    routed to the equal-power branch.
+    The sum is symmetric in the two powers, so this is the layer tail of
+    :func:`_layer_tail_terms` for the larger power P, read at u/P.
     """
     if p_s < 0.0 or p_r < 0.0:
         raise ValueError("powers must be nonnegative")
     if u <= 0.0:
         return 1.0
-    lo, hi = min(p_s, p_r), max(p_s, p_r)
-    if hi == 0.0:
+    p = max(p_s, p_r)
+    if p == 0.0:
         return 0.0
-    if lo == 0.0:
-        return math.exp(-u / hi)
-    if hi - lo < _EQUAL_POWER_RTOL * hi:
-        x = u / hi
-        return (1.0 + x) * math.exp(-x)
-    return (p_r * math.exp(-u / p_r) - p_s * math.exp(-u / p_s)) / (p_r - p_s)
+    return _layer_tail_terms(p, min(p_s, p_r))(u / p)[0]
 
 
 def _layer_tail_terms(p_s: float, p_r: float, xp=math):
-    """eta -> (T, T', T''): the layer tail T(eta) = y_sum_tail(eta*P_s, P_s, P_r)
-    and its first two derivatives in eta, for P_s > 0.  T is the tail of
-    s = nu_s + rho nu_r, rho = P_r/P_s, the one law of s in the package: the
-    layered plans read it on scalars (``xp`` = math) and the continuous
-    densities of :mod:`relaycast.broadcast` on arrays (``xp`` = numpy).
+    """eta -> (T, T', T''): the layer tail T(eta) = P(nu_s + rho nu_r > eta),
+    rho = P_r/P_s, and its first two derivatives in eta.  T is the tail of s,
+    the one law of s in the package: the closed forms and the layered plans
+    read it on scalars (``xp`` = math) and the continuous densities of
+    :mod:`relaycast.broadcast` on arrays (``xp`` = numpy).
 
     With w = (e^{-eta/rho} - e^{-eta})/(rho - 1), T = e^{-eta} + rho w,
     T' = -w and T'' = (w - e^{-eta})/rho.  w is written with expm1, as
     -e^{-eta/rho} expm1(-eta g)/(rho - 1) for rho > 1 and
     e^{-eta} expm1(eta g)/(rho - 1) for rho < 1, g = (rho - 1)/rho, so it
-    neither cancels as rho -> 1 nor overflows at large eta.  P_r = 0 gives
-    e^{-eta}, and powers within y_sum_tail's near-equal tolerance its
-    equal-power branch (1 + x)e^{-x}, x = eta/max(rho, 1), differentiated as
-    it stands.
+    neither cancels as rho -> 1 nor overflows at large eta.  rho = 1 gives
+    (1 + eta)e^{-eta}, P_r = 0 gives e^{-eta}, and P_s = 0 gives 1: every
+    rate is then 0, and a layer of rate 0 always decodes.
     """
+    if p_s == 0.0:
+        return lambda eta: (1.0, 0.0, 0.0)
     rho, exp, expm1 = p_r / p_s, xp.exp, xp.expm1
     if rho == 0.0:
         def direct(eta: float) -> tuple[float, float, float]:
             e = exp(-eta)
             return e, -e, e
         return direct
-    if abs(rho - 1.0) < _EQUAL_POWER_RTOL * max(rho, 1.0):
-        k = 1.0 / max(rho, 1.0)
-
+    if rho == 1.0:
         def equal(eta: float) -> tuple[float, float, float]:
-            x = eta * k
-            e = exp(-x)
-            return (1.0 + x) * e, -x * e * k, (x - 1.0) * e * k * k
+            e = exp(-eta)
+            return (1.0 + eta) * e, -eta * e, (eta - 1.0) * e
         return equal
     g, d = (rho - 1.0) / rho, rho - 1.0
 
@@ -159,9 +149,11 @@ def ergodic_miso_capacity(p_s: float, p_r: float) -> float:
     """
     if p_s < 0.0 or p_r < 0.0:
         raise ValueError("powers must be nonnegative")
-    if max(p_s, p_r) == 0.0:
+    p = max(p_s, p_r)
+    if p == 0.0:
         return 0.0
+    tail = _layer_tail_terms(p, min(p_s, p_r))  # y_sum_tail's law, built once
     # adaptive quad stays: perfbench's tracer test counts miso-layering's quad calls
-    val, _ = integrate.quad(lambda u: y_sum_tail(u, p_s, p_r) / (1.0 + u),
+    val, _ = integrate.quad(lambda u: tail(u / p)[0] / (1.0 + u),
                             0.0, math.inf, epsabs=1e-10, epsrel=1e-10, limit=400)
     return val

@@ -1,7 +1,9 @@
 """Closed-form layered throughputs: direct, MISO (equal and unequal relay
 power split), simplex relay, and the duplex-gain condition.
 
-The MISO results come from the decode-region geometry in the (nu_s, nu_r)
+The direct and equal-split MISO forms weight each layer's rate by the tail of
+s = nu_s + (P_r/P_s)*nu_r at its threshold, outage._layer_tail_terms.  The
+unequal MISO results come from the decode-region geometry in the (nu_s, nu_r)
 plane: each layer is decodable above a straight threshold line, and the
 average throughput is a sum of closed-form exponential integrals over the
 regions between those lines.  The simplex results replace the lines by the
@@ -25,8 +27,8 @@ from .bounds import (BoundContext, _k_values, _u_kernel, _u_values, discontinuit
                      find_intersections)
 from .broadcast import _ladder, _panel_rule, cumulative_rate
 from .model import (PowerConfig, ThroughputResult, TwoLayerAllocation,
-                    _check_nonneg, decoding_times, layer_rates)
-from .outage import y_sum_tail
+                    _check_nonneg, decoding_times)
+from .outage import _layer_tail_terms
 
 __all__ = [
     "direct_multilayer_throughput",
@@ -64,16 +66,17 @@ def _layer_rate_list(thresholds: Sequence[float], fractions: Sequence[float],
 
 
 def _layered_result(thresholds: Sequence[float], fractions: Sequence[float],
-                    p_s: float, p_r: float,
-                    tail: Callable[[float, float, float], float]) -> ThroughputResult:
-    """Sum R_i * tail(eta_i, p_s, p_r) packaged as a ThroughputResult, each
-    tail clipped to [0, 1] (e^{-eta} passes 1 at a caller's eta < 0).
+                    p_s: float, p_r: float) -> ThroughputResult:
+    """Sum R_i T(eta_i) packaged as a ThroughputResult, T the layer tail of
+    outage._layer_tail_terms(p_s, p_r), each clipped to [0, 1] (e^{-eta}
+    passes 1 at a caller's eta < 0).
 
     For more than two layers r2/p_both aggregate the upper layers
     (rate-weighted), preserving r_av = r1*p1 + r2*p_both exactly.
     """
     rates = _layer_rate_list(thresholds, fractions, p_s)
-    tails = [min(max(tail(eta, p_s, p_r), 0.0), 1.0) for eta in thresholds]
+    tail = _layer_tail_terms(p_s, p_r)
+    tails = [min(max(tail(eta)[0], 0.0), 1.0) for eta in thresholds]
     r1, p1 = rates[0], tails[0]
     r_hi = sum(rates[1:])
     p_hi = sum(r * t for r, t in zip(rates[1:], tails[1:])) / r_hi if r_hi > 0.0 else p1
@@ -84,42 +87,29 @@ def direct_multilayer_throughput(thresholds: Sequence[float],
                                  fractions: Sequence[float],
                                  p_s: float) -> ThroughputResult:
     """No-relay layered transmission: R_av = sum_i R_i e^{-eta_i}."""
-    return _layered_result(thresholds, fractions, p_s, 0.0, _direct_tail)
+    return _layered_result(thresholds, fractions, p_s, 0.0)
 
 
 def miso_equal_throughput(thresholds: Sequence[float], fractions: Sequence[float],
                           p_s: float, p_r: float) -> ThroughputResult:
     """Always-on relay reusing the source split: R_av = sum_i R_i P(Y > eta_i P_s)."""
-    return _layered_result(thresholds, fractions, p_s, p_r, _miso_tail)
+    return _layered_result(thresholds, fractions, p_s, p_r)
 
 
-def _direct_tail(eta: float, p_s: float, p_r: float) -> float:
-    """The direct layer tail e^{-eta}; p_s and p_r are ignored."""
-    return math.exp(-eta)
-
-
-def _miso_tail(eta: float, p_s: float, p_r: float) -> float:
-    """The MISO layer tail P(Y > eta*P_s), clipped to [0, 1] as
-    _layered_result clips it."""
-    return min(max(y_sum_tail(eta * p_s, p_s, p_r), 0.0), 1.0)
-
-
-def _tail_kernels(tail: Callable[[float, float, float], float]):
-    """The rate kernel of a layer tail(eta, p_s, p_r) in [0, 1]:
-    ``_layered_result(...).r_av`` of the split (alpha, 1 - alpha) at (eta1,
-    eta2) bit for bit, from unchecked floats (alpha, beta, eta1, eta2, p_s,
-    p_r), beta ignored."""
-    def rate(alpha: float, beta: float, eta1: float, eta2: float,
-             p_s: float, p_r: float) -> float:
-        p1, t2 = tail(eta1, p_s, p_r), tail(eta2, p_s, p_r)
-        ab = max(1.0 - alpha, 0.0)
-        r1 = math.log1p(eta1 * p_s) - math.log1p(eta1 * ab * p_s)
-        r2 = math.log1p(eta2 * ab * p_s)
-        # the rate-weighted layer-2 probability of _layered_result, rounding included
-        p_both = min(r2 * t2 / r2, p1) if r2 > 0.0 else p1
-        return r1 * p1 + r2 * p_both
-
-    return rate
+def _layered_two_layer_rate(alpha: float, beta: float, eta1: float, eta2: float,
+                            p_s: float, p_r: float) -> float:
+    """``miso_equal_throughput(...).r_av`` of the split (alpha, 1 - alpha) at
+    (eta1, eta2) bit for bit, from unchecked floats; beta is ignored, and P_r
+    = 0 gives the direct form."""
+    tail = _layer_tail_terms(p_s, p_r)
+    p1 = min(max(tail(eta1)[0], 0.0), 1.0)
+    t2 = min(max(tail(eta2)[0], 0.0), 1.0)
+    ab = max(1.0 - alpha, 0.0)
+    r1 = math.log1p(eta1 * p_s) - math.log1p(eta1 * ab * p_s)
+    r2 = math.log1p(eta2 * ab * p_s)
+    # the rate-weighted layer-2 probability of _layered_result, rounding included
+    p_both = min(r2 * t2 / r2, p1) if r2 > 0.0 else p1
+    return r1 * p1 + r2 * p_both
 
 
 def _seg(lo: float, hi: float, slope: float, anchor: float) -> float:
@@ -148,8 +138,9 @@ def _miso_unequal_parts(alpha: float, beta: float, eta1: float, eta2: float,
     n = ab * p_s / (bb * p_r) if bb * p_r > 0.0 else math.inf
     k = alpha * p_s / (d * p_r) if d * p_r != 0.0 else math.inf
     if p_r == 0.0:  # the direct form, rounded as direct_multilayer_throughput
-        p1 = math.exp(-e1)
-        p_both = r2 * math.exp(-e2) / r2 if r2 > 0.0 else p1
+        tail = _layer_tail_terms(p_s, 0.0)
+        p1 = tail(e1)[0]
+        p_both = r2 * tail(e2)[0] / r2 if r2 > 0.0 else p1
     elif abs(d) <= 1e-12 * max(1.0, beta + e1 * p_s * (beta + alpha)):
         # layer-1 threshold line is vertical at eta1: relay power neither
         # helps nor hurts layer 1
@@ -198,11 +189,11 @@ def miso_unequal_throughput(alloc: TwoLayerAllocation, p_s: float,
 
 def miso_max_throughput(alloc: TwoLayerAllocation, p_s: float) -> ThroughputResult:
     """Unit-slope optimum of the unequal MISO over n, k >= 1:
-    R_av = R1 e^{-eta1}(1+eta1) + R2 e^{-eta2}(1+eta2)."""
-    r1, r2 = layer_rates(alloc, p_s)
-    p1 = math.exp(-alloc.eta1) * (1.0 + alloc.eta1)
-    p_both = math.exp(-alloc.eta2) * (1.0 + alloc.eta2)
-    return ThroughputResult.build(r1, r2, p1, min(p_both, p1))
+    R_av = R1 e^{-eta1}(1+eta1) + R2 e^{-eta2}(1+eta2), the equal MISO at
+    P_r = P_s."""
+    p_s = _check_nonneg("p_s", p_s)
+    return miso_equal_throughput((alloc.eta1, alloc.eta2), (alloc.alpha, alloc.alpha_bar),
+                                 p_s, p_s)
 
 
 def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> ThroughputResult:
@@ -223,9 +214,8 @@ def _simplex_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> Throughp
     v_lo = discontinuity_point(ctx)
     v, w = _panel_rule(_ladder((v_lo, alloc.eta1)), _LOWER_NODES)
 
-    def integral(thr: np.ndarray) -> float:
-        # int exp(-max(thr, 0) - v); a NaN threshold contributes 0
-        return float(np.nansum(w * np.exp(-np.maximum(thr, 0.0) - v)))
+    def integral(thr: np.ndarray) -> float:  # int exp(-max(thr, 0) - v)
+        return float(np.sum(w * np.exp(-np.maximum(thr, 0.0) - v)))
 
     k = _k_values(v, ctx) if r1 > 0.0 else None
     u = _u_values(v, ctx) if r2 > 0.0 else None
@@ -273,15 +263,11 @@ def simplex_unequal_throughput(alloc: TwoLayerAllocation, cfg: PowerConfig) -> T
 class _TwoLayerForm(NamedTuple):
     """A CLOSED_FORMS entry; calling it evaluates the closed form.  ``rate``
     (direct and MISO) gives r_av from unchecked floats (alpha, beta, eta1,
-    eta2, p_s, p_r) bit for bit; for direct and miso-equal it is the
-    _tail_kernels rate of the scheme's layer tail.  ``tail`` (miso-equal
-    only: direct's e^{-eta} costs less than a cache lookup) is that tail(eta,
-    p_s, p_r) in [0, 1], so a search may rebuild ``rate`` on a cached tail
-    and compute each tail once."""
+    eta2, p_s, p_r) bit for bit; for direct and miso-equal it is
+    _layered_two_layer_rate, at P_r = 0 for direct."""
 
     closed_form: Callable[[TwoLayerAllocation, PowerConfig], ThroughputResult]
     rate: Callable[..., float] | None = None
-    tail: Callable[[float, float, float], float] | None = None
 
     def __call__(self, alloc: TwoLayerAllocation, cfg: PowerConfig) -> ThroughputResult:
         return self.closed_form(alloc, cfg)
@@ -296,11 +282,11 @@ CLOSED_FORMS: dict[str, _TwoLayerForm] = {
     "direct": _TwoLayerForm(
         lambda a, cfg: direct_multilayer_throughput(
             (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s),
-        _tail_kernels(_direct_tail)),
+        lambda a, b, e1, e2, p_s, p_r: _layered_two_layer_rate(a, b, e1, e2, p_s, 0.0)),
     "miso-equal": _TwoLayerForm(
         lambda a, cfg: miso_equal_throughput(
             (a.eta1, a.eta2), (a.alpha, a.alpha_bar), cfg.p_s, cfg.p_r),
-        _tail_kernels(_miso_tail), _miso_tail),
+        _layered_two_layer_rate),
     "miso-unequal": _TwoLayerForm(
         lambda a, cfg: miso_unequal_throughput(a, cfg.p_s, cfg.p_r),
         _miso_unequal_two_layer_rate),

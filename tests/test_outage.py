@@ -11,12 +11,80 @@ from relaycast import (PowerConfig, ThroughputResult, ergodic_miso_capacity,
                        sdf_single_layer_throughput, single_user_throughput,
                        y_sum_tail)
 from relaycast.montecarlo import SimConfig, simulate_strategy
+from relaycast.outage import _layer_tail_terms
 
 
 def mc_sum_tail(u, p_s, p_r, n=1_000_000, seed=5150):
     nu = -np.log1p(-np.random.default_rng(seed).random((n, 2)))
     hits = nu[:, 0] * p_s + nu[:, 1] * p_r > u
     return hits.mean(), hits.std(ddof=1) / math.sqrt(n)
+
+
+# (P_r/P_s, eta, T, T') of the layer tail T(eta) = P(nu_s + rho nu_r > eta) near
+# equal powers, by 40-digit mpmath at the float rho: with w = (e^{-eta/rho} -
+# e^{-eta})/(rho - 1), T = e^{-eta} + rho w and T' = -w
+NEAR_EQUAL_TAILS = [
+    (1.0 + 1e-15, 1e-3, 0.99999950033320837, -0.0009990004998333739),
+    (1.0 + 1e-15, 0.1, 0.99532115983955554, -0.090483741803595866),
+    (1.0 + 1e-15, 1.0, 0.73575888234288485, -0.36787944117144212),
+    (1.0 + 1e-15, 4.0, 0.091578194443671064, -0.073262555554936803),
+    (1.0 + 1e-15, 30.0, 2.9008631203405009e-12, -2.807286890652096e-12),
+    (1.0 + 1e-12, 1e-3, 0.99999950033320837, -0.00099900049983237642),
+    (1.0 + 1e-12, 0.1, 0.99532115983956005, -0.090483741803509995),
+    (1.0 + 1e-12, 1.0, 0.7357588823430686, -0.36787944117125837),
+    (1.0 + 1e-12, 4.0, 0.09157819444381744, -0.07326255555500999),
+    (1.0 + 1e-12, 30.0, 2.9008631203825672e-12, -2.8072868906913579e-12),
+    (1.0 + 5e-9, 1e-3, 0.99999950033321086, -0.00099900049484087007),
+    (1.0 + 5e-9, 0.1, 0.99532115986217647, -0.090483741373798193),
+    (1.0 + 5e-9, 1.0, 0.73575888326258324, -0.36787944025174373),
+    (1.0 + 5e-9, 4.0, 0.091578195176296454, -0.073262555921249496),
+    (1.0 + 5e-9, 30.0, 2.9008633308869791e-12, -2.807287087162142e-12),
+    (1.0 + 1.5e-8, 1e-3, 0.99999950033321586, -0.00099900048485586033),
+    (1.0 + 1.5e-8, 0.1, 0.99532115990741833, -0.090483740514202667),
+    (1.0 + 1.5e-8, 1.0, 0.73575888510198041, -0.36787943841234654),
+    (1.0 + 1.5e-8, 4.0, 0.091578196641547566, -0.073262556653875042),
+    (1.0 + 1.5e-8, 30.0, 2.900863751980086e-12, -2.8072874801823723e-12),
+    (1.0 + 1e-7, 1e-3, 0.99999950033325832, -0.00099900039998328498),
+    (1.0 + 1e-7, 0.1, 0.9953211602919742, -0.090483733207641301),
+    (1.0 + 1e-7, 1.0, 0.73575890073685549, -0.36787942277747087),
+    (1.0 + 1e-7, 4.0, 0.091578209096182509, -0.073262562881192037),
+    (1.0 + 1e-7, 30.0, 2.9008673312745824e-12, -2.8072908208570984e-12),
+    (1.0 + 1e-5, 1e-3, 0.99999950033820332, -0.00099899051492317828),
+    (1.0 + 1e-5, 0.1, 0.9953212050809891, -0.090482882216207362),
+    (1.0 + 1e-5, 1.0, 0.73576072172782794, -0.36787760178036779),
+    (1.0 + 1e-5, 4.0, 0.091579659699666131, -0.073263288178050166),
+    (1.0 + 1e-5, 30.0, 2.9012842512747859e-12, -2.8076799447869361e-12),
+    (1.0 - 1e-15, 1e-3, 0.99999950033320837, -0.00099900049983337601),
+    (1.0 - 1e-15, 0.1, 0.99532115983955553, -0.090483741803596048),
+    (1.0 - 1e-15, 1.0, 0.73575888234288446, -0.36787944117144251),
+    (1.0 - 1e-15, 4.0, 0.091578194443670755, -0.073262555554936648),
+    (1.0 - 1e-15, 30.0, 2.9008631203404121e-12, -2.8072868906520131e-12),
+    (1.0 - 1e-12, 1e-3, 0.99999950033320837, -0.00099900049983437349),
+    (1.0 - 1e-12, 0.1, 0.99532115983955101, -0.090483741803681919),
+    (1.0 - 1e-12, 1.0, 0.73575888234270071, -0.36787944117162626),
+    (1.0 - 1e-12, 4.0, 0.09157819444352438, -0.07326255555486346),
+    (1.0 - 1e-12, 30.0, 2.9008631202983458e-12, -2.8072868906127512e-12),
+    (1.0 - 5e-9, 1e-3, 0.99999950033320587, -0.00099900050482588),
+    (1.0 - 5e-9, 0.1, 0.99532115981693459, -0.090483742233393735),
+    (1.0 - 5e-9, 1.0, 0.73575888142318604, -0.36787944209114092),
+    (1.0 - 5e-9, 4.0, 0.091578193711045352, -0.073262555188623945),
+    (1.0 - 5e-9, 30.0, 2.9008629097939481e-12, -2.8072866941419797e-12),
+    (1.0 - 1.5e-8, 1e-3, 0.99999950033320087, -0.00099900051481089025),
+    (1.0 - 1.5e-8, 0.1, 0.99532115977169272, -0.090483743092989303),
+    (1.0 - 1.5e-8, 1.0, 0.7357588795837888, -0.36787944393053815),
+    (1.0 - 1.5e-8, 4.0, 0.091578192245794243, -0.073262554455998381),
+    (1.0 - 1.5e-8, 30.0, 2.9008624887009882e-12, -2.807286301121881e-12),
+    (1.0 - 1e-7, 1e-3, 0.99999950033315842, -0.0009990005996834849),
+    (1.0 - 1e-7, 0.1, 0.99532115938713678, -0.090483750399552245),
+    (1.0 - 1e-7, 1.0, 0.73575886394891137, -0.36787945956541498),
+    (1.0 - 1e-7, 4.0, 0.091578179791160287, -0.073262548228680925),
+    (1.0 - 1e-7, 30.0, 2.9008589094139102e-12, -2.8072829604538044e-12),
+    (1.0 - 1e-5, 1e-3, 0.99999950032821331, -0.00099901048494317197),
+    (1.0 - 1e-5, 0.1, 0.99532111459724729, -0.090484601407301787),
+    (1.0 - 1e-5, 1.0, 0.73575704293341607, -0.36788128057477948),
+    (1.0 - 1e-5, 4.0, 0.091576729197444029, -0.073261822926939114),
+    (1.0 - 1e-5, 30.0, 2.9004420652028732e-12, -2.8068939044535159e-12),
+]
 
 
 class TestYSumTail:
@@ -32,10 +100,14 @@ class TestYSumTail:
         assert abs(y_sum_tail(1.0, 2.0, 1.0) - mean) < 3 * se
 
     def test_equal_branch_matches_unequal_limit(self):
-        for u in (0.3, 1.0, 4.0):
-            exact = y_sum_tail(u, 1.0, 1.0)
-            near = y_sum_tail(u, 1.0, 1.0 + 1e-7)  # just above the routing tolerance
-            assert abs(near - exact) / exact < 1e-6
+        # near rho = 1 a difference of exponentials cancels, and (1 + eta)e^{-eta}
+        # is off by up to 7e-8 at these gaps: the law must hold 1e-13 at every
+        # rho != 1.  |T'| stays above 2e-12, so one relative bound serves T' too
+        for rho, eta, t, t1 in NEAR_EQUAL_TAILS:
+            got = _layer_tail_terms(1.0, rho)(eta)
+            assert got[0] == pytest.approx(t, rel=1e-13), (rho, eta)
+            assert got[1] == pytest.approx(t1, rel=1e-13), (rho, eta)
+            assert y_sum_tail(eta, 1.0, rho) == pytest.approx(t, rel=1e-13), (rho, eta)
 
     def test_degenerate_powers(self):
         assert y_sum_tail(1.0, 2.0, 0.0) == pytest.approx(math.exp(-0.5))

@@ -207,10 +207,10 @@ def kernel_draw_groups(n_groups=120, per_group=30, n_near=40):
     alpha and beta mix 0, 1 and random values with the special splits
     beta = alpha, a vertical layer-1 line (d = 0) and a layer-2 slope within
     5e-10 of 1; every fifth plan has eta1 = eta2.  Then ``n_near`` groups with
-    P_r = P_s (1 + {1.5e-8, 3e-8, 1e-7, 1e-6}), where y_sum_tail's
-    unequal-power branch cancels, at eta2 - eta1 in {0, 1e-12, 1e-9, 1e-6}:
-    there rounding can put the layer-2 tail above the layer-1 tail.  They come
-    from a generator of their own, so the groups before them keep their draws.
+    P_r = P_s (1 + {1.5e-8, 3e-8, 1e-7, 1e-6}), near equal powers, at
+    eta2 - eta1 in {0, 1e-12, 1e-9, 1e-6}: there rounding can put the layer-2
+    tail above the layer-1 tail.  They come from a generator of their own, so
+    the groups before them keep their draws.
     """
     rng = np.random.default_rng(20_240_803)
     for g in range(n_groups):
@@ -263,6 +263,20 @@ def test_scalar_kernels_match_the_closed_forms_bit_for_bit(scheme):
             got = form.rate(alpha, beta, eta1, eta2, p_s, p_r)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
                 (alpha, beta, eta1, eta2, p_s, p_r)
+
+
+@pytest.mark.parametrize("p_r", [0.0, 10.0])
+@pytest.mark.parametrize("scheme", sorted(twolayer.CLOSED_FORMS))
+def test_zero_source_power_always_decodes(scheme, p_r):
+    # at P_s = 0 every layer has rate 0, and a layer of rate 0 always decodes,
+    # as single_user_throughput at rate 0 and the Monte-Carlo oracle read it
+    form = twolayer.CLOSED_FORMS[scheme]
+    alloc = TwoLayerAllocation(alpha=0.7, eta1=0.3, eta2=1.8)
+    res = form(alloc, PowerConfig(p_s=0.0, p_r=p_r, q=100.0))
+    assert (res.r1, res.r2, res.p_layer1, res.p_both, res.r_av) == (0.0, 0.0, 1.0, 1.0, 0.0)
+    assert single_user_throughput(0.0, 0.0).p_layer1 == 1.0
+    if form.rate is not None:
+        assert form.rate(0.7, 0.7, 0.3, 1.8, 0.0, p_r) == 0.0
 
 
 class TestSimplex:

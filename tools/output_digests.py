@@ -40,6 +40,11 @@ Runs, in-process and into a temporary directory:
   (a one-layer plan with an unused eta2) and alpha 0 (beta_bar = 0, where
   the layer-2 threshold is +-inf), and for ``single-user`` at ``--rate
   inf`` (a usage error);
+* ``rate`` for ``miso-equal``, ``miso-single`` and ``ergodic-miso`` at
+  P_r = P_s (1 + 1e-9), near equal powers, where the tail of the fading sum
+  written as a difference of exponentials would cancel, and for ``direct``,
+  ``miso-equal`` and ``miso-unequal`` at ``--ps-db -inf --pr-db -inf``,
+  where every rate is 0;
 * ``optimize`` with a coarse grid of 10: at 10 dB for ``direct``,
   ``miso-equal`` and ``miso-unequal`` (default free set), ``miso-unequal``
   over all four parameters and ``simplex-unequal`` over beta alone; at
@@ -135,6 +140,12 @@ ONE_LAYER = (
 FAR_RELAY = (("-20", "100"), ("80", "150"))
 # simplex-unequal plans with a zero-rate layer: (CSV name suffix, alpha)
 ZERO_RATE = (("alpha-1", "1"), ("alpha-0", "0"))
+# P_s = 10 dB and P_r = P_s (1 + 1e-9)
+NEAR_EQUAL_POWERS = ("--ps-db", "10", "--pr-db", "10.000000004342945")
+# (CSV name suffix, powers, schemes) of the rate runs at edges of the fading-sum law
+TAIL_EDGES = (("near-equal", NEAR_EQUAL_POWERS, ("miso-equal", "miso-single", "ergodic-miso")),
+              ("zero-power", ("--ps-db=-inf", "--pr-db=-inf"),
+               ("direct", "miso-equal", "miso-unequal")))
 # one-layer plans (beta_bar = 0) whose layer-1 t overflows near 0
 T_OVERFLOW_POWERS = ("--ps-db", "40", "--pr-db", "40", "--q-db", "0.4")
 T_OVERFLOW = (
@@ -204,6 +215,11 @@ def commands(cli, out: Path):
     csv = "rate-miso-unequal-near-unit-slope.csv"
     yield csv, ("rate", "--scheme", "miso-unequal", *ALLOC, "--beta", "0.70000003",
                 "--out", str(out / csv))
+    for name, powers, schemes in TAIL_EDGES:
+        for scheme in schemes:
+            csv = f"rate-{scheme}-{name}.csv"
+            alloc = ALLOC if scheme in cli.twolayer.CLOSED_FORMS else ()
+            yield csv, ("rate", "--scheme", scheme, *alloc, *powers, "--out", str(out / csv))
     for i, (ps_db, scheme, *extra) in enumerate(OPTIMIZE):
         csv = f"optimize-{i}-{scheme}.csv"
         yield csv, ("optimize", "--scheme", scheme, "--ps-db", ps_db, "--coarse", "10",
