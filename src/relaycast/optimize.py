@@ -16,7 +16,9 @@ four-dimensional, and may be non-smooth at branch boundaries of the closed
 forms, so an auditable deterministic search beats stochastic methods here.
 A coordinate's first line search spans its whole box, later ones a bracket
 sized by its last move; a search ends on a whole-box pass that moves nothing
-by more than _TOL = 1e-6.  ``miso-unequal`` with beta free has no grid of
+by more than _TOL = 1e-6; a search of one free parameter is one line
+search, which certifies a maximum on a box end in a few probes (the face
+rule of golden_section_max).  ``miso-unequal`` with beta free has no grid of
 its own: the unequal split contains the equal one (beta = alpha), so it
 refines the ``miso-equal`` optimum over all free parameters, by Newton
 steps on central differences (_difference_newton) and one confirming
@@ -25,9 +27,9 @@ The ``direct`` and ``miso-equal`` kernels and the plans read one law, the
 layer tail of outage._layer_tail_terms (e^{-eta} at P_r = 0).  Each search
 logs one DEBUG line with its evaluations and ``plan`` where it is the exact
 plan, else per ascent the passes run, then the line searches, the brackets
-widened and the ascents that ran all their passes (capped); the unequal
-refinement logs its Newton steps, shifts, positions held on a face and
-confirming passes.
+widened, the line searches that ended on a box end (faces) and the ascents
+that ran all their passes (capped); the unequal refinement logs its Newton
+steps, shifts, positions held on a face and confirming passes.
 No randomness anywhere; rerunning returns bit-identical output.
 """
 
@@ -65,6 +67,7 @@ _COARSE_BY_DIM = {1: 64, 2: 64, 3: 40, 4: 16}
 _ETA_MAX = 4.0  # upper end of the grids' eta ranges (see _unequal_from_equal)
 _TOL = 1e-6  # coordinate passes stop once no parameter moves by more
 _LINE_TOL = 1e-7  # bracket width each of _coordinate_ascent's line searches ends at
+_FACE_STREAK = 3  # golden steps toward an end before golden_section_max probes it
 _MAX_PASSES = 40
 _BRACKET_MIN = 10 * _TOL  # least half-width of a later line search's bracket
 _N_STARTS = 3  # coarse-grid points refined by maximize_throughput
@@ -84,7 +87,7 @@ class OptResult:
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
-                       tol: float = 1e-6) -> tuple[float, float]:
+                       tol: float = 1e-6, probe_ends: bool = False) -> tuple[float, float]:
     """Safeguarded Brent maximization of f on [lo, hi] to bracket width tol.
 
     Each step tries the vertex of the parabola through the three best probes
@@ -95,9 +98,20 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
     point probed anywhere, so a non-unimodal slice can never come back worse
     than something already seen; a NaN probe counts as -inf, so it is never
     the result while another probe is a number.  A zero-width interval
-    returns (lo, f(lo)).  The name is kept from the golden-section search
-    this replaced: the golden step is still its fallback, and the
-    benchmark's tracer (perfbench/tracer.py) counts line searches by it.
+    returns (lo, f(lo)).
+
+    Brent never probes lo or hi, so it creeps to a maximum on an end by
+    golden steps, about 29 to a 1e-7 bracket.  With ``probe_ends`` (the face
+    rule), once _FACE_STREAK golden steps in a row moved the best probe
+    toward an end that still bounds the bracket, that end is probed, once.
+    If it is at least as good as the best probe and a probe tol/2 inward is
+    worse, the search ends on the end (by the unimodality the bracket
+    assumes); a better inward probe becomes the best one, and a worse end
+    costs one evaluation and changes nothing else.
+
+    The name is kept from the golden-section search this replaced: the
+    golden step is still its fallback, and the benchmark's tracer
+    (perfbench/tracer.py) counts line searches by it.
     """
     if hi <= lo:
         return lo, f(lo)
@@ -108,6 +122,8 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
     d = e = 0.0  # the last step, and the one before it
     step = tol / 4.0  # least distance of a probe from the best one
     done = tol / 2.0  # the search ends with both bracket ends this close to x
+    ends = {lo, hi} if probe_ends else set()  # the ends the face rule may probe
+    streak = 0  # golden steps in a row whose new best moved to one side, signed
     while x - a > done or b - x > done:
         m = 0.5 * (a + b)
         golden = True
@@ -131,6 +147,8 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
         u = x + (d if abs(d) >= step else math.copysign(step, d))
         fu = f(u)
         fu = fu if fu == fu else -math.inf
+        toward = (1 if u > x else -1) if golden and fu >= fx else 0
+        streak = streak + toward if streak * toward > 0 else toward
         if fu >= fx:  # u is the new best probe, x a bracket end
             if u < x:
                 b = x
@@ -146,6 +164,17 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
                 v, fv, w, fw = w, fw, u, fu
             elif fu >= fv or v == x or v == w:
                 v, fv = u, fu
+        end = b if streak > 0 else a
+        if abs(streak) >= _FACE_STREAK and end in ends and abs(end - x) > done:
+            ends.remove(end)
+            fe = f(end)
+            if fe >= fx:  # the face, unless just inside it is better
+                inner = end - math.copysign(done, end - x)
+                fi = f(inner)
+                if not fi >= fe:
+                    return end, fe
+                a, b = (x, b) if inner > x else (a, x)
+                v, fv, w, fw, x, fx = w, fw, x, fx, inner, fi
     return x, fx
 
 
@@ -165,16 +194,17 @@ def _search_box(i: int, x: Sequence[float], eta_max: float, beta_ge_alpha: bool 
 def _coordinate_ascent(value: Callable[[list[float]], float],
                        start: tuple[float, Sequence[float]], coords: Sequence[int],
                        bounds: Callable[[int, list[float]], tuple[float, float]]
-                       ) -> tuple[float, list[float], int, int]:
+                       ) -> tuple[float, list[float], int, int, int]:
     """Cyclic line searches (golden_section_max to a _LINE_TOL bracket) over
     positions ``coords`` of a point, from ``start``, a (value, point) pair,
     accepting only strictly improving moves, until a pass whose searches span
     their whole boxes moves no position by more than _TOL, or _MAX_PASSES
     passes ran.  One position stops after one pass, since ``bounds`` of a
     position does not read that position, so a second pass would repeat the
-    same search.  Line searches end ten times finer than _TOL: at 1e-6 the
-    64-point direct search over (alpha, eta1, eta2) fell by up to 2.1e-5 at
-    79 dB, where 1 - alpha < 1e-6.
+    same search; that search alone takes golden_section_max's face rule
+    (ROADMAP, Settled: "The face rule").  Line searches end ten times finer
+    than _TOL: a 1e-6 bracket let 14 of 201 plans fall by up to 2.1e-5
+    (ROADMAP, Settled: "The Brent bracket size").
 
     A whole-box pass searches each position over ``bounds(i, point)``; the
     first pass is one, and so is the pass after any other pass that moved no
@@ -183,12 +213,12 @@ def _coordinate_ascent(value: Callable[[list[float]], float],
     position's last move (0 after a search that found no strict gain),
     floored at _BRACKET_MIN; while the best probe lies within _TOL of a
     bracket edge that is not a box edge, the half-width grows 8-fold and the
-    search runs again.  Returns the final (value, point), the passes run and
-    the brackets widened.
+    search runs again.  Returns the final (value, point), the passes run, the
+    brackets widened and the line searches whose result is a box end.
     """
     cur_val, cur = start[0], list(start[1])
     half = dict.fromkeys(coords, math.inf)  # bracket half-width per position
-    widened = 0
+    widened = faces = 0
     for passes in range(1, _MAX_PASSES + 1):
         moved, whole = 0.0, math.inf in half.values()  # all inf or none
         for i in coords:
@@ -201,7 +231,9 @@ def _coordinate_ascent(value: Callable[[list[float]], float],
 
             while True:
                 lo, hi = max(box_lo, cur[i] - half[i]), min(box_hi, cur[i] + half[i])
-                x_new, f_new = golden_section_max(line, lo, hi, tol=_LINE_TOL)
+                x_new, f_new = golden_section_max(line, lo, hi, tol=_LINE_TOL,
+                                                  probe_ends=len(coords) == 1)
+                faces += x_new in (box_lo, box_hi)
                 if not ((lo > box_lo and x_new - lo <= _TOL)
                         or (hi < box_hi and hi - x_new <= _TOL)):
                     break
@@ -218,7 +250,7 @@ def _coordinate_ascent(value: Callable[[list[float]], float],
             break
         if moved <= _TOL:  # confirmed, or not, by a whole-box pass
             half = dict.fromkeys(coords, math.inf)
-    return cur_val, cur, passes, widened
+    return cur_val, cur, passes, widened, faces
 
 
 def maximize_throughput(scheme: str, free_params: Iterable[str],
@@ -333,7 +365,7 @@ def maximize_throughput(scheme: str, free_params: Iterable[str],
     passes, widened = [r[2] for r in runs], sum(r[3] for r in runs)
     return result(best_val, best, f"passes={','.join(map(str, passes))} lines="
                   f"{len(slots) * sum(passes) + widened} widened={widened} "
-                  f"capped={passes.count(_MAX_PASSES)}")
+                  f"faces={sum(r[4] for r in runs)} capped={passes.count(_MAX_PASSES)}")
 
 
 def _two_layer_plan(p_s: float, p_r: float) -> tuple[list[float], int]:

@@ -112,5 +112,12 @@ def test_fig5_and_fig7_run_at_one_point():
 
 
 def test_fig8_optimized_beta_is_no_worse_than_the_equal_split():
-    r = rates("fig8", ps_db=[10.0])
-    assert r["simplex-unequal-opt"] >= r["simplex-equal"]
+    # over fig8's whole default grid, 0..25 dB: beta = alpha lies in each
+    # search's box, so the searched split may not read below the equal one.
+    # At 0 dB the search once stopped 4.7e-8 inside that face, 2e-11 below
+    _, rows, _ = figures.run_preset("fig8")
+    cells = {(r["ps_db"], r["scheme"]): r["throughput_nats"] for r in rows}
+    grid = sorted({db for db, _ in cells})
+    assert grid == [2.5 * k for k in range(11)]
+    for db in grid:
+        assert cells[db, "simplex-unequal-opt"] >= cells[db, "simplex-equal"]

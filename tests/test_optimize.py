@@ -46,7 +46,7 @@ class TestLineSearch:
     """golden_section_max, the Brent line search of every coordinate ascent."""
 
     @staticmethod
-    def search(f, lo, hi, tol):
+    def search(f, lo, hi, tol, **kwargs):
         probes = []
 
         def recorded(x):
@@ -54,23 +54,46 @@ class TestLineSearch:
             probes.append((x, fx))
             return fx
 
-        return golden_section_max(recorded, lo, hi, tol), probes
+        return golden_section_max(recorded, lo, hi, tol, **kwargs), probes
 
     @pytest.mark.parametrize("tol", [1e-5, 1e-6, 1e-7])
     def test_smooth_maximum_takes_fewer_probes_than_golden_section(self, tol):
         # log1p(x) - 0.3 x peaks at 7/3; golden section keeps 1/phi of the
         # bracket per probe after its first two.  Below about 3e-8 the
-        # function's rounding hides where its maximum lies
+        # function's rounding hides where its maximum lies.  The face rule
+        # never fires here: the same probes, in the same order
         (x, fx), probes = self.search(lambda x: math.log1p(x) - 0.3 * x, 0.0, 4.0, tol)
         assert abs(x - 7.0 / 3.0) <= tol and (x, fx) in probes
         golden = 2 + math.ceil(math.log(4.0 / tol) / math.log((1 + math.sqrt(5.0)) / 2))
         assert len(probes) < golden / 2
         assert all(0.0 < p < 4.0 for p, _ in probes)
+        assert self.search(lambda x: math.log1p(x) - 0.3 * x, 0.0, 4.0, tol,
+                           probe_ends=True) == ((x, fx), probes)
 
     @pytest.mark.parametrize("peak,edge", [(1.5, 1.0), (-0.5, 0.0)])
     def test_maximum_on_a_box_edge(self, peak, edge):
         (x, fx), probes = self.search(lambda x: -(x - peak) ** 2, 0.0, 1.0, 1e-7)
         assert abs(x - edge) <= 1e-7 and fx == max(f for _, f in probes)
+
+    @pytest.mark.parametrize("f,edge", [(lambda x: -(x - 1.5) ** 2, 1.0),
+                                        (lambda x: -(x + 0.5) ** 2, 0.0),
+                                        (lambda x: x, 1.0), (lambda x: -x, 0.0)])
+    def test_face_rule_returns_an_end_maximum_exactly(self, f, edge):
+        # Brent alone creeps to the end in about 35 probes at 1e-7; the rule
+        # probes the end after three golden steps toward it and one just inside
+        (x, fx), probes = self.search(f, 0.0, 1.0, 1e-7, probe_ends=True)
+        assert (x, fx) == (edge, f(edge)) and len(probes) <= 10
+        assert fx == max(f for _, f in probes)
+
+    @pytest.mark.parametrize("peak", [1.0 - 1e-5, 1e-5])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-7])
+    def test_face_rule_finds_a_peak_just_inside_an_end(self, peak, tol):
+        # the best probes creep toward the end, which the rule probes, but the
+        # probe tol/2 inside it is better: no false face, the peak to tol
+        (x, fx), probes = self.search(lambda x: -(x - peak) ** 2, 0.0, 1.0, tol,
+                                      probe_ends=True)
+        assert abs(x - peak) <= tol and fx == max(f for _, f in probes)
+        assert round(peak) in [p for p, _ in probes]
 
     def test_kinked_two_peak_slice_returns_the_best_probe(self):
         # two tents, the lower one nearer the first probe: whichever peak the
@@ -393,8 +416,8 @@ class TestCoordinateAscent:
     def run(monkeypatch, value, start):
         searches = []  # (lo, hi, best x) of every line search
 
-        def recorded(f, lo, hi, tol):
-            x, fx = golden_section_max(f, lo, hi, tol)
+        def recorded(f, lo, hi, tol, **kwargs):
+            x, fx = golden_section_max(f, lo, hi, tol, **kwargs)
             searches.append((lo, hi, x))
             return x, fx
 
@@ -410,7 +433,7 @@ class TestCoordinateAscent:
         def value(x):
             return -0.01 * (x[0] - (0.2 if x[1] < 0.4 else 0.25)) ** 2 - (x[1] - 0.5) ** 2
 
-        (val, x, passes, widened), searches = self.run(monkeypatch, value, [0.2, 0.0])
+        (val, x, passes, widened, _), searches = self.run(monkeypatch, value, [0.2, 0.0])
         assert x == pytest.approx([0.25, 0.5], abs=1e-6) and val == pytest.approx(0.0, abs=1e-12)
         # pass 2 searches x[0] on 0.2 +- 1e-5 * 8^k, clipped to the box, until
         # the best probe leaves the bracket's inner edge: at k = 5, [0, 0.5277]
@@ -427,7 +450,7 @@ class TestCoordinateAscent:
         def value(x):
             return x[0] - (x[1] - 0.3) ** 2
 
-        (val, x, passes, widened), searches = self.run(monkeypatch, value, [0.99, 0.0])
+        (val, x, passes, widened, _), searches = self.run(monkeypatch, value, [0.99, 0.0])
         assert widened == 0 and x == pytest.approx([1.0, 0.3], abs=1e-6)
         lo, hi, best = searches[2]
         assert 0.0 < lo < 0.99 and hi == 1.0 and best >= 1.0 - 1e-6
@@ -435,6 +458,7 @@ class TestCoordinateAscent:
     def test_one_coordinate_is_one_box_search(self):
         # a lone coordinate's one line search spans its box: the same probes,
         # in the same order, and the same result as golden_section_max there
+        # with the face rule; its maximum is inside the box, so no face
         probes, direct = [], []
 
         def line(v):
@@ -447,9 +471,9 @@ class TestCoordinateAscent:
         result = optimize._coordinate_ascent(value, (line(1.9), [1.9]), [0],
                                              lambda i, x: (0.0, 2.0))
         best = golden_section_max(lambda v: direct.append(v) or line(v), 0.0, 2.0,
-                                  tol=optimize._LINE_TOL)
+                                  tol=optimize._LINE_TOL, probe_ends=True)
         assert probes == direct
-        assert result == (best[1], [best[0]], 1, 0)
+        assert result == (best[1], [best[0]], 1, 0, 0)
 
 
 class TestMaximizeThroughput:
@@ -502,12 +526,14 @@ class TestMaximizeThroughput:
         assert searches == [(0.7, 1.0)]
         # (value, beta) captured before the line searches became Brent's to a
         # 1e-7 bracket, then after (its last bit re-captured when U moved to
-        # the complement x_bar); the current value may not fall below the old
-        # by more than 1e-6 relative
-        old = (1.0410386128522764, 0.7000002609033692)
-        current = (1.0410386151708306, 0.7000000365909307)
-        assert current[0] >= old[0] * (1.0 - 1e-6)
-        assert (res.value, res.params["beta"]) == current
+        # the complement x_bar), then when the face rule ended the search on
+        # the box end beta = alpha, in 7 line probes against 33; the current
+        # value may not fall below an earlier one by more than 1e-6 relative
+        *earlier, current = [(1.0410386128522764, 0.7000002609033692),
+                             (1.0410386151708306, 0.7000000365909307),
+                             (1.0410386155490432, 0.7)]
+        assert all(current[0] >= old[0] * (1.0 - 1e-6) for old in earlier)
+        assert (res.value, res.params["beta"], res.n_evals) == (*current, 10)
 
     def test_reproducible(self):
         cfg = PowerConfig(p_s=3.0, p_r=9.0, q=1.0)
@@ -633,7 +659,10 @@ PINNED = [
 # P_r/P_s) (n_evals alone moved); and the miso-equal rows, and the
 # miso-unequal rows that start from one, that moved by an ulp or so when the
 # direct and equal MISO closed forms began to read the one law of
-# s = nu_s + (P_r/P_s) nu_r, outage._layer_tail_terms.  The last capture is
+# s = nu_s + (P_r/P_s) nu_r, outage._layer_tail_terms; and the rows with one
+# free parameter, or that start from a search of one, when its line search
+# began to probe a box end it crept toward (golden_section_max's face rule;
+# n_evals alone moved).  The last capture is
 # the current result, and it may not fall below the PINNED value or an
 # earlier capture by more than 1e-6 relative
 RECAPTURED = {
@@ -814,6 +843,9 @@ RECAPTURED = {
         (12.091467022700702,
          {"eta1": 0.3, "eta2": 1.8, "alpha": 0.9701559002247779,
           "beta": 0.9702523850990069}, 159),
+        (12.091467022700702,
+         {"eta1": 0.3, "eta2": 1.8, "alpha": 0.9701559002247779,
+          "beta": 0.9702523850990069}, 160),
     ],
     (10.0, 2.0, ("beta", "eta1", "eta2")): [
         (2.098919764469623,
@@ -881,6 +913,7 @@ RECAPTURED = {
     ],
     (-20.0, 0.0, ("eta1",)): [
         (0.0026799941739575595, {"alpha": 0.0, "eta2": 2.0, "eta1": 0.0}, 45),
+        (0.0026799941739575595, {"alpha": 0.0, "eta2": 2.0, "eta1": 0.0}, 47),
     ],
 }
 
@@ -923,9 +956,33 @@ def test_direct_search_logs_no_tail_count(monkeypatch, caplog, capsys):
     [record] = caplog.records
     assert re.fullmatch(rf"maximize_throughput direct free=eta1,eta2 "
                         rf"evals={res.n_evals} passes=\d+,\d+,\d+ lines={len(searches)} "
-                        rf"widened=\d+ capped=0 value={res.value:.6g}", record.getMessage())
+                        rf"widened=\d+ faces=\d+ capped=0 value={res.value:.6g}",
+                        record.getMessage())
     assert record.levelno == logging.DEBUG
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("ps_db,beta,faces", [(0.0, "alpha", 1), (10.0, None, 0),
+                                               (20.0, 1.0, 1)])
+def test_debug_line_counts_line_searches_on_a_face(ps_db, beta, faces, caplog, capsys):
+    # fig8's beta search at the oblivious plan: at 0 dB it ends on beta =
+    # alpha, at 20 dB on beta = 1 (the grid point it started from), at 10 dB
+    # inside the box; faces= counts the line searches whose result is a box end
+    p_s = 10 ** (ps_db / 10)
+    plan = oblivious_rate_plan(p_s)
+    caplog.set_level(logging.DEBUG, logger="relaycast.optimize")
+    res = maximize_throughput("simplex-unequal", ("beta",),
+                              {"alpha": plan.alpha, "eta1": plan.eta1, "eta2": plan.eta2},
+                              PowerConfig(p_s, p_s, 100.0), coarse_points=12)
+    *_, record = caplog.records
+    assert re.fullmatch(rf"maximize_throughput simplex-unequal free=beta evals={res.n_evals} "
+                        rf"passes=1 lines=1 widened=0 faces={faces} capped=0 "
+                        rf"value={res.value:.6g}", record.getMessage())
+    assert record.levelno == logging.DEBUG and capsys.readouterr().out == ""
+    if beta is not None:
+        assert res.params["beta"] == (plan.alpha if beta == "alpha" else beta)
+    else:
+        assert plan.alpha < res.params["beta"] < 1.0
 
 
 @pytest.mark.parametrize("scheme,ratio", [("direct", 0.0), ("miso-equal", 2.0)])
